@@ -340,10 +340,7 @@ let stream_scaling env ~jobs =
           Array.of_list
             (List.mapi (fun i inp -> Batch.of_string ~name:(Printf.sprintf "s%d" i) inp) inputs)
         in
-        let batch, wall =
-          time (fun () ->
-              Batch.run ~jobs ~group:Batch.default_group arch ~params placement ~sources)
-        in
+        let batch, wall = time (fun () -> Batch.run ~jobs arch ~params placement ~sources) in
         let solos = List.map (fun inp -> Runner.run ~jobs:1 arch ~params placement ~input:inp) inputs in
         let identical =
           List.for_all2
@@ -363,11 +360,11 @@ let stream_scaling env ~jobs =
           "streams=%d jobs=%d: %.3fs wall, %.3f Gch/s aggregate (sequential %.3f), sim speedup %.2fx, identical=%b\n%!"
           b jobs wall agg.Batch.agg_throughput_gchs seq_gchs speedup identical;
         Printf.sprintf
-          {|    {"streams": %d, "jobs": %d, "group": %d, "wall_s": %.6f,
+          {|    {"streams": %d, "jobs": %d, "wall_s": %.6f,
      "agg_chars": %d, "agg_cycles": %d, "agg_gchs": %.6f,
      "seq_gchs": %.6f, "sim_speedup": %.4f,
      "compiles_cold": %d, "compiles_warm": %d, "identical": %b}|}
-          b jobs Batch.default_group wall agg.Batch.agg_chars agg.Batch.agg_cycles
+          b jobs wall agg.Batch.agg_chars agg.Batch.agg_cycles
           agg.Batch.agg_throughput_gchs seq_gchs speedup compiles_cold compiles_warm identical)
       [ 1; 2; 4; 8 ]
   in
@@ -638,40 +635,16 @@ let sim env ~out =
                    j w (gchs w) (r = seq))
                scaling)
         in
-        (* single-stream scaling: the same stream split intra_jobs ways
-           and composed through the SFA transfer path.  On a 1-domain
-           machine the runner skips the split (see Runner.run_stream),
-           so these rows then measure that the flag is free, not a
-           fiction of speedup. *)
-        let run_intra ij () = Runner.run ~jobs:1 ~intra_jobs:ij arch ~params placement ~input in
-        let intra_scaling =
-          (1, seq, seq_s)
-          :: List.map (fun ij -> let r, w = time (run_intra ij) in (ij, r, w)) [ 2; 4 ]
-        in
-        let intra_json =
-          String.concat ", "
-            (List.map
-               (fun (ij, r, w) ->
-                 Printf.sprintf
-                   {|{"intra_jobs": %d, "wall_s": %.6f, "gchs": %.6f, "speedup": %.4f, "identical": %b}|}
-                   ij w (gchs w)
-                   (if w > 0. then seq_s /. w else 0.)
-                   (r = seq))
-               intra_scaling)
-        in
         let wall_at rows j =
           match List.find_opt (fun (j', _, _) -> j' = j) rows with
           | Some (_, _, w) -> w
           | None -> 0.
         in
-        let intra4_s = wall_at intra_scaling 4 in
         Printf.printf
-          "%-14s %d arrays: jobs=1 %.3fs (%.4f Gch/s), jobs=%d %.3fs (%.4f Gch/s), speedup %.2fx, identical=%b; intra-jobs=4 %.3fs (%.2fx); scalar-kernel %.3fs (%.2fx, identical=%b)\n%!"
+          "%-14s %d arrays: jobs=1 %.3fs (%.4f Gch/s), jobs=%d %.3fs (%.4f Gch/s), speedup %.2fx, identical=%b; scalar-kernel %.3fs (%.2fx, identical=%b)\n%!"
           name seq.Runner.num_arrays seq_s (gchs seq_s) jobs par_s (gchs par_s)
           (if par_s > 0. then seq_s /. par_s else 0.)
-          (seq = par) intra4_s
-          (if intra4_s > 0. then seq_s /. intra4_s else 0.)
-          refk_s
+          (seq = par) refk_s
           (if seq_s > 0. then refk_s /. seq_s else 0.)
           (refk = seq);
         let json =
@@ -681,49 +654,29 @@ let sim env ~out =
      "seq_gchs": %.6f, "par_gchs": %.6f,
      "simulated_gchs": %.6f, "identical": %b,
      "jobs_scaling": [%s], "jobs_levels_skipped": [%s],
-     "intra_scaling": [%s],
      "ref_kernel_wall_s": %.6f, "kernel_speedup": %.4f, "kernel_identical": %b}|}
             name seq.Runner.chars seq.Runner.num_arrays jobs seq_s par_s
             (if par_s > 0. then seq_s /. par_s else 0.)
             (gchs seq_s) (gchs par_s) seq.Runner.throughput_gchs (seq = par) scaling_json
             (String.concat ", " (List.map string_of_int jobs_levels_skipped))
-            intra_json refk_s
+            refk_s
             (if seq_s > 0. then refk_s /. seq_s else 0.)
             (refk = seq)
         in
-        (json, wall_at scaling 1, wall_at scaling 4, wall_at intra_scaling 1, intra4_s))
+        (json, wall_at scaling 1, wall_at scaling 4))
       [ "Snort"; "Yara"; "ClamAV"; "Prosite" ]
   in
-  (* gate booleans, computed from the measured walls so CI can grep one
+  (* gate boolean, computed from the measured walls so CI can grep one
      line instead of re-deriving thresholds from raw rows.  The slack
      absorbs timer noise on sub-100ms runs; on a single-domain machine
-     the flags assert "the flag costs nothing" (the scheduler and
-     runner fall back to the serial path; skipped jobs rows report a
-     0.0 wall, which [no_slower] passes by construction), on >= 4
-     domains the intra gate demands real overlap on the NFA-heavy
-     workload.  [intra_regression_ok] is the chunk-composition cost
-     model's gate: at every domain count, splitting a stream must never
-     make it slower than the serial path — the transfer-matrix build
-     cost has to be folded into the profitability decision, not paid
-     unconditionally. *)
+     the flag asserts "the flag costs nothing" (the scheduler falls back
+     to the serial path; skipped jobs rows report a 0.0 wall, which
+     [no_slower] passes by construction). *)
   let no_slower w1 wn = wn <= (w1 *. 1.25) +. 0.02 in
-  let jobs_regression_ok =
-    List.for_all (fun (_, w1, w4, _, _) -> no_slower w1 w4) workload_rows
-  in
-  let intra_scaling_ok =
-    if domains >= 4 then
-      List.exists (fun (_, _, _, i1, i4) -> i4 > 0. && i1 /. i4 >= 2.0) workload_rows
-    else List.for_all (fun (_, _, _, i1, i4) -> no_slower i1 i4) workload_rows
-  in
-  let intra_regression_ok =
-    List.for_all (fun (_, _, _, i1, i4) -> no_slower i1 i4) workload_rows
-  in
-  Printf.printf
-    "gates: domains_available=%d jobs_regression_ok=%b intra_scaling_ok=%b \
-     intra_regression_ok=%b\n\
-     %!"
-    domains jobs_regression_ok intra_scaling_ok intra_regression_ok;
-  let rows = List.map (fun (j, _, _, _, _) -> j) workload_rows in
+  let jobs_regression_ok = List.for_all (fun (_, w1, w4) -> no_slower w1 w4) workload_rows in
+  Printf.printf "gates: domains_available=%d jobs_regression_ok=%b\n%!" domains
+    jobs_regression_ok;
+  let rows = List.map (fun (j, _, _) -> j) workload_rows in
   let kernel_rows = List.map (fun name -> kernel_bench env ~name) [ "Snort"; "Yara" ] in
   let dfa_rows_full =
     List.map (fun name -> dfa_kernel_bench env ~name) [ "Snort"; "Yara"; "ClamAV"; "Prosite" ]
@@ -749,8 +702,6 @@ let sim env ~out =
       \  \"jobs\": %d,\n\
       \  \"domains_available\": %d,\n\
       \  \"jobs_regression_ok\": %b,\n\
-      \  \"intra_scaling_ok\": %b,\n\
-      \  \"intra_regression_ok\": %b,\n\
       \  \"dfa_kernel_ok\": %b,\n\
       \  \"integrity_overhead_ok\": %b,\n\
       \  \"integrity_detection_ok\": %b,\n\
@@ -764,7 +715,7 @@ let sim env ~out =
       \  \"service_slo\": {\"sustainable_rps\": %.4f, \"service_s\": %.6f, \
        \"offered_per_factor\": %d, \"capacity\": %d, \"rows\": [\n%s\n  ]}\n\
        }\n"
-      jobs domains jobs_regression_ok intra_scaling_ok intra_regression_ok dfa_kernel_ok
+      jobs domains jobs_regression_ok dfa_kernel_ok
       integrity_overhead_ok integrity_detection_ok integrity_recovery_ok
       (String.concat ",\n" rows)
       (String.concat ",\n" kernel_rows)

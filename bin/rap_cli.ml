@@ -226,31 +226,16 @@ let resolve_jobs = function
       Printf.eprintf "error: --jobs %d is not a positive worker count\n" n;
       exit 2
 
-let intra_jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "intra-jobs" ] ~docv:"N"
-           ~doc:"Split each stream chunk into $(docv) pieces composed in parallel via \
-                 Simultaneous-FA transfer matrices (0 picks a machine-sized default). \
-                 Orthogonal to $(b,--jobs): that parallelizes across arrays, this \
-                 parallelizes within one stream.  Results are bit-identical for every \
-                 value.")
-
-let resolve_intra_jobs = function
-  | 0 -> Scheduler.default_jobs ()
-  | n when n >= 1 -> n
-  | n ->
-      Printf.eprintf "error: --intra-jobs %d is not a positive worker count\n" n;
-      exit 2
-
 let kernel_arg =
   Arg.(value
        & opt (enum [ ("bitparallel", Nbva.Bit_parallel); ("reference", Nbva.Reference) ])
            Nbva.Bit_parallel
        & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"Stepping kernel: $(b,bitparallel) (default) uses the packed-mask fast \
-                 paths including the per-placement word and lazy-DFA specializations; \
-                 $(b,reference) forces the scalar reference stepper everywhere.  Output \
-                 is bit-identical either way — the flag exists for differential testing.")
+           ~doc:"Stepping kernel: $(b,bitparallel) (default) uses the packed-mask \
+                 bit-parallel kernel and, on eligible placements, the lazy-DFA \
+                 specialization; $(b,reference) forces the scalar reference stepper \
+                 everywhere.  Output is bit-identical either way — the flag exists for \
+                 differential testing.")
 
 let integrity_flag =
   Arg.(value & flag
@@ -372,14 +357,13 @@ let simulate_cmd =
              ~doc:"Read $(b,--file) input through the buffered channel reader instead of the \
                    default read-only memory mapping; results are byte-identical either way.")
   in
-  let run regexes input file arch jobs intra_jobs kernel trace ckpt_dir ckpt_every resume
-      strict deadline retries chunk no_mmap cache integrity sweep_every sentinel_every =
+  let run regexes input file arch jobs kernel trace ckpt_dir ckpt_every resume strict deadline
+      retries chunk no_mmap cache integrity sweep_every sentinel_every =
     if chunk <= 0 then fail_input "--chunk must be positive";
     Nbva.kernel := kernel;
     let integrity = integrity_config integrity sweep_every sentinel_every in
     let stream = required_stream ~chunk ~mmap:(not no_mmap) ~file input in
     let jobs = resolve_jobs jobs in
-    let intra_jobs = resolve_intra_jobs intra_jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
     if ckpt_every <= 0 then fail_input "--checkpoint-every must be positive";
@@ -430,7 +414,7 @@ let simulate_cmd =
       in
       let sinks = match trace_sink with Some (_, spec, _) -> [ spec ] | None -> [] in
       match
-        Runner.run_stream ~jobs ~intra_jobs ~sinks ?policy ?integrity ?checkpoint ~resume arch
+        Runner.run_stream ~jobs ~sinks ?policy ?integrity ?checkpoint ~resume arch
           ~params placement ~stream
       with
       | exception Sim_error.Error e ->
@@ -456,10 +440,9 @@ let simulate_cmd =
   in
   let doc = "Run a rule set through the cycle-level hardware simulator." in
   Cmd.v (Cmd.info "simulate" ~doc ~exits:common_exits)
-    Term.(const run $ regexes_arg $ pos_input_arg $ file_arg $ arch_arg $ jobs_arg
-          $ intra_jobs_arg $ kernel_arg $ trace $ ckpt_dir $ ckpt_every $ resume $ strict
-          $ deadline $ retries $ chunk $ no_mmap $ cache_arg $ integrity_flag
-          $ sweep_every_arg $ sentinel_every_arg)
+    Term.(const run $ regexes_arg $ pos_input_arg $ file_arg $ arch_arg $ jobs_arg $ kernel_arg
+          $ trace $ ckpt_dir $ ckpt_every $ resume $ strict $ deadline $ retries $ chunk
+          $ no_mmap $ cache_arg $ integrity_flag $ sweep_every_arg $ sentinel_every_arg)
 
 (* ---- rap batch ---- *)
 
@@ -474,12 +457,6 @@ let batch_cmd =
              ~doc:"Read additional stream paths from $(docv), one per line ($(b,-) reads the \
                    list from stdin); blank lines and $(b,#) comments are skipped.")
   in
-  let group =
-    Arg.(value & opt int Batch.default_group
-         & info [ "group" ] ~docv:"K"
-             ~doc:"Streams interleaved per kernel pass; changes wall-clock only, never \
-                   results.")
-  in
   let chunk =
     Arg.(value & opt int Input_stream.default_chunk
          & info [ "chunk" ] ~docv:"BYTES" ~doc:"Streaming chunk size per stream.")
@@ -492,11 +469,19 @@ let batch_cmd =
     Arg.(value & opt (some string) None
          & info [ "report-dir" ] ~docv:"DIR"
              ~doc:"Also write each stream's report to $(docv)/$(i,stream).report, \
-                   byte-identical to what $(b,rap simulate) prints for that input alone.")
+                   byte-identical to what $(b,rap simulate) prints for that input alone.  \
+                   Report names come from the sanitized file basename; a stream set where \
+                   two paths map to the same name is rejected before running.")
   in
-  let run regexes files manifest arch jobs intra_jobs group chunk strict report_dir cache =
+  let report_name path =
+    String.map
+      (fun c ->
+        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> c | _ -> '_')
+      (Filename.basename path)
+    ^ ".report"
+  in
+  let run regexes files manifest arch jobs chunk strict report_dir cache =
     if chunk <= 0 then fail_input "--chunk must be positive";
-    if group <= 0 then fail_input "--group must be positive";
     let manifest_paths =
       match manifest with
       | None -> []
@@ -525,8 +510,22 @@ let batch_cmd =
     List.iter
       (fun p -> if not (Sys.file_exists p) then fail_input (Printf.sprintf "no such file %s" p))
       paths;
+    (* two streams sharing a report name would silently overwrite one
+       report: refuse the set before any work is done *)
+    if report_dir <> None then begin
+      let seen = Hashtbl.create 16 in
+      List.iter
+        (fun p ->
+          let name = report_name p in
+          match Hashtbl.find_opt seen name with
+          | Some first ->
+              fail_input
+                (Printf.sprintf "--report-dir: streams %s and %s would both write %s" first p
+                   name)
+          | None -> Hashtbl.add seen name p)
+        paths
+    end;
     let jobs = resolve_jobs jobs in
-    let intra_jobs = resolve_intra_jobs intra_jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
     let parsed = parse_rules regexes in
@@ -542,7 +541,7 @@ let batch_cmd =
       let sources =
         Array.of_list (List.map (fun p -> Batch.of_file ~chunk ~name:p p) paths)
       in
-      match Batch.run ~jobs ~intra_jobs ~group arch ~params placement ~sources with
+      match Batch.run ~jobs arch ~params placement ~sources with
       | exception Sim_error.Error e ->
           Printf.eprintf "error: %s\n" (Sim_error.message e);
           1
@@ -556,17 +555,9 @@ let batch_cmd =
           Option.iter
             (fun dir ->
               (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-              let sanitize name =
-                String.map
-                  (fun c ->
-                    match c with
-                    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> c
-                    | _ -> '_')
-                  (Filename.basename name)
-              in
               Array.iter
                 (fun (s : Batch.stream_report) ->
-                  let path = Filename.concat dir (sanitize s.Batch.bs_name ^ ".report") in
+                  let path = Filename.concat dir (report_name s.Batch.bs_name) in
                   let oc = open_out path in
                   Fun.protect
                     ~finally:(fun () -> close_out_noerr oc)
@@ -583,13 +574,12 @@ let batch_cmd =
     end
   in
   let doc =
-    "Run many independent input streams against one shared compiled placement, interleaving \
-     streams through the batched kernel; per-stream reports are bit-identical to solo \
-     $(b,rap simulate) runs."
+    "Run many independent input streams against one shared compiled placement, one task per \
+     (stream, array); per-stream reports are bit-identical to solo $(b,rap simulate) runs."
   in
   Cmd.v (Cmd.info "batch" ~doc ~exits:common_exits)
-    Term.(const run $ regexes_arg $ files $ manifest $ arch_arg $ jobs_arg $ intra_jobs_arg
-          $ group $ chunk $ strict $ report_dir $ cache_arg)
+    Term.(const run $ regexes_arg $ files $ manifest $ arch_arg $ jobs_arg $ chunk $ strict
+          $ report_dir $ cache_arg)
 
 (* ---- rap faults ---- *)
 
@@ -813,9 +803,9 @@ let serve_cmd =
              ~doc:"Per-request input cap; an over-limit stream is refused while arriving.")
   in
   let group =
-    Arg.(value & opt int Batch.default_group
+    Arg.(value & opt int Admission.default_config.Admission.group
          & info [ "group" ] ~docv:"K"
-             ~doc:"Deadline-free requests interleaved per batched kernel pass; per-request \
+             ~doc:"Queued requests executed per round between socket polls; per-request \
                    reports stay bit-identical to solo runs for every value.")
   in
   let retries =

@@ -83,9 +83,8 @@ val blit_words : t -> int array -> int -> unit
 
 val get_word : t -> int -> int
 (** [get_word t i] is backing word [i] ([0 <= i < words_for width]) —
-    the raw word import/export primitive the SFA transfer matrices use
-    for single-word state spaces.  Raises [Invalid_argument] out of
-    bounds. *)
+    the raw word export primitive (state digests fold it).  Raises
+    [Invalid_argument] out of bounds. *)
 
 val set_word : t -> int -> int -> unit
 (** [set_word t i w] stores [w] as backing word [i], masking away bits

@@ -43,32 +43,6 @@ let num_bv_stes t =
 let total_bv_bits t =
   Array.fold_left (fun acc s -> match s with Bv { size; _ } -> acc + size | Plain _ -> acc) 0 t.stes
 
-type word_tables = {
-  wt_n : int;
-  wt_labels : int array;
-  wt_succ : int array;
-  wt_initial : int;
-  wt_final : int;
-}
-
-(* The SFA transfer construction needs the transition structure as bare
-   single-word masks: it only exists for automata whose whole plain-STE
-   state space packs into one word and that carry no BV-STEs (a BV
-   vector is per-run mutable state, not a function of the start set, so
-   such automata compose by speculation instead). *)
-let word_tables t =
-  if num_bv_stes t > 0 || num_states t > Bitvec.bits_per_word then None
-  else
-    let p = t.plan in
-    Some
-      {
-        wt_n = num_states t;
-        wt_labels = Array.map (fun r -> p.masks.(r)) p.labels_row;
-        wt_succ = Array.map (fun r -> p.masks.(r)) p.succ_row;
-        wt_initial = p.masks.(p.initial_row);
-        wt_final = p.masks.(p.final_row);
-      }
-
 (* Generalised Glushkov: leaves are plain classes or whole BV chunks.  A BV
    chunk cc{m} (exact, m >= 2) is non-nullable; cc{0,k} is nullable — its
    nullability realises the 0-repetition bypass edge for free. *)
@@ -401,119 +375,12 @@ let step_reference t st c =
   Bitvec.blit ~src:st.next_v ~dst:st.active_v;
   !hit
 
-(* Specialized single-word kernel for automata whose [word_tables] exist
-   (no BV-STEs, <= bits_per_word states): the whole step is scalar word
-   arithmetic on the bare masks — no flat-table indirection, no BV
-   phase, no next/avail scratch traffic (those words are dead between
-   steps and excluded from state digests).  Bit-identical activation
-   words and hit flag to [step]. *)
-let step_word wt st c =
-  let w = Arena.words st.st_arena in
-  let width_mask = (1 lsl wt.wt_n) - 1 in
-  let a = ref (Array.unsafe_get w st.act_off land width_mask) in
-  let av = ref wt.wt_initial in
-  let succ = wt.wt_succ in
-  while !a <> 0 do
-    av := !av lor Array.unsafe_get succ (Bitvec.lsb_index !a);
-    a := !a land (!a - 1)
-  done;
-  let nxt = !av land Array.unsafe_get wt.wt_labels (Char.code c) in
-  Array.unsafe_set w st.act_off nxt;
-  nxt land wt.wt_final <> 0
-
 type kernel = Bit_parallel | Reference
 
 let kernel = ref Bit_parallel
 
 let step_selected t st c =
   match !kernel with Bit_parallel -> step t st c | Reference -> step_reference t st c
-
-(* Batched stepping: K independent streams against one shared automaton.
-   Phase-major, stream-minor — every phase sweeps all K streams before
-   the next phase begins, so the 256-entry labels table and the successor
-   masks are traversed once per kernel pass while serving every stream
-   (they stay cache-resident instead of being evicted between per-stream
-   steps).  Per-stream results are bit-identical to [step]: each phase
-   reads and writes only that stream's buffers, in the same order. *)
-let step_multi t sts cs hits =
-  let p = t.plan in
-  let nw = p.nwords in
-  let masks = p.masks in
-  let k = Array.length sts in
-  if Array.length cs < k || Array.length hits < k then
-    invalid_arg "Nbva.step_multi: per-stream buffers shorter than the state array";
-  let row_limit = Array.length masks - nw in
-  for s = 0 to k - 1 do
-    let st = sts.(s) in
-    let w = Arena.words st.st_arena in
-    let act = st.act_off and av = st.av_off in
-    Array.blit masks p.initial_row w av nw;
-    for j = 0 to nw - 1 do
-      let aw = ref (Array.unsafe_get w (act + j)) in
-      if !aw <> 0 then begin
-        let base = j * bpw in
-        while !aw <> 0 do
-          let row = Array.unsafe_get p.succ_row (base + Bitvec.lsb_index !aw) in
-          if row < 0 || row > row_limit then corrupt_index ();
-          for i = 0 to nw - 1 do
-            Array.unsafe_set w (av + i)
-              (Array.unsafe_get w (av + i) lor Array.unsafe_get masks (row + i))
-          done;
-          aw := !aw land (!aw - 1)
-        done
-      end
-    done
-  done;
-  for s = 0 to k - 1 do
-    let st = sts.(s) in
-    let w = Arena.words st.st_arena in
-    let lrow = Array.unsafe_get p.labels_row (Char.code cs.(s)) in
-    if lrow < 0 || lrow > row_limit then corrupt_index ();
-    for i = 0 to nw - 1 do
-      Array.unsafe_set w (st.nxt_off + i)
-        (Array.unsafe_get w (st.av_off + i) land Array.unsafe_get masks (lrow + i))
-    done
-  done;
-  let bvs = p.bv_states in
-  for j = 0 to Array.length bvs - 1 do
-    let q = Array.unsafe_get bvs j in
-    let m = Array.unsafe_get p.bv_read j in
-    for s = 0 to k - 1 do
-      let st = sts.(s) in
-      let w = Arena.words st.st_arena in
-      if q < 0 || q >= Array.length st.vectors then corrupt_index ();
-      let v = match Array.unsafe_get st.vectors q with Some v -> v | None -> assert false in
-      if Bytes.unsafe_get p.bv_match ((j * 256) + Char.code cs.(s)) <> '\000' then begin
-        Bitvec.shift_left1 v ~carry_in:false;
-        if (Array.unsafe_get w (st.av_off + (q / bpw)) lsr (q mod bpw)) land 1 = 1 then
-          Bitvec.set v 0
-      end
-      else Bitvec.clear v;
-      let fires = if m > 0 then Bitvec.get v (m - 1) else not (Bitvec.is_zero v) in
-      if fires then begin
-        let wq = st.nxt_off + (q / bpw) in
-        Array.unsafe_set w wq (Array.unsafe_get w wq lor (1 lsl (q mod bpw)))
-      end
-    done
-  done;
-  let frow = p.final_row in
-  for s = 0 to k - 1 do
-    let st = sts.(s) in
-    let w = Arena.words st.st_arena in
-    let act = st.act_off and nxt = st.nxt_off in
-    let hit = ref false in
-    for i = 0 to nw - 1 do
-      let x = Array.unsafe_get w (nxt + i) in
-      Array.unsafe_set w (act + i) x;
-      if x land Array.unsafe_get masks (frow + i) <> 0 then hit := true
-    done;
-    hits.(s) <- !hit
-  done
-
-let step_multi_selected t sts cs hits =
-  match !kernel with
-  | Bit_parallel -> step_multi t sts cs hits
-  | Reference -> Array.iteri (fun i st -> hits.(i) <- step_reference t st cs.(i)) sts
 
 let mask_table_stats t =
   let p = t.plan in

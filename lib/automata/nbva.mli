@@ -53,24 +53,6 @@ val num_bv_stes : t -> int
 val total_bv_bits : t -> int
 val cc_of : ste -> Charclass.t
 
-type word_tables = {
-  wt_n : int;  (** states — all fit in one {!Bitvec.bits_per_word} word *)
-  wt_labels : int array;  (** 256 per-byte label masks *)
-  wt_succ : int array;  (** per-state successor mask *)
-  wt_initial : int;
-  wt_final : int;
-}
-(** The execution plan exported as bare single-word masks — the exact
-    transition structure the bit-parallel kernel reads, in the form the
-    SFA transfer-matrix construction multiplies. *)
-
-val word_tables : t -> word_tables option
-(** [Some] iff the automaton has no BV-STEs and at most
-    {!Bitvec.bits_per_word} states (single-word active vector).  BV-STE
-    vectors are mutable per-run state, not a function of the start set,
-    so automata carrying them compose across chunks by speculation
-    rather than by transfer matrix. *)
-
 (** {1 Execution} — same match conventions as {!Nfa.run}. *)
 
 type run_state
@@ -100,15 +82,6 @@ val step : t -> run_state -> char -> bool
     precomputed byte-match bytes.  The steady-state loop allocates
     nothing. *)
 
-val step_word : word_tables -> run_state -> char -> bool
-(** Specialized single-word kernel for automata whose {!word_tables}
-    exist: the whole step — availability union, label AND, final test —
-    is scalar arithmetic on the bare masks, skipping the flat-table
-    indirection and the BV phase entirely.  Activation words and return
-    value are bit-identical to {!step}; the next/avail scratch words are
-    left untouched (they are dead between steps and excluded from
-    digests and checkpoints). *)
-
 val step_reference : t -> run_state -> char -> bool
 (** The scalar pre-bit-parallel kernel (per-state predecessor probing),
     kept as the differential-testing reference.  Bit-identical to {!step}
@@ -123,24 +96,6 @@ val kernel : kernel ref
 
 val step_selected : t -> run_state -> char -> bool
 (** {!step} or {!step_reference} according to {!kernel}. *)
-
-(** {1 Batched multi-stream stepping}
-
-    One compiled automaton can serve many independent input streams at
-    once: [step_multi t sts cs hits] advances stream [i] by symbol
-    [cs.(i)] for every [i], phase-major — each kernel phase sweeps all
-    streams before the next begins, so the per-byte labels table and the
-    successor-mask unions are shared across streams in cache.  Stream
-    [i]'s state after the call is bit-identical to [step t sts.(i)
-    cs.(i)], and [hits.(i)] is that call's return value. *)
-
-val step_multi : t -> run_state array -> char array -> bool array -> unit
-(** [cs] and [hits] must be at least as long as [sts]; entries beyond
-    the state count are ignored/left untouched. *)
-
-val step_multi_selected : t -> run_state array -> char array -> bool array -> unit
-(** {!step_multi}, or a per-stream {!step_reference} loop when the
-    {!kernel} selector asks for the scalar reference. *)
 
 val mask_table_stats : t -> int * int
 (** [(physical, logical)] mask-vector counts of the execution plan: the

@@ -54,21 +54,6 @@ let of_bin lines =
 let width t = t.width
 let num_patterns t = t.num_patterns
 
-type word_tables = { swt_width : int; swt_labels : int array; swt_initial : int }
-
-(* Shift-And has no successor table: the transition IS the word shift,
-   so single-word automata export just the label masks (plus the initial
-   mask, which SFA transfer rows deliberately omit — see Sfa). *)
-let word_tables t =
-  if t.width > Bitvec.bits_per_word then None
-  else
-    Some
-      {
-        swt_width = t.width;
-        swt_labels = Array.map (fun v -> Bitvec.get_word v 0) t.labels_mask;
-        swt_initial = Bitvec.get_word t.initial_mask 0;
-      }
-
 (* The engine's live mask vectors, by name — the regions the integrity
    layer CRC-seals and repairs.  [labels] is the 256-entry per-byte
    table; [initial]/[final] are single masks wrapped as 1-arrays so the

@@ -24,18 +24,6 @@ val width : t -> int
 
 val num_patterns : t -> int
 
-type word_tables = {
-  swt_width : int;  (** packed state bits — at most {!Bitvec.bits_per_word} *)
-  swt_labels : int array;  (** 256 per-byte label masks *)
-  swt_initial : int;  (** initial-position mask *)
-}
-(** The engine's masks as bare single-word values, for the SFA
-    transfer-matrix construction (the transition itself is the word
-    shift, so no successor table exists). *)
-
-val word_tables : t -> word_tables option
-(** [Some] iff the packed width fits one backing word. *)
-
 val tables : t -> (string * Bitvec.t array) list
 (** The engine's immutable mask vectors as live references, by name
     ([labels] — the 256 per-byte masks —, [initial], [final]): the

@@ -16,7 +16,7 @@ let default_config =
   {
     capacity = 64;
     max_input = 64 * 1024 * 1024;
-    group = Batch.default_group;
+    group = 4;
     jobs = 1;
     retries = 2;
     backoff_s = 0.05;
@@ -359,19 +359,19 @@ let run_solo t req =
           if healed && report.Runner.degraded = [] then { o with o_recovered = true } else o
       | Error e -> outcome_of_error req ~started_at ~finished_at e)
 
-(* Batched run of deadline-free requests: one shared placement, streams
-   interleaved [group] at a time through the phase-major kernel.  Each
-   stream's report is bit-identical to its solo run (the PR 5
-   contract), so batching is invisible in the results — it only buys
-   aggregate throughput.  A failing batch falls back to solo runs so
-   one faulty stream cannot take its groupmates down. *)
+(* Batched run of deadline-free requests: one shared placement, every
+   stream an independent task of one {!Batch.run}.  Each stream's report
+   is bit-identical to its solo run, so batching is invisible in the
+   results — it only buys aggregate throughput.  A failing batch falls
+   back to solo runs so one faulty stream cannot take its batch-mates
+   down. *)
 let run_batched t reqs =
   match reqs with
   | [] -> []
   | [ one ] -> [ run_solo t one ]
-  (* the batched kernel has no integrity hooks: with checking armed,
-     every request takes the (checked) solo path — coverage over
-     aggregate throughput *)
+  (* the batch path has no integrity hooks: with checking armed, every
+     request takes the (checked) solo path — coverage over aggregate
+     throughput *)
   | _ when t.cfg.integrity <> None -> List.map (run_solo t) reqs
   | _ -> (
       let reqs_a = Array.of_list reqs in
@@ -382,7 +382,7 @@ let run_batched t reqs =
       in
       let stamps = Array.make b 0. in
       match
-        Batch.run ~jobs:t.cfg.jobs ~group:t.cfg.group ~done_stamps:stamps t.arch
+        Batch.run ~jobs:t.cfg.jobs ~done_stamps:stamps t.arch
           ~params:t.params t.placement ~sources
       with
       | batch ->
@@ -402,9 +402,9 @@ let run_pending ?max t =
   else begin
     let popped = List.init n (fun _ -> Queue.pop t.queue) in
     let t0 = Unix.gettimeofday () in
-    (* deadline-free requests ride the batched kernel together;
-       deadline-carrying ones run solo so one slow groupmate cannot eat
-       another request's budget *)
+    (* deadline-free requests ride one batch together; deadline-carrying
+       ones run solo so one slow batch-mate cannot eat another request's
+       budget *)
     let batched, solo = List.partition (fun r -> r.p_deadline_s = None) popped in
     let outcomes = run_batched t batched @ List.map (run_solo t) solo in
     let wall = Unix.gettimeofday () -. t0 in

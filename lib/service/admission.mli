@@ -52,7 +52,9 @@
 type config = {
   capacity : int;  (** Admission queue bound; beyond it, requests shed. *)
   max_input : int;  (** Per-request input byte cap. *)
-  group : int;  (** Streams interleaved per batched kernel pass. *)
+  group : int;
+      (** Requests the daemon executes per {!run_pending} round, between
+          select rounds. *)
   jobs : int;  (** Worker domains during execution. *)
   retries : int;  (** Request-level re-execution attempts. *)
   backoff_s : float;  (** Base request-retry backoff (exponential). *)
@@ -60,7 +62,7 @@ type config = {
   state_dir : string option;  (** Spool + journal directory; [None] = no recovery. *)
   integrity : Integrity.config option;
       (** Arm online integrity checking on every executed request.  The
-          batched kernel has no integrity hooks, so an armed daemon runs
+          batch path has no integrity hooks, so an armed daemon runs
           every request on the (checked) solo path; a run the layer
           rolled back and healed carries [o_recovered] so the client
           sees that recovery happened — never a silently-corrupt
@@ -68,7 +70,7 @@ type config = {
 }
 
 val default_config : config
-(** capacity 64, max_input 64 MiB, group {!Batch.default_group}, jobs 1,
+(** capacity 64, max_input 64 MiB, group 4, jobs 1,
     2 retries, 50 ms backoff, quarantine after 3 faults, no state dir,
     integrity off. *)
 
@@ -117,8 +119,8 @@ val pending : t -> int
 val run_pending : ?max:int -> t -> outcome list
 (** Execute up to [max] queued requests (default: all), oldest first,
     and return their outcomes in completion order.  Deadline-free
-    requests are multiplexed through {!Batch.run} in [group]-wide
-    passes; deadline-carrying requests run solo under a supervised
+    requests run together through one {!Batch.run}, each stream its own
+    task; deadline-carrying requests run solo under a supervised
     {!Runner.run_stream} with the remaining deadline as the whole
     supervision budget (a single pass — no request-level retry on
     top).  Never raises for per-request failures — they surface as

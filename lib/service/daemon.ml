@@ -301,7 +301,7 @@ let serve cfg arch ~params placement =
          List.iter
            (fun c -> if (not c.dead) && List.mem c.fd readable then read_conn st c scratch)
            st.conns;
-         (* execute between select rounds, one batch group at a time, so
+         (* execute between select rounds, [group] requests at a time, so
             admission (and shedding) stays live while work drains *)
          if Admission.pending adm > 0 then
            List.iter (dispatch_outcome st)

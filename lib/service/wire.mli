@@ -28,7 +28,8 @@
 type class_ = Interactive | Bulk
 (** Stream classes — the SLO buckets the daemon reports latency
     quantiles for.  [Interactive] requests carry deadlines and bypass
-    batching; [Bulk] requests are grouped through the batched kernel. *)
+    batching; deadline-free [Bulk] requests run together through
+    {!Batch.run}. *)
 
 val class_name : class_ -> string
 val class_of_string : string -> (class_, string) result

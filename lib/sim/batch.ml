@@ -18,96 +18,30 @@ type aggregate = {
 
 type t = { streams : stream_report array; aggregate : aggregate }
 
-let default_group = 4
-
-(* One member of a task: a stream-clone of the array context plus a
-   chunk cursor over its own view of the input. *)
-type member = {
-  m_stream : int;  (* index into [sources] *)
-  m_exec : Exec.t;
-  m_input : Input_stream.t;
-  mutable m_chunk : string;
-  mutable m_off : int;  (* next unread byte within [m_chunk] *)
-  mutable m_base : int;  (* absolute input offset of [m_chunk]'s start *)
-  m_sinks : Sink.t list;
-  mutable m_cycles : int;
-  mutable m_reports : int;
-}
-
-(* Pull chunks until the cursor has an unread byte; false at end of
-   input (Input_stream chunks are nonempty). *)
-let refill m =
-  if m.m_off < String.length m.m_chunk then true
-  else
-    match Input_stream.next m.m_input with
-    | None -> false
-    | Some chunk ->
-        m.m_base <- m.m_base + String.length m.m_chunk;
-        m.m_chunk <- chunk;
-        m.m_off <- 0;
-        true
-
-(* Lockstep loop over the live members: every pass packs the survivors
-   into one Exec.group (engine-major, so NBVA mask tables are shared
-   across streams in cache) and steps until some member exhausts its
-   current chunk; members that exhaust their stream drop out and the
-   group shrinks.  Per-member event consumption is identical to
-   Runner.run_stream's per-symbol accounting, in symbol order — the
-   per-stream bit-identity contract. *)
-let run_task arch members =
-  let cs = Array.make (Array.length members) '\000' in
-  let syms = Array.make (Array.length members) 0 in
-  let rec loop members =
-    let live = Array.of_list (List.filter refill (Array.to_list members)) in
-    if Array.length live > 0 then begin
-      let grp = Exec.group_of_members (Array.map (fun m -> m.m_exec) live) in
-      let span =
-        Array.fold_left (fun acc m -> min acc (String.length m.m_chunk - m.m_off)) max_int live
-      in
-      for _ = 1 to span do
-        Array.iteri
-          (fun i m ->
-            cs.(i) <- m.m_chunk.[m.m_off];
-            syms.(i) <- m.m_base + m.m_off)
-          live;
-        let evs = Exec.group_step arch grp ~syms cs in
-        Array.iteri
-          (fun i m ->
-            let ev = evs.(i) in
-            m.m_cycles <- m.m_cycles + 1 + ev.Exec.stall;
-            m.m_reports <- m.m_reports + ev.Exec.reports;
-            List.iter (fun (s : Sink.t) -> s.Sink.on_events ev) m.m_sinks;
-            m.m_off <- m.m_off + 1)
-          live
-      done;
-      loop live
-    end
-  in
-  loop members
-
-(* Single-member task with intra-stream parallelism: no group to
-   interleave, so the stream's own chunks are split and composed through
-   Exec.run_chunks instead.  Event consumption (and therefore the
-   per-stream accounting) is the same code path as [run_task]'s. *)
-let run_task_intra ~intra_jobs arch m =
-  let base = ref 0 in
+(* Step one stream through one array context to exhaustion, folding
+   every symbol's events exactly as the serial branch of
+   Runner.run_stream does (cycles, reports, then the sink) — the
+   per-stream bit-identity contract.  Returns (cycles, reports). *)
+let step_stream arch ex input (sink : Sink.t) =
+  let cycles = ref 0 and reports = ref 0 in
   let rec loop () =
-    match Input_stream.next m.m_input with
+    let base = Input_stream.pos input in
+    match Input_stream.next input with
     | None -> ()
     | Some chunk ->
-        Exec.run_chunks ~jobs:intra_jobs arch m.m_exec ~base:!base
-          ~chunks:(Runner.sub_split chunk intra_jobs)
-          ~emit:(fun ev ->
-            m.m_cycles <- m.m_cycles + 1 + ev.Exec.stall;
-            m.m_reports <- m.m_reports + ev.Exec.reports;
-            List.iter (fun (s : Sink.t) -> s.Sink.on_events ev) m.m_sinks);
-        base := !base + String.length chunk;
+        String.iteri
+          (fun off c ->
+            let ev = Exec.step arch ex ~sym:(base + off) c in
+            cycles := !cycles + 1 + ev.Exec.stall;
+            reports := !reports + ev.Exec.reports;
+            sink.Sink.on_events ev)
+          chunk;
         loop ()
   in
-  loop ()
+  loop ();
+  (!cycles, !reports)
 
-let run ?(jobs = 1) ?(intra_jobs = 1) ?(group = default_group) ?done_stamps (arch : Arch.t)
-    ~params (p : Mapper.placement) ~sources =
+let run ?(jobs = 1) ?done_stamps (arch : Arch.t) ~params (p : Mapper.placement) ~sources =
   ignore params;
   let b = Array.length sources in
   if b = 0 then invalid_arg "Batch.run: no sources";
@@ -115,8 +49,8 @@ let run ?(jobs = 1) ?(intra_jobs = 1) ?(group = default_group) ?done_stamps (arc
   | Some a when Array.length a < b -> invalid_arg "Batch.run: done_stamps shorter than sources"
   | _ -> ());
   let num_arrays = Array.length p.Mapper.arrays in
-  (* per-stream completion stamps: a stream is done when its last
-     (group x array) task retires, which the service layer turns into
+  (* per-stream completion stamps: a stream is done when its own last
+     (stream, array) task retires, which the service layer turns into
      that request's finish timestamp.  Pure instrumentation — the
      decrement is the only cross-task communication, and it never feeds
      back into results. *)
@@ -127,8 +61,6 @@ let run ?(jobs = 1) ?(intra_jobs = 1) ?(group = default_group) ?done_stamps (arc
     | Some stamps ->
         if Atomic.fetch_and_add remaining.(s) (-1) = 1 then stamps.(s) <- Unix.gettimeofday ()
   in
-  let group_w = max 1 group in
-  let n_groups = (b + group_w - 1) / group_w in
   (* per-stream accounting, per-array slots inside — the exact slot
      structure Runner.run_stream keeps for its one stream.  Sink
      instantiation happens here on the caller's domain, in stream-major
@@ -145,46 +77,28 @@ let run ?(jobs = 1) ?(intra_jobs = 1) ?(group = default_group) ?done_stamps (arc
   (* one compiled template per array; tasks clone it (sharing all
      compiled structure) instead of rebuilding engines per stream *)
   let templates = Array.map (fun tiles -> Exec.build p tiles) p.Mapper.arrays in
-  (* the (group x array) task grid, flattened into one work list: each
-     task owns the (stream, array) accounting slots of its members, so
-     any interleaving of tasks produces the same slots — schedules only
-     change wall-clock, never results *)
+  (* one task per (stream, array), stream-major: each task owns its
+     (stream, array) accounting slots, so any interleaving of tasks
+     produces the same slots — schedules only change wall-clock, never
+     results — and with fewer workers than tasks a stream's arrays run
+     back to back, so a short stream finishes before its neighbours *)
   let task idx =
-    let gi = idx / num_arrays and ai = idx mod num_arrays in
-    let lo = gi * group_w in
-    let k = min b (lo + group_w) - lo in
-    let members =
-      Array.init k (fun j ->
-          let s = lo + j in
-          {
-            m_stream = s;
-            m_exec = Exec.clone_fresh templates.(ai);
-            m_input = sources.(s).src_open ();
-            m_chunk = "";
-            m_off = 0;
-            m_base = 0;
-            m_sinks = [ insts.(s).(ai) ];
-            m_cycles = 0;
-            m_reports = 0;
-          })
-    in
+    let s = idx / num_arrays and ai = idx mod num_arrays in
+    let input = sources.(s).src_open () in
     Fun.protect
-      ~finally:(fun () -> Array.iter (fun m -> Input_stream.close m.m_input) members)
+      ~finally:(fun () -> Input_stream.close input)
       (fun () ->
-        if intra_jobs > 1 && k = 1 && Scheduler.available_parallelism () > 1 then
-          run_task_intra ~intra_jobs arch members.(0)
-        else run_task arch members);
-    Array.iter
-      (fun m ->
-        cycles_slots.(m.m_stream).(ai) <- m.m_cycles;
-        reports_slots.(m.m_stream).(ai) <- m.m_reports;
-        if ai = 0 then chars_slots.(m.m_stream) <- Input_stream.pos m.m_input;
-        stamp_done m.m_stream)
-      members
+        let cycles, reports =
+          step_stream arch (Exec.clone_fresh templates.(ai)) input insts.(s).(ai)
+        in
+        cycles_slots.(s).(ai) <- cycles;
+        reports_slots.(s).(ai) <- reports;
+        if ai = 0 then chars_slots.(s) <- Input_stream.pos input);
+    stamp_done s
   in
-  (* each task steps whole streams — far above the sequential-fallback
+  (* each task steps a whole stream — far above the sequential-fallback
      threshold, so keep the grid parallel whenever jobs allows *)
-  Scheduler.parallel_for ~work_per_index:65536 ~jobs (n_groups * num_arrays) task;
+  Scheduler.parallel_for ~work_per_index:65536 ~jobs (b * num_arrays) task;
   let streams =
     Array.init b (fun s ->
         let _, ledgers, mode_slots = sinks.(s) in

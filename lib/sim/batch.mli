@@ -2,26 +2,23 @@
     one shared, immutable compiled placement.
 
     Serving-scale throughput comes from amortizing the compiled artifact
-    across inputs, not from faster single-stream stepping: every stream
-    here reuses the template {!Exec.t} per array through
-    {!Exec.clone_fresh} (compilation, mapping and the bit-parallel mask
-    tables are paid once — or never, with the placement cache), and
-    streams are interleaved K at a time per kernel pass
-    ({!Exec.group_step} → {!Nbva.step_multi}) so the per-byte labels
-    table and successor-mask unions stay cache-resident while serving
-    the whole group.
+    across inputs: every stream here reuses the template {!Exec.t} per
+    array through {!Exec.clone_fresh} (compilation, mapping and the
+    bit-parallel mask tables are paid once — or never, with the
+    placement cache).
 
-    Scheduling: the (stream-group × array) task grid is flattened into
-    one {!Scheduler.parallel_for} work list, so jobs stay saturated even
-    when stream lengths are skewed — a long stream's remaining tasks
-    share the domains with everyone else's instead of serializing behind
-    one [parallel_for] per stream.
+    Scheduling: one {!Scheduler.parallel_for} task per (stream, array),
+    in stream-major order, so jobs stay saturated even when stream
+    lengths are skewed — a long stream's remaining tasks share the
+    domains with everyone else's instead of serializing behind one
+    [parallel_for] per stream.  Each task steps its clone with
+    {!Exec.step}, symbol by symbol.
 
     {b Correctness bar}: each stream's report is bit-identical to
     running that stream alone through {!Runner.run} at [jobs 1] — same
     event stream per (stream, array), same energy-accumulation order,
-    same report assembly ({!Runner.assemble_report}).  Schedules and
-    group widths change wall-clock only.
+    same report assembly ({!Runner.assemble_report}).  Schedules change
+    wall-clock only.
 
     The aggregate models the serving configuration the layer implements:
     per-stream contexts advance concurrently, so aggregate cycles are
@@ -33,7 +30,7 @@ type source
 
 val of_string : ?chunk:int -> name:string -> string -> source
 val of_file : ?chunk:int -> name:string -> string -> source
-(** The file is opened per (group × array) task, at task start. *)
+(** The file is opened per (stream × array) task, at task start. *)
 
 val name : source -> string
 
@@ -49,13 +46,8 @@ type aggregate = {
 
 type t = { streams : stream_report array; aggregate : aggregate }
 
-val default_group : int
-(** Streams interleaved per kernel pass (4). *)
-
 val run :
   ?jobs:int ->
-  ?intra_jobs:int ->
-  ?group:int ->
   ?done_stamps:float array ->
   Arch.t ->
   params:Program.params ->
@@ -63,18 +55,12 @@ val run :
   sources:source array ->
   t
 (** Run every source to exhaustion.  [jobs] bounds the worker domains
-    (default 1); [group] the streams interleaved per kernel pass.
-    [intra_jobs] (default 1) applies Simultaneous-FA intra-stream
-    composition ({!Exec.run_chunks}) to tasks with a single member —
-    when the batch is too small to fill the machine with whole-stream
-    tasks, the streams themselves are split; reports stay bit-identical.
-    Multi-member tasks already interleave streams and keep the lockstep
-    kernel.
+    (default 1).
     [done_stamps] (length >= streams) receives, per stream, the
-    wall-clock instant its last (group x array) task retired — the
-    match service's per-request finish timestamp; streams in the same
-    group finish at different times when lengths are skewed, so a
-    single batch-end stamp would overstate short requests' latency.
+    wall-clock instant its own last (stream × array) task retired — the
+    match service's per-request finish timestamp, so skewed streams in
+    one batch finish at different times and a short request is not
+    charged a long one's latency.
     Raises [Invalid_argument] on an empty source array or a short
     [done_stamps]; stream errors ([Sim_error.Error]) propagate. *)
 

@@ -38,26 +38,21 @@ let stats_reset s =
    - [S_dfa]: lazy-DFA transition cache (compiler hint [H_dfa]; only for
      automata with no BV-STEs) — the cached path is one table load plus
      an activation-word blit per symbol.
-   - [S_word]: single-word kernel over the bare [word_tables] masks —
-     skips the BV phase and the flat-table indirection entirely.
    - [S_general]: the flat bit-parallel kernel (always correct).
    The choice is execution strategy only: activation words, hits,
    projections, digests and checkpoints are identical across steppers,
    and the [Reference] kernel selector overrides all of them (the
    differential suites exercise exactly that equivalence). *)
 
-type stepper = S_general | S_word of Nbva.word_tables | S_dfa of Dfa.run
+type stepper = S_general | S_dfa of Dfa.run
 
 let make_stepper hint exec st =
-  let word_or_general () =
-    match Nbva.word_tables exec with Some wt -> S_word wt | None -> S_general
-  in
   match hint with
   | Program.H_dfa { dfa_cache_states } when Nbva.num_bv_stes exec = 0 -> (
       match Dfa.create ~max_states:dfa_cache_states exec with
       | Some d -> S_dfa (Dfa.attach d st)
-      | None -> word_or_general ())
-  | Program.H_dfa _ | Program.H_default -> word_or_general ()
+      | None -> S_general)
+  | Program.H_dfa _ | Program.H_default -> S_general
 
 (* One stream, one symbol, through the specialized path — bit-identical
    to [Nbva.step_selected] on every stepper. *)
@@ -65,16 +60,13 @@ let advance stepper nbva st c =
   match !Nbva.kernel with
   | Nbva.Reference -> Nbva.step_reference nbva st c
   | Nbva.Bit_parallel -> (
-      match stepper with
-      | S_general -> Nbva.step nbva st c
-      | S_word wt -> Nbva.step_word wt st c
-      | S_dfa r -> Dfa.step r c)
+      match stepper with S_general -> Nbva.step nbva st c | S_dfa r -> Dfa.step r c)
 
 let reset_stepper = function
   | S_dfa r ->
       Dfa.reset (Dfa.cache r);
       Dfa.invalidate r
-  | S_general | S_word _ -> ()
+  | S_general -> ()
 
 (* ------------------------------------------------------------------ *)
 (* NFA units: compressed executor over the equivalent NBVA.            *)
@@ -152,10 +144,8 @@ let make_nfa_engine ~ast ~hint (u : Program.nfa_unit) =
   }
 
 (* Projection: refresh the stats record from the executor's post-step
-   state.  Split from the automaton advance so batched stepping can
-   advance K stream-clones phase-major ({!Nbva.step_multi}) and then
-   project each one — the projection reads only this engine's state, so
-   it is the same computation either way. *)
+   state.  Split from the automaton advance so [step_kernel] can advance
+   the state alone — the projection reads only this engine's state. *)
 let nfa_project (e : nfa_engine) =
   let s = e.n_stats in
   stats_reset s;
@@ -391,7 +381,7 @@ let of_nbva_unit ?(hint = Program.H_default) u = E_nbva (make_nbva_engine ~hint 
 let of_bin b = E_bin (make_bin_engine b)
 
 let stepper_name t =
-  let of_stepper = function S_general -> "general" | S_word _ -> "word" | S_dfa _ -> "dfa" in
+  let of_stepper = function S_general -> "general" | S_dfa _ -> "dfa" in
   match t with
   | E_nfa e -> of_stepper e.n_stepper
   | E_nbva e -> of_stepper e.nb_stepper
@@ -402,7 +392,7 @@ let dfa_stats t =
     | S_dfa r ->
         let d = Dfa.cache r in
         Some (Dfa.cached_states d, Dfa.fills d, Dfa.flushes d, Dfa.disabled d)
-    | S_general | S_word _ -> None
+    | S_general -> None
   in
   match t with
   | E_nfa e -> of_stepper e.n_stepper
@@ -431,15 +421,9 @@ let step t c =
   stats_of t
 
 (* ------------------------------------------------------------------ *)
-(* SFA chunk-composition surface.  [step_kernel] advances only the
-   automaton state — no tile projection, no stats — which is all the
-   transfer/speculation phases of [Exec.run_chunks] need; the replay
-   phase uses the full [step].  [sfa_tables] exports the transition
-   structure when the engine's whole state is one active word (then the
-   chunk composes by matrix); engines with BV vectors or multi-word
-   state return [None] and compose by speculation, for which
-   [semantic_zero] decides whether a from-scratch chunk run was in fact
-   run from the right (empty) state. *)
+(* [step_kernel] advances only the automaton state — no tile
+   projection, no stats.  The per-layer profile times it against the
+   full [step] to split the kernel from the projection. *)
 
 let step_kernel t c =
   match t with
@@ -447,55 +431,11 @@ let step_kernel t c =
   | E_nbva e -> ignore (advance e.nb_stepper e.nu.Program.nbva e.nb_st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
-let sfa_tables t =
-  match t with
-  | E_nfa e ->
-      Option.map
-        (fun (wt : Nbva.word_tables) ->
-          Sfa.linear ~n:wt.Nbva.wt_n ~labels:wt.Nbva.wt_labels ~succ:wt.Nbva.wt_succ)
-        (Nbva.word_tables e.exec)
-  | E_nbva e ->
-      Option.map
-        (fun (wt : Nbva.word_tables) ->
-          Sfa.linear ~n:wt.Nbva.wt_n ~labels:wt.Nbva.wt_labels ~succ:wt.Nbva.wt_succ)
-        (Nbva.word_tables e.nu.Program.nbva)
-  | E_bin e ->
-      Option.map
-        (fun (wt : Shift_and.word_tables) ->
-          Sfa.shift ~width:wt.Shift_and.swt_width ~labels:wt.Shift_and.swt_labels)
-        (Shift_and.word_tables e.sa)
-
-let active_vector = function
-  | E_nfa e -> Nbva.outputs e.exec_st
-  | E_nbva e -> Nbva.outputs e.nb_st
-  | E_bin e -> Shift_and.state_vector e.sa_st
-
-let active_word t = Bitvec.get_word (active_vector t) 0
-let set_active_word t w = Bitvec.set_word (active_vector t) 0 w
-
-let semantic_zero t =
-  Bitvec.is_zero (active_vector t)
-  &&
-  match t with
-  | E_bin _ -> true
-  | E_nfa e ->
-      Array.for_all
-        (function Some v -> Bitvec.is_zero v | None -> true)
-        (Nbva.vectors e.exec_st)
-  | E_nbva e ->
-      Array.for_all
-        (function Some v -> Bitvec.is_zero v | None -> true)
-        (Nbva.vectors e.nb_st)
-
 (* ------------------------------------------------------------------ *)
-(* Stream clones and packed multi-stream slots.  A clone shares every
-   immutable compiled structure (automata, exec plans, tile masks, cross
-   lists — all read-only after construction) and gets fresh run state and
-   a fresh stats record, so B streams against one placement pay the
-   compilation once.  [multi] packs the K clones of one engine so a
-   single call advances all of them; NBVA-backed engines go through the
-   phase-major {!Nbva.step_multi} kernel, sharing the per-byte labels
-   table and successor masks across streams in cache. *)
+(* Stream clones.  A clone shares every immutable compiled structure
+   (automata, exec plans, tile masks, cross lists — all read-only after
+   construction) and gets fresh run state and a fresh stats record, so B
+   streams against one placement pay the compilation once. *)
 
 let clone_fresh = function
   | E_nfa e ->
@@ -519,92 +459,6 @@ let clone_fresh = function
   | E_bin e ->
       let b_arena, sa_st = make_bin_arena e.sa in
       E_bin { e with b_arena; sa_st; b_stats = stats_create e.bin.Binning.tiles }
-
-type multi =
-  | Mu_nfa of {
-      m_exec : Nbva.t;
-      m_engs : nfa_engine array;
-      m_sts : Nbva.run_state array;
-      m_hits : bool array;
-      m_steppers : stepper array;
-    }
-  | Mu_nbva of {
-      m_nbva : Nbva.t;
-      m_engs : nbva_engine array;
-      m_sts : Nbva.run_state array;
-      m_hits : bool array;
-      m_steppers : stepper array;
-    }
-  | Mu_bin of bin_engine array
-
-let multi_mismatch () = invalid_arg "Engine.multi: engines are not clones of one template"
-
-let multi es =
-  let k = Array.length es in
-  if k = 0 then invalid_arg "Engine.multi: empty slot";
-  match es.(0) with
-  | E_nfa e0 ->
-      let engs =
-        Array.map (function E_nfa e -> if e.exec != e0.exec then multi_mismatch (); e | _ -> multi_mismatch ()) es
-      in
-      Mu_nfa
-        {
-          m_exec = e0.exec;
-          m_engs = engs;
-          m_sts = Array.map (fun (e : nfa_engine) -> e.exec_st) engs;
-          m_hits = Array.make k false;
-          m_steppers = Array.map (fun (e : nfa_engine) -> e.n_stepper) engs;
-        }
-  | E_nbva e0 ->
-      let engs =
-        Array.map
-          (function
-            | E_nbva e -> if e.nu.Program.nbva != e0.nu.Program.nbva then multi_mismatch (); e
-            | _ -> multi_mismatch ())
-          es
-      in
-      Mu_nbva
-        {
-          m_nbva = e0.nu.Program.nbva;
-          m_engs = engs;
-          m_sts = Array.map (fun (e : nbva_engine) -> e.nb_st) engs;
-          m_hits = Array.make k false;
-          m_steppers = Array.map (fun (e : nbva_engine) -> e.nb_stepper) engs;
-        }
-  | E_bin e0 ->
-      Mu_bin
-        (Array.map
-           (function E_bin e -> if e.sa != e0.sa then multi_mismatch (); e | _ -> multi_mismatch ())
-           es)
-
-(* Bit-identity: [step_multi] leaves each stream's state exactly as a
-   per-stream [step] would, and the projections read only their own
-   engine — so after [multi_step m cs], [events es.(i)] is what
-   [step es.(i) cs.(i)] would have returned, for every i.  Shift-And
-   bins have no batched kernel (their state is one packed vector, no
-   shared mask tables to amortize) and simply step in stream order. *)
-(* Members of one slot are clones of one template, so they share a
-   stepper shape: when it is specialized (word kernel or DFA cache) the
-   per-stream specialized step beats the phase-major batched kernel —
-   the DFA's cached path touches no mask tables at all, and a
-   single-word automaton's tables are too small for cache amortization
-   to matter.  Under the [Reference] selector [advance] already degrades
-   to per-stream reference stepping, matching [step_multi_selected]. *)
-let multi_advance steppers exec sts cs hits =
-  match steppers.(0) with
-  | (S_word _ | S_dfa _) when !Nbva.kernel = Nbva.Bit_parallel ->
-      Array.iteri (fun i st -> hits.(i) <- advance steppers.(i) exec st cs.(i)) sts
-  | S_general | S_word _ | S_dfa _ -> Nbva.step_multi_selected exec sts cs hits
-
-let multi_step m cs =
-  match m with
-  | Mu_nfa { m_exec; m_engs; m_sts; m_hits; m_steppers } ->
-      multi_advance m_steppers m_exec m_sts cs m_hits;
-      Array.iter nfa_project m_engs
-  | Mu_nbva { m_nbva; m_engs; m_sts; m_hits; m_steppers } ->
-      multi_advance m_steppers m_nbva m_sts cs m_hits;
-      Array.iter nbva_project m_engs
-  | Mu_bin engs -> Array.iteri (fun i e -> bin_step e cs.(i)) engs
 
 let tile_static_cols t i =
   match t with

@@ -31,15 +31,13 @@ val of_bin : Binning.bin -> t
     NBVA-backed engines pick the cheapest bit-identical kernel at
     construction, steered by the compiled unit's {!Program.exec_hint}:
     an [H_dfa] hint (and structural eligibility — no BV-STEs) attaches a
-    lazy-DFA transition cache ({!Dfa}); otherwise placements whose whole
-    state is one active word get the fused single-word kernel
-    ({!Nbva.step_word}), and everything else the flat bit-parallel
-    kernel.  The choice is invisible in every observable — activation
-    words, hits, events, digests, snapshots — and the [Nbva.kernel]
-    reference selector overrides all specialized paths. *)
+    lazy-DFA transition cache ({!Dfa}); everything else runs the flat
+    bit-parallel kernel.  The choice is invisible in every observable —
+    activation words, hits, events, digests, snapshots — and the
+    [Nbva.kernel] reference selector overrides the DFA path. *)
 
 val stepper_name : t -> string
-(** ["dfa"], ["word"], ["general"], or ["shift-and"] (bins). *)
+(** ["dfa"], ["general"], or ["shift-and"] (bins). *)
 
 val dfa_stats : t -> (int * int * int * bool) option
 (** [(cached_states, fills, flushes, disabled)] of the DFA cache, when
@@ -84,67 +82,22 @@ val events : t -> events
 (** The engine's event record — physically the same record every {!step}
     returns.  Meaningful only after a [step]. *)
 
-(** {1 SFA chunk-composition surface}
-
-    [Exec.run_chunks] runs chunks of one stream in parallel and stitches
-    them together; these are the pieces it needs from an engine.  During
-    the parallel phases only the automaton state matters, so
-    {!step_kernel} advances it without tile projection or statistics —
-    the bit-identical event stream is reproduced later by replaying the
-    chunk with the full {!step} from the now-known entry state. *)
-
 val step_kernel : t -> char -> unit
 (** Advance the automaton state only (no projection, no stats) —
-    bit-identical in state effect to {!step}. *)
+    bit-identical in state effect to {!step}.  Lets a profiler separate
+    the kernel's cost from the tile projection's. *)
 
-val sfa_tables : t -> Sfa.tables option
-(** The engine's transition structure for transfer-matrix composition;
-    [Some] iff the whole inter-symbol state is a single active word
-    (≤ {!Bitvec.bits_per_word} states, no BV vectors).  Computed per
-    call — build once and share across clones. *)
-
-val active_word : t -> int
-(** Word 0 of the active vector.  Only meaningful as {e complete} state
-    when {!sfa_tables} is [Some]. *)
-
-val set_active_word : t -> int -> unit
-(** Install word 0 of the active vector (bits beyond the width are
-    masked away). *)
-
-val semantic_zero : t -> bool
-(** [true] when the engine is in the empty start state: active vector
-    zero and every materialized BV vector zero.  Scratch words are
-    ignored — they are overwritten by the next step. *)
-
-(** {1 Stream clones and batched stepping}
+(** {1 Stream clones}
 
     One compiled placement can serve many independent input streams:
     a clone shares every immutable compiled structure (automata, mask
     tables, tile maps) with its template and carries fresh run state and
-    statistics, so B streams pay compilation once.  Clones of one
-    template can then be packed into a {!multi} slot and advanced
-    together — NBVA-backed engines go through the phase-major
-    {!Nbva.step_multi} kernel, which shares the per-byte labels table
-    and successor-mask unions across streams in cache. *)
+    statistics, so B streams pay compilation once. *)
 
 val clone_fresh : t -> t
 (** A fresh-state clone: same compiled automaton and tile projection
     (physically shared), run state and event record reset to the start
     of input. *)
-
-type multi
-(** K clones of one engine, packed for batched stepping. *)
-
-val multi : t array -> multi
-(** Pack clones of one template (see {!clone_fresh}); raises
-    [Invalid_argument] when the engines do not share one compiled
-    automaton or the array is empty. *)
-
-val multi_step : multi -> char array -> unit
-(** [multi_step m cs] advances clone [i] by symbol [cs.(i)] for every
-    [i]; [cs] may be longer than the slot.  Afterwards [events] of
-    clone [i] holds exactly what [step clone_i cs.(i)] would have
-    produced — batched stepping is bit-identical per stream. *)
 
 (** {1 Static per-tile facts} *)
 

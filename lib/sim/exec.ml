@@ -5,7 +5,6 @@ type t = {
   last_events : Engine.events array;  (* parallel to [engines], refreshed by [step] *)
   tile_pieces : (int * int) list array;  (* physical tile -> (engine, local) *)
   tile_modes : Engine.mode array;
-  sfa : Sfa.tables option array;  (* per engine; shared by clones (immutable) *)
 }
 
 let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
@@ -57,13 +56,7 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
       tiles
   in
   let engines = Array.of_list (List.rev !engines) in
-  {
-    engines;
-    last_events = Array.map Engine.events engines;
-    tile_pieces;
-    tile_modes;
-    sfa = Array.map Engine.sfa_tables engines;
-  }
+  { engines; last_events = Array.map Engine.events engines; tile_pieces; tile_modes }
 
 let engines t = t.engines
 let tile_modes t = t.tile_modes
@@ -103,11 +96,7 @@ type array_events = {
 }
 
 (* Assembly reads only the engines' refreshed event records ([step]
-   returns the same physical records held in [last_events]), so it is
-   split from the advance: single-stream [step] advances this context's
-   engines and assembles; [group_step] advances K stream-clones
-   phase-major and assembles each member with the same code — the
-   per-stream [array_events] values are identical either way. *)
+   returns the same physical records held in [last_events]). *)
 let assemble (arch : Arch.t) t ~sym c =
   let cross = ref 0 and reports = ref 0 and stall = ref 0 in
   let phases = ref [] in
@@ -177,210 +166,9 @@ let step arch t ~sym c =
   Array.iter (fun e -> ignore (Engine.step e c)) t.engines;
   assemble arch t ~sym c
 
-(* ------------------------------------------------------------------ *)
-(* Stream groups: K fresh-state clones of one array context, stepped in
-   lockstep.  All compiled structure (engines' automata and masks, the
-   tile resolution) is shared with the template; only run state and
-   event records are per-clone. *)
-
+(* A fresh-state clone: all compiled structure (engines' automata and
+   masks, the tile resolution) is shared with the template; only run
+   state and event records are per-clone. *)
 let clone_fresh t =
   let engines = Array.map Engine.clone_fresh t.engines in
-  {
-    engines;
-    last_events = Array.map Engine.events engines;
-    tile_pieces = t.tile_pieces;
-    tile_modes = t.tile_modes;
-    sfa = t.sfa;
-  }
-
-type group = {
-  g_members : t array;
-  g_multis : Engine.multi array;  (* per engine slot, across members *)
-}
-
-let group_of_members members =
-  let k = Array.length members in
-  if k = 0 then invalid_arg "Exec.group_of_members: empty group";
-  let n_eng = Array.length members.(0).engines in
-  if not (Array.for_all (fun m -> Array.length m.engines = n_eng) members) then
-    invalid_arg "Exec.group_of_members: members are not clones of one context";
-  {
-    g_members = members;
-    g_multis = Array.init n_eng (fun j -> Engine.multi (Array.map (fun m -> m.engines.(j)) members));
-  }
-
-let group t k = group_of_members (Array.init k (fun _ -> clone_fresh t))
-let members g = g.g_members
-
-let group_step arch g ~syms cs =
-  Array.iter (fun m -> Engine.multi_step m cs) g.g_multis;
-  Array.mapi (fun i t -> assemble arch t ~sym:syms.(i) cs.(i)) g.g_members
-
-(* ------------------------------------------------------------------ *)
-(* Intra-stream parallelism: Simultaneous-FA chunk composition.
-
-   One stream's chunks run concurrently even though each chunk's entry
-   state depends on every earlier chunk.  Four phases:
-
-   1. (parallel, per chunk) Run every engine's KERNEL on a fresh-state
-      clone — this yields the chunk's affine constant [b] (the state
-      from the empty start state) and, feeding the same bytes into
-      {!Sfa.feed}, the homogeneous transfer rows for single-word
-      engines.  Engines outside the matrix fragment (BV vectors,
-      multi-word state) get the clone run itself as a SPECULATION that
-      the chunk enters in the empty state.
-
-   2. (serial, left to right) Fold the chunks over the real context:
-      per engine, matrix engines compose by {!Sfa.apply}; speculative
-      engines whose entry state is {!Engine.semantic_zero} adopt the
-      clone's end state wholesale (the speculation was exact); on a
-      mismatch the engine's kernel re-runs the chunk serially.  The
-      entry snapshot of each chunk is captured here — it is unknowable
-      any earlier.
-
-   3. (parallel, per chunk) Replay each chunk with the FULL {!step}
-      from its now-known entry state, buffering the per-symbol
-      {!array_events} ({!assemble} allocates fresh records, so
-      buffering needs no copies).  Projections and stats are pure
-      functions of run state, so the replayed stream is exactly what a
-      serial run emits.
-
-   4. (serial) Emit the buffers in symbol order.
-
-   Phase 2 is O(engines × states) word ops per boundary for the matrix
-   fragment; speculation misses cost one kernel pass — still far below
-   the full per-symbol event pipeline, so Amdahl leaves phases 1 and 3
-   carrying the win.  Phase 3 transiently holds one [array_events] per
-   buffered symbol.
-
-   Bit identity: reports, cycles, energy events, their float-add order
-   — everything downstream folds in phase-4 emission order, which is
-   symbol order, identical to serial. *)
-
-(* Sequential-fallback cost model for the chunked path, in arena-word
-   units per input symbol:
-   - [kernel_w]: one kernel pass over every engine (phase 1 and the
-     phase-3 replay both pay it; state words are a fair proxy for the
-     per-symbol word traffic).
-   - [spec_w]: the kernel cost of engines OUTSIDE the matrix fragment.
-     Their phase-1 run is a speculation that the chunk enters in the
-     empty state; on a live stream that speculation usually misses, and
-     the phase-2 re-run is SERIAL — so this term does not divide by
-     [jobs].
-   - [xfer_w]: per-chunk transfer-matrix build cost — one {!Sfa.feed}
-     per matrix engine per symbol, O(live rows); estimated at a quarter
-     of the table dimension (rows die off as they converge). *)
-let chunk_cost_model t =
-  let kernel_w = ref 0 and spec_w = ref 0 and xfer_w = ref 0 in
-  Array.iteri
-    (fun j e ->
-      let words = Engine.state_words e in
-      kernel_w := !kernel_w + words;
-      match t.sfa.(j) with
-      | Some (Sfa.Linear { n; _ }) -> xfer_w := !xfer_w + ((n + 3) / 4)
-      | Some (Sfa.Shift { width; _ }) -> xfer_w := !xfer_w + ((width + 3) / 4)
-      | None -> spec_w := !spec_w + words)
-    t.engines;
-  (!kernel_w, !spec_w, !xfer_w)
-
-let run_chunks ?(jobs = 1) ?(deadline = Scheduler.no_deadline) arch t ~base ~chunks ~emit =
-  let k = Array.length chunks in
-  let total = Array.fold_left (fun acc c -> acc + String.length c) 0 chunks in
-  let run_serial () =
-    let sym = ref base in
-    Array.iter
-      (fun chunk ->
-        String.iter
-          (fun c ->
-            if (!sym - base) land 255 = 0 then Scheduler.check_deadline deadline;
-            emit (step arch t ~sym:!sym c);
-            incr sym)
-          chunk)
-      chunks
-  in
-  (* The chunked path is only entered when the cost model predicts a
-     win: it duplicates kernel work (speculative pass + replay), builds
-     transfer matrices, and serially re-runs mispredicted speculative
-     engines, so against [jobs] effective domains — clamped to the
-     machine, exactly as the scheduler will clamp them — the projected
-     per-symbol cost must beat the serial step by a margin, and the
-     total work (scaled by the duplication) must clear the scheduler's
-     own inline-fallback bar, below which the "parallel" phases would
-     run inline and the duplication could never be repaid. *)
-  if k = 0 || total = 0 then ()
-  else if jobs <= 1 || k = 1 then run_serial ()
-  else begin
-    let jobs = min jobs (Scheduler.available_parallelism ()) in
-    let kernel_w, spec_w, xfer_w = chunk_cost_model t in
-    let full = 2 * max 1 kernel_w in
-    (* per symbol: full-step replay + speculative kernel + matrix build *)
-    let pass = full + kernel_w + xfer_w in
-    let scaled_work = max 1 (total / k * pass / full) in
-    let chunked = ((pass + jobs - 1) / jobs) + spec_w in
-    let profitable =
-      jobs > 1
-      && scaled_work * k >= Scheduler.seq_work_threshold
-      && 4 * chunked <= 3 * full
-    in
-    if not profitable then run_serial ()
-    else begin
-    let n_eng = Array.length t.engines in
-    let bases = Array.make k base in
-    for ki = 1 to k - 1 do
-      bases.(ki) <- bases.(ki - 1) + String.length chunks.(ki - 1)
-    done;
-    let clones = Array.init k (fun _ -> clone_fresh t) in
-    let xfers = Array.init k (fun _ -> Array.map (Option.map Sfa.start) t.sfa) in
-    let work = scaled_work in
-    (* phase 1: transfer rows + speculative from-zero kernel runs *)
-    Scheduler.parallel_for ~work_per_index:work ~jobs k (fun ki ->
-        let cl = clones.(ki) and xf = xfers.(ki) in
-        String.iteri
-          (fun off c ->
-            if off land 255 = 0 then Scheduler.check_deadline deadline;
-            Array.iter (function Some x -> Sfa.feed x c | None -> ()) xf;
-            Array.iter (fun e -> Engine.step_kernel e c) cl.engines)
-          chunks.(ki));
-    (* phase 2: serial composition over the real context *)
-    let starts = Array.make k [||] in
-    for ki = 0 to k - 1 do
-      Scheduler.check_deadline deadline;
-      starts.(ki) <- snapshot_flat t;
-      let cl = clones.(ki) and xf = xfers.(ki) in
-      for j = 0 to n_eng - 1 do
-        let e = t.engines.(j) in
-        match xf.(j) with
-        | Some x ->
-            Engine.set_active_word e
-              (Sfa.apply x ~b:(Engine.active_word cl.engines.(j)) (Engine.active_word e))
-        | None ->
-            if Engine.semantic_zero e then
-              (* speculation hit: the chunk really did start from the
-                 empty state, so the clone's end state is the truth *)
-              Engine.restore_flat e (Engine.snapshot_flat cl.engines.(j))
-            else
-              (* mismatch: this engine re-runs the chunk's kernel *)
-              String.iteri
-                (fun off c ->
-                  if off land 255 = 0 then Scheduler.check_deadline deadline;
-                  Engine.step_kernel e c)
-                chunks.(ki)
-      done
-    done;
-    (* phase 3: parallel full-stats replay from the known entry states *)
-    let bufs = Array.map (fun c -> Array.make (String.length c) None) chunks in
-    Scheduler.parallel_for ~work_per_index:work ~jobs k (fun ki ->
-        let cl = clones.(ki) in
-        restore_flat cl starts.(ki);
-        let buf = bufs.(ki) and cbase = bases.(ki) in
-        String.iteri
-          (fun off c ->
-            if off land 255 = 0 then Scheduler.check_deadline deadline;
-            buf.(off) <- Some (step arch cl ~sym:(cbase + off) c))
-          chunks.(ki));
-    (* phase 4: ordered emission *)
-    Array.iter
-      (Array.iter (function Some ev -> emit ev | None -> assert false))
-      bufs
-    end
-  end
+  { t with engines; last_events = Array.map Engine.events engines }

@@ -70,68 +70,7 @@ val step : Arch.t -> t -> sym:int -> char -> array_events
     determines BV-phase iteration counts and stall cycles (only
     NBVA-capable designs trigger phases). *)
 
-(** {1 Intra-stream parallelism (Simultaneous-FA chunk composition)}
-
-    One stream's chunks execute concurrently: each chunk first runs on a
-    fresh-state clone, producing its affine constant and (for engines
-    whose whole state is one active word) a {!Sfa} transfer matrix; a
-    serial left-to-right fold then composes chunk boundaries in
-    O(engines × states) word ops each; finally each chunk replays with
-    full statistics from its now-known entry state, in parallel, and the
-    buffered events emit in symbol order.  Engines outside the matrix
-    fragment (BV vectors, multi-word state) treat the clone run as a
-    speculation that the chunk enters in the empty state, re-running
-    their kernel serially on a mismatch.
-
-    The emitted event stream — offsets, reports, stalls, tile counts,
-    everything downstream energy accounting folds over — is
-    bit-identical to calling [step] symbol by symbol. *)
-
-val run_chunks :
-  ?jobs:int ->
-  ?deadline:Scheduler.deadline ->
-  Arch.t ->
-  t ->
-  base:int ->
-  chunks:string array ->
-  emit:(array_events -> unit) ->
-  unit
-(** [run_chunks arch t ~base ~chunks ~emit] advances [t] over the
-    concatenation of [chunks] (whose first symbol has input offset
-    [base]), emitting every symbol's {!array_events} in order.  [jobs]
-    bounds the concurrent chunk count ([<= 1] or a single chunk runs
-    plain serial); the cooperative [deadline] is checked every 256
-    symbols in every phase.  On return [t] holds the end-of-input state,
-    exactly as after serial stepping.  Buffering transiently holds one
-    {!array_events} per symbol of [chunks]. *)
-
-(** {1 Stream groups}
-
-    Batched multi-stream execution: K fresh-state clones of one array
-    context advance in lockstep, engine-major — each engine slot packs
-    its K clones into one {!Engine.multi} so NBVA mask tables are shared
-    across streams in cache.  Per-stream results are bit-identical to
-    stepping each clone alone: [group_step] produces for member [i]
-    exactly the {!array_events} that [step] on that member would. *)
-
 val clone_fresh : t -> t
 (** A clone sharing all compiled structure with fresh run state —
-    equivalent to [build] on the same placement without recompiling. *)
-
-type group
-
-val group : t -> int -> group
-(** [group t k] packs [k] fresh clones of [t] (the template itself is
-    not a member and stays pristine). *)
-
-val group_of_members : t array -> group
-(** Pack existing clones of one context — used to shrink a group when a
-    stream ends.  Raises [Invalid_argument] on an empty array or
-    members that are not clones of one context. *)
-
-val members : group -> t array
-
-val group_step : Arch.t -> group -> syms:int array -> char array -> array_events array
-(** Advance member [i] by symbol [cs.(i)] at input offset [syms.(i)];
-    both arrays may be longer than the group.  Result [i] is member
-    [i]'s events. *)
+    equivalent to [build] on the same placement without recompiling.
+    {!Batch} steps one clone per (stream, array). *)

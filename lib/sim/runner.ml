@@ -323,23 +323,9 @@ let deadline_stride = 256
 
 let mismatch detail = raise (Sim_error.Error (Sim_error.Checkpoint_mismatch { detail }))
 
-(* Split one chunk into [k] near-equal contiguous pieces for SFA
-   composition (first [len mod k] pieces one byte longer). *)
-let sub_split chunk k =
-  let len = String.length chunk in
-  let k = max 1 (min k len) in
-  let q = len / k and r = len mod k in
-  Array.init k (fun i -> String.sub chunk ((i * q) + min i r) (q + if i < r then 1 else 0))
-
-let run_stream ?(jobs = 1) ?(intra_jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint
-    ?(resume = false) (arch : Arch.t) ~params (p : Mapper.placement) ~stream =
+let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?(resume = false)
+    (arch : Arch.t) ~params (p : Mapper.placement) ~stream =
   ignore params;
-  (* Chunk composition costs roughly one extra kernel pass over the
-     input; with a single domain there is nothing to overlap it with, so
-     the split would only slow the run down.  Same reasoning as the
-     scheduler's sequential fallback — and same observability: results
-     are bit-identical either way. *)
-  let intra_jobs = if Scheduler.available_parallelism () > 1 then intra_jobs else 1 in
   let num_arrays = Array.length p.Mapper.arrays in
   let chars_hint = match Input_stream.length stream with Some n -> n | None -> 0 in
   let energy_spec, ledgers, mode_slots = energy_sink arch ~num_arrays in
@@ -418,70 +404,55 @@ let run_stream ?(jobs = 1) ?(intra_jobs = 1) ?(sinks = []) ?policy ?integrity ?c
        attempt leaves the slots untouched, so only engine state and the
        energy sink need explicit rollback *)
     let cycles = ref cycles_slots.(array_id) and reports = ref reports_slots.(array_id) in
-    (if intra_jobs > 1 && sl = [] && String.length chunk > 1 then
-       (* SFA path: chunk pieces run in parallel, events emit in symbol
-          order — the same folds as the serial branch below, over a
-          bit-identical event stream.  Fault sinks ([on_state]) mutate
-          engine state between symbols, which would poison the transfer
-          construction; arrays carrying them keep the serial branch. *)
-       Exec.run_chunks ~jobs:intra_jobs ~deadline arch ex ~base
-         ~chunks:(sub_split chunk intra_jobs) ~emit:(fun ev ->
-           cycles := !cycles + 1 + ev.Exec.stall;
-           reports := !reports + ev.Exec.reports;
-           List.iter (fun (i : Sink.t) -> i.Sink.on_events ev) il)
-     else
-       let len = String.length chunk in
-       (* sentinel window state, local to this attempt: [win_start < 0]
-          means no window is open.  The due symbol only advances after a
-          window {e passes}, so a heal retry re-verifies the same span. *)
-       let win_start = ref (-1) and pre = ref [||] and win_digest = ref 0 in
-       String.iteri
-         (fun off c ->
-           if off land (deadline_stride - 1) = 0 then Scheduler.check_deadline deadline;
-           let sym = base + off in
-           (match integrity with
-           | Some cfg
-             when cfg.Integrity.sentinel_every > 0
-                  && !win_start < 0
-                  && sym >= sent_due.(array_id) ->
-               (* capture before stepping: the window replay starts from
-                  the state this symbol will be applied to *)
-               pre := Exec.snapshot_flat ex;
-               win_start := off;
-               win_digest := 0
-           | _ -> ());
-           let ev = Exec.step arch ex ~sym c in
-           cycles := !cycles + 1 + ev.Exec.stall;
-           reports := !reports + ev.Exec.reports;
-           List.iter (fun (i : Sink.t) -> i.Sink.on_events ev) il;
-           (* fault-injection surface: runs after this symbol's events are
-              banked, so corruption lands in the stored state and is first
-              seen at the next symbol *)
-           List.iter (fun f -> f ~sym (Exec.engines ex)) sl;
-           (* fold the post-symbol state into the window digest after the
-              sinks, so corruption landing at this very symbol is already
-              visible to the window-end comparison *)
-           if !win_start >= 0 then
-             win_digest :=
-               Array.fold_left
-                 (fun acc e -> Engine.state_digest e acc)
-                 !win_digest (Exec.engines ex);
-           match integrity with
-           | Some cfg
-             when !win_start >= 0
-                  && (off - !win_start + 1 >= cfg.Integrity.sentinel_window || off = len - 1)
-             ->
-               (* windows never span a chunk boundary: a rollback restores
-                  chunk-start state, so a cross-chunk window could not be
-                  re-verified after a heal *)
-               Integrity.sentinel_replay cfg ~array_id ~sym ~shadow:shadows.(array_id)
-                 ~live:ex ~pre:!pre ~chunk ~start:!win_start
-                 ~len:(off - !win_start + 1)
-                 ~live_digest:!win_digest;
-               sent_due.(array_id) <- base + !win_start + cfg.Integrity.sentinel_every;
-               win_start := -1
-           | _ -> ())
-         chunk);
+    let len = String.length chunk in
+    (* sentinel window state, local to this attempt: [win_start < 0]
+       means no window is open.  The due symbol only advances after a
+       window {e passes}, so a heal retry re-verifies the same span. *)
+    let win_start = ref (-1) and pre = ref [||] and win_digest = ref 0 in
+    String.iteri
+      (fun off c ->
+        if off land (deadline_stride - 1) = 0 then Scheduler.check_deadline deadline;
+        let sym = base + off in
+        (match integrity with
+        | Some cfg
+          when cfg.Integrity.sentinel_every > 0
+               && !win_start < 0
+               && sym >= sent_due.(array_id) ->
+            (* capture before stepping: the window replay starts from
+               the state this symbol will be applied to *)
+            pre := Exec.snapshot_flat ex;
+            win_start := off;
+            win_digest := 0
+        | _ -> ());
+        let ev = Exec.step arch ex ~sym c in
+        cycles := !cycles + 1 + ev.Exec.stall;
+        reports := !reports + ev.Exec.reports;
+        List.iter (fun (i : Sink.t) -> i.Sink.on_events ev) il;
+        (* fault-injection surface: runs after this symbol's events are
+           banked, so corruption lands in the stored state and is first
+           seen at the next symbol *)
+        List.iter (fun f -> f ~sym (Exec.engines ex)) sl;
+        (* fold the post-symbol state into the window digest after the
+           sinks, so corruption landing at this very symbol is already
+           visible to the window-end comparison *)
+        if !win_start >= 0 then
+          win_digest :=
+            Array.fold_left (fun acc e -> Engine.state_digest e acc) !win_digest (Exec.engines ex);
+        match integrity with
+        | Some cfg
+          when !win_start >= 0
+               && (off - !win_start + 1 >= cfg.Integrity.sentinel_window || off = len - 1) ->
+            (* windows never span a chunk boundary: a rollback restores
+               chunk-start state, so a cross-chunk window could not be
+               re-verified after a heal *)
+            Integrity.sentinel_replay cfg ~array_id ~sym ~shadow:shadows.(array_id) ~live:ex
+              ~pre:!pre ~chunk ~start:!win_start
+              ~len:(off - !win_start + 1)
+              ~live_digest:!win_digest;
+            sent_due.(array_id) <- base + !win_start + cfg.Integrity.sentinel_every;
+            win_start := -1
+        | _ -> ())
+      chunk;
     (* CRC/guard sweep at the chunk boundary, before the slots publish:
        a trip here aborts the attempt with slots untouched, so the heal
        wrapper can roll back and re-execute the chunk. *)
@@ -695,10 +666,9 @@ let run_stream ?(jobs = 1) ?(intra_jobs = 1) ?(sinks = []) ?policy ?integrity ?c
 
 (* One chunk spanning the whole string keeps the historical array-major
    symbol order at [jobs = 1], which shared-RNG fault sinks depend on. *)
-let run ?jobs ?intra_jobs ?sinks ?integrity (arch : Arch.t) ~params (p : Mapper.placement)
-    ~input =
+let run ?jobs ?sinks ?integrity (arch : Arch.t) ~params (p : Mapper.placement) ~input =
   let stream = Input_stream.of_string ~chunk:(max 1 (String.length input)) input in
-  run_stream ?jobs ?intra_jobs ?sinks ?integrity arch ~params p ~stream
+  run_stream ?jobs ?sinks ?integrity arch ~params p ~stream
 
 (* Single pass: the stall tracer rides the same event stream as the
    energy accounting, so the engines run exactly once. *)

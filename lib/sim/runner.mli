@@ -124,14 +124,8 @@ val assemble_report :
 (** Fold the per-array accumulator slots into a {!report} — exactly the
     computation {!run_stream} performs at end of input. *)
 
-val sub_split : string -> int -> string array
-(** [sub_split chunk k] is [chunk] as [min k (length chunk)] contiguous
-    near-equal pieces (never an empty piece; [max 1] pieces) — the split
-    the intra-stream SFA path feeds to {!Exec.run_chunks}. *)
-
 val run_stream :
   ?jobs:int ->
-  ?intra_jobs:int ->
   ?sinks:Sink.spec list ->
   ?policy:Scheduler.policy ->
   ?integrity:Integrity.config ->
@@ -147,18 +141,6 @@ val run_stream :
     O(chunk); every array processes chunk [k] before any array starts
     chunk [k+1] (a {e chunk barrier}), and within a chunk arrays are
     scheduled exactly like {!run}.
-
-    [intra_jobs] (default 1) additionally splits each array's chunk into
-    that many pieces composed via {!Exec.run_chunks} — Simultaneous-FA
-    intra-stream parallelism.  Reports stay bit-identical: the emitted
-    event stream is symbol-ordered and identical to serial stepping.
-    Arrays with fault-injection ([on_state]) sinks keep the serial path,
-    since state mutation between symbols defeats transfer construction;
-    sinks see at-least-once delivery under supervision exactly as with
-    [jobs].  On a machine with a single effective domain
-    ({!Scheduler.available_parallelism} [= 1]) the split is skipped
-    entirely — composition costs an extra kernel pass that only pays for
-    itself when the pieces actually overlap.
 
     [policy] turns on supervision: each array's chunk attempt runs under
     a cooperative per-attempt deadline (checked every 256 symbols) and
@@ -197,7 +179,6 @@ val run_stream :
 
 val run :
   ?jobs:int ->
-  ?intra_jobs:int ->
   ?sinks:Sink.spec list ->
   ?integrity:Integrity.config ->
   Arch.t ->

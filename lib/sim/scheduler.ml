@@ -153,8 +153,9 @@ let parallel_for ?work_per_index ~jobs n f =
     in
     Mutex.lock pool_mutex;
     if !pool_busy || !pool_shutdown then begin
-      (* another job owns the pool (e.g. intra-chunk fan-out nested under
-         the per-array dispatch): the cores are busy, run inline *)
+      (* another job owns the pool (a call nested in the submitter's own
+         share of a job, or a concurrent caller): the cores are busy, run
+         inline *)
       Mutex.unlock pool_mutex;
       for i = 0 to n - 1 do
         f i

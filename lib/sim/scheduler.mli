@@ -16,10 +16,10 @@
     beyond the machine's cores only add overhead), and callers that can
     estimate their per-index cost pass [?work_per_index] so tiny
     dispatches skip the pool entirely.  At most one pooled job runs at a
-    time; a nested or concurrent [parallel_for] — e.g. intra-chunk
-    fan-out under the per-array dispatch — runs inline sequentially,
-    which is deadlock-free and costs nothing when the cores are already
-    occupied.
+    time; a nested or concurrent [parallel_for] — one issued from inside
+    a running job's body, or by another caller while a job runs — runs
+    inline sequentially, which is deadlock-free and costs nothing when
+    the cores are already occupied.
 
     Determinism contract: [f i] must confine its writes to slot [i] of
     pre-allocated result arrays; the caller then merges slots in index
@@ -39,11 +39,8 @@ val seq_work_threshold : int
 (** The inline-fallback threshold of {!parallel_for}, in caller work
     units (typically input symbols): below this much estimated total
     work, waking the pool costs more than it saves.  Exported so callers
-    whose parallel path has a {e setup cost of its own} (e.g. the
-    chunk-composition pipeline in [Exec.run_chunks], which duplicates
-    kernel work and builds transfer matrices) can pre-check against the
-    same bar and keep their cheap serial path instead of entering a
-    parallel structure whose dispatch would then run inline anyway. *)
+    can predict whether a dispatch will run inline (a profiler counting
+    the domains a call really uses, for one). *)
 
 val parallel_for : ?work_per_index:int -> jobs:int -> int -> (int -> unit) -> unit
 (** [parallel_for ~jobs n f] runs [f 0 .. f (n-1)] on

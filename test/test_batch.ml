@@ -1,9 +1,8 @@
 (* Batched multi-stream execution.  The load-bearing property is the
    per-stream bit-identity contract: running B streams through the batch
-   layer — any jobs value, any group width — produces for each stream
-   exactly the report a solo Runner.run at jobs 1 produces, floats
-   included.  The aggregate must model concurrent contexts: chars sum,
-   cycles max. *)
+   layer — any jobs value — produces for each stream exactly the report
+   a solo Runner.run at jobs 1 produces, floats included.  The aggregate
+   must model concurrent contexts: chars sum, cycles max. *)
 
 open Alcotest
 
@@ -42,15 +41,14 @@ let check_report_equal label (a : Runner.report) (b : Runner.report) =
 
 let solo p input = Runner.run ~jobs:1 rap ~params p ~input
 
-let batch_of p ~jobs ~group ?chunk inputs =
-  let sources =
-    Array.of_list
-      (List.mapi (fun i s -> Batch.of_string ?chunk ~name:(Printf.sprintf "s%d" i) s) inputs)
-  in
-  Batch.run ~jobs ~group rap ~params p ~sources
+let sources_of ?chunk inputs =
+  Array.of_list
+    (List.mapi (fun i s -> Batch.of_string ?chunk ~name:(Printf.sprintf "s%d" i) s) inputs)
 
-let check_batch_equals_solo label p ~jobs ~group ?chunk inputs =
-  let b = batch_of p ~jobs ~group ?chunk inputs in
+let batch_of p ~jobs ?chunk inputs = Batch.run ~jobs rap ~params p ~sources:(sources_of ?chunk inputs)
+
+let check_batch_equals_solo label p ~jobs ?chunk inputs =
+  let b = batch_of p ~jobs ?chunk inputs in
   List.iteri
     (fun i input ->
       check_report_equal
@@ -70,32 +68,31 @@ let test_batch_bit_identical () =
     ]
   in
   List.iter
-    (fun (jobs, group) ->
-      check_batch_equals_solo (Printf.sprintf "jobs=%d group=%d" jobs group) p ~jobs ~group inputs)
-    [ (1, 1); (1, 4); (4, 1); (4, 3); (4, 8); (2, 2) ]
+    (fun jobs -> check_batch_equals_solo (Printf.sprintf "jobs=%d" jobs) p ~jobs inputs)
+    [ 1; 2; 4; 8 ]
 
 let test_batch_chunked_identical () =
   (* chunk boundaries must not show in the results *)
   let p = placement () in
   let inputs = [ String.concat "" (List.init 30 (fun _ -> "abbbbc evil big sig ")); "abbbc" ] in
   List.iter
-    (fun chunk -> check_batch_equals_solo (Printf.sprintf "chunk=%d" chunk) p ~jobs:4 ~group:4 ~chunk inputs)
+    (fun chunk -> check_batch_equals_solo (Printf.sprintf "chunk=%d" chunk) p ~jobs:4 ~chunk inputs)
     [ 1; 7; 64; 100_000 ]
 
 let test_batch_skewed_streams () =
   (* heavily skewed lengths: the work list must still produce exact
-     per-stream results as groups shrink member by member *)
+     per-stream results whichever tasks finish first *)
   let p = placement () in
   let inputs =
     List.init 8 (fun i ->
         String.concat "" (List.init (i * i * 20) (fun j -> if j mod 7 = 0 then "abbbc" else "x")))
   in
-  check_batch_equals_solo "skewed" p ~jobs:4 ~group:3 inputs
+  check_batch_equals_solo "skewed" p ~jobs:4 inputs
 
 let test_batch_aggregate () =
   let p = placement () in
   let inputs = [ "abbbc abbbc"; ""; String.make 500 'a' ^ "bbbc" ] in
-  let b = batch_of p ~jobs:2 ~group:2 inputs in
+  let b = batch_of p ~jobs:2 inputs in
   let per_stream = Array.map (fun s -> s.Batch.bs_report) b.Batch.streams in
   let a = b.Batch.aggregate in
   check int "streams" (List.length inputs) a.Batch.agg_streams;
@@ -121,7 +118,7 @@ let test_batch_beats_sequential () =
         String.concat ""
           (List.init 400 (fun j -> if (i + j) mod 5 = 0 then "abbbc" else "xyzw ")))
   in
-  let b = batch_of p ~jobs:4 ~group:4 inputs in
+  let b = batch_of p ~jobs:4 inputs in
   let seq_cycles =
     List.fold_left (fun acc input -> acc + (solo p input).Runner.cycles) 0 inputs
   in
@@ -133,7 +130,7 @@ let test_batch_beats_sequential () =
     (b.Batch.aggregate.Batch.agg_throughput_gchs >= 2. *. seq_gchs)
 
 let test_batch_kernel_agreement () =
-  (* the batched NBVA kernel and the scalar reference must agree through
+  (* the batch path and the scalar reference kernel must agree through
      the whole stack, like the single-stream differential gate *)
   let p = placement () in
   let inputs = [ "abbbc evilxsig xyzzzw"; "baaaaaaab wget http"; "" ] in
@@ -142,8 +139,8 @@ let test_batch_kernel_agreement () =
     Nbva.kernel := k;
     Fun.protect ~finally:(fun () -> Nbva.kernel := saved) f
   in
-  let bp = with_kernel Nbva.Bit_parallel (fun () -> batch_of p ~jobs:1 ~group:4 inputs) in
-  let refr = with_kernel Nbva.Reference (fun () -> batch_of p ~jobs:1 ~group:4 inputs) in
+  let bp = with_kernel Nbva.Bit_parallel (fun () -> batch_of p ~jobs:1 inputs) in
+  let refr = with_kernel Nbva.Reference (fun () -> batch_of p ~jobs:1 inputs) in
   Array.iteri
     (fun i (s : Batch.stream_report) ->
       check_report_equal
@@ -152,21 +149,16 @@ let test_batch_kernel_agreement () =
         refr.Batch.streams.(i).Batch.bs_report)
     bp.Batch.streams
 
-(* QCheck: random stream sets, random widths — batch == solo, always. *)
+(* QCheck: random stream sets, random jobs — batch == solo, always. *)
 let prop_batch_equals_solo =
   let open QCheck2 in
   let gen_char = Gen.oneofl (List.init (String.length alphabet) (String.get alphabet)) in
   let gen_stream = Gen.(string_size ~gen:gen_char (0 -- 200)) in
-  let gen =
-    Gen.triple
-      (Gen.list_size Gen.(1 -- 8) gen_stream)
-      (Gen.oneofl [ 1; 2; 4 ])
-      (Gen.oneofl [ 1; 2; 3; 4; 8 ])
-  in
-  Test.make ~count:25 ~name:"batch reports == solo reports (any jobs/group)" gen
-    (fun (inputs, jobs, group) ->
+  let gen = Gen.pair (Gen.list_size Gen.(1 -- 8) gen_stream) (Gen.oneofl [ 1; 2; 4 ]) in
+  Test.make ~count:25 ~name:"batch reports == solo reports (any jobs)" gen
+    (fun (inputs, jobs) ->
       let p = placement () in
-      let b = batch_of p ~jobs ~group inputs in
+      let b = batch_of p ~jobs inputs in
       List.for_all2
         (fun input (s : Batch.stream_report) ->
           let r = solo p input in
@@ -181,13 +173,32 @@ let prop_batch_equals_solo =
         inputs
         (Array.to_list b.Batch.streams))
 
+(* Per-stream finish stamps: a short request batched with a long one is
+   stamped when its own tasks retire, not when the whole batch does —
+   the service's latency accounting depends on it.  At jobs 1 the
+   stream-major task order runs the short stream's arrays first. *)
+let test_batch_done_stamps () =
+  let p = placement () in
+  let long = String.init 65536 (fun i -> alphabet.[i * 7 mod String.length alphabet]) in
+  let stamps = Array.make 2 0. in
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (Batch.run ~jobs:1 ~done_stamps:stamps rap ~params p
+       ~sources:(sources_of [ String.sub long 0 16; long ]));
+  let short_s = stamps.(0) -. t0 and long_s = stamps.(1) -. t0 in
+  check bool
+    (Printf.sprintf "short stream stamped early (%.4fs vs %.4fs)" short_s long_s)
+    true
+    (stamps.(0) > 0. && short_s < 0.5 *. long_s)
+
 let suite =
   [
-    test_case "batch == solo, bit-identical (jobs x group)" `Quick test_batch_bit_identical;
+    test_case "batch == solo, bit-identical (jobs x sources)" `Quick test_batch_bit_identical;
     test_case "chunk boundaries invisible" `Quick test_batch_chunked_identical;
     test_case "skewed stream lengths" `Quick test_batch_skewed_streams;
     test_case "aggregate: chars sum, cycles max" `Quick test_batch_aggregate;
     test_case "aggregate >= 2x sequential baseline" `Quick test_batch_beats_sequential;
     test_case "batched kernel == scalar reference" `Quick test_batch_kernel_agreement;
+    test_case "per-stream done stamps" `Quick test_batch_done_stamps;
     QCheck_alcotest.to_alcotest prop_batch_equals_solo;
   ]

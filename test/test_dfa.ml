@@ -6,7 +6,7 @@
    steps (restore, rollback, fault injection), which the verify-on-step
    resync must absorb without generation counters.  A full-stack section
    proves the specialized stepper actually engages behind Runner and
-   stays bit-identical across --jobs/--intra-jobs schedules, the
+   stays bit-identical across --jobs schedules, the
    reference kernel, and a mid-stream checkpoint/resume whose resumed
    process starts with a cold transition cache. *)
 
@@ -197,12 +197,12 @@ let test_full_stack_identity () =
   let base = Runner.run rap ~params p ~input in
   check bool "the workload matches" true (base.Runner.match_reports > 0);
   List.iter
-    (fun (jobs, intra_jobs) ->
+    (fun jobs ->
       check_reports_equal
-        (Printf.sprintf "jobs=%d intra=%d" jobs intra_jobs)
+        (Printf.sprintf "jobs=%d" jobs)
         base
-        (Runner.run ~jobs ~intra_jobs rap ~params p ~input))
-    [ (1, 2); (1, 4); (4, 1); (4, 4) ];
+        (Runner.run ~jobs rap ~params p ~input))
+    [ 2; 4 ];
   Nbva.kernel := Nbva.Reference;
   Fun.protect
     ~finally:(fun () -> Nbva.kernel := Nbva.Bit_parallel)

@@ -15,7 +15,6 @@ let () =
       ("mapper", Test_mapper.suite);
       ("sim", Test_sim.suite);
       ("exec", Test_exec.suite);
-      ("sfa", Test_sfa.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("batch", Test_batch.suite);
       ("service", Test_service.suite);
