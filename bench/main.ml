@@ -195,6 +195,71 @@ let kernel_bench env ~name =
     name (String.length input) (List.length automata) ref_s bp_s (sps ref_s) (sps bp_s) mw_ref
     mw_bp speedup (hits_ref = hits_bp)
 
+(* The same steady-state probe over the whole per-symbol path of a
+   placed workload: [Exec.step] on every array, each symbol's events fed
+   to [Runner.energy_sink]'s [on_events].  Two warm-up passes fill the
+   lazy-DFA caches and build the BV-phase tables; the 0-symbol baseline
+   again subtracts the probe's own overhead, so an allocation-free path
+   reports exactly 0.  A pass over fresh clones also counts the
+   engine-steps that took the idle fast path (idle before and after the
+   step: from the zero state, a byte that wakes an engine always leaves
+   it non-zero). *)
+let exec_path_bench env ~name =
+  let s = Benchmarks.by_name ~scale:env.Experiments.scale name in
+  let input = s.Benchmarks.make_input ~chars:env.Experiments.chars in
+  let chars = String.length input in
+  let arch = Rap.rap_arch () and params = Program.default_params in
+  let units, _ = Runner.compile_for arch ~params s.Benchmarks.regexes in
+  let placement = Runner.place arch ~params units in
+  let n = Array.length placement.Mapper.arrays in
+  let execs = Array.map (Exec.build placement) placement.Mapper.arrays in
+  let spec, _, _ = Runner.energy_sink arch ~num_arrays:n in
+  let sinks = Array.init n (fun array_id -> spec.Sink.make ~array_id ~chars) in
+  let pass len =
+    for i = 0 to n - 1 do
+      let ex = execs.(i) and on_events = sinks.(i).Sink.on_events in
+      for sym = 0 to len - 1 do
+        on_events (Exec.step arch ex ~sym (String.unsafe_get input sym))
+      done
+    done
+  in
+  pass chars;
+  pass chars;
+  let measure len =
+    let w0 = Gc.minor_words () in
+    pass len;
+    Gc.minor_words () -. w0
+  in
+  let d0 = measure 0 in
+  let d1 = measure chars in
+  let words = if chars > 0 then (d1 -. d0) /. float_of_int chars else 0. in
+  let steps = ref 0 and skipped = ref 0 in
+  Array.iter
+    (fun ex ->
+      let ex = Exec.clone_fresh ex in
+      let engines = Exec.engines ex in
+      let before = Array.make (Array.length engines) true in
+      String.iteri
+        (fun sym c ->
+          Array.iteri (fun j e -> before.(j) <- Engine.idle e) engines;
+          ignore (Exec.step arch ex ~sym c);
+          Array.iteri
+            (fun j e ->
+              incr steps;
+              if before.(j) && Engine.idle e then incr skipped)
+            engines)
+        input)
+    execs;
+  let share = if !steps > 0 then float_of_int !skipped /. float_of_int !steps else 0. in
+  let engines = Array.fold_left (fun acc ex -> acc + Array.length (Exec.engines ex)) 0 execs in
+  Printf.printf
+    "%-14s exec path (%d arrays, %d engines): minor words/sym %.6f, idle engine-steps %.1f%%\n%!"
+    name n engines words (100. *. share);
+  Printf.sprintf
+    {|    {"workload": %S, "chars": %d, "arrays": %d, "engines": %d,
+     "exec_minor_words_per_sym": %.6f, "idle_engine_step_share": %.4f}|}
+    name chars n engines words share
+
 (* Lazy-DFA fast path vs the NFA kernel, per workload: compile every
    rule at threshold 2 (the executor behind each NFA-mode placement),
    keep the DFA-eligible subset (no BV-STEs, state count within the
@@ -681,6 +746,7 @@ let sim env ~out =
   let dfa_rows_full =
     List.map (fun name -> dfa_kernel_bench env ~name) [ "Snort"; "Yara"; "ClamAV"; "Prosite" ]
   in
+  let exec_rows = List.map (fun name -> exec_path_bench env ~name) [ "Snort"; "ClamAV" ] in
   let dfa_rows = List.map (fun (j, _, _) -> j) dfa_rows_full in
   let dfa_kernel_ok =
     List.exists (fun (_, sp, _) -> sp >= 2.0) dfa_rows_full
@@ -708,6 +774,7 @@ let sim env ~out =
       \  \"integrity_recovery_ok\": %b,\n\
       \  \"workloads\": [\n%s\n  ],\n\
       \  \"nfa_kernel\": [\n%s\n  ],\n\
+      \  \"exec_path\": [\n%s\n  ],\n\
       \  \"dfa_kernel\": [\n%s\n  ],\n\
       \  \"placement_cache\": {\"compiles_cold\": %d, \"compiles_warm\": %d, \"warm_hit\": %b},\n\
       \  \"stream_scaling\": [\n%s\n  ],\n\
@@ -719,6 +786,7 @@ let sim env ~out =
       integrity_overhead_ok integrity_detection_ok integrity_recovery_ok
       (String.concat ",\n" rows)
       (String.concat ",\n" kernel_rows)
+      (String.concat ",\n" exec_rows)
       (String.concat ",\n" dfa_rows)
       compiles_cold compiles_warm warm_hit
       (String.concat ",\n" stream_rows)

@@ -22,6 +22,8 @@ type exec_plan = {
   bv_states : int array;  (* dense indices of BV-STEs, ascending *)
   bv_match : Bytes.t;  (* 256 bytes per BV-STE: does byte b match its class *)
   bv_read : int array;  (* per BV-STE: m for Read_exact m, 0 for Read_all *)
+  wake : Bytes.t;  (* 256 bytes: does byte b lie in the class of some initial STE *)
+  top_mask : int;  (* the valid bits of the top activation word *)
 }
 
 type t = {
@@ -176,6 +178,14 @@ let of_ast r =
           bv_read.(i) <- (match read with Read_exact m -> m | Read_all -> 0)
       | Plain _ -> assert false)
     bv_states;
+  (* From the all-zero state only the initial STEs can fire, so a byte
+     leaves that state exactly when it lies in the class of some initial
+     STE — Plain or BV alike. *)
+  let wake = Bytes.make 256 '\000' in
+  Array.iteri
+    (fun q ste -> if initial.(q) then Charclass.iter (fun b -> Bytes.set wake b '\001') (cc_of ste))
+    stes;
+  let rem = n mod Bitvec.bits_per_word in
   {
     stes;
     succs;
@@ -194,6 +204,8 @@ let of_ast r =
         bv_states;
         bv_match;
         bv_read;
+        wake;
+        top_mask = (1 lsl (if n > 0 && rem = 0 then Bitvec.bits_per_word else rem)) - 1;
       };
   }
 
@@ -202,20 +214,24 @@ let compile ~threshold r =
 
 (* Execution.
 
-   All mutable state packs into one {!Arena}: the active/next/avail masks
-   first, then every BV vector in state order.  The flat layout makes
+   All mutable state packs into one {!Arena}: the next/avail scratch
+   masks first, then the live words — the active mask followed by every
+   BV vector in state order, one contiguous range.  The flat layout makes
    snapshot/clone a single word blit (the engine layer leans on this for
-   rollbacks and service sessions) and lets the kernel below run over raw
-   int arrays with zero steady-state allocation.  There is no
+   rollbacks and service sessions), lets the kernel below run over raw
+   int arrays with zero steady-state allocation, and makes the idle test
+   one OR over the words from [act_off] up to [live_hi].  There is no
    active/next pointer swap: [step] copies next back into active, so
-   [outputs] is a stable arena view and a raw word snapshot needs no swap
-   parity on the side. *)
+   [outputs] is a stable arena view and a raw word snapshot needs no
+   swap parity on the side. *)
 
 type run_state = {
   st_arena : Arena.t;
-  act_off : int;  (* nwords: output activation after the last symbol *)
+  st_words : int array;  (* [Arena.words st_arena]; never reallocated *)
   nxt_off : int;  (* nwords: scratch successor activation *)
   av_off : int;  (* nwords: scratch availability this symbol *)
+  act_off : int;  (* nwords: output activation after the last symbol *)
+  live_hi : int;  (* end of the live range that starts at [act_off] *)
   active_v : Bitvec.t;  (* arena views of the three masks above *)
   next_v : Bitvec.t;
   avail_v : Bitvec.t;
@@ -241,20 +257,23 @@ let start ?arena t =
     | None -> (Arena.create ~capacity:(state_words t + 1), true)
   in
   let nw = Bitvec.words_for n in
-  let act_off = Arena.alloc arena nw in
   let nxt_off = Arena.alloc arena nw in
   let av_off = Arena.alloc arena nw in
+  let act_off = Arena.alloc arena nw in
   let vectors =
     Array.map
       (function Bv { size; _ } -> Some (Bitvec.alloc_in arena size) | Plain _ -> None)
       t.stes
   in
+  let live_hi = Arena.used arena in
   if private_arena then Arena.guard arena;
   {
     st_arena = arena;
-    act_off;
+    st_words = Arena.words arena;
     nxt_off;
     av_off;
+    act_off;
+    live_hi;
     active_v = Bitvec.of_arena arena ~off:act_off ~width:n;
     next_v = Bitvec.of_arena arena ~off:nxt_off ~width:n;
     avail_v = Bitvec.of_arena arena ~off:av_off ~width:n;
@@ -286,7 +305,7 @@ let corrupt_index () = invalid_arg "Nbva: corrupt plan table (index out of range
 let step t st c =
   let p = t.plan in
   let nw = p.nwords in
-  let w = Arena.words st.st_arena in
+  let w = st.st_words in
   let masks = p.masks in
   let act = st.act_off and nxt = st.nxt_off and av = st.av_off in
   let row_limit = Array.length masks - nw in
@@ -334,15 +353,34 @@ let step t st c =
       Array.unsafe_set w wq (Array.unsafe_get w wq lor (1 lsl (q mod bpw)))
     end
   done;
-  (* copy next back into active and test finals on the way *)
+  (* copy next back into active and test finals on the way.  The top
+     word drops bits past the automaton width: only a corrupted mask row
+     can raise them, and an activation bit there would index [succ_row]
+     out of range at the next symbol. *)
   let frow = p.final_row in
   let hit = ref false in
   for i = 0 to nw - 1 do
     let x = Array.unsafe_get w (nxt + i) in
+    let x = if i = nw - 1 then x land p.top_mask else x in
     Array.unsafe_set w (act + i) x;
     if x land Array.unsafe_get masks (frow + i) <> 0 then hit := true
   done;
   !hit
+
+(* The idle fast path's two tests.  Both read live data on every call —
+   the wake byte from the sealed plan, the state from the arena — so a
+   restore, rollback or fault flip needs no hook to be seen. *)
+let wakes t c = Bytes.unsafe_get t.plan.wake (Char.code c) <> '\000'
+
+let idle st =
+  let w = st.st_words in
+  let acc = ref 0 in
+  for i = st.act_off to st.live_hi - 1 do
+    acc := !acc lor Array.unsafe_get w i
+  done;
+  !acc = 0
+
+let asleep t st c = (not (wakes t c)) && idle st
 
 (* The pre-bit-parallel scalar kernel, kept as the differential-testing
    reference: one pass over all states probing predecessor lists.  Must
@@ -402,7 +440,7 @@ let plan_tables t =
     ("bv_read", p.bv_read);
   ]
 
-let plan_bytes t = [ ("bv_match", t.plan.bv_match) ]
+let plan_bytes t = [ ("bv_match", t.plan.bv_match); ("wake", t.plan.wake) ]
 
 let bv_active_count t st =
   let acc = ref 0 in
@@ -417,12 +455,12 @@ let bv_active_count t st =
 let active_count _t st = Bitvec.popcount st.active_v
 
 let outputs st = st.active_v
-let active_slice st = (Arena.words st.st_arena, st.act_off)
+let active_slice st = (st.st_words, st.act_off)
 let vectors st = st.vectors
 
 let reports t st =
   let p = t.plan in
-  let w = Arena.words st.st_arena in
+  let w = st.st_words in
   let masks = p.masks in
   let acc = ref 0 in
   for i = 0 to p.nwords - 1 do

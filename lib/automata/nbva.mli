@@ -23,8 +23,8 @@ type ste =
 type exec_plan
 (** Bit-parallel execution tables (hash-consed per-byte label and
     per-state successor mask rows packed into one flat word table, dense
-    BV-STE list with a precomputed byte-match table), built once by
-    {!of_ast}. *)
+    BV-STE list with a precomputed byte-match table, and the 256-byte
+    [wake] table of {!wakes}), built once by {!of_ast}. *)
 
 type t = {
   stes : ste array;
@@ -58,17 +58,20 @@ val cc_of : ste -> Charclass.t
 type run_state
 
 val state_words : t -> int
-(** Arena words of one stream's whole mutable state: the active/next/avail
-    masks plus every BV vector.  This is the exact capacity {!start}
-    allocates, so an engine packing several executors into one shared
-    {!Arena} can size it as the sum of their [state_words]. *)
+(** Arena words of one stream's whole mutable state: the next/avail
+    scratch masks, the active mask, and every BV vector.  This is the
+    exact capacity {!start} allocates, so an engine packing several
+    executors into one shared {!Arena} can size it as the sum of their
+    [state_words]. *)
 
 val start : ?arena:Arena.t -> t -> run_state
 (** Fresh (empty-input) run state.  All mutable words are allocated from
     [arena] when given ([state_words t] words are consumed), else from a
     private arena of that capacity plus one trailing {!Arena.guard} word
     — either way the state is a contiguous word range, so cloning or
-    checkpointing a stream is one blit of the arena. *)
+    checkpointing a stream is one blit of the arena.  The two scratch
+    masks come first; the live words (active mask, then every BV vector
+    in state order) follow as one contiguous range, which {!idle} reads. *)
 
 val run_arena : run_state -> Arena.t
 (** The arena holding this stream's mutable words (for flat snapshot /
@@ -80,12 +83,32 @@ val step : t -> run_state -> char -> bool
     over the arena's raw word array against the plan's flat mask table;
     BV-STEs get scalar vector updates driven from a dense index list with
     precomputed byte-match bytes.  The steady-state loop allocates
-    nothing. *)
+    nothing.  The new active mask is cut to the automaton width, so a
+    corrupted mask row never leaves a bit past it. *)
 
 val step_reference : t -> run_state -> char -> bool
 (** The scalar pre-bit-parallel kernel (per-state predecessor probing),
     kept as the differential-testing reference.  Bit-identical to {!step}
     on every input: same return value, active vector, and BV vectors. *)
+
+(** {1 Idle fast path}
+
+    From the all-zero state a byte leaves some live word non-zero exactly
+    when it lies in the class of some initial STE.  An engine whose live
+    words are all zero can therefore skip {!step} for every other byte:
+    the state stays zero and no match ends. *)
+
+val wakes : t -> char -> bool
+(** The byte lies in the class of some initial STE (Plain or BV): one
+    load from the plan's sealed 256-byte [wake] table. *)
+
+val idle : run_state -> bool
+(** Every live word — the active mask and every BV vector — is zero.
+    Reads the words on every call; scratch words are not read. *)
+
+val asleep : t -> run_state -> char -> bool
+(** [not (wakes t c) && idle st]: stepping [c] would leave the state
+    all-zero and report nothing, so the caller may skip {!step}. *)
 
 type kernel = Bit_parallel | Reference
 
@@ -111,7 +134,8 @@ val plan_tables : t -> (string * int array) list
     integrity layer (and fault injectors) must not mutate them. *)
 
 val plan_bytes : t -> (string * Bytes.t) list
-(** Same, for the plan's byte tables (the per-BV-STE [bv_match] table). *)
+(** Same, for the plan's byte tables: the per-BV-STE [bv_match] table and
+    the [wake] table of {!wakes}. *)
 
 val bv_active_count : t -> run_state -> int
 (** Number of BV-STEs whose vector is currently nonzero — the trigger count

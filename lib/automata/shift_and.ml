@@ -78,6 +78,10 @@ let step t states c =
   Bitvec.and_in states t.labels_mask.(Char.code c);
   Bitvec.intersects states t.final_mask
 
+(* From the all-zero state one step leaves [initial AND labels[c]]. *)
+let asleep t states c =
+  Bitvec.is_zero states && not (Bitvec.intersects t.initial_mask t.labels_mask.(Char.code c))
+
 let active_count _t states = Bitvec.popcount states
 let state_vector states = states
 

@@ -49,6 +49,11 @@ val step : t -> state -> char -> bool
 (** Advance by one symbol; [true] when some final state is active, i.e. a
     match ends at this symbol. *)
 
+val asleep : t -> state -> char -> bool
+(** The state is all-zero and [c] matches no pattern's first position, so
+    {!step} would leave it all-zero and report nothing.  Reads the state
+    and the sealed masks on every call. *)
+
 val active_count : t -> state -> int
 (** Number of active states, for activity/energy statistics. *)
 

@@ -14,8 +14,10 @@ let magic = "RAPPROG"
    crash rather than a clean [Invalid].
    v4: [Program.compiled] grew the [hint] execution-strategy field and
    [Program.params] grew the DFA budgets ([dfa_state_budget],
-   [dfa_cache_states]). *)
-let version = 4
+   [dfa_cache_states]).
+   v5: [Nbva.exec_plan] grew the idle fast path's [wake] table and the
+   [top_mask] of the activation words. *)
+let version = 5
 
 type entry = {
   e_key : string;

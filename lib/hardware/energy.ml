@@ -33,6 +33,12 @@ type t = float array
 let create () = Array.make 7 0.
 let reset t = Array.fill t 0 (Array.length t) 0.
 let add t cat pj = t.(index cat) <- t.(index cat) +. pj
+
+let accumulate t pjs =
+  for i = 0 to Array.length t - 1 do
+    let pj = pjs.(i) in
+    if pj <> 0. then t.(i) <- t.(i) +. pj
+  done
 let get_pj t cat = t.(index cat)
 let total_pj t = Array.fold_left ( +. ) 0. t
 let total_uj t = total_pj t /. 1e6

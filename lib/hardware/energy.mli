@@ -26,6 +26,11 @@ val reset : t -> unit
 val add : t -> category -> float -> unit
 (** [add t cat pj] accumulates [pj] picojoules. *)
 
+val accumulate : t -> float array -> unit
+(** [accumulate t pjs] adds [pjs.(i)] to the [i]-th category of
+    {!all_categories}, skipping exact zeros: the same sums as one {!add}
+    per non-zero entry, without boxing a float per call. *)
+
 val get_pj : t -> category -> float
 val total_pj : t -> float
 val total_uj : t -> float

@@ -17,10 +17,28 @@ val num_categories : int
 val cat_index : Energy.category -> int
 (** Dense index over {!Energy.all_categories}, declaration order. *)
 
-val category_of_index : int -> Energy.category
-
 val num_modes : int
 val mode_index : Engine.mode -> int
+
+type tables
+(** The Table-1 terms of one architecture, tabulated by the small
+    integers they depend on (enabled columns, active rows, BV columns,
+    cross signals) plus the per-symbol constants.  Immutable; safe to
+    share across domains. *)
+
+val tables : Arch.t -> tables
+(** The tables for [arch], cached for the last architecture asked for
+    (compared physically). *)
+
+val charge :
+  tables -> Exec.array_events -> cat_pj:float array -> mode_pj:float array -> int
+(** Zero the caller's scratch arrays, charge one symbol into them
+    ([cat_pj] indexed by {!cat_index}, [mode_pj] by {!mode_index}, with
+    the coverage {!symbol_cost} describes) and return its cycles
+    ([1 + stall]).  Allocates nothing.  Every sum receives its terms in
+    the model's fixed order, so identical events yield bit-identical
+    floats, which is what makes sequential and parallel schedules
+    comparable. *)
 
 type symbol_cost = {
   cycles : int;  (** 1 + stall. *)
@@ -33,5 +51,4 @@ type symbol_cost = {
 }
 
 val of_events : Arch.t -> Exec.array_events -> symbol_cost
-(** Deterministic: identical events yield bit-identical floats, which is
-    what makes sequential and parallel schedules comparable. *)
+(** {!charge} into fresh arrays: the same floats. *)

@@ -3,7 +3,9 @@ type mode = M_nfa | M_nbva | M_lnfa
 (* Per-symbol event record, indexed by unit-local tile.  One record per
    engine, reused across steps: [step] refreshes it in place and returns
    it, so sinks read concrete data without poking accessor functions and
-   the hot loop allocates nothing. *)
+   the hot loop allocates nothing.  The projections below are plain
+   loops for the same reason: a closure over the record would allocate
+   on every symbol. *)
 type events = {
   active : int array;
   enabled : int array;
@@ -62,6 +64,18 @@ let advance stepper nbva st c =
   | Nbva.Bit_parallel -> (
       match stepper with S_general -> Nbva.step nbva st c | S_dfa r -> Dfa.step r c)
 
+(* Idle fast path.  An engine whose live words are all zero stays at
+   zero, reporting nothing, on every byte outside its wake set, so
+   [step] skips the stepper there; and since the projection of the zero
+   state never changes, it also skips the projection while the event
+   record still holds it (the engine's idle bit, cleared by every
+   projection of a live state and by [clone_fresh]).  Both tests read
+   live data on every symbol, so restores, rollbacks and fault flips
+   need no hook.  The reference kernel bypasses the whole path: a
+   [Reference] run steps and projects every engine on every symbol,
+   which is what lets the differential gates check the fast path. *)
+let fast_path () = match !Nbva.kernel with Nbva.Bit_parallel -> true | Nbva.Reference -> false
+
 let reset_stepper = function
   | S_dfa r ->
       Dfa.reset (Dfa.cache r);
@@ -84,6 +98,7 @@ type nfa_engine = {
   n_stats : events;
   n_hint : Program.exec_hint;
   n_stepper : stepper;  (* bound to [exec_st]; clones rebuild it *)
+  mutable n_idle : bool;  (* [n_stats] holds the zero state's projection *)
 }
 
 (* Unfolded width of one exec state. *)
@@ -141,6 +156,7 @@ let make_nfa_engine ~ast ~hint (u : Program.nfa_unit) =
     n_stats = stats_create ntiles;
     n_hint = hint;
     n_stepper = make_stepper hint exec exec_st;
+    n_idle = false;
   }
 
 (* Projection: refresh the stats record from the executor's post-step
@@ -154,33 +170,32 @@ let nfa_project (e : nfa_engine) =
   for t = 0 to Array.length s.active - 1 do
     s.active.(t) <- Bitvec.popcount_and act e.plain_tile_masks.(t)
   done;
-  Array.iter
-    (fun (q, bit_tiles) ->
-      match vecs.(q) with
-      | Some v ->
-          if not (Bitvec.is_zero v) then
-            Bitvec.iter_set
-              (fun bit ->
-                let t = bit_tiles.(bit) in
-                s.active.(t) <- s.active.(t) + 1)
-              v
-      | None -> assert false)
-    e.bv_bit_tiles;
+  (* BV activity per vector bit, walking the set bits word by word *)
+  for k = 0 to Array.length e.bv_bit_tiles - 1 do
+    let q, bit_tiles = e.bv_bit_tiles.(k) in
+    match vecs.(q) with
+    | Some v ->
+        for i = 0 to Bitvec.words_for (Bitvec.width v) - 1 do
+          let w = ref (Bitvec.get_word v i) in
+          while !w <> 0 do
+            let t = bit_tiles.((i * Bitvec.bits_per_word) + Bitvec.lsb_index !w) in
+            s.active.(t) <- s.active.(t) + 1;
+            w := !w land (!w - 1)
+          done
+        done
+    | None -> assert false
+  done;
   (* all programmed CC columns are enabled in NFA mode *)
-  Array.iteri (fun t cols -> s.enabled.(t) <- cols) e.static_cols;
-  Array.iter
-    (fun (q, bit) ->
-      let fired =
-        if bit < 0 then Bitvec.get act q
-        else match vecs.(q) with Some v -> Bitvec.get v bit | None -> false
-      in
-      if fired then s.cross <- s.cross + 1)
-    e.cross_sources;
+  Array.blit e.static_cols 0 s.enabled 0 (Array.length e.static_cols);
+  for k = 0 to Array.length e.cross_sources - 1 do
+    let q, bit = e.cross_sources.(k) in
+    let fired =
+      if bit < 0 then Bitvec.get act q
+      else match vecs.(q) with Some v -> Bitvec.get v bit | None -> false
+    in
+    if fired then s.cross <- s.cross + 1
+  done;
   s.reports <- Nbva.reports e.exec e.exec_st
-
-let nfa_step (e : nfa_engine) c =
-  ignore (advance e.n_stepper e.exec e.exec_st c);
-  nfa_project e
 
 (* ------------------------------------------------------------------ *)
 (* NBVA units: direct execution with tile projection.                  *)
@@ -190,6 +205,7 @@ type nbva_engine = {
   nb_st : Nbva.run_state;
   nb_tile_masks : Bitvec.t array;  (* per tile: its STEs as a mask over states *)
   nb_bv_list : (int * int) array;  (* dense (BV state, tile) pairs *)
+  nb_cc_cols : int array;  (* per tile: CC columns, searched every symbol *)
   nb_cross_sources : int array;
   nb_static_cols : int array;
   nb_bv_cols : int array;
@@ -197,6 +213,7 @@ type nbva_engine = {
   nb_stats : events;
   nb_hint : Program.exec_hint;
   nb_stepper : stepper;  (* bound to [nb_st]; clones rebuild it *)
+  mutable nb_idle : bool;  (* [nb_stats] holds the zero state's projection *)
 }
 
 let make_nbva_engine ~hint (nu : Program.nbva_unit) =
@@ -228,6 +245,7 @@ let make_nbva_engine ~hint (nu : Program.nbva_unit) =
   in
   let tile_masks = Array.init ntiles (fun _ -> Bitvec.create n) in
   Array.iteri (fun q t -> Bitvec.set tile_masks.(t) q) nu.Program.tile_of_state;
+  let cc_cols = Array.map (fun (t : Program.nbva_tile) -> t.Program.cc_cols) nu.Program.ntiles in
   let bv_list = ref [] in
   Array.iteri
     (fun q ste ->
@@ -241,6 +259,7 @@ let make_nbva_engine ~hint (nu : Program.nbva_unit) =
     nb_st;
     nb_tile_masks = tile_masks;
     nb_bv_list = Array.of_list (List.rev !bv_list);
+    nb_cc_cols = cc_cols;
     nb_cross_sources = Array.of_list (List.map fst nu.Program.cross_edges);
     nb_static_cols = static_cols;
     nb_bv_cols = bv_cols;
@@ -248,6 +267,7 @@ let make_nbva_engine ~hint (nu : Program.nbva_unit) =
     nb_stats = stats_create ntiles;
     nb_hint = hint;
     nb_stepper = make_stepper hint nu.Program.nbva nb_st;
+    nb_idle = false;
   }
 
 let nbva_project (e : nbva_engine) =
@@ -258,25 +278,19 @@ let nbva_project (e : nbva_engine) =
   for t = 0 to Array.length s.active - 1 do
     s.active.(t) <- Bitvec.popcount_and act e.nb_tile_masks.(t)
   done;
-  Array.iter
-    (fun (q, t) ->
-      match vecs.(q) with
-      | Some v when not (Bitvec.is_zero v) -> s.triggered.(t) <- true
-      | Some _ | None -> ())
-    e.nb_bv_list;
+  for k = 0 to Array.length e.nb_bv_list - 1 do
+    let q, t = e.nb_bv_list.(k) in
+    match vecs.(q) with
+    | Some v when not (Bitvec.is_zero v) -> s.triggered.(t) <- true
+    | Some _ | None -> ()
+  done;
   (* only CC columns are searched every symbol; BV columns activate in the
      processing phase *)
-  Array.iteri
-    (fun t (tile : Program.nbva_tile) -> s.enabled.(t) <- tile.Program.cc_cols)
-    e.nu.Program.ntiles;
-  Array.iter
-    (fun p -> if Bitvec.get act p then s.cross <- s.cross + 1)
-    e.nb_cross_sources;
+  Array.blit e.nb_cc_cols 0 s.enabled 0 (Array.length e.nb_cc_cols);
+  for k = 0 to Array.length e.nb_cross_sources - 1 do
+    if Bitvec.get act e.nb_cross_sources.(k) then s.cross <- s.cross + 1
+  done;
   s.reports <- Nbva.reports nbva e.nb_st
-
-let nbva_step (e : nbva_engine) c =
-  ignore (advance e.nb_stepper e.nu.Program.nbva e.nb_st c);
-  nbva_project e
 
 (* ------------------------------------------------------------------ *)
 (* LNFA bins: Shift-And over the packed bin, regions mapped to tiles.   *)
@@ -292,6 +306,7 @@ type bin_engine = {
   initial_cols_t0 : int;  (* one initial column per member line *)
   b_static_cols : int array;
   b_stats : events;
+  mutable b_idle : bool;  (* [b_stats] holds the zero state's projection *)
 }
 
 (* Bin arenas are private to the engine, so they carry a trailing guard
@@ -347,12 +362,12 @@ let make_bin_engine (bin : Binning.bin) =
     initial_cols_t0 = List.length bin.Binning.members;
     b_static_cols = static_cols;
     b_stats = stats_create bin.Binning.tiles;
+    b_idle = false;
   }
 
-let bin_step (e : bin_engine) c =
+let bin_project (e : bin_engine) =
   let s = e.b_stats in
   stats_reset s;
-  ignore (Shift_and.step e.sa e.sa_st c);
   let v = Shift_and.state_vector e.sa_st in
   for t = 0 to Array.length s.active - 1 do
     s.active.(t) <- Bitvec.popcount_and v e.b_tile_masks.(t)
@@ -413,29 +428,64 @@ let num_tiles = function
 
 let events = stats_of
 
-let step t c =
-  (match t with
-  | E_nfa e -> nfa_step e c
-  | E_nbva e -> nbva_step e c
-  | E_bin e -> bin_step e c);
-  stats_of t
+(* Stepping [c] would leave the all-zero state all-zero (see the idle
+   fast path above). *)
+let asleep t c =
+  fast_path ()
+  &&
+  match t with
+  | E_nfa e -> Nbva.asleep e.exec e.exec_st c
+  | E_nbva e -> Nbva.asleep e.nu.Program.nbva e.nb_st c
+  | E_bin e -> Shift_and.asleep e.sa e.sa_st c
 
-(* ------------------------------------------------------------------ *)
-(* [step_kernel] advances only the automaton state — no tile
-   projection, no stats.  The per-layer profile times it against the
-   full [step] to split the kernel from the projection. *)
-
-let step_kernel t c =
+let advance_state t c =
   match t with
   | E_nfa e -> ignore (advance e.n_stepper e.exec e.exec_st c)
   | E_nbva e -> ignore (advance e.nb_stepper e.nu.Program.nbva e.nb_st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
+let project = function
+  | E_nfa e -> nfa_project e
+  | E_nbva e -> nbva_project e
+  | E_bin e -> bin_project e
+
+let holds_idle = function E_nfa e -> e.n_idle | E_nbva e -> e.nb_idle | E_bin e -> e.b_idle
+
+let set_holds_idle t b =
+  match t with E_nfa e -> e.n_idle <- b | E_nbva e -> e.nb_idle <- b | E_bin e -> e.b_idle <- b
+
+let step t c =
+  if not (asleep t c) then begin
+    advance_state t c;
+    project t;
+    set_holds_idle t false
+  end
+  else if not (holds_idle t) then begin
+    project t;
+    set_holds_idle t true
+  end;
+  stats_of t
+
+(* ------------------------------------------------------------------ *)
+(* [step_kernel] advances only the automaton state — no tile
+   projection, no stats.  The per-layer profile times it against the
+   full [step] to split the kernel from the projection, so it takes the
+   same idle skip as [step]. *)
+
+let step_kernel t c = if not (asleep t c) then advance_state t c
+
+let idle = function
+  | E_nfa e -> Nbva.idle e.exec_st
+  | E_nbva e -> Nbva.idle e.nb_st
+  | E_bin e -> Bitvec.is_zero (Shift_and.state_vector e.sa_st)
+
 (* ------------------------------------------------------------------ *)
 (* Stream clones.  A clone shares every immutable compiled structure
    (automata, exec plans, tile masks, cross lists — all read-only after
    construction) and gets fresh run state and a fresh stats record, so B
-   streams against one placement pay the compilation once. *)
+   streams against one placement pay the compilation once.  The fresh
+   record is all-zero, not the idle projection, so the idle bit starts
+   clear. *)
 
 let clone_fresh = function
   | E_nfa e ->
@@ -446,6 +496,7 @@ let clone_fresh = function
           exec_st;
           n_stats = stats_create (Array.length e.n_stats.active);
           n_stepper = make_stepper e.n_hint e.exec exec_st;
+          n_idle = false;
         }
   | E_nbva e ->
       let nb_st = Nbva.start e.nu.Program.nbva in
@@ -455,10 +506,11 @@ let clone_fresh = function
           nb_st;
           nb_stats = stats_create (Array.length e.nb_stats.active);
           nb_stepper = make_stepper e.nb_hint e.nu.Program.nbva nb_st;
+          nb_idle = false;
         }
   | E_bin e ->
       let b_arena, sa_st = make_bin_arena e.sa in
-      E_bin { e with b_arena; sa_st; b_stats = stats_create e.bin.Binning.tiles }
+      E_bin { e with b_arena; sa_st; b_stats = stats_create e.bin.Binning.tiles; b_idle = false }
 
 let tile_static_cols t i =
   match t with

@@ -55,7 +55,19 @@ val reset_derived : t -> unit
     advance produces one concrete {!events} record, and every consumer
     (energy accounting, stall tracing, per-symbol traces, fault
     observation) folds over that stream — no consumer reads engine
-    internals. *)
+    internals.
+
+    {b Idle fast path.}  An engine whose live state words are all zero
+    (see {!idle}) and whose input byte wakes no initial state
+    ([Nbva.wakes]; for bins, [initial AND labels[c]]) stays all-zero and
+    reports nothing, so [step] skips the stepper.  It also skips the
+    tile projection while the event record still holds the zero state's
+    projection: one bit per engine, cleared whenever a live state is
+    projected and by {!clone_fresh}.  Both tests read live data on every
+    symbol, so {!restore_flat}, {!restore}, rollbacks and
+    {!flip_state_bit} need no hook.  With [Nbva.kernel] set to
+    [Reference] every engine steps and projects on every symbol, which
+    keeps the reference run a check on the fast path. *)
 
 type events = {
   active : int array;
@@ -76,7 +88,8 @@ type events = {
 val step : t -> char -> events
 (** Advance by one input symbol.  The returned record is owned by the
     engine and refreshed in place by the next [step]: consume it before
-    stepping again, and do not mutate it. *)
+    stepping again, and do not mutate it.  Allocates nothing, apart from
+    lazy-DFA cache fills. *)
 
 val events : t -> events
 (** The engine's event record — physically the same record every {!step}
@@ -84,8 +97,12 @@ val events : t -> events
 
 val step_kernel : t -> char -> unit
 (** Advance the automaton state only (no projection, no stats) —
-    bit-identical in state effect to {!step}.  Lets a profiler separate
-    the kernel's cost from the tile projection's. *)
+    bit-identical in state effect to {!step}, idle skip included.  Lets
+    a profiler separate the kernel's cost from the tile projection's. *)
+
+val idle : t -> bool
+(** Every live state word is zero: the active vector and every BV vector
+    (NFA/NBVA engines), or the packed Shift-And state (bins). *)
 
 (** {1 Stream clones}
 
@@ -96,8 +113,8 @@ val step_kernel : t -> char -> unit
 
 val clone_fresh : t -> t
 (** A fresh-state clone: same compiled automaton and tile projection
-    (physically shared), run state and event record reset to the start
-    of input. *)
+    (physically shared), its own run state and event record, reset to
+    the start of input. *)
 
 (** {1 Static per-tile facts} *)
 

@@ -1,11 +1,64 @@
 (* See exec.mli. *)
 
+type tile_events = {
+  t_mode : Engine.mode;
+  mutable t_powered : bool;
+  mutable t_enabled_cols : int;
+  mutable t_active_states : int;
+}
+
+type bv_phase = { p_mode : Engine.mode; p_bv_cols : int; p_iterations : int; p_stall : int }
+
+type array_events = {
+  mutable sym : int;
+  mutable symbol : char;
+  mutable stall : int;
+  mutable cross : int;
+  mutable reports : int;
+  tiles : tile_events array;
+  bv_phases : bv_phase array;
+  mutable n_phases : int;
+}
+
+(* The event record is owned by its [t] and refreshed in place by every
+   [step], like the engines' records it is assembled from.  BV-phase
+   records depend only on (engine, local tile, arch), so they are built
+   once per architecture and [step] copies references into [bv_phases]. *)
 type t = {
   engines : Engine.t array;
   last_events : Engine.events array;  (* parallel to [engines], refreshed by [step] *)
-  tile_pieces : (int * int) list array;  (* physical tile -> (engine, local) *)
+  tile_pieces : (int * int) array array;  (* physical tile -> (engine, local) *)
   tile_modes : Engine.mode array;
+  ev : array_events;
+  mutable phases : (Arch.t * bv_phase array array) option;
+      (* per engine, per local tile, for the last architecture stepped *)
 }
+
+let of_parts engines tile_pieces tile_modes =
+  let max_phases = Array.fold_left (fun acc e -> acc + Engine.num_tiles e) 0 engines in
+  {
+    engines;
+    last_events = Array.map Engine.events engines;
+    tile_pieces;
+    tile_modes;
+    ev =
+      {
+        sym = 0;
+        symbol = '\000';
+        stall = 0;
+        cross = 0;
+        reports = 0;
+        tiles =
+          Array.map
+            (fun m -> { t_mode = m; t_powered = false; t_enabled_cols = 0; t_active_states = 0 })
+            tile_modes;
+        bv_phases =
+          Array.make max_phases
+            { p_mode = Engine.M_nbva; p_bv_cols = 0; p_iterations = 0; p_stall = 0 };
+        n_phases = 0;
+      };
+    phases = None;
+  }
 
 let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
   let engine_ids = Hashtbl.create 8 in
@@ -56,7 +109,7 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
       tiles
   in
   let engines = Array.of_list (List.rev !engines) in
-  { engines; last_events = Array.map Engine.events engines; tile_pieces; tile_modes }
+  of_parts engines (Array.map Array.of_list tile_pieces) tile_modes
 
 let engines t = t.engines
 let tile_modes t = t.tile_modes
@@ -76,99 +129,90 @@ let restore_flat t snaps =
     invalid_arg "Exec.restore_flat: snapshot does not match this array";
   Array.iteri (fun i s -> Engine.restore_flat t.engines.(i) s) snaps
 
-type tile_events = {
-  t_mode : Engine.mode;
-  t_powered : bool;
-  t_enabled_cols : int;
-  t_active_states : int;
-}
-
-type bv_phase = { p_mode : Engine.mode; p_bv_cols : int; p_iterations : int; p_stall : int }
-
-type array_events = {
-  sym : int;
-  symbol : char;
-  stall : int;
-  cross : int;
-  reports : int;
-  tiles : tile_events array;
-  bv_phases : bv_phase list;
-}
-
-(* Assembly reads only the engines' refreshed event records ([step]
-   returns the same physical records held in [last_events]). *)
-let assemble (arch : Arch.t) t ~sym c =
-  let cross = ref 0 and reports = ref 0 and stall = ref 0 in
-  let phases = ref [] in
-  Array.iter
-    (fun e ->
-      let ev = Engine.events e in
-      (if arch.Arch.supports_nbva then
-         for lt = 0 to Array.length ev.Engine.triggered - 1 do
-           if ev.Engine.triggered.(lt) then begin
-             let iterations =
-               match arch.Arch.kind with
-               | Arch.Rap -> Engine.bv_depth e
-               | Arch.Bvap ->
-                   max 1
-                     ((Engine.max_bv_size e + arch.Arch.bv_word_bits - 1)
-                     / arch.Arch.bv_word_bits)
-               | Arch.Cama | Arch.Ca -> 0
-             in
-             let p_stall =
-               Arch.stall_cycles arch ~bv_depth:(Engine.bv_depth e)
-                 ~max_bv_size:(Engine.max_bv_size e)
-             in
-             phases :=
-               {
-                 p_mode = Engine.mode e;
-                 p_bv_cols = Engine.tile_bv_cols e lt;
-                 p_iterations = iterations;
-                 p_stall;
-               }
-               :: !phases;
-             stall := max !stall p_stall
-           end
-         done);
-      cross := !cross + ev.Engine.cross;
-      reports := !reports + ev.Engine.reports)
-    t.engines;
-  let tiles =
-    Array.mapi
-      (fun ti pieces ->
-        let powered = ref false and enabled = ref 0 and active = ref 0 in
-        List.iter
-          (fun (ei, lt) ->
-            let ev = t.last_events.(ei) in
-            if ev.Engine.powered.(lt) then powered := true;
-            enabled := !enabled + ev.Engine.enabled.(lt);
-            active := !active + ev.Engine.active.(lt))
-          pieces;
-        {
-          t_mode = t.tile_modes.(ti);
-          t_powered = !powered;
-          t_enabled_cols = !enabled;
-          t_active_states = !active;
-        })
-      t.tile_pieces
+(* The BV-processing phase a triggering (engine, local tile) pair
+   enters on [arch]. *)
+let phase_of (arch : Arch.t) e lt =
+  let iterations =
+    match arch.Arch.kind with
+    | Arch.Rap -> Engine.bv_depth e
+    | Arch.Bvap ->
+        max 1 ((Engine.max_bv_size e + arch.Arch.bv_word_bits - 1) / arch.Arch.bv_word_bits)
+    | Arch.Cama | Arch.Ca -> 0
   in
   {
-    sym;
-    symbol = c;
-    stall = !stall;
-    cross = !cross;
-    reports = !reports;
-    tiles;
-    bv_phases = List.rev !phases;
+    p_mode = Engine.mode e;
+    p_bv_cols = Engine.tile_bv_cols e lt;
+    p_iterations = iterations;
+    p_stall =
+      Arch.stall_cycles arch ~bv_depth:(Engine.bv_depth e) ~max_bv_size:(Engine.max_bv_size e);
   }
 
+let phases_for arch t =
+  match t.phases with
+  | Some (a, tbl) when a == arch -> tbl
+  | _ ->
+      let tbl =
+        Array.map
+          (fun e -> Array.init (Engine.num_tiles e) (fun lt -> phase_of arch e lt))
+          t.engines
+      in
+      t.phases <- Some (arch, tbl);
+      tbl
+
+(* Assembly reads only the engines' refreshed event records ([step]
+   returns the same physical records held in [last_events]) and writes
+   only [t.ev], in place. *)
+let assemble (arch : Arch.t) t ~sym c =
+  let ev = t.ev in
+  let cross = ref 0 and reports = ref 0 and stall = ref 0 and n = ref 0 in
+  let phases = if arch.Arch.supports_nbva then phases_for arch t else [||] in
+  for ei = 0 to Array.length t.last_events - 1 do
+    let e = t.last_events.(ei) in
+    if arch.Arch.supports_nbva then begin
+      let trig = e.Engine.triggered in
+      for lt = 0 to Array.length trig - 1 do
+        if trig.(lt) then begin
+          let p = phases.(ei).(lt) in
+          ev.bv_phases.(!n) <- p;
+          incr n;
+          if p.p_stall > !stall then stall := p.p_stall
+        end
+      done
+    end;
+    cross := !cross + e.Engine.cross;
+    reports := !reports + e.Engine.reports
+  done;
+  for ti = 0 to Array.length t.tile_pieces - 1 do
+    let pieces = t.tile_pieces.(ti) in
+    let powered = ref false and enabled = ref 0 and active = ref 0 in
+    for k = 0 to Array.length pieces - 1 do
+      let ei, lt = pieces.(k) in
+      let e = t.last_events.(ei) in
+      if e.Engine.powered.(lt) then powered := true;
+      enabled := !enabled + e.Engine.enabled.(lt);
+      active := !active + e.Engine.active.(lt)
+    done;
+    let te = ev.tiles.(ti) in
+    te.t_powered <- !powered;
+    te.t_enabled_cols <- !enabled;
+    te.t_active_states <- !active
+  done;
+  ev.sym <- sym;
+  ev.symbol <- c;
+  ev.stall <- !stall;
+  ev.cross <- !cross;
+  ev.reports <- !reports;
+  ev.n_phases <- !n;
+  ev
+
 let step arch t ~sym c =
-  Array.iter (fun e -> ignore (Engine.step e c)) t.engines;
+  for i = 0 to Array.length t.engines - 1 do
+    ignore (Engine.step t.engines.(i) c)
+  done;
   assemble arch t ~sym c
 
 (* A fresh-state clone: all compiled structure (engines' automata and
-   masks, the tile resolution) is shared with the template; only run
-   state and event records are per-clone. *)
-let clone_fresh t =
-  let engines = Array.map Engine.clone_fresh t.engines in
-  { t with engines; last_events = Array.map Engine.events engines }
+   masks, the tile resolution) is shared with the template; run state,
+   event records and the phase cache are per-clone, so clones stepped
+   on different domains share nothing mutable. *)
+let clone_fresh t = of_parts (Array.map Engine.clone_fresh t.engines) t.tile_pieces t.tile_modes

@@ -4,9 +4,9 @@
     [build] instantiates one {!Engine.t} per mapper group present in the
     array and resolves each physical tile to its (engine, local-tile)
     pieces; [step] advances every engine by one input symbol and
-    assembles a single concrete {!array_events} value — the only thing
-    downstream consumers ({!Sink.t}) ever see.  Exec owns all engine
-    plumbing; sinks own all cost/observability policy. *)
+    refreshes the context's one {!array_events} record in place — the
+    only thing downstream consumers ({!Sink.t}) ever see.  Exec owns all
+    engine plumbing; sinks own all cost/observability policy. *)
 
 type t
 
@@ -41,9 +41,9 @@ val restore_flat : t -> int array array -> unit
 
 type tile_events = {
   t_mode : Engine.mode;
-  t_powered : bool;
-  t_enabled_cols : int;  (** Columns precharged for matching, all pieces. *)
-  t_active_states : int;
+  mutable t_powered : bool;
+  mutable t_enabled_cols : int;  (** Columns precharged for matching, all pieces. *)
+  mutable t_active_states : int;
 }
 
 type bv_phase = {
@@ -54,23 +54,30 @@ type bv_phase = {
 }
 
 type array_events = {
-  sym : int;  (** Input offset of this symbol. *)
-  symbol : char;
-  stall : int;  (** Extra cycles after this symbol (max over phases). *)
-  cross : int;  (** Cross-tile signals fired (global switch rows). *)
-  reports : int;  (** Reporting-STE activations, all engines. *)
+  mutable sym : int;  (** Input offset of this symbol. *)
+  mutable symbol : char;
+  mutable stall : int;  (** Extra cycles after this symbol (max over phases). *)
+  mutable cross : int;  (** Cross-tile signals fired (global switch rows). *)
+  mutable reports : int;  (** Reporting-STE activations, all engines. *)
   tiles : tile_events array;  (** Indexed by physical tile. *)
-  bv_phases : bv_phase list;
-      (** One entry per (engine, tile) entering bit-vector processing, in
-          engine order. *)
+  bv_phases : bv_phase array;
+      (** The first [n_phases] entries: one per (engine, tile) entering
+          bit-vector processing, in engine order.  Entries past
+          [n_phases] are stale. *)
+  mutable n_phases : int;
 }
 
 val step : Arch.t -> t -> sym:int -> char -> array_events
 (** Advance the whole array by one symbol.  The architecture descriptor
     determines BV-phase iteration counts and stall cycles (only
-    NBVA-capable designs trigger phases). *)
+    NBVA-capable designs trigger phases).  The returned record is owned
+    by [t] and refreshed in place by the next [step]: consume it before
+    stepping again, and do not mutate it.  Allocates nothing in the
+    steady state (the BV-phase records are built on the first step with
+    a given architecture). *)
 
 val clone_fresh : t -> t
-(** A clone sharing all compiled structure with fresh run state —
-    equivalent to [build] on the same placement without recompiling.
-    {!Batch} steps one clone per (stream, array). *)
+(** A clone sharing all compiled structure with fresh run state and its
+    own event record — equivalent to [build] on the same placement
+    without recompiling.  {!Batch} steps one clone per (stream, array),
+    so tasks on different domains never share a record. *)

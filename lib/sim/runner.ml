@@ -180,22 +180,26 @@ let fingerprint (p : Mapper.placement) =
 
 (* The energy/timing accounting as a sink over the event stream.  State
    lives in per-array slots merged in array order after the run, so the
-   totals are bit-identical under every schedule. *)
+   totals are bit-identical under every schedule.  Each instance charges
+   a symbol into its own scratch arrays and folds them into its slots:
+   no allocation per symbol. *)
 let energy_sink arch ~num_arrays =
   let ledgers = Array.init num_arrays (fun _ -> Energy.create ()) in
   let mode_slots = Array.make_matrix num_arrays Cost.num_modes 0. in
+  let tables = Cost.tables arch in
   let spec =
     {
       Sink.name = "energy";
       make =
         (fun ~array_id ~chars:_ ->
           let ledger = ledgers.(array_id) and modes = mode_slots.(array_id) in
+          let cat = Array.make Cost.num_categories 0. and mode = Array.make Cost.num_modes 0. in
           Sink.events_only (fun ev ->
-              let cost = Cost.of_events arch ev in
-              Array.iteri
-                (fun i pj -> if pj <> 0. then Energy.add ledger (Cost.category_of_index i) pj)
-                cost.Cost.cat_pj;
-              Array.iteri (fun m pj -> modes.(m) <- modes.(m) +. pj) cost.Cost.mode_pj));
+              ignore (Cost.charge tables ev ~cat_pj:cat ~mode_pj:mode);
+              Energy.accumulate ledger cat;
+              for m = 0 to Cost.num_modes - 1 do
+                modes.(m) <- modes.(m) +. mode.(m)
+              done));
     }
   in
   (spec, ledgers, mode_slots)
@@ -337,8 +341,14 @@ let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?(resume
     Array.init num_arrays (fun array_id ->
         List.map (fun (s : Sink.spec) -> s.Sink.make ~array_id ~chars:chars_hint) specs)
   in
+  (* arrays, so the symbol loop walks them without a closure per symbol *)
+  let event_insts =
+    Array.map (fun il -> Array.of_list (List.map (fun (i : Sink.t) -> i.Sink.on_events) il)) insts
+  in
   let state_insts =
-    Array.map (fun il -> List.filter_map (fun (i : Sink.t) -> i.Sink.on_state) il) insts
+    Array.map
+      (fun il -> Array.of_list (List.filter_map (fun (i : Sink.t) -> i.Sink.on_state) il))
+      insts
   in
   let cycles_slots = Array.make num_arrays 0 in
   let reports_slots = Array.make num_arrays 0 in
@@ -399,7 +409,7 @@ let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?(resume
   | _ -> ());
   let process_chunk ~deadline ~base chunk array_id =
     let ex = execs.(array_id) in
-    let il = insts.(array_id) and sl = state_insts.(array_id) in
+    let el = event_insts.(array_id) and sl = state_insts.(array_id) in
     (* accumulate locally, publish at chunk end: a crashed or timed-out
        attempt leaves the slots untouched, so only engine state and the
        energy sink need explicit rollback *)
@@ -427,11 +437,15 @@ let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?(resume
         let ev = Exec.step arch ex ~sym c in
         cycles := !cycles + 1 + ev.Exec.stall;
         reports := !reports + ev.Exec.reports;
-        List.iter (fun (i : Sink.t) -> i.Sink.on_events ev) il;
+        for k = 0 to Array.length el - 1 do
+          el.(k) ev
+        done;
         (* fault-injection surface: runs after this symbol's events are
            banked, so corruption lands in the stored state and is first
            seen at the next symbol *)
-        List.iter (fun f -> f ~sym (Exec.engines ex)) sl;
+        for k = 0 to Array.length sl - 1 do
+          sl.(k) ~sym (Exec.engines ex)
+        done;
         (* fold the post-symbol state into the window digest after the
            sinks, so corruption landing at this very symbol is already
            visible to the window-end comparison *)

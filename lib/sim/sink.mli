@@ -1,6 +1,6 @@
 (** Event-stream consumers.
 
-    A sink folds over the per-symbol {!Exec.array_events} stream of one
+    A sink folds over the per-symbol {!Exec.array_events} records of one
     array; the runner attaches any number of sinks and drives them in a
     single simulation pass.  Sinks never read engine internals — the
     events record is their whole world.  (The one sanctioned exception is
@@ -18,7 +18,10 @@
 
 type t = {
   on_events : Exec.array_events -> unit;
-      (** Called once per input symbol, in symbol order. *)
+      (** Called once per input symbol, in symbol order.  The record is
+          the array's own, refreshed in place by the next {!Exec.step}:
+          read what you need during the call, and neither keep nor
+          mutate it. *)
   on_state : (sym:int -> Engine.t array -> unit) option;
       (** Fault-injection surface, called after [on_events] of every
           attached sink; mutations are first visible at the next symbol. *)

@@ -386,7 +386,7 @@ let feed_chunked m input sizes =
   in
   while !pos < String.length input do
     let k = min (next_size ()) (String.length input - !pos) in
-    acc := List.rev_append (List.rev (Rap.session_feed s (String.sub input !pos k))) !acc;
+    acc := List.rev_append (Rap.session_feed s (String.sub input !pos k)) !acc;
     pos := !pos + k
   done;
   List.rev !acc @ Rap.session_finish s

@@ -169,6 +169,90 @@ let test_trace_sink_json_well_formed () =
   check bool "format from path" true (Sink.trace_format_of_path "x/y.JSON" = Sink.Json);
   check bool "csv otherwise" true (Sink.trace_format_of_path "t.csv" = Sink.Csv)
 
+(* The Table-1 cost model as plain function calls, in the model's
+   order: [Cost.charge]'s lookup tables must reproduce it bit for bit,
+   inside the tables and past them. *)
+let reference_cost (arch : Arch.t) (ev : Exec.array_events) =
+  let cat = Array.make Cost.num_categories 0. and mode = Array.make Cost.num_modes 0. in
+  let add c pj = cat.(Cost.cat_index c) <- cat.(Cost.cat_index c) +. pj in
+  let addm mi c pj =
+    add c pj;
+    mode.(mi) <- mode.(mi) +. pj
+  in
+  for i = 0 to ev.Exec.n_phases - 1 do
+    let p = ev.Exec.bv_phases.(i) in
+    addm (Cost.mode_index p.Exec.p_mode) Energy.Bv_processing
+      (Cost.bv_phase_pj arch ~bv_cols:p.Exec.p_bv_cols ~iterations:p.Exec.p_iterations)
+  done;
+  let cyc = 1 + ev.Exec.stall in
+  let leak = ref (float_of_int cyc *. Arch.array_leakage_pj_per_cycle arch) in
+  let ctrl = arch.Arch.controller_pj +. arch.Arch.reconfig_tax_pj in
+  Array.iter
+    (fun (t : Exec.tile_events) ->
+      let mi = Cost.mode_index t.Exec.t_mode and active = t.Exec.t_active_states in
+      if t.Exec.t_powered then begin
+        addm mi Energy.State_matching (Cost.matching_pj arch ~enabled_cols:t.Exec.t_enabled_cols);
+        if t.Exec.t_mode <> Engine.M_lnfa then begin
+          if active > 0 then
+            addm mi Energy.State_transition (Switch.local_traverse_pj ~active_rows:active);
+          addm mi Energy.Controller ctrl
+        end
+        else if active > 0 then addm mi Energy.Controller ctrl
+      end;
+      let pj =
+        float_of_int cyc *. Arch.tile_leakage_pj_per_cycle arch ~powered:t.Exec.t_powered
+      in
+      leak := !leak +. pj;
+      mode.(mi) <- mode.(mi) +. pj)
+    ev.Exec.tiles;
+  let cross = ev.Exec.cross in
+  if cross > 0 then
+    add Energy.Global_routing
+      (Switch.global_traverse_pj ~active_rows:cross +. Switch.wire_pj ~hops:cross);
+  add Energy.Controller Circuit.global_controller.Circuit.energy_min_pj;
+  add Energy.Io (2. *. (Buffers.push_pj +. Buffers.pop_pj));
+  add Energy.Leakage !leak;
+  (cyc, cat, mode)
+
+let gen_cost_case =
+  let open QCheck2.Gen in
+  let mode = oneofl [ Engine.M_nfa; Engine.M_nbva; Engine.M_lnfa ] in
+  (* mostly inside the lookup tables, sometimes far past them *)
+  let count = frequency [ (4, int_bound 300); (1, int_bound 5000) ] in
+  let tile =
+    map4
+      (fun m p e a -> { Exec.t_mode = m; t_powered = p; t_enabled_cols = e; t_active_states = a })
+      mode bool count count
+  in
+  let phase =
+    map3
+      (fun m c i -> { Exec.p_mode = m; p_bv_cols = c; p_iterations = i; p_stall = 0 })
+      mode count (int_bound 9)
+  in
+  let* arch = oneofl [ rap; Arch.cama; Arch.ca; Arch.bvap ] in
+  let* tiles = array_size (int_range 1 6) tile in
+  let* bv_phases = array_size (int_bound 4) phase in
+  let* n_phases = int_bound (Array.length bv_phases) in
+  let* stall = int_bound 12 in
+  let* cross = count in
+  return
+    ( arch,
+      { Exec.sym = 0; symbol = 'a'; stall; cross; reports = 0; tiles; bv_phases; n_phases } )
+
+let prop_cost_tables_exact =
+  QCheck2.Test.make ~name:"Cost.of_events = Table-1 function calls, bit for bit" ~count:500
+    ~print:(fun ((arch : Arch.t), (ev : Exec.array_events)) ->
+      Printf.sprintf "%s: %d tiles, %d phases, stall %d, cross %d" (Arch.kind_name arch.Arch.kind)
+        (Array.length ev.Exec.tiles) ev.Exec.n_phases ev.Exec.stall ev.Exec.cross)
+    gen_cost_case
+    (fun (arch, ev) ->
+      let c = Cost.of_events arch ev in
+      let cycles, cat, mode = reference_cost arch ev in
+      let bits_equal a b =
+        Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+      in
+      c.Cost.cycles = cycles && bits_equal c.Cost.cat_pj cat && bits_equal c.Cost.mode_pj mode)
+
 (* The NBVA kernel swap must be invisible to the whole stack: reports,
    energy and stall traces are bit-identical whether the engines step with
    the bit-parallel kernel or the scalar reference kernel, at --jobs 1 and
@@ -198,6 +282,107 @@ let test_kernel_swap_bit_identical () =
   Array.iteri
     (fun a trace -> check (array int) (Printf.sprintf "array %d stalls across swap" a) trace tnew.(a))
     tref
+
+(* The idle fast path, full stack.  Two contexts of one placement step
+   the same input, one on the bit-parallel kernel (fast path on) and one
+   on the reference kernel (fast path bypassed); every [array_events]
+   field must agree at every symbol.  The input alternates long runs of
+   a byte no rule wakes on with bursts of activity, and hosts the writes
+   that land behind the engines' backs: a state flip into every idle
+   engine, a flat restore of a live snapshot into the idle array and of
+   an idle snapshot into the live array, and a fresh clone of the idle
+   array.  Each must show from the next symbol on: a stale idle record,
+   or a stale live one, fails the comparison. *)
+let test_idle_fast_path_lockstep () =
+  let rules =
+    [ "ab*c"; "x[yz]d"; "a{30}b"; "bc{5,12}d"; "evilsig"; "badstring"; "cdacdacda" ]
+  in
+  let units, errs = Runner.compile_for rap ~params (List.map (fun r -> (r, parse r)) rules) in
+  check int "rules compile" 0 (List.length errs);
+  let p = Runner.place rap ~params units in
+  let quiet = String.make 200 'q' in
+  let burst = "abbbc xyd " ^ String.make 31 'a' ^ "b bcccccd evilsig badstring cdacdacda " in
+  let block = String.length quiet + String.length burst in
+  let input = String.concat "" (List.init 8 (fun _ -> quiet ^ burst)) in
+  let reference f =
+    Nbva.kernel := Nbva.Reference;
+    Fun.protect ~finally:(fun () -> Nbva.kernel := Nbva.Bit_parallel) f
+  in
+  let same sym (a : Exec.array_events) (b : Exec.array_events) =
+    let differs what = failf "%s differs from the reference path at symbol %d" what sym in
+    if (a.Exec.sym, a.Exec.symbol) <> (b.Exec.sym, b.Exec.symbol) then differs "position";
+    if a.Exec.stall <> b.Exec.stall then differs "stall";
+    if a.Exec.cross <> b.Exec.cross then differs "cross";
+    if a.Exec.reports <> b.Exec.reports then differs "reports";
+    if a.Exec.n_phases <> b.Exec.n_phases then differs "BV phase count";
+    for i = 0 to a.Exec.n_phases - 1 do
+      if a.Exec.bv_phases.(i) <> b.Exec.bv_phases.(i) then differs "a BV phase"
+    done;
+    Array.iteri
+      (fun ti t -> if t <> b.Exec.tiles.(ti) then differs (Printf.sprintf "tile %d" ti))
+      a.Exec.tiles;
+    if (Cost.of_events rap a).Cost.cat_pj <> (Cost.of_events rap b).Cost.cat_pj then
+      differs "energy"
+  in
+  let flipped = Hashtbl.create 3 and skipped = ref 0 in
+  let into_idle = ref 0 and into_live = ref 0 and clones = ref 0 in
+  Array.iter
+    (fun tiles ->
+      let fast = ref (Exec.build p tiles) and slow = ref (Exec.build p tiles) in
+      let snap () = (Exec.snapshot_flat !fast, Exec.snapshot_flat !slow) in
+      let restore count (f, s) =
+        Exec.restore_flat !fast f;
+        Exec.restore_flat !slow s;
+        incr count
+      in
+      let live_snap = ref None and idle_snap = ref None in
+      String.iteri
+        (fun sym c ->
+          let idle = Array.for_all Engine.idle (Exec.engines !fast) in
+          let phase = sym mod block and kind = sym / block mod 3 in
+          (* in a burst: keep a live snapshot, or put an idle one back
+             just before a byte that wakes none of the live engines
+             (inside "abbbc", "bcccccd" and "evilsig") *)
+          let off = phase - String.length quiet in
+          if not idle then begin
+            if kind = 2 && List.mem off [ 3; 46; 53 ] then
+              Option.iter (restore into_live) !idle_snap
+            else if off = 20 then live_snap := Some (snap ())
+          end;
+          (* mid-quiet, once the idle records are in place *)
+          if phase = 100 && idle then begin
+            idle_snap := Some (snap ());
+            match (kind, !live_snap) with
+            | 0, _ ->
+                Array.iter2
+                  (fun f s ->
+                    Hashtbl.replace flipped (Engine.mode f) ();
+                    let bit = Engine.state_bits f - 1 in
+                    Engine.flip_state_bit f bit;
+                    Engine.flip_state_bit s bit)
+                  (Exec.engines !fast) (Exec.engines !slow)
+            | 1, Some s -> restore into_idle s
+            | _ ->
+                fast := Exec.clone_fresh !fast;
+                slow := Exec.clone_fresh !slow;
+                incr clones
+          end;
+          let before = Array.map Engine.idle (Exec.engines !fast) in
+          let a = Exec.step rap !fast ~sym c in
+          let b = reference (fun () -> Exec.step rap !slow ~sym c) in
+          same sym a b;
+          Array.iteri
+            (fun j e -> if before.(j) && Engine.idle e then incr skipped)
+            (Exec.engines !fast))
+        input)
+    p.Mapper.arrays;
+  let arrays = Array.length p.Mapper.arrays in
+  check bool "NFA, NBVA and bin engines all took a flip while idle" true
+    (List.for_all (Hashtbl.mem flipped) [ Engine.M_nfa; Engine.M_nbva; Engine.M_lnfa ]);
+  check bool "live snapshots restored into idle arrays" true (!into_idle >= arrays);
+  check bool "idle snapshots restored into live arrays" true (!into_live >= arrays);
+  check bool "idle arrays cloned" true (!clones >= arrays);
+  check bool "the fast path was taken" true (!skipped > String.length input)
 
 (* Satellite: state_bits counts exactly the flippable surface — every
    index below it flips (and flips back) without raising. *)
@@ -249,6 +434,9 @@ let suite =
     test_case "trace sink CSV golden" `Quick test_trace_sink_csv_golden;
     test_case "trace sink JSON well-formed" `Quick test_trace_sink_json_well_formed;
     test_case "NBVA kernel swap bit-identity (jobs 1 and 4)" `Quick test_kernel_swap_bit_identical;
+    test_case "idle fast path = reference path, event by event" `Quick
+      test_idle_fast_path_lockstep;
+    QCheck_alcotest.to_alcotest prop_cost_tables_exact;
     test_case "state_bits flip coverage" `Quick test_state_bits_flip_coverage;
     test_case "run_regexes surfaces compile errors" `Quick test_run_regexes_surfaces_errors;
   ]

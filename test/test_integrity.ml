@@ -235,6 +235,60 @@ let test_checkpoint_skip_on_corruption () =
   | Error e -> fail (Sim_error.message e));
   check int "run completed all input" (String.length input) r.Runner.chars
 
+(* A cleared [wake] byte makes an idle engine sleep through a byte that
+   should start a match.  The sink clears, once, every [wake] entry for
+   'x' well before the input's "xyzzzw" bursts: without integrity the
+   run silently loses matches; a continuous-config run must detect the
+   corruption and heal to the fault-free report. *)
+let test_wake_corruption_healed () =
+  let input = String.concat "" (List.init 8 (fun i -> noise ~seed:(40 + i) 700 ^ "xyzzzw")) in
+  let clear_wake fired =
+    {
+      Sink.name = "wake-clear-once";
+      make =
+        (fun ~array_id:_ ~chars:_ ->
+          {
+            Sink.on_events = ignore;
+            on_close = (fun ~cycles:_ -> ());
+            on_state =
+              Some
+                (fun ~sym engines ->
+                  if (not !fired) && sym = 1_000 then
+                    Array.iter
+                      (fun e ->
+                        List.iter
+                          (function
+                            | Engine.R_bytes ("wake", b) when Bytes.get b (Char.code 'x') <> '\000'
+                              ->
+                                Bytes.set b (Char.code 'x') '\000';
+                                fired := true
+                            | _ -> ())
+                          (Engine.immutable_regions e))
+                      engines);
+          });
+    }
+  in
+  (* each run compiles its own placement: the corruption outlives the
+     unchecked run in the tables it hit *)
+  let baseline = Runner.run rap ~params (placement rules) ~input in
+  let fired = ref false in
+  let unchecked = Runner.run ~sinks:[ clear_wake fired ] rap ~params (placement rules) ~input in
+  check bool "the flip landed" true !fired;
+  check bool "unchecked, the sleeping engine loses matches" true
+    (unchecked.Runner.match_reports < baseline.Runner.match_reports);
+  let fired = ref false in
+  let cfg = Integrity.continuous_config () in
+  let healed =
+    Runner.run ~sinks:[ clear_wake fired ] ~integrity:cfg rap ~params (placement rules) ~input
+  in
+  check bool "the flip landed again" true !fired;
+  let st = cfg.Integrity.stats in
+  check bool "detected" true (Integrity.detections st >= 1);
+  check bool "healed" true (st.Integrity.heals >= 1);
+  check int "no quarantine" 0 st.Integrity.quarantines;
+  check string "healed report bit-identical to fault-free baseline"
+    (Runner.render_report baseline) (Runner.render_report healed)
+
 let test_chaos_gates () =
   let config = { Fault.c_seed = 5; c_trials = 6; c_chunk = 1_024; c_table_share = 0.5 } in
   match Fault.chaos ~arch:rap ~params ~config (parsed rules) ~input:(noise 4_000) with
@@ -279,4 +333,6 @@ let suite =
       test_checkpoint_skip_on_corruption;
     test_case "chaos campaign passes its own gates" `Slow test_chaos_gates;
     test_case "chaos campaign is deterministic in its seed" `Slow test_chaos_deterministic;
+    test_case "cleared wake byte: detected and healed bit-identically" `Quick
+      test_wake_corruption_healed;
   ]

@@ -89,6 +89,51 @@ let test_of_ast_rejects_bad_residual () =
     (Invalid_argument "Nbva.of_ast: residual repetition not of the form cc{m} or cc{0,k}")
     (fun () -> ignore (Nbva.of_ast (Ast.repeat (Parser.parse_exn "ab") 2 (Some 5))))
 
+(* A table flip can raise a [masks] bit past the automaton width.  The
+   kernel must cut it from the activation words: left there, it would
+   index [succ_row] out of range at the next symbol. *)
+let test_mask_bits_past_width () =
+  let n = compile "abc" in
+  let width = Nbva.num_states n in
+  let masks = List.assoc "masks" (Nbva.plan_tables n) in
+  Array.iteri (fun i w -> masks.(i) <- w lor (1 lsl 61)) masks;
+  let st = Nbva.start n in
+  let words, off = Nbva.active_slice st in
+  ignore (Nbva.step n st 'x');
+  check int "no activation bit at or past the width" 0 (words.(off) lsr width);
+  check int "no report from a bit past the width" 0 (Nbva.reports n st);
+  (match Nbva.step n st 'x' with
+  | _ -> ()
+  | exception Invalid_argument msg -> failf "second step read out of range: %s" msg);
+  check int "still none after step 2" 0 (words.(off) lsr width);
+  check (list int) "bits below the width still match" [ 3 ] (Nbva.match_ends n "xabc")
+
+(* The idle fast path's wake table is exact: from the zero state, one
+   reference step leaves a live word non-zero iff the byte wakes the
+   automaton, and [idle] agrees with the reference kernel's view. *)
+let prop_wake_exact =
+  QCheck2.Test.make ~name:"wake c <=> one reference step from zero leaves live state"
+    ~count:300
+    ~print:(fun (r, threshold) -> Printf.sprintf "%s (threshold %d)" (Gen.ast_print r) threshold)
+    QCheck2.Gen.(pair (Gen.gen_ast ~max_bound:5 ()) (int_range 2 4))
+    (fun (r, threshold) ->
+      let t = Nbva.compile ~threshold r in
+      List.for_all
+        (fun b ->
+          let c = Char.chr b in
+          let st = Nbva.start t in
+          Nbva.idle st
+          &&
+          (ignore (Nbva.step_reference t st c);
+           let live =
+             (not (Bitvec.is_zero (Nbva.outputs st)))
+             || Array.exists
+                  (function Some v -> not (Bitvec.is_zero v) | None -> false)
+                  (Nbva.vectors st)
+           in
+           Nbva.wakes t c = live && Nbva.idle st = not live))
+        (List.init 256 Fun.id))
+
 (* The central equivalence: NBVA with any threshold matches the plain NFA
    semantics of the same regex. *)
 let prop_nbva_equals_nfa =
@@ -121,6 +166,9 @@ let suite =
     test_case "threshold controls compression" `Quick test_threshold_controls_compression;
     test_case "BV activity tracking" `Quick test_bv_activity;
     test_case "of_ast input validation" `Quick test_of_ast_rejects_bad_residual;
+    test_case "mask bits past the width never reach the activation" `Quick
+      test_mask_bits_past_width;
+    QCheck_alcotest.to_alcotest prop_wake_exact;
     QCheck_alcotest.to_alcotest prop_nbva_equals_nfa;
     QCheck_alcotest.to_alcotest prop_nbva_threshold_irrelevant;
   ]
