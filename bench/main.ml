@@ -126,9 +126,9 @@ let with_kernel k f =
   Fun.protect ~finally:(fun () -> Nbva.kernel := Nbva.Bit_parallel) f
 
 (* Raw kernel throughput on the NFA-heavy workload: step every compiled
-   NBVA executor (the automaton behind each NFA-mode unit, threshold 2 as
-   Engine.make_nfa_engine uses) over the input with each kernel, and
-   cross-check their match counts. *)
+   NBVA executor (the automaton behind each NFA-mode unit: threshold 2,
+   as Nfa_compile.compile builds it into the unit) over the input with
+   each kernel, and cross-check their match counts. *)
 let kernel_bench env ~name =
   let s = Benchmarks.by_name ~scale:env.Experiments.scale name in
   let input = s.Benchmarks.make_input ~chars:env.Experiments.chars in
@@ -263,7 +263,7 @@ let exec_path_bench env ~name =
 (* Lazy-DFA fast path vs the NFA kernel, per workload: compile every
    rule at threshold 2 (the executor behind each NFA-mode placement),
    keep the DFA-eligible subset (no BV-STEs, state count within the
-   mode-select budget — the same test [Mode_select.decide_exec]
+   mode-select budget — the same test [Mode_select.exec_hint]
    applies), and step the same input through [Dfa.step] and [Nbva.step].
    A lockstep pass first proves per-symbol bit-identity (hit AND packed
    activation vector), then warmed timing passes measure what the

@@ -17,7 +17,13 @@
      private scratch state and intern its result.
    - [accepts] is evaluated with {!Nbva.reports} on the interned set,
      which is exactly the [next AND final] test {!Nbva.step} returns, so
-     hits agree bit-for-bit with NFA stepping. *)
+     hits agree bit-for-bit with NFA stepping.
+   - The row tables start at [initial_rows] and double (up to
+     [max_states]) when an intern needs a row past the end, so a cache
+     that only ever sees a handful of states never pays for 512.  A
+     growth replaces [sets], [trans] and [accepts] with longer copies,
+     so nothing may hold one of them in a local across an [intern]: the
+     miss path re-reads [trans] after interning. *)
 
 type t = {
   nbva : Nbva.t;
@@ -25,9 +31,9 @@ type t = {
   max_states : int;
   max_flushes : int;
   mutable n_states : int;
-  sets : int array;  (* max_states rows of nwords packed activation words *)
-  trans : int array array;  (* 256-entry rows, lazily allocated, -1 = unfilled *)
-  accepts : bool array;
+  mutable sets : int array;  (* one row of nwords packed activation words per state *)
+  mutable trans : int array array;  (* 256-entry rows, lazily allocated, -1 = unfilled *)
+  mutable accepts : bool array;  (* its length is the row capacity *)
   tbl : (string, int) Hashtbl.t;
   scratch : Nbva.run_state;  (* private state the fill kernel runs on *)
   sw : int array;  (* scratch activation slice *)
@@ -48,6 +54,7 @@ type run = {
 }
 
 let default_cache_states = 512
+let initial_rows = 8
 
 let create ?max_states ?(max_flushes = 4) nbva =
   if Nbva.num_bv_stes nbva > 0 then None
@@ -60,6 +67,7 @@ let create ?max_states ?(max_flushes = 4) nbva =
     let nwords = Bitvec.words_for (Nbva.num_states nbva) in
     let scratch = Nbva.start nbva in
     let sw, soff = Nbva.active_slice scratch in
+    let rows = min initial_rows max_states in
     Some
       {
         nbva;
@@ -67,10 +75,10 @@ let create ?max_states ?(max_flushes = 4) nbva =
         max_states;
         max_flushes;
         n_states = 0;
-        sets = Array.make (max_states * nwords) 0;
-        trans = Array.make max_states [||];
-        accepts = Array.make max_states false;
-        tbl = Hashtbl.create (2 * max_states);
+        sets = Array.make (rows * nwords) 0;
+        trans = Array.make rows [||];
+        accepts = Array.make rows false;
+        tbl = Hashtbl.create rows;
         scratch;
         sw;
         soff;
@@ -115,6 +123,15 @@ let load_cur_set d r =
     d.cur_set.(i) <- Array.unsafe_get r.w (r.off + i)
   done
 
+(* Double the row tables, capped at [max_states]; interned rows and
+   filled transition rows carry over. *)
+let grow d =
+  let rows = Array.length d.accepts in
+  let extra = min d.max_states (2 * rows) - rows in
+  d.sets <- Array.append d.sets (Array.make (extra * d.nwords) 0);
+  d.trans <- Array.append d.trans (Array.make extra [||]);
+  d.accepts <- Array.append d.accepts (Array.make extra false)
+
 (* Intern [cur_set]; returns the state index, or -1 after an overflow
    (which flushes the cache, or permanently disables it once the flush
    budget is spent — the caller then falls back to plain NFA stepping
@@ -137,6 +154,7 @@ let intern d =
       end
       else begin
         let id = d.n_states in
+        if id = Array.length d.accepts then grow d;
         d.n_states <- id + 1;
         Array.blit d.cur_set 0 d.sets (id * d.nwords) d.nwords;
         if Array.length d.trans.(id) = 0 then d.trans.(id) <- Array.make 256 (-1)
@@ -154,7 +172,9 @@ let intern d =
    one call.  Runs the bit-parallel kernel from the interned set on the
    scratch state, adopts its result as the truth, interns it, and fills
    the transition slot — unless the intern overflowed (slot indices are
-   stale after a flush, so nothing is written then). *)
+   stale after a flush, so nothing is written then).  The slot is
+   addressed through [d.trans] read after the intern, which may have
+   grown the tables. *)
 let fill r cur c =
   let d = r.d in
   let base = cur * d.nwords in

@@ -39,7 +39,14 @@ val create : ?max_states:int -> ?max_flushes:int -> Nbva.t -> t option
 (** [None] when the automaton carries BV-STEs (ineligible).  The
     [RAP_DFA_CACHE] environment variable overrides [max_states] (clamped
     to at least 2) — the CI cache-pressure smoke uses this to force
-    eviction and fallback on real workloads. *)
+    eviction and fallback on real workloads.
+
+    Creation is cheap: the state tables start at 8 rows (fewer when
+    [max_states] is smaller) and double on demand up to [max_states],
+    so an engine built per request pays only for the states its input
+    reaches.  Growth is invisible: the [max_states] flush point, the
+    flush budget and the fill count are the same as with full-size
+    tables. *)
 
 val attach : t -> Nbva.run_state -> run
 (** Cursor for one stream; starts unsynced (first step re-interns). *)

@@ -68,7 +68,11 @@ let compile ?(tile_capacity_cols = Circuit.tile_cam_cols)
     List.rev !acc
   in
   ignore ntile;
-  { Program.nfa; tile_of_state; tile_states; tile_cols = tile_cols_used; cross_edges }
+  (* threshold 2 gives maximal compression; the rewriting preserves the
+     left-to-right order of unfolded positions, which is what lets the
+     engine project executor bits back onto [tile_of_state] *)
+  let exec = Nbva.compile ~threshold:2 r in
+  { Program.nfa; exec; tile_of_state; tile_states; tile_cols = tile_cols_used; cross_edges }
 
 let fits_array (u : Program.nfa_unit) =
   Array.length u.Program.tile_states <= Circuit.tiles_per_array

@@ -19,6 +19,7 @@ let default_params =
 
 type nfa_unit = {
   nfa : Nfa.t;
+  exec : Nbva.t;  (* threshold-2 compressed executor the engine steps *)
   tile_of_state : int array;
   tile_states : int array;
   tile_cols : int array;

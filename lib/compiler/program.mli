@@ -34,6 +34,12 @@ val default_params : params
 
 type nfa_unit = {
   nfa : Nfa.t;
+  exec : Nbva.t;
+      (** The compressed executor the simulator steps: the same regex as
+          an NBVA at unfold threshold 2, so every bounded-repetition chain
+          of [nfa] is one bit-vector state.  Built once by the compiler
+          (which also reads the {!exec_hint} off it) and shared by every
+          engine built from this unit. *)
   tile_of_state : int array;  (** state -> unit-local tile. *)
   tile_states : int array;  (** #STEs in each tile. *)
   tile_cols : int array;  (** CAM columns used in each tile. *)
@@ -90,7 +96,7 @@ type exec_hint =
   | H_dfa of { dfa_cache_states : int }
       (** The software simulator should attach a lazy-DFA transition
           cache of at most [dfa_cache_states] states to this placement
-          ({!Mode_select.decide_exec} cost model).  Purely an execution
+          ({!Mode_select.exec_hint} cost model).  Purely an execution
           strategy: semantics, reports and projections are identical,
           and hardware models ignore it. *)
 

@@ -16,8 +16,10 @@ let magic = "RAPPROG"
    [Program.params] grew the DFA budgets ([dfa_state_budget],
    [dfa_cache_states]).
    v5: [Nbva.exec_plan] grew the idle fast path's [wake] table and the
-   [top_mask] of the activation words. *)
-let version = 5
+   [top_mask] of the activation words.
+   v6: [Program.nfa_unit] carries its compressed executor ([exec]), so
+   a warm load skips the threshold-2 compile along with the rest. *)
+let version = 6
 
 type entry = {
   e_key : string;

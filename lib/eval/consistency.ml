@@ -14,9 +14,9 @@ let engine_report_positions engines input =
     input;
   List.rev !acc
 
-let engines_for ~params ~ast (c : Program.compiled) =
+let engines_for ~params (c : Program.compiled) =
   match c.Program.kind with
-  | Program.U_nfa u -> ("NFA", [ Engine.of_nfa_unit ~ast u ])
+  | Program.U_nfa u -> ("NFA", [ Engine.of_nfa_unit u ])
   | Program.U_nbva u -> ("NBVA", [ Engine.of_nbva_unit u ])
   | Program.U_lnfa u ->
       (* the regex's lines, binned exactly as the mapper would bin them *)
@@ -35,7 +35,7 @@ let check_regex ~params (source, ast) ~input =
           got = [];
         }
   | Ok c ->
-      let mode, engines = engines_for ~params ~ast c in
+      let mode, engines = engines_for ~params c in
       let expected = Nfa.match_ends (Glushkov.compile ast) input in
       let got = engine_report_positions engines input in
       if expected = got then None else Some { source; mode; expected; got }

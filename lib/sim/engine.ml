@@ -104,11 +104,12 @@ type nfa_engine = {
 (* Unfolded width of one exec state. *)
 let exec_width ste = match ste with Nbva.Plain _ -> 1 | Nbva.Bv { size; _ } -> size
 
-let make_nfa_engine ~ast ~hint (u : Program.nfa_unit) =
-  (* threshold 2 gives maximal compression; the rewriting preserves the
-     left-to-right order of unfolded positions, so prefix sums of widths
-     recover each state's position range. *)
-  let exec = Nbva.compile ~threshold:2 ast in
+let make_nfa_engine ~hint (u : Program.nfa_unit) =
+  (* the executor was compiled with the unit and is shared, never copied;
+     its rewriting preserves the left-to-right order of unfolded
+     positions, so prefix sums of widths recover each state's position
+     range *)
+  let exec = u.Program.exec in
   let n = Nbva.num_states exec in
   let offsets = Array.make (n + 1) 0 in
   for q = 0 to n - 1 do
@@ -391,7 +392,7 @@ let bin_project (e : bin_engine) =
 type t = E_nfa of nfa_engine | E_nbva of nbva_engine | E_bin of bin_engine
 
 let mode = function E_nfa _ -> M_nfa | E_nbva _ -> M_nbva | E_bin _ -> M_lnfa
-let of_nfa_unit ?(hint = Program.H_default) ~ast u = E_nfa (make_nfa_engine ~ast ~hint u)
+let of_nfa_unit ?(hint = Program.H_default) u = E_nfa (make_nfa_engine ~hint u)
 let of_nbva_unit ?(hint = Program.H_default) u = E_nbva (make_nbva_engine ~hint u)
 let of_bin b = E_bin (make_bin_engine b)
 

@@ -11,7 +11,11 @@
     set), so the engine runs NBVA semantics internally and projects bits
     back onto the unfolded tile layout.  This keeps NFA-mode simulation of
     repetition-heavy benchmarks tractable without changing any observable
-    statistic (property-tested against the direct NFA execution). *)
+    statistic (property-tested against the direct NFA execution).  The
+    executor is the unit's own [Program.nfa_unit.exec], compiled once by
+    the compiler and shared by every engine and clone built from the
+    unit: constructing an engine compiles nothing, it only allocates run
+    state and derives the tile maps. *)
 
 type mode = M_nfa | M_nbva | M_lnfa
 
@@ -22,7 +26,10 @@ val num_tiles : t -> int
 
 (** {1 Construction} *)
 
-val of_nfa_unit : ?hint:Program.exec_hint -> ast:Ast.t -> Program.nfa_unit -> t
+val of_nfa_unit : ?hint:Program.exec_hint -> Program.nfa_unit -> t
+(** Raises [Invalid_argument] when the unit's executor does not unfold to
+    exactly the unit's NFA states (a unit not built by {!Nfa_compile}). *)
+
 val of_nbva_unit : ?hint:Program.exec_hint -> Program.nbva_unit -> t
 val of_bin : Binning.bin -> t
 

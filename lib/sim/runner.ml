@@ -49,13 +49,7 @@ let compile_for (arch : Arch.t) ~params regexes =
           match Nfa_compile.compile ast with
           | u ->
               if Nfa_compile.fits_array u then
-                push source
-                  {
-                    Program.source;
-                    ast;
-                    kind = Program.U_nfa u;
-                    hint = Mode_select.decide_exec ~params ast;
-                  }
+                push source (Mode_select.of_nfa_unit ~params ~source ast u)
               else
                 fail source
                   (Compile_error.Oversize
@@ -70,14 +64,7 @@ let compile_for (arch : Arch.t) ~params regexes =
               ~col_demand:(fun _ -> 1)
               ast
           with
-          | u ->
-              push source
-                {
-                  Program.source;
-                  ast;
-                  kind = Program.U_nfa u;
-                  hint = Mode_select.decide_exec ~params ast;
-                }
+          | u -> push source (Mode_select.of_nfa_unit ~params ~source ast u)
           | exception Invalid_argument msg -> unsupported source msg)
       | Arch.Bvap -> (
           let wants_bv =
@@ -85,10 +72,15 @@ let compile_for (arch : Arch.t) ~params regexes =
               (Rewrite.unfold_for_nbva ~threshold:params.Program.unfold_threshold ast)
           in
           match
-            let hint = Mode_select.decide_exec ~params ast in
             if wants_bv then
-              Program.{ source; ast; kind = U_nbva (Nbva_compile.compile_bvap ~params ast); hint }
-            else Program.{ source; ast; kind = U_nfa (Nfa_compile.compile ast); hint }
+              Program.
+                {
+                  source;
+                  ast;
+                  kind = U_nbva (Nbva_compile.compile_bvap ~params ast);
+                  hint = Mode_select.decide_exec ~params ast;
+                }
+            else Mode_select.of_nfa_unit ~params ~source ast (Nfa_compile.compile ast)
           with
           | c -> push source c
           | exception Invalid_argument msg -> unsupported source msg))
@@ -354,7 +346,9 @@ let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?(resume
   let reports_slots = Array.make num_arrays 0 in
   let quarantined : Sim_error.t option array = Array.make num_arrays None in
   let degraded = ref [] (* newest first; reversed wherever exposed *) in
-  let fp = fingerprint p in
+  (* only the checkpoint paths read the digest: the resume check, the
+     pre-save drift check and the saved record *)
+  let fp = match checkpoint with Some _ -> fingerprint p | None -> "" in
   (* Integrity layer: CRC-seal every array's immutable tables up front
      (pristine copies double as the repair source), keep one shadow clone
      per array for the sentinel's reference replay, and track per-array

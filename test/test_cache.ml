@@ -60,6 +60,27 @@ let test_cold_then_warm () =
         (Runner.run rap ~params p_cold ~input)
         (Runner.run rap ~params p_warm ~input))
 
+(* NFA-mode units carry their compressed executor in the artifact: the
+   warm run must step the loaded (unmarshalled) executor to exactly the
+   cold run's report, byte for byte. *)
+let test_cold_then_warm_nfa_executor () =
+  let regexes = List.map (fun s -> (s, parse s)) (rules @ [ "(wget|curl).*http" ]) in
+  let input = input ^ " wget http curl xhttp wgethttp" in
+  with_dir (fun dir ->
+      let p_cold, _, st_cold = Runner.prepare ~cache_dir:dir rap ~params regexes in
+      check bool "first run misses" true (st_cold = Runner.Cache_miss);
+      check bool "an NFA-mode unit is cached" true
+        (Array.exists
+           (fun (c : Program.compiled) ->
+             match c.Program.kind with Program.U_nfa _ -> true | _ -> false)
+           p_cold.Mapper.units);
+      let p_warm, _, st_warm = Runner.prepare ~cache_dir:dir rap ~params regexes in
+      check bool "second run hits" true (st_warm = Runner.Cache_hit);
+      let cold = Runner.run rap ~params p_cold ~input in
+      check bool "the NFA-mode rule matches" true (cold.Runner.match_reports > 0);
+      check string "cold vs warm report" (Runner.render_report cold)
+        (Runner.render_report (Runner.run rap ~params p_warm ~input)))
+
 let test_cache_off_and_miss_keys () =
   with_dir (fun dir ->
       let _, _, st = Runner.prepare rap ~params (regexes ()) in
@@ -208,6 +229,7 @@ let test_mask_tables_hash_consed () =
 let suite =
   [
     test_case "cold compile then warm hit (compile-count probe)" `Quick test_cold_then_warm;
+    test_case "cold then warm with an NFA-mode executor" `Quick test_cold_then_warm_nfa_executor;
     test_case "cache off / distinct keys miss" `Quick test_cache_off_and_miss_keys;
     test_case "corruption rejected then repaired" `Quick test_corruption_rejected;
     test_case "truncation rejected" `Quick test_truncation_rejected;

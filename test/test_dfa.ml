@@ -135,6 +135,81 @@ let prop_dfa_equals_reference =
       QCheck2.assume (Nbva.num_bv_stes t = 0);
       lockstep ~max_states t input)
 
+(* Table growth.  The state tables start small and double up to
+   [max_states], so the same lockstep property runs at capacities on
+   both sides of every doubling and of the cap.  [RAP_DFA_CACHE]
+   overrides every capacity (CI reruns this suite under it), so the
+   checks on which regime a capacity lands in hold only without it;
+   lockstep identity is checked either way. *)
+let growth_capacities = [ 2; 3; 8; 9; 16; 17; 64; 512 ]
+let capacity_overridden = Sys.getenv_opt "RAP_DFA_CACHE" <> None
+
+(* One lockstep pass through a given cache, from a fresh cursor, so the
+   caller can inspect the cache afterwards. *)
+let lockstep_on label d t input =
+  let a = Nbva.start t and b = Nbva.start t in
+  let r = Dfa.attach d a in
+  String.iteri
+    (fun p c ->
+      let ha = Dfa.step r c in
+      let hb = Nbva.step_reference t b c in
+      if ha <> hb || not (Bitvec.equal (Nbva.outputs a) (Nbva.outputs b)) then
+        failf "%s: diverged at %d (%C)" label p c)
+    input
+
+let prop_dfa_equals_reference_growth =
+  QCheck2.Test.make ~name:"Dfa.step = step_reference at capacities straddling table growth"
+    ~count:300
+    ~print:(fun ((r, s), ms) ->
+      Printf.sprintf "%s on %S (max_states %d)" (Gen.ast_print r) s ms)
+    QCheck2.Gen.(
+      pair (pair (Gen.gen_ast ~max_bound:6 ()) Gen.gen_input) (oneofl growth_capacities))
+    (fun ((r, input), max_states) ->
+      let t = Nbva.compile ~threshold:100 r in
+      QCheck2.assume (Nbva.num_bv_stes t = 0);
+      lockstep ~max_states t input)
+
+(* "An [a] five symbols back": 32 reachable subset states.  With room
+   for all of them the cache only grows; with less, the same input goes
+   through growth, eviction flushes and the blown fallback. *)
+let many_states () = compile_flat "(a|b)*a(a|b)(a|b)(a|b)(a|b)"
+
+let test_growth_flush_fallback () =
+  let t = many_states () in
+  let input = pseudo_input ~seed:4242 ~len:3000 ~alphabet:"ab" in
+  List.iter
+    (fun max_states ->
+      let d = dfa_of ~max_states t in
+      let label what = Printf.sprintf "max_states %d: %s" max_states what in
+      lockstep_on (label "lockstep") d t input;
+      if capacity_overridden then ()
+      else if max_states >= 64 then begin
+        check int (label "no flush") 0 (Dfa.flushes d);
+        check bool (label "not blown") false (Dfa.disabled d);
+        check bool (label "grew past 16 rows") true (Dfa.cached_states d > 16)
+      end
+      else check bool (label "overflowed") true (Dfa.flushes d >= 1 || Dfa.disabled d))
+    growth_capacities
+
+(* A fill that grows the tables does so while the cursor sits on a live
+   row: the row it came from, the transition it writes and the row it
+   interns must all survive the copy.  A second cursor replays the input
+   on the grown cache: every transition, including those written by
+   growing fills, must now be a hit (no new fill), still in lockstep. *)
+let test_fill_grows_under_live_cursor () =
+  let t = many_states () in
+  let input = pseudo_input ~seed:99 ~len:600 ~alphabet:"ab" in
+  let d = dfa_of t in
+  lockstep_on "first pass" d t input;
+  if not capacity_overridden then begin
+    check bool "tables grew several times" true (Dfa.cached_states d > 16);
+    check int "no flush" 0 (Dfa.flushes d)
+  end;
+  let fills = Dfa.fills d in
+  lockstep_on "replay" d t input;
+  if not capacity_overridden then
+    check int "replay on the grown tables is all hits" fills (Dfa.fills d)
+
 (* ------------------------------------------------------------------ *)
 (* Full stack: Runner-level identity with the specialized stepper on. *)
 
@@ -257,6 +332,10 @@ let suite =
     test_case "cache pressure, flush budget, blown fallback" `Quick test_cache_pressure_fallback;
     test_case "external mutation resyncs the cursor" `Quick test_external_mutation_resync;
     QCheck_alcotest.to_alcotest prop_dfa_equals_reference;
+    QCheck_alcotest.to_alcotest prop_dfa_equals_reference_growth;
+    test_case "growth, flush and fallback on one input" `Quick test_growth_flush_fallback;
+    test_case "a fill grows the tables under a live cursor" `Quick
+      test_fill_grows_under_live_cursor;
     test_case "stepper engages behind the runner" `Quick test_stepper_engages;
     test_case "full-stack identity across schedules and kernels" `Quick test_full_stack_identity;
     test_case "checkpoint/resume with a cold DFA cache" `Quick test_checkpoint_resume_cold_cache;

@@ -22,7 +22,7 @@ let test_single_state_automata () =
   let nfa = Glushkov.compile (Parser.parse_exn "x") in
   check int "one state" 1 (Nfa.num_states nfa);
   check (list int) "matches each x" [ 0; 2 ] (Nfa.match_ends nfa "xax");
-  let e = Engine.of_nfa_unit ~ast:(Parser.parse_exn "x") (Nfa_compile.compile (Parser.parse_exn "x")) in
+  let e = Engine.of_nfa_unit (Nfa_compile.compile (Parser.parse_exn "x")) in
   let ev = Engine.step e 'x' in
   check int "reports" 1 ev.Engine.reports;
   check int "one tile" 1 (Engine.num_tiles e)

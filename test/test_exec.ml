@@ -389,7 +389,7 @@ let test_idle_fast_path_lockstep () =
 let test_state_bits_flip_coverage () =
   let engines =
     [
-      ("NFA", Engine.of_nfa_unit ~ast:(parse "ab|cd") (Nfa_compile.compile (parse "ab|cd")));
+      ("NFA", Engine.of_nfa_unit (Nfa_compile.compile (parse "ab|cd")));
       ("NBVA", Engine.of_nbva_unit (Nbva_compile.compile ~params (parse "x[ab]{5,30}y")));
       ( "LNFA",
         let mk s =
@@ -412,6 +412,41 @@ let test_state_bits_flip_coverage () =
         (Invalid_argument "Engine.flip_state_bit: index out of range") (fun () ->
           Engine.flip_state_bit e n))
     engines
+
+(* Building an array compiles nothing: every [Exec.build] of one
+   placement, and every clone of a build, steps the executor tables the
+   compiler put in the units — physically the same arrays, so one seal
+   covers them all.  (LNFA bins still derive their Shift-And tables per
+   build, so only NFA and NBVA engines are compared.) *)
+let test_build_shares_executors () =
+  let rules = [ "(wget|curl).*http"; "ab{3,10}c"; "user=root" ] in
+  let units, errs = Runner.compile_for rap ~params (List.map (fun s -> (s, parse s)) rules) in
+  check int "rules compile" 0 (List.length errs);
+  let p = Runner.place rap ~params units in
+  let nfa_engines = ref 0 in
+  let same_tables label a b =
+    Array.iter2
+      (fun ea eb ->
+        if Engine.mode ea <> Engine.M_lnfa then begin
+          if Engine.mode ea = Engine.M_nfa then incr nfa_engines;
+          List.iter2
+            (fun ra rb ->
+              let name = label ^ ": " ^ Engine.region_name ra in
+              match (ra, rb) with
+              | Engine.R_words (_, x), Engine.R_words (_, y) -> check bool name true (x == y)
+              | Engine.R_bytes (_, x), Engine.R_bytes (_, y) -> check bool name true (x == y)
+              | _ -> fail (name ^ ": region kinds differ"))
+            (Engine.immutable_regions ea) (Engine.immutable_regions eb)
+        end)
+      (Exec.engines a) (Exec.engines b)
+  in
+  Array.iter
+    (fun tiles ->
+      let a = Exec.build p tiles in
+      same_tables "two builds" a (Exec.build p tiles);
+      same_tables "build and clone" a (Exec.clone_fresh a))
+    p.Mapper.arrays;
+  check bool "the placement has NFA-mode engines" true (!nfa_engines > 0)
 
 (* Satellite: run_regexes surfaces what the architecture rejects. *)
 let test_run_regexes_surfaces_errors () =
@@ -438,5 +473,6 @@ let suite =
       test_idle_fast_path_lockstep;
     QCheck_alcotest.to_alcotest prop_cost_tables_exact;
     test_case "state_bits flip coverage" `Quick test_state_bits_flip_coverage;
+    test_case "building an array compiles nothing" `Quick test_build_shares_executors;
     test_case "run_regexes surfaces compile errors" `Quick test_run_regexes_surfaces_errors;
   ]

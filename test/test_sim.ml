@@ -21,7 +21,7 @@ let engine_report_positions engine input =
 let nfa_engine_of src =
   let ast = parse src in
   let u = Nfa_compile.compile ast in
-  Engine.of_nfa_unit ~ast u
+  Engine.of_nfa_unit u
 
 let test_nfa_engine_consistency () =
   List.iter
@@ -45,7 +45,7 @@ let prop_nfa_engine_activity =
     QCheck2.Gen.(pair (Gen.gen_ast ~max_bound:5 ()) Gen.gen_input)
     (fun (r, input) ->
       let u = Nfa_compile.compile r in
-      let e = Engine.of_nfa_unit ~ast:r u in
+      let e = Engine.of_nfa_unit u in
       let direct = Nfa.run u.Program.nfa input in
       let ok = ref true in
       String.iteri
@@ -62,7 +62,7 @@ let prop_nfa_engine_reports =
     QCheck2.Gen.(pair (Gen.gen_ast ~max_bound:5 ()) Gen.gen_input)
     (fun (r, input) ->
       let u = Nfa_compile.compile r in
-      let e = Engine.of_nfa_unit ~ast:r u in
+      let e = Engine.of_nfa_unit u in
       engine_report_positions e input = Nfa.match_ends u.Program.nfa input)
 
 let test_nbva_engine_consistency () =
