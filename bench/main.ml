@@ -197,13 +197,13 @@ let kernel_bench env ~name =
 
 (* The same steady-state probe over the whole per-symbol path of a
    placed workload: [Exec.step] on every array, each symbol's events fed
-   to [Runner.energy_sink]'s [on_events].  Two warm-up passes fill the
-   lazy-DFA caches and build the BV-phase tables; the 0-symbol baseline
-   again subtracts the probe's own overhead, so an allocation-free path
-   reports exactly 0.  A pass over fresh clones also counts the
-   engine-steps that took the idle fast path (idle before and after the
-   step: from the zero state, a byte that wakes an engine always leaves
-   it non-zero). *)
+   to [Runner.energy_sink]'s [on_events].  A warm-up pass builds the
+   BV-phase tables, the only state the path allocates on first use; the
+   0-symbol baseline again subtracts the probe's own overhead, so an
+   allocation-free path reports exactly 0.  A pass over fresh clones
+   also counts the engine-steps that took the idle fast path (idle
+   before and after the step: from the zero state, a byte that wakes an
+   engine always leaves it non-zero). *)
 let exec_path_bench env ~name =
   let s = Benchmarks.by_name ~scale:env.Experiments.scale name in
   let input = s.Benchmarks.make_input ~chars:env.Experiments.chars in
@@ -223,7 +223,6 @@ let exec_path_bench env ~name =
       done
     done
   in
-  pass chars;
   pass chars;
   let measure len =
     let w0 = Gc.minor_words () in
@@ -259,100 +258,6 @@ let exec_path_bench env ~name =
     {|    {"workload": %S, "chars": %d, "arrays": %d, "engines": %d,
      "exec_minor_words_per_sym": %.6f, "idle_engine_step_share": %.4f}|}
     name chars n engines words share
-
-(* Lazy-DFA fast path vs the NFA kernel, per workload: compile every
-   rule at threshold 2 (the executor behind each NFA-mode placement),
-   keep the DFA-eligible subset (no BV-STEs, state count within the
-   mode-select budget — the same test [Mode_select.exec_hint]
-   applies), and step the same input through [Dfa.step] and [Nbva.step].
-   A lockstep pass first proves per-symbol bit-identity (hit AND packed
-   activation vector), then warmed timing passes measure what the
-   filled transition cache buys over the bit-parallel kernel. *)
-let dfa_kernel_bench env ~name =
-  let s = Benchmarks.by_name ~scale:env.Experiments.scale name in
-  let input = s.Benchmarks.make_input ~chars:env.Experiments.chars in
-  let automata =
-    List.filter_map
-      (fun (_, ast) -> try Some (Nbva.compile ~threshold:2 ast) with Invalid_argument _ -> None)
-      s.Benchmarks.regexes
-  in
-  let budget = Program.default_params.Program.dfa_state_budget in
-  let eligible =
-    List.filter_map
-      (fun t ->
-        if Nbva.num_states t <= budget then Option.map (fun d -> (t, d)) (Dfa.create t)
-        else None)
-      automata
-  in
-  if eligible = [] then begin
-    Printf.printf "%-14s dfa: no eligible automata (of %d)\n%!" name (List.length automata);
-    ( Printf.sprintf
-        {|    {"workload": %S, "chars": %d, "automata": %d, "dfa_eligible": 0,
-     "nfa_wall_s": 0.0, "dfa_wall_s": 0.0, "dfa_kernel_speedup": 0.0, "dfa_identical": true}|}
-        name (String.length input) (List.length automata),
-      0.,
-      true )
-  end
-  else begin
-    (* lockstep differential: every symbol, both kernels must agree on
-       the hit and on the packed activation vector *)
-    let identical = ref true in
-    List.iter
-      (fun (t, d) ->
-        Dfa.reset d;
-        let st_n = Nbva.start t and st_d = Nbva.start t in
-        let r = Dfa.attach d st_d in
-        String.iter
-          (fun c ->
-            let hn = Nbva.step t st_n c in
-            let hd = Dfa.step r c in
-            if hn <> hd || not (Bitvec.equal (Nbva.outputs st_n) (Nbva.outputs st_d)) then
-              identical := false)
-          input)
-      eligible;
-    let run_nfa () =
-      List.fold_left
-        (fun acc (t, _) ->
-          let st = Nbva.start t in
-          let hits = ref 0 in
-          String.iter (fun c -> if Nbva.step t st c then incr hits) input;
-          acc + !hits)
-        0 eligible
-    in
-    let run_dfa () =
-      List.fold_left
-        (fun acc (t, d) ->
-          let st = Nbva.start t in
-          let r = Dfa.attach d st in
-          let hits = ref 0 in
-          String.iter (fun c -> if Dfa.step r c then incr hits) input;
-          acc + !hits)
-        0 eligible
-    in
-    ignore (run_nfa ());
-    ignore (run_dfa ()) (* warm-up fills the transition cache *);
-    let hits_nfa, nfa_s = time run_nfa in
-    let hits_dfa, dfa_s = time run_dfa in
-    let identical = !identical && hits_nfa = hits_dfa in
-    let syms = float_of_int (String.length input * List.length eligible) in
-    let sps wall = if wall > 0. then syms /. wall else 0. in
-    let speedup = if dfa_s > 0. then nfa_s /. dfa_s else 0. in
-    Printf.printf
-      "%-14s dfa (%d/%d eligible): nfa %.3fs (%.3e sym/s), dfa %.3fs (%.3e sym/s), speedup \
-       %.2fx, identical=%b\n\
-       %!"
-      name (List.length eligible) (List.length automata) nfa_s (sps nfa_s) dfa_s (sps dfa_s)
-      speedup identical;
-    ( Printf.sprintf
-        {|    {"workload": %S, "chars": %d, "automata": %d, "dfa_eligible": %d,
-     "nfa_wall_s": %.6f, "dfa_wall_s": %.6f,
-     "nfa_syms_per_s": %.1f, "dfa_syms_per_s": %.1f,
-     "dfa_kernel_speedup": %.4f, "dfa_identical": %b}|}
-        name (String.length input) (List.length automata) (List.length eligible) nfa_s dfa_s
-        (sps nfa_s) (sps dfa_s) speedup identical,
-      speedup,
-      identical )
-  end
 
 (* Batched serving: B streams of the Snort workload (each rotated so the
    streams are distinct) against one shared placement, wall-clock plus
@@ -743,16 +648,7 @@ let sim env ~out =
     jobs_regression_ok;
   let rows = List.map (fun (j, _, _) -> j) workload_rows in
   let kernel_rows = List.map (fun name -> kernel_bench env ~name) [ "Snort"; "Yara" ] in
-  let dfa_rows_full =
-    List.map (fun name -> dfa_kernel_bench env ~name) [ "Snort"; "Yara"; "ClamAV"; "Prosite" ]
-  in
   let exec_rows = List.map (fun name -> exec_path_bench env ~name) [ "Snort"; "ClamAV" ] in
-  let dfa_rows = List.map (fun (j, _, _) -> j) dfa_rows_full in
-  let dfa_kernel_ok =
-    List.exists (fun (_, sp, _) -> sp >= 2.0) dfa_rows_full
-    && List.for_all (fun (_, _, id) -> id) dfa_rows_full
-  in
-  Printf.printf "gates: dfa_kernel_ok=%b\n%!" dfa_kernel_ok;
   let stream_rows, compiles_cold, compiles_warm, warm_hit = stream_scaling env ~jobs in
   let service_rows, sustainable_rps, service_s, per_factor, capacity = service_slo env in
   let integrity_rows, integrity_overhead_ok, chaos_json, integrity_detection_ok,
@@ -768,26 +664,23 @@ let sim env ~out =
       \  \"jobs\": %d,\n\
       \  \"domains_available\": %d,\n\
       \  \"jobs_regression_ok\": %b,\n\
-      \  \"dfa_kernel_ok\": %b,\n\
       \  \"integrity_overhead_ok\": %b,\n\
       \  \"integrity_detection_ok\": %b,\n\
       \  \"integrity_recovery_ok\": %b,\n\
       \  \"workloads\": [\n%s\n  ],\n\
       \  \"nfa_kernel\": [\n%s\n  ],\n\
       \  \"exec_path\": [\n%s\n  ],\n\
-      \  \"dfa_kernel\": [\n%s\n  ],\n\
       \  \"placement_cache\": {\"compiles_cold\": %d, \"compiles_warm\": %d, \"warm_hit\": %b},\n\
       \  \"stream_scaling\": [\n%s\n  ],\n\
       \  \"integrity\": {\"overhead_rows\": [\n%s\n  ], \"chaos\": %s},\n\
       \  \"service_slo\": {\"sustainable_rps\": %.4f, \"service_s\": %.6f, \
        \"offered_per_factor\": %d, \"capacity\": %d, \"rows\": [\n%s\n  ]}\n\
        }\n"
-      jobs domains jobs_regression_ok dfa_kernel_ok
+      jobs domains jobs_regression_ok
       integrity_overhead_ok integrity_detection_ok integrity_recovery_ok
       (String.concat ",\n" rows)
       (String.concat ",\n" kernel_rows)
       (String.concat ",\n" exec_rows)
-      (String.concat ",\n" dfa_rows)
       compiles_cold compiles_warm warm_hit
       (String.concat ",\n" stream_rows)
       (String.concat ",\n" integrity_rows)

@@ -232,9 +232,8 @@ let kernel_arg =
            Nbva.Bit_parallel
        & info [ "kernel" ] ~docv:"KERNEL"
            ~doc:"Stepping kernel: $(b,bitparallel) (default) uses the packed-mask \
-                 bit-parallel kernel, skips engines with no live state on bytes that \
-                 cannot wake them, and, on eligible placements, uses the lazy-DFA \
-                 specialization; $(b,reference) forces the scalar reference stepper \
+                 bit-parallel kernel and skips engines with no live state on bytes that \
+                 cannot wake them; $(b,reference) forces the scalar reference stepper \
                  on every engine at every symbol.  Output is bit-identical either way \
                  — the flag exists for differential testing.")
 

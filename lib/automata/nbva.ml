@@ -289,10 +289,11 @@ let bpw = Bitvec.bits_per_word
    buffers.  The kernels feed them to unsafe accesses, so a corrupted
    index word (a soft error in a long-lived process, or a chaos-harness
    flip) is a wild read or write — a segfault or silent heap corruption.
-   Range-checking the index at its fetch turns that into a catchable
-   exception the integrity layer's seal check then attributes and heals;
-   pure data corruption (mask words, [bv_match] bytes) stays unchecked —
-   it is in-bounds by construction and the CRC sweep / sentinel own it. *)
+   Range-checking the index at its fetch (and, for [bv_states], that it
+   names a BV-STE) turns that into a catchable exception the integrity
+   layer's seal check then attributes and heals; pure data corruption
+   (mask words, [bv_match] bytes) stays unchecked — it is in-bounds by
+   construction and the CRC sweep / sentinel own it. *)
 let corrupt_index () = invalid_arg "Nbva: corrupt plan table (index out of range)"
 
 (* Bit-parallel kernel: availability and Plain-STE activation are computed
@@ -339,7 +340,7 @@ let step t st c =
   for i = 0 to Array.length bvs - 1 do
     let q = Array.unsafe_get bvs i in
     if q < 0 || q >= Array.length st.vectors then corrupt_index ();
-    let v = match Array.unsafe_get st.vectors q with Some v -> v | None -> assert false in
+    let v = match Array.unsafe_get st.vectors q with Some v -> v | None -> corrupt_index () in
     if Bytes.unsafe_get p.bv_match ((i * 256) + Char.code c) <> '\000' then begin
       Bitvec.shift_left1 v ~carry_in:false;
       if (Array.unsafe_get w (av + (q / bpw)) lsr (q mod bpw)) land 1 = 1 then
@@ -455,7 +456,6 @@ let bv_active_count t st =
 let active_count _t st = Bitvec.popcount st.active_v
 
 let outputs st = st.active_v
-let active_slice st = (st.st_words, st.act_off)
 let vectors st = st.vectors
 
 let reports t st =

@@ -146,15 +146,6 @@ val outputs : run_state -> Bitvec.t
     STE [q]); the hardware simulator ANDs tile masks against this to
     attribute activity to tiles.  Mutate only for fault injection. *)
 
-val active_slice : run_state -> int array * int
-(** The activation words of {!outputs} as a raw [(arena words, offset)]
-    slice — [words_for (num_states t)] consecutive entries.  For
-    specialized steppers (the lazy DFA) whose per-symbol hot path reads
-    and writes whole packed activation sets and cannot afford the
-    checked {!Bitvec} accessors.  A writer must store only words the
-    kernel itself normalised (no bits at or past the automaton width),
-    or every digest and comparison downstream breaks. *)
-
 val vectors : run_state -> Bitvec.t option array
 (** Per-STE bit vectors ([None] for plain STEs; do not mutate). *)
 

@@ -17,24 +17,6 @@ type mode = Nfa_mode | Nbva_mode | Lnfa_mode
 val mode_names : mode -> string
 val decide : params:Program.params -> Ast.t -> mode
 
-val exec_hint : params:Program.params -> Nbva.t -> Program.exec_hint
-(** Software-stepper cost model (orthogonal to the hardware mode): picks
-    the lazy-DFA fast path when the execution automaton the simulator
-    will run (the threshold-2 executor) has no BV-STEs and at most
-    [params.dfa_state_budget] states — the per-pattern DFA-vs-NFA
-    decision of arXiv 2210.10077.  Every {!compile_as} result carries
-    its verdict as [compiled.hint]. *)
-
-val decide_exec : params:Program.params -> Ast.t -> Program.exec_hint
-(** {!exec_hint} of the regex's threshold-2 executor, compiled for the
-    purpose ([H_default] when it cannot be built).  Units that keep the
-    executor ({!of_nfa_unit}) take the hint from the kept value instead. *)
-
-val of_nfa_unit :
-  params:Program.params -> source:string -> Ast.t -> Program.nfa_unit -> Program.compiled
-(** An NFA-mode compiled unit whose hint is {!exec_hint} of the unit's
-    own executor, so the executor is compiled exactly once. *)
-
 val compile : params:Program.params -> source:string -> Ast.t -> Program.compiled
 (** Decide, then compile with the matching backend. *)
 

@@ -3,19 +3,9 @@ type params = {
   bv_depth : int;
   bin_size : int;
   lnfa_max_blowup : float;
-  dfa_state_budget : int;
-  dfa_cache_states : int;
 }
 
-let default_params =
-  {
-    unfold_threshold = 8;
-    bv_depth = 8;
-    bin_size = 8;
-    lnfa_max_blowup = 2.0;
-    dfa_state_budget = 64;
-    dfa_cache_states = 512;
-  }
+let default_params = { unfold_threshold = 8; bv_depth = 8; bin_size = 8; lnfa_max_blowup = 2.0 }
 
 type nfa_unit = {
   nfa : Nfa.t;
@@ -49,11 +39,7 @@ type lnfa_line = { labels : Charclass.t array; single_code : bool }
 type lnfa_unit = { lines : lnfa_line list; states : int }
 type unit_kind = U_nfa of nfa_unit | U_nbva of nbva_unit | U_lnfa of lnfa_unit
 
-type exec_hint = H_default | H_dfa of { dfa_cache_states : int }
-
-type compiled = { source : string; ast : Ast.t; kind : unit_kind; hint : exec_hint }
-
-let hint_name = function H_default -> "default" | H_dfa _ -> "DFA"
+type compiled = { source : string; ast : Ast.t; kind : unit_kind }
 
 let mode_name = function U_nfa _ -> "NFA" | U_nbva _ -> "NBVA" | U_lnfa _ -> "LNFA"
 

@@ -15,15 +15,6 @@ type params = {
   lnfa_max_blowup : float;
       (** LNFA rewriting may grow the state count at most this factor over
           the Glushkov size (§4.2 uses 2.0). *)
-  dfa_state_budget : int;
-      (** Software-simulator cost model: a placement is lazy-DFA eligible
-          when its execution automaton carries no BV-STEs and has at most
-          this many states (the per-pattern DFA/NFA choice of arXiv
-          2210.10077 — small NFAs determinise without blowup and win on
-          per-symbol work; large or counter-carrying ones do not). *)
-  dfa_cache_states : int;
-      (** Bound on lazily-built DFA states cached per placement before
-          the cache flushes (and eventually falls back to NFA stepping). *)
 }
 
 val default_params : params
@@ -38,8 +29,7 @@ type nfa_unit = {
       (** The compressed executor the simulator steps: the same regex as
           an NBVA at unfold threshold 2, so every bounded-repetition chain
           of [nfa] is one bit-vector state.  Built once by the compiler
-          (which also reads the {!exec_hint} off it) and shared by every
-          engine built from this unit. *)
+          and shared by every engine built from this unit. *)
   tile_of_state : int array;  (** state -> unit-local tile. *)
   tile_states : int array;  (** #STEs in each tile. *)
   tile_cols : int array;  (** CAM columns used in each tile. *)
@@ -89,25 +79,11 @@ type lnfa_unit = { lines : lnfa_line list; states : int }
 
 type unit_kind = U_nfa of nfa_unit | U_nbva of nbva_unit | U_lnfa of lnfa_unit
 
-type exec_hint =
-  | H_default
-      (** Generic stepping (bit-parallel NFA/NBVA kernel, single-word
-          specialization when the automaton fits one word). *)
-  | H_dfa of { dfa_cache_states : int }
-      (** The software simulator should attach a lazy-DFA transition
-          cache of at most [dfa_cache_states] states to this placement
-          ({!Mode_select.exec_hint} cost model).  Purely an execution
-          strategy: semantics, reports and projections are identical,
-          and hardware models ignore it. *)
-
 type compiled = {
   source : string;  (** Concrete syntax, for reports. *)
   ast : Ast.t;
   kind : unit_kind;
-  hint : exec_hint;  (** Simulator stepper choice; derived, not semantic. *)
 }
-
-val hint_name : exec_hint -> string
 
 (** {1 Resource queries} *)
 

@@ -13,13 +13,14 @@ let magic = "RAPPROG"
    stable, and probing a foreign-version artifact with it risks a
    crash rather than a clean [Invalid].
    v4: [Program.compiled] grew the [hint] execution-strategy field and
-   [Program.params] grew the DFA budgets ([dfa_state_budget],
-   [dfa_cache_states]).
+   [Program.params] grew the two DFA budget fields.
    v5: [Nbva.exec_plan] grew the idle fast path's [wake] table and the
    [top_mask] of the activation words.
    v6: [Program.nfa_unit] carries its compressed executor ([exec]), so
-   a warm load skips the threshold-2 compile along with the rest. *)
-let version = 6
+   a warm load skips the threshold-2 compile along with the rest.
+   v7: [Program.compiled] lost the [hint] field and [Program.params]
+   the DFA budgets, with the lazy-DFA stepper they steered. *)
+let version = 7
 
 type entry = {
   e_key : string;

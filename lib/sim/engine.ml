@@ -33,37 +33,6 @@ let stats_reset s =
   s.cross <- 0;
   s.reports <- 0
 
-(* ------------------------------------------------------------------ *)
-(* Per-placement stepper specialization.  Each NBVA-backed engine picks,
-   at construction, the cheapest kernel that is bit-identical on its
-   automaton:
-   - [S_dfa]: lazy-DFA transition cache (compiler hint [H_dfa]; only for
-     automata with no BV-STEs) — the cached path is one table load plus
-     an activation-word blit per symbol.
-   - [S_general]: the flat bit-parallel kernel (always correct).
-   The choice is execution strategy only: activation words, hits,
-   projections, digests and checkpoints are identical across steppers,
-   and the [Reference] kernel selector overrides all of them (the
-   differential suites exercise exactly that equivalence). *)
-
-type stepper = S_general | S_dfa of Dfa.run
-
-let make_stepper hint exec st =
-  match hint with
-  | Program.H_dfa { dfa_cache_states } when Nbva.num_bv_stes exec = 0 -> (
-      match Dfa.create ~max_states:dfa_cache_states exec with
-      | Some d -> S_dfa (Dfa.attach d st)
-      | None -> S_general)
-  | Program.H_dfa _ | Program.H_default -> S_general
-
-(* One stream, one symbol, through the specialized path — bit-identical
-   to [Nbva.step_selected] on every stepper. *)
-let advance stepper nbva st c =
-  match !Nbva.kernel with
-  | Nbva.Reference -> Nbva.step_reference nbva st c
-  | Nbva.Bit_parallel -> (
-      match stepper with S_general -> Nbva.step nbva st c | S_dfa r -> Dfa.step r c)
-
 (* Idle fast path.  An engine whose live words are all zero stays at
    zero, reporting nothing, on every byte outside its wake set, so
    [step] skips the stepper there; and since the projection of the zero
@@ -75,12 +44,6 @@ let advance stepper nbva st c =
    [Reference] run steps and projects every engine on every symbol,
    which is what lets the differential gates check the fast path. *)
 let fast_path () = match !Nbva.kernel with Nbva.Bit_parallel -> true | Nbva.Reference -> false
-
-let reset_stepper = function
-  | S_dfa r ->
-      Dfa.reset (Dfa.cache r);
-      Dfa.invalidate r
-  | S_general -> ()
 
 (* ------------------------------------------------------------------ *)
 (* NFA units: compressed executor over the equivalent NBVA.            *)
@@ -96,15 +59,13 @@ type nfa_engine = {
   bv_bit_tiles : (int * int array) array;  (* BV exec state, per-bit tile *)
   static_cols : int array;
   n_stats : events;
-  n_hint : Program.exec_hint;
-  n_stepper : stepper;  (* bound to [exec_st]; clones rebuild it *)
   mutable n_idle : bool;  (* [n_stats] holds the zero state's projection *)
 }
 
 (* Unfolded width of one exec state. *)
 let exec_width ste = match ste with Nbva.Plain _ -> 1 | Nbva.Bv { size; _ } -> size
 
-let make_nfa_engine ~hint (u : Program.nfa_unit) =
+let make_nfa_engine (u : Program.nfa_unit) =
   (* the executor was compiled with the unit and is shared, never copied;
      its rewriting preserves the left-to-right order of unfolded
      positions, so prefix sums of widths recover each state's position
@@ -155,8 +116,6 @@ let make_nfa_engine ~hint (u : Program.nfa_unit) =
     bv_bit_tiles = Array.of_list (List.rev !bv_bit_tiles);
     static_cols = u.Program.tile_cols;
     n_stats = stats_create ntiles;
-    n_hint = hint;
-    n_stepper = make_stepper hint exec exec_st;
     n_idle = false;
   }
 
@@ -212,12 +171,10 @@ type nbva_engine = {
   nb_bv_cols : int array;
   nb_max_bv : int;
   nb_stats : events;
-  nb_hint : Program.exec_hint;
-  nb_stepper : stepper;  (* bound to [nb_st]; clones rebuild it *)
   mutable nb_idle : bool;  (* [nb_stats] holds the zero state's projection *)
 }
 
-let make_nbva_engine ~hint (nu : Program.nbva_unit) =
+let make_nbva_engine (nu : Program.nbva_unit) =
   let ntiles = Array.length nu.Program.ntiles in
   let n = Nbva.num_states nu.Program.nbva in
   let bv_tile = Array.make n (-1) in
@@ -266,8 +223,6 @@ let make_nbva_engine ~hint (nu : Program.nbva_unit) =
     nb_bv_cols = bv_cols;
     nb_max_bv = max_bv;
     nb_stats = stats_create ntiles;
-    nb_hint = hint;
-    nb_stepper = make_stepper hint nu.Program.nbva nb_st;
     nb_idle = false;
   }
 
@@ -392,33 +347,12 @@ let bin_project (e : bin_engine) =
 type t = E_nfa of nfa_engine | E_nbva of nbva_engine | E_bin of bin_engine
 
 let mode = function E_nfa _ -> M_nfa | E_nbva _ -> M_nbva | E_bin _ -> M_lnfa
-let of_nfa_unit ?(hint = Program.H_default) u = E_nfa (make_nfa_engine ~hint u)
-let of_nbva_unit ?(hint = Program.H_default) u = E_nbva (make_nbva_engine ~hint u)
+let of_nfa_unit u = E_nfa (make_nfa_engine u)
+let of_nbva_unit u = E_nbva (make_nbva_engine u)
 let of_bin b = E_bin (make_bin_engine b)
 
-let stepper_name t =
-  let of_stepper = function S_general -> "general" | S_dfa _ -> "dfa" in
-  match t with
-  | E_nfa e -> of_stepper e.n_stepper
-  | E_nbva e -> of_stepper e.nb_stepper
-  | E_bin _ -> "shift-and"
-
-let dfa_stats t =
-  let of_stepper = function
-    | S_dfa r ->
-        let d = Dfa.cache r in
-        Some (Dfa.cached_states d, Dfa.fills d, Dfa.flushes d, Dfa.disabled d)
-    | S_general -> None
-  in
-  match t with
-  | E_nfa e -> of_stepper e.n_stepper
-  | E_nbva e -> of_stepper e.nb_stepper
-  | E_bin _ -> None
-
-let reset_derived = function
-  | E_nfa e -> reset_stepper e.n_stepper
-  | E_nbva e -> reset_stepper e.nb_stepper
-  | E_bin _ -> ()
+let stepper_name = function E_nfa _ | E_nbva _ -> "general" | E_bin _ -> "shift-and"
+let dfa_stats _ = None
 
 let stats_of = function E_nfa e -> e.n_stats | E_nbva e -> e.nb_stats | E_bin e -> e.b_stats
 
@@ -441,8 +375,8 @@ let asleep t c =
 
 let advance_state t c =
   match t with
-  | E_nfa e -> ignore (advance e.n_stepper e.exec e.exec_st c)
-  | E_nbva e -> ignore (advance e.nb_stepper e.nu.Program.nbva e.nb_st c)
+  | E_nfa e -> ignore (Nbva.step_selected e.exec e.exec_st c)
+  | E_nbva e -> ignore (Nbva.step_selected e.nu.Program.nbva e.nb_st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
 let project = function
@@ -490,23 +424,19 @@ let idle = function
 
 let clone_fresh = function
   | E_nfa e ->
-      let exec_st = Nbva.start e.exec in
       E_nfa
         {
           e with
-          exec_st;
+          exec_st = Nbva.start e.exec;
           n_stats = stats_create (Array.length e.n_stats.active);
-          n_stepper = make_stepper e.n_hint e.exec exec_st;
           n_idle = false;
         }
   | E_nbva e ->
-      let nb_st = Nbva.start e.nu.Program.nbva in
       E_nbva
         {
           e with
-          nb_st;
+          nb_st = Nbva.start e.nu.Program.nbva;
           nb_stats = stats_create (Array.length e.nb_stats.active);
-          nb_stepper = make_stepper e.nb_hint e.nu.Program.nbva nb_st;
           nb_idle = false;
         }
   | E_bin e ->

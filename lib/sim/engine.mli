@@ -26,35 +26,25 @@ val num_tiles : t -> int
 
 (** {1 Construction} *)
 
-val of_nfa_unit : ?hint:Program.exec_hint -> Program.nfa_unit -> t
+val of_nfa_unit : Program.nfa_unit -> t
 (** Raises [Invalid_argument] when the unit's executor does not unfold to
     exactly the unit's NFA states (a unit not built by {!Nfa_compile}). *)
 
-val of_nbva_unit : ?hint:Program.exec_hint -> Program.nbva_unit -> t
+val of_nbva_unit : Program.nbva_unit -> t
 val of_bin : Binning.bin -> t
 
-(** {1 Per-placement stepper specialization}
+(** {1 Stepper names}
 
-    NBVA-backed engines pick the cheapest bit-identical kernel at
-    construction, steered by the compiled unit's {!Program.exec_hint}:
-    an [H_dfa] hint (and structural eligibility — no BV-STEs) attaches a
-    lazy-DFA transition cache ({!Dfa}); everything else runs the flat
-    bit-parallel kernel.  The choice is invisible in every observable —
-    activation words, hits, events, digests, snapshots — and the
-    [Nbva.kernel] reference selector overrides the DFA path. *)
+    Every NFA/NBVA engine steps through [Nbva.step] (or
+    [Nbva.step_reference] when [Nbva.kernel] is [Reference]); bins step
+    through [Shift_and.step]. *)
 
 val stepper_name : t -> string
-(** ["dfa"], ["general"], or ["shift-and"] (bins). *)
+(** ["general"] (NFA/NBVA engines) or ["shift-and"] (bins). *)
 
 val dfa_stats : t -> (int * int * int * bool) option
-(** [(cached_states, fills, flushes, disabled)] of the DFA cache, when
-    the engine runs one. *)
-
-val reset_derived : t -> unit
-(** Drop derived execution state (the lazy-DFA cache).  Never changes
-    semantics — the cache rebuilds from the live activation words — but
-    must be called after compiled tables are repaired in place, since
-    cached transitions were derived from the pre-repair tables. *)
+(** Always [None]: no engine runs a DFA cache.  Kept for callers that
+    still report [(cached_states, fills, flushes, disabled)]. *)
 
 (** {1 Stepping}
 
@@ -95,8 +85,7 @@ type events = {
 val step : t -> char -> events
 (** Advance by one input symbol.  The returned record is owned by the
     engine and refreshed in place by the next [step]: consume it before
-    stepping again, and do not mutate it.  Allocates nothing, apart from
-    lazy-DFA cache fills. *)
+    stepping again, and do not mutate it.  Allocates nothing. *)
 
 val events : t -> events
 (** The engine's event record — physically the same record every {!step}

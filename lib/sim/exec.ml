@@ -85,8 +85,8 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
                   engine_of_key (`Unit unit_id) (fun () ->
                       let c = p.Mapper.units.(unit_id) in
                       match c.Program.kind with
-                      | Program.U_nfa u -> Engine.of_nfa_unit ~hint:c.Program.hint u
-                      | Program.U_nbva u -> Engine.of_nbva_unit ~hint:c.Program.hint u
+                      | Program.U_nfa u -> Engine.of_nfa_unit u
+                      | Program.U_nbva u -> Engine.of_nbva_unit u
                       | Program.U_lnfa _ -> assert false)
                 in
                 (e, local_tile)

@@ -176,12 +176,7 @@ let repair cfg (s : seal) engines =
           Array.iteri (fun i v -> Bitvec.blit ~src:pristine.(i) ~dst:v) live
       | _ -> assert false);
       if dirty then locked (fun () -> cfg.stats.repairs <- cfg.stats.repairs + 1))
-    s;
-  (* Derived execution state (the lazy-DFA transition cache) was built
-     from the tables just blitted back: a transition filled while a
-     mask row was corrupted is wrong forever if kept.  Dropping the
-     cache is semantically free — it rebuilds from the healed tables. *)
-  Array.iter Engine.reset_derived engines
+    s
 
 (* ---- shadow-replay sentinel ---- *)
 

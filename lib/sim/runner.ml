@@ -35,21 +35,21 @@ let compile_count () = Atomic.get compile_counter
 let compile_for (arch : Arch.t) ~params regexes =
   Atomic.incr compile_counter;
   let compiled = ref [] and errors = ref [] in
-  let push source r = compiled := { r with Program.source } :: !compiled in
+  let push c = compiled := c :: !compiled in
   let fail source reason = errors := Compile_error.v source reason :: !errors in
   let unsupported source msg = fail source (Compile_error.Unsupported msg) in
   List.iter
     (fun (source, ast) ->
+      let unit kind = { Program.source; ast; kind } in
       match arch.Arch.kind with
       | Arch.Rap -> (
           match Mode_select.compile_result ~params ~source ast with
-          | Ok c -> push source c
+          | Ok c -> push c
           | Error e -> errors := e :: !errors)
       | Arch.Cama -> (
           match Nfa_compile.compile ast with
           | u ->
-              if Nfa_compile.fits_array u then
-                push source (Mode_select.of_nfa_unit ~params ~source ast u)
+              if Nfa_compile.fits_array u then push (unit (Program.U_nfa u))
               else
                 fail source
                   (Compile_error.Oversize
@@ -64,7 +64,7 @@ let compile_for (arch : Arch.t) ~params regexes =
               ~col_demand:(fun _ -> 1)
               ast
           with
-          | u -> push source (Mode_select.of_nfa_unit ~params ~source ast u)
+          | u -> push (unit (Program.U_nfa u))
           | exception Invalid_argument msg -> unsupported source msg)
       | Arch.Bvap -> (
           let wants_bv =
@@ -72,17 +72,10 @@ let compile_for (arch : Arch.t) ~params regexes =
               (Rewrite.unfold_for_nbva ~threshold:params.Program.unfold_threshold ast)
           in
           match
-            if wants_bv then
-              Program.
-                {
-                  source;
-                  ast;
-                  kind = U_nbva (Nbva_compile.compile_bvap ~params ast);
-                  hint = Mode_select.decide_exec ~params ast;
-                }
-            else Mode_select.of_nfa_unit ~params ~source ast (Nfa_compile.compile ast)
+            if wants_bv then Program.U_nbva (Nbva_compile.compile_bvap ~params ast)
+            else Program.U_nfa (Nfa_compile.compile ast)
           with
-          | c -> push source c
+          | kind -> push (unit kind)
           | exception Invalid_argument msg -> unsupported source msg))
     regexes;
   (List.rev !compiled, List.rev !errors)

@@ -448,6 +448,37 @@ let test_build_shares_executors () =
     p.Mapper.arrays;
   check bool "the placement has NFA-mode engines" true (!nfa_engines > 0)
 
+(* [Engine.step] allocates nothing from the very first symbol: a freshly
+   built array's engines step with no warm-up pass and no cache to fill.
+   Minor words are baseline-subtracted (a 0-symbol pass measures the
+   probe itself), as [bench sim]'s exec_path probe counts them. *)
+let test_engine_step_allocation_free () =
+  List.iter
+    (fun name ->
+      let s = Benchmarks.by_name name in
+      let units, _ = Runner.compile_for rap ~params s.Benchmarks.regexes in
+      let p = Runner.place rap ~params units in
+      let input = s.Benchmarks.make_input ~chars:2_000 in
+      let build tiles = Exec.engines (Exec.build p tiles) in
+      let engines = Array.concat (Array.to_list (Array.map build p.Mapper.arrays)) in
+      let pass len =
+        for sym = 0 to len - 1 do
+          let c = String.unsafe_get input sym in
+          for i = 0 to Array.length engines - 1 do
+            ignore (Engine.step engines.(i) c)
+          done
+        done
+      in
+      let measure len =
+        let w0 = Gc.minor_words () in
+        pass len;
+        Gc.minor_words () -. w0
+      in
+      let base = measure 0 in
+      let words = measure (String.length input) -. base in
+      check (float 0.) (name ^ ": minor words over the first 2k symbols") 0. words)
+    [ "Snort"; "Yara"; "ClamAV"; "Suricata" ]
+
 (* Satellite: run_regexes surfaces what the architecture rejects. *)
 let test_run_regexes_surfaces_errors () =
   let big = String.concat "|" (List.init 400 (fun i -> Printf.sprintf "verylongword%06d" i)) in
@@ -474,5 +505,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cost_tables_exact;
     test_case "state_bits flip coverage" `Quick test_state_bits_flip_coverage;
     test_case "building an array compiles nothing" `Quick test_build_shares_executors;
+    test_case "Engine.step allocates nothing from the first symbol" `Quick
+      test_engine_step_allocation_free;
     test_case "run_regexes surfaces compile errors" `Quick test_run_regexes_surfaces_errors;
   ]

@@ -9,7 +9,6 @@ let () =
       ("shift-and", Test_shift_and.suite);
       ("nbva", Test_nbva.suite);
       ("nbva-diff", Test_nbva_diff.suite);
-      ("dfa", Test_dfa.suite);
       ("hardware", Test_hardware.suite);
       ("compiler", Test_compiler.suite);
       ("mapper", Test_mapper.suite);

@@ -98,15 +98,32 @@ let test_mask_bits_past_width () =
   let masks = List.assoc "masks" (Nbva.plan_tables n) in
   Array.iteri (fun i w -> masks.(i) <- w lor (1 lsl 61)) masks;
   let st = Nbva.start n in
-  let words, off = Nbva.active_slice st in
+  let word () = Bitvec.get_word (Nbva.outputs st) 0 in
   ignore (Nbva.step n st 'x');
-  check int "no activation bit at or past the width" 0 (words.(off) lsr width);
+  check int "no activation bit at or past the width" 0 (word () lsr width);
   check int "no report from a bit past the width" 0 (Nbva.reports n st);
   (match Nbva.step n st 'x' with
   | _ -> ()
   | exception Invalid_argument msg -> failf "second step read out of range: %s" msg);
-  check int "still none after step 2" 0 (words.(off) lsr width);
+  check int "still none after step 2" 0 (word () lsr width);
   check (list int) "bits below the width still match" [ 3 ] (Nbva.match_ends n "xabc")
+
+(* [bv_states] is a sealed plan table that a fault flip can rewrite.  An
+   in-range entry naming a Plain STE has no vector to update: the kernel
+   must raise the same typed corrupt-table error as for an out-of-range
+   index, which the integrity layer attributes and heals. *)
+let test_bv_states_naming_plain_ste () =
+  let n = compile "a{30}b" in
+  let bv_states = List.assoc "bv_states" (Nbva.plan_tables n) in
+  check bool "one BV-STE" true (Array.length bv_states = 1);
+  let plain = ref (-1) in
+  Array.iteri (fun q -> function Nbva.Plain _ -> plain := q | Nbva.Bv _ -> ()) n.Nbva.stes;
+  check bool "a Plain STE exists" true (!plain >= 0);
+  bv_states.(0) <- !plain;
+  let st = Nbva.start n in
+  check_raises "typed corrupt-table error"
+    (Invalid_argument "Nbva: corrupt plan table (index out of range)")
+    (fun () -> ignore (Nbva.step n st 'a'))
 
 (* The idle fast path's wake table is exact: from the zero state, one
    reference step leaves a live word non-zero iff the byte wakes the
@@ -168,6 +185,8 @@ let suite =
     test_case "of_ast input validation" `Quick test_of_ast_rejects_bad_residual;
     test_case "mask bits past the width never reach the activation" `Quick
       test_mask_bits_past_width;
+    test_case "a bv_states entry naming a Plain STE is a typed error" `Quick
+      test_bv_states_naming_plain_ste;
     QCheck_alcotest.to_alcotest prop_wake_exact;
     QCheck_alcotest.to_alcotest prop_nbva_equals_nfa;
     QCheck_alcotest.to_alcotest prop_nbva_threshold_irrelevant;
