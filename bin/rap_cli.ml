@@ -471,7 +471,8 @@ let batch_cmd =
              ~doc:"Also write each stream's report to $(docv)/$(i,stream).report, \
                    byte-identical to what $(b,rap simulate) prints for that input alone.  \
                    Report names come from the sanitized file basename; a stream set where \
-                   two paths map to the same name is rejected before running.")
+                   two paths map to the same name, or a $(docv) that exists but is not a \
+                   directory, is rejected before running.")
   in
   let report_name path =
     String.map
@@ -510,21 +511,25 @@ let batch_cmd =
     List.iter
       (fun p -> if not (Sys.file_exists p) then fail_input (Printf.sprintf "no such file %s" p))
       paths;
-    (* two streams sharing a report name would silently overwrite one
-       report: refuse the set before any work is done *)
-    if report_dir <> None then begin
-      let seen = Hashtbl.create 16 in
-      List.iter
-        (fun p ->
-          let name = report_name p in
-          match Hashtbl.find_opt seen name with
-          | Some first ->
-              fail_input
-                (Printf.sprintf "--report-dir: streams %s and %s would both write %s" first p
-                   name)
-          | None -> Hashtbl.add seen name p)
-        paths
-    end;
+    (* refuse before any work is done: a report path that is not a
+       directory, or two streams sharing a report name (one report would
+       silently overwrite the other) *)
+    Option.iter
+      (fun dir ->
+        if Sys.file_exists dir && not (Sys.is_directory dir) then
+          fail_input (Printf.sprintf "--report-dir: %s exists and is not a directory" dir);
+        let seen = Hashtbl.create 16 in
+        List.iter
+          (fun p ->
+            let name = report_name p in
+            match Hashtbl.find_opt seen name with
+            | Some first ->
+                fail_input
+                  (Printf.sprintf "--report-dir: streams %s and %s would both write %s" first p
+                     name)
+            | None -> Hashtbl.add seen name p)
+          paths)
+      report_dir;
     let jobs = resolve_jobs jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
@@ -552,30 +557,33 @@ let batch_cmd =
               print_report s.Batch.bs_report)
             b.Batch.streams;
           Format.printf "%a@." Batch.pp_aggregate b.Batch.aggregate;
-          Option.iter
-            (fun dir ->
-              (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-              Array.iter
-                (fun (s : Batch.stream_report) ->
-                  let path = Filename.concat dir (report_name s.Batch.bs_name) in
-                  let oc = open_out path in
-                  Fun.protect
-                    ~finally:(fun () -> close_out_noerr oc)
-                    (fun () -> output_string oc (report_text s.Batch.bs_report));
-                  Printf.printf "wrote %s\n" path)
-                b.Batch.streams)
-            report_dir;
+          let write_reports dir =
+            (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+            Array.iter
+              (fun (s : Batch.stream_report) ->
+                let path = Filename.concat dir (report_name s.Batch.bs_name) in
+                let oc = open_out path in
+                Fun.protect
+                  ~finally:(fun () -> close_out_noerr oc)
+                  (fun () -> output_string oc (report_text s.Batch.bs_report));
+                Printf.printf "wrote %s\n" path)
+              b.Batch.streams
+          in
           let dropped = parse_drops + List.length errors in
-          if strict && dropped > 0 then begin
-            Printf.eprintf "strict: %d rule(s) dropped at parse or compile time\n" dropped;
-            3
-          end
-          else 0
+          match Option.iter write_reports report_dir with
+          | exception Sys_error msg ->
+              Printf.eprintf "error: %s\n" msg;
+              1
+          | () when strict && dropped > 0 ->
+              Printf.eprintf "strict: %d rule(s) dropped at parse or compile time\n" dropped;
+              3
+          | () -> 0
     end
   in
   let doc =
     "Run many independent input streams against one shared compiled placement, one task per \
-     (stream, array); per-stream reports are bit-identical to solo $(b,rap simulate) runs."
+     stream through the same driver as $(b,rap simulate), so per-stream reports are \
+     bit-identical to solo runs."
   in
   Cmd.v (Cmd.info "batch" ~doc ~exits:common_exits)
     Term.(const run $ regexes_arg $ files $ manifest $ arch_arg $ jobs_arg $ chunk $ strict

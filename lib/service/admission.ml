@@ -360,11 +360,11 @@ let run_solo t req =
       | Error e -> outcome_of_error req ~started_at ~finished_at e)
 
 (* Batched run of deadline-free requests: one shared placement, every
-   stream an independent task of one {!Batch.run}.  Each stream's report
-   is bit-identical to its solo run, so batching is invisible in the
-   results — it only buys aggregate throughput.  A failing batch falls
-   back to solo runs so one faulty stream cannot take its batch-mates
-   down. *)
+   stream an independent {!Runner.run_stream} task of one {!Batch.run}.
+   Each stream's report is bit-identical to its solo run, so batching is
+   invisible in the results — it only buys aggregate throughput.  A
+   failing batch falls back to solo runs so one faulty stream cannot
+   take its batch-mates down. *)
 let run_batched t reqs =
   match reqs with
   | [] -> []
@@ -380,16 +380,12 @@ let run_batched t reqs =
       let sources =
         Array.map (fun r -> Batch.of_string ~name:r.p_name r.p_input) reqs_a
       in
-      let stamps = Array.make b 0. in
-      match
-        Batch.run ~jobs:t.cfg.jobs ~done_stamps:stamps t.arch
-          ~params:t.params t.placement ~sources
-      with
+      match Batch.run ~jobs:t.cfg.jobs t.arch ~params:t.params t.placement ~sources with
       | batch ->
           List.init b (fun i ->
-              let finished_at = if stamps.(i) > 0. then stamps.(i) else Unix.gettimeofday () in
-              outcome_of_report reqs_a.(i) ~started_at ~finished_at
-                batch.Batch.streams.(i).Batch.bs_report)
+              let s = batch.Batch.streams.(i) in
+              outcome_of_report reqs_a.(i) ~started_at ~finished_at:s.Batch.bs_done_at
+                s.Batch.bs_report)
       | exception e ->
           journal t
             (Printf.sprintf "batch-fallback %d stream(s): %s" b

@@ -120,7 +120,8 @@ val run_pending : ?max:int -> t -> outcome list
 (** Execute up to [max] queued requests (default: all), oldest first,
     and return their outcomes in completion order.  Deadline-free
     requests run together through one {!Batch.run}, each stream its own
-    task; deadline-carrying requests run solo under a supervised
+    {!Runner.run_stream} task and stamped with its own finish time;
+    deadline-carrying requests run solo under a supervised
     {!Runner.run_stream} with the remaining deadline as the whole
     supervision budget (a single pass — no request-level retry on
     top).  Never raises for per-request failures — they surface as

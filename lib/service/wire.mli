@@ -29,7 +29,7 @@ type class_ = Interactive | Bulk
 (** Stream classes — the SLO buckets the daemon reports latency
     quantiles for.  [Interactive] requests carry deadlines and bypass
     batching; deadline-free [Bulk] requests run together through
-    {!Batch.run}. *)
+    {!Batch.run}, one {!Runner.run_stream} task per request. *)
 
 val class_name : class_ -> string
 val class_of_string : string -> (class_, string) result

@@ -2,23 +2,20 @@
     one shared, immutable compiled placement.
 
     Serving-scale throughput comes from amortizing the compiled artifact
-    across inputs: every stream here reuses the template {!Exec.t} per
-    array through {!Exec.clone_fresh} (compilation, mapping and the
-    bit-parallel mask tables are paid once — or never, with the
-    placement cache).
+    across inputs: compilation, mapping and the bit-parallel mask tables
+    are paid once for the placement (or never, with the placement cache),
+    and every stream steps the executors the compiler stored in it.
 
-    Scheduling: one {!Scheduler.parallel_for} task per (stream, array),
-    in stream-major order, so jobs stay saturated even when stream
-    lengths are skewed — a long stream's remaining tasks share the
-    domains with everyone else's instead of serializing behind one
-    [parallel_for] per stream.  Each task steps its clone with
-    {!Exec.step}, symbol by symbol.
+    Scheduling: one {!Scheduler.parallel_for} task per stream, and each
+    task is a whole {!Runner.run_stream} over that stream — the one
+    driver that steps a stream and folds its events into cycles, reports
+    and energy.  The driver's own per-array [parallel_for] runs inline
+    inside a task, so batched streams run side by side, while a stream
+    that runs alone still spreads its arrays over [jobs] domains.
 
     {b Correctness bar}: each stream's report is bit-identical to
-    running that stream alone through {!Runner.run} at [jobs 1] — same
-    event stream per (stream, array), same energy-accumulation order,
-    same report assembly ({!Runner.assemble_report}).  Schedules change
-    wall-clock only.
+    running that stream alone through {!Runner.run} — it is the same
+    driver on the same event stream.  Schedules change wall-clock only.
 
     The aggregate models the serving configuration the layer implements:
     per-stream contexts advance concurrently, so aggregate cycles are
@@ -30,11 +27,19 @@ type source
 
 val of_string : ?chunk:int -> name:string -> string -> source
 val of_file : ?chunk:int -> name:string -> string -> source
-(** The file is opened per (stream × array) task, at task start. *)
+(** The file is opened once, when its stream's task starts. *)
 
 val name : source -> string
 
-type stream_report = { bs_name : string; bs_report : Runner.report }
+type stream_report = {
+  bs_name : string;
+  bs_report : Runner.report;
+  bs_done_at : float;
+      (** Wall-clock instant ([Unix.gettimeofday]) this stream's run
+          finished — the match service's per-request finish timestamp,
+          so a short request batched with a long one is not charged the
+          long one's latency. *)
+}
 
 type aggregate = {
   agg_streams : int;
@@ -48,20 +53,13 @@ type t = { streams : stream_report array; aggregate : aggregate }
 
 val run :
   ?jobs:int ->
-  ?done_stamps:float array ->
   Arch.t ->
   params:Program.params ->
   Mapper.placement ->
   sources:source array ->
   t
 (** Run every source to exhaustion.  [jobs] bounds the worker domains
-    (default 1).
-    [done_stamps] (length >= streams) receives, per stream, the
-    wall-clock instant its own last (stream × array) task retired — the
-    match service's per-request finish timestamp, so skewed streams in
-    one batch finish at different times and a short request is not
-    charged a long one's latency.
-    Raises [Invalid_argument] on an empty source array or a short
-    [done_stamps]; stream errors ([Sim_error.Error]) propagate. *)
+    (default 1).  Raises [Invalid_argument] on an empty source array;
+    stream errors ([Sim_error.Error]) propagate. *)
 
 val pp_aggregate : Format.formatter -> aggregate -> unit

@@ -79,5 +79,5 @@ val step : Arch.t -> t -> sym:int -> char -> array_events
 val clone_fresh : t -> t
 (** A clone sharing all compiled structure with fresh run state and its
     own event record — equivalent to [build] on the same placement
-    without recompiling.  {!Batch} steps one clone per (stream, array),
-    so tasks on different domains never share a record. *)
+    without deriving the tile maps and the bins' Shift-And tables again.
+    The integrity sentinel replays its windows on one clone per array. *)

@@ -297,6 +297,34 @@ let assemble_report (arch : Arch.t) (p : Mapper.placement) ~chars ~cycles_slots 
     degraded;
   }
 
+(* One [run_stream] call's state, shared by the steps below.  Every
+   per-array slot has exactly one writer at a time — the worker stepping
+   that array, or the caller between chunks — so none needs a lock. *)
+type run = {
+  r_arch : Arch.t;
+  r_placement : Mapper.placement;
+  r_jobs : int;
+  r_policy : Scheduler.policy option;
+  r_integrity : Integrity.config option;
+  r_checkpoint : Checkpoint.config option;
+  r_execs : Exec.t array;
+  r_sinks : Sink.t list array;
+  (* arrays, so the symbol loop walks them without a closure per symbol *)
+  r_on_events : (Exec.array_events -> unit) array array;
+  r_on_state : (sym:int -> Engine.t array -> unit) array array;
+  r_ledgers : Energy.t array;
+  r_modes : float array array;
+  r_cycles : int array;
+  r_reports : int array;
+  r_quarantined : Sim_error.t option array;
+  mutable r_degraded : Sim_error.t list;  (* newest first; reversed wherever exposed *)
+  r_fingerprint : string;
+  r_seals : Integrity.seal array;
+  r_shadows : Exec.t array;
+  r_sweep_due : int array;
+  r_sentinel_due : int array;
+}
+
 (* Per-chunk rollbacks are in-memory only, so they use the flat arena
    form: one raw word blit per engine instead of boxed per-vector copies.
    Checkpoints keep the representation-independent [Exec.snapshot]. *)
@@ -306,47 +334,36 @@ type rollback = {
   rb_mode : float array;
 }
 
+(* One attempt's cycle and report counts, published to the slots only
+   when the attempt completes: a crashed or timed-out attempt leaves the
+   slots untouched, so only engine state and the energy sink need
+   explicit rollback. *)
+type tally = { mutable t_cycles : int; mutable t_reports : int }
+
 (* How often a worker polls its cooperative deadline, in symbols.  Must
    be a power of two (tested with [land]). *)
 let deadline_stride = 256
 
 let mismatch detail = raise (Sim_error.Error (Sim_error.Checkpoint_mismatch { detail }))
 
-let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?(resume = false)
-    (arch : Arch.t) ~params (p : Mapper.placement) ~stream =
-  ignore params;
+let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mapper.placement)
+    ~stream =
   let num_arrays = Array.length p.Mapper.arrays in
   let chars_hint = match Input_stream.length stream with Some n -> n | None -> 0 in
   let energy_spec, ledgers, mode_slots = energy_sink arch ~num_arrays in
-  let specs = energy_spec :: sinks in
   (* all per-array state is built up front and lives across chunks; sink
      [make] runs in array order here, never inside a worker domain *)
   let execs = Array.map (fun tiles -> Exec.build p tiles) p.Mapper.arrays in
   let insts =
     Array.init num_arrays (fun array_id ->
-        List.map (fun (s : Sink.spec) -> s.Sink.make ~array_id ~chars:chars_hint) specs)
+        List.map
+          (fun (s : Sink.spec) -> s.Sink.make ~array_id ~chars:chars_hint)
+          (energy_spec :: sinks))
   in
-  (* arrays, so the symbol loop walks them without a closure per symbol *)
-  let event_insts =
-    Array.map (fun il -> Array.of_list (List.map (fun (i : Sink.t) -> i.Sink.on_events) il)) insts
-  in
-  let state_insts =
-    Array.map
-      (fun il -> Array.of_list (List.filter_map (fun (i : Sink.t) -> i.Sink.on_state) il))
-      insts
-  in
-  let cycles_slots = Array.make num_arrays 0 in
-  let reports_slots = Array.make num_arrays 0 in
-  let quarantined : Sim_error.t option array = Array.make num_arrays None in
-  let degraded = ref [] (* newest first; reversed wherever exposed *) in
-  (* only the checkpoint paths read the digest: the resume check, the
-     pre-save drift check and the saved record *)
-  let fp = match checkpoint with Some _ -> fingerprint p | None -> "" in
   (* Integrity layer: CRC-seal every array's immutable tables up front
      (pristine copies double as the repair source), keep one shadow clone
      per array for the sentinel's reference replay, and track per-array
-     next-due symbols for both detectors.  Workers only ever touch their
-     own array's slot, so the due arrays need no locking. *)
+     next-due symbols for both detectors. *)
   let seals =
     match integrity with
     | None -> [||]
@@ -357,313 +374,346 @@ let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?(resume
     | Some cfg when cfg.Integrity.sentinel_every > 0 -> Array.map Exec.clone_fresh execs
     | _ -> [||]
   in
-  let sweep_due = Array.make num_arrays 0 in
-  let sent_due = Array.make num_arrays 0 in
-  (match checkpoint with
-  | Some { Checkpoint.dir; _ } when resume -> (
-      match Checkpoint.load ~dir with
-      | Error e -> raise (Sim_error.Error e)
-      | Ok None -> () (* nothing saved yet: plain fresh run *)
-      | Ok (Some ck) ->
-          if ck.Checkpoint.ck_fingerprint <> fp then
-            mismatch "checkpoint was taken from a different regex set or placement";
-          if Array.length ck.Checkpoint.ck_arrays <> num_arrays then
-            mismatch "checkpoint array count differs from this placement";
-          Array.iteri
-            (fun i (a : Checkpoint.array_state) ->
-              (try Exec.restore execs.(i) a.Checkpoint.cs_engines
-               with Invalid_argument msg -> mismatch msg);
-              if Array.length a.Checkpoint.cs_energy_pj <> List.length Energy.all_categories
-              then mismatch "energy category count differs";
-              if Array.length a.Checkpoint.cs_mode_pj <> Cost.num_modes then
-                mismatch "mode count differs";
-              cycles_slots.(i) <- a.Checkpoint.cs_cycles;
-              reports_slots.(i) <- a.Checkpoint.cs_reports;
-              ledger_restore ledgers.(i) a.Checkpoint.cs_energy_pj;
-              Array.blit a.Checkpoint.cs_mode_pj 0 mode_slots.(i) 0 Cost.num_modes)
-            ck.Checkpoint.ck_arrays;
-          List.iter
-            (fun e ->
-              degraded := e :: !degraded;
-              match Sim_error.array_id e with
-              | Some i when i >= 0 && i < num_arrays -> quarantined.(i) <- Some e
-              | _ -> ())
-            ck.Checkpoint.ck_degraded;
-          Input_stream.seek stream ck.Checkpoint.ck_symbols;
-          Checkpoint.journal ~dir
-            (Printf.sprintf "resume symbols=%d degraded=%d" ck.Checkpoint.ck_symbols
-               (List.length ck.Checkpoint.ck_degraded)))
+  {
+    r_arch = arch;
+    r_placement = p;
+    r_jobs = jobs;
+    r_policy = policy;
+    r_integrity = integrity;
+    r_checkpoint = checkpoint;
+    r_execs = execs;
+    r_sinks = insts;
+    r_on_events =
+      Array.map (fun il -> Array.of_list (List.map (fun (i : Sink.t) -> i.Sink.on_events) il)) insts;
+    r_on_state =
+      Array.map
+        (fun il -> Array.of_list (List.filter_map (fun (i : Sink.t) -> i.Sink.on_state) il))
+        insts;
+    r_ledgers = ledgers;
+    r_modes = mode_slots;
+    r_cycles = Array.make num_arrays 0;
+    r_reports = Array.make num_arrays 0;
+    r_quarantined = Array.make num_arrays None;
+    r_degraded = [];
+    (* only the checkpoint paths read the digest: the resume check, the
+       pre-save drift check and the saved record *)
+    r_fingerprint = (match checkpoint with Some _ -> fingerprint p | None -> "");
+    r_seals = seals;
+    r_shadows = shadows;
+    r_sweep_due = Array.make num_arrays 0;
+    r_sentinel_due = Array.make num_arrays 0;
+  }
+
+(* Restore the saved accumulators, engine state and quarantines, and seek
+   the stream to the saved offset.  No checkpoint yet is a fresh run. *)
+let resume st ~dir stream =
+  match Checkpoint.load ~dir with
+  | Error e -> raise (Sim_error.Error e)
+  | Ok None -> ()
+  | Ok (Some ck) ->
+      let num_arrays = Array.length st.r_execs in
+      if ck.Checkpoint.ck_fingerprint <> st.r_fingerprint then
+        mismatch "checkpoint was taken from a different regex set or placement";
+      if Array.length ck.Checkpoint.ck_arrays <> num_arrays then
+        mismatch "checkpoint array count differs from this placement";
+      Array.iteri
+        (fun i (a : Checkpoint.array_state) ->
+          (try Exec.restore st.r_execs.(i) a.Checkpoint.cs_engines
+           with Invalid_argument msg -> mismatch msg);
+          if Array.length a.Checkpoint.cs_energy_pj <> List.length Energy.all_categories then
+            mismatch "energy category count differs";
+          if Array.length a.Checkpoint.cs_mode_pj <> Cost.num_modes then
+            mismatch "mode count differs";
+          st.r_cycles.(i) <- a.Checkpoint.cs_cycles;
+          st.r_reports.(i) <- a.Checkpoint.cs_reports;
+          ledger_restore st.r_ledgers.(i) a.Checkpoint.cs_energy_pj;
+          Array.blit a.Checkpoint.cs_mode_pj 0 st.r_modes.(i) 0 Cost.num_modes)
+        ck.Checkpoint.ck_arrays;
+      List.iter
+        (fun e ->
+          st.r_degraded <- e :: st.r_degraded;
+          match Sim_error.array_id e with
+          | Some i when i >= 0 && i < num_arrays -> st.r_quarantined.(i) <- Some e
+          | _ -> ())
+        ck.Checkpoint.ck_degraded;
+      Input_stream.seek stream ck.Checkpoint.ck_symbols;
+      Checkpoint.journal ~dir
+        (Printf.sprintf "resume symbols=%d degraded=%d" ck.Checkpoint.ck_symbols
+           (List.length ck.Checkpoint.ck_degraded))
+
+(* Step symbols [lo, hi) of [chunk] through array [i], in the fixed
+   per-symbol order: [Exec.step], cycles and reports, event sinks, then
+   state sinks.  The state sinks are the fault-injection surface: they
+   run after the symbol's events are banked, so corruption lands in the
+   stored state and is first seen at the next symbol. *)
+let step_span st tally ~deadline ~base chunk i ~lo ~hi =
+  let ex = st.r_execs.(i) in
+  let el = st.r_on_events.(i) and sl = st.r_on_state.(i) in
+  for off = lo to hi - 1 do
+    if off land (deadline_stride - 1) = 0 then Scheduler.check_deadline deadline;
+    let sym = base + off in
+    let ev = Exec.step st.r_arch ex ~sym (String.unsafe_get chunk off) in
+    tally.t_cycles <- tally.t_cycles + 1 + ev.Exec.stall;
+    tally.t_reports <- tally.t_reports + ev.Exec.reports;
+    for k = 0 to Array.length el - 1 do
+      el.(k) ev
+    done;
+    for k = 0 to Array.length sl - 1 do
+      sl.(k) ~sym (Exec.engines ex)
+    done
+  done
+
+(* One sentinel window over symbols [lo, hi): capture the state the
+   window's first symbol is applied to, step symbol by symbol folding
+   each post-symbol state into the window digest (after the sinks, so
+   corruption landing at this very symbol is visible), then replay the
+   window on the shadow through the reference kernel. *)
+let step_window st cfg tally ~deadline ~base chunk i ~lo ~hi =
+  let ex = st.r_execs.(i) in
+  let pre = Exec.snapshot_flat ex in
+  let digest = ref 0 in
+  for off = lo to hi - 1 do
+    step_span st tally ~deadline ~base chunk i ~lo:off ~hi:(off + 1);
+    digest := Array.fold_left (fun acc e -> Engine.state_digest e acc) !digest (Exec.engines ex)
+  done;
+  Integrity.sentinel_replay cfg ~array_id:i ~sym:(base + hi - 1) ~shadow:st.r_shadows.(i) ~live:ex
+    ~pre ~chunk ~start:lo ~len:(hi - lo) ~live_digest:!digest
+
+(* Array [i]'s attempt at one chunk.  Sentinel windows are laid out as
+   spans before stepping them: a window opens at the first symbol at or
+   after the array's due symbol and runs [sentinel_window] symbols or to
+   the chunk end — windows never span a chunk boundary, since a rollback
+   restores chunk-start state and a cross-chunk window could not be
+   re-verified after a heal.  The due symbol only advances after a
+   window passes, so a heal retry re-verifies the same span. *)
+let step_chunk st ~deadline ~base chunk i =
+  let len = String.length chunk in
+  let tally = { t_cycles = st.r_cycles.(i); t_reports = st.r_reports.(i) } in
+  (match st.r_integrity with
+  | Some cfg when cfg.Integrity.sentinel_every > 0 ->
+      let rec spans lo =
+        let w = max lo (st.r_sentinel_due.(i) - base) in
+        if w >= len then step_span st tally ~deadline ~base chunk i ~lo ~hi:len
+        else begin
+          step_span st tally ~deadline ~base chunk i ~lo ~hi:w;
+          let hi = min len (w + max 1 cfg.Integrity.sentinel_window) in
+          step_window st cfg tally ~deadline ~base chunk i ~lo:w ~hi;
+          st.r_sentinel_due.(i) <- base + w + cfg.Integrity.sentinel_every;
+          spans hi
+        end
+      in
+      spans 0
+  | _ -> step_span st tally ~deadline ~base chunk i ~lo:0 ~hi:len);
+  (* CRC/guard sweep at the chunk boundary, before the slots publish: a
+     trip here aborts the attempt with slots untouched, so the heal
+     wrapper can roll back and re-execute the chunk *)
+  (match st.r_integrity with
+  | Some cfg when cfg.Integrity.sweep_every > 0 && base + len >= st.r_sweep_due.(i) ->
+      Integrity.check cfg ~array_id:i ~sym:(base + len - 1) st.r_seals.(i)
+        (Exec.engines st.r_execs.(i));
+      (* only after a clean pass, so retries re-sweep *)
+      st.r_sweep_due.(i) <- base + len + cfg.Integrity.sweep_every
   | _ -> ());
-  let process_chunk ~deadline ~base chunk array_id =
-    let ex = execs.(array_id) in
-    let el = event_insts.(array_id) and sl = state_insts.(array_id) in
-    (* accumulate locally, publish at chunk end: a crashed or timed-out
-       attempt leaves the slots untouched, so only engine state and the
-       energy sink need explicit rollback *)
-    let cycles = ref cycles_slots.(array_id) and reports = ref reports_slots.(array_id) in
-    let len = String.length chunk in
-    (* sentinel window state, local to this attempt: [win_start < 0]
-       means no window is open.  The due symbol only advances after a
-       window {e passes}, so a heal retry re-verifies the same span. *)
-    let win_start = ref (-1) and pre = ref [||] and win_digest = ref 0 in
-    String.iteri
-      (fun off c ->
-        if off land (deadline_stride - 1) = 0 then Scheduler.check_deadline deadline;
-        let sym = base + off in
-        (match integrity with
-        | Some cfg
-          when cfg.Integrity.sentinel_every > 0
-               && !win_start < 0
-               && sym >= sent_due.(array_id) ->
-            (* capture before stepping: the window replay starts from
-               the state this symbol will be applied to *)
-            pre := Exec.snapshot_flat ex;
-            win_start := off;
-            win_digest := 0
-        | _ -> ());
-        let ev = Exec.step arch ex ~sym c in
-        cycles := !cycles + 1 + ev.Exec.stall;
-        reports := !reports + ev.Exec.reports;
-        for k = 0 to Array.length el - 1 do
-          el.(k) ev
-        done;
-        (* fault-injection surface: runs after this symbol's events are
-           banked, so corruption lands in the stored state and is first
-           seen at the next symbol *)
-        for k = 0 to Array.length sl - 1 do
-          sl.(k) ~sym (Exec.engines ex)
-        done;
-        (* fold the post-symbol state into the window digest after the
-           sinks, so corruption landing at this very symbol is already
-           visible to the window-end comparison *)
-        if !win_start >= 0 then
-          win_digest :=
-            Array.fold_left (fun acc e -> Engine.state_digest e acc) !win_digest (Exec.engines ex);
-        match integrity with
-        | Some cfg
-          when !win_start >= 0
-               && (off - !win_start + 1 >= cfg.Integrity.sentinel_window || off = len - 1) ->
-            (* windows never span a chunk boundary: a rollback restores
-               chunk-start state, so a cross-chunk window could not be
-               re-verified after a heal *)
-            Integrity.sentinel_replay cfg ~array_id ~sym ~shadow:shadows.(array_id) ~live:ex
-              ~pre:!pre ~chunk ~start:!win_start
-              ~len:(off - !win_start + 1)
-              ~live_digest:!win_digest;
-            sent_due.(array_id) <- base + !win_start + cfg.Integrity.sentinel_every;
-            win_start := -1
-        | _ -> ())
-      chunk;
-    (* CRC/guard sweep at the chunk boundary, before the slots publish:
-       a trip here aborts the attempt with slots untouched, so the heal
-       wrapper can roll back and re-execute the chunk. *)
-    (match integrity with
-    | Some cfg
-      when cfg.Integrity.sweep_every > 0
-           && base + String.length chunk >= sweep_due.(array_id) ->
-        Integrity.check cfg ~array_id
-          ~sym:(base + String.length chunk - 1)
-          seals.(array_id) (Exec.engines ex);
-        (* only after a clean pass, so retries re-sweep *)
-        sweep_due.(array_id) <- base + String.length chunk + cfg.Integrity.sweep_every
-    | _ -> ());
-    cycles_slots.(array_id) <- !cycles;
-    reports_slots.(array_id) <- !reports
-  in
-  let run_chunk ~base chunk =
-    (* chunk-start snapshots: needed by the supervision policy's retries
-       AND by the integrity layer's heal re-execution, so they are taken
-       whenever either is active *)
-    let rollbacks =
-      if policy = None && integrity = None then [||]
-      else
-        Array.init num_arrays (fun i ->
-            if quarantined.(i) <> None then None
-            else
-              Some
-                {
-                  rb_engines = Exec.snapshot_flat execs.(i);
-                  rb_energy = ledger_values ledgers.(i);
-                  rb_mode = Array.copy mode_slots.(i);
-                })
-    in
-    let restore_rollback i =
-      if Array.length rollbacks > 0 then
-        match rollbacks.(i) with
-        | None -> ()
-        | Some rb ->
-            Exec.restore_flat execs.(i) rb.rb_engines;
-            ledger_restore ledgers.(i) rb.rb_energy;
-            Array.blit rb.rb_mode 0 mode_slots.(i) 0 (Array.length rb.rb_mode)
-    in
-    (* Integrity heal: a violation raised inside the attempt (sweep,
-       sentinel, or checkpoint-path check) is caught HERE, before the
-       supervision policy can fold it into a generic Array_crashed —
-       roll back to the chunk start, repair tables and guards from the
-       pristine seals, and re-execute.  The chunk publishes its slots by
-       assignment at the end, so a retried attempt never double-counts.
-       After [max_repairs] failed heals the typed error lands in [trips]
-       (one writer per slot — no lock) and the array is quarantined at
-       the chunk barrier below. *)
-    let trips : Sim_error.t option array =
-      if integrity = None then [||] else Array.make num_arrays None
-    in
-    let attempt_chunk ~deadline i =
-      match integrity with
-      | None -> process_chunk ~deadline ~base chunk i
-      | Some cfg ->
-          let rec go ~healed n =
-            let heal err =
-              restore_rollback i;
-              Integrity.repair cfg seals.(i) (Exec.engines execs.(i));
-              if n >= cfg.Integrity.max_repairs then begin
-                Integrity.note_quarantine cfg.Integrity.stats;
-                trips.(i) <- Some err
-              end
-              else go ~healed:true (n + 1)
-            in
-            match process_chunk ~deadline ~base chunk i with
-            | () -> if healed then Integrity.note_heal cfg.Integrity.stats
-            | exception Sim_error.Error (Sim_error.Integrity_violation _ as err) -> heal err
-            | exception e -> (
-                (* A corrupted plan table can hold an index, so the kernel
-                   may crash out of bounds before any sweep fires.  Check
-                   the seals: if they trip, this crash IS the detection —
-                   heal it.  Clean seals mean a genuine bug: re-raise. *)
-                match
-                  Integrity.check cfg ~array_id:i
-                    ~sym:(base + String.length chunk - 1)
-                    seals.(i)
-                    (Exec.engines execs.(i))
-                with
-                | () -> raise e
-                | exception Sim_error.Error (Sim_error.Integrity_violation _ as err) ->
-                    heal err)
-          in
-          go ~healed:false 0
-    in
-    (match policy with
-    | None ->
-        Scheduler.parallel_for ~work_per_index:(String.length chunk) ~jobs num_arrays (fun i ->
-            if quarantined.(i) = None then attempt_chunk ~deadline:Scheduler.no_deadline i)
-    | Some policy ->
-        let outcomes =
-          Scheduler.supervised_for ~work_per_index:(String.length chunk) ~jobs ~policy
-            num_arrays (fun ~deadline ~attempt i ->
-              if quarantined.(i) = None && (Array.length trips = 0 || trips.(i) = None)
-              then begin
-                if attempt > 1 then restore_rollback i;
-                attempt_chunk ~deadline i
-              end)
-        in
-        Array.iteri
-          (fun i outcome ->
-            match outcome with
-            | None -> ()
-            | Some err ->
-                (* quarantine: freeze the array at the chunk boundary it
-                   last completed, keep every other array running *)
-                restore_rollback i;
-                quarantined.(i) <- Some err;
-                degraded := err :: !degraded)
-          outcomes);
-    (* integrity quarantines, folded single-threaded after the barrier
-       (the heal wrapper already rolled the array back) *)
-    Array.iteri
-      (fun i trip ->
-        match trip with
-        | None -> ()
-        | Some err ->
-            if quarantined.(i) = None then begin
-              quarantined.(i) <- Some err;
-              degraded := err :: !degraded
-            end)
-      trips
-  in
-  (* A checkpoint must never persist corruption: re-verify every live
-     array's seals and guards (and that the placement fingerprint still
-     digests to what we sealed) immediately before the write.  On a trip
-     the write is skipped — the previous checkpoint stays the durable
-     recovery point — tables are repaired, and the journal records why;
-     the next chunk's sweep/sentinel then heals the state itself. *)
-  let verify_for_ckpt ~dir symbols =
-    match integrity with
-    | None -> true
-    | Some cfg -> (
-        try
-          Array.iteri
-            (fun i ex ->
-              if quarantined.(i) = None then
-                Integrity.check cfg ~array_id:i ~sym:(max 0 (symbols - 1)) seals.(i)
-                  (Exec.engines ex))
-            execs;
-          fingerprint p = fp
-          ||
-          (Checkpoint.journal ~dir
-             (Printf.sprintf
-                "integrity checkpoint-skip symbols=%d placement fingerprint drifted" symbols);
-           false)
-        with Sim_error.Error (Sim_error.Integrity_violation _ as err) ->
-          Array.iteri
-            (fun i _ -> Integrity.repair cfg seals.(i) (Exec.engines execs.(i)))
-            execs;
-          Checkpoint.journal ~dir
-            (Printf.sprintf "integrity checkpoint-skip symbols=%d %s" symbols
-               (Sim_error.message err));
-          false)
-  in
-  let save_ckpt symbols =
-    match checkpoint with
+  st.r_cycles.(i) <- tally.t_cycles;
+  st.r_reports.(i) <- tally.t_reports
+
+let take_rollback st i =
+  {
+    rb_engines = Exec.snapshot_flat st.r_execs.(i);
+    rb_energy = ledger_values st.r_ledgers.(i);
+    rb_mode = Array.copy st.r_modes.(i);
+  }
+
+(* The one place an array's run state goes back to its chunk start, after
+   a failed attempt, a heal or a quarantine. *)
+let restore_rollback st rollbacks i =
+  if Array.length rollbacks > 0 then
+    match rollbacks.(i) with
     | None -> ()
-    | Some { Checkpoint.dir; _ } when not (verify_for_ckpt ~dir symbols) -> ()
-    | Some { Checkpoint.dir; _ } ->
-        let ck_arrays =
-          Array.init num_arrays (fun i ->
-              {
-                Checkpoint.cs_cycles = cycles_slots.(i);
-                cs_reports = reports_slots.(i);
-                cs_energy_pj = ledger_values ledgers.(i);
-                cs_mode_pj = Array.copy mode_slots.(i);
-                cs_engines = Exec.snapshot execs.(i);
-              })
-        in
-        Checkpoint.save ~dir
-          {
-            Checkpoint.ck_fingerprint = fp;
-            ck_symbols = symbols;
-            ck_degraded = List.rev !degraded;
-            ck_arrays;
-          };
-        Checkpoint.journal ~dir
-          (Printf.sprintf "checkpoint symbols=%d degraded=%d" symbols (List.length !degraded))
+    | Some rb ->
+        Exec.restore_flat st.r_execs.(i) rb.rb_engines;
+        ledger_restore st.r_ledgers.(i) rb.rb_energy;
+        Array.blit rb.rb_mode 0 st.r_modes.(i) 0 (Array.length rb.rb_mode)
+
+let quarantine st i err =
+  if st.r_quarantined.(i) = None then begin
+    st.r_quarantined.(i) <- Some err;
+    st.r_degraded <- err :: st.r_degraded
+  end
+
+(* Integrity heal: a violation raised inside the attempt (sweep or
+   sentinel) is caught HERE, before the supervision policy can fold it
+   into a generic Array_crashed — roll back to the chunk start, repair
+   tables and guards from the pristine seals, and re-execute.  The chunk
+   publishes its slots by assignment at the end, so a retried attempt
+   never double-counts.  After [max_repairs] failed heals the typed error
+   lands in [trips] (one writer per slot — no lock) for quarantine at the
+   chunk barrier. *)
+let heal_chunk st cfg rollbacks trips ~deadline ~base chunk i =
+  let rec go ~healed n =
+    let heal err =
+      restore_rollback st rollbacks i;
+      Integrity.repair cfg st.r_seals.(i) (Exec.engines st.r_execs.(i));
+      if n >= cfg.Integrity.max_repairs then begin
+        Integrity.note_quarantine cfg.Integrity.stats;
+        trips.(i) <- Some err
+      end
+      else go ~healed:true (n + 1)
+    in
+    match step_chunk st ~deadline ~base chunk i with
+    | () -> if healed then Integrity.note_heal cfg.Integrity.stats
+    | exception Sim_error.Error (Sim_error.Integrity_violation _ as err) -> heal err
+    | exception e -> (
+        (* A corrupted plan table can hold an index, so the kernel may
+           crash out of bounds before any sweep fires.  Check the seals:
+           if they trip, this crash IS the detection — heal it.  Clean
+           seals mean a genuine bug: re-raise. *)
+        match
+          Integrity.check cfg ~array_id:i
+            ~sym:(base + String.length chunk - 1)
+            st.r_seals.(i)
+            (Exec.engines st.r_execs.(i))
+        with
+        | () -> raise e
+        | exception Sim_error.Error (Sim_error.Integrity_violation _ as err) -> heal err)
   in
+  go ~healed:false 0
+
+(* Every live array's attempt at one chunk, then the chunk barrier.  An
+   array that exhausts the supervision policy's retries, or keeps
+   tripping the integrity checks, is rolled back and quarantined: frozen
+   at the last chunk boundary it completed while the others run on. *)
+let run_chunk st ~base chunk =
+  let num_arrays = Array.length st.r_execs in
+  (* chunk-start snapshots, needed by the supervision policy's retries
+     AND by the integrity layer's heal re-execution *)
+  let rollbacks =
+    if st.r_policy = None && st.r_integrity = None then [||]
+    else
+      Array.init num_arrays (fun i ->
+          if st.r_quarantined.(i) <> None then None else Some (take_rollback st i))
+  in
+  let trips = if st.r_integrity = None then [||] else Array.make num_arrays None in
+  let attempt ~deadline i =
+    match st.r_integrity with
+    | None -> step_chunk st ~deadline ~base chunk i
+    | Some cfg -> heal_chunk st cfg rollbacks trips ~deadline ~base chunk i
+  in
+  let work_per_index = String.length chunk in
+  (match st.r_policy with
+  | None ->
+      Scheduler.parallel_for ~work_per_index ~jobs:st.r_jobs num_arrays (fun i ->
+          if st.r_quarantined.(i) = None then attempt ~deadline:Scheduler.no_deadline i)
+  | Some policy ->
+      Scheduler.supervised_for ~work_per_index ~jobs:st.r_jobs ~policy num_arrays
+        (fun ~deadline ~attempt:k i ->
+          if st.r_quarantined.(i) = None && (Array.length trips = 0 || trips.(i) = None) then begin
+            if k > 1 then restore_rollback st rollbacks i;
+            attempt ~deadline i
+          end)
+      |> Array.iteri (fun i outcome ->
+             Option.iter
+               (fun err ->
+                 restore_rollback st rollbacks i;
+                 quarantine st i err)
+               outcome));
+  (* integrity quarantines, folded single-threaded after the barrier (the
+     heal wrapper already rolled the array back) *)
+  Array.iteri (fun i trip -> Option.iter (quarantine st i) trip) trips
+
+(* A checkpoint must never persist corruption: re-verify every live
+   array's seals and guards (and that the placement fingerprint still
+   digests to what we sealed) immediately before the write.  On a trip
+   the write is skipped — the previous checkpoint stays the durable
+   recovery point — tables are repaired, and the journal records why;
+   the next chunk's sweep/sentinel then heals the state itself. *)
+let verified_for_checkpoint st ~dir symbols =
+  match st.r_integrity with
+  | None -> true
+  | Some cfg -> (
+      try
+        Array.iteri
+          (fun i ex ->
+            if st.r_quarantined.(i) = None then
+              Integrity.check cfg ~array_id:i ~sym:(max 0 (symbols - 1)) st.r_seals.(i)
+                (Exec.engines ex))
+          st.r_execs;
+        fingerprint st.r_placement = st.r_fingerprint
+        ||
+        (Checkpoint.journal ~dir
+           (Printf.sprintf "integrity checkpoint-skip symbols=%d placement fingerprint drifted"
+              symbols);
+         false)
+      with Sim_error.Error (Sim_error.Integrity_violation _ as err) ->
+        Array.iteri (fun i ex -> Integrity.repair cfg st.r_seals.(i) (Exec.engines ex)) st.r_execs;
+        Checkpoint.journal ~dir
+          (Printf.sprintf "integrity checkpoint-skip symbols=%d %s" symbols
+             (Sim_error.message err));
+        false)
+
+let save_checkpoint st ~dir symbols =
+  if verified_for_checkpoint st ~dir symbols then begin
+    let ck_arrays =
+      Array.mapi
+        (fun i ex ->
+          {
+            Checkpoint.cs_cycles = st.r_cycles.(i);
+            cs_reports = st.r_reports.(i);
+            cs_energy_pj = ledger_values st.r_ledgers.(i);
+            cs_mode_pj = Array.copy st.r_modes.(i);
+            cs_engines = Exec.snapshot ex;
+          })
+        st.r_execs
+    in
+    Checkpoint.save ~dir
+      {
+        Checkpoint.ck_fingerprint = st.r_fingerprint;
+        ck_symbols = symbols;
+        ck_degraded = List.rev st.r_degraded;
+        ck_arrays;
+      };
+    Checkpoint.journal ~dir
+      (Printf.sprintf "checkpoint symbols=%d degraded=%d" symbols (List.length st.r_degraded))
+  end
+
+(* End of input.  A final checkpoint makes completion itself crash-safe:
+   killed after the last symbol but before the report, a resume replays
+   nothing and reproduces the report from the saved accumulators. *)
+let finish st ~last_ckpt ~chars =
+  (match st.r_checkpoint with
+  | Some { Checkpoint.dir; _ } when last_ckpt <> chars -> save_checkpoint st ~dir chars
+  | _ -> ());
+  Array.iteri
+    (fun i il -> List.iter (fun (s : Sink.t) -> s.Sink.on_close ~cycles:st.r_cycles.(i)) il)
+    st.r_sinks;
+  assemble_report st.r_arch st.r_placement ~chars ~cycles_slots:st.r_cycles
+    ~reports_slots:st.r_reports ~ledgers:st.r_ledgers ~mode_slots:st.r_modes ~execs:st.r_execs
+    ~degraded:(List.rev st.r_degraded)
+
+let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?resume:(resuming = false)
+    (arch : Arch.t) ~params (p : Mapper.placement) ~stream =
+  ignore params;
+  let st = start ~jobs ~sinks ~policy ~integrity ~checkpoint arch p ~stream in
+  (match checkpoint with
+  | Some { Checkpoint.dir; _ } when resuming -> resume st ~dir stream
+  | _ -> ());
   let last_ckpt = ref (Input_stream.pos stream) in
   let rec loop () =
     let base = Input_stream.pos stream in
     match Input_stream.next stream with
     | None -> ()
     | Some chunk ->
-        run_chunk ~base chunk;
+        run_chunk st ~base chunk;
         let now = base + String.length chunk in
         (match checkpoint with
-        | Some c when now - !last_ckpt >= c.Checkpoint.every ->
-            save_ckpt now;
+        | Some { Checkpoint.dir; every } when now - !last_ckpt >= every ->
+            save_checkpoint st ~dir now;
             last_ckpt := now
         | _ -> ());
         loop ()
   in
   loop ();
-  let chars = Input_stream.pos stream in
-  (* a final checkpoint makes completion itself crash-safe: killed after
-     the last symbol but before the report, a resume replays nothing and
-     reproduces the report from the saved accumulators *)
-  if !last_ckpt <> chars then save_ckpt chars;
-  Array.iteri
-    (fun i il ->
-      List.iter (fun (s : Sink.t) -> s.Sink.on_close ~cycles:cycles_slots.(i)) il)
-    insts;
-  assemble_report arch p ~chars ~cycles_slots ~reports_slots ~ledgers ~mode_slots ~execs
-    ~degraded:(List.rev !degraded)
+  finish st ~last_ckpt:!last_ckpt ~chars:(Input_stream.pos stream)
 
 (* One chunk spanning the whole string keeps the historical array-major
    symbol order at [jobs = 1], which shared-RNG fault sinks depend on. *)

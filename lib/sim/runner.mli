@@ -101,9 +101,12 @@ val fingerprint : Mapper.placement -> string
 
 (** {1 Accounting building blocks}
 
-    Shared with the batch layer ({!Batch}), which must reproduce the
-    single-stream accounting bit for bit: same energy sink (same
-    float-accumulation order), same report assembly. *)
+    The pieces {!run_stream} folds a stream's events with, exported for
+    outside-in replicas of the driver (the repository benchmark's
+    per-layer trace), which must reproduce its accounting bit for bit:
+    same energy sink (same float-accumulation order), same report
+    assembly.  {!Batch} needs neither: it runs each stream through
+    {!run_stream} itself. *)
 
 val energy_sink : Arch.t -> num_arrays:int -> Sink.spec * Energy.t array * float array array
 (** The built-in energy/timing accounting as a sink spec plus its

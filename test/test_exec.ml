@@ -479,6 +479,32 @@ let test_engine_step_allocation_free () =
       check (float 0.) (name ^ ": minor words over the first 2k symbols") 0. words)
     [ "Snort"; "Yara"; "ClamAV"; "Suricata" ]
 
+(* The stream driver allocates per chunk, not per symbol: chunk copies
+   and per-chunk closures come to a fraction of a word per symbol at
+   1 KiB chunks, while one boxed value per symbol would add at least 2.
+   Fixed per-run costs (building the arrays, the report) cancel in the
+   difference between a 64 KiB and a 32 KiB run. *)
+let test_driver_allocation_per_chunk () =
+  List.iter
+    (fun name ->
+      let s = Benchmarks.by_name name in
+      let units, _ = Runner.compile_for rap ~params s.Benchmarks.regexes in
+      let p = Runner.place rap ~params units in
+      let input = s.Benchmarks.make_input ~chars:65_536 in
+      let run len =
+        let stream = Input_stream.of_string ~chunk:1024 (String.sub input 0 len) in
+        let w0 = Gc.minor_words () in
+        ignore (Runner.run_stream ~jobs:1 rap ~params p ~stream);
+        Gc.minor_words () -. w0
+      in
+      ignore (run 4096);
+      let short = run 32_768 in
+      let per_sym = (run 65_536 -. short) /. 32_768. in
+      check bool
+        (Printf.sprintf "%s: %.3f minor words per symbol <= 0.5" name per_sym)
+        true (per_sym <= 0.5))
+    [ "Snort"; "ClamAV"; "Yara" ]
+
 (* Satellite: run_regexes surfaces what the architecture rejects. *)
 let test_run_regexes_surfaces_errors () =
   let big = String.concat "|" (List.init 400 (fun i -> Printf.sprintf "verylongword%06d" i)) in
@@ -507,5 +533,7 @@ let suite =
     test_case "building an array compiles nothing" `Quick test_build_shares_executors;
     test_case "Engine.step allocates nothing from the first symbol" `Quick
       test_engine_step_allocation_free;
+    test_case "stream driver allocates per chunk, not per symbol" `Slow
+      test_driver_allocation_per_chunk;
     test_case "run_regexes surfaces compile errors" `Quick test_run_regexes_surfaces_errors;
   ]

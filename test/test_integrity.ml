@@ -52,6 +52,76 @@ let test_clean_run_identical () =
   check bool "sweeps actually ran" true (s.Integrity.sweeps > 0);
   check bool "sentinel windows actually ran" true (s.Integrity.sentinel_checks > 0)
 
+(* The detector cadence, pinned.  A window opens at the first symbol at
+   or after the array's due symbol, runs [sentinel_window] symbols or to
+   the chunk end, and the next one is due [sentinel_every] after the
+   window start; a sweep runs at the first chunk end past its due symbol.
+   Each row is (chunk, sentinel_every, sentinel_window, sweep_every,
+   windows, sweeps); the counts are recorded runs, not derived here, so
+   a change to the rule fails.  The grid has many windows per 4096-symbol
+   chunk, windows cut short by 333-symbol chunk ends (at 100/64:
+   300..332), windows longer than their cadence, sweeps every chunk and
+   sweeps off.  A moved, dropped or doubled window changes a count; a
+   window that steps differently changes the report.  The Yara rows run
+   three arrays on two domains, each keeping its own due symbols. *)
+let test_cadence_pinned () =
+  let pinned ~jobs p input rows =
+    let plain = Runner.render_report (Runner.run rap ~params p ~input) in
+    List.iter
+      (fun (chunk, sentinel_every, sentinel_window, sweep_every, windows, sweeps) ->
+        let label =
+          Printf.sprintf "%d arrays, chunk %d, sentinel %d/%d, sweep %d"
+            (Array.length p.Mapper.arrays) chunk sentinel_every sentinel_window sweep_every
+        in
+        let cfg =
+          {
+            (Integrity.default_config ()) with
+            Integrity.sweep_every;
+            sentinel_every;
+            sentinel_window;
+          }
+        in
+        let stream = Input_stream.of_string ~chunk input in
+        let armed = Runner.run_stream ~jobs ~integrity:cfg rap ~params p ~stream in
+        check string (label ^ ": report") plain (Runner.render_report armed);
+        check int (label ^ ": sentinel windows") windows
+          cfg.Integrity.stats.Integrity.sentinel_checks;
+        check int (label ^ ": sweeps") sweeps cfg.Integrity.stats.Integrity.sweeps)
+      rows
+  in
+  let yara = Benchmarks.by_name "Yara" in
+  let units, _ = Runner.compile_for rap ~params yara.Benchmarks.regexes in
+  pinned ~jobs:2 (Runner.place rap ~params units)
+    (yara.Benchmarks.make_input ~chars:4000)
+    [ (333, 100, 64, 1, 120, 39); (4096, 50, 80, 0, 150, 0); (333, 1000, 200, 700, 12, 12) ];
+  pinned ~jobs:1 (placement rules) input
+    [
+      (333, 100, 64, 1, 60, 19);
+      (333, 100, 64, 0, 60, 0);
+      (333, 100, 64, 700, 60, 6);
+      (333, 64, 64, 1, 94, 19);
+      (333, 64, 64, 0, 94, 0);
+      (333, 64, 64, 700, 94, 6);
+      (333, 50, 80, 1, 82, 19);
+      (333, 50, 80, 0, 82, 0);
+      (333, 50, 80, 700, 82, 6);
+      (333, 1000, 200, 1, 6, 19);
+      (333, 1000, 200, 0, 6, 0);
+      (333, 1000, 200, 700, 6, 6);
+      (4096, 100, 64, 1, 60, 2);
+      (4096, 100, 64, 0, 60, 0);
+      (4096, 100, 64, 700, 60, 2);
+      (4096, 64, 64, 1, 94, 2);
+      (4096, 64, 64, 0, 94, 0);
+      (4096, 64, 64, 700, 94, 2);
+      (4096, 50, 80, 1, 76, 2);
+      (4096, 50, 80, 0, 76, 0);
+      (4096, 50, 80, 700, 76, 2);
+      (4096, 1000, 200, 1, 6, 2);
+      (4096, 1000, 200, 0, 6, 0);
+      (4096, 1000, 200, 700, 6, 2);
+    ]
+
 let test_state_digest_sensitivity () =
   let p = placement rules in
   let ex = Exec.build p p.Mapper.arrays.(0) in
@@ -323,6 +393,7 @@ let test_chaos_deterministic () =
 let suite =
   [
     test_case "clean armed run: bit-identical, zero trips" `Quick test_clean_run_identical;
+    test_case "sentinel and sweep cadence pinned" `Quick test_cadence_pinned;
     test_case "state digest: sensitive to any flipped bit" `Quick test_state_digest_sensitivity;
     test_case "seal/check/repair round trip" `Quick test_seal_check_repair_roundtrip;
     test_case "transient state flip: detected and healed bit-identically" `Slow
