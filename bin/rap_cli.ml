@@ -44,12 +44,12 @@ let file_arg =
    path-if-it-exists-else-literal convenience, with a warning.  All
    sources arrive as chunked streams: files and stdin are consumed in
    fixed-size buffers, never materialised. *)
-let stream_of_input ?chunk ?mmap ~file pos =
+let stream_of_input ?chunk ~file pos =
   match (file, pos) with
-  | Some path, _ -> Some (catch_stream (fun () -> Input_stream.of_file ?chunk ?mmap path))
+  | Some path, _ -> Some (catch_stream (fun () -> Input_stream.of_file ?chunk path))
   | None, Some "-" -> Some (Input_stream.of_stdin ?chunk ())
   | None, Some path when Sys.file_exists path ->
-      Some (catch_stream (fun () -> Input_stream.of_file ?chunk ?mmap path))
+      Some (catch_stream (fun () -> Input_stream.of_file ?chunk path))
   | None, Some literal ->
       if looks_like_path literal then
         Printf.eprintf
@@ -58,8 +58,8 @@ let stream_of_input ?chunk ?mmap ~file pos =
       Some (Input_stream.of_string ?chunk literal)
   | None, None -> None
 
-let required_stream ?chunk ?mmap ~file pos =
-  match stream_of_input ?chunk ?mmap ~file pos with
+let required_stream ?chunk ~file pos =
+  match stream_of_input ?chunk ~file pos with
   | Some s -> s
   | None -> fail_input "no input (give INPUT, '-' for stdin, or --file PATH)"
 
@@ -351,18 +351,12 @@ let simulate_cmd =
          & info [ "chunk" ] ~docv:"BYTES"
              ~doc:"Streaming chunk size; checkpoints land on chunk boundaries.")
   in
-  let no_mmap =
-    Arg.(value & flag
-         & info [ "no-mmap" ]
-             ~doc:"Read $(b,--file) input through the buffered channel reader instead of the \
-                   default read-only memory mapping; results are byte-identical either way.")
-  in
   let run regexes input file arch jobs kernel trace ckpt_dir ckpt_every resume strict deadline
-      retries chunk no_mmap cache integrity sweep_every sentinel_every =
+      retries chunk cache integrity sweep_every sentinel_every =
     if chunk <= 0 then fail_input "--chunk must be positive";
     Nbva.kernel := kernel;
     let integrity = integrity_config integrity sweep_every sentinel_every in
-    let stream = required_stream ~chunk ~mmap:(not no_mmap) ~file input in
+    let stream = required_stream ~chunk ~file input in
     let jobs = resolve_jobs jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
@@ -442,7 +436,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc ~exits:common_exits)
     Term.(const run $ regexes_arg $ pos_input_arg $ file_arg $ arch_arg $ jobs_arg $ kernel_arg
           $ trace $ ckpt_dir $ ckpt_every $ resume $ strict $ deadline $ retries $ chunk
-          $ no_mmap $ cache_arg $ integrity_flag $ sweep_every_arg $ sentinel_every_arg)
+          $ cache_arg $ integrity_flag $ sweep_every_arg $ sentinel_every_arg)
 
 (* ---- rap batch ---- *)
 

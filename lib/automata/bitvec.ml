@@ -233,9 +233,8 @@ let iter_set f t =
     end
   done
 
-(* Byte serialization for checkpoints: little-endian bit order within each
-   byte, ceil(width/8) bytes.  Independent of the 62-bit word layout so the
-   on-disk format survives a change of internal representation. *)
+(* Byte serialization: little-endian bit order within each byte,
+   ceil(width/8) bytes, independent of the 62-bit word layout. *)
 let to_bytes t =
   let nbytes = (t.width + 7) / 8 in
   let b = Bytes.make nbytes '\000' in
@@ -245,13 +244,6 @@ let to_bytes t =
         (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i / 8)) lor (1 lsl (i mod 8))))
   done;
   b
-
-let load_bytes t b =
-  if Bytes.length b <> (t.width + 7) / 8 then invalid_arg "Bitvec.load_bytes: length mismatch";
-  clear t;
-  for i = 0 to t.width - 1 do
-    if Char.code (Bytes.unsafe_get b (i / 8)) land (1 lsl (i mod 8)) <> 0 then set t i
-  done
 
 let of_bool_array bs =
   let t = create (Array.length bs) in

@@ -109,16 +109,13 @@ val lsb_index : int -> int
 (** Bit position of the lowest set bit of a nonzero word — the ctz
     primitive flat kernels use to scan a word's set bits directly. *)
 
-(** {1 Serialization} — the checkpoint wire form of a vector. *)
+(** {1 Serialization} — the byte form that integrity seals checksum and
+    mask tables hash-cons on. *)
 
 val to_bytes : t -> bytes
 (** [ceil (width / 8)] bytes, bit [i] at byte [i/8], bit position [i mod 8]
     (little-endian within the byte); independent of the internal word
     layout. *)
-
-val load_bytes : t -> bytes -> unit
-(** Inverse of {!to_bytes} into an existing vector of the same width.
-    Raises [Invalid_argument] on a length mismatch. *)
 
 val of_bool_array : bool array -> t
 val to_bool_array : t -> bool array

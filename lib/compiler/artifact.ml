@@ -41,7 +41,8 @@ let unframe ~magic ~version raw =
   else if String.sub raw 0 ml <> magic then Error "bad magic"
   else
     let v = Char.code raw.[ml] in
-    if v <> version then Error (Printf.sprintf "unsupported version %d" v)
+    if v <> version then
+      Error (Printf.sprintf "unsupported version %d (this build reads version %d)" v version)
     else begin
       let byte at = Char.code raw.[at] in
       let crc = ref 0 in

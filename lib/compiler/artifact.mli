@@ -27,7 +27,8 @@ val frame : magic:string -> version:int -> string -> string
 
 val unframe : magic:string -> version:int -> string -> (string, string) result
 (** Check and strip the envelope; [Error detail] on truncation, magic,
-    version or CRC mismatch. *)
+    version or CRC mismatch.  A version mismatch names both the file's
+    version and [version]. *)
 
 val fsync_dir : string -> unit
 (** Fsync a directory fd so a just-renamed entry survives a power cut —

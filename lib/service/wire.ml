@@ -35,76 +35,9 @@ type reply =
 let frame_slop = 64
 let default_max_frame = (64 * 1024 * 1024) + frame_slop
 
-(* ---- primitive writers / readers (the Checkpoint codec vocabulary) ---- *)
-
-let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xFF))
-
-let w_u32 b n =
-  if n < 0 then invalid_arg "Wire: negative u32";
-  for i = 0 to 3 do
-    w_u8 b ((n lsr (8 * i)) land 0xFF)
-  done
-
-let w_i64 b n =
-  let n = Int64.of_int n in
-  for i = 0 to 7 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical n (8 * i)) land 0xFF)
-  done
-
-let w_f64 b f =
-  let n = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical n (8 * i)) land 0xFF)
-  done
-
-let w_str b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
-
-exception Bad of string
-
-type cursor = { data : string; mutable at : int }
-
-let need cur n = if cur.at + n > String.length cur.data then raise (Bad "truncated payload")
-
-let r_u8 cur =
-  need cur 1;
-  let v = Char.code cur.data.[cur.at] in
-  cur.at <- cur.at + 1;
-  v
-
-let r_u32 cur =
-  let v = ref 0 in
-  for i = 0 to 3 do
-    v := !v lor (r_u8 cur lsl (8 * i))
-  done;
-  !v
-
-let r_i64 cur =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 cur)) (8 * i))
-  done;
-  Int64.to_int !v
-
-let r_f64 cur =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 cur)) (8 * i))
-  done;
-  Int64.float_of_bits !v
-
-let r_str cur =
-  let n = r_u32 cur in
-  need cur n;
-  let s = String.sub cur.data cur.at n in
-  cur.at <- cur.at + n;
-  s
-
-let decoded cur v =
-  if cur.at <> String.length cur.data then Error "trailing bytes" else Ok v
-
 (* ---- request codec ---- *)
+
+open Codec
 
 let encode_request r =
   let b = Buffer.create 64 in
@@ -127,34 +60,30 @@ let encode_request r =
   | Shutdown -> w_u8 b 6);
   Buffer.contents b
 
-let decode_request s =
-  let cur = { data = s; at = 0 } in
-  match
-    match r_u8 cur with
-    | 1 ->
-        let name = r_str cur in
-        let class_ =
-          match r_u8 cur with
-          | 0 -> Interactive
-          | 1 -> Bulk
-          | c -> raise (Bad (Printf.sprintf "unknown class tag %d" c))
-        in
-        let deadline_s =
-          match r_u8 cur with
-          | 0 -> None
-          | 1 -> Some (r_f64 cur)
-          | t -> raise (Bad (Printf.sprintf "unknown option tag %d" t))
-        in
-        Open { name; class_; deadline_s }
-    | 2 -> Chunk (r_str cur)
-    | 3 -> Finish
-    | 4 -> Stats
-    | 5 -> Ping
-    | 6 -> Shutdown
-    | tag -> raise (Bad (Printf.sprintf "unknown request tag %d" tag))
-  with
-  | v -> decoded cur v
-  | exception Bad detail -> Error detail
+let decode_request =
+  decode (fun cur ->
+      match r_u8 cur with
+      | 1 ->
+          let name = r_str cur in
+          let class_ =
+            match r_u8 cur with
+            | 0 -> Interactive
+            | 1 -> Bulk
+            | c -> raise (Corrupt (Printf.sprintf "unknown class tag %d" c))
+          in
+          let deadline_s =
+            match r_u8 cur with
+            | 0 -> None
+            | 1 -> Some (r_f64 cur)
+            | t -> raise (Corrupt (Printf.sprintf "unknown option tag %d" t))
+          in
+          Open { name; class_; deadline_s }
+      | 2 -> Chunk (r_str cur)
+      | 3 -> Finish
+      | 4 -> Stats
+      | 5 -> Ping
+      | 6 -> Shutdown
+      | tag -> raise (Corrupt (Printf.sprintf "unknown request tag %d" tag)))
 
 (* ---- reply codec ---- *)
 
@@ -193,36 +122,32 @@ let encode_reply r =
   | Shutting_down -> w_u8 b 0x89);
   Buffer.contents b
 
-let decode_reply s =
-  let cur = { data = s; at = 0 } in
-  match
-    match r_u8 cur with
-    | 0x81 -> Accepted { id = r_i64 cur }
-    | 0x82 ->
-        let depth = r_u32 cur in
-        let capacity = r_u32 cur in
-        Overloaded { depth; capacity; retry_after_s = r_f64 cur }
-    | 0x83 ->
-        let name = r_str cur in
-        Quarantined { name; faults = r_u32 cur }
-    | 0x84 -> Rejected { reason = r_str cur }
-    | 0x85 ->
-        let id = r_i64 cur in
-        let degraded = r_u32 cur in
-        let recovered = r_u8 cur <> 0 in
-        Report { id; degraded; recovered; text = r_str cur }
-    | 0x86 -> (
-        let id = r_i64 cur in
-        match Sim_error.of_wire (r_str cur) with
-        | Ok error -> Failed { id; error }
-        | Error detail -> raise (Bad ("bad error payload: " ^ detail)))
-    | 0x87 -> Stats_ok { json = r_str cur }
-    | 0x88 -> Pong
-    | 0x89 -> Shutting_down
-    | tag -> raise (Bad (Printf.sprintf "unknown reply tag %d" tag))
-  with
-  | v -> decoded cur v
-  | exception Bad detail -> Error detail
+let decode_reply =
+  decode (fun cur ->
+      match r_u8 cur with
+      | 0x81 -> Accepted { id = r_i64 cur }
+      | 0x82 ->
+          let depth = r_u32 cur in
+          let capacity = r_u32 cur in
+          Overloaded { depth; capacity; retry_after_s = r_f64 cur }
+      | 0x83 ->
+          let name = r_str cur in
+          Quarantined { name; faults = r_u32 cur }
+      | 0x84 -> Rejected { reason = r_str cur }
+      | 0x85 ->
+          let id = r_i64 cur in
+          let degraded = r_u32 cur in
+          let recovered = r_u8 cur <> 0 in
+          Report { id; degraded; recovered; text = r_str cur }
+      | 0x86 -> (
+          let id = r_i64 cur in
+          match Sim_error.of_wire (r_str cur) with
+          | Ok error -> Failed { id; error }
+          | Error detail -> raise (Corrupt ("bad error payload: " ^ detail)))
+      | 0x87 -> Stats_ok { json = r_str cur }
+      | 0x88 -> Pong
+      | 0x89 -> Shutting_down
+      | tag -> raise (Corrupt (Printf.sprintf "unknown reply tag %d" tag)))
 
 (* ---- blocking transport ---- *)
 

@@ -2,9 +2,9 @@
 
     Transport framing: every message is one {e frame} — a 4-byte
     little-endian payload length followed by the payload; payload byte 0
-    is the message tag, the rest the tag's fields (little-endian
-    integers, length-prefixed strings, floats as IEEE-754 bits — the
-    same primitive vocabulary as the {!Checkpoint} codec).  Length
+    is the message tag, the rest the tag's fields in the {!Codec}
+    vocabulary that checkpoints and errors share (little-endian
+    integers, length-prefixed strings, floats as IEEE-754 bits).  Length
     framing first means a reader never has to understand a message to
     skip it, and a declared length beyond [max_frame] is rejected before
     any allocation — a corrupt or hostile peer cannot make the daemon

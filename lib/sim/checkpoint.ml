@@ -1,22 +1,25 @@
 (* See checkpoint.mli.
 
    On-disk layout: the shared Artifact envelope (magic "RAPCKPT",
-   version 1, CRC-32, payload length — see artifact.mli) around this
-   payload: fingerprint (string), symbols (i64), degraded list, then per
-   array: cycles/reports (i64), energy by category (f64s), mode energy
-   (f64s), and each engine snapshot as width-prefixed bit-vector bytes
-   (see Bitvec.to_bytes).  Strings and arrays are length-prefixed,
-   integers little-endian. *)
+   version 2, CRC-32, payload length — see artifact.mli) around this
+   payload, in the Codec vocabulary: fingerprint (string), symbols
+   (i64), the degraded list (each error as a Sim_error.to_wire string),
+   then per array: cycles and reports (i64), energy by category (f64s),
+   mode energy (f64s), and each engine's run-state arena words (i64s).
+   Arrays and strings are u32 length-prefixed.  The words are the
+   arena's layout, so any change to it must bump [version]. *)
+
+open Codec
 
 let magic = "RAPCKPT"
-let version = 1
+let version = 2
 
 type array_state = {
   cs_cycles : int;
   cs_reports : int;
   cs_energy_pj : float array;
   cs_mode_pj : float array;
-  cs_engines : Engine.snapshot array;
+  cs_engines : int array array;
 }
 
 type t = {
@@ -32,188 +35,46 @@ let default_every = 1 lsl 20
 let state_path ~dir = Filename.concat dir "state.ckpt"
 let journal_path ~dir = Filename.concat dir "journal.log"
 
-(* ---- primitive writers ---- *)
-
-let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xFF))
-
-let w_u32 b n =
-  if n < 0 then invalid_arg "Checkpoint: negative u32";
-  for i = 0 to 3 do
-    w_u8 b ((n lsr (8 * i)) land 0xFF)
-  done
-
-let w_i64 b n =
-  let n = Int64.of_int n in
-  for i = 0 to 7 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical n (8 * i)) land 0xFF)
-  done
-
-let w_f64 b f =
-  let n = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical n (8 * i)) land 0xFF)
-  done
-
-let w_str b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
-
-let w_floats b fs =
-  w_u32 b (Array.length fs);
-  Array.iter (w_f64 b) fs
-
-let w_bitvec b v =
-  w_u32 b (Bitvec.width v);
-  Buffer.add_string b (Bytes.unsafe_to_string (Bitvec.to_bytes v))
-
-(* ---- primitive readers over (string, cursor) ---- *)
-
-exception Corrupt of string
-
-type cursor = { data : string; mutable at : int }
-
-let need cur n =
-  if cur.at + n > String.length cur.data then raise (Corrupt "truncated payload")
-
-let r_u8 cur =
-  need cur 1;
-  let v = Char.code cur.data.[cur.at] in
-  cur.at <- cur.at + 1;
-  v
-
-let r_u32 cur =
-  let v = ref 0 in
-  for i = 0 to 3 do
-    v := !v lor (r_u8 cur lsl (8 * i))
-  done;
-  !v
-
-let r_i64 cur =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 cur)) (8 * i))
-  done;
-  Int64.to_int !v
-
-let r_f64 cur =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 cur)) (8 * i))
-  done;
-  Int64.float_of_bits !v
-
-let r_str cur =
-  let n = r_u32 cur in
-  need cur n;
-  let s = String.sub cur.data cur.at n in
-  cur.at <- cur.at + n;
-  s
-
-let r_floats cur =
-  let n = r_u32 cur in
-  Array.init n (fun _ -> r_f64 cur)
-
-let r_bitvec cur =
-  let width = r_u32 cur in
-  let nbytes = (width + 7) / 8 in
-  need cur nbytes;
-  let v = Bitvec.create width in
-  Bitvec.load_bytes v (Bytes.unsafe_of_string (String.sub cur.data cur.at nbytes));
-  cur.at <- cur.at + nbytes;
-  v
-
-(* ---- degraded-error codec: only per-array failures reach a checkpoint;
-   anything else degenerates to the crashed form so old readers cope ---- *)
-
-let w_error b (e : Sim_error.t) =
-  match e with
-  | Sim_error.Array_timeout { array_id; attempts; deadline_s } ->
-      w_u8 b 1;
-      w_u32 b array_id;
-      w_u32 b attempts;
-      w_f64 b deadline_s
-  | Sim_error.Array_crashed { array_id; attempts; detail } ->
-      w_u8 b 0;
-      w_u32 b array_id;
-      w_u32 b attempts;
-      w_str b detail
-  | Sim_error.Integrity_violation { array_id; region; detail } ->
-      w_u8 b 2;
-      w_u32 b array_id;
-      w_str b region;
-      w_str b detail
-  | other ->
-      w_u8 b 0;
-      w_u32 b (Option.value (Sim_error.array_id other) ~default:0);
-      w_u32 b 1;
-      w_str b (Sim_error.message other)
-
-let r_error cur : Sim_error.t =
-  match r_u8 cur with
-  | 1 ->
-      let array_id = r_u32 cur in
-      let attempts = r_u32 cur in
-      let deadline_s = r_f64 cur in
-      Sim_error.Array_timeout { array_id; attempts; deadline_s }
-  | 0 ->
-      let array_id = r_u32 cur in
-      let attempts = r_u32 cur in
-      let detail = r_str cur in
-      Sim_error.Array_crashed { array_id; attempts; detail }
-  | 2 ->
-      let array_id = r_u32 cur in
-      let region = r_str cur in
-      let detail = r_str cur in
-      Sim_error.Integrity_violation { array_id; region; detail }
-  | tag -> raise (Corrupt (Printf.sprintf "unknown error tag %d" tag))
-
-(* ---- whole-checkpoint codec ---- *)
-
 let encode ck =
   let b = Buffer.create 4096 in
   w_str b ck.ck_fingerprint;
   w_i64 b ck.ck_symbols;
-  w_u32 b (List.length ck.ck_degraded);
-  List.iter (w_error b) ck.ck_degraded;
-  w_u32 b (Array.length ck.ck_arrays);
-  Array.iter
-    (fun a ->
+  w_array (fun b e -> w_str b (Sim_error.to_wire e)) b (Array.of_list ck.ck_degraded);
+  w_array
+    (fun b a ->
       w_i64 b a.cs_cycles;
       w_i64 b a.cs_reports;
-      w_floats b a.cs_energy_pj;
-      w_floats b a.cs_mode_pj;
-      w_u32 b (Array.length a.cs_engines);
-      Array.iter
-        (fun (snap : Engine.snapshot) ->
-          w_u32 b (Array.length snap);
-          Array.iter (w_bitvec b) snap)
-        a.cs_engines)
-    ck.ck_arrays;
+      w_array w_f64 b a.cs_energy_pj;
+      w_array w_f64 b a.cs_mode_pj;
+      w_array (w_array w_i64) b a.cs_engines)
+    b ck.ck_arrays;
   Buffer.contents b
 
-let decode payload =
-  let cur = { data = payload; at = 0 } in
-  let ck_fingerprint = r_str cur in
-  let ck_symbols = r_i64 cur in
-  let n_deg = r_u32 cur in
-  let ck_degraded = List.init n_deg (fun _ -> r_error cur) in
-  let n_arrays = r_u32 cur in
-  let ck_arrays =
-    Array.init n_arrays (fun _ ->
-        let cs_cycles = r_i64 cur in
-        let cs_reports = r_i64 cur in
-        let cs_energy_pj = r_floats cur in
-        let cs_mode_pj = r_floats cur in
-        let n_engines = r_u32 cur in
-        let cs_engines =
-          Array.init n_engines (fun _ ->
-              let n_vecs = r_u32 cur in
-              Array.init n_vecs (fun _ -> r_bitvec cur))
-        in
-        { cs_cycles; cs_reports; cs_energy_pj; cs_mode_pj; cs_engines })
-  in
-  if cur.at <> String.length payload then raise (Corrupt "trailing bytes");
-  { ck_fingerprint; ck_symbols; ck_degraded; ck_arrays }
+let decode =
+  Codec.decode (fun cur ->
+      let ck_fingerprint = r_str cur in
+      let ck_symbols = r_i64 cur in
+      let ck_degraded =
+        r_array
+          (fun cur ->
+            match Sim_error.of_wire (r_str cur) with
+            | Ok e -> e
+            | Error detail -> raise (Corrupt ("bad degraded entry: " ^ detail)))
+          cur
+        |> Array.to_list
+      in
+      let ck_arrays =
+        r_array
+          (fun cur ->
+            let cs_cycles = r_i64 cur in
+            let cs_reports = r_i64 cur in
+            let cs_energy_pj = r_array r_f64 cur in
+            let cs_mode_pj = r_array r_f64 cur in
+            let cs_engines = r_array (r_array r_i64) cur in
+            { cs_cycles; cs_reports; cs_energy_pj; cs_mode_pj; cs_engines })
+          cur
+      in
+      { ck_fingerprint; ck_symbols; ck_degraded; ck_arrays })
 
 (* ---- filesystem ---- *)
 
@@ -237,9 +98,7 @@ let load ~dir =
   | Ok None -> Ok None
   | Error detail -> corrupt detail
   | Ok (Some payload) -> (
-      match decode payload with
-      | ck -> Ok (Some ck)
-      | exception Corrupt detail -> corrupt detail)
+      match decode payload with Ok ck -> Ok (Some ck) | Error detail -> corrupt detail)
 
 (* ---- request spool: the service's in-flight session journal ----
 
@@ -278,20 +137,19 @@ module Spool = struct
     w_str b e.sp_input;
     Buffer.contents b
 
-  let decode payload =
-    let cur = { data = payload; at = 0 } in
-    let sp_id = r_i64 cur in
-    let sp_name = r_str cur in
-    let sp_class = r_str cur in
-    let sp_deadline_s =
-      match r_u8 cur with
-      | 0 -> None
-      | 1 -> Some (r_f64 cur)
-      | tag -> raise (Corrupt (Printf.sprintf "unknown deadline tag %d" tag))
-    in
-    let sp_input = r_str cur in
-    if cur.at <> String.length payload then raise (Corrupt "trailing bytes");
-    { sp_id; sp_name; sp_class; sp_deadline_s; sp_input }
+  let decode =
+    Codec.decode (fun cur ->
+        let sp_id = r_i64 cur in
+        let sp_name = r_str cur in
+        let sp_class = r_str cur in
+        let sp_deadline_s =
+          match r_u8 cur with
+          | 0 -> None
+          | 1 -> Some (r_f64 cur)
+          | tag -> raise (Corrupt (Printf.sprintf "unknown deadline tag %d" tag))
+        in
+        let sp_input = r_str cur in
+        { sp_id; sp_name; sp_class; sp_deadline_s; sp_input })
 
   let save ~dir e =
     ensure_dir dir;
@@ -306,9 +164,7 @@ module Spool = struct
     | Ok None -> Ok None
     | Error detail -> corrupt detail
     | Ok (Some payload) -> (
-        match decode payload with
-        | e -> Ok (Some e)
-        | exception Corrupt detail -> corrupt detail)
+        match decode payload with Ok e -> Ok (Some e) | Error detail -> corrupt detail)
 
   let remove ~dir ~id = try Sys.remove (path ~dir ~id) with Sys_error _ -> ()
 

@@ -2,24 +2,33 @@
 
     A checkpoint captures, at a chunk barrier where every array has
     processed exactly [symbols] input bytes, the whole restorable run
-    state: per-array cycle/report accumulators, the energy ledger and
-    per-mode energy slots, and every engine's {!Engine.snapshot}.
-    Restoring it into a freshly built placement and continuing from
-    [symbols] reproduces the uninterrupted run bit for bit.
+    state: one {!array_state} per array.  Restoring it into a freshly
+    built placement and continuing from [symbols] reproduces the
+    uninterrupted run bit for bit.  The runner captures the same record
+    at every chunk start for its in-memory rollbacks.
 
     Crash consistency on disk: the state file is written to a temp name
     and [rename]d into place, so a crash mid-write leaves the previous
     checkpoint intact; the payload carries a versioned magic header and
     a CRC-32, so torn or bit-rotted files are detected at load instead
     of silently resuming from garbage.  A human-readable append-only
-    journal records every checkpoint and resume event. *)
+    journal records every checkpoint and resume.
+
+    {b Format, version 2.}  The {!Artifact} envelope (magic [RAPCKPT])
+    around a {!Codec} payload: the fingerprint, [symbols], the degraded
+    list as {!Sim_error.to_wire} strings, then per array its cycles,
+    reports, energy by category, mode energy and, per engine, the
+    length-prefixed words of its run-state arena ({!Engine.snapshot}).
+    Those words are the arena's layout, so a change to any arena layout
+    bumps the version; {!load} refuses other versions with a typed
+    error that names both. *)
 
 type array_state = {
   cs_cycles : int;
   cs_reports : int;
   cs_energy_pj : float array;  (** Per {!Energy.all_categories}, in order. *)
   cs_mode_pj : float array;  (** Per {!Cost} mode index. *)
-  cs_engines : Engine.snapshot array;
+  cs_engines : int array array;  (** Per engine, {!Exec.snapshot}. *)
 }
 
 type t = {
@@ -50,7 +59,8 @@ val save : dir:string -> t -> unit
 
 val load : dir:string -> (t option, Sim_error.t) result
 (** [Ok None] when no checkpoint exists yet; [Error (Checkpoint_corrupt _)]
-    on bad magic, truncation, version or CRC mismatch. *)
+    on bad magic, truncation, version or CRC mismatch.  A version-1
+    checkpoint (boxed per-vector state) is refused by version. *)
 
 val journal : dir:string -> string -> unit
 (** Append one timestamped line to the run journal (best-effort: journal

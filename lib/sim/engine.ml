@@ -254,7 +254,7 @@ let nbva_project (e : nbva_engine) =
 type bin_engine = {
   bin : Binning.bin;
   sa : Shift_and.t;
-  b_arena : Arena.t;  (* holds the packed state vector; flat-snapshot surface *)
+  b_arena : Arena.t;  (* holds the packed state vector; the snapshot surface *)
   sa_st : Shift_and.state;
   bit_tile : int array;  (* packed bit -> bin tile *)
   b_tile_masks : Bitvec.t array;  (* per tile: its packed bits *)
@@ -505,79 +505,23 @@ let state_bits = function
   | E_bin e -> Bitvec.width (Shift_and.state_vector e.sa_st)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot / restore: exactly the inter-symbol surface above, as copies.
-   Everything else an engine holds is either immutable (automata, masks,
-   tile maps) or scratch fully overwritten by the next [step] ([next],
-   [avail], the per-step stats record), so capturing the active vector
-   plus the materialized BV words makes [restore] resume bit-identically
-   — including under both NBVA kernels, which share the same stored
-   state. *)
-
-type snapshot = Bitvec.t array
-
-let restore_mismatch () = invalid_arg "Engine.restore: snapshot does not match this engine"
-
-let nbva_snapshot st =
-  let acc = ref [ Bitvec.copy (Nbva.outputs st) ] in
-  Array.iter
-    (function Some v -> acc := Bitvec.copy v :: !acc | None -> ())
-    (Nbva.vectors st);
-  Array.of_list (List.rev !acc)
-
-let nbva_restore st snap =
-  let vecs = Nbva.vectors st in
-  let materialized =
-    Array.fold_left (fun acc v -> match v with Some _ -> acc + 1 | None -> acc) 0 vecs
-  in
-  if Array.length snap <> 1 + materialized then restore_mismatch ();
-  let blit src dst =
-    if Bitvec.width src <> Bitvec.width dst then restore_mismatch ();
-    Bitvec.blit ~src ~dst
-  in
-  blit snap.(0) (Nbva.outputs st);
-  let k = ref 1 in
-  Array.iter
-    (function
-      | Some v ->
-          blit snap.(!k) v;
-          incr k
-      | None -> ())
-    vecs
-
-let snapshot = function
-  | E_nfa e -> nbva_snapshot e.exec_st
-  | E_nbva e -> nbva_snapshot e.nb_st
-  | E_bin e -> [| Bitvec.copy (Shift_and.state_vector e.sa_st) |]
-
-(* Flat snapshots: each engine's run state lives in one arena (NBVA
-   executors allocate theirs in [Nbva.start], bins in [make_bin_engine]),
-   so the whole inter-symbol surface — including scratch, which the next
-   step overwrites anyway — captures and restores as a single word blit.
-   This is the cheap in-memory form for per-chunk rollbacks and session
-   cloning; checkpoints keep the representation-independent {!snapshot}
-   (width-prefixed vector bytes) for their on-disk format. *)
+(* Snapshot / restore.  Each engine's run state lives in one arena (NBVA
+   executors allocate theirs in [Nbva.start], bins in [make_bin_arena]):
+   the inter-symbol surface above plus scratch the next step overwrites
+   and the guard word.  Everything else an engine holds is immutable, so
+   one word blit of the arena captures and restores the whole state —
+   under both NBVA kernels, which share the same stored state. *)
 
 let run_arena = function
   | E_nfa e -> Nbva.run_arena e.exec_st
   | E_nbva e -> Nbva.run_arena e.nb_st
   | E_bin e -> e.b_arena
 
-let state_words t = Arena.used (run_arena t)
-let snapshot_flat t = Arena.snapshot (run_arena t)
-
-let restore_flat t snap =
-  try Arena.restore (run_arena t) snap
-  with Invalid_argument _ -> restore_mismatch ()
+let snapshot t = Arena.snapshot (run_arena t)
 
 let restore t snap =
-  match t with
-  | E_nfa e -> nbva_restore e.exec_st snap
-  | E_nbva e -> nbva_restore e.nb_st snap
-  | E_bin e ->
-      if Array.length snap <> 1 then restore_mismatch ();
-      let v = Shift_and.state_vector e.sa_st in
-      if Bitvec.width snap.(0) <> Bitvec.width v then restore_mismatch ();
-      Bitvec.blit ~src:snap.(0) ~dst:v
+  try Arena.restore (run_arena t) snap
+  with Invalid_argument _ -> invalid_arg "Engine.restore: snapshot does not match this engine"
 
 let flip_state_bit t i =
   if i < 0 || i >= state_bits t then invalid_arg "Engine.flip_state_bit: index out of range";

@@ -61,10 +61,10 @@ val dfa_stats : t -> (int * int * int * bool) option
     tile projection while the event record still holds the zero state's
     projection: one bit per engine, cleared whenever a live state is
     projected and by {!clone_fresh}.  Both tests read live data on every
-    symbol, so {!restore_flat}, {!restore}, rollbacks and
-    {!flip_state_bit} need no hook.  With [Nbva.kernel] set to
-    [Reference] every engine steps and projects on every symbol, which
-    keeps the reference run a check on the fast path. *)
+    symbol, so {!restore}, rollbacks and {!flip_state_bit} need no
+    hook.  With [Nbva.kernel] set to [Reference] every engine steps and
+    projects on every symbol, which keeps the reference run a check on
+    the fast path. *)
 
 type events = {
   active : int array;
@@ -144,37 +144,22 @@ val flip_state_bit : t -> int -> unit
 
 (** {1 Snapshot / restore}
 
-    The checkpoint surface is the same inter-symbol surface as the fault
-    surface, captured as whole vectors: a snapshot is the active vector
-    followed by every materialized BV word in state order (NFA/NBVA
-    engines), or the packed Shift-And state vector (LNFA bins).  All
-    other engine state is immutable or per-step scratch, so
+    An engine's whole run state lives in one arena (see DESIGN.md,
+    "Memory layout"): the stored inter-symbol surface above, the
+    stepper's scratch words and a guard word.  All other engine state is
+    immutable, so one word copy of the arena is a complete snapshot:
     [restore (snapshot e)] into an engine built from the same placement
-    resumes bit-identically — reports, energy events, and stall
-    schedules included. *)
+    resumes bit-identically — reports, energy events and stall schedules
+    included.  Rollbacks, the integrity sentinel and checkpoints all use
+    this one form.  The words encode the arena layout, so checkpoints
+    that store them bump their version whenever a layout changes. *)
 
-type snapshot = Bitvec.t array
-(** Copies, in the order above; serializable via {!Bitvec.to_bytes}. *)
+val snapshot : t -> int array
+(** A copy of the engine's run-state arena — one blit. *)
 
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
-(** Raises [Invalid_argument] when the snapshot's shape (vector count or
-    any width) does not match the engine — the caller is trying to
-    restore into a different placement. *)
-
-val state_words : t -> int
-(** Words of the engine's run-state arena (the flat-snapshot length). *)
-
-val snapshot_flat : t -> int array
-(** The engine's whole run-state arena as one raw word copy — O(memcpy),
-    no per-vector boxing.  Equivalent in restorable content to
-    {!snapshot} but representation-bound: use it for in-memory rollbacks
-    and session capture, never for on-disk formats. *)
-
-val restore_flat : t -> int array -> unit
-(** Inverse of {!snapshot_flat}.  Raises [Invalid_argument] on a length
-    mismatch (snapshot from a different placement). *)
+val restore : t -> int array -> unit
+(** Inverse of {!snapshot}.  Raises [Invalid_argument] on a length
+    mismatch (a snapshot from a different placement). *)
 
 (** {1 Integrity surface}
 
@@ -229,4 +214,4 @@ val guards_ok : t -> bool
 
 val rearm_guards : t -> unit
 (** Re-arm the arena's guard canaries after a repair that did not go
-    through a flat-snapshot restore (which carries them implicitly). *)
+    through a {!restore} (which carries them implicitly). *)

@@ -115,18 +115,12 @@ let tile_modes t = t.tile_modes
 let num_tiles t = Array.length t.tile_pieces
 
 let snapshot t = Array.map Engine.snapshot t.engines
+let snapshot_flat = snapshot
 
 let restore t snaps =
   if Array.length snaps <> Array.length t.engines then
     invalid_arg "Exec.restore: snapshot does not match this array";
   Array.iteri (fun i s -> Engine.restore t.engines.(i) s) snaps
-
-let snapshot_flat t = Array.map Engine.snapshot_flat t.engines
-
-let restore_flat t snaps =
-  if Array.length snaps <> Array.length t.engines then
-    invalid_arg "Exec.restore_flat: snapshot does not match this array";
-  Array.iteri (fun i s -> Engine.restore_flat t.engines.(i) s) snaps
 
 (* The BV-processing phase a triggering (engine, local tile) pair
    enters on [arch]. *)

@@ -20,22 +20,17 @@ val engines : t -> Engine.t array
 val tile_modes : t -> Engine.mode array
 val num_tiles : t -> int
 
-val snapshot : t -> Engine.snapshot array
-(** Per-engine state copies, in engine order — the whole mutable surface
-    of the array between symbols (see {!Engine.snapshot}). *)
+val snapshot : t -> int array array
+(** Per-engine {!Engine.snapshot}s, in engine order — the whole mutable
+    surface of the array between symbols, one blit per engine. *)
 
-val restore : t -> Engine.snapshot array -> unit
+val restore : t -> int array array -> unit
 (** Restore into an exec context built from the same placement and tile
     set; raises [Invalid_argument] on any shape mismatch. *)
 
 val snapshot_flat : t -> int array array
-(** Per-engine raw arena copies — one blit per engine, the cheap
-    in-memory form for per-chunk rollbacks (see {!Engine.snapshot_flat};
-    not an on-disk format). *)
-
-val restore_flat : t -> int array array -> unit
-(** Inverse of {!snapshot_flat}; raises [Invalid_argument] on any shape
-    mismatch. *)
+(** {!snapshot} under its old name, kept for the benchmark harness; to
+    be deleted by the next benchmark change. *)
 
 (** {1 Per-symbol events} *)
 

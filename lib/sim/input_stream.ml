@@ -3,17 +3,12 @@
 let default_chunk = 64 * 1024
 let default_read_all_limit = 1 lsl 30
 
-type mapped = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type source =
-  | Src_string of string
-  | Src_channel of { ic : in_channel; seekable : bool }
-  | Src_mmap of { map : mapped; size : int }
+type source = Src_string of string | Src_channel of { ic : in_channel; seekable : bool }
 
 type t = {
   chunk : int;
   source : source;
-  buf : bytes;  (* reused read/copy buffer for channel and mmap sources *)
+  buf : bytes;  (* reused read buffer for channel sources *)
   len : int option;
   mutable position : int;
   mutable closed : bool;
@@ -23,63 +18,36 @@ let fail detail = raise (Sim_error.Error (Sim_error.Stream_failed { detail }))
 
 let make ?(chunk = default_chunk) source len =
   if chunk <= 0 then invalid_arg "Input_stream: chunk size must be positive";
-  let buf = match source with Src_string _ -> Bytes.empty | Src_channel _ | Src_mmap _ -> Bytes.create chunk in
+  let buf = match source with Src_string _ -> Bytes.empty | Src_channel _ -> Bytes.create chunk in
   { chunk; source; buf; len; position = 0; closed = false }
 
 let of_string ?chunk s = make ?chunk (Src_string s) (Some (String.length s))
 
-(* mmap fast path: map the whole regular file read-only and hand out
-   chunk-sized copies of the mapping — no read(2) per chunk, no kernel
-   buffer double-copy, and [seek] is a cursor assignment.  Anything that
-   cannot be mapped (empty files, fifos/devices, 32-bit-overflowing
-   sizes, any [Unix_error]) silently falls back to the channel reader,
-   which accepts everything the old path did. *)
-let map_readonly path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> None
-  | fd -> (
-      let finish r =
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        r
+(* Files always stream through the channel reader.  It reads with read(2)
+   into the channel buffer, so a file truncated while it is being read
+   (log rotation with copytruncate) ends the stream early; a memory
+   mapping would fault on the vanished pages instead. *)
+let of_file ?chunk path =
+  match open_in_bin path with
+  | ic ->
+      (* Only regular files are seekable with a knowable length:
+         [in_channel_length] on a fifo/device raises, and an lseek on
+         one is meaningless, so classify by fstat instead of assuming.
+         Chunk delivery is identical either way — the channel reader
+         already handles short reads. *)
+      let seekable, len =
+        match Unix.fstat (Unix.descr_of_in_channel ic) with
+        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> (true, Some st_size)
+        | _ -> (false, None)
+        | exception Unix.Unix_error _ -> (false, None)
       in
-      match Unix.fstat fd with
-      | exception Unix.Unix_error _ -> finish None
-      | st ->
-          if st.Unix.st_kind <> Unix.S_REG || st.Unix.st_size <= 0 then finish None
-          else
-            (* the mapping survives the descriptor: close it right away *)
-            (match
-               Unix.map_file fd Bigarray.char Bigarray.c_layout false
-                 [| st.Unix.st_size |]
-             with
-            | exception _ -> finish None
-            | gen -> finish (Some (Bigarray.array1_of_genarray gen, st.Unix.st_size))))
-
-let of_file ?chunk ?(mmap = true) path =
-  match (if mmap then map_readonly path else None) with
-  | Some (map, size) -> make ?chunk (Src_mmap { map; size }) (Some size)
-  | None -> (
-      match open_in_bin path with
-      | ic ->
-          (* Only regular files are seekable with a knowable length:
-             [in_channel_length] on a fifo/device raises, and an lseek on
-             one is meaningless, so classify by fstat instead of assuming.
-             Chunk delivery is identical either way — the channel reader
-             already handles short reads. *)
-          let seekable, len =
-            match Unix.fstat (Unix.descr_of_in_channel ic) with
-            | { Unix.st_kind = Unix.S_REG; st_size; _ } -> (true, Some st_size)
-            | _ -> (false, None)
-            | exception Unix.Unix_error _ -> (false, None)
-          in
-          make ?chunk (Src_channel { ic; seekable }) len
-      | exception Sys_error msg -> fail (Printf.sprintf "cannot open %S: %s" path msg))
+      make ?chunk (Src_channel { ic; seekable }) len
+  | exception Sys_error msg -> fail (Printf.sprintf "cannot open %S: %s" path msg)
 
 let of_stdin ?chunk () = make ?chunk (Src_channel { ic = stdin; seekable = false }) None
 let length t = t.len
 let pos t = t.position
 let chunk_size t = t.chunk
-let is_mmap t = match t.source with Src_mmap _ -> true | Src_string _ | Src_channel _ -> false
 
 let next t =
   if t.closed then None
@@ -95,19 +63,6 @@ let next t =
           in
           t.position <- t.position + n;
           Some c
-        end
-    | Src_mmap { map; size } ->
-        let remaining = size - t.position in
-        if remaining <= 0 then None
-        else begin
-          let n = min t.chunk remaining in
-          (* chunks are copies, never views: a delivered chunk stays valid
-             after [close] and after the mapping is collected *)
-          for i = 0 to n - 1 do
-            Bytes.unsafe_set t.buf i (Bigarray.Array1.unsafe_get map (t.position + i))
-          done;
-          t.position <- t.position + n;
-          Some (Bytes.sub_string t.buf 0 n)
         end
     | Src_channel { ic; _ } -> (
         (* fill the buffer from possibly-short reads (pipes deliver less
@@ -140,10 +95,6 @@ let seek t off =
   | Src_string s ->
       if off > String.length s then
         fail (Printf.sprintf "seek offset %d beyond input of %d bytes" off (String.length s));
-      t.position <- off
-  | Src_mmap { size; _ } ->
-      if off > size then
-        fail (Printf.sprintf "seek offset %d beyond input of %d bytes" off size);
       t.position <- off
   | Src_channel { ic; seekable } ->
       if not seekable then
@@ -181,6 +132,5 @@ let close t =
     t.closed <- true;
     match t.source with
     | Src_string _ -> ()
-    | Src_mmap _ -> ()  (* fd already closed; the GC unmaps the region *)
     | Src_channel { ic; _ } -> if ic != stdin then close_in_noerr ic
   end

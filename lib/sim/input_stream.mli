@@ -17,21 +17,14 @@ val of_string : ?chunk:int -> string -> t
 (** In-memory stream (chunks are substrings; a single-chunk stream hands
     out the original string without copying). *)
 
-val of_file : ?chunk:int -> ?mmap:bool -> string -> t
+val of_file : ?chunk:int -> string -> t
 (** Opens the file now; raises [Sim_error.Error (Stream_failed _)] when
     it cannot be opened.  Length is known up front for regular files;
     non-regular paths (fifos, character devices, [/proc] pseudo-files)
-    open fine but report no length and are not seekable — they stream
-    through the channel reader with identical chunk boundaries.
-
-    With [mmap] (default [true]) a non-empty regular file is mapped
-    read-only ([Unix.map_file]): chunks come straight from the mapping
-    with no [read] syscalls or kernel-buffer copies, and {!seek} is a
-    cursor assignment — multi-GB traces stream in O(chunk) memory.
-    Anything unmappable (empty file, fifo, device, or any mapping error)
-    silently falls back to the channel reader, whose delivered chunks
-    are byte-identical.  Delivered chunks are always copies, so they
-    stay valid after {!close} unmaps. *)
+    open fine but report no length and are not seekable.  Every file
+    streams through the buffered channel reader with the same chunk
+    boundaries.  A file truncated while it is read ends the stream early
+    instead of faulting. *)
 
 val of_stdin : ?chunk:int -> unit -> t
 (** Unseekable, unknown length. *)
@@ -43,10 +36,6 @@ val pos : t -> int
 (** Absolute offset of the next byte {!next} will deliver. *)
 
 val chunk_size : t -> int
-
-val is_mmap : t -> bool
-(** [true] when the stream reads from a memory mapping (the {!of_file}
-    fast path was taken). *)
 
 val next : t -> string option
 (** The next chunk (1 to [chunk] bytes), or [None] at end of input.

@@ -181,7 +181,7 @@ let repair cfg (s : seal) engines =
 (* ---- shadow-replay sentinel ---- *)
 
 let sentinel_replay cfg ~array_id ~sym ~shadow ~live ~pre ~chunk ~start ~len ~live_digest =
-  Exec.restore_flat shadow pre;
+  Exec.restore shadow pre;
   let sh = Exec.engines shadow in
   let replay_digest = ref 0 in
   for i = start to start + len - 1 do

@@ -12,7 +12,7 @@
       {!check} re-verifies the CRCs (and the arena guard words) on the
       runner's sweep cadence and before checkpoint writes, and
       {!repair} blits the pristine bytes back over a corrupted table.
-    - {b sentinel}: a sampled shadow-replay window — capture the flat
+    - {b sentinel}: a sampled shadow-replay window — capture the arena
       state, run W symbols, then replay those W symbols on a shadow
       clone through the {e reference} kernel and compare semantic state.
       A flip injected anywhere in the window, or a corrupted mask table
@@ -113,7 +113,7 @@ val sentinel_replay :
   len:int ->
   live_digest:int ->
   unit
-(** Restore [shadow] (a fresh clone of [live]) from the flat snapshot
+(** Restore [shadow] (a fresh clone of [live]) from the {!Exec.snapshot}
     [pre] taken at the window start, replay [chunk.[start .. start+len-1]]
     through the reference kernel, and compare each engine pair's
     semantic state — plus the per-symbol state digests: [live_digest] is

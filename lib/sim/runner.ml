@@ -325,15 +325,6 @@ type run = {
   r_sentinel_due : int array;
 }
 
-(* Per-chunk rollbacks are in-memory only, so they use the flat arena
-   form: one raw word blit per engine instead of boxed per-vector copies.
-   Checkpoints keep the representation-independent [Exec.snapshot]. *)
-type rollback = {
-  rb_engines : int array array;
-  rb_energy : float array;
-  rb_mode : float array;
-}
-
 (* One attempt's cycle and report counts, published to the slots only
    when the attempt completes: a crashed or timed-out attempt leaves the
    slots untouched, so only engine state and the energy sink need
@@ -404,8 +395,31 @@ let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mappe
     r_sentinel_due = Array.make num_arrays 0;
   }
 
-(* Restore the saved accumulators, engine state and quarantines, and seek
-   the stream to the saved offset.  No checkpoint yet is a fresh run. *)
+(* Array [i]'s whole restorable state: its cycle, report and energy slots
+   and its engines' arenas.  Chunk rollbacks, checkpoints and resume all
+   go through this one capture and the one restore below. *)
+let capture_array st i =
+  {
+    Checkpoint.cs_cycles = st.r_cycles.(i);
+    cs_reports = st.r_reports.(i);
+    cs_energy_pj = ledger_values st.r_ledgers.(i);
+    cs_mode_pj = Array.copy st.r_modes.(i);
+    cs_engines = Exec.snapshot st.r_execs.(i);
+  }
+
+(* Raises [Invalid_argument] when [a] was captured from another placement. *)
+let restore_array st i (a : Checkpoint.array_state) =
+  if Array.length a.Checkpoint.cs_energy_pj <> List.length Energy.all_categories then
+    invalid_arg "energy category count differs";
+  if Array.length a.Checkpoint.cs_mode_pj <> Cost.num_modes then invalid_arg "mode count differs";
+  Exec.restore st.r_execs.(i) a.Checkpoint.cs_engines;
+  st.r_cycles.(i) <- a.Checkpoint.cs_cycles;
+  st.r_reports.(i) <- a.Checkpoint.cs_reports;
+  ledger_restore st.r_ledgers.(i) a.Checkpoint.cs_energy_pj;
+  Array.blit a.Checkpoint.cs_mode_pj 0 st.r_modes.(i) 0 Cost.num_modes
+
+(* Restore the saved arrays and quarantines, and seek the stream to the
+   saved offset.  No checkpoint yet is a fresh run. *)
 let resume st ~dir stream =
   match Checkpoint.load ~dir with
   | Error e -> raise (Sim_error.Error e)
@@ -417,17 +431,7 @@ let resume st ~dir stream =
       if Array.length ck.Checkpoint.ck_arrays <> num_arrays then
         mismatch "checkpoint array count differs from this placement";
       Array.iteri
-        (fun i (a : Checkpoint.array_state) ->
-          (try Exec.restore st.r_execs.(i) a.Checkpoint.cs_engines
-           with Invalid_argument msg -> mismatch msg);
-          if Array.length a.Checkpoint.cs_energy_pj <> List.length Energy.all_categories then
-            mismatch "energy category count differs";
-          if Array.length a.Checkpoint.cs_mode_pj <> Cost.num_modes then
-            mismatch "mode count differs";
-          st.r_cycles.(i) <- a.Checkpoint.cs_cycles;
-          st.r_reports.(i) <- a.Checkpoint.cs_reports;
-          ledger_restore st.r_ledgers.(i) a.Checkpoint.cs_energy_pj;
-          Array.blit a.Checkpoint.cs_mode_pj 0 st.r_modes.(i) 0 Cost.num_modes)
+        (fun i a -> try restore_array st i a with Invalid_argument msg -> mismatch msg)
         ck.Checkpoint.ck_arrays;
       List.iter
         (fun e ->
@@ -470,7 +474,7 @@ let step_span st tally ~deadline ~base chunk i ~lo ~hi =
    window on the shadow through the reference kernel. *)
 let step_window st cfg tally ~deadline ~base chunk i ~lo ~hi =
   let ex = st.r_execs.(i) in
-  let pre = Exec.snapshot_flat ex in
+  let pre = Exec.snapshot ex in
   let digest = ref 0 in
   for off = lo to hi - 1 do
     step_span st tally ~deadline ~base chunk i ~lo:off ~hi:(off + 1);
@@ -517,23 +521,12 @@ let step_chunk st ~deadline ~base chunk i =
   st.r_cycles.(i) <- tally.t_cycles;
   st.r_reports.(i) <- tally.t_reports
 
-let take_rollback st i =
-  {
-    rb_engines = Exec.snapshot_flat st.r_execs.(i);
-    rb_energy = ledger_values st.r_ledgers.(i);
-    rb_mode = Array.copy st.r_modes.(i);
-  }
-
 (* The one place an array's run state goes back to its chunk start, after
-   a failed attempt, a heal or a quarantine. *)
+   a failed attempt, a heal or a quarantine.  A failed attempt never
+   published its slots, so restoring them is a no-op; the engines and
+   energy slots are what actually roll back. *)
 let restore_rollback st rollbacks i =
-  if Array.length rollbacks > 0 then
-    match rollbacks.(i) with
-    | None -> ()
-    | Some rb ->
-        Exec.restore_flat st.r_execs.(i) rb.rb_engines;
-        ledger_restore st.r_ledgers.(i) rb.rb_energy;
-        Array.blit rb.rb_mode 0 st.r_modes.(i) 0 (Array.length rb.rb_mode)
+  if Array.length rollbacks > 0 then Option.iter (restore_array st i) rollbacks.(i)
 
 let quarantine st i err =
   if st.r_quarantined.(i) = None then begin
@@ -591,7 +584,7 @@ let run_chunk st ~base chunk =
     if st.r_policy = None && st.r_integrity = None then [||]
     else
       Array.init num_arrays (fun i ->
-          if st.r_quarantined.(i) <> None then None else Some (take_rollback st i))
+          if st.r_quarantined.(i) <> None then None else Some (capture_array st i))
   in
   let trips = if st.r_integrity = None then [||] else Array.make num_arrays None in
   let attempt ~deadline i =
@@ -653,24 +646,12 @@ let verified_for_checkpoint st ~dir symbols =
 
 let save_checkpoint st ~dir symbols =
   if verified_for_checkpoint st ~dir symbols then begin
-    let ck_arrays =
-      Array.mapi
-        (fun i ex ->
-          {
-            Checkpoint.cs_cycles = st.r_cycles.(i);
-            cs_reports = st.r_reports.(i);
-            cs_energy_pj = ledger_values st.r_ledgers.(i);
-            cs_mode_pj = Array.copy st.r_modes.(i);
-            cs_engines = Exec.snapshot ex;
-          })
-        st.r_execs
-    in
     Checkpoint.save ~dir
       {
         Checkpoint.ck_fingerprint = st.r_fingerprint;
         ck_symbols = symbols;
         ck_degraded = List.rev st.r_degraded;
-        ck_arrays;
+        ck_arrays = Array.init (Array.length st.r_execs) (capture_array st);
       };
     Checkpoint.journal ~dir
       (Printf.sprintf "checkpoint symbols=%d degraded=%d" symbols (List.length st.r_degraded))

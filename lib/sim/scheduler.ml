@@ -8,12 +8,16 @@
    parallel entry point clamps its effective fan-out to this.  The env
    override exists for differential testing: CI and the test suite force
    a wider pool than the sandbox's core count to exercise the worker
-   protocol itself. *)
-let available_parallelism () =
+   protocol itself.  Read once, at module start: [parallel_for] asks on
+   every chunk, also from worker domains (a [Lazy.t] must not be forced
+   from two domains at once). *)
+let domains =
   let base = max 1 (min 8 (Domain.recommended_domain_count ())) in
   match Sys.getenv_opt "RAP_SCHED_DOMAINS" with
   | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> min 8 v | _ -> base)
   | None -> base
+
+let available_parallelism () = domains
 
 let default_jobs () = available_parallelism ()
 

@@ -29,8 +29,9 @@
 val available_parallelism : unit -> int
 (** Cores usable by this process: [Domain.recommended_domain_count]
     clamped to [1..8].  The [RAP_SCHED_DOMAINS] environment variable
-    (read on every call) overrides the probe — tests and CI use it to
-    exercise the pool protocol on machines with fewer visible cores. *)
+    (read once, at program start) overrides the probe — tests and CI use
+    it to exercise the pool protocol on machines with fewer visible
+    cores. *)
 
 val default_jobs : unit -> int
 (** Alias for {!available_parallelism}. *)

@@ -56,30 +56,11 @@ let pp fmt e = Format.fprintf fmt "[%s] %s" (label e) (message e)
 
 (* ---- wire codec ----
 
-   Binary, little-endian, strings length-prefixed: one tag byte then the
-   constructor's fields in declaration order.  Floats travel as their
-   exact IEEE-754 bits, so a round trip is the identity even for values
-   with no finite decimal form. *)
-
-let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xFF))
-
-let w_u32 b n =
-  if n < 0 then invalid_arg "Sim_error.to_wire: negative field";
-  for i = 0 to 3 do
-    w_u8 b ((n lsr (8 * i)) land 0xFF)
-  done
-
-let w_f64 b f =
-  let n = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical n (8 * i)) land 0xFF)
-  done
-
-let w_str b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+   One tag byte, then the constructor's fields in declaration order, in
+   the shared {!Codec} vocabulary. *)
 
 let to_wire e =
+  let open Codec in
   let b = Buffer.create 64 in
   (match e with
   | Array_crashed { array_id; attempts; detail } ->
@@ -117,67 +98,34 @@ let to_wire e =
       w_str b detail);
   Buffer.contents b
 
-exception Bad of string
-
-let of_wire s =
-  let at = ref 0 in
-  let need n = if !at + n > String.length s then raise (Bad "truncated error payload") in
-  let r_u8 () =
-    need 1;
-    let v = Char.code s.[!at] in
-    incr at;
-    v
-  in
-  let r_u32 () =
-    let v = ref 0 in
-    for i = 0 to 3 do
-      v := !v lor (r_u8 () lsl (8 * i))
-    done;
-    !v
-  in
-  let r_f64 () =
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 ())) (8 * i))
-    done;
-    Int64.float_of_bits !v
-  in
-  let r_str () =
-    let n = r_u32 () in
-    need n;
-    let v = String.sub s !at n in
-    at := !at + n;
-    v
-  in
-  match
-    (match r_u8 () with
-    | 0 ->
-        let array_id = r_u32 () in
-        let attempts = r_u32 () in
-        Array_crashed { array_id; attempts; detail = r_str () }
-    | 1 ->
-        let array_id = r_u32 () in
-        let attempts = r_u32 () in
-        Array_timeout { array_id; attempts; deadline_s = r_f64 () }
-    | 2 ->
-        let path = r_str () in
-        Checkpoint_corrupt { path; detail = r_str () }
-    | 3 -> Checkpoint_mismatch { detail = r_str () }
-    | 4 -> Stream_failed { detail = r_str () }
-    | 5 ->
-        let waited_s = r_f64 () in
-        Deadline_expired { waited_s; deadline_s = r_f64 () }
-    | 6 ->
-        let bytes = r_u32 () in
-        Input_too_large { bytes; limit = r_u32 () }
-    | 7 ->
-        let array_id = r_u32 () in
-        let region = r_str () in
-        Integrity_violation { array_id; region; detail = r_str () }
-    | tag -> raise (Bad (Printf.sprintf "unknown error tag %d" tag)))
-  with
-  | e -> if !at <> String.length s then Result.Error "trailing bytes" else Ok e
-  | exception Bad detail -> Result.Error detail
+let of_wire =
+  let open Codec in
+  decode (fun cur ->
+      match r_u8 cur with
+      | 0 ->
+          let array_id = r_u32 cur in
+          let attempts = r_u32 cur in
+          Array_crashed { array_id; attempts; detail = r_str cur }
+      | 1 ->
+          let array_id = r_u32 cur in
+          let attempts = r_u32 cur in
+          Array_timeout { array_id; attempts; deadline_s = r_f64 cur }
+      | 2 ->
+          let path = r_str cur in
+          Checkpoint_corrupt { path; detail = r_str cur }
+      | 3 -> Checkpoint_mismatch { detail = r_str cur }
+      | 4 -> Stream_failed { detail = r_str cur }
+      | 5 ->
+          let waited_s = r_f64 cur in
+          Deadline_expired { waited_s; deadline_s = r_f64 cur }
+      | 6 ->
+          let bytes = r_u32 cur in
+          Input_too_large { bytes; limit = r_u32 cur }
+      | 7 ->
+          let array_id = r_u32 cur in
+          let region = r_str cur in
+          Integrity_violation { array_id; region; detail = r_str cur }
+      | tag -> raise (Corrupt (Printf.sprintf "unknown error tag %d" tag)))
 
 let () =
   Printexc.register_printer (function

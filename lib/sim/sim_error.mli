@@ -61,12 +61,17 @@ val pp : Format.formatter -> t -> unit
 
     The match service ships failures to clients as values, not rendered
     strings, so the client can react in a typed way (retry on timeout,
-    give up on corruption).  The encoding is self-contained binary —
-    little-endian, length-prefixed strings, floats as their exact
-    IEEE-754 bits — so [of_wire (to_wire e) = Ok e] for every [e],
-    including float fields with no finite decimal representation. *)
+    give up on corruption).  The encoding is self-contained binary in
+    the {!Codec} vocabulary — a tag byte, then the fields — and
+    checkpoints store their degraded list in it too.  Integer fields
+    ([array_id], [attempts], [bytes], [limit]) travel as u32, so
+    [of_wire (to_wire e) = Ok e] for every [e] whose integer fields lie
+    in [\[0, 2{^32})], including float fields with no finite decimal
+    representation. *)
 
 val to_wire : t -> string
+(** Raises [Invalid_argument] when an integer field lies outside
+    [\[0, 2{^32})]. *)
 
 val of_wire : string -> (t, string) result
 (** [Error detail] on truncation, an unknown tag, or trailing bytes —

@@ -459,44 +459,68 @@ let test_input_stream_file () =
 (* ------------------------------------------------------------------ *)
 (* Serialisation primitives *)
 
+(* [Bitvec.to_bytes] is what integrity seals checksum: bit [i] at byte
+   [i/8], bit [i mod 8], whatever the word layout. *)
 let test_bitvec_bytes_roundtrip () =
   List.iter
     (fun width ->
       let v = Bitvec.create width in
+      let want = Bytes.make ((width + 7) / 8) '\000' in
       for i = 0 to width - 1 do
-        if (i * 7) mod 3 = 0 then Bitvec.set v i
+        if (i * 7) mod 3 = 0 then begin
+          Bitvec.set v i;
+          let byte = Char.code (Bytes.get want (i / 8)) lor (1 lsl (i mod 8)) in
+          Bytes.set want (i / 8) (Char.chr byte)
+        end
       done;
-      let w = Bitvec.create width in
-      Bitvec.load_bytes w (Bitvec.to_bytes v);
-      check bool (Printf.sprintf "width %d roundtrips" width) true (Bitvec.equal v w))
-    [ 1; 8; 61; 62; 63; 124; 200 ];
-  let v = Bitvec.create 10 in
-  check bool "length mismatch refused" true
-    (match Bitvec.load_bytes v (Bytes.create 5) with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+      check bool
+        (Printf.sprintf "width %d byte layout" width)
+        true
+        (Bytes.equal want (Bitvec.to_bytes v)))
+    [ 1; 8; 61; 62; 63; 124; 200 ]
+
+let every_error =
+  [
+    Sim_error.Array_crashed { array_id = 3; attempts = 2; detail = "boom" };
+    Sim_error.Array_timeout { array_id = 1; attempts = 4; deadline_s = 1.5 };
+    Sim_error.Checkpoint_corrupt { path = "p"; detail = "d" };
+    Sim_error.Checkpoint_mismatch { detail = "d" };
+    Sim_error.Stream_failed { detail = "d" };
+    Sim_error.Deadline_expired { waited_s = 0.5; deadline_s = 0.25 };
+    Sim_error.Input_too_large { bytes = 0xFFFF_FFFF; limit = 7 };
+    Sim_error.Integrity_violation { array_id = 0; region = "masks"; detail = "crc" };
+  ]
+
+let check_same_checkpoint label (want : Checkpoint.t) (got : Checkpoint.t) =
+  check string (label ^ ": fingerprint") want.Checkpoint.ck_fingerprint
+    got.Checkpoint.ck_fingerprint;
+  check int (label ^ ": symbols") want.Checkpoint.ck_symbols got.Checkpoint.ck_symbols;
+  check bool (label ^ ": degraded") true (want.Checkpoint.ck_degraded = got.Checkpoint.ck_degraded);
+  check int (label ^ ": array count")
+    (Array.length want.Checkpoint.ck_arrays)
+    (Array.length got.Checkpoint.ck_arrays);
+  Array.iteri
+    (fun i (a : Checkpoint.array_state) ->
+      let g = got.Checkpoint.ck_arrays.(i) in
+      let ctx = Printf.sprintf "%s: array %d " label i in
+      check int (ctx ^ "cycles") a.Checkpoint.cs_cycles g.Checkpoint.cs_cycles;
+      check int (ctx ^ "reports") a.Checkpoint.cs_reports g.Checkpoint.cs_reports;
+      check bool (ctx ^ "energy exact") true
+        (a.Checkpoint.cs_energy_pj = g.Checkpoint.cs_energy_pj);
+      check bool (ctx ^ "modes exact") true (a.Checkpoint.cs_mode_pj = g.Checkpoint.cs_mode_pj);
+      check bool (ctx ^ "engine words") true (a.Checkpoint.cs_engines = g.Checkpoint.cs_engines))
+    want.Checkpoint.ck_arrays
 
 let test_checkpoint_codec_roundtrip () =
   let dir = temp_ckpt_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let vec width seed =
-        let v = Bitvec.create width in
-        for i = 0 to width - 1 do
-          if (i + seed) mod 3 = 0 then Bitvec.set v i
-        done;
-        v
-      in
       let ck =
         {
           Checkpoint.ck_fingerprint = "f00d";
           ck_symbols = 123456789;
-          ck_degraded =
-            [
-              Sim_error.Array_crashed { array_id = 3; attempts = 2; detail = "boom" };
-              Sim_error.Array_timeout { array_id = 1; attempts = 4; deadline_s = 1.5 };
-            ];
+          ck_degraded = every_error;
           ck_arrays =
             [|
               {
@@ -504,67 +528,42 @@ let test_checkpoint_codec_roundtrip () =
                 cs_reports = 7;
                 cs_energy_pj = [| 1.25; 0.; 3.5e-3; 0.125; 0.; 1e9; 0.25 |];
                 cs_mode_pj = [| 0.5; 0.25; 0. |];
-                cs_engines = [| [| vec 1 0; vec 63 1 |]; [| vec 100 2 |] |];
+                cs_engines = [| [| 0; 1; -1; max_int; min_int |]; [||]; [| 0x2F0E1D3C4B5A6978 |] |];
               };
               {
                 Checkpoint.cs_cycles = 0;
                 cs_reports = 0;
                 cs_energy_pj = Array.make 7 0.;
                 cs_mode_pj = Array.make 3 0.;
-                cs_engines = [| [| vec 62 3 |] |];
+                cs_engines = [||];
               };
             |];
         }
       in
       Checkpoint.save ~dir ck;
       match Checkpoint.load ~dir with
-      | Ok (Some got) ->
-          check string "fingerprint" ck.Checkpoint.ck_fingerprint got.Checkpoint.ck_fingerprint;
-          check int "symbols" ck.Checkpoint.ck_symbols got.Checkpoint.ck_symbols;
-          check bool "degraded list" true (ck.Checkpoint.ck_degraded = got.Checkpoint.ck_degraded);
-          check int "array count" 2 (Array.length got.Checkpoint.ck_arrays);
-          Array.iteri
-            (fun i (a : Checkpoint.array_state) ->
-              let g = got.Checkpoint.ck_arrays.(i) in
-              check int "cycles" a.Checkpoint.cs_cycles g.Checkpoint.cs_cycles;
-              check int "reports" a.Checkpoint.cs_reports g.Checkpoint.cs_reports;
-              check bool "energy exact" true (a.Checkpoint.cs_energy_pj = g.Checkpoint.cs_energy_pj);
-              check bool "modes exact" true (a.Checkpoint.cs_mode_pj = g.Checkpoint.cs_mode_pj);
-              Array.iteri
-                (fun e snap ->
-                  Array.iteri
-                    (fun v bv ->
-                      check bool
-                        (Printf.sprintf "a%d e%d v%d" i e v)
-                        true
-                        (Bitvec.equal bv g.Checkpoint.cs_engines.(e).(v)))
-                    snap)
-                a.Checkpoint.cs_engines)
-            ck.Checkpoint.ck_arrays
+      | Ok (Some got) -> check_same_checkpoint "roundtrip" ck got
       | Ok None -> fail "checkpoint vanished"
       | Error e -> failf "load failed: %s" (Sim_error.message e))
 
-(* The on-disk checkpoint format is frozen: test/golden/state.ckpt was
-   written by the pre-arena record-based engine, and saving the same
-   value today must reproduce it byte for byte.  If this test fails the
-   wire format changed — old checkpoints would be refused or misread —
-   so bump the Artifact version rather than regenerating the golden
-   file. *)
+(* The on-disk checkpoint format is pinned: test/golden/v2/state.ckpt
+   holds [golden_value] as version 2 writes it, and saving the same value
+   today must reproduce it byte for byte.  If this test fails the format
+   changed — deployed checkpoints would be misread — so bump the
+   checkpoint version and add a new golden file rather than regenerating
+   this one. *)
 let golden_dir = "golden"
+let golden_v2_dir = Filename.concat golden_dir "v2"
 
 let golden_value () =
-  let bv width setbits =
-    let v = Bitvec.create width in
-    List.iter (Bitvec.set v) setbits;
-    v
-  in
   {
-    Checkpoint.ck_fingerprint = "golden-fingerprint-v1";
+    Checkpoint.ck_fingerprint = "golden-fingerprint-v2";
     ck_symbols = 123456789;
     ck_degraded =
       [
         Sim_error.Array_crashed { array_id = 0; attempts = 1; detail = "boom" };
         Sim_error.Array_timeout { array_id = 2; attempts = 3; deadline_s = 0.125 };
+        Sim_error.Integrity_violation { array_id = 1; region = "masks"; detail = "crc" };
       ];
     ck_arrays =
       [|
@@ -574,17 +573,7 @@ let golden_value () =
           cs_energy_pj = [| 1.5; 2.25 |];
           cs_mode_pj = [| 0.5; 0.; 3.125 |];
           cs_engines =
-            [|
-              [|
-                bv 0 [];
-                bv 1 [ 0 ];
-                bv 63 [ 0; 31; 62 ];
-                bv 64 [ 0; 63 ];
-                bv 65 [ 64 ];
-                bv 127 [ 0; 61; 62; 63; 126 ];
-                bv 128 [ 127 ];
-              |];
-            |];
+            [| [| 0; 1; 0x3FFF_FFFF_FFFF_FFFF; -2 |]; [||]; [| 56; 3390679716572500161 |] |];
         };
         {
           Checkpoint.cs_cycles = 0;
@@ -609,37 +598,52 @@ let test_golden_checkpoint_format () =
     (fun () ->
       Checkpoint.save ~dir (golden_value ());
       let fresh = read_file (Checkpoint.state_path ~dir) in
-      let golden = read_file (Checkpoint.state_path ~dir:golden_dir) in
+      let golden = read_file (Checkpoint.state_path ~dir:golden_v2_dir) in
       check int "same size" (String.length golden) (String.length fresh);
-      check bool "byte-identical to the pre-arena golden file" true (String.equal fresh golden));
-  match Checkpoint.load ~dir:golden_dir with
-  | Ok (Some got) ->
-      let want = golden_value () in
-      check string "fingerprint" want.Checkpoint.ck_fingerprint got.Checkpoint.ck_fingerprint;
-      check int "symbols" want.Checkpoint.ck_symbols got.Checkpoint.ck_symbols;
-      check bool "degraded" true (want.Checkpoint.ck_degraded = got.Checkpoint.ck_degraded);
-      Array.iteri
-        (fun i (a : Checkpoint.array_state) ->
-          let g = got.Checkpoint.ck_arrays.(i) in
-          check int "cycles" a.Checkpoint.cs_cycles g.Checkpoint.cs_cycles;
-          check bool "energy" true (a.Checkpoint.cs_energy_pj = g.Checkpoint.cs_energy_pj);
-          Array.iteri
-            (fun e snap ->
-              Array.iteri
-                (fun v bvv ->
-                  check bool
-                    (Printf.sprintf "golden a%d e%d v%d" i e v)
-                    true
-                    (Bitvec.equal bvv g.Checkpoint.cs_engines.(e).(v)))
-                snap)
-            a.Checkpoint.cs_engines)
-        want.Checkpoint.ck_arrays
+      check bool "byte-identical to the version-2 golden file" true (String.equal fresh golden));
+  match Checkpoint.load ~dir:golden_v2_dir with
+  | Ok (Some got) -> check_same_checkpoint "golden" (golden_value ()) got
   | Ok None -> fail "golden checkpoint missing"
   | Error e -> failf "golden checkpoint failed to load: %s" (Sim_error.message e)
 
-(* Arena-backed flat snapshots (raw word blits, in-memory only) must
-   replay exactly like the format-bearing Bitvec snapshots. *)
-let test_flat_snapshot_roundtrip () =
+(* test/golden/state.ckpt is a version-1 checkpoint (boxed per-vector
+   engine state).  This build must refuse it with a typed error that
+   names both versions, never misread it. *)
+let test_v1_checkpoint_refused () =
+  match Checkpoint.load ~dir:golden_dir with
+  | Error (Sim_error.Checkpoint_corrupt _ as e) ->
+      let msg = Sim_error.message e in
+      check bool
+        (Printf.sprintf "names both versions: %s" msg)
+        true
+        (Astring_contains.contains msg "unsupported version 1 (this build reads version 2)")
+  | Error e -> failf "wrong error: %s" (Sim_error.message e)
+  | Ok _ -> fail "a version-1 checkpoint must be refused"
+
+(* Version 2 stores the engines' arena words as they are laid out, so a
+   reordered [Nbva.start] or bin arena would make old checkpoints resume
+   garbage under an unchanged placement fingerprint.  The arenas of a
+   small placement with a binned-LNFA, an NBVA and an NFA engine, after a
+   fixed input, are pinned here. *)
+let test_arena_layout_pinned () =
+  let p = placement [ "ab{3,5}c"; "x[yz]d"; "aaaz"; "a{12}b" ] in
+  check int "one array" 1 (Array.length p.Mapper.arrays);
+  let ex = Exec.build p p.Mapper.arrays.(0) in
+  String.iteri (fun i c -> ignore (Exec.step rap ex ~sym:i c)) "xyzdabbbcxyd aaaaaaa";
+  let want =
+    [|
+      [| 56; 3390679716572500161 |];
+      [| 0; 1; 0; 127; 3390679722446262172 |];
+      [| 1; 3; 1; 0; 0; 3390679727425391077 |];
+    |]
+  in
+  check bool "engine arenas match the layout checkpoints store (else bump the checkpoint version)"
+    true
+    (Exec.snapshot ex = want)
+
+(* A snapshot restored into the same array, or into a fresh build of the
+   same placement, replays the rest of the input bit-identically. *)
+let test_snapshot_replay () =
   let p = placement [ "a{30}b"; "ab*c"; "evilsig"; "x[yz]d"; "bc{5,12}d" ] in
   let ex = Exec.build p p.Mapper.arrays.(0) in
   let input =
@@ -658,8 +662,7 @@ let test_flat_snapshot_roundtrip () =
   for i = 0 to split - 1 do
     ignore (stepd ex i)
   done;
-  let flat = Exec.snapshot_flat ex in
-  let bvsnap = Exec.snapshot ex in
+  let snap = Exec.snapshot ex in
   let tail ex =
     let acc = ref [] in
     for i = split to String.length input - 1 do
@@ -668,14 +671,11 @@ let test_flat_snapshot_roundtrip () =
     List.rev !acc
   in
   let tail_ref = tail ex in
-  Exec.restore_flat ex flat;
-  check bool "flat restore replays bit-identically" true (tail ex = tail_ref);
-  Exec.restore ex bvsnap;
-  check bool "flat and Bitvec snapshots replay identically" true (tail ex = tail_ref);
-  check bool "wrong-shape flat restore refused" true
-    (match Exec.restore_flat ex [| [| 0 |] |] with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+  Exec.restore ex snap;
+  check bool "restore replays bit-identically" true (tail ex = tail_ref);
+  let fresh = Exec.build p p.Mapper.arrays.(0) in
+  Exec.restore fresh snap;
+  check bool "restore into a fresh build replays bit-identically" true (tail fresh = tail_ref)
 
 let test_engine_restore_shape_checked () =
   let p = placement [ "a{30}b" ] in
@@ -700,7 +700,9 @@ let suite =
     test_case "checkpoint codec roundtrip" `Quick test_checkpoint_codec_roundtrip;
     test_case "engine restore is shape-checked" `Quick test_engine_restore_shape_checked;
     test_case "golden on-disk format is frozen" `Quick test_golden_checkpoint_format;
-    test_case "flat snapshots replay like Bitvec snapshots" `Quick test_flat_snapshot_roundtrip;
+    test_case "version-1 checkpoint is refused by version" `Quick test_v1_checkpoint_refused;
+    test_case "arena layout is pinned" `Quick test_arena_layout_pinned;
+    test_case "snapshots replay bit-identically" `Quick test_snapshot_replay;
     test_case "corruption is detected at load" `Quick test_corruption_detected;
     test_case "fingerprint mismatch is refused" `Quick test_fingerprint_mismatch;
     test_case "unseekable resume is refused" `Quick test_unseekable_resume_refused;

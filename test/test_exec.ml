@@ -289,7 +289,7 @@ let test_kernel_swap_bit_identical () =
    field must agree at every symbol.  The input alternates long runs of
    a byte no rule wakes on with bursts of activity, and hosts the writes
    that land behind the engines' backs: a state flip into every idle
-   engine, a flat restore of a live snapshot into the idle array and of
+   engine, a restore of a live snapshot into the idle array and of
    an idle snapshot into the live array, and a fresh clone of the idle
    array.  Each must show from the next symbol on: a stale idle record,
    or a stale live one, fails the comparison. *)
@@ -329,10 +329,10 @@ let test_idle_fast_path_lockstep () =
   Array.iter
     (fun tiles ->
       let fast = ref (Exec.build p tiles) and slow = ref (Exec.build p tiles) in
-      let snap () = (Exec.snapshot_flat !fast, Exec.snapshot_flat !slow) in
+      let snap () = (Exec.snapshot !fast, Exec.snapshot !slow) in
       let restore count (f, s) =
-        Exec.restore_flat !fast f;
-        Exec.restore_flat !slow s;
+        Exec.restore !fast f;
+        Exec.restore !slow s;
         incr count
       in
       let live_snap = ref None and idle_snap = ref None in

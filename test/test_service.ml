@@ -87,6 +87,96 @@ let test_wire_reply_roundtrip () =
       Wire.Shutting_down;
     ]
 
+(* The bytes themselves are pinned, not just the round trips: one value
+   of every request, reply and error constructor and one spool entry,
+   against hex recorded before the three codecs were merged into
+   [Codec].  A failure here means deployed clients, daemons or spool
+   directories would misread each other. *)
+let hex s =
+  String.concat ""
+    (List.map (Printf.sprintf "%02x") (List.of_seq (Seq.map Char.code (String.to_seq s))))
+
+let pinned_requests =
+  [
+    ( Wire.Open { name = "req-1"; class_ = Wire.Bulk; deadline_s = Some 1.5 },
+      "01050000007265712d310101000000000000f83f" );
+    (Wire.Chunk "ab\x00\xff", "0204000000616200ff");
+    (Wire.Finish, "03");
+    (Wire.Stats, "04");
+    (Wire.Ping, "05");
+    (Wire.Shutdown, "06");
+  ]
+
+let pinned_errors =
+  [
+    ( Sim_error.Array_crashed { array_id = 3; attempts = 2; detail = "boom" },
+      "00030000000200000004000000626f6f6d" );
+    ( Sim_error.Array_timeout { array_id = 1; attempts = 4; deadline_s = 0.1 },
+      "0101000000040000009a9999999999b93f" );
+    ( Sim_error.Checkpoint_corrupt { path = "d/state.ckpt"; detail = "CRC mismatch" },
+      "020c000000642f73746174652e636b70740c000000435243206d69736d61746368" );
+    (Sim_error.Checkpoint_mismatch { detail = "array count" }, "030b000000617272617920636f756e74");
+    (Sim_error.Stream_failed { detail = "eof" }, "0403000000656f66");
+    ( Sim_error.Deadline_expired { waited_s = 2.5; deadline_s = -0. },
+      "0500000000000004400000000000000080" );
+    (Sim_error.Input_too_large { bytes = 0xFFFF_FFFF; limit = 1 lsl 30 }, "06ffffffff00000040");
+    ( Sim_error.Integrity_violation { array_id = 2; region = "masks"; detail = "crc" },
+      "0702000000050000006d61736b7303000000637263" );
+  ]
+
+let pinned_replies =
+  [
+    (Wire.Accepted { id = 42 }, "812a00000000000000");
+    ( Wire.Overloaded { depth = 64; capacity = 64; retry_after_s = 0.125 },
+      "824000000040000000000000000000c03f" );
+    (Wire.Quarantined { name = "bad"; faults = 3 }, "830300000062616403000000");
+    (Wire.Rejected { reason = "too large" }, "8409000000746f6f206c61726765");
+    ( Wire.Report { id = 7; degraded = 2; recovered = true; text = "report\n" },
+      "8507000000000000000200000001070000007265706f72740a" );
+    ( Wire.Failed
+        {
+          id = 9;
+          error = Sim_error.Array_timeout { array_id = 1; attempts = 3; deadline_s = 0.1 };
+        },
+      "860900000000000000110000000101000000030000009a9999999999b93f" );
+    (Wire.Stats_ok { json = "{}" }, "87020000007b7d");
+    (Wire.Pong, "88");
+    (Wire.Shutting_down, "89");
+  ]
+
+let pinned_spool =
+  ( {
+      Checkpoint.Spool.sp_id = 17;
+      sp_name = "s17";
+      sp_class = "bulk";
+      sp_deadline_s = Some 2.;
+      sp_input = "abbbc";
+    },
+    "52415053504f4f4c014905630029000000000000001100000000000000030000007331370400000062756c6b"
+    ^ "010000000000000040050000006162626263" )
+
+let test_codec_bytes_pinned () =
+  List.iteri
+    (fun i (r, want) ->
+      check string (Printf.sprintf "request %d" i) want (hex (Wire.encode_request r)))
+    pinned_requests;
+  List.iter
+    (fun (e, want) -> check string (Sim_error.label e) want (hex (Sim_error.to_wire e)))
+    pinned_errors;
+  List.iteri
+    (fun i (r, want) -> check string (Printf.sprintf "reply %d" i) want (hex (Wire.encode_reply r)))
+    pinned_replies;
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let entry, want = pinned_spool in
+      Checkpoint.Spool.save ~dir entry;
+      let ic = open_in_bin (Checkpoint.Spool.path ~dir ~id:entry.Checkpoint.Spool.sp_id) in
+      let bytes = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      check string "spool entry file" want (hex bytes))
+
 (* decoders must be total: random bytes never raise, and truncating a
    valid encoding never raises either *)
 let prop_wire_decode_total =
@@ -167,12 +257,33 @@ let gen_sim_error =
       map (fun detail -> Sim_error.Checkpoint_mismatch { detail }) str;
       map (fun detail -> Sim_error.Stream_failed { detail }) str;
       map2 (fun waited_s deadline_s -> Sim_error.Deadline_expired { waited_s; deadline_s }) fin fin;
+      map2
+        (fun bytes limit -> Sim_error.Input_too_large { bytes; limit })
+        (0 -- 0xFFFF_FFFF) (0 -- 0xFFFF_FFFF);
+      map3
+        (fun array_id region detail -> Sim_error.Integrity_violation { array_id; region; detail })
+        (0 -- 1000) str str;
     ]
 
 let prop_sim_error_roundtrip =
   QCheck2.Test.make ~count:300 ~name:"Sim_error.of_wire (to_wire e) = Ok e (exact floats)"
     gen_sim_error
     (fun e -> Sim_error.of_wire (Sim_error.to_wire e) = Ok e)
+
+(* u32 fields refuse what does not fit instead of wrapping it. *)
+let test_sim_error_u32_range () =
+  List.iter
+    (fun e ->
+      match Sim_error.to_wire e with
+      | exception Invalid_argument _ -> ()
+      | _ -> failf "%s must be refused" (Sim_error.message e))
+    [
+      Sim_error.Input_too_large { bytes = 5_000_000_000; limit = 1 lsl 30 };
+      Sim_error.Input_too_large { bytes = 1; limit = 1 lsl 32 };
+      Sim_error.Array_crashed { array_id = -1; attempts = 1; detail = "" };
+    ];
+  let top = Sim_error.Input_too_large { bytes = 0xFFFF_FFFF; limit = 0 } in
+  check bool "2^32 - 1 round-trips" true (Sim_error.of_wire (Sim_error.to_wire top) = Ok top)
 
 let test_sim_error_wire_rejects_garbage () =
   (match Sim_error.of_wire "" with Error _ -> () | Ok _ -> fail "empty must not decode");
@@ -528,6 +639,7 @@ let prop_latency_quantile_bounds =
 let suite =
   [
     test_case "wire: request round-trip" `Quick test_wire_request_roundtrip;
+    test_case "codec: wire, error and spool bytes are pinned" `Quick test_codec_bytes_pinned;
     test_case "wire: reply round-trip" `Quick test_wire_reply_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_decode_total;
     QCheck_alcotest.to_alcotest prop_wire_truncation_is_error;
@@ -535,6 +647,7 @@ let suite =
     test_case "wire: oversized frame rejected" `Quick test_reader_oversize;
     QCheck_alcotest.to_alcotest prop_sim_error_roundtrip;
     test_case "sim_error: garbage rejected" `Quick test_sim_error_wire_rejects_garbage;
+    test_case "sim_error: u32 fields refuse values past 32 bits" `Quick test_sim_error_u32_range;
     test_case "admission: overflow sheds typed" `Quick test_admission_overflow_typed;
     QCheck_alcotest.to_alcotest prop_shed_never_corrupts;
     test_case "deadline: expired in queue" `Quick test_deadline_expired_in_queue;

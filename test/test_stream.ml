@@ -133,53 +133,27 @@ let test_oversized_chunk_single_delivery () =
   check (option string) "chunk == length: one chunk" (Some contents) (Input_stream.next s);
   check (option string) "then exhausted" None (Input_stream.next s)
 
-(* The mmap fast path must be invisible: same chunks, same seeks, same
-   reports as the channel reader, and chunks must outlive [close]. *)
-let test_mmap_equals_channel () =
-  let contents = String.init 3_000 (fun i -> Char.chr (32 + (i * 31 mod 95))) in
+(* A file truncated while it streams (log rotation with copytruncate)
+   ends the stream: every chunk is a prefix of the original contents,
+   the stream reaches end of input, and nothing faults. *)
+let test_truncated_file_ends_stream () =
+  let contents = String.init 300_000 (fun i -> Char.chr (32 + (i * 31 mod 95))) in
   let path = temp_input contents in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let m = Input_stream.of_file ~chunk:97 path in
-      let c = Input_stream.of_file ~chunk:97 ~mmap:false path in
-      check bool "regular file maps" true (Input_stream.is_mmap m);
-      check bool "--no-mmap falls back" false (Input_stream.is_mmap c);
-      check (option int) "same length" (Input_stream.length c) (Input_stream.length m);
-      let rec drain acc s =
-        match Input_stream.next s with None -> List.rev acc | Some ch -> drain (ch :: acc) s
+      let s = Input_stream.of_file ~chunk:4096 path in
+      let first = Input_stream.next s in
+      check (option string) "first chunk" (Some (String.sub contents 0 4096)) first;
+      Unix.truncate path 0;
+      let rec drain acc =
+        match Input_stream.next s with None -> acc | Some c -> drain (acc ^ c)
       in
-      let chunks_m = drain [] m and chunks_c = drain [] c in
-      check bool "chunk-identical delivery" true (chunks_m = chunks_c);
-      check string "reassembles" contents (String.concat "" chunks_m);
-      Input_stream.seek m 2_950;
-      Input_stream.seek c 2_950;
-      check bool "seek agrees" true (Input_stream.next m = Input_stream.next c);
-      (* a delivered chunk is a copy: it survives close *)
-      Input_stream.seek m 0;
-      let first = Input_stream.next m in
-      Input_stream.close m;
-      Input_stream.close c;
-      check (option string) "chunk valid after close" (Some (String.sub contents 0 97)) first;
-      (* simulator reports are bit-identical across the two paths *)
-      let p = placement () in
-      let matchy = String.concat "" (List.init 200 (fun _ -> "abbbc xyzzw ")) in
-      let mp = temp_input matchy in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove mp)
-        (fun () ->
-          check_reports_equal "mmap vs channel report"
-            (run_stream p (Input_stream.of_file ~chunk:64 mp))
-            (run_stream p (Input_stream.of_file ~chunk:64 ~mmap:false mp))));
-  (* empty files cannot be mapped: the fallback must engage silently *)
-  let empty = temp_input "" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove empty)
-    (fun () ->
-      let s = Input_stream.of_file empty in
-      check bool "empty file falls back" false (Input_stream.is_mmap s);
-      check (option string) "and is empty" None (Input_stream.next s);
-      Input_stream.close s)
+      let got = drain (Option.get first) in
+      Input_stream.close s;
+      check bool "stream ends before the original length" true
+        (String.length got < String.length contents);
+      check string "delivered bytes are a prefix" (String.sub contents 0 (String.length got)) got)
 
 (* Non-regular files (fifos, /proc pseudo-files) must open through the
    channel reader without raising — [in_channel_length] is meaningless
@@ -196,9 +170,9 @@ let test_fifo_falls_back () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (* Hold an O_RDWR end so every open in [of_file] (the mmap probe
-         and the channel fallback) finds a writer and never blocks; the
-         contents fit the pipe buffer so the write completes inline. *)
+      (* Hold an O_RDWR end so the open in [of_file] finds a writer and
+         never blocks; the contents fit the pipe buffer so the write
+         completes inline. *)
       let wfd = Unix.openfile path [ Unix.O_RDWR ] 0 in
       let wrote =
         Unix.write_substring wfd contents 0 (String.length contents)
@@ -207,7 +181,6 @@ let test_fifo_falls_back () =
       let s = Input_stream.of_file ~chunk:37 path in
       Unix.close wfd;
       (* close the writer: EOF becomes observable *)
-      check bool "fifo is not mmapped" false (Input_stream.is_mmap s);
       check (option int) "fifo length unknown" None (Input_stream.length s);
       (match Input_stream.seek s 5 with
       | exception Sim_error.Error (Sim_error.Stream_failed _) -> ()
@@ -221,11 +194,10 @@ let test_fifo_falls_back () =
       check bool "fifo chunks == string chunks" true (got = want))
 
 let test_proc_pseudo_file () =
-  (* /proc files fstat as zero-size: the mmap probe must skip them and
-     the channel reader must still deliver their actual contents. *)
+  (* /proc files fstat as zero-size: the channel reader must still
+     deliver their actual contents. *)
   if Sys.file_exists "/proc/version" then begin
     let s = Input_stream.of_file "/proc/version" in
-    check bool "/proc is not mmapped" false (Input_stream.is_mmap s);
     let contents = Input_stream.read_all s in
     Input_stream.close s;
     check bool "/proc delivers contents" true (String.length contents > 0);
@@ -265,7 +237,7 @@ let suite =
     test_case "stdin stream == string stream (edge chunks)" `Quick test_stdin_equals_string;
     test_case "empty file delivers no chunks" `Quick test_empty_file_stream_shape;
     test_case "chunk >= input delivers once" `Quick test_oversized_chunk_single_delivery;
-    test_case "mmap path == channel path" `Quick test_mmap_equals_channel;
+    test_case "truncated file ends the stream" `Quick test_truncated_file_ends_stream;
     test_case "fifo falls back to channel path" `Quick test_fifo_falls_back;
     test_case "/proc pseudo-file streams" `Quick test_proc_pseudo_file;
     test_case "read_all is capped" `Quick test_read_all_cap;
