@@ -240,7 +240,7 @@ let kernel_arg =
 let integrity_flag =
   Arg.(value & flag
        & info [ "integrity" ]
-           ~doc:"Arm the online integrity layer: CRC-sealed compiled tables, arena guard \
+           ~doc:"Arm the online integrity layer: checksum-sealed compiled tables, arena guard \
                  words and a sampled shadow-replay sentinel.  A detected violation rolls \
                  the array back to the chunk start, repairs the tables from pristine \
                  copies and re-executes; an array that keeps tripping is quarantined with \
@@ -249,7 +249,7 @@ let integrity_flag =
 let sweep_every_arg =
   Arg.(value & opt (some int) None
        & info [ "sweep-every" ] ~docv:"N"
-           ~doc:"With $(b,--integrity): re-verify table CRCs and arena guards at the \
+           ~doc:"With $(b,--integrity): re-verify table checksums and arena guards at the \
                  first chunk boundary after every $(docv) symbols (0 disables sweeps; \
                  checkpoint-time verification still runs).")
 

@@ -293,7 +293,7 @@ let bpw = Bitvec.bits_per_word
    names a BV-STE) turns that into a catchable exception the integrity
    layer's seal check then attributes and heals; pure data corruption
    (mask words, [bv_match] bytes) stays unchecked — it is in-bounds by
-   construction and the CRC sweep / sentinel own it. *)
+   construction and the checksum sweep / sentinel own it. *)
 let corrupt_index () = invalid_arg "Nbva: corrupt plan table (index out of range)"
 
 (* Bit-parallel kernel: availability and Plain-STE activation are computed
@@ -372,6 +372,7 @@ let step t st c =
    the wake byte from the sealed plan, the state from the arena — so a
    restore, rollback or fault flip needs no hook to be seen. *)
 let wakes t c = Bytes.unsafe_get t.plan.wake (Char.code c) <> '\000'
+let wake_bytes t = t.plan.wake
 
 let idle st =
   let w = st.st_words in
@@ -383,22 +384,46 @@ let idle st =
 
 let asleep t st c = (not (wakes t c)) && idle st
 
+let fold_live f acc st =
+  let w = st.st_words in
+  let acc = ref acc in
+  for i = st.act_off to st.live_hi - 1 do
+    acc := f !acc (Array.unsafe_get w i)
+  done;
+  !acc
+
+(* Some predecessor of [q] fired on the previous symbol, or [q] is
+   initial.  A loop, not [Array.exists]: its closure would allocate once
+   per state per symbol. *)
+let available t st q =
+  t.initial.(q)
+  ||
+  let preds = t.preds.(q) in
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < Array.length preds do
+    found := Bitvec.get st.active_v (Array.unsafe_get preds !i);
+    incr i
+  done;
+  !found
+
 (* The pre-bit-parallel scalar kernel, kept as the differential-testing
    reference: one pass over all states probing predecessor lists.  Must
-   stay bit-identical to [step] (asserted by test/test_nbva_diff.ml). *)
+   stay bit-identical to [step] (asserted by test/test_nbva_diff.ml).
+   Availability reads only [active_v], which the pass does not write, so
+   it is probed only where it matters: when the byte is in the class. *)
 let step_reference t st c =
   let n = num_states t in
   let hit = ref false in
+  Bitvec.clear st.next_v;
   for q = 0 to n - 1 do
-    let avail = t.initial.(q) || Array.exists (fun j -> Bitvec.get st.active_v j) t.preds.(q) in
     let active =
       match t.stes.(q) with
-      | Plain cc -> avail && Charclass.mem cc c
+      | Plain cc -> Charclass.mem cc c && available t st q
       | Bv { cc; read; size = _ } -> (
           let v = match st.vectors.(q) with Some v -> v | None -> assert false in
           if Charclass.mem cc c then begin
             Bitvec.shift_left1 v ~carry_in:false;
-            if avail then Bitvec.set v 0
+            if available t st q then Bitvec.set v 0
           end
           else Bitvec.clear v;
           match read with
@@ -409,7 +434,6 @@ let step_reference t st c =
       Bitvec.set st.next_v q;
       if t.finals.(q) then hit := true
     end
-    else Bitvec.reset st.next_v q
   done;
   Bitvec.blit ~src:st.next_v ~dst:st.active_v;
   !hit
@@ -426,7 +450,7 @@ let mask_table_stats t =
   (Array.length p.masks / p.nwords, Array.length p.labels_row + Array.length p.succ_row + 2)
 
 (* The plan's backing tables, by name, as the live references the kernel
-   reads — the integrity layer seals these with CRC-32 at run start and
+   reads — the integrity layer seals these with a checksum at run start and
    repairs them from pristine copies when a sweep finds them corrupted.
    [step_reference] deliberately reads none of them (it probes
    [preds]/[initial]/[stes] instead), which is what makes shadow replay

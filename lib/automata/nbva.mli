@@ -102,9 +102,17 @@ val wakes : t -> char -> bool
 (** The byte lies in the class of some initial STE (Plain or BV): one
     load from the plan's sealed 256-byte [wake] table. *)
 
+val wake_bytes : t -> Bytes.t
+(** The plan's [wake] table itself (the live, sealed reference): byte
+    [b] non-zero iff {!wakes} [b].  Do not mutate. *)
+
 val idle : run_state -> bool
 (** Every live word — the active mask and every BV vector — is zero.
     Reads the words on every call; scratch words are not read. *)
+
+val fold_live : ('a -> int -> 'a) -> 'a -> run_state -> 'a
+(** Fold over the live words — the active mask, then every BV vector in
+    state order, as {!idle} reads them — in arena order. *)
 
 val asleep : t -> run_state -> char -> bool
 (** [not (wakes t c) && idle st]: stepping [c] would leave the state
@@ -129,7 +137,7 @@ val mask_table_stats : t -> int * int
 val plan_tables : t -> (string * int array) list
 (** The execution plan's immutable int tables ([masks], [labels_row],
     [succ_row], ...) as live references, by name — the regions the
-    integrity layer CRC-seals at run start, re-verifies on its sweep
+    integrity layer checksum-seals at run start, re-verifies on its sweep
     cadence, and repairs from pristine copies.  Callers other than the
     integrity layer (and fault injectors) must not mutate them. *)
 

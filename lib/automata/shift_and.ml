@@ -5,6 +5,7 @@ type t = {
   initial_mask : Bitvec.t;  (* first position of each pattern *)
   final_mask : Bitvec.t;  (* final positions *)
   offsets : int array;  (* start bit of each pattern *)
+  wake : Bytes.t;  (* indexed by byte: does [initial AND labels[b]] have a bit *)
 }
 
 let build patterns =
@@ -28,6 +29,10 @@ let build patterns =
         labels;
       offset := !offset + Array.length labels)
     patterns;
+  let wake =
+    Bytes.init 256 (fun b ->
+        if Bitvec.intersects initial_mask labels_mask.(b) then '\001' else '\000')
+  in
   {
     width;
     num_patterns = List.length patterns;
@@ -35,6 +40,7 @@ let build patterns =
     initial_mask;
     final_mask;
     offsets = Array.of_list (List.rev !offsets);
+    wake;
   }
 
 let of_lnfa (l : Lnfa.t) = build [ (l.Lnfa.labels, l.Lnfa.finals) ]
@@ -55,7 +61,7 @@ let width t = t.width
 let num_patterns t = t.num_patterns
 
 (* The engine's live mask vectors, by name — the regions the integrity
-   layer CRC-seals and repairs.  [labels] is the 256-entry per-byte
+   layer checksum-seals and repairs.  [labels] is the 256-entry per-byte
    table; [initial]/[final] are single masks wrapped as 1-arrays so the
    surface is uniform. *)
 let tables t =
@@ -81,6 +87,8 @@ let step t states c =
 (* From the all-zero state one step leaves [initial AND labels[c]]. *)
 let asleep t states c =
   Bitvec.is_zero states && not (Bitvec.intersects t.initial_mask t.labels_mask.(Char.code c))
+
+let wake_bytes t = t.wake
 
 let active_count _t states = Bitvec.popcount states
 let state_vector states = states

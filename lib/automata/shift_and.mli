@@ -27,7 +27,7 @@ val num_patterns : t -> int
 val tables : t -> (string * Bitvec.t array) list
 (** The engine's immutable mask vectors as live references, by name
     ([labels] — the 256 per-byte masks —, [initial], [final]): the
-    regions the integrity layer CRC-seals at run start and repairs from
+    regions the integrity layer checksum-seals at run start and repairs from
     pristine copies.  Do not mutate outside that layer. *)
 
 (** {1 Execution} *)
@@ -53,6 +53,12 @@ val asleep : t -> state -> char -> bool
 (** The state is all-zero and [c] matches no pattern's first position, so
     {!step} would leave it all-zero and report nothing.  Reads the state
     and the sealed masks on every call. *)
+
+val wake_bytes : t -> Bytes.t
+(** 256 bytes, byte [b] non-zero iff [initial AND labels[b]] has a bit:
+    the bytes that leave the all-zero state non-zero.  Derived from the
+    masks once, at construction; {!asleep} reads the masks themselves.
+    Do not mutate. *)
 
 val active_count : t -> state -> int
 (** Number of active states, for activity/energy statistics. *)

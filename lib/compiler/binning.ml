@@ -77,6 +77,8 @@ let pack ~max_bin_size lines =
   pack_group ~single_code:true ~max_bin_size cam_path
   @ pack_group ~single_code:false ~max_bin_size switch_path
 
+let shift_and b = Shift_and.of_bin (List.map (fun (_, l) -> l.Program.labels) b.members)
+
 let total_tiles bins = List.fold_left (fun acc b -> acc + b.tiles) 0 bins
 
 let wasted_state_slots b =

@@ -33,6 +33,11 @@ val pack : max_bin_size:int -> (int * Program.lnfa_line) list -> bin list
     [max_bin_size] is clamped to [1 .. Circuit.max_bin_size] and rounded
     down to a power of two. *)
 
+val shift_and : bin -> Shift_and.t
+(** The bin's Shift-And engine: its members' lines packed in member
+    order, the layout the simulator's tile maps assume.  The mapper
+    compiles it once per bin ({!Mapper.placement}'s [bin_tables]). *)
+
 val total_tiles : bin list -> int
 val wasted_state_slots : bin -> int
 (** Area redundancy: slots reserved (slots * max_len) minus real states. *)

@@ -9,6 +9,7 @@ type placed_tile = { mode : tile_mode; phys : int; pieces : piece list }
 type placement = {
   units : Program.compiled array;
   bins : Binning.bin array;
+  bin_tables : Shift_and.t array;
   arrays : placed_tile array array;
 }
 
@@ -327,7 +328,8 @@ let map_units_result ?(defects = Defect.none) ?(tile_cols = Circuit.tile_cam_col
         no_defect_stats used
   in
   let drops = List.rev !drops in
-  if drops = [] then ({ units; bins; arrays = arrays_out }, [], dstats)
+  if drops = [] then
+    ({ units; bins; bin_tables = Array.map Binning.shift_and bins; arrays = arrays_out }, [], dstats)
   else begin
     (* graceful degradation: keep only placed units/bins, remapping ids so
        the placement stays self-contained *)
@@ -378,9 +380,11 @@ let map_units_result ?(defects = Defect.none) ?(tile_cols = Circuit.tile_cam_col
         (Array.map (fun t -> { t with pieces = List.map remap t.pieces }))
         arrays_out
     in
+    let bins = Array.of_list (List.rev !kept_bins) in
     ( {
         units = Array.of_list (List.rev !kept_units);
-        bins = Array.of_list (List.rev !kept_bins);
+        bins;
+        bin_tables = Array.map Binning.shift_and bins;
         arrays = arrays_out;
       },
       drops,

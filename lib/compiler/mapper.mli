@@ -38,6 +38,10 @@ type placed_tile = {
 type placement = {
   units : Program.compiled array;
   bins : Binning.bin array;
+  bin_tables : Shift_and.t array;
+      (** Per bin, its compiled Shift-And tables ({!Binning.shift_and}):
+          built once with the placement and shared by every engine and
+          clone stepping the bin. *)
   arrays : placed_tile array array;  (** Each inner array has <= 16 tiles. *)
 }
 

@@ -19,8 +19,10 @@ let magic = "RAPPROG"
    v6: [Program.nfa_unit] carries its compressed executor ([exec]), so
    a warm load skips the threshold-2 compile along with the rest.
    v7: [Program.compiled] lost the [hint] field and [Program.params]
-   the DFA budgets, with the lazy-DFA stepper they steered. *)
-let version = 7
+   the DFA budgets, with the lazy-DFA stepper they steered.
+   v8: [Mapper.placement] carries each bin's compiled Shift-And tables
+   ([bin_tables]), and [Shift_and.t] its [wake] bytes. *)
+let version = 8
 
 type entry = {
   e_key : string;

@@ -25,24 +25,20 @@ let stats_create n =
     reports = 0;
   }
 
-let stats_reset s =
-  Array.fill s.active 0 (Array.length s.active) 0;
-  Array.fill s.enabled 0 (Array.length s.enabled) 0;
-  Array.fill s.powered 0 (Array.length s.powered) true;
-  Array.fill s.triggered 0 (Array.length s.triggered) false;
-  s.cross <- 0;
-  s.reports <- 0
-
 (* Idle fast path.  An engine whose live words are all zero stays at
    zero, reporting nothing, on every byte outside its wake set, so
    [step] skips the stepper there; and since the projection of the zero
    state never changes, it also skips the projection while the event
-   record still holds it (the engine's idle bit, cleared by every
-   projection of a live state and by [clone_fresh]).  Both tests read
-   live data on every symbol, so restores, rollbacks and fault flips
-   need no hook.  The reference kernel bypasses the whole path: a
-   [Reference] run steps and projects every engine on every symbol,
-   which is what lets the differential gates check the fast path. *)
+   record still holds it ([holds_idle], cleared by every projection of a
+   live state and by [clone_fresh]).  Both tests read live data on every
+   symbol.  An array (see Exec) goes further and does not call [step] at
+   all on an engine that holds the idle record, unless the byte wakes
+   it; so every write that can make such an engine live behind the
+   array's back — [restore] and [flip_state_bit] — sets the engine's bit
+   in its owner's awake set.  The reference kernel bypasses the whole
+   path: a [Reference] run steps and projects every engine on every
+   symbol, which is what lets the differential gates check the fast
+   path. *)
 let fast_path () = match !Nbva.kernel with Nbva.Bit_parallel -> true | Nbva.Reference -> false
 
 (* ------------------------------------------------------------------ *)
@@ -58,8 +54,6 @@ type nfa_engine = {
   plain_tile_masks : Bitvec.t array;  (* per tile: Plain exec states mapped there *)
   bv_bit_tiles : (int * int array) array;  (* BV exec state, per-bit tile *)
   static_cols : int array;
-  n_stats : events;
-  mutable n_idle : bool;  (* [n_stats] holds the zero state's projection *)
 }
 
 (* Unfolded width of one exec state. *)
@@ -115,16 +109,15 @@ let make_nfa_engine (u : Program.nfa_unit) =
     plain_tile_masks;
     bv_bit_tiles = Array.of_list (List.rev !bv_bit_tiles);
     static_cols = u.Program.tile_cols;
-    n_stats = stats_create ntiles;
-    n_idle = false;
   }
 
 (* Projection: refresh the stats record from the executor's post-step
    state.  Split from the automaton advance so [step_kernel] can advance
-   the state alone — the projection reads only this engine's state. *)
-let nfa_project (e : nfa_engine) =
-  let s = e.n_stats in
-  stats_reset s;
+   the state alone — the projection reads only this engine's state.  It
+   writes only the fields that vary: an NFA tile is always powered,
+   never triggers a BV phase, and always enables all its programmed
+   columns, which [make] writes into the record once. *)
+let nfa_project (e : nfa_engine) s =
   let act = Nbva.outputs e.exec_st and vecs = Nbva.vectors e.exec_st in
   (* Plain activity per tile: one mask AND + popcount per tile *)
   for t = 0 to Array.length s.active - 1 do
@@ -145,16 +138,16 @@ let nfa_project (e : nfa_engine) =
         done
     | None -> assert false
   done;
-  (* all programmed CC columns are enabled in NFA mode *)
-  Array.blit e.static_cols 0 s.enabled 0 (Array.length e.static_cols);
+  let cross = ref 0 in
   for k = 0 to Array.length e.cross_sources - 1 do
     let q, bit = e.cross_sources.(k) in
     let fired =
       if bit < 0 then Bitvec.get act q
       else match vecs.(q) with Some v -> Bitvec.get v bit | None -> false
     in
-    if fired then s.cross <- s.cross + 1
+    if fired then incr cross
   done;
+  s.cross <- !cross;
   s.reports <- Nbva.reports e.exec e.exec_st
 
 (* ------------------------------------------------------------------ *)
@@ -170,8 +163,6 @@ type nbva_engine = {
   nb_static_cols : int array;
   nb_bv_cols : int array;
   nb_max_bv : int;
-  nb_stats : events;
-  mutable nb_idle : bool;  (* [nb_stats] holds the zero state's projection *)
 }
 
 let make_nbva_engine (nu : Program.nbva_unit) =
@@ -222,17 +213,17 @@ let make_nbva_engine (nu : Program.nbva_unit) =
     nb_static_cols = static_cols;
     nb_bv_cols = bv_cols;
     nb_max_bv = max_bv;
-    nb_stats = stats_create ntiles;
-    nb_idle = false;
   }
 
-let nbva_project (e : nbva_engine) =
-  let s = e.nb_stats in
-  stats_reset s;
+(* Only CC columns are searched every symbol (BV columns activate in the
+   processing phase), and an NBVA tile is always powered: [make] writes
+   both into the record once. *)
+let nbva_project (e : nbva_engine) s =
   let nbva = e.nu.Program.nbva in
   let act = Nbva.outputs e.nb_st and vecs = Nbva.vectors e.nb_st in
   for t = 0 to Array.length s.active - 1 do
-    s.active.(t) <- Bitvec.popcount_and act e.nb_tile_masks.(t)
+    s.active.(t) <- Bitvec.popcount_and act e.nb_tile_masks.(t);
+    s.triggered.(t) <- false
   done;
   for k = 0 to Array.length e.nb_bv_list - 1 do
     let q, t = e.nb_bv_list.(k) in
@@ -240,12 +231,11 @@ let nbva_project (e : nbva_engine) =
     | Some v when not (Bitvec.is_zero v) -> s.triggered.(t) <- true
     | Some _ | None -> ()
   done;
-  (* only CC columns are searched every symbol; BV columns activate in the
-     processing phase *)
-  Array.blit e.nb_cc_cols 0 s.enabled 0 (Array.length e.nb_cc_cols);
+  let cross = ref 0 in
   for k = 0 to Array.length e.nb_cross_sources - 1 do
-    if Bitvec.get act e.nb_cross_sources.(k) then s.cross <- s.cross + 1
+    if Bitvec.get act e.nb_cross_sources.(k) then incr cross
   done;
+  s.cross <- !cross;
   s.reports <- Nbva.reports nbva e.nb_st
 
 (* ------------------------------------------------------------------ *)
@@ -261,8 +251,6 @@ type bin_engine = {
   ring_mask : Bitvec.t;  (* bits whose shift crosses into the next tile *)
   initial_cols_t0 : int;  (* one initial column per member line *)
   b_static_cols : int array;
-  b_stats : events;
-  mutable b_idle : bool;  (* [b_stats] holds the zero state's projection *)
 }
 
 (* Bin arenas are private to the engine, so they carry a trailing guard
@@ -274,9 +262,7 @@ let make_bin_arena sa =
   Arena.guard a;
   (a, st)
 
-let make_bin_engine (bin : Binning.bin) =
-  let lines = List.map (fun (_, l) -> l.Program.labels) bin.Binning.members in
-  let sa = Shift_and.of_bin lines in
+let make_bin_engine (bin : Binning.bin) sa =
   let offsets = Shift_and.pattern_offsets sa in
   let width = Shift_and.width sa in
   let bit_tile = Array.make width 0 in
@@ -317,13 +303,10 @@ let make_bin_engine (bin : Binning.bin) =
     ring_mask;
     initial_cols_t0 = List.length bin.Binning.members;
     b_static_cols = static_cols;
-    b_stats = stats_create bin.Binning.tiles;
-    b_idle = false;
   }
 
-let bin_project (e : bin_engine) =
-  let s = e.b_stats in
-  stats_reset s;
+(* Every field but [triggered] (bins have no BV phase) is written. *)
+let bin_project (e : bin_engine) s =
   let v = Shift_and.state_vector e.sa_st in
   for t = 0 to Array.length s.active - 1 do
     s.active.(t) <- Bitvec.popcount_and v e.b_tile_masks.(t)
@@ -344,62 +327,106 @@ let bin_project (e : bin_engine) =
 
 (* ------------------------------------------------------------------ *)
 
-type t = E_nfa of nfa_engine | E_nbva of nbva_engine | E_bin of bin_engine
+type kind = E_nfa of nfa_engine | E_nbva of nbva_engine | E_bin of bin_engine
 
-let mode = function E_nfa _ -> M_nfa | E_nbva _ -> M_nbva | E_bin _ -> M_lnfa
-let of_nfa_unit u = E_nfa (make_nfa_engine u)
-let of_nbva_unit u = E_nbva (make_nbva_engine u)
-let of_bin b = E_bin (make_bin_engine b)
+type region =
+  | R_words of string * int array
+  | R_bytes of string * Bytes.t
+  | R_vecs of string * Bitvec.t array
 
-let stepper_name = function E_nfa _ | E_nbva _ -> "general" | E_bin _ -> "shift-and"
+type owner = { awake : Bitvec.t; tables : region list }
+
+(* What every engine kind shares: its event record, the idle-record bit,
+   and its place in the array that steps it ([slot] is its bit in
+   [owner.awake]; -1 until [attach]). *)
+type t = {
+  kind : kind;
+  stats : events;
+  mutable holds_idle : bool;  (* [stats] holds the zero state's projection *)
+  mutable owner : owner;
+  mutable slot : int;
+}
+
+(* Never written: a detached engine has no bit to set. *)
+let detached = { awake = Bitvec.create 0; tables = [] }
+
+(* The fresh record carries the columns NFA/NBVA projections never
+   rewrite (see the projections above). *)
+let make kind ntiles =
+  let stats = stats_create ntiles in
+  (match kind with
+  | E_nfa e -> Array.blit e.static_cols 0 stats.enabled 0 (Array.length e.static_cols)
+  | E_nbva e -> Array.blit e.nb_cc_cols 0 stats.enabled 0 (Array.length e.nb_cc_cols)
+  | E_bin _ -> ());
+  { kind; stats; holds_idle = false; owner = detached; slot = -1 }
+
+let attach t owner slot =
+  t.owner <- owner;
+  t.slot <- slot;
+  Bitvec.set owner.awake slot
+
+let wake t = if t.slot >= 0 then Bitvec.set t.owner.awake t.slot
+let array_regions t = t.owner.tables
+
+let mode t = match t.kind with E_nfa _ -> M_nfa | E_nbva _ -> M_nbva | E_bin _ -> M_lnfa
+
+let of_nfa_unit u =
+  let e = make_nfa_engine u in
+  make (E_nfa e) (Array.length u.Program.tile_states)
+
+let of_nbva_unit u =
+  let e = make_nbva_engine u in
+  make (E_nbva e) (Array.length u.Program.ntiles)
+
+let of_bin ?tables b =
+  let sa = match tables with Some sa -> sa | None -> Binning.shift_and b in
+  make (E_bin (make_bin_engine b sa)) b.Binning.tiles
+
+let stepper_name t = match t.kind with E_nfa _ | E_nbva _ -> "general" | E_bin _ -> "shift-and"
 let dfa_stats _ = None
+let num_tiles t = Array.length t.stats.active
+let events t = t.stats
+let holds_idle t = t.holds_idle
 
-let stats_of = function E_nfa e -> e.n_stats | E_nbva e -> e.nb_stats | E_bin e -> e.b_stats
-
-let num_tiles = function
-  | E_nfa e -> Array.length e.u.Program.tile_states
-  | E_nbva e -> Array.length e.nu.Program.ntiles
-  | E_bin e -> e.bin.Binning.tiles
-
-let events = stats_of
+let wake_bytes t =
+  match t.kind with
+  | E_nfa e -> Nbva.wake_bytes e.exec
+  | E_nbva e -> Nbva.wake_bytes e.nu.Program.nbva
+  | E_bin e -> Shift_and.wake_bytes e.sa
 
 (* Stepping [c] would leave the all-zero state all-zero (see the idle
    fast path above). *)
 let asleep t c =
   fast_path ()
   &&
-  match t with
+  match t.kind with
   | E_nfa e -> Nbva.asleep e.exec e.exec_st c
   | E_nbva e -> Nbva.asleep e.nu.Program.nbva e.nb_st c
   | E_bin e -> Shift_and.asleep e.sa e.sa_st c
 
 let advance_state t c =
-  match t with
+  match t.kind with
   | E_nfa e -> ignore (Nbva.step_selected e.exec e.exec_st c)
   | E_nbva e -> ignore (Nbva.step_selected e.nu.Program.nbva e.nb_st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
-let project = function
-  | E_nfa e -> nfa_project e
-  | E_nbva e -> nbva_project e
-  | E_bin e -> bin_project e
-
-let holds_idle = function E_nfa e -> e.n_idle | E_nbva e -> e.nb_idle | E_bin e -> e.b_idle
-
-let set_holds_idle t b =
-  match t with E_nfa e -> e.n_idle <- b | E_nbva e -> e.nb_idle <- b | E_bin e -> e.b_idle <- b
+let project t =
+  match t.kind with
+  | E_nfa e -> nfa_project e t.stats
+  | E_nbva e -> nbva_project e t.stats
+  | E_bin e -> bin_project e t.stats
 
 let step t c =
   if not (asleep t c) then begin
     advance_state t c;
     project t;
-    set_holds_idle t false
+    t.holds_idle <- false
   end
-  else if not (holds_idle t) then begin
+  else if not t.holds_idle then begin
     project t;
-    set_holds_idle t true
+    t.holds_idle <- true
   end;
-  stats_of t
+  t.stats
 
 (* ------------------------------------------------------------------ *)
 (* [step_kernel] advances only the automaton state — no tile
@@ -409,7 +436,8 @@ let step t c =
 
 let step_kernel t c = if not (asleep t c) then advance_state t c
 
-let idle = function
+let idle t =
+  match t.kind with
   | E_nfa e -> Nbva.idle e.exec_st
   | E_nbva e -> Nbva.idle e.nb_st
   | E_bin e -> Bitvec.is_zero (Shift_and.state_vector e.sa_st)
@@ -419,41 +447,29 @@ let idle = function
    (automata, exec plans, tile masks, cross lists — all read-only after
    construction) and gets fresh run state and a fresh stats record, so B
    streams against one placement pay the compilation once.  The fresh
-   record is all-zero, not the idle projection, so the idle bit starts
-   clear. *)
+   record has not been projected, so the idle bit starts clear; the
+   clone belongs to no array until one attaches it. *)
 
-let clone_fresh = function
-  | E_nfa e ->
-      E_nfa
-        {
-          e with
-          exec_st = Nbva.start e.exec;
-          n_stats = stats_create (Array.length e.n_stats.active);
-          n_idle = false;
-        }
-  | E_nbva e ->
-      E_nbva
-        {
-          e with
-          nb_st = Nbva.start e.nu.Program.nbva;
-          nb_stats = stats_create (Array.length e.nb_stats.active);
-          nb_idle = false;
-        }
-  | E_bin e ->
-      let b_arena, sa_st = make_bin_arena e.sa in
-      E_bin { e with b_arena; sa_st; b_stats = stats_create e.bin.Binning.tiles; b_idle = false }
+let clone_fresh t =
+  let kind =
+    match t.kind with
+    | E_nfa e -> E_nfa { e with exec_st = Nbva.start e.exec }
+    | E_nbva e -> E_nbva { e with nb_st = Nbva.start e.nu.Program.nbva }
+    | E_bin e ->
+        let b_arena, sa_st = make_bin_arena e.sa in
+        E_bin { e with b_arena; sa_st }
+  in
+  make kind (num_tiles t)
 
 let tile_static_cols t i =
-  match t with
+  match t.kind with
   | E_nfa e -> e.static_cols.(i)
   | E_nbva e -> e.nb_static_cols.(i)
   | E_bin e -> e.b_static_cols.(i)
 
-let tile_bv_cols t i =
-  match t with E_nfa _ -> 0 | E_nbva e -> e.nb_bv_cols.(i) | E_bin _ -> 0
-
-let max_bv_size = function E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nb_max_bv
-let bv_depth = function E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nu.Program.depth
+let tile_bv_cols t i = match t.kind with E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nb_bv_cols.(i)
+let max_bv_size t = match t.kind with E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nb_max_bv
+let bv_depth t = match t.kind with E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nu.Program.depth
 
 (* ------------------------------------------------------------------ *)
 (* Transient-fault surface: every state bit the hardware stores between
@@ -499,7 +515,8 @@ let nbva_flip nbva st i =
     if not !flipped then invalid_arg "Engine.flip_state_bit: index out of range"
   end
 
-let state_bits = function
+let state_bits t =
+  match t.kind with
   | E_nfa e -> nbva_bits e.exec e.exec_st
   | E_nbva e -> nbva_bits e.nu.Program.nbva e.nb_st
   | E_bin e -> Bitvec.width (Shift_and.state_vector e.sa_st)
@@ -510,9 +527,12 @@ let state_bits = function
    the inter-symbol surface above plus scratch the next step overwrites
    and the guard word.  Everything else an engine holds is immutable, so
    one word blit of the arena captures and restores the whole state —
-   under both NBVA kernels, which share the same stored state. *)
+   under both NBVA kernels, which share the same stored state.  Both
+   writes below can make an engine live behind its array's back, so
+   both wake it. *)
 
-let run_arena = function
+let run_arena t =
+  match t.kind with
   | E_nfa e -> Nbva.run_arena e.exec_st
   | E_nbva e -> Nbva.run_arena e.nb_st
   | E_bin e -> e.b_arena
@@ -520,21 +540,23 @@ let run_arena = function
 let snapshot t = Arena.snapshot (run_arena t)
 
 let restore t snap =
-  try Arena.restore (run_arena t) snap
-  with Invalid_argument _ -> invalid_arg "Engine.restore: snapshot does not match this engine"
+  (try Arena.restore (run_arena t) snap
+   with Invalid_argument _ -> invalid_arg "Engine.restore: snapshot does not match this engine");
+  wake t
 
 let flip_state_bit t i =
   if i < 0 || i >= state_bits t then invalid_arg "Engine.flip_state_bit: index out of range";
-  match t with
+  (match t.kind with
   | E_nfa e -> nbva_flip e.exec e.exec_st i
   | E_nbva e -> nbva_flip e.nu.Program.nbva e.nb_st i
   | E_bin e ->
       let v = Shift_and.state_vector e.sa_st in
-      if Bitvec.get v i then Bitvec.reset v i else Bitvec.set v i
+      if Bitvec.get v i then Bitvec.reset v i else Bitvec.set v i);
+  wake t
 
 (* ------------------------------------------------------------------ *)
 (* Integrity surface: the immutable compiled regions the kernels read
-   (CRC-sealable and repairable), a reference-kernel state advance for
+   (checksum-sealable and repairable), a reference-kernel state advance for
    the shadow-stepping sentinel, and semantic state comparison.
 
    The shadow step uses [Nbva.step_reference], which probes the
@@ -543,13 +565,8 @@ let flip_state_bit t i =
    either corrupted run state inside the replay window or a corrupted
    plan table, both of which the caller heals by rollback + repair.
    LNFA bins have no second kernel (the Shift-And step *is* the
-   reference), so their table corruption is caught by the CRC sweep
+   reference), so their table corruption is caught by the checksum sweep
    alone; state corruption is still caught by replay-from-clean-state. *)
-
-type region =
-  | R_words of string * int array
-  | R_bytes of string * Bytes.t
-  | R_vecs of string * Bitvec.t array
 
 let region_name = function
   | R_words (n, _) | R_bytes (n, _) | R_vecs (n, _) -> n
@@ -558,19 +575,22 @@ let nbva_regions nbva =
   List.map (fun (n, a) -> R_words (n, a)) (Nbva.plan_tables nbva)
   @ List.map (fun (n, b) -> R_bytes (n, b)) (Nbva.plan_bytes nbva)
 
-let immutable_regions = function
+let immutable_regions t =
+  match t.kind with
   | E_nfa e -> nbva_regions e.exec
   | E_nbva e -> nbva_regions e.nu.Program.nbva
   | E_bin e -> List.map (fun (n, vs) -> R_vecs (n, vs)) (Shift_and.tables e.sa)
 
 let step_shadow t c =
-  match t with
+  match t.kind with
   | E_nfa e -> ignore (Nbva.step_reference e.exec e.exec_st c)
   | E_nbva e -> ignore (Nbva.step_reference e.nu.Program.nbva e.nb_st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
 (* Rolling digest of the semantic inter-symbol state — the same vectors
-   [state_equal] compares, folded word by word through an FNV-style mix.
+   [state_equal] compares, folded word by word through an FNV-style mix:
+   xor, an odd multiply and an xorshift, each invertible, so for a fixed
+   word the step is a bijection of the running value.
    The sentinel accumulates this after every symbol of its window on both
    the live and the shadow side: corruption that has washed out of the
    state by the window end (a flipped bounded-repetition bit expires in a
@@ -588,16 +608,11 @@ let digest_vec acc v =
   done;
   !acc
 
-let nbva_state_digest st acc =
-  let acc = digest_vec acc (Nbva.outputs st) in
-  Array.fold_left
-    (fun acc v -> match v with None -> digest_mix acc (-1) | Some v -> digest_vec acc v)
-    acc (Nbva.vectors st)
-
+(* An NFA/NBVA state's vectors lie in one contiguous arena range. *)
 let state_digest t acc =
-  match t with
-  | E_nfa e -> nbva_state_digest e.exec_st acc
-  | E_nbva e -> nbva_state_digest e.nb_st acc
+  match t.kind with
+  | E_nfa e -> Nbva.fold_live digest_mix acc e.exec_st
+  | E_nbva e -> Nbva.fold_live digest_mix acc e.nb_st
   | E_bin e -> digest_vec acc (Shift_and.state_vector e.sa_st)
 
 let nbva_state_equal a b =
@@ -611,7 +626,7 @@ let nbva_state_equal a b =
        (Nbva.vectors a) (Nbva.vectors b)
 
 let state_equal a b =
-  match (a, b) with
+  match (a.kind, b.kind) with
   | E_nfa x, E_nfa y -> nbva_state_equal x.exec_st y.exec_st
   | E_nbva x, E_nbva y -> nbva_state_equal x.nb_st y.nb_st
   | E_bin x, E_bin y ->

@@ -31,7 +31,12 @@ val of_nfa_unit : Program.nfa_unit -> t
     exactly the unit's NFA states (a unit not built by {!Nfa_compile}). *)
 
 val of_nbva_unit : Program.nbva_unit -> t
-val of_bin : Binning.bin -> t
+
+val of_bin : ?tables:Shift_and.t -> Binning.bin -> t
+(** [tables] is the bin's compiled Shift-And engine
+    ({!Mapper.placement}'s [bin_tables]), shared with the engine and all
+    its clones; without it the bin is compiled here
+    ({!Binning.shift_and}). *)
 
 (** {1 Stepper names}
 
@@ -59,12 +64,15 @@ val dfa_stats : t -> (int * int * int * bool) option
     ([Nbva.wakes]; for bins, [initial AND labels[c]]) stays all-zero and
     reports nothing, so [step] skips the stepper.  It also skips the
     tile projection while the event record still holds the zero state's
-    projection: one bit per engine, cleared whenever a live state is
-    projected and by {!clone_fresh}.  Both tests read live data on every
-    symbol, so {!restore}, rollbacks and {!flip_state_bit} need no
-    hook.  With [Nbva.kernel] set to [Reference] every engine steps and
-    projects on every symbol, which keeps the reference run a check on
-    the fast path. *)
+    projection ({!holds_idle}), cleared whenever a live state is
+    projected and by {!clone_fresh}.  An array ({!Exec}) does not call
+    [step] at all on an engine that holds the idle record unless the
+    byte is in its {!wake_bytes}; so {!restore} and {!flip_state_bit},
+    the two writes that can make such an engine live from outside,
+    put it back in its owner's awake set (see {!attach}).  With
+    [Nbva.kernel] set to [Reference] every engine steps and projects on
+    every symbol, which keeps the reference run a check on the fast
+    path. *)
 
 type events = {
   active : int array;
@@ -90,6 +98,20 @@ val step : t -> char -> events
 val events : t -> events
 (** The engine's event record — physically the same record every {!step}
     returns.  Meaningful only after a [step]. *)
+
+val holds_idle : t -> bool
+(** The last {!step} found the state all-zero and the byte outside the
+    wake set (the only step that sets this), so the state is still zero
+    and {!events} holds the zero state's projection: no cross signal, no
+    report, no BV trigger.  Cleared by any step that advances the state
+    and by {!clone_fresh}.  {!restore} and {!flip_state_bit} leave it as
+    it is and wake the engine instead, so its next step re-tests it. *)
+
+val wake_bytes : t -> Bytes.t
+(** 256 bytes, byte [b] non-zero iff [b] leaves the all-zero state
+    non-zero: the plan's sealed [wake] table ([Nbva.wake_bytes]) for
+    NFA/NBVA engines, {!Shift_and.wake_bytes} for bins.  A live
+    reference; do not mutate. *)
 
 val step_kernel : t -> char -> unit
 (** Advance the automaton state only (no projection, no stats) —
@@ -140,7 +162,8 @@ val state_bits : t -> int
 
 val flip_state_bit : t -> int -> unit
 (** Flip one stored state bit (0-based); the corruption propagates from
-    the next {!step} on.  Raises [Invalid_argument] out of range. *)
+    the next {!step} on, and the engine joins its owner's awake set.
+    Raises [Invalid_argument] out of range. *)
 
 (** {1 Snapshot / restore}
 
@@ -158,14 +181,15 @@ val snapshot : t -> int array
 (** A copy of the engine's run-state arena — one blit. *)
 
 val restore : t -> int array -> unit
-(** Inverse of {!snapshot}.  Raises [Invalid_argument] on a length
-    mismatch (a snapshot from a different placement). *)
+(** Inverse of {!snapshot}; the engine joins its owner's awake set.
+    Raises [Invalid_argument] on a length mismatch (a snapshot from a
+    different placement). *)
 
 (** {1 Integrity surface}
 
     The pieces the {!Integrity} layer needs: the immutable compiled
-    regions the kernels read between symbols (sealable with CRC-32 and
-    repairable from pristine copies), a reference-kernel state advance
+    regions the kernels read between symbols (sealable with a checksum
+    and repairable from pristine copies), a reference-kernel state advance
     for the shadow-stepping sentinel, and semantic state comparison.
 
     NFA/NBVA shadow stepping goes through [Nbva.step_reference], which
@@ -173,7 +197,7 @@ val restore : t -> int array -> unit
     tables — a divergence between the live kernel and a shadow replay
     from clean state therefore also catches plan-table corruption, not
     just state flips.  LNFA bins share one kernel, so their tables are
-    covered by the CRC sweep only. *)
+    covered by the checksum sweep only. *)
 
 type region =
   | R_words of string * int array  (** A live flat int table. *)
@@ -204,6 +228,12 @@ val state_digest : t -> int -> int
     statistics already folded into the report — so the per-symbol
     digests diverge even when the end states agree. *)
 
+val digest_mix : int -> int -> int
+(** [digest_mix acc w]: one step of {!state_digest}'s fold.  For a fixed
+    word [w] it is a bijection of [acc] (xor, odd multiply, xorshift),
+    so a fold over a word sequence changes whenever any single word
+    does; the integrity seals checksum tables with it too. *)
+
 val state_equal : t -> t -> bool
 (** Compare two engines' semantic inter-symbol state (active vector plus
     materialized BV vectors) — scratch words are ignored, because the
@@ -215,3 +245,26 @@ val guards_ok : t -> bool
 val rearm_guards : t -> unit
 (** Re-arm the arena's guard canaries after a repair that did not go
     through a {!restore} (which carries them implicitly). *)
+
+(** {1 Array membership}
+
+    {!Exec} steps an array's engines through an awake set: a bit set
+    for every engine that may hold live state or an event record other
+    than the zero projection.  It attaches
+    each engine it builds to the array's {!owner}; {!restore} and
+    {!flip_state_bit} then set the engine's bit.  A detached engine
+    (built directly, or a fresh {!clone_fresh}) belongs to no array. *)
+
+type owner = {
+  awake : Bitvec.t;  (** One bit per engine of the array, in engine order. *)
+  tables : region list;
+      (** The array's own compiled tables (its byte-to-engines wake
+          table), sealed with the engines' regions. *)
+}
+
+val attach : t -> owner -> int -> unit
+(** [attach t owner slot] makes [t] engine [slot] of [owner]'s array
+    and sets its awake bit. *)
+
+val array_regions : t -> region list
+(** [owner.tables] of the array [t] belongs to; [[]] when detached. *)

@@ -23,24 +23,80 @@ type array_events = {
 (* The event record is owned by its [t] and refreshed in place by every
    [step], like the engines' records it is assembled from.  BV-phase
    records depend only on (engine, local tile, arch), so they are built
-   once per architecture and [step] copies references into [bv_phases]. *)
+   once per architecture and [step] copies references into [bv_phases].
+
+   Awake set.  [step] calls [Engine.step] only on the engines in
+   [owner.awake] (live state, or a record that is not yet the zero
+   projection) or in the byte's row of [wake] (engines the byte wakes
+   from the zero state); every other engine would take the idle fast
+   path with nothing to project, so skipping it is exact.  An engine
+   leaves the set when its step leaves [Engine.holds_idle] set, and
+   rejoins it through the byte's row or through [Engine.restore] /
+   [Engine.flip_state_bit], which set its bit.  Only the tiles of
+   stepped engines can change, so assembly recomputes just those
+   ([touched]); the others keep last symbol's values, which are still
+   exact because no record under them changed. *)
 type t = {
   engines : Engine.t array;
   last_events : Engine.events array;  (* parallel to [engines], refreshed by [step] *)
   tile_pieces : (int * int) array array;  (* physical tile -> (engine, local) *)
   tile_modes : Engine.mode array;
+  engine_tiles : int array;  (* per engine: [tile_bit]s of the tiles it has pieces on *)
+  wake : int array;
+      (* byte -> engines it wakes: 256 rows of [Bitvec.words_for] (engines)
+         words, in [Bitvec] word layout; sealed as [owner.tables] *)
+  owner : Engine.owner;
+  mutable touched : int;  (* [tile_bit]s of the tiles to assemble at the next step *)
   ev : array_events;
   mutable phases : (Arch.t * bv_phase array array) option;
       (* per engine, per local tile, for the last architecture stepped *)
 }
 
-let of_parts engines tile_pieces tile_modes =
+(* An array has at most [Circuit.tiles_per_array] tiles; any past the
+   word's bits share its top bit, which only makes assembly redo them
+   together. *)
+let tile_bit ti = 1 lsl min ti (Bitvec.bits_per_word - 1)
+let all_tiles = -1
+
+let wake_table engines =
+  let n = Array.length engines in
+  let nw = Bitvec.words_for n in
+  let tbl = Array.make (256 * nw) 0 in
+  Array.iteri
+    (fun ei e ->
+      let bytes = Engine.wake_bytes e in
+      let w = ei / Bitvec.bits_per_word and bit = 1 lsl (ei mod Bitvec.bits_per_word) in
+      for b = 0 to 255 do
+        if Bytes.get bytes b <> '\000' then tbl.((b * nw) + w) <- tbl.((b * nw) + w) lor bit
+      done)
+    engines;
+  tbl
+
+let engine_tiles engines tile_pieces =
+  let masks = Array.make (Array.length engines) 0 in
+  Array.iteri
+    (fun ti pieces -> Array.iter (fun (ei, _) -> masks.(ei) <- masks.(ei) lor tile_bit ti) pieces)
+    tile_pieces;
+  masks
+
+let of_parts engines tile_pieces tile_modes ~engine_tiles ~wake =
   let max_phases = Array.fold_left (fun acc e -> acc + Engine.num_tiles e) 0 engines in
+  let owner =
+    {
+      Engine.awake = Bitvec.create (Array.length engines);
+      tables = [ Engine.R_words ("array_wake", wake) ];
+    }
+  in
+  Array.iteri (fun i e -> Engine.attach e owner i) engines;
   {
     engines;
     last_events = Array.map Engine.events engines;
     tile_pieces;
     tile_modes;
+    engine_tiles;
+    wake;
+    owner;
+    touched = all_tiles;
     ev =
       {
         sym = 0;
@@ -92,7 +148,8 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
                 (e, local_tile)
             | Mapper.P_bin { bin_id; bin_tile } ->
                 let e =
-                  engine_of_key (`Bin bin_id) (fun () -> Engine.of_bin p.Mapper.bins.(bin_id))
+                  engine_of_key (`Bin bin_id) (fun () ->
+                      Engine.of_bin ~tables:p.Mapper.bin_tables.(bin_id) p.Mapper.bins.(bin_id))
                 in
                 (e, bin_tile))
           t.Mapper.pieces)
@@ -108,7 +165,10 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
       tiles
   in
   let engines = Array.of_list (List.rev !engines) in
-  of_parts engines (Array.map Array.of_list tile_pieces) tile_modes
+  let tile_pieces = Array.map Array.of_list tile_pieces in
+  of_parts engines tile_pieces tile_modes
+    ~engine_tiles:(engine_tiles engines tile_pieces)
+    ~wake:(wake_table engines)
 
 let engines t = t.engines
 let tile_modes t = t.tile_modes
@@ -117,10 +177,13 @@ let num_tiles t = Array.length t.tile_pieces
 let snapshot t = Array.map Engine.snapshot t.engines
 let snapshot_flat = snapshot
 
+(* Every engine's [Engine.restore] wakes it; the next step then steps
+   them all and reassembles every tile. *)
 let restore t snaps =
   if Array.length snaps <> Array.length t.engines then
     invalid_arg "Exec.restore: snapshot does not match this array";
-  Array.iteri (fun i s -> Engine.restore t.engines.(i) s) snaps
+  Array.iteri (fun i s -> Engine.restore t.engines.(i) s) snaps;
+  t.touched <- all_tiles
 
 (* The BV-processing phase a triggering (engine, local tile) pair
    enters on [arch]. *)
@@ -152,60 +215,99 @@ let phases_for arch t =
       t.phases <- Some (arch, tbl);
       tbl
 
-(* Assembly reads only the engines' refreshed event records ([step]
-   returns the same physical records held in [last_events]) and writes
-   only [t.ev], in place. *)
-let assemble (arch : Arch.t) t ~sym c =
-  let ev = t.ev in
-  let cross = ref 0 and reports = ref 0 and stall = ref 0 and n = ref 0 in
-  let phases = if arch.Arch.supports_nbva then phases_for arch t else [||] in
-  for ei = 0 to Array.length t.last_events - 1 do
-    let e = t.last_events.(ei) in
+(* Step engine [ei] and add its record's BV phases, cross signals and
+   reports to [t.ev].  Its awake and touched bits are set before
+   [Engine.step] runs (the fast path sets the awake bit, this the
+   touched one), so a step that raises (a corrupted plan index) leaves
+   the engine awake and its tiles due: the next step, or the rollback's
+   [restore], redoes them.  An engine whose step leaves it holding the
+   idle record contributes nothing and leaves the awake set. *)
+let step_engine (arch : Arch.t) phases t ei c =
+  let e = t.engines.(ei) and ev = t.ev in
+  t.touched <- t.touched lor t.engine_tiles.(ei);
+  let r = Engine.step e c in
+  if Engine.holds_idle e then Bitvec.reset t.owner.Engine.awake ei
+  else begin
     if arch.Arch.supports_nbva then begin
-      let trig = e.Engine.triggered in
+      let trig = r.Engine.triggered in
       for lt = 0 to Array.length trig - 1 do
         if trig.(lt) then begin
           let p = phases.(ei).(lt) in
-          ev.bv_phases.(!n) <- p;
-          incr n;
-          if p.p_stall > !stall then stall := p.p_stall
+          ev.bv_phases.(ev.n_phases) <- p;
+          ev.n_phases <- ev.n_phases + 1;
+          if p.p_stall > ev.stall then ev.stall <- p.p_stall
         end
       done
     end;
-    cross := !cross + e.Engine.cross;
-    reports := !reports + e.Engine.reports
+    ev.cross <- ev.cross + r.Engine.cross;
+    ev.reports <- ev.reports + r.Engine.reports
+  end
+
+(* Physical tile [ti]'s events, from its pieces' current records. *)
+let assemble_tile t ti =
+  let pieces = t.tile_pieces.(ti) in
+  let powered = ref false and enabled = ref 0 and active = ref 0 in
+  for k = 0 to Array.length pieces - 1 do
+    let ei, lt = pieces.(k) in
+    let e = t.last_events.(ei) in
+    if e.Engine.powered.(lt) then powered := true;
+    enabled := !enabled + e.Engine.enabled.(lt);
+    active := !active + e.Engine.active.(lt)
   done;
-  for ti = 0 to Array.length t.tile_pieces - 1 do
-    let pieces = t.tile_pieces.(ti) in
-    let powered = ref false and enabled = ref 0 and active = ref 0 in
-    for k = 0 to Array.length pieces - 1 do
-      let ei, lt = pieces.(k) in
-      let e = t.last_events.(ei) in
-      if e.Engine.powered.(lt) then powered := true;
-      enabled := !enabled + e.Engine.enabled.(lt);
-      active := !active + e.Engine.active.(lt)
-    done;
-    let te = ev.tiles.(ti) in
-    te.t_powered <- !powered;
-    te.t_enabled_cols <- !enabled;
-    te.t_active_states <- !active
-  done;
+  let te = t.ev.tiles.(ti) in
+  te.t_powered <- !powered;
+  te.t_enabled_cols <- !enabled;
+  te.t_active_states <- !active
+
+(* The fast path steps the awake set and the byte's wake row, in
+   ascending engine order, and assembles the touched tiles.  The engines
+   it leaves out hold the zero projection: no phase, cross signal or
+   report, so the sums over the stepped engines are the array's, in
+   engine order.  The reference kernel takes none of this selection: it
+   steps every engine and assembles every tile, so a [Reference] run
+   checks the fast path's choices as well as its kernel. *)
+let step (arch : Arch.t) t ~sym c =
+  let ev = t.ev and awake = t.owner.Engine.awake in
+  let phases = if arch.Arch.supports_nbva then phases_for arch t else [||] in
+  ev.stall <- 0;
+  ev.cross <- 0;
+  ev.reports <- 0;
+  ev.n_phases <- 0;
+  (match !Nbva.kernel with
+  | Nbva.Reference ->
+      Bitvec.fill_ones awake;
+      for ei = 0 to Array.length t.engines - 1 do
+        step_engine arch phases t ei c
+      done;
+      for ti = 0 to Array.length t.tile_pieces - 1 do
+        assemble_tile t ti
+      done
+  | Nbva.Bit_parallel ->
+      let nw = Bitvec.words_for (Array.length t.engines) in
+      let row = Char.code c * nw in
+      for w = 0 to nw - 1 do
+        (* [set_word] drops bits past the last engine: a flipped padding
+           bit of the table names no engine *)
+        Bitvec.set_word awake w (Bitvec.get_word awake w lor Array.unsafe_get t.wake (row + w));
+        let m = ref (Bitvec.get_word awake w) in
+        while !m <> 0 do
+          step_engine arch phases t ((w * Bitvec.bits_per_word) + Bitvec.lsb_index !m) c;
+          m := !m land (!m - 1)
+        done
+      done;
+      for ti = 0 to Array.length t.tile_pieces - 1 do
+        if t.touched land tile_bit ti <> 0 then assemble_tile t ti
+      done);
+  t.touched <- 0;
   ev.sym <- sym;
   ev.symbol <- c;
-  ev.stall <- !stall;
-  ev.cross <- !cross;
-  ev.reports <- !reports;
-  ev.n_phases <- !n;
   ev
 
-let step arch t ~sym c =
-  for i = 0 to Array.length t.engines - 1 do
-    ignore (Engine.step t.engines.(i) c)
-  done;
-  assemble arch t ~sym c
-
 (* A fresh-state clone: all compiled structure (engines' automata and
-   masks, the tile resolution) is shared with the template; run state,
-   event records and the phase cache are per-clone, so clones stepped
-   on different domains share nothing mutable. *)
-let clone_fresh t = of_parts (Array.map Engine.clone_fresh t.engines) t.tile_pieces t.tile_modes
+   masks, the tile resolution, the wake table) is shared with the
+   template; run state, the awake set, event records and the phase
+   cache are per-clone, so clones stepped on different domains share
+   nothing mutable. *)
+let clone_fresh t =
+  of_parts (Array.map Engine.clone_fresh t.engines) t.tile_pieces t.tile_modes
+    ~engine_tiles:t.engine_tiles ~wake:t.wake

@@ -2,11 +2,12 @@
     stack (engines → {b exec} → sinks → scheduler).
 
     [build] instantiates one {!Engine.t} per mapper group present in the
-    array and resolves each physical tile to its (engine, local-tile)
-    pieces; [step] advances every engine by one input symbol and
-    refreshes the context's one {!array_events} record in place — the
-    only thing downstream consumers ({!Sink.t}) ever see.  Exec owns all
-    engine plumbing; sinks own all cost/observability policy. *)
+    array, resolves each physical tile to its (engine, local-tile)
+    pieces and fills the array's byte-to-engines wake table; [step]
+    advances the array by one input symbol and refreshes the context's
+    one {!array_events} record in place — the only thing downstream
+    consumers ({!Sink.t}) ever see.  Exec owns all engine plumbing;
+    sinks own all cost/observability policy. *)
 
 type t
 
@@ -26,7 +27,9 @@ val snapshot : t -> int array array
 
 val restore : t -> int array array -> unit
 (** Restore into an exec context built from the same placement and tile
-    set; raises [Invalid_argument] on any shape mismatch. *)
+    set; raises [Invalid_argument] on any shape mismatch.  Every engine
+    rejoins the awake set and every tile is reassembled at the next
+    {!step}. *)
 
 val snapshot_flat : t -> int array array
 (** {!snapshot} under its old name, kept for the benchmark harness; to
@@ -69,10 +72,24 @@ val step : Arch.t -> t -> sym:int -> char -> array_events
     by [t] and refreshed in place by the next [step]: consume it before
     stepping again, and do not mutate it.  Allocates nothing in the
     steady state (the BV-phase records are built on the first step with
-    a given architecture). *)
+    a given architecture).
+
+    {b Awake set.}  [step] calls {!Engine.step} only on the engines in
+    its awake set (every engine that may hold live state or a record
+    other than the zero projection) and those the byte wakes from the
+    zero state, in ascending engine order, and reassembles only the
+    tiles those engines have pieces on; the record is field for field
+    what stepping every engine gives.  An engine leaves the set once
+    {!Engine.holds_idle} holds after its step.  Writes to engine state
+    from outside must go through {!Engine.restore},
+    {!Engine.flip_state_bit} or {!restore}, which wake the engines they
+    touch; stepping an engine of [t] directly leaves the set stale until
+    the next {!restore}.  With [Nbva.kernel] set to [Reference] every
+    engine is stepped and every tile assembled. *)
 
 val clone_fresh : t -> t
-(** A clone sharing all compiled structure with fresh run state and its
-    own event record — equivalent to [build] on the same placement
-    without deriving the tile maps and the bins' Shift-And tables again.
-    The integrity sentinel replays its windows on one clone per array. *)
+(** A clone sharing all compiled structure (tile maps, wake table) with
+    fresh run state, its own awake set and its own event record —
+    equivalent to [build] on the same placement without deriving the
+    tile maps and the wake table again.  The integrity sentinel replays
+    its windows on one clone per array. *)

@@ -74,9 +74,7 @@ let continuous_config () =
 (* ---- seals ---- *)
 
 (* One sealed region: the live reference the kernel reads, a pristine
-   private copy for repair, and the CRC of the pristine image.  The
-   image serialization is only used to feed CRC-32, so it just has to be
-   deterministic and injective per region shape. *)
+   private copy for repair, and the checksum of the pristine copy. *)
 type pristine =
   | P_words of int array
   | P_bytes of Bytes.t
@@ -86,52 +84,65 @@ type sealed_region = {
   sr_name : string;
   sr_live : Engine.region;
   sr_pristine : pristine;
-  sr_crc : int;
+  sr_sum : int;
 }
 
 type seal = sealed_region list
 
-let image_words b a =
-  Array.iter
-    (fun w ->
-      for i = 0 to 7 do
-        Buffer.add_char b (Char.chr ((w lsr (8 * i)) land 0xFF))
-      done)
-    a
-
-let image_of_region = function
+(* Word-wise checksum: every word (every byte, for byte regions) goes
+   through [Engine.digest_mix], which for a fixed word is a bijection of
+   the running value — so two images that differ in any single word
+   always sum differently.  It reads the live table in place: no image
+   is serialised. *)
+let checksum = function
   | Engine.R_words (_, a) ->
-      let b = Buffer.create (8 * Array.length a) in
-      image_words b a;
-      Buffer.contents b
-  | Engine.R_bytes (_, bytes) -> Bytes.to_string bytes
+      let acc = ref (Array.length a) in
+      for i = 0 to Array.length a - 1 do
+        acc := Engine.digest_mix !acc (Array.unsafe_get a i)
+      done;
+      !acc
+  | Engine.R_bytes (_, b) ->
+      let acc = ref (Bytes.length b) in
+      for i = 0 to Bytes.length b - 1 do
+        acc := Engine.digest_mix !acc (Char.code (Bytes.unsafe_get b i))
+      done;
+      !acc
   | Engine.R_vecs (_, vs) ->
-      let b = Buffer.create 256 in
+      let acc = ref (Array.length vs) in
       Array.iter
         (fun v ->
-          Buffer.add_string b (string_of_int (Bitvec.width v));
-          Buffer.add_char b ':';
-          Buffer.add_bytes b (Bitvec.to_bytes v))
+          for i = 0 to Bitvec.words_for (Bitvec.width v) - 1 do
+            acc := Engine.digest_mix !acc (Bitvec.get_word v i)
+          done)
         vs;
-      Buffer.contents b
+      !acc
 
 let pristine_of_region = function
   | Engine.R_words (_, a) -> P_words (Array.copy a)
   | Engine.R_bytes (_, bytes) -> P_bytes (Bytes.copy bytes)
   | Engine.R_vecs (_, vs) -> P_vecs (Array.map Bitvec.copy vs)
 
+(* The engines' own regions, then their array's tables — shared by all
+   engines of one array, so taken once per owner. *)
 let seal engines =
+  let array_tables =
+    Array.fold_left
+      (fun acc e ->
+        List.fold_left
+          (fun acc r -> if List.memq r acc then acc else r :: acc)
+          acc (Engine.array_regions e))
+      [] engines
+  in
   Array.to_list engines
-  |> List.concat_map (fun e ->
-         List.map
-           (fun r ->
-             {
-               sr_name = Engine.region_name r;
-               sr_live = r;
-               sr_pristine = pristine_of_region r;
-               sr_crc = Artifact.crc32 (image_of_region r);
-             })
-           (Engine.immutable_regions e))
+  |> List.concat_map Engine.immutable_regions
+  |> (fun regions -> regions @ List.rev array_tables)
+  |> List.map (fun r ->
+         {
+           sr_name = Engine.region_name r;
+           sr_live = r;
+           sr_pristine = pristine_of_region r;
+           sr_sum = checksum r;
+         })
 
 let violation cfg ~array_id ~sym ~region ~detail =
   locked (fun () -> cfg.stats.last_detect_sym <- sym);
@@ -148,10 +159,10 @@ let check cfg ~array_id ~sym (s : seal) engines =
     engines;
   List.iter
     (fun sr ->
-      if Artifact.crc32 (image_of_region sr.sr_live) <> sr.sr_crc then begin
+      if checksum sr.sr_live <> sr.sr_sum then begin
         locked (fun () -> cfg.stats.crc_trips <- cfg.stats.crc_trips + 1);
         violation cfg ~array_id ~sym ~region:sr.sr_name
-          ~detail:"CRC-32 no longer matches the run-start seal"
+          ~detail:"checksum no longer matches the run-start seal"
       end)
     s;
   locked (fun () -> cfg.stats.sweeps <- cfg.stats.sweeps + 1)
@@ -166,7 +177,7 @@ let repair cfg (s : seal) engines =
     engines;
   List.iter
     (fun sr ->
-      let dirty = Artifact.crc32 (image_of_region sr.sr_live) <> sr.sr_crc in
+      let dirty = checksum sr.sr_live <> sr.sr_sum in
       (match (sr.sr_live, sr.sr_pristine) with
       | Engine.R_words (_, live), P_words pristine ->
           Array.blit pristine 0 live 0 (Array.length pristine)

@@ -7,11 +7,15 @@
     the {e mutable} packed run state in each engine's arena.  This
     module turns both into detectable, repairable events:
 
-    - {b seals}: CRC-32 over every immutable region of an array's
-      engines, computed once at run start together with pristine copies;
-      {!check} re-verifies the CRCs (and the arena guard words) on the
-      runner's sweep cadence and before checkpoint writes, and
-      {!repair} blits the pristine bytes back over a corrupted table.
+    - {b seals}: a word-wise checksum over every immutable region of an
+      array (its engines' tables and its own wake table), computed once
+      at run start together with pristine copies; {!check} re-verifies
+      the checksums (and the arena guard words) on the runner's sweep
+      cadence and before checkpoint writes, and {!repair} blits the
+      pristine words back over a corrupted table.  Each word (each
+      byte, for byte tables) goes through {!Engine.digest_mix}, a
+      bijection of the running sum for a fixed word, so any single-word
+      change always trips.
     - {b sentinel}: a sampled shadow-replay window — capture the arena
       state, run W symbols, then replay those W symbols on a shadow
       clone through the {e reference} kernel and compare semantic state.
@@ -28,9 +32,9 @@
     zero-fault overhead is zero. *)
 
 type stats = {
-  mutable sweeps : int;  (** CRC/guard sweep passes completed. *)
+  mutable sweeps : int;  (** Checksum/guard sweep passes completed. *)
   mutable sentinel_checks : int;  (** Shadow-replay windows compared. *)
-  mutable crc_trips : int;  (** Seal mismatches detected. *)
+  mutable crc_trips : int;  (** Seal (checksum) mismatches detected. *)
   mutable guard_trips : int;  (** Arena guard canaries found overwritten. *)
   mutable sentinel_trips : int;  (** Shadow-replay divergences detected. *)
   mutable repairs : int;  (** Pristine-table repairs performed. *)
@@ -85,12 +89,14 @@ val continuous_config : unit -> config
 type seal
 
 val seal : Engine.t array -> seal
-(** CRC-seal every immutable region of one array's engines and keep
-    pristine copies for {!repair}.  Regions are shared by clones, so a
-    seal taken on a template covers its whole group. *)
+(** Checksum every immutable region of one array's engines
+    ({!Engine.immutable_regions}) and of the array they belong to
+    ({!Engine.array_regions}, taken once), and keep pristine copies for
+    {!repair}.  Engine regions are shared by clones, so a seal taken on
+    a template covers its whole group. *)
 
 val check : config -> array_id:int -> sym:int -> seal -> Engine.t array -> unit
-(** Verify arena guards, then every sealed CRC.  On the first mismatch:
+(** Verify arena guards, then every sealed checksum.  On the first mismatch:
     count the trip, record [sym] as the detection point, and raise
     [Sim_error.Error (Integrity_violation _)] naming the region. *)
 

@@ -351,7 +351,7 @@ let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mappe
           (fun (s : Sink.spec) -> s.Sink.make ~array_id ~chars:chars_hint)
           (energy_spec :: sinks))
   in
-  (* Integrity layer: CRC-seal every array's immutable tables up front
+  (* Integrity layer: checksum-seal every array's immutable tables up front
      (pristine copies double as the repair source), keep one shadow clone
      per array for the sentinel's reference replay, and track per-array
      next-due symbols for both detectors. *)
@@ -508,7 +508,7 @@ let step_chunk st ~deadline ~base chunk i =
       in
       spans 0
   | _ -> step_span st tally ~deadline ~base chunk i ~lo:0 ~hi:len);
-  (* CRC/guard sweep at the chunk boundary, before the slots publish: a
+  (* Checksum/guard sweep at the chunk boundary, before the slots publish: a
      trip here aborts the attempt with slots untouched, so the heal
      wrapper can roll back and re-execute the chunk *)
   (match st.r_integrity with

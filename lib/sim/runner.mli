@@ -157,7 +157,7 @@ val run_stream :
 
     [integrity] (default off — and then strictly zero-overhead) arms the
     online integrity layer ({!Integrity}): every array's immutable
-    compiled tables are CRC-sealed at run start, re-verified together
+    compiled tables are checksum-sealed at run start, re-verified together
     with the arena guard words on the sweep cadence and before every
     checkpoint write, and a sampled window of each array's execution is
     shadow-replayed through the reference kernel.  A detected violation

@@ -34,7 +34,7 @@ type t =
           materialize more than [limit] bytes in memory — stream the
           input in chunks instead. *)
   | Integrity_violation of { array_id : int; region : string; detail : string }
-      (** A runtime integrity check failed on this array: a CRC seal over
+      (** A runtime integrity check failed on this array: a checksum seal over
           an immutable mask table stopped matching ([region] names the
           sealed region), an arena guard word was overwritten, or the
           shadow-stepping sentinel diverged from the live kernel.  Raised

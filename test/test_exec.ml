@@ -283,27 +283,16 @@ let test_kernel_swap_bit_identical () =
     (fun a trace -> check (array int) (Printf.sprintf "array %d stalls across swap" a) trace tnew.(a))
     tref
 
-(* The idle fast path, full stack.  Two contexts of one placement step
-   the same input, one on the bit-parallel kernel (fast path on) and one
-   on the reference kernel (fast path bypassed); every [array_events]
-   field must agree at every symbol.  The input alternates long runs of
-   a byte no rule wakes on with bursts of activity, and hosts the writes
-   that land behind the engines' backs: a state flip into every idle
-   engine, a restore of a live snapshot into the idle array and of
-   an idle snapshot into the live array, and a fresh clone of the idle
-   array.  Each must show from the next symbol on: a stale idle record,
-   or a stale live one, fails the comparison. *)
-let test_idle_fast_path_lockstep () =
-  let rules =
-    [ "ab*c"; "x[yz]d"; "a{30}b"; "bc{5,12}d"; "evilsig"; "badstring"; "cdacdacda" ]
-  in
-  let units, errs = Runner.compile_for rap ~params (List.map (fun r -> (r, parse r)) rules) in
-  check int "rules compile" 0 (List.length errs);
-  let p = Runner.place rap ~params units in
-  let quiet = String.make 200 'q' in
-  let burst = "abbbc xyd " ^ String.make 31 'a' ^ "b bcccccd evilsig badstring cdacdacda " in
-  let block = String.length quiet + String.length burst in
-  let input = String.concat "" (List.init 8 (fun _ -> quiet ^ burst)) in
+(* The idle fast path and the awake set, full stack.  Two contexts of
+   one array step the same input, one on the bit-parallel kernel (fast
+   path on) and one on the reference kernel (every engine stepped); every
+   [array_events] field must agree at every symbol.  [event] runs before
+   each symbol and hosts the writes that land behind the contexts' backs;
+   each must show from the next symbol on: a stale idle record, a stale
+   live one, an engine missing from the awake set (its state then
+   differs) or a tile left unassembled fails the comparison.  Returns
+   the engine-steps that took the idle fast path. *)
+let lockstep p tiles input ~event =
   let reference f =
     Nbva.kernel := Nbva.Reference;
     Fun.protect ~finally:(fun () -> Nbva.kernel := Nbva.Bit_parallel) f
@@ -324,57 +313,121 @@ let test_idle_fast_path_lockstep () =
     if (Cost.of_events rap a).Cost.cat_pj <> (Cost.of_events rap b).Cost.cat_pj then
       differs "energy"
   in
+  let fast = ref (Exec.build p tiles) and slow = ref (Exec.build p tiles) in
+  let skipped = ref 0 in
+  String.iteri
+    (fun sym c ->
+      event ~sym fast slow;
+      let before = Array.map Engine.idle (Exec.engines !fast) in
+      let a = Exec.step rap !fast ~sym c in
+      let b = reference (fun () -> Exec.step rap !slow ~sym c) in
+      same sym a b;
+      Array.iteri
+        (fun j e ->
+          (* an engine left out of a step keeps a stale state that no
+             event shows until a byte wakes it *)
+          if not (Engine.state_equal e (Exec.engines !slow).(j)) then
+            failf "engine %d's state differs from the reference path at symbol %d" j sym;
+          if before.(j) && Engine.idle e then incr skipped)
+        (Exec.engines !fast))
+    input;
+  !skipped
+
+(* Input 1 alternates long runs of a byte no rule wakes on with bursts of
+   activity.  Its writes: a state flip into every idle engine, a restore
+   of a live snapshot into the idle array and of an idle snapshot into
+   the live array, a fresh clone of the idle array, and a step that
+   raises mid-array on a corrupted [succ_row] index, rolled back with
+   [Exec.restore] and healed with [Integrity.repair].  Input 2 is Snort,
+   whose second array has more engines than a word has bits, so its
+   awake set spans two words; it takes a flip into every engine, a
+   restore and a clone at fixed symbols. *)
+let test_idle_fast_path_lockstep () =
+  let rules =
+    [ "ab*c"; "x[yz]d"; "a{30}b"; "bc{5,12}d"; "evilsig"; "badstring"; "cdacdacda" ]
+  in
+  let units, errs = Runner.compile_for rap ~params (List.map (fun r -> (r, parse r)) rules) in
+  check int "rules compile" 0 (List.length errs);
+  let p = Runner.place rap ~params units in
+  let quiet = String.make 200 'q' in
+  let burst = "abbbc xyd " ^ String.make 31 'a' ^ "b bcccccd evilsig badstring cdacdacda " in
+  let block = String.length quiet + String.length burst in
+  let input = String.concat "" (List.init 8 (fun _ -> quiet ^ burst)) in
   let flipped = Hashtbl.create 3 and skipped = ref 0 in
-  let into_idle = ref 0 and into_live = ref 0 and clones = ref 0 in
+  let into_idle = ref 0 and into_live = ref 0 and clones = ref 0 and raised = ref 0 in
   Array.iter
     (fun tiles ->
-      let fast = ref (Exec.build p tiles) and slow = ref (Exec.build p tiles) in
-      let snap () = (Exec.snapshot !fast, Exec.snapshot !slow) in
-      let restore count (f, s) =
-        Exec.restore !fast f;
-        Exec.restore !slow s;
-        incr count
-      in
       let live_snap = ref None and idle_snap = ref None in
-      String.iteri
-        (fun sym c ->
-          let idle = Array.for_all Engine.idle (Exec.engines !fast) in
-          let phase = sym mod block and kind = sym / block mod 3 in
-          (* in a burst: keep a live snapshot, or put an idle one back
-             just before a byte that wakes none of the live engines
-             (inside "abbbc", "bcccccd" and "evilsig") *)
-          let off = phase - String.length quiet in
-          if not idle then begin
-            if kind = 2 && List.mem off [ 3; 46; 53 ] then
-              Option.iter (restore into_live) !idle_snap
-            else if off = 20 then live_snap := Some (snap ())
-          end;
-          (* mid-quiet, once the idle records are in place *)
-          if phase = 100 && idle then begin
-            idle_snap := Some (snap ());
-            match (kind, !live_snap) with
-            | 0, _ ->
-                Array.iter2
-                  (fun f s ->
-                    Hashtbl.replace flipped (Engine.mode f) ();
-                    let bit = Engine.state_bits f - 1 in
-                    Engine.flip_state_bit f bit;
-                    Engine.flip_state_bit s bit)
-                  (Exec.engines !fast) (Exec.engines !slow)
-            | 1, Some s -> restore into_idle s
-            | _ ->
-                fast := Exec.clone_fresh !fast;
-                slow := Exec.clone_fresh !slow;
-                incr clones
-          end;
-          let before = Array.map Engine.idle (Exec.engines !fast) in
-          let a = Exec.step rap !fast ~sym c in
-          let b = reference (fun () -> Exec.step rap !slow ~sym c) in
-          same sym a b;
+      let event ~sym fast slow =
+        let snap () = (Exec.snapshot !fast, Exec.snapshot !slow) in
+        let restore count (f, s) =
+          Exec.restore !fast f;
+          Exec.restore !slow s;
+          incr count
+        in
+        let idle = Array.for_all Engine.idle (Exec.engines !fast) in
+        let phase = sym mod block and kind = sym / block mod 3 in
+        (* in a burst: keep a live snapshot, or put an idle one back
+           just before a byte that wakes none of the live engines
+           (inside "abbbc", "bcccccd" and "evilsig") *)
+        let off = phase - String.length quiet in
+        if not idle then begin
+          if kind = 2 && List.mem off [ 3; 46; 53 ] then
+            Option.iter (restore into_live) !idle_snap
+          else if off = 20 then live_snap := Some (snap ())
+        end;
+        (* mid-quiet, once the idle records are in place *)
+        if phase = 100 && idle then begin
+          idle_snap := Some (snap ());
+          match (kind, !live_snap) with
+          | 0, _ ->
+              Array.iter2
+                (fun f s ->
+                  Hashtbl.replace flipped (Engine.mode f) ();
+                  let bit = Engine.state_bits f - 1 in
+                  Engine.flip_state_bit f bit;
+                  Engine.flip_state_bit s bit)
+                (Exec.engines !fast) (Exec.engines !slow)
+          | 1, Some s -> restore into_idle s
+          | _ ->
+              fast := Exec.clone_fresh !fast;
+              slow := Exec.clone_fresh !slow;
+              incr clones
+        end;
+        (* late in one burst: the highest live NFA/NBVA engine with a
+           live engine below it gets its successor rows pointed out of
+           range, so the array's step raises after stepping some engines
+           and before stepping others; roll back and repair, then the
+           symbol runs again *)
+        if sym / block = 5 && off = 12 then begin
+          let es = Exec.engines !fast in
+          let live j = not (Engine.idle es.(j)) in
+          let target = ref (-1) in
           Array.iteri
-            (fun j e -> if before.(j) && Engine.idle e then incr skipped)
-            (Exec.engines !fast))
-        input)
+            (fun j e ->
+              if j > 0 && live j && Engine.mode e <> Engine.M_lnfa
+                 && List.exists live (List.init j Fun.id)
+              then target := j)
+            es;
+          if !target >= 0 then begin
+            let cfg = Integrity.continuous_config () in
+            let seal = Integrity.seal es and pre = Exec.snapshot !fast in
+            List.iter
+              (function
+                | Engine.R_words ("succ_row", rows) -> Array.fill rows 0 (Array.length rows) (-1)
+                | _ -> ())
+              (Engine.immutable_regions es.(!target));
+            (match Exec.step rap !fast ~sym (String.get input sym) with
+            | exception Invalid_argument _ -> incr raised
+            | _ -> fail "a step over a corrupted succ_row did not raise");
+            Exec.restore !fast pre;
+            Integrity.repair cfg seal es;
+            check bool "the repair found the corruption" true
+              (cfg.Integrity.stats.Integrity.repairs >= 1)
+          end
+        end
+      in
+      skipped := !skipped + lockstep p tiles input ~event)
     p.Mapper.arrays;
   let arrays = Array.length p.Mapper.arrays in
   check bool "NFA, NBVA and bin engines all took a flip while idle" true
@@ -382,7 +435,47 @@ let test_idle_fast_path_lockstep () =
   check bool "live snapshots restored into idle arrays" true (!into_idle >= arrays);
   check bool "idle snapshots restored into live arrays" true (!into_live >= arrays);
   check bool "idle arrays cloned" true (!clones >= arrays);
-  check bool "the fast path was taken" true (!skipped > String.length input)
+  check bool "a step raised mid-array" true (!raised >= 1);
+  check bool "the fast path was taken" true (!skipped > String.length input);
+  (* input 2 *)
+  let snort = Benchmarks.by_name "Snort" in
+  let units, _ = Runner.compile_for rap ~params snort.Benchmarks.regexes in
+  let p = Runner.place rap ~params units in
+  let input = snort.Benchmarks.make_input ~chars:3_000 in
+  let wide = ref 0 and high_live = ref 0 in
+  Array.iter
+    (fun tiles ->
+      let engines = Array.length (Exec.engines (Exec.build p tiles)) in
+      if engines > Bitvec.bits_per_word then incr wide;
+      let saved = ref None in
+      let event ~sym fast slow =
+        (match sym with
+        | 700 -> saved := Some (Exec.snapshot !fast, Exec.snapshot !slow)
+        | 1_200 ->
+            Array.iter2
+              (fun f s ->
+                let bit = Engine.state_bits f - 1 in
+                Engine.flip_state_bit f bit;
+                Engine.flip_state_bit s bit)
+              (Exec.engines !fast) (Exec.engines !slow)
+        | 1_800 ->
+            Option.iter
+              (fun (f, s) ->
+                Exec.restore !fast f;
+                Exec.restore !slow s)
+              !saved
+        | 2_400 ->
+            fast := Exec.clone_fresh !fast;
+            slow := Exec.clone_fresh !slow
+        | _ -> ());
+        Array.iteri
+          (fun j e -> if j >= Bitvec.bits_per_word && not (Engine.idle e) then incr high_live)
+          (Exec.engines !fast)
+      in
+      ignore (lockstep p tiles input ~event))
+    p.Mapper.arrays;
+  check bool "Snort has an array whose awake set spans two words" true (!wide >= 1);
+  check bool "engines in the second word went live" true (!high_live > 0)
 
 (* Satellite: state_bits counts exactly the flippable surface — every
    index below it flips (and flips back) without raising. *)
@@ -415,29 +508,30 @@ let test_state_bits_flip_coverage () =
 
 (* Building an array compiles nothing: every [Exec.build] of one
    placement, and every clone of a build, steps the executor tables the
-   compiler put in the units — physically the same arrays, so one seal
-   covers them all.  (LNFA bins still derive their Shift-And tables per
-   build, so only NFA and NBVA engines are compared.) *)
+   compiler put in the units and the Shift-And tables the mapper put in
+   the placement — physically the same arrays, so one seal covers them
+   all. *)
 let test_build_shares_executors () =
   let rules = [ "(wget|curl).*http"; "ab{3,10}c"; "user=root" ] in
   let units, errs = Runner.compile_for rap ~params (List.map (fun s -> (s, parse s)) rules) in
   check int "rules compile" 0 (List.length errs);
   let p = Runner.place rap ~params units in
-  let nfa_engines = ref 0 in
+  let engines = Hashtbl.create 3 in
   let same_tables label a b =
     Array.iter2
       (fun ea eb ->
-        if Engine.mode ea <> Engine.M_lnfa then begin
-          if Engine.mode ea = Engine.M_nfa then incr nfa_engines;
-          List.iter2
-            (fun ra rb ->
-              let name = label ^ ": " ^ Engine.region_name ra in
-              match (ra, rb) with
-              | Engine.R_words (_, x), Engine.R_words (_, y) -> check bool name true (x == y)
-              | Engine.R_bytes (_, x), Engine.R_bytes (_, y) -> check bool name true (x == y)
-              | _ -> fail (name ^ ": region kinds differ"))
-            (Engine.immutable_regions ea) (Engine.immutable_regions eb)
-        end)
+        Hashtbl.replace engines (Engine.mode ea) ();
+        List.iter2
+          (fun ra rb ->
+            let name = label ^ ": " ^ Engine.region_name ra in
+            match (ra, rb) with
+            | Engine.R_words (_, x), Engine.R_words (_, y) -> check bool name true (x == y)
+            | Engine.R_bytes (_, x), Engine.R_bytes (_, y) -> check bool name true (x == y)
+            | Engine.R_vecs (_, x), Engine.R_vecs (_, y) ->
+                check bool name true
+                  (Array.length x = Array.length y && Array.for_all2 ( == ) x y)
+            | _ -> fail (name ^ ": region kinds differ"))
+          (Engine.immutable_regions ea) (Engine.immutable_regions eb))
       (Exec.engines a) (Exec.engines b)
   in
   Array.iter
@@ -446,7 +540,8 @@ let test_build_shares_executors () =
       same_tables "two builds" a (Exec.build p tiles);
       same_tables "build and clone" a (Exec.clone_fresh a))
     p.Mapper.arrays;
-  check bool "the placement has NFA-mode engines" true (!nfa_engines > 0)
+  check bool "the placement has NFA-mode engines and bins" true
+    (Hashtbl.mem engines Engine.M_nfa && Hashtbl.mem engines Engine.M_lnfa)
 
 (* [Engine.step] allocates nothing from the very first symbol: a freshly
    built array's engines step with no warm-up pass and no cache to fill.

@@ -359,6 +359,72 @@ let test_wake_corruption_healed () =
   check string "healed report bit-identical to fault-free baseline"
     (Runner.render_report baseline) (Runner.render_report healed)
 
+(* The array's byte-to-engines wake table decides which asleep engines
+   see a byte at all.  The sink clears, once, the bit of the engine that
+   'x' wakes, well before the input's "xyzzzw" bursts: unchecked, that
+   engine sleeps through them and the run loses matches.  Under the
+   continuous config the heal must give the fault-free report; with the
+   sentinel off as well, only the seal over the table can see the
+   corruption, so the sweep must be what trips. *)
+let test_array_wake_table_healed () =
+  let input = String.concat "" (List.init 8 (fun i -> noise ~seed:(40 + i) 700 ^ "xyzzzw")) in
+  let clear_x fired =
+    {
+      Sink.name = "array-wake-clear-once";
+      make =
+        (fun ~array_id:_ ~chars:_ ->
+          {
+            Sink.on_events = ignore;
+            on_close = (fun ~cycles:_ -> ());
+            on_state =
+              Some
+                (fun ~sym engines ->
+                  if (not !fired) && sym = 1_000 && Array.length engines > 0 then
+                    List.iter
+                      (function
+                        | Engine.R_words ("array_wake", tbl) ->
+                            let nw = Array.length tbl / 256 in
+                            let row = Char.code 'x' * nw in
+                            let w = ref 0 in
+                            while (not !fired) && !w < nw do
+                              let bits = tbl.(row + !w) in
+                              if bits <> 0 then begin
+                                tbl.(row + !w) <- bits land (bits - 1);
+                                fired := true
+                              end;
+                              incr w
+                            done
+                        | _ -> ())
+                      (Engine.array_regions engines.(0)));
+          });
+    }
+  in
+  let p = placement rules in
+  let baseline = Runner.run rap ~params p ~input in
+  let fired = ref false in
+  let unchecked = Runner.run ~sinks:[ clear_x fired ] rap ~params p ~input in
+  check bool "the bit was cleared" true !fired;
+  check bool "unchecked, the engine 'x' wakes loses matches" true
+    (unchecked.Runner.match_reports < baseline.Runner.match_reports);
+  List.iter
+    (fun (label, cfg) ->
+      let fired = ref false in
+      let healed = Runner.run ~sinks:[ clear_x fired ] ~integrity:cfg rap ~params p ~input in
+      check bool (label ^ ": the bit was cleared again") true !fired;
+      let st = cfg.Integrity.stats in
+      check bool (label ^ ": detected") true (Integrity.detections st >= 1);
+      check bool (label ^ ": healed") true (st.Integrity.heals >= 1);
+      check int (label ^ ": no quarantine") 0 st.Integrity.quarantines;
+      if cfg.Integrity.sentinel_every = 0 then
+        check bool (label ^ ": the seal over the table trips") true (st.Integrity.crc_trips >= 1);
+      check string
+        (label ^ ": healed report bit-identical to fault-free baseline")
+        (Runner.render_report baseline) (Runner.render_report healed))
+    [
+      ("continuous", Integrity.continuous_config ());
+      ("sweeps only", { (Integrity.continuous_config ()) with Integrity.sentinel_every = 0 });
+    ]
+
 let test_chaos_gates () =
   let config = { Fault.c_seed = 5; c_trials = 6; c_chunk = 1_024; c_table_share = 0.5 } in
   match Fault.chaos ~arch:rap ~params ~config (parsed rules) ~input:(noise 4_000) with
@@ -406,4 +472,6 @@ let suite =
     test_case "chaos campaign is deterministic in its seed" `Slow test_chaos_deterministic;
     test_case "cleared wake byte: detected and healed bit-identically" `Quick
       test_wake_corruption_healed;
+    test_case "cleared array wake-table bit: sealed, detected and healed" `Quick
+      test_array_wake_table_healed;
   ]
