@@ -201,9 +201,10 @@ let kernel_bench env ~name =
    BV-phase tables, the only state the path allocates on first use; the
    0-symbol baseline again subtracts the probe's own overhead, so an
    allocation-free path reports exactly 0.  A pass over fresh clones
-   also counts the engine-steps that took the idle fast path (idle
-   before and after the step: from the zero state, a byte that wakes an
-   engine always leaves it non-zero). *)
+   also counts the idle engine-steps, engines idle before and after the
+   symbol: exactly the ones the awake set skips, since from the zero
+   state a byte that wakes an engine always leaves it non-zero, and an
+   engine leaves the set on the step that makes it idle. *)
 let exec_path_bench env ~name =
   let s = Benchmarks.by_name ~scale:env.Experiments.scale name in
   let input = s.Benchmarks.make_input ~chars:env.Experiments.chars in

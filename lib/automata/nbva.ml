@@ -368,9 +368,8 @@ let step t st c =
   done;
   !hit
 
-(* The idle fast path's two tests.  Both read live data on every call —
-   the wake byte from the sealed plan, the state from the arena — so a
-   restore, rollback or fault flip needs no hook to be seen. *)
+(* The idle skip's two facts: the bytes that leave the all-zero state
+   non-zero, and whether the live words are all zero. *)
 let wakes t c = Bytes.unsafe_get t.plan.wake (Char.code c) <> '\000'
 let wake_bytes t = t.plan.wake
 
@@ -381,8 +380,6 @@ let idle st =
     acc := !acc lor Array.unsafe_get w i
   done;
   !acc = 0
-
-let asleep t st c = (not (wakes t c)) && idle st
 
 let fold_live f acc st =
   let w = st.st_words in
@@ -420,7 +417,7 @@ let step_reference t st c =
       match t.stes.(q) with
       | Plain cc -> Charclass.mem cc c && available t st q
       | Bv { cc; read; size = _ } -> (
-          let v = match st.vectors.(q) with Some v -> v | None -> assert false in
+          let v = match st.vectors.(q) with Some v -> v | None -> corrupt_index () in
           if Charclass.mem cc c then begin
             Bitvec.shift_left1 v ~carry_in:false;
             if available t st q then Bitvec.set v 0

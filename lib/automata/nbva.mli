@@ -89,14 +89,16 @@ val step : t -> run_state -> char -> bool
 val step_reference : t -> run_state -> char -> bool
 (** The scalar pre-bit-parallel kernel (per-state predecessor probing),
     kept as the differential-testing reference.  Bit-identical to {!step}
-    on every input: same return value, active vector, and BV vectors. *)
+    on every input: same return value, active vector, and BV vectors.
+    Raises the same [Invalid_argument] as {!step} when a BV-STE has no
+    vector in [st] (a run state started from another automaton). *)
 
-(** {1 Idle fast path}
+(** {1 Idle skip}
 
     From the all-zero state a byte leaves some live word non-zero exactly
-    when it lies in the class of some initial STE.  An engine whose live
-    words are all zero can therefore skip {!step} for every other byte:
-    the state stays zero and no match ends. *)
+    when it lies in the class of some initial STE.  A state whose live
+    words are all zero therefore stays all-zero, and no match ends, on
+    every other byte: a caller may skip {!step} there. *)
 
 val wakes : t -> char -> bool
 (** The byte lies in the class of some initial STE (Plain or BV): one
@@ -113,10 +115,6 @@ val idle : run_state -> bool
 val fold_live : ('a -> int -> 'a) -> 'a -> run_state -> 'a
 (** Fold over the live words — the active mask, then every BV vector in
     state order, as {!idle} reads them — in arena order. *)
-
-val asleep : t -> run_state -> char -> bool
-(** [not (wakes t c) && idle st]: stepping [c] would leave the state
-    all-zero and report nothing, so the caller may skip {!step}. *)
 
 type kernel = Bit_parallel | Reference
 

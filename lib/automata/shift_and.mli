@@ -49,16 +49,11 @@ val step : t -> state -> char -> bool
 (** Advance by one symbol; [true] when some final state is active, i.e. a
     match ends at this symbol. *)
 
-val asleep : t -> state -> char -> bool
-(** The state is all-zero and [c] matches no pattern's first position, so
-    {!step} would leave it all-zero and report nothing.  Reads the state
-    and the sealed masks on every call. *)
-
 val wake_bytes : t -> Bytes.t
 (** 256 bytes, byte [b] non-zero iff [initial AND labels[b]] has a bit:
-    the bytes that leave the all-zero state non-zero.  Derived from the
-    masks once, at construction; {!asleep} reads the masks themselves.
-    Do not mutate. *)
+    the bytes that leave the all-zero state non-zero (one step from it
+    leaves [initial AND labels[c]]).  Derived from the masks once, at
+    construction.  Do not mutate. *)
 
 val active_count : t -> state -> int
 (** Number of active states, for activity/energy statistics. *)

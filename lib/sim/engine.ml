@@ -25,45 +25,43 @@ let stats_create n =
     reports = 0;
   }
 
-(* Idle fast path.  An engine whose live words are all zero stays at
-   zero, reporting nothing, on every byte outside its wake set, so
-   [step] skips the stepper there; and since the projection of the zero
-   state never changes, it also skips the projection while the event
-   record still holds it ([holds_idle], cleared by every projection of a
-   live state and by [clone_fresh]).  Both tests read live data on every
-   symbol.  An array (see Exec) goes further and does not call [step] at
-   all on an engine that holds the idle record, unless the byte wakes
-   it; so every write that can make such an engine live behind the
-   array's back — [restore] and [flip_state_bit] — sets the engine's bit
-   in its owner's awake set.  The reference kernel bypasses the whole
-   path: a [Reference] run steps and projects every engine on every
-   symbol, which is what lets the differential gates check the fast
-   path. *)
-let fast_path () = match !Nbva.kernel with Nbva.Bit_parallel -> true | Nbva.Reference -> false
-
 (* ------------------------------------------------------------------ *)
-(* NFA units: compressed executor over the equivalent NBVA.            *)
+(* NFA and NBVA units: one engine over an NBVA plan.  An NBVA unit steps
+   its own automaton.  An NFA unit steps its compressed executor: the
+   same regex as an NBVA in which every bounded-repetition chain is one
+   BV state, so unfolded chain state [s_k] is vector bit [k-1].  Both
+   step through [Nbva.step] and project the same run state onto tiles;
+   the modes differ only in the maps below, which are data. *)
 
-type nfa_engine = {
-  u : Program.nfa_unit;
-  exec : Nbva.t;
-  exec_st : Nbva.run_state;
-  offsets : int array;  (* exec state -> first unfolded Glushkov position *)
-  (* cross-edge sources, pre-resolved to (exec state, bit or -1 for plain) *)
-  cross_sources : (int * int) array;
-  plain_tile_masks : Bitvec.t array;  (* per tile: Plain exec states mapped there *)
-  bv_bit_tiles : (int * int array) array;  (* BV exec state, per-bit tile *)
-  static_cols : int array;
+type plan = {
+  plan_mode : mode;  (* M_nfa or M_nbva *)
+  exec : Nbva.t;  (* the unit's own automaton or executor, shared, never copied *)
+  tile_masks : Bitvec.t array;
+      (* per tile: the states whose output is an active STE there — every
+         state in NBVA mode, only Plain states in NFA mode, where a BV
+         state stands for a whole unfolded chain *)
+  bit_tiles : (int * int array) array;
+      (* NFA mode: per BV state, the tile of each vector bit (one unfolded
+         STE per bit); empty in NBVA mode *)
+  trigger_tiles : int array;
+      (* NBVA mode: flat (BV state, tile) pairs — a non-zero vector sends
+         its tile into the BV phase; empty in NFA mode *)
+  cross_sources : int array;
+      (* flat (state, vector bit or -1) pairs, one per cross-tile edge:
+         -1 reads the state's output, a bit one unfolded chain position *)
+  enabled_cols : int array;  (* per tile: columns searched every symbol *)
+  bv_cols : int array;  (* NBVA mode: per tile BV storage columns; empty in NFA mode *)
+  max_bv : int;
+  depth : int;  (* NBVA mode: BV depth; 0 in NFA mode *)
 }
 
-(* Unfolded width of one exec state. *)
+(* Unfolded width of one executor state. *)
 let exec_width ste = match ste with Nbva.Plain _ -> 1 | Nbva.Bv { size; _ } -> size
 
-let make_nfa_engine (u : Program.nfa_unit) =
-  (* the executor was compiled with the unit and is shared, never copied;
-     its rewriting preserves the left-to-right order of unfolded
-     positions, so prefix sums of widths recover each state's position
-     range *)
+let nfa_plan (u : Program.nfa_unit) =
+  (* the executor was compiled with the unit; its rewriting preserves the
+     left-to-right order of unfolded positions, so prefix sums of widths
+     recover each state's position range *)
   let exec = u.Program.exec in
   let n = Nbva.num_states exec in
   let offsets = Array.make (n + 1) 0 in
@@ -72,171 +70,129 @@ let make_nfa_engine (u : Program.nfa_unit) =
   done;
   if offsets.(n) <> Nfa.num_states u.Program.nfa then
     invalid_arg "Engine: compressed executor disagrees with the unfolded NFA size";
-  (* resolve an unfolded position to (exec state, bit) by binary search *)
-  let resolve pos =
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if offsets.(mid + 1) <= pos then search (mid + 1) hi else search lo mid
-    in
-    let q = search 0 (n - 1) in
-    match exec.Nbva.stes.(q) with
-    | Nbva.Plain _ -> (q, -1)
-    | Nbva.Bv _ -> (q, pos - offsets.(q))
+  (* the executor state holding an unfolded position, by binary search *)
+  let rec state_of pos lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if offsets.(mid + 1) <= pos then state_of pos (mid + 1) hi else state_of pos lo mid
   in
-  let cross_sources = Array.of_list (List.map (fun (p, _) -> resolve p) u.Program.cross_edges) in
-  let ntiles = Array.length u.Program.tile_states in
+  let cross_sources = Array.make (2 * List.length u.Program.cross_edges) 0 in
+  List.iteri
+    (fun k (pos, _) ->
+      let q = state_of pos 0 (n - 1) in
+      cross_sources.(2 * k) <- q;
+      cross_sources.((2 * k) + 1) <-
+        (match exec.Nbva.stes.(q) with Nbva.Plain _ -> -1 | Nbva.Bv _ -> pos - offsets.(q)))
+    u.Program.cross_edges;
   let tile_of = u.Program.tile_of_state in
-  (* per-tile masks over exec states (Plain only: a BV exec state stands
-     for a whole unfolded chain, attributed per vector bit below) *)
-  let plain_tile_masks = Array.init ntiles (fun _ -> Bitvec.create n) in
-  let bv_bit_tiles = ref [] in
+  let tile_masks = Array.init (Array.length u.Program.tile_states) (fun _ -> Bitvec.create n) in
+  let bit_tiles = Array.make (Nbva.num_bv_stes exec) (0, [||]) in
+  let k = ref 0 in
   Array.iteri
     (fun q ste ->
       match ste with
-      | Nbva.Plain _ -> Bitvec.set plain_tile_masks.(tile_of.(offsets.(q))) q
+      | Nbva.Plain _ -> Bitvec.set tile_masks.(tile_of.(offsets.(q))) q
       | Nbva.Bv { size; _ } ->
-          bv_bit_tiles := (q, Array.init size (fun bit -> tile_of.(offsets.(q) + bit))) :: !bv_bit_tiles)
+          bit_tiles.(!k) <- (q, Array.init size (fun bit -> tile_of.(offsets.(q) + bit)));
+          incr k)
     exec.Nbva.stes;
-  let exec_st = Nbva.start exec in
+  (* an NFA tile enables all its programmed columns *)
   {
-    u;
+    plan_mode = M_nfa;
     exec;
-    exec_st;
-    offsets;
+    tile_masks;
+    bit_tiles;
+    trigger_tiles = [||];
     cross_sources;
-    plain_tile_masks;
-    bv_bit_tiles = Array.of_list (List.rev !bv_bit_tiles);
-    static_cols = u.Program.tile_cols;
+    enabled_cols = u.Program.tile_cols;
+    bv_cols = [||];
+    max_bv = 0;
+    depth = 0;
   }
 
-(* Projection: refresh the stats record from the executor's post-step
-   state.  Split from the automaton advance so [step_kernel] can advance
-   the state alone — the projection reads only this engine's state.  It
-   writes only the fields that vary: an NFA tile is always powered,
-   never triggers a BV phase, and always enables all its programmed
-   columns, which [make] writes into the record once. *)
-let nfa_project (e : nfa_engine) s =
-  let act = Nbva.outputs e.exec_st and vecs = Nbva.vectors e.exec_st in
-  (* Plain activity per tile: one mask AND + popcount per tile *)
-  for t = 0 to Array.length s.active - 1 do
-    s.active.(t) <- Bitvec.popcount_and act e.plain_tile_masks.(t)
-  done;
-  (* BV activity per vector bit, walking the set bits word by word *)
-  for k = 0 to Array.length e.bv_bit_tiles - 1 do
-    let q, bit_tiles = e.bv_bit_tiles.(k) in
-    match vecs.(q) with
-    | Some v ->
-        for i = 0 to Bitvec.words_for (Bitvec.width v) - 1 do
-          let w = ref (Bitvec.get_word v i) in
-          while !w <> 0 do
-            let t = bit_tiles.((i * Bitvec.bits_per_word) + Bitvec.lsb_index !w) in
-            s.active.(t) <- s.active.(t) + 1;
-            w := !w land (!w - 1)
-          done
-        done
-    | None -> assert false
-  done;
-  let cross = ref 0 in
-  for k = 0 to Array.length e.cross_sources - 1 do
-    let q, bit = e.cross_sources.(k) in
-    let fired =
-      if bit < 0 then Bitvec.get act q
-      else match vecs.(q) with Some v -> Bitvec.get v bit | None -> false
-    in
-    if fired then incr cross
-  done;
-  s.cross <- !cross;
-  s.reports <- Nbva.reports e.exec e.exec_st
-
-(* ------------------------------------------------------------------ *)
-(* NBVA units: direct execution with tile projection.                  *)
-
-type nbva_engine = {
-  nu : Program.nbva_unit;
-  nb_st : Nbva.run_state;
-  nb_tile_masks : Bitvec.t array;  (* per tile: its STEs as a mask over states *)
-  nb_bv_list : (int * int) array;  (* dense (BV state, tile) pairs *)
-  nb_cc_cols : int array;  (* per tile: CC columns, searched every symbol *)
-  nb_cross_sources : int array;
-  nb_static_cols : int array;
-  nb_bv_cols : int array;
-  nb_max_bv : int;
-}
-
-let make_nbva_engine (nu : Program.nbva_unit) =
-  let ntiles = Array.length nu.Program.ntiles in
-  let n = Nbva.num_states nu.Program.nbva in
-  let bv_tile = Array.make n (-1) in
-  Array.iteri
-    (fun t (tile : Program.nbva_tile) ->
-      List.iter (fun (a : Program.bv_alloc) -> bv_tile.(a.Program.ste) <- t) tile.Program.bvs)
-    nu.Program.ntiles;
-  let static_cols =
-    Array.map
-      (fun (t : Program.nbva_tile) -> t.Program.cc_cols + t.Program.set1_cols + t.Program.bv_cols)
-      nu.Program.ntiles
-  in
-  (* BV storage columns: sum of allocation widths (equals [bv_cols] on
-     RAP; covers BVAP, whose BVM columns are not CAM columns) *)
-  let bv_cols =
-    Array.map
-      (fun (t : Program.nbva_tile) ->
-        List.fold_left (fun acc (a : Program.bv_alloc) -> acc + a.Program.width) 0 t.Program.bvs)
-      nu.Program.ntiles
-  in
-  let max_bv =
-    Array.fold_left
-      (fun acc (t : Program.nbva_tile) ->
-        List.fold_left (fun acc (a : Program.bv_alloc) -> max acc a.Program.size) acc t.Program.bvs)
-      0 nu.Program.ntiles
-  in
-  let tile_masks = Array.init ntiles (fun _ -> Bitvec.create n) in
-  Array.iteri (fun q t -> Bitvec.set tile_masks.(t) q) nu.Program.tile_of_state;
-  let cc_cols = Array.map (fun (t : Program.nbva_tile) -> t.Program.cc_cols) nu.Program.ntiles in
-  let bv_list = ref [] in
+let nbva_plan (nu : Program.nbva_unit) =
+  let exec = nu.Program.nbva and tiles = nu.Program.ntiles in
+  let n = Nbva.num_states exec and tile_of = nu.Program.tile_of_state in
+  let tile_masks = Array.init (Array.length tiles) (fun _ -> Bitvec.create n) in
+  Array.iteri (fun q t -> Bitvec.set tile_masks.(t) q) tile_of;
+  (* a BV state's vector is allocated in its own tile *)
+  let trigger_tiles = Array.make (2 * Nbva.num_bv_stes exec) 0 in
+  let k = ref 0 in
   Array.iteri
     (fun q ste ->
       match ste with
-      | Nbva.Bv _ -> bv_list := (q, bv_tile.(q)) :: !bv_list
+      | Nbva.Bv _ ->
+          trigger_tiles.(2 * !k) <- q;
+          trigger_tiles.((2 * !k) + 1) <- tile_of.(q);
+          incr k
       | Nbva.Plain _ -> ())
-    nu.Program.nbva.Nbva.stes;
-  let nb_st = Nbva.start nu.Program.nbva in
+    exec.Nbva.stes;
+  let cross_sources = Array.make (2 * List.length nu.Program.cross_edges) (-1) in
+  List.iteri (fun k (q, _) -> cross_sources.(2 * k) <- q) nu.Program.cross_edges;
+  let allocs (t : Program.nbva_tile) f = List.fold_left f 0 t.Program.bvs in
   {
-    nu;
-    nb_st;
-    nb_tile_masks = tile_masks;
-    nb_bv_list = Array.of_list (List.rev !bv_list);
-    nb_cc_cols = cc_cols;
-    nb_cross_sources = Array.of_list (List.map fst nu.Program.cross_edges);
-    nb_static_cols = static_cols;
-    nb_bv_cols = bv_cols;
-    nb_max_bv = max_bv;
+    plan_mode = M_nbva;
+    exec;
+    tile_masks;
+    bit_tiles = [||];
+    trigger_tiles;
+    cross_sources;
+    (* only CC columns are searched every symbol; BV columns activate in
+       the processing phase *)
+    enabled_cols = Array.map (fun (t : Program.nbva_tile) -> t.Program.cc_cols) tiles;
+    (* BV storage columns: sum of allocation widths (equals [bv_cols] on
+       RAP; covers BVAP, whose BVM columns are not CAM columns) *)
+    bv_cols = Array.map (fun t -> allocs t (fun acc a -> acc + a.Program.width)) tiles;
+    max_bv =
+      Array.fold_left (fun m t -> max m (allocs t (fun acc a -> max acc a.Program.size))) 0 tiles;
+    depth = nu.Program.depth;
   }
 
-(* Only CC columns are searched every symbol (BV columns activate in the
-   processing phase), and an NBVA tile is always powered: [make] writes
-   both into the record once. *)
-let nbva_project (e : nbva_engine) s =
-  let nbva = e.nu.Program.nbva in
-  let act = Nbva.outputs e.nb_st and vecs = Nbva.vectors e.nb_st in
+(* The vector of a BV state named by a plan map. *)
+let vector vecs q =
+  match vecs.(q) with
+  | Some v -> v
+  | None -> invalid_arg "Nbva: corrupt plan table (index out of range)"
+
+(* Projection: refresh the stats record from the post-step run state.
+   Split from the automaton advance so [step_kernel] can advance the
+   state alone — the projection reads only this engine's state.  It
+   writes only the fields that vary: a plan tile is always powered and
+   always enables the same columns, which [make] writes into the record
+   once. *)
+let plan_project p st s =
+  let act = Nbva.outputs st and vecs = Nbva.vectors st in
   for t = 0 to Array.length s.active - 1 do
-    s.active.(t) <- Bitvec.popcount_and act e.nb_tile_masks.(t);
+    s.active.(t) <- Bitvec.popcount_and act p.tile_masks.(t);
     s.triggered.(t) <- false
   done;
-  for k = 0 to Array.length e.nb_bv_list - 1 do
-    let q, t = e.nb_bv_list.(k) in
-    match vecs.(q) with
-    | Some v when not (Bitvec.is_zero v) -> s.triggered.(t) <- true
-    | Some _ | None -> ()
+  (* unfolded chain activity per vector bit, walking the set bits word
+     by word *)
+  for k = 0 to Array.length p.bit_tiles - 1 do
+    let q, bit_tiles = p.bit_tiles.(k) in
+    let v = vector vecs q in
+    for i = 0 to Bitvec.words_for (Bitvec.width v) - 1 do
+      let w = ref (Bitvec.get_word v i) in
+      while !w <> 0 do
+        let t = bit_tiles.((i * Bitvec.bits_per_word) + Bitvec.lsb_index !w) in
+        s.active.(t) <- s.active.(t) + 1;
+        w := !w land (!w - 1)
+      done
+    done
   done;
+  let trig = p.trigger_tiles in
+  for k = 0 to (Array.length trig / 2) - 1 do
+    if not (Bitvec.is_zero (vector vecs trig.(2 * k))) then s.triggered.(trig.((2 * k) + 1)) <- true
+  done;
+  let src = p.cross_sources in
   let cross = ref 0 in
-  for k = 0 to Array.length e.nb_cross_sources - 1 do
-    if Bitvec.get act e.nb_cross_sources.(k) then incr cross
+  for k = 0 to (Array.length src / 2) - 1 do
+    let q = src.(2 * k) and bit = src.((2 * k) + 1) in
+    if if bit < 0 then Bitvec.get act q else Bitvec.get (vector vecs q) bit then incr cross
   done;
   s.cross <- !cross;
-  s.reports <- Nbva.reports nbva e.nb_st
+  s.reports <- Nbva.reports p.exec st
 
 (* ------------------------------------------------------------------ *)
 (* LNFA bins: Shift-And over the packed bin, regions mapped to tiles.   *)
@@ -327,7 +283,8 @@ let bin_project (e : bin_engine) s =
 
 (* ------------------------------------------------------------------ *)
 
-type kind = E_nfa of nfa_engine | E_nbva of nbva_engine | E_bin of bin_engine
+(* A plan engine's run state is its own; the plan is shared by clones. *)
+type kind = E_plan of plan * Nbva.run_state | E_bin of bin_engine
 
 type region =
   | R_words of string * int array
@@ -336,29 +293,22 @@ type region =
 
 type owner = { awake : Bitvec.t; tables : region list }
 
-(* What every engine kind shares: its event record, the idle-record bit,
-   and its place in the array that steps it ([slot] is its bit in
-   [owner.awake]; -1 until [attach]). *)
-type t = {
-  kind : kind;
-  stats : events;
-  mutable holds_idle : bool;  (* [stats] holds the zero state's projection *)
-  mutable owner : owner;
-  mutable slot : int;
-}
+(* What every engine kind shares: its event record and its place in the
+   array that steps it ([slot] is its bit in [owner.awake]; -1 until
+   [attach]). *)
+type t = { kind : kind; stats : events; mutable owner : owner; mutable slot : int }
 
 (* Never written: a detached engine has no bit to set. *)
 let detached = { awake = Bitvec.create 0; tables = [] }
 
-(* The fresh record carries the columns NFA/NBVA projections never
-   rewrite (see the projections above). *)
+(* The fresh record carries the columns plan projections never rewrite
+   (see [plan_project]). *)
 let make kind ntiles =
   let stats = stats_create ntiles in
   (match kind with
-  | E_nfa e -> Array.blit e.static_cols 0 stats.enabled 0 (Array.length e.static_cols)
-  | E_nbva e -> Array.blit e.nb_cc_cols 0 stats.enabled 0 (Array.length e.nb_cc_cols)
+  | E_plan (p, _) -> Array.blit p.enabled_cols 0 stats.enabled 0 (Array.length p.enabled_cols)
   | E_bin _ -> ());
-  { kind; stats; holds_idle = false; owner = detached; slot = -1 }
+  { kind; stats; owner = detached; slot = -1 }
 
 let attach t owner slot =
   t.owner <- owner;
@@ -368,158 +318,114 @@ let attach t owner slot =
 let wake t = if t.slot >= 0 then Bitvec.set t.owner.awake t.slot
 let array_regions t = t.owner.tables
 
-let mode t = match t.kind with E_nfa _ -> M_nfa | E_nbva _ -> M_nbva | E_bin _ -> M_lnfa
-
-let of_nfa_unit u =
-  let e = make_nfa_engine u in
-  make (E_nfa e) (Array.length u.Program.tile_states)
-
-let of_nbva_unit u =
-  let e = make_nbva_engine u in
-  make (E_nbva e) (Array.length u.Program.ntiles)
+let mode t = match t.kind with E_plan (p, _) -> p.plan_mode | E_bin _ -> M_lnfa
+let of_plan p = make (E_plan (p, Nbva.start p.exec)) (Array.length p.tile_masks)
+let of_nfa_unit u = of_plan (nfa_plan u)
+let of_nbva_unit u = of_plan (nbva_plan u)
 
 let of_bin ?tables b =
   let sa = match tables with Some sa -> sa | None -> Binning.shift_and b in
   make (E_bin (make_bin_engine b sa)) b.Binning.tiles
 
-let stepper_name t = match t.kind with E_nfa _ | E_nbva _ -> "general" | E_bin _ -> "shift-and"
+let stepper_name t = match t.kind with E_plan _ -> "general" | E_bin _ -> "shift-and"
 let dfa_stats _ = None
 let num_tiles t = Array.length t.stats.active
 let events t = t.stats
-let holds_idle t = t.holds_idle
 
 let wake_bytes t =
-  match t.kind with
-  | E_nfa e -> Nbva.wake_bytes e.exec
-  | E_nbva e -> Nbva.wake_bytes e.nu.Program.nbva
-  | E_bin e -> Shift_and.wake_bytes e.sa
-
-(* Stepping [c] would leave the all-zero state all-zero (see the idle
-   fast path above). *)
-let asleep t c =
-  fast_path ()
-  &&
-  match t.kind with
-  | E_nfa e -> Nbva.asleep e.exec e.exec_st c
-  | E_nbva e -> Nbva.asleep e.nu.Program.nbva e.nb_st c
-  | E_bin e -> Shift_and.asleep e.sa e.sa_st c
+  match t.kind with E_plan (p, _) -> Nbva.wake_bytes p.exec | E_bin e -> Shift_and.wake_bytes e.sa
 
 let advance_state t c =
   match t.kind with
-  | E_nfa e -> ignore (Nbva.step_selected e.exec e.exec_st c)
-  | E_nbva e -> ignore (Nbva.step_selected e.nu.Program.nbva e.nb_st c)
+  | E_plan (p, st) -> ignore (Nbva.step_selected p.exec st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
 let project t =
-  match t.kind with
-  | E_nfa e -> nfa_project e t.stats
-  | E_nbva e -> nbva_project e t.stats
-  | E_bin e -> bin_project e t.stats
+  match t.kind with E_plan (p, st) -> plan_project p st t.stats | E_bin e -> bin_project e t.stats
 
+(* Every step advances and projects, live or idle: skipping engines
+   whose state is all-zero is the array's job (see Exec). *)
 let step t c =
-  if not (asleep t c) then begin
-    advance_state t c;
-    project t;
-    t.holds_idle <- false
-  end
-  else if not t.holds_idle then begin
-    project t;
-    t.holds_idle <- true
-  end;
+  advance_state t c;
+  project t;
   t.stats
-
-(* ------------------------------------------------------------------ *)
-(* [step_kernel] advances only the automaton state — no tile
-   projection, no stats.  The per-layer profile times it against the
-   full [step] to split the kernel from the projection, so it takes the
-   same idle skip as [step]. *)
-
-let step_kernel t c = if not (asleep t c) then advance_state t c
 
 let idle t =
   match t.kind with
-  | E_nfa e -> Nbva.idle e.exec_st
-  | E_nbva e -> Nbva.idle e.nb_st
+  | E_plan (_, st) -> Nbva.idle st
   | E_bin e -> Bitvec.is_zero (Shift_and.state_vector e.sa_st)
+
+(* [step_kernel] advances only the automaton state — no tile
+   projection, no stats.  The per-layer profile times it against the
+   full [step] to split the kernel from the projection; it skips an
+   idle engine whose byte does not wake it, whose state the step would
+   leave all-zero. *)
+let step_kernel t c =
+  if not (idle t && Bytes.unsafe_get (wake_bytes t) (Char.code c) = '\000') then
+    advance_state t c
 
 (* ------------------------------------------------------------------ *)
 (* Stream clones.  A clone shares every immutable compiled structure
-   (automata, exec plans, tile masks, cross lists — all read-only after
+   (automata, plans, tile masks, cross lists — all read-only after
    construction) and gets fresh run state and a fresh stats record, so B
-   streams against one placement pay the compilation once.  The fresh
-   record has not been projected, so the idle bit starts clear; the
-   clone belongs to no array until one attaches it. *)
+   streams against one placement pay the compilation once.  The clone
+   belongs to no array until one attaches it. *)
 
 let clone_fresh t =
   let kind =
     match t.kind with
-    | E_nfa e -> E_nfa { e with exec_st = Nbva.start e.exec }
-    | E_nbva e -> E_nbva { e with nb_st = Nbva.start e.nu.Program.nbva }
+    | E_plan (p, _) -> E_plan (p, Nbva.start p.exec)
     | E_bin e ->
         let b_arena, sa_st = make_bin_arena e.sa in
         E_bin { e with b_arena; sa_st }
   in
   make kind (num_tiles t)
 
-let tile_static_cols t i =
-  match t.kind with
-  | E_nfa e -> e.static_cols.(i)
-  | E_nbva e -> e.nb_static_cols.(i)
-  | E_bin e -> e.b_static_cols.(i)
+let tile_bv_cols t i =
+  match t.kind with E_plan ({ plan_mode = M_nbva; _ } as p, _) -> p.bv_cols.(i) | _ -> 0
 
-let tile_bv_cols t i = match t.kind with E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nb_bv_cols.(i)
-let max_bv_size t = match t.kind with E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nb_max_bv
-let bv_depth t = match t.kind with E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nu.Program.depth
+let max_bv_size t = match t.kind with E_plan (p, _) -> p.max_bv | E_bin _ -> 0
+let bv_depth t = match t.kind with E_plan (p, _) -> p.depth | E_bin _ -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Transient-fault surface: every state bit the hardware stores between
-   symbols.  NFA/NBVA engines expose the active vector (one bit per STE)
+   symbols.  Plan engines expose the active vector (one bit per STE)
    followed by every BV word bit, in state order; LNFA bins expose the
    packed Shift-And state vector.  Flipping an active bit corrupts the
    availability seen by successors at the next symbol; flipping a BV bit
    corrupts the repetition counter — exactly the soft-error modes of the
-   8T-SRAM CAM cells and BV words. *)
+   8T-SRAM CAM cells and BV words.
 
-(* The flippable surface is the active vector plus every *materialized*
-   BV word: [nbva_flip] walks [Nbva.vectors], which holds [Some] only for
-   BV-STEs, so counting [Nbva.total_bv_bits] (a static property of the
-   automaton) would overcount whenever a vector is not materialized and a
-   valid index could then raise [Invalid_argument] mid-campaign.  Count
-   exactly the words the walk can reach. *)
-let nbva_bits nbva st =
-  Array.fold_left
-    (fun acc v -> match v with Some v -> acc + Bitvec.width v | None -> acc)
-    (Nbva.num_states nbva) (Nbva.vectors st)
-
-let nbva_flip nbva st i =
-  let n = Nbva.num_states nbva in
-  if i < n then begin
-    let act = Nbva.outputs st in
-    if Bitvec.get act i then Bitvec.reset act i else Bitvec.set act i
-  end
-  else begin
-    let rest = ref (i - n) in
-    let flipped = ref false in
-    Array.iter
-      (fun v ->
-        match v with
-        | Some v when not !flipped ->
-            let w = Bitvec.width v in
-            if !rest < w then begin
-              (if Bitvec.get v !rest then Bitvec.reset v !rest else Bitvec.set v !rest);
-              flipped := true
-            end
-            else rest := !rest - w
-        | Some _ | None -> ())
-      (Nbva.vectors st);
-    if not !flipped then invalid_arg "Engine.flip_state_bit: index out of range"
-  end
+   The flippable BV surface is every *materialized* vector: the walk
+   below goes over [Nbva.vectors], which holds [Some] only for BV-STEs,
+   so counting [Nbva.total_bv_bits] (a static property of the
+   automaton) would overcount whenever a vector is not materialized and
+   a valid index could then raise [Invalid_argument] mid-campaign.
+   Count exactly the words the walk can reach. *)
 
 let state_bits t =
   match t.kind with
-  | E_nfa e -> nbva_bits e.exec e.exec_st
-  | E_nbva e -> nbva_bits e.nu.Program.nbva e.nb_st
+  | E_plan (_, st) ->
+      Array.fold_left
+        (fun acc v -> match v with Some v -> acc + Bitvec.width v | None -> acc)
+        (Bitvec.width (Nbva.outputs st)) (Nbva.vectors st)
   | E_bin e -> Bitvec.width (Shift_and.state_vector e.sa_st)
+
+let flip_bit v i = if Bitvec.get v i then Bitvec.reset v i else Bitvec.set v i
+
+let plan_flip st i =
+  let act = Nbva.outputs st in
+  let rest = ref (i - Bitvec.width act) in
+  if !rest < 0 then flip_bit act i
+  else
+    Array.iter
+      (fun v ->
+        match v with
+        | Some v when !rest >= 0 ->
+            if !rest < Bitvec.width v then flip_bit v !rest;
+            rest := !rest - Bitvec.width v
+        | Some _ | None -> ())
+      (Nbva.vectors st)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore.  Each engine's run state lives in one arena (NBVA
@@ -531,12 +437,7 @@ let state_bits t =
    writes below can make an engine live behind its array's back, so
    both wake it. *)
 
-let run_arena t =
-  match t.kind with
-  | E_nfa e -> Nbva.run_arena e.exec_st
-  | E_nbva e -> Nbva.run_arena e.nb_st
-  | E_bin e -> e.b_arena
-
+let run_arena t = match t.kind with E_plan (_, st) -> Nbva.run_arena st | E_bin e -> e.b_arena
 let snapshot t = Arena.snapshot (run_arena t)
 
 let restore t snap =
@@ -547,11 +448,8 @@ let restore t snap =
 let flip_state_bit t i =
   if i < 0 || i >= state_bits t then invalid_arg "Engine.flip_state_bit: index out of range";
   (match t.kind with
-  | E_nfa e -> nbva_flip e.exec e.exec_st i
-  | E_nbva e -> nbva_flip e.nu.Program.nbva e.nb_st i
-  | E_bin e ->
-      let v = Shift_and.state_vector e.sa_st in
-      if Bitvec.get v i then Bitvec.reset v i else Bitvec.set v i);
+  | E_plan (_, st) -> plan_flip st i
+  | E_bin e -> flip_bit (Shift_and.state_vector e.sa_st) i);
   wake t
 
 (* ------------------------------------------------------------------ *)
@@ -571,20 +469,16 @@ let flip_state_bit t i =
 let region_name = function
   | R_words (n, _) | R_bytes (n, _) | R_vecs (n, _) -> n
 
-let nbva_regions nbva =
-  List.map (fun (n, a) -> R_words (n, a)) (Nbva.plan_tables nbva)
-  @ List.map (fun (n, b) -> R_bytes (n, b)) (Nbva.plan_bytes nbva)
-
 let immutable_regions t =
   match t.kind with
-  | E_nfa e -> nbva_regions e.exec
-  | E_nbva e -> nbva_regions e.nu.Program.nbva
+  | E_plan (p, _) ->
+      List.map (fun (n, a) -> R_words (n, a)) (Nbva.plan_tables p.exec)
+      @ List.map (fun (n, b) -> R_bytes (n, b)) (Nbva.plan_bytes p.exec)
   | E_bin e -> List.map (fun (n, vs) -> R_vecs (n, vs)) (Shift_and.tables e.sa)
 
 let step_shadow t c =
   match t.kind with
-  | E_nfa e -> ignore (Nbva.step_reference e.exec e.exec_st c)
-  | E_nbva e -> ignore (Nbva.step_reference e.nu.Program.nbva e.nb_st c)
+  | E_plan (p, st) -> ignore (Nbva.step_reference p.exec st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
 (* Rolling digest of the semantic inter-symbol state — the same vectors
@@ -608,27 +502,24 @@ let digest_vec acc v =
   done;
   !acc
 
-(* An NFA/NBVA state's vectors lie in one contiguous arena range. *)
+(* A plan engine's live vectors lie in one contiguous arena range. *)
 let state_digest t acc =
   match t.kind with
-  | E_nfa e -> Nbva.fold_live digest_mix acc e.exec_st
-  | E_nbva e -> Nbva.fold_live digest_mix acc e.nb_st
+  | E_plan (_, st) -> Nbva.fold_live digest_mix acc st
   | E_bin e -> digest_vec acc (Shift_and.state_vector e.sa_st)
-
-let nbva_state_equal a b =
-  Bitvec.equal (Nbva.outputs a) (Nbva.outputs b)
-  && Array.for_all2
-       (fun v w ->
-         match (v, w) with
-         | Some v, Some w -> Bitvec.equal v w
-         | None, None -> true
-         | Some _, None | None, Some _ -> false)
-       (Nbva.vectors a) (Nbva.vectors b)
 
 let state_equal a b =
   match (a.kind, b.kind) with
-  | E_nfa x, E_nfa y -> nbva_state_equal x.exec_st y.exec_st
-  | E_nbva x, E_nbva y -> nbva_state_equal x.nb_st y.nb_st
+  | E_plan (p, x), E_plan (q, y) ->
+      p.plan_mode = q.plan_mode
+      && Bitvec.equal (Nbva.outputs x) (Nbva.outputs y)
+      && Array.for_all2
+           (fun v w ->
+             match (v, w) with
+             | Some v, Some w -> Bitvec.equal v w
+             | None, None -> true
+             | Some _, None | None, Some _ -> false)
+           (Nbva.vectors x) (Nbva.vectors y)
   | E_bin x, E_bin y ->
       Bitvec.equal (Shift_and.state_vector x.sa_st) (Shift_and.state_vector y.sa_st)
   | _ -> false

@@ -5,6 +5,14 @@
     the per-tile event counts the energy model needs: active STEs, enabled
     CAM columns, BV-phase triggers, cross-tile signals, and reports.
 
+    There are two engine kinds.  Bins step [Shift_and].  NFA and NBVA
+    units share one plan engine over an [Nbva.t]: the NBVA itself, or an
+    NFA unit's compressed executor.  The two modes differ only in data
+    built at construction — per-bit tile maps for an NFA unit's
+    compressed chains, BV-trigger tiles for NBVA vectors, the cross
+    sources and the enabled columns — and step and project through the
+    same code.
+
     {b NFA-mode execution uses a compressed executor}: the unfolded chain
     of a bounded repetition is bit-for-bit the vector of the equivalent
     NBVA (unfolded chain state [s_k] is active iff vector bit [k-1] is
@@ -59,20 +67,11 @@ val dfa_stats : t -> (int * int * int * bool) option
     observation) folds over that stream — no consumer reads engine
     internals.
 
-    {b Idle fast path.}  An engine whose live state words are all zero
-    (see {!idle}) and whose input byte wakes no initial state
-    ([Nbva.wakes]; for bins, [initial AND labels[c]]) stays all-zero and
-    reports nothing, so [step] skips the stepper.  It also skips the
-    tile projection while the event record still holds the zero state's
-    projection ({!holds_idle}), cleared whenever a live state is
-    projected and by {!clone_fresh}.  An array ({!Exec}) does not call
-    [step] at all on an engine that holds the idle record unless the
-    byte is in its {!wake_bytes}; so {!restore} and {!flip_state_bit},
-    the two writes that can make such an engine live from outside,
-    put it back in its owner's awake set (see {!attach}).  With
-    [Nbva.kernel] set to [Reference] every engine steps and projects on
-    every symbol, which keeps the reference run a check on the fast
-    path. *)
+    [step] always advances the state and projects it, whether the state
+    is live or all-zero; it has no idle skip of its own.  Skipping the
+    engines whose state is all-zero is the job of the array that steps
+    them ({!Exec}, see {e Array membership} below).  With [Nbva.kernel]
+    set to [Reference] the advance goes through [Nbva.step_reference]. *)
 
 type events = {
   active : int array;
@@ -99,14 +98,6 @@ val events : t -> events
 (** The engine's event record — physically the same record every {!step}
     returns.  Meaningful only after a [step]. *)
 
-val holds_idle : t -> bool
-(** The last {!step} found the state all-zero and the byte outside the
-    wake set (the only step that sets this), so the state is still zero
-    and {!events} holds the zero state's projection: no cross signal, no
-    report, no BV trigger.  Cleared by any step that advances the state
-    and by {!clone_fresh}.  {!restore} and {!flip_state_bit} leave it as
-    it is and wake the engine instead, so its next step re-tests it. *)
-
 val wake_bytes : t -> Bytes.t
 (** 256 bytes, byte [b] non-zero iff [b] leaves the all-zero state
     non-zero: the plan's sealed [wake] table ([Nbva.wake_bytes]) for
@@ -115,8 +106,10 @@ val wake_bytes : t -> Bytes.t
 
 val step_kernel : t -> char -> unit
 (** Advance the automaton state only (no projection, no stats) —
-    bit-identical in state effect to {!step}, idle skip included.  Lets
-    a profiler separate the kernel's cost from the tile projection's. *)
+    bit-identical in state effect to {!step}.  It skips an engine that
+    is {!idle} when the byte is not in its {!wake_bytes}, whose state
+    the step would leave all-zero.  Lets a profiler separate the
+    kernel's cost from the tile projection's. *)
 
 val idle : t -> bool
 (** Every live state word is zero: the active vector and every BV vector
@@ -135,9 +128,6 @@ val clone_fresh : t -> t
     the start of input. *)
 
 (** {1 Static per-tile facts} *)
-
-val tile_static_cols : t -> int -> int
-(** Programmed columns (for area/utilisation). *)
 
 val tile_bv_cols : t -> int -> int
 val max_bv_size : t -> int
@@ -249,9 +239,11 @@ val rearm_guards : t -> unit
 (** {1 Array membership}
 
     {!Exec} steps an array's engines through an awake set: a bit set
-    for every engine that may hold live state or an event record other
-    than the zero projection.  It attaches
-    each engine it builds to the array's {!owner}; {!restore} and
+    for every engine whose state may be non-zero.  It drops an engine
+    right after a step that leaves it {!idle} (its record then holds the
+    zero projection) and steps it again only when a byte in its
+    {!wake_bytes} comes or a write sets its bit.  It attaches each
+    engine it builds to the array's {!owner}; {!restore} and
     {!flip_state_bit} then set the engine's bit.  A detached engine
     (built directly, or a fresh {!clone_fresh}) belongs to no array. *)
 

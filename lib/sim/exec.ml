@@ -26,16 +26,16 @@ type array_events = {
    once per architecture and [step] copies references into [bv_phases].
 
    Awake set.  [step] calls [Engine.step] only on the engines in
-   [owner.awake] (live state, or a record that is not yet the zero
-   projection) or in the byte's row of [wake] (engines the byte wakes
-   from the zero state); every other engine would take the idle fast
-   path with nothing to project, so skipping it is exact.  An engine
-   leaves the set when its step leaves [Engine.holds_idle] set, and
-   rejoins it through the byte's row or through [Engine.restore] /
-   [Engine.flip_state_bit], which set its bit.  Only the tiles of
-   stepped engines can change, so assembly recomputes just those
-   ([touched]); the others keep last symbol's values, which are still
-   exact because no record under them changed. *)
+   [owner.awake] (state that may be non-zero) or in the byte's row of
+   [wake] (engines the byte wakes from the zero state).  An engine
+   leaves the set right after a step that leaves its state all-zero
+   ([Engine.idle]): its record then holds the zero projection, and the
+   all-zero state stays all-zero on every byte outside its wake row, so
+   skipping it is exact until the byte's row or [Engine.restore] /
+   [Engine.flip_state_bit], which set its bit, bring it back.  Only the
+   tiles of stepped engines can change, so assembly recomputes just
+   those ([touched]); the others keep last symbol's values, which are
+   still exact because no record under them changed. *)
 type t = {
   engines : Engine.t array;
   last_events : Engine.events array;  (* parallel to [engines], refreshed by [step] *)
@@ -171,6 +171,7 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
     ~wake:(wake_table engines)
 
 let engines t = t.engines
+let awake_count t = Bitvec.popcount t.owner.Engine.awake
 let tile_modes t = t.tile_modes
 let num_tiles t = Array.length t.tile_pieces
 
@@ -220,13 +221,14 @@ let phases_for arch t =
    [Engine.step] runs (the fast path sets the awake bit, this the
    touched one), so a step that raises (a corrupted plan index) leaves
    the engine awake and its tiles due: the next step, or the rollback's
-   [restore], redoes them.  An engine whose step leaves it holding the
-   idle record contributes nothing and leaves the awake set. *)
+   [restore], redoes them.  An engine whose step leaves its state
+   all-zero holds the zero projection, contributes nothing and leaves
+   the awake set. *)
 let step_engine (arch : Arch.t) phases t ei c =
   let e = t.engines.(ei) and ev = t.ev in
   t.touched <- t.touched lor t.engine_tiles.(ei);
   let r = Engine.step e c in
-  if Engine.holds_idle e then Bitvec.reset t.owner.Engine.awake ei
+  if Engine.idle e then Bitvec.reset t.owner.Engine.awake ei
   else begin
     if arch.Arch.supports_nbva then begin
       let trig = r.Engine.triggered in

@@ -18,6 +18,11 @@ val engines : t -> Engine.t array
     ({!Engine.flip_state_bit}) but must not read per-tile statistics —
     those arrive through {!array_events}. *)
 
+val awake_count : t -> int
+(** The engines in the awake set (see {!step}).  After a bit-parallel
+    {!step} this is the number of engines whose state is not
+    {!Engine.idle}. *)
+
 val tile_modes : t -> Engine.mode array
 val num_tiles : t -> int
 
@@ -75,13 +80,14 @@ val step : Arch.t -> t -> sym:int -> char -> array_events
     a given architecture).
 
     {b Awake set.}  [step] calls {!Engine.step} only on the engines in
-    its awake set (every engine that may hold live state or a record
-    other than the zero projection) and those the byte wakes from the
-    zero state, in ascending engine order, and reassembles only the
-    tiles those engines have pieces on; the record is field for field
-    what stepping every engine gives.  An engine leaves the set once
-    {!Engine.holds_idle} holds after its step.  Writes to engine state
-    from outside must go through {!Engine.restore},
+    its awake set (every engine whose state may be non-zero) and those
+    the byte wakes from the zero state, in ascending engine order, and
+    reassembles only the tiles those engines have pieces on; the record
+    is field for field what stepping every engine gives.  An engine
+    leaves the set right after a step that leaves its state all-zero
+    ({!Engine.idle}): its record then holds the zero projection, so
+    skipping it is exact until the byte wakes it or a write from outside
+    sets its bit again.  Such writes must go through {!Engine.restore},
     {!Engine.flip_state_bit} or {!restore}, which wake the engines they
     touch; stepping an engine of [t] directly leaves the set stale until
     the next {!restore}.  With [Nbva.kernel] set to [Reference] every

@@ -290,8 +290,9 @@ let test_kernel_swap_bit_identical () =
    each symbol and hosts the writes that land behind the contexts' backs;
    each must show from the next symbol on: a stale idle record, a stale
    live one, an engine missing from the awake set (its state then
-   differs) or a tile left unassembled fails the comparison.  Returns
-   the engine-steps that took the idle fast path. *)
+   differs) or a tile left unassembled fails the comparison.  After
+   every fast step the awake set holds exactly the live engines.
+   Returns the engine-steps that start and end all-zero. *)
 let lockstep p tiles input ~event =
   let reference f =
     Nbva.kernel := Nbva.Reference;
@@ -320,6 +321,12 @@ let lockstep p tiles input ~event =
       event ~sym fast slow;
       let before = Array.map Engine.idle (Exec.engines !fast) in
       let a = Exec.step rap !fast ~sym c in
+      (* the leave rule: a step that leaves an engine all-zero drops it *)
+      let live =
+        Array.fold_left (fun n e -> if Engine.idle e then n else n + 1) 0 (Exec.engines !fast)
+      in
+      if Exec.awake_count !fast <> live then
+        failf "%d engines awake for %d live ones at symbol %d" (Exec.awake_count !fast) live sym;
       let b = reference (fun () -> Exec.step rap !slow ~sym c) in
       same sym a b;
       Array.iteri

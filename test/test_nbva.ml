@@ -125,7 +125,17 @@ let test_bv_states_naming_plain_ste () =
     (Invalid_argument "Nbva: corrupt plan table (index out of range)")
     (fun () -> ignore (Nbva.step n st 'a'))
 
-(* The idle fast path's wake table is exact: from the zero state, one
+(* The reference kernel raises the same typed error when a BV-STE has
+   no vector in the run state: here a state started from "ab", which
+   has as many states as "a{30}b" but no BV-STE. *)
+let test_reference_missing_vector () =
+  let t = compile "a{30}b" and other = compile "ab" in
+  check int "same state count" (Nbva.num_states t) (Nbva.num_states other);
+  check_raises "typed corrupt-table error"
+    (Invalid_argument "Nbva: corrupt plan table (index out of range)")
+    (fun () -> ignore (Nbva.step_reference t (Nbva.start other) 'a'))
+
+(* The idle skip's wake table is exact: from the zero state, one
    reference step leaves a live word non-zero iff the byte wakes the
    automaton, and [idle] agrees with the reference kernel's view. *)
 let prop_wake_exact =
@@ -187,6 +197,8 @@ let suite =
       test_mask_bits_past_width;
     test_case "a bv_states entry naming a Plain STE is a typed error" `Quick
       test_bv_states_naming_plain_ste;
+    test_case "the reference kernel's missing vector is a typed error" `Quick
+      test_reference_missing_vector;
     QCheck_alcotest.to_alcotest prop_wake_exact;
     QCheck_alcotest.to_alcotest prop_nbva_equals_nfa;
     QCheck_alcotest.to_alcotest prop_nbva_threshold_irrelevant;

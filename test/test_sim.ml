@@ -242,8 +242,46 @@ let test_leakage_model () =
   check bool "CA leaks more than RAP" true
     (Arch.tile_leakage_pj_per_cycle Arch.ca ~powered:true > full)
 
+(* Report bytes are pinned across refactors: Snort and ClamAV, each on
+   its seeded 4096-character input, render on every architecture exactly
+   the files under test/golden/reports/.  A mismatch writes the new
+   renderings under reports.actual/ in the test's build directory. *)
+let test_reports_golden () =
+  let archs =
+    [ ("rap", Rap.rap_arch ()); ("cama", Arch.cama); ("ca", Arch.ca); ("bvap", Arch.bvap) ]
+  in
+  let actual_dir = "reports.actual" in
+  let moved = ref [] in
+  List.iter
+    (fun suite ->
+      let s = Benchmarks.by_name suite in
+      let input = s.Benchmarks.make_input ~chars:4096 in
+      List.iter
+        (fun (arch_name, arch) ->
+          let units, _ = Runner.compile_for arch ~params s.Benchmarks.regexes in
+          let p = Runner.place arch ~params units in
+          let got = Runner.render_report (Runner.run arch ~params p ~input) in
+          let name = Printf.sprintf "%s-%s.txt" (String.lowercase_ascii suite) arch_name in
+          let golden = Filename.concat (Filename.concat "golden" "reports") name in
+          let want = In_channel.with_open_bin golden In_channel.input_all in
+          if not (String.equal got want) then begin
+            if not (Sys.file_exists actual_dir) then Sys.mkdir actual_dir 0o755;
+            Out_channel.with_open_bin (Filename.concat actual_dir name) (fun oc ->
+                Out_channel.output_string oc got);
+            moved := name :: !moved
+          end)
+        archs)
+    [ "Snort"; "ClamAV" ];
+  if !moved <> [] then
+    failf
+      "reports moved: %s.  The new renderings are in _build/default/test/%s/.  Copy them \
+       over test/golden/reports/ only in a change that states why the reports moved."
+      (String.concat ", " (List.rev !moved))
+      actual_dir
+
 let suite =
   [
+    test_case "reports match the golden files" `Quick test_reports_golden;
     test_case "NFA engine vs reference" `Quick test_nfa_engine_consistency;
     test_case "NBVA engine vs reference" `Quick test_nbva_engine_consistency;
     test_case "bin engine vs reference" `Quick test_bin_engine_consistency;
