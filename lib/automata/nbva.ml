@@ -236,6 +236,7 @@ type run_state = {
   next_v : Bitvec.t;
   avail_v : Bitvec.t;
   vectors : Bitvec.t option array;  (* per-STE arena slice, None for Plain *)
+  mutable changed : bool;  (* a live word may have changed since [set_changed st false] *)
 }
 
 let state_words t =
@@ -278,6 +279,7 @@ let start ?arena t =
     next_v = Bitvec.of_arena arena ~off:nxt_off ~width:n;
     avail_v = Bitvec.of_arena arena ~off:av_off ~width:n;
     vectors;
+    changed = true;
   }
 
 let run_arena st = st.st_arena
@@ -302,7 +304,15 @@ let corrupt_index () = invalid_arg "Nbva: corrupt plan table (index out of range
    update, with the class-membership test folded into the precomputed
    [bv_match] byte table.  Every buffer lives in the arena, so the
    steady-state loop allocates nothing — not even closures or boxed
-   intermediates. *)
+   intermediates.
+
+   The step also notes whether it changed the live words: the copy-back
+   compares every new activation word with the old one, and the BV loop
+   counts every vector it writes as changed.  A change sets [changed];
+   nothing here clears it, so it stays set until the caller has used
+   it.  A vector update that would leave a zero vector zero (the byte
+   is outside the class, or the state is not available) is skipped: the
+   same test that finds "unchanged" makes the no-op free. *)
 let step t st c =
   let p = t.plan in
   let nw = p.nwords in
@@ -310,6 +320,7 @@ let step t st c =
   let masks = p.masks in
   let act = st.act_off and nxt = st.nxt_off and av = st.av_off in
   let row_limit = Array.length masks - nw in
+  let changed = ref false in
   (* avail = initial OR (union of successor masks of active states) *)
   Array.blit masks p.initial_row w av nw;
   let succ_row = p.succ_row in
@@ -341,17 +352,22 @@ let step t st c =
     let q = Array.unsafe_get bvs i in
     if q < 0 || q >= Array.length st.vectors then corrupt_index ();
     let v = match Array.unsafe_get st.vectors q with Some v -> v | None -> corrupt_index () in
-    if Bytes.unsafe_get p.bv_match ((i * 256) + Char.code c) <> '\000' then begin
-      Bitvec.shift_left1 v ~carry_in:false;
-      if (Array.unsafe_get w (av + (q / bpw)) lsr (q mod bpw)) land 1 = 1 then
-        Bitvec.set v 0
-    end
-    else Bitvec.clear v;
-    let m = Array.unsafe_get p.bv_read i in
-    let fires = if m > 0 then Bitvec.get v (m - 1) else not (Bitvec.is_zero v) in
-    if fires then begin
-      let wq = nxt + (q / bpw) in
-      Array.unsafe_set w wq (Array.unsafe_get w wq lor (1 lsl (q mod bpw)))
+    let matches = Bytes.unsafe_get p.bv_match ((i * 256) + Char.code c) <> '\000' in
+    let avail = (Array.unsafe_get w (av + (q / bpw)) lsr (q mod bpw)) land 1 = 1 in
+    (* a zero vector that would stay zero neither changes nor fires *)
+    if (matches && avail) || not (Bitvec.is_zero v) then begin
+      changed := true;
+      if matches then begin
+        Bitvec.shift_left1 v ~carry_in:false;
+        if avail then Bitvec.set v 0
+      end
+      else Bitvec.clear v;
+      let m = Array.unsafe_get p.bv_read i in
+      let fires = if m > 0 then Bitvec.get v (m - 1) else not (Bitvec.is_zero v) in
+      if fires then begin
+        let wq = nxt + (q / bpw) in
+        Array.unsafe_set w wq (Array.unsafe_get w wq lor (1 lsl (q mod bpw)))
+      end
     end
   done;
   (* copy next back into active and test finals on the way.  The top
@@ -363,15 +379,20 @@ let step t st c =
   for i = 0 to nw - 1 do
     let x = Array.unsafe_get w (nxt + i) in
     let x = if i = nw - 1 then x land p.top_mask else x in
+    if x <> Array.unsafe_get w (act + i) then changed := true;
     Array.unsafe_set w (act + i) x;
     if x land Array.unsafe_get masks (frow + i) <> 0 then hit := true
   done;
+  if !changed then st.changed <- true;
   !hit
 
 (* The idle skip's two facts: the bytes that leave the all-zero state
    non-zero, and whether the live words are all zero. *)
 let wakes t c = Bytes.unsafe_get t.plan.wake (Char.code c) <> '\000'
 let wake_bytes t = t.plan.wake
+
+let changed st = st.changed
+let set_changed st b = st.changed <- b
 
 let idle st =
   let w = st.st_words in
@@ -407,7 +428,8 @@ let available t st q =
    reference: one pass over all states probing predecessor lists.  Must
    stay bit-identical to [step] (asserted by test/test_nbva_diff.ml).
    Availability reads only [active_v], which the pass does not write, so
-   it is probed only where it matters: when the byte is in the class. *)
+   it is probed only where it matters: when the byte is in the class.
+   It sets [changed] on every step. *)
 let step_reference t st c =
   let n = num_states t in
   let hit = ref false in
@@ -433,6 +455,7 @@ let step_reference t st c =
     end
   done;
   Bitvec.blit ~src:st.next_v ~dst:st.active_v;
+  st.changed <- true;
   !hit
 
 type kernel = Bit_parallel | Reference

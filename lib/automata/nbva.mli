@@ -84,14 +84,38 @@ val step : t -> run_state -> char -> bool
     BV-STEs get scalar vector updates driven from a dense index list with
     precomputed byte-match bytes.  The steady-state loop allocates
     nothing.  The new active mask is cut to the automaton width, so a
-    corrupted mask row never leaves a bit past it. *)
+    corrupted mask row never leaves a bit past it.
+
+    The step sets {!changed} when it changes the live words: the
+    copy-back compares every new activation word with the old one, and
+    every BV vector the step writes counts as a change, whether or not
+    its bits moved.  It never clears the flag.  A BV update that would
+    leave a zero vector zero — the byte is outside the state's class, or
+    the state is not available — is skipped (no write, no change, no
+    firing); the plan-index range checks run before that test, so a
+    corrupted index still raises. *)
 
 val step_reference : t -> run_state -> char -> bool
 (** The scalar pre-bit-parallel kernel (per-state predecessor probing),
     kept as the differential-testing reference.  Bit-identical to {!step}
     on every input: same return value, active vector, and BV vectors.
     Raises the same [Invalid_argument] as {!step} when a BV-STE has no
-    vector in [st] (a run state started from another automaton). *)
+    vector in [st] (a run state started from another automaton).  It
+    always sets {!changed}. *)
+
+val changed : run_state -> bool
+(** Whether the live words may have changed since the flag was last
+    cleared ([set_changed st false]): [false] only when every {!step}
+    since then left the active mask and every BV vector exactly as it
+    found them.  Conservative — a step that rewrote a vector with its
+    own bits still sets it — so a caller that clears the flag when it
+    derives something from the state may keep what it derived while the
+    flag reads [false].  [true] on a fresh state and after
+    {!step_reference}.  Writes from outside a step (an arena restore, a
+    fault flip) do not set it: whoever makes them calls {!set_changed}. *)
+
+val set_changed : run_state -> bool -> unit
+(** Set or clear the {!changed} flag. *)
 
 (** {1 Idle skip}
 

@@ -301,13 +301,14 @@ type t = { kind : kind; stats : events; mutable owner : owner; mutable slot : in
 (* Never written: a detached engine has no bit to set. *)
 let detached = { awake = Bitvec.create 0; tables = [] }
 
-(* The fresh record carries the columns plan projections never rewrite
-   (see [plan_project]). *)
+(* A fresh record is the projection of the fresh, all-zero state: for a
+   plan, [stats_create]'s record plus the columns plan projections never
+   rewrite (see [plan_project]); a bin's is projected here. *)
 let make kind ntiles =
   let stats = stats_create ntiles in
   (match kind with
   | E_plan (p, _) -> Array.blit p.enabled_cols 0 stats.enabled 0 (Array.length p.enabled_cols)
-  | E_bin _ -> ());
+  | E_bin e -> bin_project e stats);
   { kind; stats; owner = detached; slot = -1 }
 
 let attach t owner slot =
@@ -355,11 +356,43 @@ let idle t =
   | E_plan (_, st) -> Nbva.idle st
   | E_bin e -> Bitvec.is_zero (Shift_and.state_vector e.sa_st)
 
+(* A plan engine's record is stale while its kernel's change flag is
+   set: every kernel step that changes the state sets it, [invalidate]
+   sets it for a write from outside a step, and [step_live] clears it
+   when it projects.  Bins project on every live step and need no mark. *)
+let invalidate t = match t.kind with E_plan (_, st) -> Nbva.set_changed st true | E_bin _ -> ()
+
+(* The array's step (see Exec): advance, then leave the record alone
+   when the state is all-zero (the array counts an idle engine at its
+   idle share and never reads its record) or when the record is not
+   stale (it already projects the state); otherwise project.  So
+   projection always happens here, against the tables as they are
+   now. *)
+let step_live t c =
+  match t.kind with
+  | E_plan (p, st) ->
+      ignore (Nbva.step_selected p.exec st c);
+      if Nbva.idle st then false
+      else begin
+        if Nbva.changed st then begin
+          plan_project p st t.stats;
+          Nbva.set_changed st false
+        end;
+        true
+      end
+  | E_bin e ->
+      ignore (Shift_and.step e.sa e.sa_st c);
+      if Bitvec.is_zero (Shift_and.state_vector e.sa_st) then false
+      else begin
+        bin_project e t.stats;
+        true
+      end
+
 (* [step_kernel] advances only the automaton state — no tile
-   projection, no stats.  The per-layer profile times it against the
-   full [step] to split the kernel from the projection; it skips an
-   idle engine whose byte does not wake it, whose state the step would
-   leave all-zero. *)
+   projection, no stats, so the record goes stale.  The per-layer
+   profile times it against the full [step] to split the kernel from
+   the projection; it skips an idle engine whose byte does not wake it,
+   whose state the step would leave all-zero. *)
 let step_kernel t c =
   if not (idle t && Bytes.unsafe_get (wake_bytes t) (Char.code c) = '\000') then
     advance_state t c
@@ -435,7 +468,8 @@ let plan_flip st i =
    one word blit of the arena captures and restores the whole state —
    under both NBVA kernels, which share the same stored state.  Both
    writes below can make an engine live behind its array's back, so
-   both wake it. *)
+   both wake the engine, and both mark its record stale: the kernel
+   sees a change only within its own step. *)
 
 let run_arena t = match t.kind with E_plan (_, st) -> Nbva.run_arena st | E_bin e -> e.b_arena
 let snapshot t = Arena.snapshot (run_arena t)
@@ -443,6 +477,7 @@ let snapshot t = Arena.snapshot (run_arena t)
 let restore t snap =
   (try Arena.restore (run_arena t) snap
    with Invalid_argument _ -> invalid_arg "Engine.restore: snapshot does not match this engine");
+  invalidate t;
   wake t
 
 let flip_state_bit t i =
@@ -450,6 +485,7 @@ let flip_state_bit t i =
   (match t.kind with
   | E_plan (_, st) -> plan_flip st i
   | E_bin e -> flip_bit (Shift_and.state_vector e.sa_st) i);
+  invalidate t;
   wake t
 
 (* ------------------------------------------------------------------ *)

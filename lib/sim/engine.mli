@@ -96,7 +96,16 @@ val step : t -> char -> events
 
 val events : t -> events
 (** The engine's event record — physically the same record every {!step}
-    returns.  Meaningful only after a [step]. *)
+    returns.  A fresh engine's holds the projection of the all-zero
+    state, and every {!step} projects the state after it.  Every write
+    that changes the state without projecting it ({!step_kernel},
+    {!step_shadow}, {!restore}, {!flip_state_bit}) marks the record
+    stale, and so does {!invalidate}; the next {!step_live} that leaves
+    the state live projects a stale record.  {!step_live} also leaves
+    the record behind on a step that leaves the state all-zero.  For
+    NFA/NBVA engines the mark is the kernel's [Nbva.changed] flag, which
+    every kernel step that changes the state sets; bins project on every
+    live {!step_live} and need none. *)
 
 val wake_bytes : t -> Bytes.t
 (** 256 bytes, byte [b] non-zero iff [b] leaves the all-zero state
@@ -104,12 +113,28 @@ val wake_bytes : t -> Bytes.t
     NFA/NBVA engines, {!Shift_and.wake_bytes} for bins.  A live
     reference; do not mutate. *)
 
+val step_live : t -> char -> bool
+(** The array's step ({!Exec.step}'s bit-parallel path): advance by one
+    symbol, bit-identical in state effect to {!step}, and return whether
+    the state is live (not {!idle}).  It projects only when it must:
+    - the state is all-zero: returns [false] and leaves the record as
+      it was (an array counts an idle engine at its idle share and
+      does not read its record);
+    - the record is not stale (see {!events}: no kernel step changed
+      the state since the last projection, and nothing marked it):
+      keeps the record, which already projects the state;
+    - otherwise: projects, like {!step}, from the tables as they are
+      now, and clears the stale mark.
+    Bins have no change report and project whenever they are live.
+    Allocates nothing. *)
+
 val step_kernel : t -> char -> unit
 (** Advance the automaton state only (no projection, no stats) —
-    bit-identical in state effect to {!step}.  It skips an engine that
-    is {!idle} when the byte is not in its {!wake_bytes}, whose state
-    the step would leave all-zero.  Lets a profiler separate the
-    kernel's cost from the tile projection's. *)
+    bit-identical in state effect to {!step}.  It marks the record
+    stale (see {!events}).  It skips an engine that is {!idle} when
+    the byte is not in its {!wake_bytes}, whose state the step would
+    leave all-zero.  Lets a profiler separate the kernel's cost from
+    the tile projection's. *)
 
 val idle : t -> bool
 (** Every live state word is zero: the active vector and every BV vector
@@ -152,8 +177,9 @@ val state_bits : t -> int
 
 val flip_state_bit : t -> int -> unit
 (** Flip one stored state bit (0-based); the corruption propagates from
-    the next {!step} on, and the engine joins its owner's awake set.
-    Raises [Invalid_argument] out of range. *)
+    the next {!step} on.  The record is marked stale (see {!events})
+    and the engine joins its owner's awake set.  Raises
+    [Invalid_argument] out of range. *)
 
 (** {1 Snapshot / restore}
 
@@ -171,8 +197,9 @@ val snapshot : t -> int array
 (** A copy of the engine's run-state arena — one blit. *)
 
 val restore : t -> int array -> unit
-(** Inverse of {!snapshot}; the engine joins its owner's awake set.
-    Raises [Invalid_argument] on a length mismatch (a snapshot from a
+(** Inverse of {!snapshot}.  The record is marked stale (see {!events})
+    and the engine joins its owner's awake set.  Raises
+    [Invalid_argument] on a length mismatch (a snapshot from a
     different placement). *)
 
 (** {1 Integrity surface}
@@ -201,11 +228,19 @@ val immutable_regions : t -> region list
     shared physically by every {!clone_fresh} clone, so one seal covers
     all streams of a placement. *)
 
+val invalidate : t -> unit
+(** Mark the record stale (see {!events}).  Whoever writes a region of
+    {!immutable_regions} calls it for each engine that reads the region:
+    a table write leaves the state alone, so without the mark
+    {!step_live} would keep a record projected from the old tables.
+    [Integrity.repair] and [rap chaos]'s table flips call it. *)
+
 val step_shadow : t -> char -> unit
 (** Advance the automaton state through the {e reference} kernel
     (scalar [Nbva.step_reference] for NFA/NBVA engines; the Shift-And
     step for bins, which has no second kernel).  Semantically identical
-    to {!step_kernel} on uncorrupted tables. *)
+    to {!step_kernel} on uncorrupted tables, and like it marks the
+    record stale ([Nbva.step_reference] always sets [Nbva.changed]). *)
 
 val state_digest : t -> int -> int
 (** [state_digest t acc] folds the engine's semantic inter-symbol state
@@ -240,12 +275,15 @@ val rearm_guards : t -> unit
 
     {!Exec} steps an array's engines through an awake set: a bit set
     for every engine whose state may be non-zero.  It drops an engine
-    right after a step that leaves it {!idle} (its record then holds the
-    zero projection) and steps it again only when a byte in its
+    right after a step that leaves it {!idle} ({!step_live} returns
+    [false]; the array then counts it at its idle share and does not
+    read its record) and steps it again only when a byte in its
     {!wake_bytes} comes or a write sets its bit.  It attaches each
     engine it builds to the array's {!owner}; {!restore} and
-    {!flip_state_bit} then set the engine's bit.  A detached engine
-    (built directly, or a fresh {!clone_fresh}) belongs to no array. *)
+    {!flip_state_bit} then set the engine's bit (and, like every write,
+    mark its record stale, so the step that follows re-projects it).  A
+    detached engine (built directly, or a fresh {!clone_fresh}) belongs
+    to no array. *)
 
 type owner = {
   awake : Bitvec.t;  (** One bit per engine of the array, in engine order. *)

@@ -2,8 +2,9 @@
     stack (engines → {b exec} → sinks → scheduler).
 
     [build] instantiates one {!Engine.t} per mapper group present in the
-    array, resolves each physical tile to its (engine, local-tile)
-    pieces and fills the array's byte-to-engines wake table; [step]
+    array, lists each engine's (physical tile, local tile) pieces, sums
+    each tile's idle baseline and fills the array's byte-to-engines wake
+    table; [step]
     advances the array by one input symbol and refreshes the context's
     one {!array_events} record in place — the only thing downstream
     consumers ({!Sink.t}) ever see.  Exec owns all engine plumbing;
@@ -79,23 +80,37 @@ val step : Arch.t -> t -> sym:int -> char -> array_events
     steady state (the BV-phase records are built on the first step with
     a given architecture).
 
-    {b Awake set.}  [step] calls {!Engine.step} only on the engines in
-    its awake set (every engine whose state may be non-zero) and those
-    the byte wakes from the zero state, in ascending engine order, and
-    reassembles only the tiles those engines have pieces on; the record
-    is field for field what stepping every engine gives.  An engine
-    leaves the set right after a step that leaves its state all-zero
-    ({!Engine.idle}): its record then holds the zero projection, so
-    skipping it is exact until the byte wakes it or a write from outside
-    sets its bit again.  Such writes must go through {!Engine.restore},
-    {!Engine.flip_state_bit} or {!restore}, which wake the engines they
-    touch; stepping an engine of [t] directly leaves the set stale until
-    the next {!restore}.  With [Nbva.kernel] set to [Reference] every
-    engine is stepped and every tile assembled. *)
+    {b Awake set.}  [step] steps only the engines in its awake set
+    (every engine whose state may be non-zero) and those the byte wakes
+    from the zero state, in ascending engine order, through
+    {!Engine.step_live}.  A step has three outcomes: a state left
+    all-zero drops the engine from the set without touching its record,
+    an unchanged state keeps the record unless it is stale, and a
+    changed state (or a stale record) is projected.  So every engine
+    left in the set has a record that projects its state, and an engine
+    outside it counts at its idle share.  Skipping an idle engine is
+    exact until the byte wakes it or a write from outside sets its bit
+    again.  Such writes must go through {!Engine.restore},
+    {!Engine.flip_state_bit} or {!restore}, which mark the records
+    stale and wake the engines they touch; a table write must
+    {!Engine.invalidate} the engines that read it.  Stepping an engine
+    of [t] directly leaves the set behind until the next {!restore}.
+
+    {b Assembly.}  Only the tiles the stepped engines have pieces on are
+    reassembled: each from its idle baseline (every engine at its zero
+    record, computed at {!build}) plus each live stepped engine's record
+    minus its idle share.  The other tiles keep last symbol's values.
+    The record is field for field what stepping every engine and summing
+    every piece gives.
+
+    With [Nbva.kernel] set to [Reference] there are no shortcuts: every
+    engine runs {!Engine.step} and every tile is summed from all of its
+    pieces' records, so a reference run checks the awake set, the kept
+    records and the baselines. *)
 
 val clone_fresh : t -> t
-(** A clone sharing all compiled structure (tile maps, wake table) with
-    fresh run state, its own awake set and its own event record —
-    equivalent to [build] on the same placement without deriving the
-    tile maps and the wake table again.  The integrity sentinel replays
+(** A clone sharing all compiled structure (tile pieces, idle baselines,
+    wake table) with fresh run state, its own awake set and its own
+    event record — equivalent to [build] on the same placement without
+    deriving the pieces, the baselines and the wake table again.  The integrity sentinel replays
     its windows on one clone per array. *)

@@ -412,7 +412,9 @@ let chaos ~arch ~params ~config regexes ~input =
                                     && (flip_region_bit rng (List.nth regs (rand_int rng n))
                                        || attempt (k - 1))
                                   in
-                                  attempt 8)
+                                  let ok = attempt 8 in
+                                  Array.iter Engine.invalidate engines;
+                                  ok)
                         in
                         if ok then fired := sym
                       end);

@@ -187,7 +187,8 @@ let repair cfg (s : seal) engines =
           Array.iteri (fun i v -> Bitvec.blit ~src:pristine.(i) ~dst:v) live
       | _ -> assert false);
       if dirty then locked (fun () -> cfg.stats.repairs <- cfg.stats.repairs + 1))
-    s
+    s;
+  Array.iter Engine.invalidate engines
 
 (* ---- shadow-replay sentinel ---- *)
 

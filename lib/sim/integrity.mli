@@ -103,7 +103,10 @@ val check : config -> array_id:int -> sym:int -> seal -> Engine.t array -> unit
 val repair : config -> seal -> Engine.t array -> unit
 (** Blit every pristine copy back over its live region and re-arm every
     tripped arena guard (cheap enough to do unconditionally on a heal);
-    counts the regions and guards whose bytes actually differed. *)
+    counts the regions and guards whose bytes actually differed.  Every
+    engine's record is then {!Engine.invalidate}d, so the next step
+    projects from the repaired tables, not from a record projected
+    while they were corrupted. *)
 
 (** {1 Shadow-replay sentinel} *)
 

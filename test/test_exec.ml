@@ -348,7 +348,18 @@ let lockstep p tiles input ~event =
    [Exec.restore] and healed with [Integrity.repair].  Input 2 is Snort,
    whose second array has more engines than a word has bits, so its
    awake set spans two words; it takes a flip into every engine, a
-   restore and a clone at fixed symbols. *)
+   restore and a clone at fixed symbols.  Input 3 pins the kept
+   records: [ab*c] and [xy*z] over two blocks of [abbbbbbbbbc], a run of
+   [q] and a run of [b].  Before the first [b] run a snapshot taken after
+   [abb] is restored, and before the second the [b] state (bit 1) of
+   every idle NFA engine is flipped.  Each write leaves [ab*c] live in a
+   state the [b]s do not change, while its record still projects the
+   [c] it last saw, so only the write's own projection shows the new
+   state.  Input 4 makes the same writes into a live engine whose last
+   step kept its state, so no change the kernel saw is pending: [b*] of
+   [a[bc]*d|b*e] holds a run of [b]s after a [q], and a restore of the
+   state after [abb] (where [[bc]] is active too), then a flip of the
+   [[bc]] bit, each add a state the [b]s keep. *)
 let test_idle_fast_path_lockstep () =
   let rules =
     [ "ab*c"; "x[yz]d"; "a{30}b"; "bc{5,12}d"; "evilsig"; "badstring"; "cdacdacda" ]
@@ -482,7 +493,102 @@ let test_idle_fast_path_lockstep () =
       ignore (lockstep p tiles input ~event))
     p.Mapper.arrays;
   check bool "Snort has an array whose awake set spans two words" true (!wide >= 1);
-  check bool "engines in the second word went live" true (!high_live > 0)
+  check bool "engines in the second word went live" true (!high_live > 0);
+  (* input 3 *)
+  let units, errs =
+    Runner.compile_for rap ~params [ ("ab*c", parse "ab*c"); ("xy*z", parse "xy*z") ]
+  in
+  check int "rules compile" 0 (List.length errs);
+  let p = Runner.place rap ~params units in
+  let block = "abbbbbbbbbc" ^ String.make 10 'q' ^ String.make 10 'b' in
+  let input = block ^ block in
+  let run_start = String.length block - 10 in
+  let writes = ref 0 and kept = ref 0 in
+  Array.iter
+    (fun tiles ->
+      let saved = ref None and digests = ref None in
+      let event ~sym fast slow =
+        let es = Exec.engines !fast in
+        (* the symbol after a write: some live state came through unchanged *)
+        Option.iter
+          (fun before ->
+            Array.iteri
+              (fun j d ->
+                if (not (Engine.idle es.(j))) && Engine.state_digest es.(j) 0 = d then incr kept)
+              before;
+            digests := None)
+          !digests;
+        let wrote () =
+          incr writes;
+          digests := Some (Array.map (fun e -> Engine.state_digest e 0) es)
+        in
+        if sym = 3 then saved := Some (Exec.snapshot !fast, Exec.snapshot !slow)
+        else if sym = run_start then
+          Option.iter
+            (fun (f, s) ->
+              Exec.restore !fast f;
+              Exec.restore !slow s;
+              wrote ())
+            !saved
+        else if sym = String.length block + run_start then begin
+          Array.iter2
+            (fun f s ->
+              if Engine.mode f = Engine.M_nfa && Engine.idle f then begin
+                Engine.flip_state_bit f 1;
+                Engine.flip_state_bit s 1
+              end)
+            es (Exec.engines !slow);
+          wrote ()
+        end
+      in
+      ignore (lockstep p tiles input ~event))
+    p.Mapper.arrays;
+  check int "a restore and a flip landed" 2 !writes;
+  check bool "each left a live state the next byte kept" true (!kept >= 2);
+  (* input 4 *)
+  let units, errs = Runner.compile_for rap ~params [ ("a[bc]*d|b*e", parse "a[bc]*d|b*e") ] in
+  check int "rules compile" 0 (List.length errs);
+  let p = Runner.place rap ~params units in
+  let run lead = lead ^ String.make 10 'b' in
+  let input = run "a" ^ run "q" ^ run "q" in
+  let second = String.length (run "a") in
+  let writes = ref 0 and kept = ref 0 in
+  Array.iter
+    (fun tiles ->
+      let saved = ref None and written = ref None in
+      let event ~sym fast slow =
+        let e = (Exec.engines !fast).(0) in
+        let digest () = Engine.state_digest e 0 in
+        Option.iter
+          (fun d ->
+            if digest () = d then incr kept;
+            written := None)
+          !written;
+        let write f =
+          let live = not (Engine.idle e) and d = digest () in
+          f ();
+          if live && digest () <> d then begin
+            incr writes;
+            written := Some (digest ())
+          end
+        in
+        if sym = 3 then saved := Some (Exec.snapshot !fast, Exec.snapshot !slow)
+        else if sym = second + 4 then
+          Option.iter
+            (fun (f, s) ->
+              write (fun () ->
+                  Exec.restore !fast f;
+                  Exec.restore !slow s))
+            !saved
+        else if sym = (2 * second) + 4 then
+          write (fun () ->
+              Engine.flip_state_bit e 1;
+              Engine.flip_state_bit (Exec.engines !slow).(0) 1)
+      in
+      ignore (lockstep p tiles input ~event))
+    p.Mapper.arrays;
+  check int "a restore and a flip changed a live state" 2 !writes;
+  check int "the next byte kept each new state" 2 !kept
 
 (* Satellite: state_bits counts exactly the flippable surface — every
    index below it flips (and flips back) without raising. *)

@@ -428,6 +428,136 @@ let test_array_wake_table_healed () =
       ("sweeps only", { (Integrity.continuous_config ()) with Integrity.sentinel_every = 0 });
     ]
 
+(* A record the fast path keeps across steps must not outlive a table
+   repair.  On lowercase input the star state of [[a-z]*X] is active on
+   every symbol and never changes, so its engine keeps one event record
+   from step to step.  [final_flip] sets that state's bit in the final
+   row of [masks] once, at symbol 1500: the row is the one word equal to
+   the X state's bit, shared with the X label, and the input holds no X.
+   The '.' at symbol 1600 puts the engine to sleep, and the next letter
+   wakes it with a fresh projection, so from there on the flip shows in
+   the report even without integrity checks. *)
+let star_rules = [ "[a-z]*X" ]
+
+let star_input =
+  let r = Fault.make_rng 3 in
+  String.init 4_000 (fun i -> if i = 1_600 then '.' else Char.chr (97 + Fault.rand_int r 26))
+
+let star_stream () = Input_stream.of_string ~chunk:1_024 star_input
+
+let final_flip fired =
+  {
+    Sink.name = "final-row-flip-once";
+    make =
+      (fun ~array_id:_ ~chars:_ ->
+        {
+          Sink.on_events = ignore;
+          on_close = (fun ~cycles:_ -> ());
+          on_state =
+            Some
+              (fun ~sym engines ->
+                if (not !fired) && sym = 1_500 then
+                  Array.iter
+                    (fun e ->
+                      List.iter
+                        (function
+                          | Engine.R_words ("masks", m) ->
+                              Array.iteri
+                                (fun i w ->
+                                  if w = 0b10 then begin
+                                    m.(i) <- 0b11;
+                                    fired := true
+                                  end)
+                                m
+                          | _ -> ())
+                        (Engine.immutable_regions e))
+                    engines);
+        });
+  }
+
+(* The sweep at the end of the flip's chunk trips; the heal rolls back
+   to the chunk start, where the star state is already active, repairs
+   the tables and re-runs the chunk.  The re-run must project from the
+   repaired tables, not keep a record projected from corrupted ones. *)
+let test_final_row_flip_healed () =
+  let baseline = Runner.run_stream rap ~params (placement star_rules) ~stream:(star_stream ()) in
+  check int "the input holds no match" 0 baseline.Runner.match_reports;
+  (* each run compiles its own placement: the flip outlives the
+     unchecked run in the tables it hit *)
+  let fired = ref false in
+  let unchecked =
+    Runner.run_stream ~sinks:[ final_flip fired ] rap ~params (placement star_rules)
+      ~stream:(star_stream ())
+  in
+  check bool "the flip landed" true !fired;
+  check bool "unchecked, the star state reports" true (unchecked.Runner.match_reports > 0);
+  let fired = ref false in
+  let cfg = Integrity.continuous_config () in
+  let healed =
+    Runner.run_stream ~sinks:[ final_flip fired ] ~integrity:cfg rap ~params
+      (placement star_rules) ~stream:(star_stream ())
+  in
+  check bool "the flip landed again" true !fired;
+  let st = cfg.Integrity.stats in
+  check bool "the sweep trips" true (st.Integrity.crc_trips >= 1);
+  check bool "healed" true (st.Integrity.heals >= 1);
+  check int "no quarantine" 0 st.Integrity.quarantines;
+  check string "healed report bit-identical to fault-free baseline"
+    (Runner.render_report baseline) (Runner.render_report healed)
+
+(* With sweeps and the sentinel off, only the verification before the
+   checkpoint at symbol 2048 sees the flip.  It repairs the tables but
+   does not re-run anything, so the reports between the wake at 1601
+   and the checkpoint stay; from the checkpoint on, the star state's
+   record must come from the repaired tables again. *)
+let test_final_row_flip_repaired_at_checkpoint () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rap-integrity-final-row-%d" (Unix.getpid ()))
+  in
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let before = ref 0 and after = ref 0 in
+  let tally =
+    {
+      Sink.name = "reports-around-checkpoint";
+      make =
+        (fun ~array_id:_ ~chars:_ ->
+          {
+            Sink.on_events =
+              (fun ev ->
+                if ev.Exec.sym < 2_048 then before := !before + ev.Exec.reports
+                else after := !after + ev.Exec.reports);
+            on_close = (fun ~cycles:_ -> ());
+            on_state = None;
+          });
+    }
+  in
+  let fired = ref false in
+  let cfg = quiet_config () in
+  let r =
+    Runner.run_stream ~sinks:[ final_flip fired; tally ] ~integrity:cfg rap ~params
+      (placement star_rules)
+      ~checkpoint:{ Checkpoint.dir; every = 2_048 }
+      ~stream:(star_stream ())
+  in
+  check bool "the flip landed" true !fired;
+  check bool "pre-checkpoint verification tripped" true
+    (cfg.Integrity.stats.Integrity.crc_trips >= 1);
+  check bool "tables repaired" true (cfg.Integrity.stats.Integrity.repairs >= 1);
+  check bool "before the checkpoint, the flip shows" true (!before > 0);
+  check int "from the checkpoint on, no report" 0 !after;
+  check int "run completed all input" (String.length star_input) r.Runner.chars
+
 let test_chaos_gates () =
   let config = { Fault.c_seed = 5; c_trials = 6; c_chunk = 1_024; c_table_share = 0.5 } in
   match Fault.chaos ~arch:rap ~params ~config (parsed rules) ~input:(noise 4_000) with
@@ -477,4 +607,8 @@ let suite =
       test_wake_corruption_healed;
     test_case "cleared array wake-table bit: sealed, detected and healed" `Quick
       test_array_wake_table_healed;
+    test_case "final-row flip under a kept record: healed bit-identically" `Quick
+      test_final_row_flip_healed;
+    test_case "final-row flip under a kept record: repaired at the checkpoint" `Quick
+      test_final_row_flip_repaired_at_checkpoint;
   ]

@@ -242,46 +242,123 @@ let test_leakage_model () =
   check bool "CA leaks more than RAP" true
     (Arch.tile_leakage_pj_per_cycle Arch.ca ~powered:true > full)
 
-(* Report bytes are pinned across refactors: Snort and ClamAV, each on
-   its seeded 4096-character input, render on every architecture exactly
-   the files under test/golden/reports/.  A mismatch writes the new
-   renderings under reports.actual/ in the test's build directory. *)
-let test_reports_golden () =
+(* Render each case's [regexes] over its [input] on every architecture
+   and compare the report with test/golden/reports/[name]-[arch].txt.
+   A mismatch (or a missing file) writes the new rendering under
+   reports.actual/ in the test's build directory, and the test fails
+   once every case has run.  Returns each case's reports, in
+   architecture order. *)
+let golden_reports cases =
   let archs =
     [ ("rap", Rap.rap_arch ()); ("cama", Arch.cama); ("ca", Arch.ca); ("bvap", Arch.bvap) ]
   in
   let actual_dir = "reports.actual" in
   let moved = ref [] in
-  List.iter
-    (fun suite ->
-      let s = Benchmarks.by_name suite in
-      let input = s.Benchmarks.make_input ~chars:4096 in
-      List.iter
-        (fun (arch_name, arch) ->
-          let units, _ = Runner.compile_for arch ~params s.Benchmarks.regexes in
-          let p = Runner.place arch ~params units in
-          let got = Runner.render_report (Runner.run arch ~params p ~input) in
-          let name = Printf.sprintf "%s-%s.txt" (String.lowercase_ascii suite) arch_name in
-          let golden = Filename.concat (Filename.concat "golden" "reports") name in
-          let want = In_channel.with_open_bin golden In_channel.input_all in
-          if not (String.equal got want) then begin
-            if not (Sys.file_exists actual_dir) then Sys.mkdir actual_dir 0o755;
-            Out_channel.with_open_bin (Filename.concat actual_dir name) (fun oc ->
-                Out_channel.output_string oc got);
-            moved := name :: !moved
-          end)
-        archs)
-    [ "Snort"; "ClamAV" ];
+  let reports =
+    List.map
+      (fun (name, regexes, input) ->
+        List.map
+          (fun (arch_name, arch) ->
+            let units, _ = Runner.compile_for arch ~params regexes in
+            let p = Runner.place arch ~params units in
+            let report = Runner.run arch ~params p ~input in
+            let got = Runner.render_report report in
+            let file = Printf.sprintf "%s-%s.txt" name arch_name in
+            let golden = Filename.concat (Filename.concat "golden" "reports") file in
+            let want =
+              if Sys.file_exists golden then In_channel.with_open_bin golden In_channel.input_all
+              else ""
+            in
+            if not (String.equal got want) then begin
+              if not (Sys.file_exists actual_dir) then Sys.mkdir actual_dir 0o755;
+              Out_channel.with_open_bin (Filename.concat actual_dir file) (fun oc ->
+                  Out_channel.output_string oc got);
+              moved := file :: !moved
+            end;
+            report)
+          archs)
+      cases
+  in
   if !moved <> [] then
     failf
       "reports moved: %s.  The new renderings are in _build/default/test/%s/.  Copy them \
        over test/golden/reports/ only in a change that states why the reports moved."
       (String.concat ", " (List.rev !moved))
-      actual_dir
+      actual_dir;
+  reports
+
+(* Report bytes are pinned across refactors: Snort and ClamAV, each on
+   its seeded 4096-character input, render on every architecture exactly
+   the files under test/golden/reports/. *)
+let test_reports_golden () =
+  ignore
+    (golden_reports
+       (List.map
+          (fun suite ->
+            let s = Benchmarks.by_name suite in
+            ( String.lowercase_ascii suite,
+              s.Benchmarks.regexes,
+              s.Benchmarks.make_input ~chars:4096 ))
+          [ "Snort"; "ClamAV" ]))
+
+(* A shortest string the regex matches whole: a class's first byte, the
+   shorter branch of an alternation, no iteration of a star and the
+   least number of a repetition's. *)
+let rec witness (r : Ast.t) =
+  match r with
+  | Ast.Epsilon | Ast.Star _ -> ""
+  | Ast.Class cc -> (
+      match Charclass.choose cc with
+      | Some c -> String.make 1 c
+      | None -> invalid_arg "witness: empty class")
+  | Ast.Concat (a, b) -> witness a ^ witness b
+  | Ast.Alt (a, b) ->
+      let x = witness a and y = witness b in
+      if String.length y < String.length x then y else x
+  | Ast.Repeat (a, m, _) -> String.concat "" (List.init m (fun _ -> witness a))
+
+(* The seeded inputs hold almost no whole match, so the goldens above
+   read 0 reports.  These plant a witness of every Snort rule and of
+   every 8th ClamAV rule into the same 4096 characters, evenly spaced,
+   so the pinned reports count real matches. *)
+let test_planted_reports_golden () =
+  let cases =
+    List.map
+      (fun (suite, every) ->
+        let s = Benchmarks.by_name suite in
+        let base = s.Benchmarks.make_input ~chars:4096 in
+        let planted =
+          List.filteri (fun i _ -> i mod every = 0) s.Benchmarks.regexes
+          |> List.map (fun (src, ast) ->
+                 let w = witness ast in
+                 let ends = Nfa.match_ends (Glushkov.compile ast) w in
+                 check bool (suite ^ " rule matches its witness: " ^ src) true
+                   (w <> "" && List.mem (String.length w - 1) ends);
+                 w)
+        in
+        let n = List.length planted in
+        let cut k = k * String.length base / (n + 1) in
+        let input =
+          String.concat ""
+            (List.mapi (fun k w -> String.sub base (cut k) (cut (k + 1) - cut k) ^ w) planted
+            @ [ String.sub base (cut n) (String.length base - cut n) ])
+        in
+        ("planted-" ^ String.lowercase_ascii suite, s.Benchmarks.regexes, input))
+      [ ("Snort", 1); ("ClamAV", 8) ]
+  in
+  List.iter2
+    (fun (name, _, _) reports ->
+      List.iter
+        (fun (r : Runner.report) ->
+          check bool (name ^ ": the input reports matches") true (r.Runner.match_reports > 0))
+        reports)
+    cases (golden_reports cases)
 
 let suite =
   [
     test_case "reports match the golden files" `Quick test_reports_golden;
+    test_case "planted witnesses: reports match the golden files" `Quick
+      test_planted_reports_golden;
     test_case "NFA engine vs reference" `Quick test_nfa_engine_consistency;
     test_case "NBVA engine vs reference" `Quick test_nbva_engine_consistency;
     test_case "bin engine vs reference" `Quick test_bin_engine_consistency;
