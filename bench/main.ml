@@ -358,8 +358,8 @@ let service_slo env =
   let units, _ = Runner.compile_for arch ~params s.Benchmarks.regexes in
   let placement = Runner.place arch ~params units in
   let solo = Runner.run ~jobs:1 arch ~params placement ~input in
-  (* calibration: one request's solo service time bounds the sustainable
-     rate (batching only improves on it) *)
+  (* calibration: one request's solo service time sets the sustainable
+     rate, since the service runs requests one at a time *)
   let _, service_s = time (fun () -> Runner.run ~jobs:1 arch ~params placement ~input) in
   let service_s = Float.max 1e-4 service_s in
   let sustainable_rps = 1. /. service_s in
@@ -403,7 +403,8 @@ let service_slo env =
       while !next < n && arrivals.(!next) <= now do
         let i = !next in
         (* alternate classes: odd requests carry a (generous) deadline and
-           take the supervised solo path, even ones batch *)
+           run supervised, even ones carry none and run under the
+           request-level retries *)
         let class_, deadline_s =
           if i land 1 = 1 then (Wire.Interactive, Some 60.) else (Wire.Bulk, None)
         in

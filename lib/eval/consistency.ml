@@ -27,7 +27,7 @@ let engines_for ~params (c : Program.compiled) =
 let check_regex ~params (source, ast) ~input =
   match Mode_select.compile_result ~params ~source ast with
   | Error e ->
-      Some
+      Error
         {
           source;
           mode = Printf.sprintf "(%s)" (Compile_error.message e);
@@ -36,12 +36,15 @@ let check_regex ~params (source, ast) ~input =
         }
   | Ok c ->
       let mode, engines = engines_for ~params c in
+      let input = input ^ Ast.witness ast in
       let expected = Nfa.match_ends (Glushkov.compile ast) input in
       let got = engine_report_positions engines input in
-      if expected = got then None else Some { source; mode; expected; got }
+      if expected = got then Ok (List.length expected) else Error { source; mode; expected; got }
 
 let check_set ~params regexes ~input =
-  List.filter_map (fun r -> check_regex ~params r ~input) regexes
+  List.filter_map
+    (fun r -> match check_regex ~params r ~input with Ok _ -> None | Error f -> Some f)
+    regexes
 
 let pp_failure fmt f =
   let show l =

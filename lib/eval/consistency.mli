@@ -5,7 +5,9 @@
 
     For every regex, the compiled hardware engine (in whichever mode the
     decision graph picked) must report at exactly the positions the
-    Glushkov-NFA ground truth reports. *)
+    Glushkov-NFA ground truth reports.  Each regex is checked on the
+    input with its {!Ast.witness} appended, so the ground truth has at
+    least one match to check the engine against, not only silence. *)
 
 type failure = {
   source : string;
@@ -15,7 +17,9 @@ type failure = {
 }
 
 val check_regex :
-  params:Program.params -> string * Ast.t -> input:string -> failure option
+  params:Program.params -> string * Ast.t -> input:string -> (int, failure) result
+(** [Ok n]: the engine reported exactly the ground truth's [n] match
+    ends on [input] with the regex's witness appended. *)
 
 val check_set :
   params:Program.params -> (string * Ast.t) list -> input:string -> failure list

@@ -113,6 +113,18 @@ let rec first_classes = function
       if m = 0 then first_classes a (* optional: begins with [a] or skips entirely *)
       else first_classes a
 
+let rec witness = function
+  | Epsilon | Star _ -> ""
+  | Class cc -> (
+      match Charclass.choose cc with
+      | Some c -> String.make 1 c
+      | None -> invalid_arg "Ast.witness: empty class")
+  | Concat (a, b) -> witness a ^ witness b
+  | Alt (a, b) ->
+      let x = witness a and y = witness b in
+      if String.length y < String.length x then y else x
+  | Repeat (a, m, _) -> String.concat "" (List.init m (fun _ -> witness a))
+
 (* Printing with minimal parenthesisation.  Precedence levels:
    0 = alternation, 1 = concatenation, 2 = postfix repetition. *)
 

@@ -70,6 +70,12 @@ val first_classes : t -> Charclass.t
     by the design-space exploration (a "complex prefix" gives a low BV
     activation rate, §5.3). *)
 
+val witness : t -> string
+(** A shortest string the regex matches whole: a class's first byte,
+    the shorter branch of an alternation, no iteration of a star and the
+    least number of a repetition's.  Raises [Invalid_argument] on a
+    [Class] with no byte (one built without {!cls}). *)
+
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit

@@ -110,8 +110,6 @@ let journal t line =
 let pending t = Queue.length t.queue
 let shed_count t = t.shed
 let completed_count t = t.completed
-let spool_replay_count t = t.spool_replays
-let quarantine_reset_count t = t.quarantine_resets
 
 let quarantined t =
   Hashtbl.fold
@@ -301,11 +299,12 @@ let outcome_of_error req ~started_at ~finished_at error =
     o_latency_s = Float.max 0. (finished_at -. req.p_enqueued_at);
   }
 
-(* Solo supervised run: the path for deadline-carrying requests and the
-   isolation fallback when a batched pass fails.  The remaining deadline
-   (whole deadline minus queue wait) becomes the per-attempt budget of
-   the PR 4 supervisor, so a timed-out request degrades into a partial
-   report with quarantined arrays instead of failing outright. *)
+(* One request, run alone on its own start and finish stamps.  A
+   deadline-carrying request's remaining deadline (whole deadline minus
+   queue wait) becomes the supervisor's whole budget, so a timed-out
+   request degrades into a partial report with quarantined arrays
+   instead of failing outright; a deadline-free one runs under the
+   request-level retries. *)
 let run_solo t req =
   let started_at = Unix.gettimeofday () in
   match req.p_deadline_s with
@@ -359,55 +358,19 @@ let run_solo t req =
           if healed && report.Runner.degraded = [] then { o with o_recovered = true } else o
       | Error e -> outcome_of_error req ~started_at ~finished_at e)
 
-(* Batched run of deadline-free requests: one shared placement, every
-   stream an independent {!Runner.run_stream} task of one {!Batch.run}.
-   Each stream's report is bit-identical to its solo run, so batching is
-   invisible in the results — it only buys aggregate throughput.  A
-   failing batch falls back to solo runs so one faulty stream cannot
-   take its batch-mates down. *)
-let run_batched t reqs =
-  match reqs with
-  | [] -> []
-  | [ one ] -> [ run_solo t one ]
-  (* the batch path has no integrity hooks: with checking armed, every
-     request takes the (checked) solo path — coverage over aggregate
-     throughput *)
-  | _ when t.cfg.integrity <> None -> List.map (run_solo t) reqs
-  | _ -> (
-      let reqs_a = Array.of_list reqs in
-      let b = Array.length reqs_a in
-      let started_at = Unix.gettimeofday () in
-      let sources =
-        Array.map (fun r -> Batch.of_string ~name:r.p_name r.p_input) reqs_a
-      in
-      match Batch.run ~jobs:t.cfg.jobs t.arch ~params:t.params t.placement ~sources with
-      | batch ->
-          List.init b (fun i ->
-              let s = batch.Batch.streams.(i) in
-              outcome_of_report reqs_a.(i) ~started_at ~finished_at:s.Batch.bs_done_at
-                s.Batch.bs_report)
-      | exception e ->
-          journal t
-            (Printf.sprintf "batch-fallback %d stream(s): %s" b
-               (Sim_error.message (to_sim_error e)));
-          Array.to_list (Array.map (run_solo t) reqs_a))
-
 let run_pending ?max t =
   let n = match max with None -> Queue.length t.queue | Some m -> min m (Queue.length t.queue) in
-  if n = 0 then []
-  else begin
-    let popped = List.init n (fun _ -> Queue.pop t.queue) in
-    let t0 = Unix.gettimeofday () in
-    (* deadline-free requests ride one batch together; deadline-carrying
-       ones run solo so one slow batch-mate cannot eat another request's
-       budget *)
-    let batched, solo = List.partition (fun r -> r.p_deadline_s = None) popped in
-    let outcomes = run_batched t batched @ List.map (run_solo t) solo in
-    let wall = Unix.gettimeofday () -. t0 in
-    t.last_service_s <- Float.max 1e-4 (wall /. float_of_int n);
-    List.iter (book_outcome t) outcomes;
-    outcomes
-  end
+  let t0 = Unix.gettimeofday () in
+  (* oldest first, one at a time; booking each outcome before the next
+     request runs makes its report durable as early as it can be *)
+  let outcomes =
+    List.init n (fun _ ->
+        let o = run_solo t (Queue.pop t.queue) in
+        book_outcome t o;
+        o)
+  in
+  if n > 0 then t.last_service_s <- Float.max 1e-4 ((Unix.gettimeofday () -. t0) /. float_of_int n);
+  outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)

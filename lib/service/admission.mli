@@ -55,18 +55,16 @@ type config = {
   group : int;
       (** Requests the daemon executes per {!run_pending} round, between
           select rounds. *)
-  jobs : int;  (** Worker domains during execution. *)
+  jobs : int;  (** Worker domains for one request's arrays. *)
   retries : int;  (** Request-level re-execution attempts. *)
   backoff_s : float;  (** Base request-retry backoff (exponential). *)
   quarantine_after : int;  (** Consecutive faults before a name is refused. *)
   state_dir : string option;  (** Spool + journal directory; [None] = no recovery. *)
   integrity : Integrity.config option;
-      (** Arm online integrity checking on every executed request.  The
-          batch path has no integrity hooks, so an armed daemon runs
-          every request on the (checked) solo path; a run the layer
-          rolled back and healed carries [o_recovered] so the client
-          sees that recovery happened — never a silently-corrupt
-          report. *)
+      (** Arm online integrity checking on every executed request.  A
+          run the layer rolled back and healed carries [o_recovered] so
+          the client sees that recovery happened — never a
+          silently-corrupt report. *)
 }
 
 val default_config : config
@@ -117,15 +115,15 @@ val submit :
 val pending : t -> int
 
 val run_pending : ?max:int -> t -> outcome list
-(** Execute up to [max] queued requests (default: all), oldest first,
-    and return their outcomes in completion order.  Deadline-free
-    requests run together through one {!Batch.run}, each stream its own
-    {!Runner.run_stream} task and stamped with its own finish time;
-    deadline-carrying requests run solo under a supervised
-    {!Runner.run_stream} with the remaining deadline as the whole
-    supervision budget (a single pass — no request-level retry on
-    top).  Never raises for per-request failures — they surface as
-    [o_error]. *)
+(** Execute up to [max] queued requests (default: all) one at a time,
+    oldest first, and return their outcomes in that order, which is
+    also completion order.  Each request is one {!Runner.run_stream}
+    on its own start and finish stamps, so its [o_queued_s] counts the
+    requests that ran before it.  A deadline-carrying request runs
+    supervised, with the remaining deadline as the whole supervision
+    budget (a single pass — no request-level retry on top); a
+    deadline-free one runs under the request-level retries.  Never
+    raises for per-request failures — they surface as [o_error]. *)
 
 val recover : t -> outcome list
 (** Replay every spooled request of a previous daemon incarnation,
@@ -135,20 +133,14 @@ val recover : t -> outcome list
 val shed_count : t -> int
 val completed_count : t -> int
 
-val spool_replay_count : t -> int
-(** Spooled requests of previous incarnations replayed by {!recover}. *)
-
-val quarantine_reset_count : t -> int
-(** Stream fault counters a clean run took back to zero (each is a name
-    that had accumulated faults — possibly to the point of quarantine —
-    and then produced a clean report). *)
-
 val quarantined : t -> (string * int) list
 (** Names currently refused, with their fault counts. *)
 
 val stats_json : t -> string
-(** Queue depth, shed/completed/failed/degraded counters,
-    spool-replay and quarantine-reset counters, quarantine list, the
+(** Queue depth, shed/completed/failed/degraded counters, the
+    spool-replay counter (spooled requests of earlier incarnations
+    replayed by {!recover}), the quarantine-reset counter (fault
+    counters a clean run took back to zero), quarantine list, the
     integrity counters (or [null] when unarmed), and per-class +
     queue-wait latency histograms ({!Sink.Latency.to_json}) — the
     daemon's [Stats] reply.  Keys are only ever added, so clients that

@@ -11,14 +11,6 @@ type config = {
   max_requests : int option;
 }
 
-let default_config ~socket_path =
-  {
-    socket_path;
-    admission = Admission.default_config;
-    write_budget = 8 * 1024 * 1024;
-    max_requests = None;
-  }
-
 (* One in-flight Open/Chunk/Finish conversation. *)
 type open_state = {
   or_name : string;

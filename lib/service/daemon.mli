@@ -15,8 +15,8 @@
       backpressure protects the daemon's memory, never the other
       clients' latency;
     - execution happens between select rounds, [group] requests at a
-      time, so the loop keeps accepting (and shedding) while a batch
-      runs.
+      time, so the loop gets back to accepting (and shedding) after
+      every [group] requests.
 
     Termination: a [Shutdown] frame or SIGTERM stops admission, drains
     the queue, flushes replies and exits; [max_requests = Some n] exits
@@ -32,9 +32,6 @@ type config = {
       (** Exit after this many completed requests; [Some 0] = recover
           the spool and exit.  [None] = serve forever. *)
 }
-
-val default_config : socket_path:string -> config
-(** {!Admission.default_config}, 8 MiB write budget, serve forever. *)
 
 val serve : config -> Arch.t -> params:Program.params -> Mapper.placement -> unit
 (** Run the daemon until a termination condition.  Binds

@@ -27,9 +27,9 @@
 
 type class_ = Interactive | Bulk
 (** Stream classes — the SLO buckets the daemon reports latency
-    quantiles for.  [Interactive] requests carry deadlines and bypass
-    batching; deadline-free [Bulk] requests run together through
-    {!Batch.run}, one {!Runner.run_stream} task per request. *)
+    quantiles for.  The class picks only the bucket: every request runs
+    alone, in queue order, whatever its class, and a deadline is a
+    field of [Open] of its own. *)
 
 val class_name : class_ -> string
 val class_of_string : string -> (class_, string) result

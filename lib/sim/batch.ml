@@ -2,11 +2,10 @@
 
 type source = { src_name : string; src_open : unit -> Input_stream.t }
 
-let name s = s.src_name
 let of_string ?chunk ~name s = { src_name = name; src_open = (fun () -> Input_stream.of_string ?chunk s) }
 let of_file ?chunk ~name path = { src_name = name; src_open = (fun () -> Input_stream.of_file ?chunk path) }
 
-type stream_report = { bs_name : string; bs_report : Runner.report; bs_done_at : float }
+type stream_report = { bs_name : string; bs_report : Runner.report }
 
 type aggregate = {
   agg_streams : int;
@@ -35,8 +34,7 @@ let run ?(jobs = 1) (arch : Arch.t) ~params (p : Mapper.placement) ~sources =
           ~finally:(fun () -> Input_stream.close stream)
           (fun () -> Runner.run_stream ~jobs arch ~params p ~stream)
       in
-      slots.(s) <-
-        Some { bs_name = sources.(s).src_name; bs_report = report; bs_done_at = Unix.gettimeofday () });
+      slots.(s) <- Some { bs_name = sources.(s).src_name; bs_report = report });
   let streams = Array.map Option.get slots in
   let sum f = Array.fold_left (fun acc r -> acc + f r.bs_report) 0 streams in
   let agg_chars = sum (fun r -> r.Runner.chars) in

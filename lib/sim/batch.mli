@@ -1,9 +1,11 @@
-(** Batched multi-stream execution — B independent input streams against
-    one shared, immutable compiled placement.
+(** Batched multi-stream execution behind [rap batch] — B
+    independent input streams against one shared, immutable compiled
+    placement.  The match service does not come through here: it runs
+    each request alone, in queue order.
 
-    Serving-scale throughput comes from amortizing the compiled artifact
-    across inputs: compilation, mapping and the bit-parallel mask tables
-    are paid once for the placement (or never, with the placement cache),
+    Throughput comes from amortizing the compiled artifact across
+    inputs: compilation, mapping and the bit-parallel mask tables are
+    paid once for the placement (or never, with the placement cache),
     and every stream steps the executors the compiler stored in it.
 
     Scheduling: one {!Scheduler.parallel_for} task per stream, and each
@@ -17,11 +19,10 @@
     running that stream alone through {!Runner.run} — it is the same
     driver on the same event stream.  Schedules change wall-clock only.
 
-    The aggregate models the serving configuration the layer implements:
-    per-stream contexts advance concurrently, so aggregate cycles are
-    the {e maximum} over streams (a sequential 8-run baseline pays the
-    {e sum}), and aggregate throughput is total chars over that
-    bottleneck stream. *)
+    The aggregate models concurrent stream contexts: they advance side
+    by side, so aggregate cycles are the {e maximum} over streams (a
+    sequential 8-run baseline pays the {e sum}), and aggregate
+    throughput is total chars over that bottleneck stream. *)
 
 type source
 
@@ -29,17 +30,7 @@ val of_string : ?chunk:int -> name:string -> string -> source
 val of_file : ?chunk:int -> name:string -> string -> source
 (** The file is opened once, when its stream's task starts. *)
 
-val name : source -> string
-
-type stream_report = {
-  bs_name : string;
-  bs_report : Runner.report;
-  bs_done_at : float;
-      (** Wall-clock instant ([Unix.gettimeofday]) this stream's run
-          finished — the match service's per-request finish timestamp,
-          so a short request batched with a long one is not charged the
-          long one's latency. *)
-}
+type stream_report = { bs_name : string; bs_report : Runner.report }
 
 type aggregate = {
   agg_streams : int;

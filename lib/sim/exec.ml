@@ -218,7 +218,6 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
 let engines t = t.engines
 let awake_count t = Bitvec.popcount t.owner.Engine.awake
 let tile_modes t = t.tile_modes
-let num_tiles t = Array.length t.tile_modes
 
 let snapshot t = Array.map Engine.snapshot t.engines
 let snapshot_flat = snapshot

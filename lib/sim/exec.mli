@@ -25,7 +25,6 @@ val awake_count : t -> int
     {!Engine.idle}. *)
 
 val tile_modes : t -> Engine.mode array
-val num_tiles : t -> int
 
 val snapshot : t -> int array array
 (** Per-engine {!Engine.snapshot}s, in engine order — the whole mutable

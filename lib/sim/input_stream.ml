@@ -47,7 +47,6 @@ let of_file ?chunk path =
 let of_stdin ?chunk () = make ?chunk (Src_channel { ic = stdin; seekable = false }) None
 let length t = t.len
 let pos t = t.position
-let chunk_size t = t.chunk
 
 let next t =
   if t.closed then None

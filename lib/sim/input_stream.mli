@@ -35,8 +35,6 @@ val length : t -> int option
 val pos : t -> int
 (** Absolute offset of the next byte {!next} will deliver. *)
 
-val chunk_size : t -> int
-
 val next : t -> string option
 (** The next chunk (1 to [chunk] bytes), or [None] at end of input.
     Raises [Sim_error.Error (Stream_failed _)] on a read error. *)

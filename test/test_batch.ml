@@ -173,22 +173,6 @@ let prop_batch_equals_solo =
         inputs
         (Array.to_list b.Batch.streams))
 
-(* Per-stream finish stamps: a short request batched with a long one is
-   stamped when its own run finishes, not when the whole batch does —
-   the service's latency accounting depends on it.  At jobs 1 the
-   streams run in order, so the short one finishes first. *)
-let test_batch_done_stamps () =
-  let p = placement () in
-  let long = String.init 65536 (fun i -> alphabet.[i * 7 mod String.length alphabet]) in
-  let t0 = Unix.gettimeofday () in
-  let b = Batch.run ~jobs:1 rap ~params p ~sources:(sources_of [ String.sub long 0 16; long ]) in
-  let stamp i = b.Batch.streams.(i).Batch.bs_done_at in
-  let short_s = stamp 0 -. t0 and long_s = stamp 1 -. t0 in
-  check bool
-    (Printf.sprintf "short stream stamped early (%.4fs vs %.4fs)" short_s long_s)
-    true
-    (stamp 0 > 0. && short_s < 0.5 *. long_s)
-
 let suite =
   [
     test_case "batch == solo, bit-identical (jobs x sources)" `Quick test_batch_bit_identical;
@@ -197,6 +181,5 @@ let suite =
     test_case "aggregate: chars sum, cycles max" `Quick test_batch_aggregate;
     test_case "aggregate >= 2x sequential baseline" `Quick test_batch_beats_sequential;
     test_case "batched kernel == scalar reference" `Quick test_batch_kernel_agreement;
-    test_case "per-stream done stamps" `Quick test_batch_done_stamps;
     QCheck_alcotest.to_alcotest prop_batch_equals_solo;
   ]

@@ -356,6 +356,43 @@ let prop_shed_never_corrupts =
              && o.Admission.o_error = None)
            outcomes)
 
+(* A round runs its requests one at a time, oldest first, whatever their
+   class: the outcomes come back in submission order, and since all
+   three were enqueued at one instant, each one's queue wait covers the
+   whole latency of the one before it. *)
+let test_round_oldest_first_own_stamps () =
+  let p = placement () in
+  let adm = Admission.create (config ()) rap ~params p in
+  let input =
+    String.init 30_000 (fun i -> inputs_alphabet.[i * 7 mod String.length inputs_alphabet])
+  in
+  let enqueued_at = Unix.gettimeofday () in
+  let ids =
+    List.mapi
+      (fun i (class_, deadline_s) ->
+        match
+          Admission.submit ?deadline_s ~enqueued_at adm ~name:(Printf.sprintf "r%d" i) ~class_
+            ~input
+        with
+        | Ok id -> id
+        | Error r -> fail (Admission.reject_message r))
+      [ (Wire.Bulk, None); (Wire.Interactive, Some 600.); (Wire.Bulk, None) ]
+  in
+  let outcomes = Admission.run_pending adm in
+  check (list int) "outcomes in submission order" ids
+    (List.map (fun (o : Admission.outcome) -> o.Admission.o_id) outcomes);
+  let rec each_waits_for_the_previous = function
+    | (a : Admission.outcome) :: ((b : Admission.outcome) :: _ as rest) ->
+        check bool
+          (Printf.sprintf "#%d queued %.4fs >= #%d's latency %.4fs" b.Admission.o_id
+             b.Admission.o_queued_s a.Admission.o_id a.Admission.o_latency_s)
+          true
+          (b.Admission.o_queued_s >= a.Admission.o_latency_s);
+        each_waits_for_the_previous rest
+    | _ -> ()
+  in
+  each_waits_for_the_previous outcomes
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines *)
 
@@ -650,6 +687,8 @@ let suite =
     test_case "sim_error: u32 fields refuse values past 32 bits" `Quick test_sim_error_u32_range;
     test_case "admission: overflow sheds typed" `Quick test_admission_overflow_typed;
     QCheck_alcotest.to_alcotest prop_shed_never_corrupts;
+    test_case "a round runs oldest first, each request on its own stamps" `Quick
+      test_round_oldest_first_own_stamps;
     test_case "deadline: expired in queue" `Quick test_deadline_expired_in_queue;
     test_case "deadline: propagates into supervision" `Quick test_deadline_propagates_supervision;
     test_case "deadline: clean run bit-identical" `Quick test_deadline_clean_run_identical;

@@ -301,22 +301,6 @@ let test_reports_golden () =
               s.Benchmarks.make_input ~chars:4096 ))
           [ "Snort"; "ClamAV" ]))
 
-(* A shortest string the regex matches whole: a class's first byte, the
-   shorter branch of an alternation, no iteration of a star and the
-   least number of a repetition's. *)
-let rec witness (r : Ast.t) =
-  match r with
-  | Ast.Epsilon | Ast.Star _ -> ""
-  | Ast.Class cc -> (
-      match Charclass.choose cc with
-      | Some c -> String.make 1 c
-      | None -> invalid_arg "witness: empty class")
-  | Ast.Concat (a, b) -> witness a ^ witness b
-  | Ast.Alt (a, b) ->
-      let x = witness a and y = witness b in
-      if String.length y < String.length x then y else x
-  | Ast.Repeat (a, m, _) -> String.concat "" (List.init m (fun _ -> witness a))
-
 (* The seeded inputs hold almost no whole match, so the goldens above
    read 0 reports.  These plant a witness of every Snort rule and of
    every 8th ClamAV rule into the same 4096 characters, evenly spaced,
@@ -330,7 +314,7 @@ let test_planted_reports_golden () =
         let planted =
           List.filteri (fun i _ -> i mod every = 0) s.Benchmarks.regexes
           |> List.map (fun (src, ast) ->
-                 let w = witness ast in
+                 let w = Ast.witness ast in
                  let ends = Nfa.match_ends (Glushkov.compile ast) w in
                  check bool (suite ^ " rule matches its witness: " ^ src) true
                    (w <> "" && List.mem (String.length w - 1) ends);
