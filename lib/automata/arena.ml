@@ -4,7 +4,7 @@ type t = { words : int array; mutable used : int; mutable guards : int list }
 
 let create ~capacity =
   if capacity < 0 then invalid_arg "Arena.create: negative capacity";
-  { words = Array.make (max 1 capacity) 0; used = 0; guards = [] }
+  { words = Array.make (Int.max 1 capacity) 0; used = 0; guards = [] }
 
 (* A canary's value depends on its offset, so two guards swapped by a
    wild blit still read as corrupt. *)

@@ -13,8 +13,13 @@ type t = { width : int; off : int; words : int array }
 
 let nwords width = (width + bits_per_word - 1) / bits_per_word
 
-(* Even a width-0 vector owns one word so ops never special-case. *)
-let words_for width = max 1 (nwords width)
+(* Even a width-0 vector owns one word so ops never special-case.  The
+   comparison is written out on ints: [Stdlib.max] is one function for
+   every type, a call into the C runtime's generic comparison, and every
+   vector op below calls [words_for] on each symbol. *)
+let words_for width =
+  let n = nwords width in
+  if n < 1 then 1 else n
 
 let create width =
   if width < 0 then invalid_arg "Bitvec.create";
@@ -65,7 +70,12 @@ let reset t i =
   let w = t.off + (i / bits_per_word) in
   t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
 
-let clear t = Array.fill t.words t.off (words_for t.width) 0
+(* A word loop, not [Array.fill]: the BV loop of [Nbva.step] clears
+   vectors on the per-symbol path, and [Array.fill] is a C call. *)
+let clear t =
+  for i = t.off to t.off + words_for t.width - 1 do
+    Array.unsafe_set t.words i 0
+  done
 
 let fill_ones t =
   Array.fill t.words t.off (words_for t.width) mask_all;

@@ -115,7 +115,7 @@ let of_ast r =
       succ_lists.(p) <- q :: succ_lists.(p);
       pred_lists.(q) <- p :: pred_lists.(q))
     !edges;
-  let finish l = Array.of_list (List.sort_uniq compare l) in
+  let finish l = Array.of_list (List.sort_uniq Int.compare l) in
   let initial = Array.make n false and finals = Array.make n false in
   ISet.iter (fun q -> initial.(q) <- true) info.first;
   ISet.iter (fun q -> finals.(q) <- true) info.last;
@@ -321,8 +321,12 @@ let step t st c =
   let act = st.act_off and nxt = st.nxt_off and av = st.av_off in
   let row_limit = Array.length masks - nw in
   let changed = ref false in
-  (* avail = initial OR (union of successor masks of active states) *)
-  Array.blit masks p.initial_row w av nw;
+  (* avail = initial OR (union of successor masks of active states); the
+     initial row is copied word by word, since [Array.blit] is a C call *)
+  let irow = p.initial_row in
+  for i = 0 to nw - 1 do
+    Array.unsafe_set w (av + i) (Array.unsafe_get masks (irow + i))
+  done;
   let succ_row = p.succ_row in
   for j = 0 to nw - 1 do
     let aw = ref (Array.unsafe_get w (act + j)) in

@@ -26,7 +26,7 @@ let make ~labels ~edges ~initial ~finals ~accepts_empty =
       succ_lists.(p) <- q :: succ_lists.(p);
       pred_lists.(q) <- p :: pred_lists.(q))
     edges;
-  let finish l = Array.of_list (List.sort_uniq compare l) in
+  let finish l = Array.of_list (List.sort_uniq Int.compare l) in
   let initial_arr = Array.make n false and final_arr = Array.make n false in
   List.iter (fun q -> initial_arr.(q) <- true) initial;
   List.iter (fun q -> final_arr.(q) <- true) finals;

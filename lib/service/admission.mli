@@ -53,8 +53,8 @@ type config = {
   capacity : int;  (** Admission queue bound; beyond it, requests shed. *)
   max_input : int;  (** Per-request input byte cap. *)
   group : int;
-      (** Requests the daemon executes per {!run_pending} round, between
-          select rounds. *)
+      (** Requests the daemon executes between select rounds
+          ({!Daemon.run_round}), replying to each as it is booked. *)
   jobs : int;  (** Worker domains for one request's arrays. *)
   retries : int;  (** Request-level re-execution attempts. *)
   backoff_s : float;  (** Base request-retry backoff (exponential). *)

@@ -175,13 +175,16 @@ let read_conn st conn scratch =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> close_conn conn
 
+(* Queue [o]'s reply and try to write it at once.  The socket is
+   non-blocking, so a slow reader costs nothing here: what does not fit
+   goes out with the select loop's flushes. *)
 let dispatch_outcome st (o : Admission.outcome) =
   match Hashtbl.find_opt st.waiting o.Admission.o_id with
   | None -> ()  (* client gone; recovered outcomes persist as report files *)
   | Some conn ->
       Hashtbl.remove st.waiting o.Admission.o_id;
       if not conn.dead then begin
-        match o.Admission.o_error with
+        (match o.Admission.o_error with
         | Some error ->
             queue_reply st.cfg conn (Wire.Failed { id = o.Admission.o_id; error })
         | None ->
@@ -197,8 +200,17 @@ let dispatch_outcome st (o : Admission.outcome) =
                    degraded;
                    recovered = o.Admission.o_recovered;
                    text = o.Admission.o_text;
-                 })
+                 }));
+        if not conn.dead then flush_conn conn
       end
+
+(* See daemon.mli. *)
+let run_round adm ~group reply =
+  let k = ref 0 in
+  while !k < group && Admission.pending adm > 0 do
+    List.iter reply (Admission.run_pending ~max:1 adm);
+    incr k
+  done
 
 let bind_socket path =
   (try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ());
@@ -294,10 +306,9 @@ let serve cfg arch ~params placement =
            (fun c -> if (not c.dead) && List.mem c.fd readable then read_conn st c scratch)
            st.conns;
          (* execute between select rounds, [group] requests at a time, so
-            admission (and shedding) stays live while work drains *)
-         if Admission.pending adm > 0 then
-           List.iter (dispatch_outcome st)
-             (Admission.run_pending ~max:st.cfg.admission.Admission.group adm);
+            admission (and shedding) stays live while work drains; each
+            reply goes out as its request is booked *)
+         run_round adm ~group:st.cfg.admission.Admission.group (dispatch_outcome st);
          List.iter
            (fun c ->
              if (not c.dead) && (List.mem c.fd writable || out_pending c > 0) then flush_conn c)

@@ -16,7 +16,9 @@
       clients' latency;
     - execution happens between select rounds, [group] requests at a
       time, so the loop gets back to accepting (and shedding) after
-      every [group] requests.
+      every [group] requests.  Each request's reply is queued, and a
+      non-blocking write of it tried, as soon as the request is booked,
+      before the next request of the round runs.
 
     Termination: a [Shutdown] frame or SIGTERM stops admission, drains
     the queue, flushes replies and exits; [max_requests = Some n] exits
@@ -32,6 +34,12 @@ type config = {
       (** Exit after this many completed requests; [Some 0] = recover
           the spool and exit.  [None] = serve forever. *)
 }
+
+val run_round : Admission.t -> group:int -> (Admission.outcome -> unit) -> unit
+(** One execution round: up to [group] queued requests, oldest first,
+    one {!Admission.run_pending} call each.  [reply] gets each outcome
+    as soon as it is booked, while the requests after it are still
+    queued, so a reply never waits on the requests behind it. *)
 
 val serve : config -> Arch.t -> params:Program.params -> Mapper.placement -> unit
 (** Run the daemon until a termination condition.  Binds

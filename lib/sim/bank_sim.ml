@@ -78,7 +78,7 @@ let run ~clock_ghz ~chars ~stalls =
   {
     cycles = !cycles;
     chars_delivered = Array.fold_left ( + ) 0 delivered;
-    throughput_gchs = float_of_int chars *. clock_ghz /. float_of_int (max 1 !cycles);
+    throughput_gchs = float_of_int chars *. clock_ghz /. float_of_int (Int.max 1 !cycles);
     stall_cycles_hidden = !hidden;
     arbiter_active;
     min_fifo_occupancy = min_occ;

@@ -39,7 +39,7 @@ let run ?(jobs = 1) (arch : Arch.t) ~params (p : Mapper.placement) ~sources =
   let sum f = Array.fold_left (fun acc r -> acc + f r.bs_report) 0 streams in
   let agg_chars = sum (fun r -> r.Runner.chars) in
   let agg_cycles =
-    max 1 (Array.fold_left (fun acc r -> max acc r.bs_report.Runner.cycles) 0 streams)
+    Int.max 1 (Array.fold_left (fun acc r -> Int.max acc r.bs_report.Runner.cycles) 0 streams)
   in
   {
     streams;

@@ -180,7 +180,7 @@ module Spool = struct
                if Filename.check_suffix f ".req" then
                  Scanf.sscanf_opt f "req-%d.req" (fun id -> id)
                else None)
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       List.fold_left
         (fun (ok, errs) id ->

@@ -115,10 +115,16 @@ let add_slow cat ci mode mi pj =
 (* Every category and mode receives its terms in the order the model
    states them (BV phases, then tile by tile: matching, transition,
    controller, leakage; then the array-level terms), so the sums are the
-   same floats whichever caller charges. *)
+   same floats whichever caller charges.  [charge] runs once per array
+   per symbol, so it zeroes its scratch arrays with loops: [Array.fill]
+   is a C call, which costs more than the few words it writes. *)
 let charge tb (ev : Exec.array_events) ~cat_pj:cat ~mode_pj:mode =
-  Array.fill cat 0 (Array.length cat) 0.;
-  Array.fill mode 0 (Array.length mode) 0.;
+  for i = 0 to Array.length cat - 1 do
+    Array.unsafe_set cat i 0.
+  done;
+  for i = 0 to Array.length mode - 1 do
+    Array.unsafe_set mode i 0.
+  done;
   let k = tb.k in
   (* BV-processing phases, attributed to the triggering engine's mode *)
   for i = 0 to ev.Exec.n_phases - 1 do

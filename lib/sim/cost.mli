@@ -35,10 +35,10 @@ val charge :
 (** Zero the caller's scratch arrays, charge one symbol into them
     ([cat_pj] indexed by {!cat_index}, [mode_pj] by {!mode_index}, with
     the coverage {!symbol_cost} describes) and return its cycles
-    ([1 + stall]).  Allocates nothing.  Every sum receives its terms in
-    the model's fixed order, so identical events yield bit-identical
-    floats, which is what makes sequential and parallel schedules
-    comparable. *)
+    ([1 + stall]).  Allocates nothing and calls no C primitive.  Every
+    sum receives its terms in the model's fixed order, so identical
+    events yield bit-identical floats, which is what makes sequential and
+    parallel schedules comparable. *)
 
 type symbol_cost = {
   cycles : int;  (** 1 + stall. *)

@@ -145,7 +145,9 @@ let nbva_plan (nu : Program.nbva_unit) =
        RAP; covers BVAP, whose BVM columns are not CAM columns) *)
     bv_cols = Array.map (fun t -> allocs t (fun acc a -> acc + a.Program.width)) tiles;
     max_bv =
-      Array.fold_left (fun m t -> max m (allocs t (fun acc a -> max acc a.Program.size))) 0 tiles;
+      Array.fold_left
+        (fun m t -> Int.max m (allocs t (fun acc a -> Int.max acc a.Program.size)))
+        0 tiles;
     depth = nu.Program.depth;
   }
 
@@ -241,7 +243,7 @@ let make_bin_engine (bin : Binning.bin) sa =
      maskInitial anyway) and must not be billed as ring-switch energy when
      the member boundary coincides with a region boundary. *)
   let ring_mask = Bitvec.create width in
-  let pattern_last = Array.make (max 1 width) false in
+  let pattern_last = Array.make (Int.max 1 width) false in
   Array.iteri (fun j off -> if j > 0 then pattern_last.(off - 1) <- true) offsets;
   if width > 0 then pattern_last.(width - 1) <- true;
   for bit = 0 to width - 2 do
@@ -273,7 +275,9 @@ let bin_project (e : bin_engine) s =
        initial columns *)
     let enabled = per_state * s.active.(t) in
     let enabled = if t = 0 then enabled + (per_state * e.initial_cols_t0) else enabled in
-    s.enabled.(t) <- min enabled e.b_static_cols.(t);
+    let cap = e.b_static_cols.(t) in
+    (* an int [min] written out, as in [Bitvec.words_for] *)
+    s.enabled.(t) <- (if enabled < cap then enabled else cap);
     (* power gating: a tile without initial states sleeps when idle *)
     s.powered.(t) <- t = 0 || s.active.(t) > 0
   done;

@@ -66,8 +66,12 @@ type t = {
 
 (* An array has at most [Circuit.tiles_per_array] tiles; any past the
    word's bits share its top bit, which only makes assembly redo them
-   together. *)
-let tile_bit ti = 1 lsl min ti (Bitvec.bits_per_word - 1)
+   together.  The bound is an int comparison written out: assembly asks
+   for every tile's bit on every symbol, and [Stdlib.min] would call the
+   C runtime's generic comparison each time. *)
+let tile_bit ti =
+  let top = Bitvec.bits_per_word - 1 in
+  1 lsl (if ti < top then ti else top)
 let all_tiles = -1
 
 let wake_table engines =
@@ -238,7 +242,7 @@ let phase_of (arch : Arch.t) e lt =
     match arch.Arch.kind with
     | Arch.Rap -> Engine.bv_depth e
     | Arch.Bvap ->
-        max 1 ((Engine.max_bv_size e + arch.Arch.bv_word_bits - 1) / arch.Arch.bv_word_bits)
+        Int.max 1 ((Engine.max_bv_size e + arch.Arch.bv_word_bits - 1) / arch.Arch.bv_word_bits)
     | Arch.Cama | Arch.Ca -> 0
   in
   {

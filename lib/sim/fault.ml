@@ -154,7 +154,7 @@ let campaign ~arch ~params ~config regexes ~input =
         (Array.map (fun (c : Program.compiled) -> c.Program.source) degraded_p.Mapper.units)
     in
     let chars = String.length input in
-    let reference = Array.make (max 1 chars) false in
+    let reference = Array.make (Int.max 1 chars) false in
     List.iter
       (fun (source, ast) ->
         if List.mem source placed_sources && not (List.mem source dropped_sources) then
@@ -165,7 +165,7 @@ let campaign ~arch ~params ~config regexes ~input =
     in
     let run_trial i =
       let rng = make_rng (trial_seed config.seed i) in
-      let hits = Array.make (max 1 chars) false in
+      let hits = Array.make (Int.max 1 chars) false in
       let flips = ref 0 in
       (* one sink instance per array, all sharing the campaign rng and
          hit map: the run must stay sequential (jobs = 1, the default)
@@ -202,7 +202,7 @@ let campaign ~arch ~params ~config regexes ~input =
         t_throughput_gchs = r.Runner.throughput_gchs;
       }
     in
-    let trials = List.init (max 0 config.trials) run_trial in
+    let trials = List.init (Int.max 0 config.trials) run_trial in
     Ok
       {
         o_baseline = baseline;
@@ -332,7 +332,7 @@ let chaos_mttr_s o =
   match List.filter (fun t -> t.c_heals > 0) o.co_trials with
   | [] -> 0.
   | ts ->
-      List.fold_left (fun acc t -> acc +. max 0. (t.c_wall_s -. o.co_baseline_wall_s)) 0. ts
+      List.fold_left (fun acc t -> acc +. Float.max 0. (t.c_wall_s -. o.co_baseline_wall_s)) 0. ts
       /. float_of_int (List.length ts)
 
 let chaos ~arch ~params ~config regexes ~input =
@@ -352,7 +352,7 @@ let chaos ~arch ~params ~config regexes ~input =
     let camp_cfg = Integrity.continuous_config () in
     let camp_seals = Array.map (fun ex -> Integrity.seal (Exec.engines ex)) probe in
     let run_once ?integrity ?sinks () =
-      let stream = Input_stream.of_string ~chunk:(max 1 config.c_chunk) input in
+      let stream = Input_stream.of_string ~chunk:(Int.max 1 config.c_chunk) input in
       Runner.run_stream ?sinks ?integrity arch ~params placement ~stream
     in
     let t0 = Unix.gettimeofday () in
@@ -370,7 +370,7 @@ let chaos ~arch ~params ~config regexes ~input =
       ignore (rand_float rng);
       let target = if rand_float rng < config.c_table_share then C_table else C_state in
       let inject_sym = rand_int rng chars in
-      let victim = rand_int rng (max 1 num_arrays) in
+      let victim = rand_int rng (Int.max 1 num_arrays) in
       let fired = ref (-1) in
       let sink =
         {
@@ -450,7 +450,7 @@ let chaos ~arch ~params ~config regexes ~input =
         c_wall_s = wall;
       }
     in
-    let trials = List.init (max 0 config.c_trials) run_trial in
+    let trials = List.init (Int.max 0 config.c_trials) run_trial in
     Ok
       {
         co_baseline = baseline;
@@ -495,7 +495,9 @@ let pp_trial fmt t =
 let pp_outcome fmt o =
   Format.fprintf fmt "@[<v>";
   Format.fprintf fmt "%a@," Defect.pp o.o_defects;
-  if o.o_defect_stats <> Mapper.no_defect_stats then
+  (* every field named, so a new one cannot be left out of the test *)
+  let { Mapper.dead_tiles_skipped; cols_lost; cols_repaired } = o.o_defect_stats in
+  if dead_tiles_skipped <> 0 || cols_lost <> 0 || cols_repaired <> 0 then
     Format.fprintf fmt "capacity: %a@," Mapper.pp_defect_stats o.o_defect_stats;
   List.iter
     (fun e -> Format.fprintf fmt "compile error: %a@," Compile_error.pp e)

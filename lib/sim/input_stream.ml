@@ -56,7 +56,7 @@ let next t =
         let remaining = String.length s - t.position in
         if remaining <= 0 then None
         else begin
-          let n = min t.chunk remaining in
+          let n = Int.min t.chunk remaining in
           let c =
             if t.position = 0 && n = String.length s then s else String.sub s t.position n
           in
@@ -113,7 +113,7 @@ let read_all ?(max_bytes = default_read_all_limit) t =
   (match t.len with
   | Some l when l - t.position > max_bytes -> too_large (l - t.position) max_bytes
   | _ -> ());
-  let b = Buffer.create (match t.len with Some l -> max 16 (l - t.position) | None -> 4096) in
+  let b = Buffer.create (match t.len with Some l -> Int.max 16 (l - t.position) | None -> 4096) in
   let rec drain () =
     match next t with
     | Some c ->

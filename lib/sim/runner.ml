@@ -223,7 +223,7 @@ let assemble_report (arch : Arch.t) (p : Mapper.placement) ~chars ~cycles_slots 
     (fun slot -> Array.iteri (fun m pj -> mode_pj.(m) <- mode_pj.(m) +. pj) slot)
     mode_slots;
   let total_reports = Array.fold_left ( + ) 0 reports_slots in
-  let max_cycles = Array.fold_left (fun acc d -> max acc d.a_cycles) 0 details in
+  let max_cycles = Array.fold_left (fun acc d -> Int.max acc d.a_cycles) 0 details in
   let mstats = Mapper.stats p in
   let tile_area = arch.Arch.tile_area_um2 +. arch.Arch.bvm_area_um2 in
   let area_um2 =
@@ -270,7 +270,7 @@ let assemble_report (arch : Arch.t) (p : Mapper.placement) ~chars ~cycles_slots 
       p.Mapper.units;
     [ (Engine.M_nfa, acc.(0)); (Engine.M_nbva, acc.(1)); (Engine.M_lnfa, acc.(2)) ]
   in
-  let cycles = max 1 max_cycles in
+  let cycles = Int.max 1 max_cycles in
   let throughput = float_of_int chars *. arch.Arch.clock_ghz /. float_of_int cycles in
   let energy_pj = Energy.total_pj ledger in
   let time_ns = float_of_int cycles /. arch.Arch.clock_ghz in
@@ -496,11 +496,11 @@ let step_chunk st ~deadline ~base chunk i =
   (match st.r_integrity with
   | Some cfg when cfg.Integrity.sentinel_every > 0 ->
       let rec spans lo =
-        let w = max lo (st.r_sentinel_due.(i) - base) in
+        let w = Int.max lo (st.r_sentinel_due.(i) - base) in
         if w >= len then step_span st tally ~deadline ~base chunk i ~lo ~hi:len
         else begin
           step_span st tally ~deadline ~base chunk i ~lo ~hi:w;
-          let hi = min len (w + max 1 cfg.Integrity.sentinel_window) in
+          let hi = Int.min len (w + Int.max 1 cfg.Integrity.sentinel_window) in
           step_window st cfg tally ~deadline ~base chunk i ~lo:w ~hi;
           st.r_sentinel_due.(i) <- base + w + cfg.Integrity.sentinel_every;
           spans hi
@@ -628,7 +628,7 @@ let verified_for_checkpoint st ~dir symbols =
         Array.iteri
           (fun i ex ->
             if st.r_quarantined.(i) = None then
-              Integrity.check cfg ~array_id:i ~sym:(max 0 (symbols - 1)) st.r_seals.(i)
+              Integrity.check cfg ~array_id:i ~sym:(Int.max 0 (symbols - 1)) st.r_seals.(i)
                 (Exec.engines ex))
           st.r_execs;
         fingerprint st.r_placement = st.r_fingerprint
@@ -699,7 +699,7 @@ let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?resume:
 (* One chunk spanning the whole string keeps the historical array-major
    symbol order at [jobs = 1], which shared-RNG fault sinks depend on. *)
 let run ?jobs ?sinks ?integrity (arch : Arch.t) ~params (p : Mapper.placement) ~input =
-  let stream = Input_stream.of_string ~chunk:(max 1 (String.length input)) input in
+  let stream = Input_stream.of_string ~chunk:(Int.max 1 (String.length input)) input in
   run_stream ?jobs ?sinks ?integrity arch ~params p ~stream
 
 (* Single pass: the stall tracer rides the same event stream as the

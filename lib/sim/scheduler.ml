@@ -12,9 +12,9 @@
    every chunk, also from worker domains (a [Lazy.t] must not be forced
    from two domains at once). *)
 let domains =
-  let base = max 1 (min 8 (Domain.recommended_domain_count ())) in
+  let base = Int.max 1 (Int.min 8 (Domain.recommended_domain_count ())) in
   match Sys.getenv_opt "RAP_SCHED_DOMAINS" with
-  | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> min 8 v | _ -> base)
+  | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> Int.min 8 v | _ -> base)
   | None -> base
 
 let available_parallelism () = domains
@@ -136,7 +136,7 @@ let ensure_workers needed =
 let seq_work_threshold = 2048
 
 let parallel_for ?work_per_index ~jobs n f =
-  let jobs = min (min jobs n) (available_parallelism ()) in
+  let jobs = Int.min (Int.min jobs n) (available_parallelism ()) in
   let tiny =
     match work_per_index with Some w -> w * n < seq_work_threshold | None -> false
   in

@@ -24,7 +24,7 @@ let stall_trace ~num_arrays =
         (fun ~array_id ~chars ->
           (* [chars] is a hint: 0 for unknown-length streams, so guard the
              write instead of trusting the size *)
-          let trace = Array.make (max 0 chars) 0 in
+          let trace = Array.make (Int.max 0 chars) 0 in
           traces.(array_id) <- trace;
           events_only (fun ev ->
               if ev.Exec.sym < Array.length trace then trace.(ev.Exec.sym) <- ev.Exec.stall));
@@ -57,7 +57,7 @@ module Latency = struct
 
   let bucket_of x =
     if x <= floor_s then 0
-    else min (buckets - 1) (1 + int_of_float (Float.log (x /. floor_s) /. log_ratio))
+    else Int.min (buckets - 1) (1 + int_of_float (Float.log (x /. floor_s) /. log_ratio))
 
   (* upper edge of bucket k: every sample in k is <= this, so quantiles
      read from edges are conservative (never under-reported) *)
@@ -80,7 +80,7 @@ module Latency = struct
     if h.total = 0 then 0.
     else begin
       let rank =
-        max 1 (int_of_float (Float.round (q *. float_of_int h.total)))
+        Int.max 1 (int_of_float (Float.round (q *. float_of_int h.total)))
       in
       let rec find k seen =
         if k >= buckets then h.max_s

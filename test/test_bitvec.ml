@@ -118,6 +118,28 @@ let test_popcount_width_boundaries () =
         (Bitvec.popcount s))
     [ 1; 61; 62; 63; 123; 124; 125 ]
 
+(* [words_for] is the bound of every word loop: one word up to 62 bits
+   (and for width 0), two up to 124, three past that.  [clear] zeroes
+   exactly those words of an arena slice and leaves its neighbours. *)
+let test_words_for_boundaries () =
+  List.iter
+    (fun (width, words) ->
+      check int (Printf.sprintf "words_for %d" width) words (Bitvec.words_for width);
+      let a = Arena.create ~capacity:(words + 2) in
+      let before = Bitvec.alloc_in a 62 in
+      let v = Bitvec.alloc_in a width in
+      let after = Bitvec.alloc_in a 62 in
+      Bitvec.fill_ones before;
+      Bitvec.fill_ones v;
+      Bitvec.fill_ones after;
+      Bitvec.clear v;
+      check bool (Printf.sprintf "cleared at width %d" width) true (Bitvec.is_zero v);
+      check int (Printf.sprintf "cleared words at width %d" width) 0
+        (Array.fold_left ( lor ) 0 (Array.sub (Arena.words a) 1 words));
+      check int (Printf.sprintf "neighbours kept at width %d" width) 124
+        (Bitvec.popcount before + Bitvec.popcount after))
+    [ (0, 1); (1, 1); (62, 1); (63, 2); (124, 2); (125, 3) ]
+
 let test_popcount_matches_naive () =
   (* alternating and byte-patterned fills, counted against to_bool_array *)
   List.iter
@@ -373,6 +395,7 @@ let suite =
     test_case "fill and iterate" `Quick test_fill_and_iter;
     test_case "bool array roundtrip" `Quick test_bool_array_roundtrip;
     test_case "popcount width boundaries (61/62/63)" `Quick test_popcount_width_boundaries;
+    test_case "words_for and clear at word boundaries" `Quick test_words_for_boundaries;
     test_case "popcount matches naive count" `Quick test_popcount_matches_naive;
     test_case "popcount_and" `Quick test_popcount_and;
     test_case "iter_set at word edges" `Quick test_iter_set_word_edges;

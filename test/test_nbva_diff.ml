@@ -40,10 +40,28 @@ let lockstep t input =
     input;
   true
 
+(* A literal alternation of exactly [n] states (five-letter words, the
+   last one cut short) and an input spelling every word, so the states
+   of the top activation word fire.  With [bv] the last two states are
+   the BV states of [q{3,9}], so the top word holds BV bits. *)
+let word_boundary_case ?(bv = false) n =
+  let rec words i left =
+    if left <= 0 then []
+    else
+      let len = Int.min 5 left in
+      String.sub (Printf.sprintf "v%02drd" i) 0 len :: words (i + 1) (left - len)
+  in
+  let ws = words 0 (if bv then n - 2 else n) in
+  let src = String.concat "|" (if bv then ws @ [ "q{3,9}" ] else ws) in
+  check int (Printf.sprintf "%s has %d states" src n) n
+    (Nbva.num_states (Nbva.compile ~threshold:2 (parse src)));
+  let spelled = String.concat " " ws in
+  (src, spelled ^ " qqqq qqqqqqqqq " ^ String.concat "" (List.rev ws) ^ " " ^ spelled)
+
 let test_directed_cases () =
   List.iter
     (fun (src, input) -> check bool (src ^ " on " ^ input) true (lockstep (Nbva.compile ~threshold:2 (parse src)) input))
-    [
+    ([
       ("a.*bc{5}", "axxbccccc ccaxxbcccccc");
       ("b(a{7}|c{5})b", "cccccccbaaaaaaab bcccccb bccccccb");
       ("bc{0,3}d", "bd bcd bccd bcccd bccccd");
@@ -55,6 +73,11 @@ let test_directed_cases () =
       ( String.concat "|" (List.init 24 (fun i -> Printf.sprintf "w%02drd" i)),
         "w03rd xx w17rd w23rd w00rd" );
     ]
+    (* one, two and three activation words, the top one full or holding
+       one bit: the initial-row copy, the top-word mask and every word
+       loop's bound ([Bitvec.words_for]) at each edge *)
+    @ List.map (fun n -> word_boundary_case n) [ 61; 62; 63; 124; 125 ]
+    @ List.map (fun n -> word_boundary_case ~bv:true n) [ 62; 63; 124; 125 ])
 
 (* Random ASTs x random inputs, at two thresholds so both BV-heavy and
    fully unfolded automata are exercised. *)

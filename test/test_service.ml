@@ -393,6 +393,39 @@ let test_round_oldest_first_own_stamps () =
   in
   each_waits_for_the_previous outcomes
 
+(* The daemon's execution round hands each outcome to its reply action
+   as soon as the request is booked: when request k's reply is queued,
+   the requests submitted after it are still counted as pending, so no
+   reply waits for the rest of its round.  The round stops at [group]
+   requests and the next one picks up the rest.  Counts only, no
+   clock. *)
+let test_round_replies_per_request () =
+  let p = placement () in
+  let adm = Admission.create (config ()) rap ~params p in
+  let ids =
+    List.init 3 (fun i ->
+        match
+          Admission.submit adm ~name:(Printf.sprintf "q%d" i) ~class_:Wire.Interactive
+            ~input:"abbbc evilxsig xyzzzw"
+        with
+        | Ok id -> id
+        | Error r -> fail (Admission.reject_message r))
+  in
+  let replies = ref [] in
+  let reply (o : Admission.outcome) =
+    check bool "request ran clean" true (o.Admission.o_error = None);
+    replies := (o.Admission.o_id, Admission.pending adm) :: !replies
+  in
+  Daemon.run_round adm ~group:2 reply;
+  let id k = List.nth ids k in
+  check (list (pair int int)) "each reply queued while the later requests wait"
+    [ (id 0, 2); (id 1, 1) ]
+    (List.rev !replies);
+  check int "the round stops at group" 1 (Admission.pending adm);
+  replies := [];
+  Daemon.run_round adm ~group:2 reply;
+  check (list (pair int int)) "the next round replies to the rest" [ (id 2, 0) ] (List.rev !replies)
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines *)
 
@@ -689,6 +722,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_shed_never_corrupts;
     test_case "a round runs oldest first, each request on its own stamps" `Quick
       test_round_oldest_first_own_stamps;
+    test_case "daemon: each reply queued as its request is booked" `Quick
+      test_round_replies_per_request;
     test_case "deadline: expired in queue" `Quick test_deadline_expired_in_queue;
     test_case "deadline: propagates into supervision" `Quick test_deadline_propagates_supervision;
     test_case "deadline: clean run bit-identical" `Quick test_deadline_clean_run_identical;
