@@ -10,7 +10,6 @@ let create ~capacity =
    wild blit still read as corrupt. *)
 let canary off = 0x2F0E1D3C4B5A6978 lxor (off * 0x9E3779B9)
 
-let capacity t = Array.length t.words
 let used t = t.used
 let words t = t.words
 
@@ -31,13 +30,7 @@ let guard t =
 
 let guards_ok t = List.for_all (fun off -> t.words.(off) = canary off) t.guards
 
-let failed_guard t = List.find_opt (fun off -> t.words.(off) <> canary off) t.guards
-
 let rearm_guards t = List.iter (fun off -> t.words.(off) <- canary off) t.guards
-
-let clear t =
-  Array.fill t.words 0 t.used 0;
-  rearm_guards t
 
 let snapshot t = Array.sub t.words 0 t.used
 
@@ -45,8 +38,3 @@ let restore t snap =
   if Array.length snap <> t.used then
     invalid_arg "Arena.restore: snapshot does not match this arena";
   Array.blit snap 0 t.words 0 t.used
-
-let copy_from ~src ~dst =
-  if src.used <> dst.used || Array.length src.words <> Array.length dst.words then
-    invalid_arg "Arena.copy_from: arenas have different layouts";
-  Array.blit src.words 0 dst.words 0 src.used

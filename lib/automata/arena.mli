@@ -17,24 +17,18 @@ type t
 
 val create : capacity:int -> t
 (** An all-zero pool of [capacity] words with nothing allocated.  The
-    capacity never grows; compute it up front (e.g. from
-    [Nbva.state_words]). *)
+    capacity never grows; compute it up front. *)
 
 val alloc : t -> int -> int
 (** [alloc t n] reserves the next [n] words and returns their offset.
     Fresh words are zero.  Raises [Invalid_argument] when the arena is
     full — allocation is monotonic; there is no free. *)
 
-val capacity : t -> int
 val used : t -> int
 
 val words : t -> int array
 (** The backing array itself, for flat kernels that index word ranges
     directly.  Callers must stay within ranges they allocated. *)
-
-val clear : t -> unit
-(** Zero every allocated word (offsets remain allocated); guard words
-    keep their canary values. *)
 
 (** {1 Guard words}
 
@@ -42,17 +36,14 @@ val clear : t -> unit
     Placed between (or after) the live vectors of an executor's arena,
     it catches out-of-range writes and random corruption: any write that
     lands on it is visible to {!guards_ok}.  Guards travel with
-    {!snapshot}/{!restore}/{!copy_from} like ordinary words, so clones
-    and rollbacks stay guarded for free. *)
+    {!snapshot}/{!restore} like ordinary words, so clones and rollbacks
+    stay guarded for free. *)
 
 val guard : t -> unit
 (** Allocate one word and arm it as a guard. *)
 
 val guards_ok : t -> bool
 (** [true] iff every guard word still holds its canary. *)
-
-val failed_guard : t -> int option
-(** Offset of the first corrupted guard word, for diagnostics. *)
 
 val rearm_guards : t -> unit
 (** Rewrite every guard word's canary.  A flat snapshot taken before a
@@ -65,8 +56,3 @@ val snapshot : t -> int array
 val restore : t -> int array -> unit
 (** Inverse of {!snapshot}.  Raises [Invalid_argument] when the length
     does not match the arena's used prefix. *)
-
-val copy_from : src:t -> dst:t -> unit
-(** Blit [src]'s used prefix into [dst]; both arenas must have identical
-    capacity and allocation high-water mark (i.e. be clones of one
-    layout). *)

@@ -17,22 +17,4 @@ let of_nfa nfa =
 
 let of_ast r = of_nfa (Glushkov.compile r)
 
-let to_nfa t =
-  let n = Array.length t.labels in
-  let edges = List.init (n - 1) (fun i -> (i, i + 1)) in
-  let final_states =
-    Array.to_list (Array.mapi (fun i f -> (i, f)) t.finals)
-    |> List.filter_map (fun (i, f) -> if f then Some i else None)
-  in
-  Nfa.make ~labels:t.labels ~edges ~initial:[ 0 ] ~finals:final_states ~accepts_empty:false
-
 let num_states t = Array.length t.labels
-
-let pp fmt t =
-  Format.fprintf fmt "@[<h>";
-  Array.iteri
-    (fun i cc ->
-      if i > 0 then Format.fprintf fmt " -> ";
-      Format.fprintf fmt "q%d:%a%s" i Charclass.pp cc (if t.finals.(i) then "(f)" else ""))
-    t.labels;
-  Format.fprintf fmt "@]"

@@ -22,6 +22,4 @@ val of_ast : Ast.t -> t option
 (** [of_nfa (Glushkov.compile r)] — the direct structural check, without
     the compiler's line rewriting. *)
 
-val to_nfa : t -> Nfa.t
 val num_states : t -> int
-val pp : Format.formatter -> t -> unit

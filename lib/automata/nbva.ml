@@ -246,17 +246,12 @@ let state_words t =
       match s with Bv { size; _ } -> acc + Bitvec.words_for size | Plain _ -> acc)
     (3 * Bitvec.words_for n) t.stes
 
-let start ?arena t =
+let start t =
   let n = num_states t in
-  (* a private arena gets a trailing guard word (an armed canary past the
-     state words) so runtime corruption sweeping past the live vectors is
-     detectable; shared arenas are sized by the caller from [state_words]
-     and stay guard-free so that contract holds *)
-  let arena, private_arena =
-    match arena with
-    | Some a -> (a, false)
-    | None -> (Arena.create ~capacity:(state_words t + 1), true)
-  in
+  (* the state words plus a trailing guard word: an armed canary past the
+     live vectors makes runtime corruption that sweeps past them
+     detectable *)
+  let arena = Arena.create ~capacity:(state_words t + 1) in
   let nw = Bitvec.words_for n in
   let nxt_off = Arena.alloc arena nw in
   let av_off = Arena.alloc arena nw in
@@ -267,7 +262,7 @@ let start ?arena t =
       t.stes
   in
   let live_hi = Arena.used arena in
-  if private_arena then Arena.guard arena;
+  Arena.guard arena;
   {
     st_arena = arena;
     st_words = Arena.words arena;
@@ -521,25 +516,3 @@ let match_ends t input =
   let acc = ref [] in
   String.iteri (fun p c -> if step_selected t st c then acc := p :: !acc) input;
   List.rev !acc
-
-let count_matches t input = List.length (match_ends t input)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>NBVA with %d states (%d BV-STEs, %d BV bits):@," (num_states t)
-    (num_bv_stes t) (total_bv_bits t);
-  Array.iteri
-    (fun q ste ->
-      let kind =
-        match ste with
-        | Plain cc -> Format.asprintf "%a" Charclass.pp cc
-        | Bv { cc; size; read } ->
-            Format.asprintf "%a{bv %d, %s}" Charclass.pp cc size
-              (match read with Read_exact m -> Printf.sprintf "r(%d)" m | Read_all -> "rAll")
-      in
-      Format.fprintf fmt "  q%d%s%s: %s -> [%s]@," q
-        (if t.initial.(q) then "(i)" else "")
-        (if t.finals.(q) then "(f)" else "")
-        kind
-        (String.concat "," (Array.to_list (Array.map string_of_int t.succs.(q)))))
-    t.stes;
-  Format.fprintf fmt "@]"

@@ -51,25 +51,16 @@ val compile : threshold:int -> Ast.t -> t
 val num_states : t -> int
 val num_bv_stes : t -> int
 val total_bv_bits : t -> int
-val cc_of : ste -> Charclass.t
 
 (** {1 Execution} — same match conventions as {!Nfa.run}. *)
 
 type run_state
 
-val state_words : t -> int
-(** Arena words of one stream's whole mutable state: the next/avail
-    scratch masks, the active mask, and every BV vector.  This is the
-    exact capacity {!start} allocates, so an engine packing several
-    executors into one shared {!Arena} can size it as the sum of their
-    [state_words]. *)
-
-val start : ?arena:Arena.t -> t -> run_state
-(** Fresh (empty-input) run state.  All mutable words are allocated from
-    [arena] when given ([state_words t] words are consumed), else from a
-    private arena of that capacity plus one trailing {!Arena.guard} word
-    — either way the state is a contiguous word range, so cloning or
-    checkpointing a stream is one blit of the arena.  The two scratch
+val start : t -> run_state
+(** Fresh (empty-input) run state.  All mutable words live in one
+    private arena — the next/avail scratch masks, the active mask and
+    every BV vector — plus one trailing {!Arena.guard} word, so cloning
+    or checkpointing a stream is one blit of the arena.  The two scratch
     masks come first; the live words (active mask, then every BV vector
     in state order) follow as one contiguous range, which {!idle} reads. *)
 
@@ -185,5 +176,3 @@ val reports : t -> run_state -> int
 
 val active_count : t -> run_state -> int
 val match_ends : t -> string -> int list
-val count_matches : t -> string -> int
-val pp : Format.formatter -> t -> unit

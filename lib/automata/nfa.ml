@@ -47,12 +47,9 @@ let line labels =
 
 type run = { match_ends : int list; active_per_step : int array }
 
-(* Active/next state sets live as packed bit vectors in one arena, so the
-   stepper's whole mutable surface is a contiguous word range: a session
-   snapshot is one blit, and a caller can pack many steppers into one
-   shared pool via [?arena]. *)
+(* Active/next state sets are packed bit vectors; [st_count] is the
+   number of active states after the last symbol. *)
 type stepper = {
-  st_arena : Arena.t;
   st_active : Bitvec.t;
   st_next : Bitvec.t;
   st_anchored : bool;
@@ -60,23 +57,15 @@ type stepper = {
   mutable st_count : int;
 }
 
-let stepper_words t = 2 * Bitvec.words_for (num_states t)
-
-let stepper ?(anchored_start = false) ?arena t =
+let stepper ?(anchored_start = false) t =
   let n = num_states t in
-  let arena =
-    match arena with Some a -> a | None -> Arena.create ~capacity:(stepper_words t)
-  in
   {
-    st_arena = arena;
-    st_active = Bitvec.alloc_in arena n;
-    st_next = Bitvec.alloc_in arena n;
+    st_active = Bitvec.create n;
+    st_next = Bitvec.create n;
     st_anchored = anchored_start;
     st_pos = 0;
     st_count = 0;
   }
-
-let stepper_arena s = s.st_arena
 
 let stepper_step t s c =
   let n = num_states t in
@@ -100,8 +89,6 @@ let stepper_step t s c =
   s.st_count <- !count;
   !hit
 
-let stepper_active_count s = s.st_count
-
 let run ?anchored_start t input =
   let s = stepper ?anchored_start t in
   let len = String.length input in
@@ -114,11 +101,6 @@ let run ?anchored_start t input =
   { match_ends = List.rev !matches; active_per_step = activity }
 
 let match_ends ?anchored_start t input = (run ?anchored_start t input).match_ends
-
-let count_matches ?anchored_start t input =
-  List.length (match_ends ?anchored_start t input)
-
-let matches ?anchored_start t input = match_ends ?anchored_start t input <> []
 
 let is_linear t =
   let n = num_states t in
@@ -144,15 +126,3 @@ let is_linear t =
       | Some len when len = n -> Some order
       | Some _ | None -> None)
   | _ -> None
-
-let pp fmt t =
-  let n = num_states t in
-  Format.fprintf fmt "@[<v>NFA with %d states:@," n;
-  for q = 0 to n - 1 do
-    Format.fprintf fmt "  q%d%s%s: %a -> [%s]@," q
-      (if t.initial.(q) then "(i)" else "")
-      (if t.finals.(q) then "(f)" else "")
-      Charclass.pp t.labels.(q)
-      (String.concat "," (Array.to_list (Array.map string_of_int t.succs.(q))))
-  done;
-  Format.fprintf fmt "@]"

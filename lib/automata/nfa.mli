@@ -53,28 +53,13 @@ type stepper
     Lets a caller feed the input symbol by symbol (streaming match
     sessions) with identical results to a whole-string {!run}. *)
 
-val stepper_words : t -> int
-(** Arena words of one stepper's mutable state (two packed state sets). *)
-
-val stepper : ?anchored_start:bool -> ?arena:Arena.t -> t -> stepper
-(** Fresh state positioned before the first symbol.  The active/next
-    state sets are packed bit vectors allocated from [arena] when given
-    ([stepper_words t] words), else from a private pool — either way a
-    contiguous word range, cloneable with one blit. *)
-
-val stepper_arena : stepper -> Arena.t
-(** The arena holding this stepper's packed state sets. *)
+val stepper : ?anchored_start:bool -> t -> stepper
+(** Fresh state positioned before the first symbol. *)
 
 val stepper_step : t -> stepper -> char -> bool
 (** Consume one symbol; [true] when a match ends on it. *)
 
-val stepper_active_count : stepper -> int
-(** Active states after the last {!stepper_step}. *)
-
 val match_ends : ?anchored_start:bool -> t -> string -> int list
-val count_matches : ?anchored_start:bool -> t -> string -> int
-val matches : ?anchored_start:bool -> t -> string -> bool
-(** [true] when at least one match is reported anywhere in the input. *)
 
 (** {1 Structure queries} *)
 
@@ -83,5 +68,3 @@ val is_linear : t -> int array option
     in a line [order.(0) -> order.(1) -> ...] such that every transition
     goes from a state to its successor in the order and only [order.(0)] is
     initial.  Disconnected or branching automata give [None]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -86,7 +86,6 @@ let step t states c =
 
 let wake_bytes t = t.wake
 
-let active_count _t states = Bitvec.popcount states
 let state_vector states = states
 
 let final_hits t states = Bitvec.popcount_and states t.final_mask
@@ -98,8 +97,6 @@ let run t input =
   let acc = ref [] in
   String.iteri (fun p c -> if step t states c then acc := p :: !acc) input;
   List.rev !acc
-
-let count_matches t input = List.length (run t input)
 
 let trace t input =
   let states = start t in

@@ -55,9 +55,6 @@ val wake_bytes : t -> Bytes.t
     leaves [initial AND labels[c]]).  Derived from the masks once, at
     construction.  Do not mutate. *)
 
-val active_count : t -> state -> int
-(** Number of active states, for activity/energy statistics. *)
-
 val state_vector : state -> Bitvec.t
 (** The packed state bits (do not mutate); bit layout follows the packing
     order of {!of_bin}. *)
@@ -70,8 +67,6 @@ val pattern_offsets : t -> int array
 
 val run : t -> string -> int list
 (** Match end positions, ascending (same convention as {!Nfa.run}). *)
-
-val count_matches : t -> string -> int
 
 val trace : t -> string -> (Bitvec.t * bool) list
 (** Per-symbol (state vector after update, match?) — reproduces the

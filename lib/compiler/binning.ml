@@ -79,8 +79,6 @@ let pack ~max_bin_size lines =
 
 let shift_and b = Shift_and.of_bin (List.map (fun (_, l) -> l.Program.labels) b.members)
 
-let total_tiles bins = List.fold_left (fun acc b -> acc + b.tiles) 0 bins
-
 let wasted_state_slots b =
   let used = List.fold_left (fun acc (_, l) -> acc + Array.length l.Program.labels) 0 b.members in
   (b.slots * b.max_len) - used

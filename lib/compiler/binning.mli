@@ -38,6 +38,5 @@ val shift_and : bin -> Shift_and.t
     order, the layout the simulator's tile maps assume.  The mapper
     compiles it once per bin ({!Mapper.placement}'s [bin_tables]). *)
 
-val total_tiles : bin list -> int
 val wasted_state_slots : bin -> int
 (** Area redundancy: slots reserved (slots * max_len) minus real states. *)

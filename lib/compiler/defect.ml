@@ -48,8 +48,6 @@ let create ?chip_arrays ?(spare_cols = default_spare_cols) ?(dead_tiles = [])
   }
 
 let is_trivial t = t.trivial
-let chip_arrays t = t.chip_arrays
-let spare_cols t = t.spare_cols
 
 let array_exists t i =
   match t.chip_arrays with None -> true | Some n -> i < n

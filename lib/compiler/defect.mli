@@ -37,8 +37,6 @@ val default_spare_cols : int
 val is_trivial : t -> bool
 (** No defects and no array bound: mapping behaves exactly as pristine. *)
 
-val chip_arrays : t -> int option
-val spare_cols : t -> int
 val array_exists : t -> int -> bool
 (** Whether physical array [i] exists on this chip. *)
 

@@ -2,6 +2,7 @@ let classify labels =
   let single_code = Array.for_all Encoding.fits_single_code labels in
   { Program.labels; single_code }
 
+(* A line must fit in the 16 tiles of one array even unbinned. *)
 let line_fits_array (line : Program.lnfa_line) =
   let cap = if line.Program.single_code then Circuit.tile_cam_cols else Circuit.tile_cam_cols / 2 in
   Array.length line.Program.labels <= cap * Circuit.tiles_per_array

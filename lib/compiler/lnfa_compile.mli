@@ -12,6 +12,3 @@
 val try_compile : params:Program.params -> Ast.t -> Program.lnfa_unit option
 (** [None] when the regex is not linearisable within the blow-up budget,
     or when some line is longer than an array can hold. *)
-
-val line_fits_array : Program.lnfa_line -> bool
-(** A line must fit in the 16 tiles of one array even unbinned. *)

@@ -51,8 +51,6 @@ type defect_stats = {
   cols_repaired : int;  (** Stuck CAM columns repaired from the spare pool. *)
 }
 
-val no_defect_stats : defect_stats
-
 val map_units :
   ?tile_cols:int -> params:Program.params -> Program.compiled array -> placement
 (** [tile_cols] (default 128) is the column capacity of a tile — the CA

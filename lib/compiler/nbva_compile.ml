@@ -30,6 +30,7 @@ let rec split_oversized ~depth r =
       Ast.concat_list (List.rev (chunks k []))
   | Ast.Repeat (a, m, n) -> Ast.repeat (split_oversized ~depth a) m n
 
+(* Steps 1-4 of the pipeline. *)
 let rewrite ~(params : Program.params) r =
   r
   |> Rewrite.unfold_for_nbva ~threshold:params.Program.unfold_threshold

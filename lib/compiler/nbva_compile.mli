@@ -22,9 +22,6 @@ val split_oversized : depth:int -> Ast.t -> Ast.t
 (** Rewrite [cc{m}] (and [cc{0,k}]) whose vector would not fit a tile into
     a concatenation of maximal fitting chunks. *)
 
-val rewrite : params:Program.params -> Ast.t -> Ast.t
-(** Steps 1-4 of the pipeline. *)
-
 val compile : params:Program.params -> Ast.t -> Program.nbva_unit
 (** The full pipeline.  Raises [Invalid_argument] if the regex cannot be
     mapped (e.g. a single state class needing more than 128 columns). *)

@@ -85,7 +85,3 @@ let cols_of_tile kind i =
             else walk rest (i - tiles)
       in
       walk u.lines i
-
-let pp_compiled fmt c =
-  Format.fprintf fmt "@[<v>%s: %s, %d states, %d tiles@]" c.source (mode_name c.kind)
-    (num_states c.kind) (num_tiles c.kind)

@@ -95,5 +95,3 @@ val num_tiles : unit_kind -> int
 val num_states : unit_kind -> int
 val cols_of_tile : unit_kind -> int -> int
 (** Columns used by unit-local tile [i]. *)
-
-val pp_compiled : Format.formatter -> compiled -> unit

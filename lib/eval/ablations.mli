@@ -12,7 +12,6 @@
 
 type config = Full | No_lnfa | No_nbva | No_binning | Shallow_bv | Deep_bv
 
-val config_name : config -> string
 val all_configs : config list
 
 type row = {

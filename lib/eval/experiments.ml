@@ -220,6 +220,8 @@ let print_dse results =
     results;
   Texttable.print t
 
+(* Per-suite parameters with the DSE-chosen depth and bin size (defaults
+   when the suite is absent). *)
 let params_for results suite =
   match List.find_opt (fun r -> r.dse_suite = suite) results with
   | Some r -> { base_params with Program.bv_depth = r.chosen_depth; bin_size = r.chosen_bin }

@@ -38,10 +38,6 @@ type dse_result = {
 val dse : env -> dse_result list
 val print_dse : dse_result list -> unit
 
-val params_for : dse_result list -> string -> Program.params
-(** Per-suite parameters with the DSE-chosen depth and bin size (defaults
-    when the suite is absent). *)
-
 (** {1 Tables 2 and 3 — mode vs NFA mode vs baseline ASICs} *)
 
 type arch_cells = { energy_uj : float; area_mm2 : float; throughput_gchs : float }

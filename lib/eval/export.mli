@@ -4,9 +4,6 @@
 
 val versus_to_csv : baseline_name:string -> Experiments.versus_row list -> string
 val overall_to_json : Experiments.overall_row list -> Json.t
-val fig1_to_csv : Experiments.fig1_row list -> string
-val dse_to_json : Experiments.dse_result list -> Json.t
-val write_file : path:string -> string -> unit
 
 val export_all : Experiments.env -> dir:string -> string list
 (** Runs the full evaluation and writes every result file under [dir]

@@ -1,31 +1,4 @@
-type fifo = { capacity : int; mutable occupancy : int }
-
-let fifo_create ~capacity =
-  if capacity <= 0 then invalid_arg "Buffers.fifo_create";
-  { capacity; occupancy = 0 }
-
-let fifo_capacity f = f.capacity
-let fifo_occupancy f = f.occupancy
-let fifo_is_empty f = f.occupancy = 0
-let fifo_is_full f = f.occupancy >= f.capacity
-
-let fifo_push f =
-  if fifo_is_full f then false
-  else begin
-    f.occupancy <- f.occupancy + 1;
-    true
-  end
-
-let fifo_pop f =
-  if fifo_is_empty f then false
-  else begin
-    f.occupancy <- f.occupancy - 1;
-    true
-  end
-
 let bank_input_entries = 128
 let array_input_entries = 8
-let bank_output_entries = 64
-let array_output_entries = 2
 let push_pj = 0.1
 let pop_pj = 0.1

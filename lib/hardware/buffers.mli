@@ -7,25 +7,10 @@
     draining its private FIFO while the bank buffer refills it, so short
     stalls cost no bank-level throughput until the FIFO runs dry. *)
 
-type fifo
-
-val fifo_create : capacity:int -> fifo
-val fifo_capacity : fifo -> int
-val fifo_occupancy : fifo -> int
-val fifo_is_empty : fifo -> bool
-val fifo_is_full : fifo -> bool
-val fifo_push : fifo -> bool
-(** [true] if accepted (not full). *)
-
-val fifo_pop : fifo -> bool
-(** [true] if an entry was consumed (not empty). *)
-
 (** {1 Architectural sizes} *)
 
 val bank_input_entries : int (* 128 *)
 val array_input_entries : int (* 8 *)
-val bank_output_entries : int (* 64 *)
-val array_output_entries : int (* 2 *)
 
 (** {1 Energy} *)
 

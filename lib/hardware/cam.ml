@@ -10,8 +10,3 @@ let search_pj ~enabled_cols =
    scaling like the search. *)
 let bv_word_read_pj ~bv_cols = search_pj ~enabled_cols:bv_cols
 let bv_word_write_pj ~bv_cols = search_pj ~enabled_cols:bv_cols
-
-let leakage_pj_per_cycle ~clock_ghz =
-  Circuit.leakage_pj_per_cycle Circuit.cam_32x128 ~clock_ghz
-
-let area_um2 = Circuit.cam_32x128.Circuit.area_um2

@@ -14,5 +14,3 @@ val bv_word_read_pj : bv_cols:int -> float
 (** Read one BV word spanning [bv_cols] columns. *)
 
 val bv_word_write_pj : bv_cols:int -> float
-val leakage_pj_per_cycle : clock_ghz:float -> float
-val area_um2 : float

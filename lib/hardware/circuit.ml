@@ -46,8 +46,6 @@ let tile_cam_rows = 32
 let tile_cam_cols = 128
 let tiles_per_array = 16
 let arrays_per_bank = 4
-let global_switch_dim = 256
-let lnfa_ring_bits = 64
 let max_bin_size = 32
 let max_bv_bits_per_tile = 4064
 

@@ -55,8 +55,6 @@ val tile_cam_rows : int (* 32 *)
 val tile_cam_cols : int (* 128: STEs per tile *)
 val tiles_per_array : int (* 16 *)
 val arrays_per_bank : int (* 4 *)
-val global_switch_dim : int (* 256 *)
-val lnfa_ring_bits : int (* 64 *)
 val max_bin_size : int (* 32 *)
 val max_bv_bits_per_tile : int (* 4064 *)
 val global_wire_mm_per_hop : float

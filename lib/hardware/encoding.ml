@@ -31,5 +31,4 @@ let mzp_code_count cc =
         Hashtbl.length seen
 
 let fits_single_code cc = mzp_code_count cc = 1
-let one_hot_bits = 256
 let cam_columns_for_class cc = Int.max 1 (mzp_code_count cc)

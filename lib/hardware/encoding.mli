@@ -25,9 +25,6 @@ val mzp_code_count : Charclass.t -> int
 val fits_single_code : Charclass.t -> bool
 (** [mzp_code_count cc = 1] — the LNFA CAM-path constraint. *)
 
-val one_hot_bits : int
-(** 256: width of a one-hot code (two 128-bit local-switch columns). *)
-
 val cam_columns_for_class : Charclass.t -> int
 (** CAM columns an STE with this class occupies in NFA/NBVA mode: one per
     32-bit code. *)

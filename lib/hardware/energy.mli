@@ -15,6 +15,10 @@ type category =
 val all_categories : category list
 val category_name : category -> string
 
+val index : category -> int
+(** Dense index over {!all_categories}, declaration order: category
+    [c]'s slot in the arrays {!accumulate} adds. *)
+
 type t
 
 val create : unit -> t
@@ -27,9 +31,9 @@ val add : t -> category -> float -> unit
 (** [add t cat pj] accumulates [pj] picojoules. *)
 
 val accumulate : t -> float array -> unit
-(** [accumulate t pjs] adds [pjs.(i)] to the [i]-th category of
-    {!all_categories}, skipping exact zeros: the same sums as one {!add}
-    per non-zero entry, without boxing a float per call. *)
+(** [accumulate t pjs] adds [pjs.(index c)] to each category [c],
+    skipping exact zeros: the same sums as one {!add} per non-zero
+    entry, without boxing a float per call. *)
 
 val get_pj : t -> category -> float
 val total_pj : t -> float

@@ -7,12 +7,3 @@ let global_traverse_pj ~active_rows =
 let wire_pj ~hops =
   float_of_int hops *. Circuit.global_wire_mm_per_hop
   *. Circuit.global_wire_mm.Circuit.energy_min_pj
-
-let local_leakage_pj_per_cycle ~clock_ghz =
-  Circuit.leakage_pj_per_cycle Circuit.sram_128x128 ~clock_ghz
-
-let global_leakage_pj_per_cycle ~clock_ghz =
-  Circuit.leakage_pj_per_cycle Circuit.sram_256x256 ~clock_ghz
-
-let local_area_um2 = Circuit.sram_128x128.Circuit.area_um2
-let global_area_um2 = Circuit.sram_256x256.Circuit.area_um2

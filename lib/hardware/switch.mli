@@ -15,8 +15,3 @@ val global_traverse_pj : active_rows:int -> float
 val wire_pj : hops:int -> float
 (** Global-wire energy for [hops] cross-tile signals
     ({!Circuit.global_wire_mm_per_hop} mm each). *)
-
-val local_leakage_pj_per_cycle : clock_ghz:float -> float
-val global_leakage_pj_per_cycle : clock_ghz:float -> float
-val local_area_um2 : float
-val global_area_um2 : float

@@ -11,9 +11,6 @@
 
     The symbol set uses the bracket syntax of {!Charclass.to_string}. *)
 
-val network_to_json : id:string -> Nfa.t -> Json.t
-val network_of_json : Json.t -> (Nfa.t, string) result
-
 val to_string : ?pretty:bool -> id:string -> Nfa.t -> string
 val of_string : string -> (Nfa.t, string) result
 

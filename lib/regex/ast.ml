@@ -63,12 +63,6 @@ let str s =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (concat (chr s.[i]) acc) in
   loop (String.length s - 1) Epsilon
 
-let rec size = function
-  | Epsilon | Class _ -> 1
-  | Concat (a, b) | Alt (a, b) -> 1 + size a + size b
-  | Star a -> 1 + size a
-  | Repeat (a, _, _) -> 1 + size a
-
 let rec literal_width = function
   | Epsilon -> 0
   | Class _ -> 1
@@ -85,33 +79,6 @@ let rec has_bounded_repetition = function
   | Repeat (a, 0, Some 1) -> has_bounded_repetition a (* plain optionality, not a counter *)
   | Repeat (_, _, Some _) -> true
   | Repeat (a, _, None) -> has_bounded_repetition a
-
-let rec max_finite_bound = function
-  | Epsilon | Class _ -> 0
-  | Concat (a, b) | Alt (a, b) -> max (max_finite_bound a) (max_finite_bound b)
-  | Star a -> max_finite_bound a
-  | Repeat (a, _, Some n) -> max n (max_finite_bound a)
-  | Repeat (a, _, None) -> max_finite_bound a
-
-let rec matches_empty = function
-  | Epsilon -> true
-  | Class _ -> false
-  | Concat (a, b) -> matches_empty a && matches_empty b
-  | Alt (a, b) -> matches_empty a || matches_empty b
-  | Star _ -> true
-  | Repeat (a, m, _) -> m = 0 || matches_empty a
-
-let rec first_classes = function
-  | Epsilon -> Charclass.empty
-  | Class cc -> cc
-  | Concat (a, b) ->
-      if matches_empty a then Charclass.union (first_classes a) (first_classes b)
-      else first_classes a
-  | Alt (a, b) -> Charclass.union (first_classes a) (first_classes b)
-  | Star a -> first_classes a
-  | Repeat (a, m, _) ->
-      if m = 0 then first_classes a (* optional: begins with [a] or skips entirely *)
-      else first_classes a
 
 let rec witness = function
   | Epsilon | Star _ -> ""

@@ -45,9 +45,6 @@ val repeat : t -> int -> int option -> t
 (** {1 Queries} *)
 
 val equal : t -> t -> bool
-val size : t -> int
-(** Number of AST nodes. *)
-
 val literal_width : t -> int
 (** Number of [Class] leaves counted with bounded repetitions unfolded —
     i.e. the number of Glushkov positions of the fully unfolded regex.
@@ -58,17 +55,6 @@ val has_bounded_repetition : t -> bool
 (** [true] when some [Repeat] node with a finite upper bound remains.
     Plain optionality [r?] (i.e. [Repeat (r, 0, Some 1)]) does not count:
     it needs no counter, so it is part of the "unfolded" normal form. *)
-
-val max_finite_bound : t -> int
-(** Largest finite upper bound among [Repeat] nodes; [0] when none. *)
-
-val matches_empty : t -> bool
-(** Nullability. *)
-
-val first_classes : t -> Charclass.t
-(** Union of the classes that can begin a match: the prefix complexity used
-    by the design-space exploration (a "complex prefix" gives a low BV
-    activation rate, §5.3). *)
 
 val witness : t -> string
 (** A shortest string the regex matches whole: a class's first byte,

@@ -89,7 +89,6 @@ let compare a b =
 
 let subset a b = equal (inter a b) a
 let disjoint a b = is_empty (inter a b)
-let hash cc = Hashtbl.hash (cc.w0, cc.w1, cc.w2, cc.w3)
 
 let iter f cc =
   for i = 0 to 3 do

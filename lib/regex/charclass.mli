@@ -30,8 +30,6 @@ val of_range : char -> char -> t
 val of_string : string -> t
 (** [of_string s] matches any character occurring in [s]. *)
 
-val of_list : char list -> t
-
 (** {1 Boolean algebra} *)
 
 val union : t -> t -> t
@@ -54,8 +52,6 @@ val subset : t -> t -> bool
 val disjoint : t -> t -> bool
 val choose : t -> char option
 (** Smallest member, if any. *)
-
-val hash : t -> int
 
 (** {1 Iteration} *)
 

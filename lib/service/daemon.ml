@@ -45,12 +45,7 @@ let close_conn conn =
   end
 
 let queue_reply cfg conn reply =
-  let payload = Wire.encode_reply reply in
-  let len = String.length payload in
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_le hdr 0 (Int32.of_int len);
-  Buffer.add_bytes conn.out hdr;
-  Buffer.add_string conn.out payload;
+  Wire.add_frame conn.out (Wire.encode_reply reply);
   (* backpressure: a client that queues more than the write budget is a
      slow reader; cut it loose rather than hold its replies in memory *)
   if Buffer.length conn.out - conn.out_off > cfg.write_budget then begin
@@ -253,80 +248,76 @@ let serve cfg arch ~params placement =
       && Admission.pending adm = 0
       && List.for_all (fun c -> c.dead || out_pending c = 0) st.conns
     in
-    (try
-       while not (finished ()) do
-         if !term then st.shutting_down <- true;
-         st.conns <- List.filter (fun c -> not c.dead) st.conns;
-         let rfds =
-           (if st.shutting_down then [] else [ listen_fd ])
-           @ List.filter_map (fun c -> if c.closing then None else Some c.fd) st.conns
-         in
-         let wfds = List.filter_map (fun c -> if out_pending c > 0 then Some c.fd else None) st.conns in
-         let timeout = if Admission.pending adm > 0 then 0. else 0.2 in
-         let readable, writable, _ =
-           try Unix.select rfds wfds [] timeout
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-         in
-         if List.mem listen_fd readable then begin
-           let rec accept_all () =
-             match Unix.accept listen_fd with
-             | fd, _ ->
-                 Unix.set_nonblock fd;
-                 st.conns <-
-                   {
-                     fd;
-                     (* frame limit: a single Chunk may legitimately carry a
-                        max_input-sized payload, plus codec overhead *)
-                     reader =
-                       Wire.create_reader
-                         ~max_frame:
-                           (st.cfg.admission.Admission.max_input + Wire.frame_slop)
-                         ();
-                     out = Buffer.create 4096;
-                     out_off = 0;
-                     open_req = None;
-                     closing = false;
-                     dead = false;
-                   }
-                   :: st.conns;
-                 accept_all ()
-             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-               -> ()
-             | exception Unix.Unix_error (e, _, _) ->
-                 (* a persistent accept failure (EMFILE, ...) leaves
-                    listen_fd readable, so select would return
-                    immediately every iteration: pause instead of
-                    busy-spinning the daemon at 100% CPU *)
-                 Log.warn (fun m -> m "accept: %s; backing off" (Unix.error_message e));
-                 Unix.sleepf 0.05
-           in
-           accept_all ()
-         end;
-         List.iter
-           (fun c -> if (not c.dead) && List.mem c.fd readable then read_conn st c scratch)
-           st.conns;
-         (* execute between select rounds, [group] requests at a time, so
-            admission (and shedding) stays live while work drains; each
-            reply goes out as its request is booked *)
-         run_round adm ~group:st.cfg.admission.Admission.group (dispatch_outcome st);
-         List.iter
-           (fun c ->
-             if (not c.dead) && (List.mem c.fd writable || out_pending c > 0) then flush_conn c)
-           st.conns;
-         List.iter
-           (fun c -> if (not c.dead) && c.closing && out_pending c = 0 then close_conn c)
-           st.conns
-       done
-     with e ->
-       List.iter close_conn st.conns;
-       (try Unix.close listen_fd with Unix.Unix_error (_, _, _) -> ());
-       (try Sys.remove cfg.socket_path with Sys_error _ -> ());
-       ignore (Sys.signal Sys.sigterm old_term);
-       raise e);
-    List.iter close_conn st.conns;
-    (try Unix.close listen_fd with Unix.Unix_error (_, _, _) -> ());
-    (try Sys.remove cfg.socket_path with Sys_error _ -> ());
-    ignore (Sys.signal Sys.sigterm old_term);
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter close_conn st.conns;
+        (try Unix.close listen_fd with Unix.Unix_error (_, _, _) -> ());
+        (try Sys.remove cfg.socket_path with Sys_error _ -> ());
+        ignore (Sys.signal Sys.sigterm old_term))
+      (fun () ->
+        while not (finished ()) do
+          if !term then st.shutting_down <- true;
+          st.conns <- List.filter (fun c -> not c.dead) st.conns;
+          let rfds =
+            (if st.shutting_down then [] else [ listen_fd ])
+            @ List.filter_map (fun c -> if c.closing then None else Some c.fd) st.conns
+          in
+          let wfds = List.filter_map (fun c -> if out_pending c > 0 then Some c.fd else None) st.conns in
+          let timeout = if Admission.pending adm > 0 then 0. else 0.2 in
+          let readable, writable, _ =
+            try Unix.select rfds wfds [] timeout
+            with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+          in
+          if List.mem listen_fd readable then begin
+            let rec accept_all () =
+              match Unix.accept listen_fd with
+              | fd, _ ->
+                  Unix.set_nonblock fd;
+                  st.conns <-
+                    {
+                      fd;
+                      (* frame limit: a single Chunk may legitimately carry a
+                         max_input-sized payload, plus codec overhead *)
+                      reader =
+                        Wire.create_reader
+                          ~max_frame:
+                            (st.cfg.admission.Admission.max_input + Wire.frame_slop)
+                          ();
+                      out = Buffer.create 4096;
+                      out_off = 0;
+                      open_req = None;
+                      closing = false;
+                      dead = false;
+                    }
+                    :: st.conns;
+                  accept_all ()
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+                -> ()
+              | exception Unix.Unix_error (e, _, _) ->
+                  (* a persistent accept failure (EMFILE, ...) leaves
+                     listen_fd readable, so select would return
+                     immediately every iteration: pause instead of
+                     busy-spinning the daemon at 100% CPU *)
+                  Log.warn (fun m -> m "accept: %s; backing off" (Unix.error_message e));
+                  Unix.sleepf 0.05
+            in
+            accept_all ()
+          end;
+          List.iter
+            (fun c -> if (not c.dead) && List.mem c.fd readable then read_conn st c scratch)
+            st.conns;
+          (* execute between select rounds, [group] requests at a time, so
+             admission (and shedding) stays live while work drains; each
+             reply goes out as its request is booked *)
+          run_round adm ~group:st.cfg.admission.Admission.group (dispatch_outcome st);
+          List.iter
+            (fun c ->
+              if (not c.dead) && (List.mem c.fd writable || out_pending c > 0) then flush_conn c)
+            st.conns;
+          List.iter
+            (fun c -> if (not c.dead) && c.closing && out_pending c = 0 then close_conn c)
+            st.conns
+        done);
     Log.info (fun m ->
         m "served %d request(s), shed %d" (Admission.completed_count adm)
           (Admission.shed_count adm))

@@ -13,14 +13,6 @@ type outcome =
       (** Typed rejection at admission: [Overloaded], [Quarantined],
           [Rejected] or [Shutting_down]. *)
 
-val connect : ?wait_s:float -> string -> Unix.file_descr
-(** Connect to the daemon's socket.  [wait_s] retries for that long
-    while the socket does not exist or refuses — covers the daemon
-    still starting up.  Raises [Sim_error.Error (Stream_failed _)] on
-    final failure. *)
-
-val close : Unix.file_descr -> unit
-
 val request :
   ?class_:Wire.class_ ->
   ?deadline_s:float ->
@@ -43,4 +35,8 @@ val shutdown : Unix.file_descr -> unit
 (** Ask the daemon to drain and exit (fire-and-forget past the ack). *)
 
 val with_connection : ?wait_s:float -> string -> (Unix.file_descr -> 'a) -> 'a
-(** [connect], run, [close] — also on exceptions. *)
+(** Connect to the daemon's socket, run, and close the connection — also
+    on exceptions.  [wait_s] retries the connect for that long while the
+    socket does not exist or refuses — covers the daemon still starting
+    up.  Raises [Sim_error.Error (Stream_failed _)] when it cannot
+    connect. *)

@@ -149,6 +149,21 @@ let decode_reply =
       | 0x89 -> Shutting_down
       | tag -> raise (Corrupt (Printf.sprintf "unknown reply tag %d" tag)))
 
+(* ---- framing ---- *)
+
+let add_frame b payload =
+  Buffer.add_int32_le b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload
+
+(* The declared payload length of the frame whose header starts at
+   [off], checked against the limit before anything is allocated for
+   the payload. *)
+let frame_length ~max_frame buf off =
+  let len = Int32.to_int (Bytes.get_int32_le buf off) in
+  if len < 0 || len > max_frame then
+    Error (Printf.sprintf "frame length %d exceeds limit %d" len max_frame)
+  else Ok len
+
 (* ---- blocking transport ---- *)
 
 let stream_fail detail = raise (Sim_error.Error (Sim_error.Stream_failed { detail }))
@@ -166,11 +181,9 @@ let rec write_all fd buf off len =
   end
 
 let write_frame fd payload =
-  let len = String.length payload in
-  let buf = Bytes.create (4 + len) in
-  Bytes.set_int32_le buf 0 (Int32.of_int len);
-  Bytes.blit_string payload 0 buf 4 len;
-  write_all fd buf 0 (4 + len)
+  let b = Buffer.create (4 + String.length payload) in
+  add_frame b payload;
+  write_all fd (Buffer.to_bytes b) 0 (Buffer.length b)
 
 (* [Some bytes] only when exactly [len] bytes arrive; [None] for EOF at
    offset 0 (the caller decides whether a boundary EOF is clean) *)
@@ -188,23 +201,22 @@ let read_exactly fd len =
   in
   go 0
 
-let read_frame ?(max_frame = default_max_frame) fd =
+let read_frame ~max_frame fd =
   match read_exactly fd 4 with
   | None -> None
-  | Some hdr ->
-      let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
-      if len < 0 || len > max_frame then
-        stream_fail (Printf.sprintf "frame length %d exceeds limit %d" len max_frame)
-      else if len = 0 then Some ""
-      else (
-        match read_exactly fd len with
-        | None -> stream_fail "unexpected EOF mid-frame"
-        | Some payload -> Some (Bytes.unsafe_to_string payload))
+  | Some hdr -> (
+      match frame_length ~max_frame hdr 0 with
+      | Error detail -> stream_fail detail
+      | Ok 0 -> Some ""
+      | Ok len -> (
+          match read_exactly fd len with
+          | None -> stream_fail "unexpected EOF mid-frame"
+          | Some payload -> Some (Bytes.unsafe_to_string payload)))
 
 let send_request fd r = write_frame fd (encode_request r)
 
-let recv_reply ?max_frame fd =
-  match read_frame ?max_frame fd with
+let recv_reply ?(max_frame = default_max_frame) fd =
+  match read_frame ~max_frame fd with
   | None -> None
   | Some payload -> (
       match decode_reply payload with
@@ -223,16 +235,22 @@ type reader = {
 let create_reader ?(max_frame = default_max_frame) () =
   { max_frame; buf = Bytes.create 4096; lo = 0; hi = 0 }
 
-let reader_buffered r = r.hi - r.lo
-
+(* Feeds rarely end on a frame boundary (a 64 KiB read against 64 KiB
+   Chunk frames almost never does), so the buffer is seldom empty when a
+   feed arrives, and growing it whenever its tail fills would keep every
+   byte a connection streams.  A feed that does not fit behind the
+   unconsumed bytes moves them to the front instead; the buffer grows
+   only when they and the feed do not fit at all. *)
 let reader_feed r src n =
   if n > 0 then begin
     if r.hi + n > Bytes.length r.buf then begin
       let live = r.hi - r.lo in
-      let cap = max (live + n) (2 * Bytes.length r.buf) in
-      let nb = Bytes.create cap in
-      Bytes.blit r.buf r.lo nb 0 live;
-      r.buf <- nb;
+      if live + n <= Bytes.length r.buf then Bytes.blit r.buf r.lo r.buf 0 live
+      else begin
+        let nb = Bytes.create (max (live + n) (2 * Bytes.length r.buf)) in
+        Bytes.blit r.buf r.lo nb 0 live;
+        r.buf <- nb
+      end;
       r.lo <- 0;
       r.hi <- live
     end;
@@ -243,16 +261,14 @@ let reader_feed r src n =
 let reader_next r =
   if r.hi - r.lo < 4 then Ok None
   else
-    let len = Int32.to_int (Bytes.get_int32_le r.buf r.lo) in
-    if len < 0 || len > r.max_frame then
-      Error (Printf.sprintf "frame length %d exceeds limit %d" len r.max_frame)
-    else if r.hi - r.lo < 4 + len then Ok None
-    else begin
-      let payload = Bytes.sub_string r.buf (r.lo + 4) len in
-      r.lo <- r.lo + 4 + len;
-      if r.lo = r.hi then begin
-        r.lo <- 0;
-        r.hi <- 0
-      end;
-      Ok (Some payload)
-    end
+    match frame_length ~max_frame:r.max_frame r.buf r.lo with
+    | Error detail -> Error detail
+    | Ok len when r.hi - r.lo < 4 + len -> Ok None
+    | Ok len ->
+        let payload = Bytes.sub_string r.buf (r.lo + 4) len in
+        r.lo <- r.lo + 4 + len;
+        if r.lo = r.hi then begin
+          r.lo <- 0;
+          r.hi <- 0
+        end;
+        Ok (Some payload)

@@ -74,9 +74,6 @@ val frame_slop : int
     limit must admit it so an over-limit input sheds with the typed
     [Too_large] reply, never a framing error. *)
 
-val default_max_frame : int
-(** 64 MiB (the default admission [max_input]) + {!frame_slop}. *)
-
 (** {1 Pure codecs} *)
 
 val encode_request : request -> string
@@ -84,20 +81,21 @@ val decode_request : string -> (request, string) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, string) result
 
+val add_frame : Buffer.t -> string -> unit
+(** Append one frame — the payload's 4-byte little-endian length, then
+    the payload — to the buffer.  Every frame either side writes is
+    built here. *)
+
 (** {1 Blocking transport (client side)} *)
 
-val write_frame : Unix.file_descr -> string -> unit
+val send_request : Unix.file_descr -> request -> unit
 (** Raises [Sim_error.Error (Stream_failed _)] on write errors. *)
 
-val read_frame : ?max_frame:int -> Unix.file_descr -> string option
-(** One whole frame payload; [None] on clean EOF at a frame boundary.
-    Raises [Sim_error.Error (Stream_failed _)] on mid-frame EOF, an
-    oversized declared length, or read errors. *)
-
-val send_request : Unix.file_descr -> request -> unit
-
 val recv_reply : ?max_frame:int -> Unix.file_descr -> reply option
-(** Raises [Sim_error.Error (Stream_failed _)] when the peer sends an
+(** The next reply; [None] on clean EOF at a frame boundary.  [max_frame]
+    defaults to 64 MiB (the default admission [max_input]) plus
+    {!frame_slop}.  Raises [Sim_error.Error (Stream_failed _)] on
+    mid-frame EOF, an oversized declared length, read errors, or an
     undecodable reply. *)
 
 (** {1 Incremental reader (server side)}
@@ -109,17 +107,18 @@ val recv_reply : ?max_frame:int -> Unix.file_descr -> reply option
 type reader
 
 val create_reader : ?max_frame:int -> unit -> reader
+(** [max_frame] defaults as in {!recv_reply}. *)
 
 val reader_feed : reader -> bytes -> int -> unit
-(** Append the first [n] bytes of the buffer. *)
+(** Append the first [n] bytes of the buffer.  The reader's buffer holds
+    only bytes not yet handed back: when the new bytes do not fit behind
+    them, the unconsumed bytes move to the front, and the buffer grows
+    only when they and the new bytes do not fit in it at all.  Its size
+    therefore follows the largest frame and feed, not the number of
+    bytes a connection has streamed. *)
 
 val reader_next : reader -> (string option, string) result
 (** [Ok (Some payload)] for each complete frame, [Ok None] when more
     bytes are needed, [Error detail] on an oversized declared length
     (the connection should be dropped — resynchronisation is
     impossible). *)
-
-val reader_buffered : reader -> int
-(** Bytes currently buffered — the admission layer's input-bound check
-    consults this so an over-limit stream is cut off while arriving,
-    not after being fully buffered. *)

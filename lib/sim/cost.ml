@@ -5,15 +5,6 @@ let mode_index = function Engine.M_nfa -> 0 | Engine.M_nbva -> 1 | Engine.M_lnfa
 
 let num_categories = List.length Energy.all_categories
 
-let cat_index = function
-  | Energy.State_matching -> 0
-  | Energy.State_transition -> 1
-  | Energy.Bv_processing -> 2
-  | Energy.Global_routing -> 3
-  | Energy.Controller -> 4
-  | Energy.Leakage -> 5
-  | Energy.Io -> 6
-
 (* State-matching energy of one powered tile at one symbol. *)
 let matching_pj (arch : Arch.t) ~enabled_cols =
   match arch.Arch.kind with
@@ -99,13 +90,13 @@ let tables arch =
       Atomic.set last_tables (Some tb);
       tb
 
-let c_matching = cat_index Energy.State_matching
-let c_transition = cat_index Energy.State_transition
-let c_bv = cat_index Energy.Bv_processing
-let c_routing = cat_index Energy.Global_routing
-let c_controller = cat_index Energy.Controller
-let c_leakage = cat_index Energy.Leakage
-let c_io = cat_index Energy.Io
+let c_matching = Energy.index Energy.State_matching
+let c_transition = Energy.index Energy.State_transition
+let c_bv = Energy.index Energy.Bv_processing
+let c_routing = Energy.index Energy.Global_routing
+let c_controller = Energy.index Energy.Controller
+let c_leakage = Energy.index Energy.Leakage
+let c_io = Energy.index Energy.Io
 
 (* Out-of-table terms only: the float argument is boxed. *)
 let add_slow cat ci mode mi pj =

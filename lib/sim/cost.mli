@@ -14,8 +14,6 @@ val bv_phase_pj : Arch.t -> bv_cols:int -> iterations:int -> float
 (** {1 Whole-symbol costing} *)
 
 val num_categories : int
-val cat_index : Energy.category -> int
-(** Dense index over {!Energy.all_categories}, declaration order. *)
 
 val num_modes : int
 val mode_index : Engine.mode -> int
@@ -33,7 +31,7 @@ val tables : Arch.t -> tables
 val charge :
   tables -> Exec.array_events -> cat_pj:float array -> mode_pj:float array -> int
 (** Zero the caller's scratch arrays, charge one symbol into them
-    ([cat_pj] indexed by {!cat_index}, [mode_pj] by {!mode_index}, with
+    ([cat_pj] indexed by {!Energy.index}, [mode_pj] by {!mode_index}, with
     the coverage {!symbol_cost} describes) and return its cycles
     ([1 + stall]).  Allocates nothing and calls no C primitive.  Every
     sum receives its terms in the model's fixed order, so identical
@@ -42,7 +40,7 @@ val charge :
 
 type symbol_cost = {
   cycles : int;  (** 1 + stall. *)
-  cat_pj : float array;  (** Indexed by {!cat_index}. *)
+  cat_pj : float array;  (** Indexed by {!Energy.index}. *)
   mode_pj : float array;
       (** Indexed by {!mode_index}; covers tile-level energy (matching,
           transition, controller, tile leakage, BV phases) — array-level

@@ -44,6 +44,8 @@ let default_config =
     spare_cols = Defect.default_spare_cols;
   }
 
+(* Bernoulli-sample a chip's permanent defect map.  All-zero defect rates
+   yield [Defect.none] (pristine, unbounded chip). *)
 let sample_defects ~rng (c : config) =
   if c.cell_defect_rate <= 0. && c.tile_defect_rate <= 0. && c.switch_defect_rate <= 0. then
     Defect.none
@@ -66,6 +68,8 @@ let sample_defects ~rng (c : config) =
       ~stuck_cam_cols:!cam ~stuck_switch_rows:!sw ()
   end
 
+(* Flip each stored state bit of each engine with probability [rate];
+   returns the number of flips. *)
 let inject ~rng ~rate engines =
   if rate <= 0. then 0
   else begin

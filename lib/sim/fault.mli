@@ -49,14 +49,6 @@ val default_config : config
 (** seed 1, 5 trials, all rates 0, 64 arrays, {!Defect.default_spare_cols}
     spares. *)
 
-val sample_defects : rng:rng -> config -> Defect.t
-(** Bernoulli-sample a chip's permanent defect map.  All-zero defect rates
-    yield {!Defect.none} (pristine, unbounded chip). *)
-
-val inject : rng:rng -> rate:float -> Engine.t array -> int
-(** Flip each stored state bit of each engine with probability [rate];
-    returns the number of flips. *)
-
 (** {1 Campaign} *)
 
 type trial = {
@@ -86,9 +78,6 @@ type outcome = {
 val correctness_rate : outcome -> float
 (** Fraction of trials with zero missed and zero false matches. *)
 
-val avg_missed : outcome -> float
-val avg_false : outcome -> float
-val avg_throughput_gchs : outcome -> float
 val utilisation_loss : outcome -> float
 (** Baseline minus degraded column utilisation (fraction). *)
 
@@ -104,7 +93,6 @@ val campaign :
     the degraded placement, cross-checking reported match positions
     against the software reference of every fully placed regex. *)
 
-val pp_trial : Format.formatter -> trial -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 (** The degradation table: per-trial rows plus the summary line. *)
 
@@ -129,8 +117,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
       mode the layer exists to prevent; both gates require zero. *)
 
 type chaos_target = C_state | C_table
-
-val chaos_target_name : chaos_target -> string
 
 type chaos_config = {
   c_seed : int;
@@ -206,5 +192,4 @@ val chaos_recovery_ok : chaos_outcome -> bool
 (** Zero silent-wrong trials and every detected fault either recovered
     bit-identically or surfaced a typed degraded error. *)
 
-val pp_chaos_trial : Format.formatter -> chaos_trial -> unit
 val pp_chaos_outcome : Format.formatter -> chaos_outcome -> unit

@@ -135,11 +135,6 @@ let by_name ?scale name =
 
 let all ?scale () = List.map (build ?scale) profiles
 
-let nbva_eligible suites =
-  List.filter_map
-    (fun s -> if s.name = "Prosite" then None else Some s.name)
-    suites
-
 (* ANMLZoo-style suites: pre-unfolded except ClamAV (Table 4). *)
 let anml_profiles =
   [

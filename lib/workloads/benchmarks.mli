@@ -25,10 +25,6 @@ val by_name : ?scale:int -> string -> t
 val all : ?scale:int -> unit -> t list
 (** The seven suites, in the paper's table order. *)
 
-val nbva_eligible : t list -> string list
-(** Names of suites the paper's Table 2 covers (those with regexes
-    compiled to NBVA — all but Prosite). *)
-
 val anmlzoo : ?scale:int -> unit -> t list
 (** Brill, ClamAV, Dotstar, PowerEN, Snort — ANMLZoo-style: bounded
     repetitions pre-unfolded except in ClamAV (Table 4's setting). *)

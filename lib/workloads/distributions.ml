@@ -32,4 +32,3 @@ let hex_byte_char st =
   let pool = "0123456789abcdef" in
   pool.[Random.State.int st (String.length pool)]
 
-let sample_list st n f = List.init n (fun _ -> f st)

@@ -22,4 +22,3 @@ val protein_char : rng -> char
 (** One of the 20 amino-acid letters. *)
 
 val hex_byte_char : rng -> char
-val sample_list : rng -> int -> (rng -> 'a) -> 'a list

@@ -174,7 +174,7 @@ let test_trace_sink_json_well_formed () =
    inside the tables and past them. *)
 let reference_cost (arch : Arch.t) (ev : Exec.array_events) =
   let cat = Array.make Cost.num_categories 0. and mode = Array.make Cost.num_modes 0. in
-  let add c pj = cat.(Cost.cat_index c) <- cat.(Cost.cat_index c) +. pj in
+  let add c pj = cat.(Energy.index c) <- cat.(Energy.index c) +. pj in
   let addm mi c pj =
     add c pj;
     mode.(mi) <- mode.(mi) +. pj

@@ -111,16 +111,6 @@ let test_energy_ledger () =
 (* Buffers *)
 
 let test_fifo () =
-  let f = Buffers.fifo_create ~capacity:2 in
-  check bool "empty" true (Buffers.fifo_is_empty f);
-  check bool "push 1" true (Buffers.fifo_push f);
-  check bool "push 2" true (Buffers.fifo_push f);
-  check bool "full" true (Buffers.fifo_is_full f);
-  check bool "push rejected" false (Buffers.fifo_push f);
-  check bool "pop" true (Buffers.fifo_pop f);
-  check int "occupancy" 1 (Buffers.fifo_occupancy f);
-  check bool "pop" true (Buffers.fifo_pop f);
-  check bool "pop empty rejected" false (Buffers.fifo_pop f);
   check int "bank input entries" 128 Buffers.bank_input_entries;
   check int "array input entries" 8 Buffers.array_input_entries
 

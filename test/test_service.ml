@@ -237,6 +237,55 @@ let test_reader_oversize () =
   | Error _ -> ()
   | Ok _ -> fail "oversized declared length must be an error")
 
+(* The client sends 64 KiB Chunk frames and the daemon reads 64 KiB at a
+   time, so almost no feed ends on a frame boundary.  Streaming 4 MiB
+   that way, the reader must hand back every payload in order and
+   allocate little beyond the payloads themselves: its buffer stays near
+   one frame instead of growing with everything the connection sent. *)
+let test_reader_buffer_bounded () =
+  let slice = 64 * 1024 and frames = 64 in
+  let payloads =
+    Array.init frames (fun i ->
+        Wire.encode_request (Wire.Chunk (String.make slice (Char.chr (65 + (i mod 26))))))
+  in
+  let wire = Buffer.create (frames * (slice + 64)) in
+  Array.iter
+    (fun p ->
+      let hdr = Bytes.create 4 in
+      Bytes.set_int32_le hdr 0 (Int32.of_int (String.length p));
+      Buffer.add_bytes wire hdr;
+      Buffer.add_string wire p)
+    payloads;
+  let wire = Buffer.to_bytes wire in
+  let r = Wire.create_reader () in
+  let scratch = Bytes.create slice in
+  let got = Array.make frames "" and n_got = ref 0 and payload_bytes = ref 0 in
+  let rec drain () =
+    match Wire.reader_next r with
+    | Ok (Some p) ->
+        if !n_got < frames then got.(!n_got) <- p;
+        incr n_got;
+        payload_bytes := !payload_bytes + String.length p;
+        drain ()
+    | Ok None -> ()
+    | Error e -> fail e
+  in
+  let before = Gc.allocated_bytes () in
+  let off = ref 0 in
+  while !off < Bytes.length wire do
+    let n = min slice (Bytes.length wire - !off) in
+    Bytes.blit wire !off scratch 0 n;
+    Wire.reader_feed r scratch n;
+    drain ();
+    off := !off + n
+  done;
+  let extra = Gc.allocated_bytes () -. before -. float_of_int !payload_bytes in
+  check int "every frame handed back" frames !n_got;
+  check bool "payloads in order" true (Array.for_all2 String.equal payloads got);
+  if extra >= 1048576. then
+    failf "reader allocated %.0f bytes beyond the payloads over %d bytes streamed" extra
+      (Bytes.length wire)
+
 (* ------------------------------------------------------------------ *)
 (* Sim_error wire round-trip *)
 
@@ -715,6 +764,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wire_truncation_is_error;
     test_case "wire: incremental reader reassembles" `Quick test_reader_reassembles;
     test_case "wire: oversized frame rejected" `Quick test_reader_oversize;
+    test_case "wire: reader buffer stays near one frame" `Quick test_reader_buffer_bounded;
     QCheck_alcotest.to_alcotest prop_sim_error_roundtrip;
     test_case "sim_error: garbage rejected" `Quick test_sim_error_wire_rejects_garbage;
     test_case "sim_error: u32 fields refuse values past 32 bits" `Quick test_sim_error_u32_range;
