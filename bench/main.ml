@@ -198,7 +198,8 @@ let kernel_bench env ~name =
 (* The same steady-state probe over the whole per-symbol path of a
    placed workload: [Exec.step] on every array, each symbol's events fed
    to [Runner.energy_sink]'s [on_events].  A warm-up pass builds the
-   BV-phase tables, the only state the path allocates on first use; the
+   BV-phase tables and fills the energy counter's key table, the only
+   state the path allocates on first use; the
    0-symbol baseline again subtracts the probe's own overhead, so an
    allocation-free path reports exactly 0.  A pass over fresh clones
    also counts the idle engine-steps, engines idle before and after the

@@ -27,6 +27,13 @@ let fail_input msg =
 
 let catch_stream f = try f () with Sim_error.Error e -> fail_input (Sim_error.message e)
 
+(* A NaN deadline would never expire, nor would an infinite one, and one
+   of zero or less would expire before any work: all are usage errors. *)
+let check_deadline = function
+  | Some d when not (Float.is_finite d && d > 0.) ->
+      fail_input (Printf.sprintf "--deadline must be a finite number of seconds above 0 (got %g)" d)
+  | _ -> ()
+
 (* a positional operand that was probably meant as a file path *)
 let looks_like_path s =
   s <> ""
@@ -354,6 +361,7 @@ let simulate_cmd =
   let run regexes input file arch jobs kernel trace ckpt_dir ckpt_every resume strict deadline
       retries chunk cache integrity sweep_every sentinel_every =
     if chunk <= 0 then fail_input "--chunk must be positive";
+    check_deadline deadline;
     Nbva.kernel := kernel;
     let integrity = integrity_config integrity sweep_every sentinel_every in
     let stream = required_stream ~chunk ~file input in
@@ -940,6 +948,7 @@ let client_cmd =
          & info [ "strict" ] ~doc:"Exit with status 3 when the report is degraded.")
   in
   let run socket input file name class_ deadline wait stats ping stop strict =
+    check_deadline deadline;
     let wait_s = Float.max 0. wait in
     match
       if ping then

@@ -20,8 +20,12 @@ type exec_plan = {
   initial_row : int;
   final_row : int;
   bv_states : int array;  (* dense indices of BV-STEs, ascending *)
+  bv_row : int;  (* row offset of the mask of BV-STE positions *)
+  bv_vecs : int array;
+      (* per BV-STE, three words: its vector's word offset in the
+         run-state arena, its width in bits, and m for Read_exact m or
+         0 for Read_all *)
   bv_match : Bytes.t;  (* 256 bytes per BV-STE: does byte b match its class *)
-  bv_read : int array;  (* per BV-STE: m for Read_exact m, 0 for Read_all *)
   wake : Bytes.t;  (* 256 bytes: does byte b lie in the class of some initial STE *)
   top_mask : int;  (* the valid bits of the top activation word *)
 }
@@ -31,6 +35,7 @@ type t = {
   succs : int array array;
   preds : int array array;
   initial : bool array;
+  initial_states : int array;
   finals : bool array;
   accepts_empty : bool;
   plan : exec_plan;
@@ -158,10 +163,13 @@ let of_ast r =
         Hashtbl.add cons_tbl key r;
         r
   in
+  let bv_mask = Bitvec.create n in
+  Array.iteri (fun q ste -> match ste with Bv _ -> Bitvec.set bv_mask q | Plain _ -> ()) stes;
   let labels_row = Array.map row_of labels_mask in
   let succ_row = Array.map row_of succ_mask in
   let initial_row = row_of initial_mask in
   let final_row = row_of final_mask in
+  let bv_row = row_of bv_mask in
   let masks = Array.make (!nrows * nwords) 0 in
   List.iteri
     (fun i v -> Bitvec.blit_words v masks ((!nrows - 1 - i) * nwords))
@@ -169,13 +177,18 @@ let of_ast r =
   let bv_states = Array.of_list (List.rev !bv_states) in
   let nbv = Array.length bv_states in
   let bv_match = Bytes.make (nbv * 256) '\000' in
-  let bv_read = Array.make nbv 0 in
+  let bv_vecs = Array.make (3 * nbv) 0 in
+  (* the vectors follow the three masks in state order: [start]'s layout *)
+  let off = ref (3 * nwords) in
   Array.iteri
     (fun i q ->
       match stes.(q) with
-      | Bv { cc; read; size = _ } ->
+      | Bv { cc; read; size } ->
           Charclass.iter (fun b -> Bytes.set bv_match ((i * 256) + b) '\001') cc;
-          bv_read.(i) <- (match read with Read_exact m -> m | Read_all -> 0)
+          bv_vecs.(3 * i) <- !off;
+          bv_vecs.((3 * i) + 1) <- size;
+          bv_vecs.((3 * i) + 2) <- (match read with Read_exact m -> m | Read_all -> 0);
+          off := !off + Bitvec.words_for size
       | Plain _ -> assert false)
     bv_states;
   (* From the all-zero state only the initial STEs can fire, so a byte
@@ -191,6 +204,7 @@ let of_ast r =
     succs;
     preds = Array.map finish pred_lists;
     initial;
+    initial_states = Array.of_list (ISet.elements info.first);
     finals;
     accepts_empty = info.nullable;
     plan =
@@ -202,8 +216,9 @@ let of_ast r =
         initial_row;
         final_row;
         bv_states;
+        bv_row;
+        bv_vecs;
         bv_match;
-        bv_read;
         wake;
         top_mask = (1 lsl (if n > 0 && rem = 0 then Bitvec.bits_per_word else rem)) - 1;
       };
@@ -231,12 +246,14 @@ type run_state = {
   nxt_off : int;  (* nwords: scratch successor activation *)
   av_off : int;  (* nwords: scratch availability this symbol *)
   act_off : int;  (* nwords: output activation after the last symbol *)
+  vec_lo : int;  (* start of the BV vectors: [act_off + nwords] *)
   live_hi : int;  (* end of the live range that starts at [act_off] *)
   active_v : Bitvec.t;  (* arena views of the three masks above *)
   next_v : Bitvec.t;
   avail_v : Bitvec.t;
   vectors : Bitvec.t option array;  (* per-STE arena slice, None for Plain *)
   mutable changed : bool;  (* a live word may have changed since [set_changed st false] *)
+  mutable live : bool;  (* a live word was non-zero after the last step *)
 }
 
 let state_words t =
@@ -269,45 +286,118 @@ let start t =
     nxt_off;
     av_off;
     act_off;
+    vec_lo = act_off + nw;
     live_hi;
     active_v = Bitvec.of_arena arena ~off:act_off ~width:n;
     next_v = Bitvec.of_arena arena ~off:nxt_off ~width:n;
     avail_v = Bitvec.of_arena arena ~off:av_off ~width:n;
     vectors;
     changed = true;
+    live = false;
   }
 
 let run_arena st = st.st_arena
 
 let bpw = Bitvec.bits_per_word
+let mask_all = (1 lsl bpw) - 1
 
-(* Three plan tables hold INDICES, not data: [succ_row] and [labels_row]
-   point into the flat mask table, [bv_states] into the per-stream state
-   buffers.  The kernels feed them to unsafe accesses, so a corrupted
-   index word (a soft error in a long-lived process, or a chaos-harness
-   flip) is a wild read or write — a segfault or silent heap corruption.
-   Range-checking the index at its fetch (and, for [bv_states], that it
-   names a BV-STE) turns that into a catchable exception the integrity
-   layer's seal check then attributes and heals; pure data corruption
-   (mask words, [bv_match] bytes) stays unchecked — it is in-bounds by
-   construction and the checksum sweep / sentinel own it. *)
+(* Four plan tables hold INDICES, not data: [succ_row] and [labels_row]
+   point into the flat mask table, [bv_states] names states, and
+   [bv_vecs] points into the per-stream arena (a vector's offset, and
+   its width, which sets how many words follow it); the BV row
+   ([bv_row]) ranks a BV-STE's position into its dense index.  The
+   kernels feed them to unsafe accesses, so a corrupted index word (a
+   soft error in a long-lived process, or a chaos-harness flip) is a
+   wild read or write — a segfault or silent heap corruption.
+   Range-checking each index at its fetch turns that into a catchable
+   exception the integrity layer's seal check then attributes and
+   heals: a vector's words must lie inside the arena's vector range, a
+   read position inside its vector, and [bv_states] and the BV row must
+   agree on every BV-STE's position.  Pure data corruption (mask words,
+   [bv_match] bytes) stays unchecked: it is in bounds by construction,
+   and the checksum sweep and the sentinel own it.  The kernel marks the
+   state changed before it raises, so a caller that goes on without a
+   rollback re-projects it. *)
 let corrupt_index () = invalid_arg "Nbva: corrupt plan table (index out of range)"
+
+let corrupt st =
+  st.changed <- true;
+  corrupt_index ()
+
+(* One BV-STE's vector update: dense index [i], state [q], both checked
+   by the caller, on the vector's raw arena words.  If the byte matches
+   the class the vector shifts left one bit ([Bitvec.shift_left1]) and
+   takes bit 0 when the state is available; otherwise it clears.  A
+   zero vector that would stay zero (the byte is outside the class, or
+   the state is not available) is left alone: it neither changes nor
+   fires.  Returns the OR of the vector's words after the update, and
+   sets [q]'s bit in the next-activation words [nxt] when the read
+   action fires. *)
+let bv_update p st ~matches ~avail ~nxt i q =
+  let w = st.st_words in
+  let off = Array.unsafe_get p.bv_vecs (3 * i) and size = Array.unsafe_get p.bv_vecs ((3 * i) + 1) in
+  (* written so that no sum can overflow: a width past the vector range
+     or an offset near [max_int] is as corrupt as one out of range *)
+  if size < 0 || size > (st.live_hi - st.vec_lo) * bpw then corrupt st;
+  let nwv = Bitvec.words_for size in
+  if off < st.vec_lo || off > st.live_hi - nwv then corrupt st;
+  let was = ref 0 in
+  for k = off to off + nwv - 1 do
+    was := !was lor Array.unsafe_get w k
+  done;
+  if (matches && avail) || !was <> 0 then begin
+    st.changed <- true;
+    let now = ref 0 in
+    if matches then begin
+      let rem = size mod bpw in
+      let top = if size = 0 then 0 else if rem = 0 then mask_all else (1 lsl rem) - 1 in
+      let carry = ref (if avail then 1 else 0) in
+      for k = off to off + nwv - 1 do
+        let x = Array.unsafe_get w k in
+        let y = ((x lsl 1) lor !carry) land mask_all in
+        let y = if k = off + nwv - 1 then y land top else y in
+        Array.unsafe_set w k y;
+        now := !now lor y;
+        carry := (x lsr (bpw - 1)) land 1
+      done
+    end
+    else
+      for k = off to off + nwv - 1 do
+        Array.unsafe_set w k 0
+      done;
+    let m = Array.unsafe_get p.bv_vecs ((3 * i) + 2) in
+    let fires =
+      if m > 0 then begin
+        if m > size then corrupt st;
+        let b = m - 1 in
+        (Array.unsafe_get w (off + (b / bpw)) lsr (b mod bpw)) land 1 = 1
+      end
+      else !now <> 0
+    in
+    if fires then begin
+      let wq = nxt + (q / bpw) in
+      Array.unsafe_set w wq (Array.unsafe_get w wq lor (1 lsl (q mod bpw)))
+    end;
+    !now
+  end
+  else 0
 
 (* Bit-parallel kernel: availability and Plain-STE activation are computed
    word-parallel straight over the arena's int array and the plan's flat
-   mask table; only BV-STEs (a short dense list) get a scalar vector
-   update, with the class-membership test folded into the precomputed
-   [bv_match] byte table.  Every buffer lives in the arena, so the
-   steady-state loop allocates nothing — not even closures or boxed
-   intermediates.
+   mask table; only BV-STEs get a scalar vector update, with the
+   class-membership test folded into the precomputed [bv_match] byte
+   table.  When no vector is live — one OR over the vectors' contiguous
+   words — the only BV-STEs a byte can start are the available ones, so
+   the step visits the set bits of [avail AND bv_row] instead of every
+   BV-STE.  Every buffer lives in the arena, so the steady-state loop
+   allocates nothing — not even closures or boxed intermediates.
 
    The step also notes whether it changed the live words: the copy-back
-   compares every new activation word with the old one, and the BV loop
-   counts every vector it writes as changed.  A change sets [changed];
-   nothing here clears it, so it stays set until the caller has used
-   it.  A vector update that would leave a zero vector zero (the byte
-   is outside the class, or the state is not available) is skipped: the
-   same test that finds "unchanged" makes the no-op free. *)
+   compares every new activation word with the old one, and every
+   vector update counts as a change.  A change sets [changed]; nothing
+   here clears it, so it stays set until the caller has used it.  The
+   copy-back and the vector updates also OR up the live words they
+   leave, which sets [live]. *)
 let step t st c =
   let p = t.plan in
   let nw = p.nwords in
@@ -329,7 +419,7 @@ let step t st c =
       let base = j * bpw in
       while !aw <> 0 do
         let row = Array.unsafe_get succ_row (base + Bitvec.lsb_index !aw) in
-        if row < 0 || row > row_limit then corrupt_index ();
+        if row < 0 || row > row_limit then corrupt st;
         for i = 0 to nw - 1 do
           Array.unsafe_set w (av + i)
             (Array.unsafe_get w (av + i) lor Array.unsafe_get masks (row + i))
@@ -340,49 +430,65 @@ let step t st c =
   done;
   (* Plain STEs, all at once: next = avail AND labels[c] *)
   let lrow = Array.unsafe_get p.labels_row (Char.code c) in
-  if lrow < 0 || lrow > row_limit then corrupt_index ();
+  if lrow < 0 || lrow > row_limit then corrupt st;
   for i = 0 to nw - 1 do
     Array.unsafe_set w (nxt + i)
       (Array.unsafe_get w (av + i) land Array.unsafe_get masks (lrow + i))
   done;
-  (* BV-STEs keep their scalar vector updates, driven from the dense list *)
-  let bvs = p.bv_states in
-  for i = 0 to Array.length bvs - 1 do
-    let q = Array.unsafe_get bvs i in
-    if q < 0 || q >= Array.length st.vectors then corrupt_index ();
-    let v = match Array.unsafe_get st.vectors q with Some v -> v | None -> corrupt_index () in
-    let matches = Bytes.unsafe_get p.bv_match ((i * 256) + Char.code c) <> '\000' in
-    let avail = (Array.unsafe_get w (av + (q / bpw)) lsr (q mod bpw)) land 1 = 1 in
-    (* a zero vector that would stay zero neither changes nor fires *)
-    if (matches && avail) || not (Bitvec.is_zero v) then begin
-      changed := true;
-      if matches then begin
-        Bitvec.shift_left1 v ~carry_in:false;
-        if avail then Bitvec.set v 0
-      end
-      else Bitvec.clear v;
-      let m = Array.unsafe_get p.bv_read i in
-      let fires = if m > 0 then Bitvec.get v (m - 1) else not (Bitvec.is_zero v) in
-      if fires then begin
-        let wq = nxt + (q / bpw) in
-        Array.unsafe_set w wq (Array.unsafe_get w wq lor (1 lsl (q mod bpw)))
-      end
-    end
+  (* BV-STEs: every one while a vector is live, else the available ones *)
+  let vlive = ref 0 in
+  for k = st.vec_lo to st.live_hi - 1 do
+    vlive := !vlive lor Array.unsafe_get w k
   done;
+  let nbv = Array.length p.bv_states and cb = Char.code c in
+  let brow = p.bv_row in
+  if brow < 0 || brow > row_limit then corrupt st;
+  let vnow = ref 0 in
+  if !vlive <> 0 then
+    for i = 0 to nbv - 1 do
+      let q = Array.unsafe_get p.bv_states i in
+      if q < 0 || q >= nw * bpw
+         || (Array.unsafe_get masks (brow + (q / bpw)) lsr (q mod bpw)) land 1 = 0
+      then corrupt st;
+      let matches = Bytes.unsafe_get p.bv_match ((i * 256) + cb) <> '\000' in
+      let avail = (Array.unsafe_get w (av + (q / bpw)) lsr (q mod bpw)) land 1 = 1 in
+      vnow := !vnow lor bv_update p st ~matches ~avail ~nxt i q
+    done
+  else begin
+    (* a candidate's dense index is its rank among the BV row's bits *)
+    let rank = ref 0 in
+    for j = 0 to nw - 1 do
+      let row = Array.unsafe_get masks (brow + j) in
+      let m = Array.unsafe_get w (av + j) land row in
+      let m = ref (if j = nw - 1 then m land p.top_mask else m) in
+      while !m <> 0 do
+        let low = !m land - !m in
+        let q = (j * bpw) + Bitvec.lsb_index low in
+        let i = !rank + Bitvec.popcount_word (row land (low - 1)) in
+        if i >= nbv || Array.unsafe_get p.bv_states i <> q then corrupt st;
+        if Bytes.unsafe_get p.bv_match ((i * 256) + cb) <> '\000' then
+          vnow := !vnow lor bv_update p st ~matches:true ~avail:true ~nxt i q;
+        m := !m land (!m - 1)
+      done;
+      rank := !rank + Bitvec.popcount_word row
+    done
+  end;
   (* copy next back into active and test finals on the way.  The top
      word drops bits past the automaton width: only a corrupted mask row
      can raise them, and an activation bit there would index [succ_row]
      out of range at the next symbol. *)
   let frow = p.final_row in
-  let hit = ref false in
+  let hit = ref false and anow = ref 0 in
   for i = 0 to nw - 1 do
     let x = Array.unsafe_get w (nxt + i) in
     let x = if i = nw - 1 then x land p.top_mask else x in
     if x <> Array.unsafe_get w (act + i) then changed := true;
     Array.unsafe_set w (act + i) x;
+    anow := !anow lor x;
     if x land Array.unsafe_get masks (frow + i) <> 0 then hit := true
   done;
   if !changed then st.changed <- true;
+  st.live <- !anow lor !vnow <> 0;
   !hit
 
 (* The idle skip's two facts: the bytes that leave the all-zero state
@@ -392,6 +498,7 @@ let wake_bytes t = t.plan.wake
 
 let changed st = st.changed
 let set_changed st b = st.changed <- b
+let live st = st.live
 
 let idle st =
   let w = st.st_words in
@@ -455,6 +562,7 @@ let step_reference t st c =
   done;
   Bitvec.blit ~src:st.next_v ~dst:st.active_v;
   st.changed <- true;
+  st.live <- not (idle st);
   !hit
 
 type kernel = Bit_parallel | Reference
@@ -481,7 +589,7 @@ let plan_tables t =
     ("labels_row", p.labels_row);
     ("succ_row", p.succ_row);
     ("bv_states", p.bv_states);
-    ("bv_read", p.bv_read);
+    ("bv_vecs", p.bv_vecs);
   ]
 
 let plan_bytes t = [ ("bv_match", t.plan.bv_match); ("wake", t.plan.wake) ]

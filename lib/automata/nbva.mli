@@ -22,15 +22,18 @@ type ste =
 
 type exec_plan
 (** Bit-parallel execution tables (hash-consed per-byte label and
-    per-state successor mask rows packed into one flat word table, dense
-    BV-STE list with a precomputed byte-match table, and the 256-byte
-    [wake] table of {!wakes}), built once by {!of_ast}. *)
+    per-state successor mask rows packed into one flat word table, a
+    mask row of the BV-STE positions, dense BV-STE list with each
+    vector's arena offset and width, a precomputed byte-match table,
+    and the 256-byte [wake] table of {!wakes}), built once by
+    {!of_ast}. *)
 
 type t = {
   stes : ste array;
   succs : int array array;
   preds : int array array;
   initial : bool array;
+  initial_states : int array;  (** The states [initial] marks, ascending. *)
   finals : bool array;
   accepts_empty : bool;
   plan : exec_plan;
@@ -73,9 +76,12 @@ val step : t -> run_state -> char -> bool
     kernel: Plain-STE availability and activation are computed word-wise
     over the arena's raw word array against the plan's flat mask table;
     BV-STEs get scalar vector updates driven from a dense index list with
-    precomputed byte-match bytes.  The steady-state loop allocates
-    nothing.  The new active mask is cut to the automaton width, so a
-    corrupted mask row never leaves a bit past it.
+    precomputed byte-match bytes, on the vectors' raw arena words.
+    While no vector is live it visits only the available BV-STEs (the
+    set bits of availability AND the BV-STE row, each ranked into its
+    dense index), the only ones a byte can start.  The steady-state
+    loop allocates nothing.  The new active mask is cut to the automaton
+    width, so a corrupted mask row never leaves a bit past it.
 
     The step sets {!changed} when it changes the live words: the
     copy-back compares every new activation word with the old one, and
@@ -84,7 +90,8 @@ val step : t -> run_state -> char -> bool
     leave a zero vector zero — the byte is outside the state's class, or
     the state is not available — is skipped (no write, no change, no
     firing); the plan-index range checks run before that test, so a
-    corrupted index still raises. *)
+    corrupted index still raises [Invalid_argument], after setting
+    {!changed}.  It also sets {!live}. *)
 
 val step_reference : t -> run_state -> char -> bool
 (** The scalar pre-bit-parallel kernel (per-state predecessor probing),
@@ -92,7 +99,7 @@ val step_reference : t -> run_state -> char -> bool
     on every input: same return value, active vector, and BV vectors.
     Raises the same [Invalid_argument] as {!step} when a BV-STE has no
     vector in [st] (a run state started from another automaton).  It
-    always sets {!changed}. *)
+    always sets {!changed}, and sets {!live}. *)
 
 val changed : run_state -> bool
 (** Whether the live words may have changed since the flag was last
@@ -107,6 +114,13 @@ val changed : run_state -> bool
 
 val set_changed : run_state -> bool -> unit
 (** Set or clear the {!changed} flag. *)
+
+val live : run_state -> bool
+(** Whether some live word — the active mask or a BV vector — was
+    non-zero after the last {!step} or {!step_reference}: [not (idle st)]
+    at that moment, derived from the step's own copy-back and vector
+    updates instead of a second scan.  [false] on a fresh state.  Writes
+    from outside a step do not update it. *)
 
 (** {1 Idle skip}
 
@@ -149,9 +163,9 @@ val mask_table_stats : t -> int * int
 
 val plan_tables : t -> (string * int array) list
 (** The execution plan's immutable int tables ([masks], [labels_row],
-    [succ_row], ...) as live references, by name — the regions the
-    integrity layer checksum-seals at run start, re-verifies on its sweep
-    cadence, and repairs from pristine copies.  Callers other than the
+    [succ_row], [bv_states], [bv_vecs]) as live references, by name —
+    the regions the integrity layer checksum-seals at run start,
+    re-verifies on its sweep cadence, and repairs from pristine copies.  Callers other than the
     integrity layer (and fault injectors) must not mutate them. *)
 
 val plan_bytes : t -> (string * Bytes.t) list

@@ -11,27 +11,32 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+(* The running register over one more piece: a CRC over pieces equals
+   the CRC of their concatenation. *)
+let crc32_update c s =
   let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
+  let c = ref c in
   String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
-  !c lxor 0xFFFFFFFF
+  !c
+
+let crc32_pieces pieces = List.fold_left crc32_update 0xFFFFFFFF pieces lxor 0xFFFFFFFF
+let crc32 s = crc32_pieces [ s ]
 
 (* ---- framing ---- *)
 
-let frame ~magic ~version payload =
-  let b = Buffer.create (String.length magic + 13 + String.length payload) in
+(* Everything before the payload: magic, version, CRC and length. *)
+let header ~magic ~version pieces =
+  let b = Buffer.create (String.length magic + 13) in
   Buffer.add_string b magic;
   Buffer.add_char b (Char.chr (version land 0xFF));
-  let crc = crc32 payload in
+  let crc = crc32_pieces pieces in
   for i = 0 to 3 do
     Buffer.add_char b (Char.chr ((crc lsr (8 * i)) land 0xFF))
   done;
-  let len = Int64.of_int (String.length payload) in
+  let len = Int64.of_int (List.fold_left (fun acc p -> acc + String.length p) 0 pieces) in
   for i = 0 to 7 do
     Buffer.add_char b (Char.chr (Int64.to_int (Int64.shift_right_logical len (8 * i)) land 0xFF))
   done;
-  Buffer.add_string b payload;
   Buffer.contents b
 
 let unframe ~magic ~version raw =
@@ -78,13 +83,15 @@ let fsync_dir dir =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
-let write ~path data =
+(* The pieces go to the file one after another, never joined in
+   memory. *)
+let write_pieces ~path pieces =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc data;
+      List.iter (output_string oc) pieces;
       flush oc;
       (* the data must be durable before the rename commits it: renaming
          an unsynced temp file can leave a zero-length artifact after a
@@ -95,7 +102,12 @@ let write ~path data =
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)
 
-let save ~path ~magic ~version payload = write ~path (frame ~magic ~version payload)
+let write ~path data = write_pieces ~path [ data ]
+
+let save_pieces ~path ~magic ~version pieces =
+  write_pieces ~path (header ~magic ~version pieces :: pieces)
+
+let save ~path ~magic ~version payload = save_pieces ~path ~magic ~version [ payload ]
 
 let load ~path ~magic ~version =
   if not (Sys.file_exists path) then Ok None

@@ -27,8 +27,15 @@ val write : path:string -> string -> unit
     e.g. JSON metrics files — that still want crash-safe replacement. *)
 
 val save : path:string -> magic:string -> version:int -> string -> unit
-(** Envelope the payload, then {!write} it.  Raises [Sys_error] on
-    filesystem failure (the containing directory must exist). *)
+(** Envelope the payload, then write it like {!write}.  Raises
+    [Sys_error] on filesystem failure (the containing directory must
+    exist). *)
+
+val save_pieces : path:string -> magic:string -> version:int -> string list -> unit
+(** {!save} of the concatenation of the pieces, without joining them:
+    the header, then each piece in turn, with the CRC taken over the
+    pieces, so a large piece (a request's input) reaches the file
+    without being copied.  The same bytes on disk as {!save}. *)
 
 val load : path:string -> magic:string -> version:int -> (string option, string) result
 (** [Ok None] when [path] does not exist; otherwise read, check and strip

@@ -21,8 +21,11 @@ let magic = "RAPPROG"
    v7: [Program.compiled] lost the [hint] field and [Program.params]
    the DFA budgets, with the lazy-DFA stepper they steered.
    v8: [Mapper.placement] carries each bin's compiled Shift-And tables
-   ([bin_tables]), and [Shift_and.t] its [wake] bytes. *)
-let version = 8
+   ([bin_tables]), and [Shift_and.t] its [wake] bytes.
+   v9: [Nbva.exec_plan] grew the BV-STE position row ([bv_row]), and
+   [bv_read] became [bv_vecs], which also holds each vector's arena
+   offset and width; [Nbva.t] grew [initial_states]. *)
+let version = 9
 
 type entry = {
   e_key : string;

@@ -31,7 +31,6 @@ let index = function
 type t = float array
 
 let create () = Array.make 7 0.
-let reset t = Array.fill t 0 (Array.length t) 0.
 let add t cat pj = t.(index cat) <- t.(index cat) +. pj
 
 let accumulate t pjs =

@@ -23,10 +23,6 @@ type t
 
 val create : unit -> t
 
-val reset : t -> unit
-(** Zero every category — used when rolling a ledger back to a snapshot
-    (checkpoint resume, retry after a failed work item). *)
-
 val add : t -> category -> float -> unit
 (** [add t cat pj] accumulates [pj] picojoules. *)
 

@@ -16,7 +16,8 @@ type open_state = {
   or_name : string;
   or_class : Wire.class_;
   or_deadline_s : float option;
-  or_input : Buffer.t;
+  mutable or_chunks : string list;  (* received so far, newest first *)
+  mutable or_bytes : int;
   mutable or_rejected : bool;  (* over-limit: swallow chunks until Finish *)
 }
 
@@ -58,7 +59,9 @@ let out_pending conn = Buffer.length conn.out - conn.out_off
 let flush_conn conn =
   let pending = out_pending conn in
   if pending > 0 then begin
-    match Unix.write_substring conn.fd (Buffer.contents conn.out) conn.out_off pending with
+    (* only the bytes not yet written: copying the whole buffer on every
+       attempt would cost its size each time a slow reader takes a few *)
+    match Unix.write_substring conn.fd (Buffer.sub conn.out conn.out_off pending) 0 pending with
     | n ->
         conn.out_off <- conn.out_off + n;
         if conn.out_off = Buffer.length conn.out then begin
@@ -89,7 +92,8 @@ let handle_frame st conn payload =
             or_name = name;
             or_class = class_;
             or_deadline_s = deadline_s;
-            or_input = Buffer.create 4096;
+            or_chunks = [];
+            or_bytes = 0;
             or_rejected = false;
           }
   | Ok (Wire.Chunk data) -> (
@@ -99,11 +103,11 @@ let handle_frame st conn payload =
           conn.closing <- true
       | Some o when o.or_rejected -> ()
       | Some o ->
-          let total = Buffer.length o.or_input + String.length data in
+          let total = o.or_bytes + String.length data in
           if total > st.cfg.admission.Admission.max_input then begin
             (* refuse while arriving: the full payload is never buffered *)
             o.or_rejected <- true;
-            Buffer.clear o.or_input;
+            o.or_chunks <- [];
             queue_reply st.cfg conn
               (Wire.Rejected
                  {
@@ -113,7 +117,12 @@ let handle_frame st conn payload =
                           { bytes = total; limit = st.cfg.admission.Admission.max_input });
                  })
           end
-          else Buffer.add_string o.or_input data)
+          else begin
+            (* the chunks as they came: a growing buffer would leave a
+               trail of ever larger copies behind it *)
+            o.or_chunks <- data :: o.or_chunks;
+            o.or_bytes <- total
+          end)
   | Ok Wire.Finish -> (
       match conn.open_req with
       | None ->
@@ -121,6 +130,10 @@ let handle_frame st conn payload =
           conn.closing <- true
       | Some o ->
           conn.open_req <- None;
+          (* the request's bytes are [input] from here on: drop the
+             received chunks before the spool writes them *)
+          let input = String.concat "" (List.rev o.or_chunks) in
+          o.or_chunks <- [];
           if not o.or_rejected then
             if st.shutting_down then
               queue_reply st.cfg conn Wire.Shutting_down
@@ -128,7 +141,7 @@ let handle_frame st conn payload =
               match
                 Admission.submit ?deadline_s:o.or_deadline_s
                   ~enqueued_at:(Unix.gettimeofday ()) st.adm ~name:o.or_name
-                  ~class_:o.or_class ~input:(Buffer.contents o.or_input)
+                  ~class_:o.or_class ~input
               with
               | Ok id ->
                   Hashtbl.replace st.waiting id conn;

@@ -74,7 +74,13 @@ let decode_request =
           let deadline_s =
             match r_u8 cur with
             | 0 -> None
-            | 1 -> Some (r_f64 cur)
+            | 1 ->
+                (* a NaN deadline compares false both ways and an infinite
+                   one never passes, so neither would ever expire; zero or
+                   less expires the request before it runs *)
+                let d = r_f64 cur in
+                if Float.is_finite d && d > 0. then Some d
+                else raise (Corrupt (Printf.sprintf "deadline %h is not a finite positive number" d))
             | t -> raise (Corrupt (Printf.sprintf "unknown option tag %d" t))
           in
           Open { name; class_; deadline_s }

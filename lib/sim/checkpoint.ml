@@ -1,18 +1,21 @@
 (* See checkpoint.mli.
 
    On-disk layout: the shared Artifact envelope (magic "RAPCKPT",
-   version 2, CRC-32, payload length — see artifact.mli) around this
+   version 3, CRC-32, payload length — see artifact.mli) around this
    payload, in the Codec vocabulary: fingerprint (string), symbols
    (i64), the degraded list (each error as a Sim_error.to_wire string),
    then per array: cycles and reports (i64), energy by category (f64s),
-   mode energy (f64s), and each engine's run-state arena words (i64s).
-   Arrays and strings are u32 length-prefixed.  The words are the
-   arena's layout, so any change to it must bump [version]. *)
+   mode energy (f64s), and its word rows (i64s): each engine's
+   run-state arena, then the array's energy counters.  Arrays and
+   strings are u32 length-prefixed.  The words are the arena's and the
+   counters' layout, so any change to either must bump [version].
+   Version 3 added the counters row; version 2 had none, and its
+   energy floats were the restored state. *)
 
 open Codec
 
 let magic = "RAPCKPT"
-let version = 2
+let version = 3
 
 type array_state = {
   cs_cycles : int;
@@ -124,8 +127,12 @@ module Spool = struct
   let path ~dir ~id = Filename.concat dir (Printf.sprintf "req-%06d.req" id)
   let report_path ~dir ~id = Filename.concat dir (Printf.sprintf "req-%06d.report" id)
 
-  let encode e =
-    let b = Buffer.create (String.length e.sp_input + 64) in
+  (* The payload is every field in order, the input last as a
+     length-prefixed string.  [save] writes it as two pieces: the fields
+     up to the input's length prefix, then the input itself, which is
+     never copied. *)
+  let head e =
+    let b = Buffer.create 64 in
     w_i64 b e.sp_id;
     w_str b e.sp_name;
     w_str b e.sp_class;
@@ -134,7 +141,7 @@ module Spool = struct
     | Some d ->
         w_u8 b 1;
         w_f64 b d);
-    w_str b e.sp_input;
+    w_u32 b (String.length e.sp_input);
     Buffer.contents b
 
   let decode =
@@ -154,7 +161,7 @@ module Spool = struct
   let save ~dir e =
     ensure_dir dir;
     let path = path ~dir ~id:e.sp_id in
-    try Artifact.save ~path ~magic ~version (encode e)
+    try Artifact.save_pieces ~path ~magic ~version [ head e; e.sp_input ]
     with Sys_error msg -> fs_fail (Printf.sprintf "cannot spool request %S: %s" path msg)
 
   let load ~dir ~id =

@@ -14,21 +14,29 @@
     of silently resuming from garbage.  A human-readable append-only
     journal records every checkpoint and resume.
 
-    {b Format, version 2.}  The {!Artifact} envelope (magic [RAPCKPT])
+    {b Format, version 3.}  The {!Artifact} envelope (magic [RAPCKPT])
     around a {!Codec} payload: the fingerprint, [symbols], the degraded
     list as {!Sim_error.to_wire} strings, then per array its cycles,
-    reports, energy by category, mode energy and, per engine, the
-    length-prefixed words of its run-state arena ({!Engine.snapshot}).
-    Those words are the arena's layout, so a change to any arena layout
-    bumps the version; {!load} refuses other versions with a typed
-    error that names both. *)
+    reports, energy by category, mode energy and its length-prefixed
+    word rows: per engine the words of its run-state arena
+    ({!Engine.snapshot}), then one row of energy counters
+    ({!Cost.save}).  Those words are the arenas' and the counters'
+    layout, so a change to either bumps the version; {!load} refuses
+    other versions with a typed error that names both.  Version 3 added
+    the counters row (version 2 restored energy from its floats, version
+    1 stored boxed per-vector state). *)
 
 type array_state = {
   cs_cycles : int;
   cs_reports : int;
-  cs_energy_pj : float array;  (** Per {!Energy.all_categories}, in order. *)
-  cs_mode_pj : float array;  (** Per {!Cost} mode index. *)
-  cs_engines : int array array;  (** Per engine, {!Exec.snapshot}. *)
+  cs_energy_pj : float array;
+      (** Per {!Energy.all_categories}, in order: the counters priced at
+          capture, for a reader of the checkpoint.  A restore reads the
+          counters, not these. *)
+  cs_mode_pj : float array;  (** Per {!Cost} mode index, priced likewise. *)
+  cs_engines : int array array;
+      (** Per engine, {!Engine.snapshot}; then, as the last row, the
+          array's {!Cost.save} counters. *)
 }
 
 type t = {
@@ -59,8 +67,8 @@ val save : dir:string -> t -> unit
 
 val load : dir:string -> (t option, Sim_error.t) result
 (** [Ok None] when no checkpoint exists yet; [Error (Checkpoint_corrupt _)]
-    on bad magic, truncation, version or CRC mismatch.  A version-1
-    checkpoint (boxed per-vector state) is refused by version. *)
+    on bad magic, truncation, version or CRC mismatch.  Version-1 and
+    version-2 checkpoints are refused by version. *)
 
 val journal : dir:string -> string -> unit
 (** Append one timestamped line to the run journal (best-effort: journal

@@ -366,30 +366,32 @@ let idle t =
    when it projects.  Bins project on every live step and need no mark. *)
 let invalidate t = match t.kind with E_plan (_, st) -> Nbva.set_changed st true | E_bin _ -> ()
 
+type outcome = Idle | Unchanged | Projected
+
 (* The array's step (see Exec): advance, then leave the record alone
    when the state is all-zero (the array counts an idle engine at its
    idle share and never reads its record) or when the record is not
    stale (it already projects the state); otherwise project.  So
    projection always happens here, against the tables as they are
-   now. *)
+   now.  A plan engine's liveness comes from the kernel's own step
+   ([Nbva.live]), not from a second scan of its words. *)
 let step_live t c =
   match t.kind with
   | E_plan (p, st) ->
       ignore (Nbva.step_selected p.exec st c);
-      if Nbva.idle st then false
-      else begin
-        if Nbva.changed st then begin
-          plan_project p st t.stats;
-          Nbva.set_changed st false
-        end;
-        true
+      if not (Nbva.live st) then Idle
+      else if Nbva.changed st then begin
+        plan_project p st t.stats;
+        Nbva.set_changed st false;
+        Projected
       end
+      else Unchanged
   | E_bin e ->
       ignore (Shift_and.step e.sa e.sa_st c);
-      if Bitvec.is_zero (Shift_and.state_vector e.sa_st) then false
+      if Bitvec.is_zero (Shift_and.state_vector e.sa_st) then Idle
       else begin
         bin_project e t.stats;
-        true
+        Projected
       end
 
 (* [step_kernel] advances only the automaton state — no tile
@@ -478,6 +480,12 @@ let plan_flip st i =
 let run_arena t = match t.kind with E_plan (_, st) -> Nbva.run_arena st | E_bin e -> e.b_arena
 let snapshot t = Arena.snapshot (run_arena t)
 
+let snapshot_into t dst =
+  let a = run_arena t in
+  if Array.length dst <> Arena.used a then
+    invalid_arg "Engine.snapshot_into: buffer does not match this engine";
+  Array.blit (Arena.words a) 0 dst 0 (Arena.used a)
+
 let restore t snap =
   (try Arena.restore (run_arena t) snap
    with Invalid_argument _ -> invalid_arg "Engine.restore: snapshot does not match this engine");
@@ -516,9 +524,28 @@ let immutable_regions t =
       @ List.map (fun (n, b) -> R_bytes (n, b)) (Nbva.plan_bytes p.exec)
   | E_bin e -> List.map (fun (n, vs) -> R_vecs (n, vs)) (Shift_and.tables e.sa)
 
+(* The reference kernel leaves an all-zero state all-zero on a byte
+   outside every initial STE's class, so the replay skips that step.
+   The test reads the automaton's reference records, not the plan's
+   [wake] table that the live path's awake set is built from: a
+   corrupted wake table still shows as a divergence. *)
+let reference_wakes (exec : Nbva.t) c =
+  let init = exec.Nbva.initial_states in
+  let hit = ref false and i = ref 0 in
+  while (not !hit) && !i < Array.length init do
+    (hit :=
+       match exec.Nbva.stes.(init.(!i)) with
+       | Nbva.Plain cc | Nbva.Bv { cc; _ } -> Charclass.mem cc c);
+    incr i
+  done;
+  !hit
+
 let step_shadow t c =
   match t.kind with
-  | E_plan (p, st) -> ignore (Nbva.step_reference p.exec st c)
+  | E_plan (p, st) ->
+      if reference_wakes p.exec c || not (Nbva.idle st) then
+        ignore (Nbva.step_reference p.exec st c)
+      else Nbva.set_changed st true
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
 (* Rolling digest of the semantic inter-symbol state — the same vectors

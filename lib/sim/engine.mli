@@ -113,20 +113,27 @@ val wake_bytes : t -> Bytes.t
     NFA/NBVA engines, {!Shift_and.wake_bytes} for bins.  A live
     reference; do not mutate. *)
 
-val step_live : t -> char -> bool
+type outcome =
+  | Idle  (** The state is all-zero; the record was left as it was. *)
+  | Unchanged  (** The state is live and the kept record projects it. *)
+  | Projected  (** The state is live and the record was re-projected. *)
+
+val step_live : t -> char -> outcome
 (** The array's step ({!Exec.step}'s bit-parallel path): advance by one
-    symbol, bit-identical in state effect to {!step}, and return whether
-    the state is live (not {!idle}).  It projects only when it must:
-    - the state is all-zero: returns [false] and leaves the record as
-      it was (an array counts an idle engine at its idle share and
-      does not read its record);
+    symbol, bit-identical in state effect to {!step}, and say what
+    became of the state and the record.  It projects only when it must:
+    - the state is all-zero: [Idle], and the record is left as it was
+      (an array counts an idle engine at its idle share and does not
+      read its record);
     - the record is not stale (see {!events}: no kernel step changed
       the state since the last projection, and nothing marked it):
-      keeps the record, which already projects the state;
-    - otherwise: projects, like {!step}, from the tables as they are
-      now, and clears the stale mark.
+      [Unchanged], keeping the record, which already projects the
+      state;
+    - otherwise: [Projected], from the tables as they are now, and the
+      stale mark is cleared.
     Bins have no change report and project whenever they are live.
-    Allocates nothing. *)
+    Liveness comes from the step itself ([Nbva.live] for plan
+    engines).  Allocates nothing. *)
 
 val step_kernel : t -> char -> unit
 (** Advance the automaton state only (no projection, no stats) —
@@ -196,6 +203,11 @@ val flip_state_bit : t -> int -> unit
 val snapshot : t -> int array
 (** A copy of the engine's run-state arena — one blit. *)
 
+val snapshot_into : t -> int array -> unit
+(** {!snapshot} into an existing buffer of the same length (an earlier
+    snapshot of this engine); raises [Invalid_argument] on a length
+    mismatch. *)
+
 val restore : t -> int array -> unit
 (** Inverse of {!snapshot}.  The record is marked stale (see {!events})
     and the engine joins its owner's awake set.  Raises
@@ -240,7 +252,11 @@ val step_shadow : t -> char -> unit
     (scalar [Nbva.step_reference] for NFA/NBVA engines; the Shift-And
     step for bins, which has no second kernel).  Semantically identical
     to {!step_kernel} on uncorrupted tables, and like it marks the
-    record stale ([Nbva.step_reference] always sets [Nbva.changed]). *)
+    record stale.  An NFA/NBVA engine whose state is all-zero skips the
+    step when the byte lies outside the class of every initial STE, as
+    the automaton's reference records ([stes], [initial_states]) say,
+    not its plan's [wake] table: the reference step would leave it
+    all-zero. *)
 
 val state_digest : t -> int -> int
 (** [state_digest t acc] folds the engine's semantic inter-symbol state

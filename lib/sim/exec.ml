@@ -20,59 +20,63 @@ type array_events = {
   mutable n_phases : int;
 }
 
-(* The event record is owned by its [t] and refreshed in place by every
-   [step], from the engines' records.  BV-phase records depend only on
-   (engine, local tile, arch), so they are built once per architecture
-   and [step] copies references into [bv_phases].
+(* The event record is owned by its [t] and updated in place by every
+   [step].  BV-phase records depend only on (engine, local tile, arch),
+   so they are built once per architecture, one per BV-phase slot, and
+   [step] copies references into [bv_phases].
 
    Awake set.  [step] steps only the engines in [owner.awake] (state
    that may be non-zero) and those in the byte's row of [wake] (engines
    the byte wakes from the zero state).  An engine leaves the set right
    after a step that leaves its state all-zero ([Engine.step_live]
-   returns [false]); the all-zero state stays all-zero on every byte
+   returns [Idle]); the all-zero state stays all-zero on every byte
    outside its wake row, so skipping it is exact until the byte's row or
    [Engine.restore] / [Engine.flip_state_bit], which set its bit, bring
-   it back.  An engine outside the set is counted at its idle share and
-   its record is never read, so the step that drops it writes nothing.
+   it back.
 
-   Idle-baseline assembly.  A tile's value with every engine idle is a
-   constant, [base_enabled] and [base_powered] (no active states), built
-   once per placement.  Only the tiles of stepped engines can change
-   ([touched]); each is reset to its baseline, and every stepped engine
-   that stays live — the awake set after the step — adds its record
-   minus its idle share on each of its pieces.  That share is 0 active
-   states, the engine's idle enabled columns (constant on plan tiles),
-   and for [powered], an OR, nothing: a live record powers every tile
-   the zero record does.  Untouched tiles keep last symbol's values,
-   which are still exact because no engine on them was stepped. *)
+   Counting by delta.  The record holds every engine at some share: an
+   engine outside the set at its idle share (the projection of the
+   all-zero state), an engine in it at its record as last projected.
+   [held] keeps, per piece, what that share put on the piece's tile
+   (active states, enabled columns, powered, packed into one word),
+   [e_cross] / [e_reports] what it put in the array totals, and [slots]
+   which of its tiles it sends into the BV phase.  A step changes a
+   share only when the engine projects ([Projected]) or goes idle
+   ([Idle]); it then adds new minus held to each of the engine's tiles
+   whose piece moved and to the totals, and flips the slots that
+   moved.  An engine stepped without
+   change touches nothing, and neither does one left out.  [powered] is
+   an OR over pieces, so each tile keeps a count of the pieces that
+   power it ([pow]).  Tiles start at their idle baseline
+   ([base_enabled], [base_powered]) with every engine at its idle
+   share: at [build], [clone_fresh] and [restore]. *)
 type t = {
   engines : Engine.t array;
   pieces : int array array;
-      (* per engine: flat (physical tile, local tile, idle enabled
-         columns) triples, one per tile piece *)
+      (* per engine: flat (physical tile, local tile, idle share
+         [packed]) triples, one per tile piece *)
+  first_piece : int array;  (* per engine: its first piece's index in [held] *)
   base_enabled : int array;  (* per physical tile, every engine idle *)
-  base_powered : bool array;
+  base_powered : int array;  (* per physical tile: pieces the idle records power *)
   tile_modes : Engine.mode array;
-  engine_tiles : int array;  (* per engine: [tile_bit]s of the tiles it has pieces on *)
+  slot_of : int array;
+      (* per engine: its first BV-phase slot, one slot per local tile in
+         engine order; -1 for an engine that never triggers *)
   wake : int array;
       (* byte -> engines it wakes: 256 rows of [Bitvec.words_for] (engines)
          words, in [Bitvec] word layout; sealed as [owner.tables] *)
   owner : Engine.owner;
-  mutable touched : int;  (* [tile_bit]s of the tiles to assemble at the next step *)
+  held : int array;  (* per piece: its share as counted, [packed] *)
+  pow : int array;  (* per physical tile: counted pieces that power it *)
+  e_cross : int array;
+  e_reports : int array;
+  slots : Bitvec.t;  (* BV-phase slots whose tile is triggered *)
+  mutable n_set : int;  (* set bits of [slots] *)
+  mutable resync : bool;  (* a [Reference] step rebuilt [ev] from scratch *)
   ev : array_events;
-  mutable phases : (Arch.t * bv_phase array array) option;
-      (* per engine, per local tile, for the last architecture stepped *)
+  mutable phases : (Arch.t * bv_phase array) option;
+      (* per slot, for the last architecture stepped *)
 }
-
-(* An array has at most [Circuit.tiles_per_array] tiles; any past the
-   word's bits share its top bit, which only makes assembly redo them
-   together.  The bound is an int comparison written out: assembly asks
-   for every tile's bit on every symbol, and [Stdlib.min] would call the
-   C runtime's generic comparison each time. *)
-let tile_bit ti =
-  let top = Bitvec.bits_per_word - 1 in
-  1 lsl (if ti < top then ti else top)
-let all_tiles = -1
 
 let wake_table engines =
   let n = Array.length engines in
@@ -88,59 +92,98 @@ let wake_table engines =
     engines;
   tbl
 
-let engine_tiles pieces =
-  Array.map
-    (fun pc ->
-      let m = ref 0 in
-      for k = 0 to (Array.length pc / 3) - 1 do
-        m := !m lor tile_bit pc.(3 * k)
-      done;
-      !m)
-    pieces
+let no_phase = { p_mode = Engine.M_nbva; p_bv_cols = 0; p_iterations = 0; p_stall = 0 }
 
-let of_parts engines ~pieces ~base_enabled ~base_powered tile_modes ~engine_tiles ~wake =
-  let max_phases = Array.fold_left (fun acc e -> acc + Engine.num_tiles e) 0 engines in
+(* A piece's share of its tile in one word: active states, enabled
+   columns and powered (0/1), in 24-bit fields.  A piece's counts are
+   bounded by its unit's states and its tile's columns, far below 2^24. *)
+let field = 24
+let field_mask = (1 lsl field) - 1
+let packed ~active ~enabled ~powered = active lor (enabled lsl field) lor (powered lsl (2 * field))
+
+(* Every tile at its idle baseline and every engine at its idle share:
+   the state [build], [clone_fresh] and [restore] leave. *)
+let reset_counts t =
+  let ev = t.ev in
+  Array.iteri
+    (fun ti te ->
+      te.t_active_states <- 0;
+      te.t_enabled_cols <- t.base_enabled.(ti);
+      t.pow.(ti) <- t.base_powered.(ti);
+      te.t_powered <- t.base_powered.(ti) > 0)
+    ev.tiles;
+  Array.iteri
+    (fun ei pc ->
+      for k = 0 to (Array.length pc / 3) - 1 do
+        t.held.(t.first_piece.(ei) + k) <- pc.((3 * k) + 2)
+      done;
+      t.e_cross.(ei) <- 0;
+      t.e_reports.(ei) <- 0)
+    t.pieces;
+  Bitvec.clear t.slots;
+  t.n_set <- 0;
+  t.resync <- false;
+  ev.cross <- 0;
+  ev.reports <- 0;
+  ev.stall <- 0;
+  ev.n_phases <- 0
+
+let of_parts engines ~pieces ~first_piece ~base_enabled ~base_powered tile_modes ~slot_of ~wake =
+  let n = Array.length engines in
+  let n_pieces = Array.fold_left (fun acc pc -> acc + (Array.length pc / 3)) 0 pieces in
+  let n_slots = ref 0 in
+  for ei = 0 to n - 1 do
+    if slot_of.(ei) >= 0 then n_slots := slot_of.(ei) + Engine.num_tiles engines.(ei)
+  done;
+  let n_slots = !n_slots in
   let owner =
-    {
-      Engine.awake = Bitvec.create (Array.length engines);
-      tables = [ Engine.R_words ("array_wake", wake) ];
-    }
+    { Engine.awake = Bitvec.create n; tables = [ Engine.R_words ("array_wake", wake) ] }
   in
   Array.iteri (fun i e -> Engine.attach e owner i) engines;
-  {
-    engines;
-    pieces;
-    base_enabled;
-    base_powered;
-    tile_modes;
-    engine_tiles;
-    wake;
-    owner;
-    touched = all_tiles;
-    ev =
-      {
-        sym = 0;
-        symbol = '\000';
-        stall = 0;
-        cross = 0;
-        reports = 0;
-        tiles =
-          Array.map
-            (fun m -> { t_mode = m; t_powered = false; t_enabled_cols = 0; t_active_states = 0 })
-            tile_modes;
-        bv_phases =
-          Array.make max_phases
-            { p_mode = Engine.M_nbva; p_bv_cols = 0; p_iterations = 0; p_stall = 0 };
-        n_phases = 0;
-      };
-    phases = None;
-  }
+  let t =
+    {
+      engines;
+      pieces;
+      first_piece;
+      base_enabled;
+      base_powered;
+      tile_modes;
+      slot_of;
+      wake;
+      owner;
+      held = Array.make n_pieces 0;
+      pow = Array.make (Array.length tile_modes) 0;
+      e_cross = Array.make n 0;
+      e_reports = Array.make n 0;
+      slots = Bitvec.create n_slots;
+      n_set = 0;
+      resync = false;
+      ev =
+        {
+          sym = 0;
+          symbol = '\000';
+          stall = 0;
+          cross = 0;
+          reports = 0;
+          tiles =
+            Array.map
+              (fun m -> { t_mode = m; t_powered = false; t_enabled_cols = 0; t_active_states = 0 })
+              tile_modes;
+          bv_phases = Array.make n_slots no_phase;
+          n_phases = 0;
+        };
+      phases = None;
+    }
+  in
+  reset_counts t;
+  t
 
 (* One engine per unit or bin with a piece in [tiles], in first-seen
    order.  A first pass makes the engines and counts their pieces, a
-   second writes each engine's triples, reading its idle enabled columns
-   from its fresh record (the projection of the all-zero state); the
-   baseline sums the fresh records over every piece. *)
+   second writes each engine's triples, reading its idle share from
+   its fresh record (the projection of the all-zero state); the
+   baseline sums the fresh records over every piece.  NBVA-mode engines
+   get one BV-phase slot per local tile, in engine order. *)
 let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
   let engine_ids = Hashtbl.create 8 in
   let engines = ref [] in
@@ -181,9 +224,14 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
         t.Mapper.pieces)
     tiles;
   let engines = Array.of_list (List.rev !engines) in
-  let pieces = Array.init (Array.length engines) (fun ei -> Array.make (3 * counts.(ei)) 0) in
+  let n = Array.length engines in
+  let pieces = Array.init n (fun ei -> Array.make (3 * counts.(ei)) 0) in
+  let first_piece = Array.make n 0 in
+  for ei = 1 to n - 1 do
+    first_piece.(ei) <- first_piece.(ei - 1) + counts.(ei - 1)
+  done;
   let ntiles = Array.length tiles in
-  let base_enabled = Array.make ntiles 0 and base_powered = Array.make ntiles false in
+  let base_enabled = Array.make ntiles 0 and base_powered = Array.make ntiles 0 in
   Array.fill counts 0 total 0;
   k := 0;
   Array.iteri
@@ -198,11 +246,12 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
           in
           let r = Engine.events engines.(ei) and j = 3 * counts.(ei) in
           let pc = pieces.(ei) in
+          let powered = if r.Engine.powered.(lt) then 1 else 0 in
           pc.(j) <- ti;
           pc.(j + 1) <- lt;
-          pc.(j + 2) <- r.Engine.enabled.(lt);
+          pc.(j + 2) <- packed ~active:0 ~enabled:r.Engine.enabled.(lt) ~powered;
           base_enabled.(ti) <- base_enabled.(ti) + r.Engine.enabled.(lt);
-          if r.Engine.powered.(lt) then base_powered.(ti) <- true;
+          base_powered.(ti) <- base_powered.(ti) + powered;
           counts.(ei) <- counts.(ei) + 1;
           incr k)
         t.Mapper.pieces)
@@ -216,8 +265,16 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
         | Mapper.T_lnfa -> Engine.M_lnfa)
       tiles
   in
-  of_parts engines ~pieces ~base_enabled ~base_powered tile_modes
-    ~engine_tiles:(engine_tiles pieces) ~wake:(wake_table engines)
+  let slot_of = Array.make n (-1) and next = ref 0 in
+  Array.iteri
+    (fun ei e ->
+      if Engine.mode e = Engine.M_nbva then begin
+        slot_of.(ei) <- !next;
+        next := !next + Engine.num_tiles e
+      end)
+    engines;
+  of_parts engines ~pieces ~first_piece ~base_enabled ~base_powered tile_modes ~slot_of
+    ~wake:(wake_table engines)
 
 let engines t = t.engines
 let awake_count t = Bitvec.popcount t.owner.Engine.awake
@@ -226,14 +283,19 @@ let tile_modes t = t.tile_modes
 let snapshot t = Array.map Engine.snapshot t.engines
 let snapshot_flat = snapshot
 
-(* Every engine's [Engine.restore] marks its record stale and wakes it;
-   the next step then steps them all, projects every one it leaves
-   live, and reassembles every tile. *)
+let snapshot_into t dst =
+  if Array.length dst <> Array.length t.engines then
+    invalid_arg "Exec.snapshot_into: buffer does not match this array";
+  Array.iteri (fun i e -> Engine.snapshot_into e dst.(i)) t.engines
+
+(* Every engine's [Engine.restore] marks its record stale and wakes it,
+   and every tile goes back to its baseline; the next step then steps
+   them all and counts every one it leaves live. *)
 let restore t snaps =
   if Array.length snaps <> Array.length t.engines then
     invalid_arg "Exec.restore: snapshot does not match this array";
   Array.iteri (fun i s -> Engine.restore t.engines.(i) s) snaps;
-  t.touched <- all_tiles
+  reset_counts t
 
 (* The BV-processing phase a triggering (engine, local tile) pair
    enters on [arch]. *)
@@ -257,81 +319,133 @@ let phases_for arch t =
   match t.phases with
   | Some (a, tbl) when a == arch -> tbl
   | _ ->
-      let tbl =
-        Array.map
-          (fun e -> Array.init (Engine.num_tiles e) (fun lt -> phase_of arch e lt))
-          t.engines
-      in
+      let tbl = Array.make (Bitvec.width t.slots) no_phase in
+      Array.iteri
+        (fun ei e ->
+          let s = t.slot_of.(ei) in
+          if s >= 0 then
+            for lt = 0 to Engine.num_tiles e - 1 do
+              tbl.(s + lt) <- phase_of arch e lt
+            done)
+        t.engines;
       t.phases <- Some (arch, tbl);
       tbl
 
-(* Add live engine [ei]'s BV phases, cross signals and reports, from
-   its record, to [t.ev]. *)
-let add_events (arch : Arch.t) phases t ei =
-  let r = Engine.events t.engines.(ei) and ev = t.ev in
-  if arch.Arch.supports_nbva then begin
+let emit_phase ev p =
+  ev.bv_phases.(ev.n_phases) <- p;
+  ev.n_phases <- ev.n_phases + 1;
+  if p.p_stall > ev.stall then ev.stall <- p.p_stall
+
+(* Count engine [ei] at its record, or at its idle share when [idle],
+   in place of what it counted: new minus held on each tile whose piece
+   moved and on the array totals, and the BV-phase slots that moved. *)
+let recount t ei ~idle =
+  let r = Engine.events t.engines.(ei) and pc = t.pieces.(ei) in
+  let tiles = t.ev.tiles and held = t.held and h0 = t.first_piece.(ei) in
+  for k = 0 to (Array.length pc / 3) - 1 do
+    let lt = pc.((3 * k) + 1) in
+    let now =
+      if idle then pc.((3 * k) + 2)
+      else
+        packed ~active:r.Engine.active.(lt) ~enabled:r.Engine.enabled.(lt)
+          ~powered:(if r.Engine.powered.(lt) then 1 else 0)
+    in
+    let was = held.(h0 + k) in
+    if now <> was then begin
+      held.(h0 + k) <- now;
+      let ti = pc.(3 * k) in
+      let te = tiles.(ti) in
+      te.t_active_states <- te.t_active_states + (now land field_mask) - (was land field_mask);
+      te.t_enabled_cols <-
+        te.t_enabled_cols + ((now lsr field) land field_mask) - ((was lsr field) land field_mask);
+      let d = (now lsr (2 * field)) - (was lsr (2 * field)) in
+      if d <> 0 then begin
+        t.pow.(ti) <- t.pow.(ti) + d;
+        te.t_powered <- t.pow.(ti) > 0
+      end
+    end
+  done;
+  let ev = t.ev in
+  let cross = if idle then 0 else r.Engine.cross in
+  ev.cross <- ev.cross + cross - t.e_cross.(ei);
+  t.e_cross.(ei) <- cross;
+  let reports = if idle then 0 else r.Engine.reports in
+  ev.reports <- ev.reports + reports - t.e_reports.(ei);
+  t.e_reports.(ei) <- reports;
+  let s0 = t.slot_of.(ei) in
+  if s0 >= 0 then begin
     let trig = r.Engine.triggered in
     for lt = 0 to Array.length trig - 1 do
-      if trig.(lt) then begin
-        let p = phases.(ei).(lt) in
-        ev.bv_phases.(ev.n_phases) <- p;
-        ev.n_phases <- ev.n_phases + 1;
-        if p.p_stall > ev.stall then ev.stall <- p.p_stall
-      end
+      let on = (not idle) && trig.(lt) in
+      if on <> Bitvec.get t.slots (s0 + lt) then
+        if on then begin
+          Bitvec.set t.slots (s0 + lt);
+          t.n_set <- t.n_set + 1
+        end
+        else begin
+          Bitvec.reset t.slots (s0 + lt);
+          t.n_set <- t.n_set - 1
+        end
     done
-  end;
-  ev.cross <- ev.cross + r.Engine.cross;
-  ev.reports <- ev.reports + r.Engine.reports
+  end
 
-(* Add engine [ei]'s record to the tiles it has pieces on.  [net] takes
-   off its idle enabled columns, which the tiles' baseline already
-   holds. *)
-let add_pieces t ei ~net =
-  let r = Engine.events t.engines.(ei) and pc = t.pieces.(ei) and tiles = t.ev.tiles in
-  for k = 0 to (Array.length pc / 3) - 1 do
-    let te = tiles.(pc.(3 * k)) and lt = pc.((3 * k) + 1) in
-    let idle = if net then pc.((3 * k) + 2) else 0 in
-    if r.Engine.powered.(lt) then te.t_powered <- true;
-    te.t_enabled_cols <- te.t_enabled_cols + r.Engine.enabled.(lt) - idle;
-    te.t_active_states <- te.t_active_states + r.Engine.active.(lt)
-  done
+(* The fast path's engine step.  The engine's awake bit is set before
+   it is stepped, so a step that raises (a corrupted plan index) leaves
+   the engine awake: the rollback's [restore] redoes it.  An engine
+   that goes idle was counted at its record, except on the first step
+   after a reset, where the recount changes nothing. *)
+let step_engine t ei c =
+  match Engine.step_live t.engines.(ei) c with
+  | Engine.Idle ->
+      Bitvec.reset t.owner.Engine.awake ei;
+      recount t ei ~idle:true
+  | Engine.Unchanged -> ()
+  | Engine.Projected -> recount t ei ~idle:false
 
-(* The fast path's engine step.  The engine's awake and touched bits are
-   set before it is stepped (the caller sets the awake bit, this the
-   touched one), so a step that raises (a corrupted plan index) leaves
-   the engine awake and its tiles due: the next step, or the rollback's
-   [restore], redoes them.  An engine whose step leaves its state
-   all-zero contributes nothing and leaves the awake set. *)
-let step_engine (arch : Arch.t) phases t ei c =
-  t.touched <- t.touched lor t.engine_tiles.(ei);
-  if Engine.step_live t.engines.(ei) c then add_events arch phases t ei
-  else Bitvec.reset t.owner.Engine.awake ei
+(* The phases of the set slots, in slot order, which is engine order. *)
+let emit_slots (arch : Arch.t) t =
+  let ev = t.ev in
+  ev.stall <- 0;
+  ev.n_phases <- 0;
+  if arch.Arch.supports_nbva && t.n_set > 0 then begin
+    let tbl = phases_for arch t in
+    for w = 0 to Bitvec.words_for (Bitvec.width t.slots) - 1 do
+      let m = ref (Bitvec.get_word t.slots w) in
+      while !m <> 0 do
+        emit_phase ev tbl.((w * Bitvec.bits_per_word) + Bitvec.lsb_index !m);
+        m := !m land (!m - 1)
+      done
+    done
+  end
+
+(* A [Reference] step rebuilt the record from scratch, so the fast path
+   starts over: every engine stale, awake and at its idle share. *)
+let resync t =
+  Array.iter Engine.invalidate t.engines;
+  Bitvec.fill_ones t.owner.Engine.awake;
+  reset_counts t
 
 (* The fast path steps the awake set and the byte's wake row, in
-   ascending engine order, and assembles the touched tiles from their
-   baselines and the engines left awake.  The engines it leaves out are
-   idle: no phase, cross signal or report, so the sums over the stepped
-   engines are the array's, in engine order.  The reference kernel takes
-   none of these shortcuts: it steps and projects every engine
-   ([Engine.step]) and sums every tile from all of its pieces' records,
-   so a [Reference] run checks the fast path's selection, its kept
-   records and its baselines as well as its kernel. *)
+   ascending engine order, and counts each engine whose share moved.
+   The engines it leaves out are idle: no phase, cross signal or
+   report, and their tiles already count them at their idle share.
+   The reference kernel takes none of these shortcuts: it steps and
+   projects every engine ([Engine.step]) and sums the record from all
+   of the engines' records, so a [Reference] run checks the fast path's
+   selection, its kept records, its deltas and its baselines as well as
+   its kernel. *)
 let step (arch : Arch.t) t ~sym c =
   let ev = t.ev and awake = t.owner.Engine.awake in
-  let phases = if arch.Arch.supports_nbva then phases_for arch t else [||] in
   let nw = Bitvec.words_for (Array.length t.engines) in
-  ev.stall <- 0;
-  ev.cross <- 0;
-  ev.reports <- 0;
-  ev.n_phases <- 0;
   (match !Nbva.kernel with
   | Nbva.Reference ->
+      t.resync <- true;
+      ev.stall <- 0;
+      ev.cross <- 0;
+      ev.reports <- 0;
+      ev.n_phases <- 0;
+      let tbl = if arch.Arch.supports_nbva then phases_for arch t else [||] in
       Bitvec.fill_ones awake;
-      for ei = 0 to Array.length t.engines - 1 do
-        let e = t.engines.(ei) in
-        ignore (Engine.step e c);
-        if Engine.idle e then Bitvec.reset awake ei else add_events arch phases t ei
-      done;
       Array.iter
         (fun te ->
           te.t_powered <- false;
@@ -339,9 +453,28 @@ let step (arch : Arch.t) t ~sym c =
           te.t_active_states <- 0)
         ev.tiles;
       for ei = 0 to Array.length t.engines - 1 do
-        add_pieces t ei ~net:false
+        let e = t.engines.(ei) in
+        let r = Engine.step e c in
+        if Engine.idle e then Bitvec.reset awake ei
+        else begin
+          let s0 = t.slot_of.(ei) in
+          if arch.Arch.supports_nbva && s0 >= 0 then
+            for lt = 0 to Array.length r.Engine.triggered - 1 do
+              if r.Engine.triggered.(lt) then emit_phase ev tbl.(s0 + lt)
+            done;
+          ev.cross <- ev.cross + r.Engine.cross;
+          ev.reports <- ev.reports + r.Engine.reports
+        end;
+        let pc = t.pieces.(ei) in
+        for k = 0 to (Array.length pc / 3) - 1 do
+          let te = ev.tiles.(pc.(3 * k)) and lt = pc.((3 * k) + 1) in
+          if r.Engine.powered.(lt) then te.t_powered <- true;
+          te.t_enabled_cols <- te.t_enabled_cols + r.Engine.enabled.(lt);
+          te.t_active_states <- te.t_active_states + r.Engine.active.(lt)
+        done
       done
   | Nbva.Bit_parallel ->
+      if t.resync then resync t;
       let row = Char.code c * nw in
       for w = 0 to nw - 1 do
         (* [set_word] drops bits past the last engine: a flipped padding
@@ -349,35 +482,21 @@ let step (arch : Arch.t) t ~sym c =
         Bitvec.set_word awake w (Bitvec.get_word awake w lor Array.unsafe_get t.wake (row + w));
         let m = ref (Bitvec.get_word awake w) in
         while !m <> 0 do
-          step_engine arch phases t ((w * Bitvec.bits_per_word) + Bitvec.lsb_index !m) c;
+          step_engine t ((w * Bitvec.bits_per_word) + Bitvec.lsb_index !m) c;
           m := !m land (!m - 1)
         done
       done;
-      for ti = 0 to Array.length ev.tiles - 1 do
-        if t.touched land tile_bit ti <> 0 then begin
-          let te = ev.tiles.(ti) in
-          te.t_powered <- t.base_powered.(ti);
-          te.t_enabled_cols <- t.base_enabled.(ti);
-          te.t_active_states <- 0
-        end
-      done;
-      for w = 0 to nw - 1 do
-        let m = ref (Bitvec.get_word awake w) in
-        while !m <> 0 do
-          add_pieces t ((w * Bitvec.bits_per_word) + Bitvec.lsb_index !m) ~net:true;
-          m := !m land (!m - 1)
-        done
-      done);
-  t.touched <- 0;
+      emit_slots arch t);
   ev.sym <- sym;
   ev.symbol <- c;
   ev
 
 (* A fresh-state clone: all compiled structure (engines' automata and
-   masks, the pieces and baselines, the wake table) is shared with the
-   template; run state, the awake set, event records and the phase
-   cache are per-clone, so clones stepped on different domains share
-   nothing mutable. *)
+   masks, the pieces, baselines and slots, the wake table) is shared
+   with the template; run state, the awake set, the counted shares,
+   event records and the phase cache are per-clone, so clones stepped
+   on different domains share nothing mutable. *)
 let clone_fresh t =
-  of_parts (Array.map Engine.clone_fresh t.engines) ~pieces:t.pieces ~base_enabled:t.base_enabled
-    ~base_powered:t.base_powered t.tile_modes ~engine_tiles:t.engine_tiles ~wake:t.wake
+  of_parts (Array.map Engine.clone_fresh t.engines) ~pieces:t.pieces ~first_piece:t.first_piece
+    ~base_enabled:t.base_enabled ~base_powered:t.base_powered t.tile_modes ~slot_of:t.slot_of
+    ~wake:t.wake

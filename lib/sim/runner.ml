@@ -163,11 +163,18 @@ let fingerprint (p : Mapper.placement) =
     p.Mapper.arrays;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The energy/timing accounting as a sink over the event stream.  State
-   lives in per-array slots merged in array order after the run, so the
-   totals are bit-identical under every schedule.  Each instance charges
-   a symbol into its own scratch arrays and folds them into its slots:
-   no allocation per symbol. *)
+(* One array's counted energy, priced into fresh category and mode
+   arrays. *)
+let priced tables counts =
+  let cat = Array.make Cost.num_categories 0. and mode = Array.make Cost.num_modes 0. in
+  Cost.price tables counts ~cat_pj:cat ~mode_pj:mode;
+  (cat, mode)
+
+(* The energy accounting as a sink over the event stream: one
+   [Cost.counter] per array, priced into the array's ledger and mode
+   slots when the array closes.  The slots are merged in array order
+   after the run, so the totals are bit-identical under every
+   schedule. *)
 let energy_sink arch ~num_arrays =
   let ledgers = Array.init num_arrays (fun _ -> Energy.create ()) in
   let mode_slots = Array.make_matrix num_arrays Cost.num_modes 0. in
@@ -177,27 +184,14 @@ let energy_sink arch ~num_arrays =
       Sink.name = "energy";
       make =
         (fun ~array_id ~chars:_ ->
-          let ledger = ledgers.(array_id) and modes = mode_slots.(array_id) in
-          let cat = Array.make Cost.num_categories 0. and mode = Array.make Cost.num_modes 0. in
-          Sink.events_only (fun ev ->
-              ignore (Cost.charge tables ev ~cat_pj:cat ~mode_pj:mode);
-              Energy.accumulate ledger cat;
-              for m = 0 to Cost.num_modes - 1 do
-                modes.(m) <- modes.(m) +. mode.(m)
-              done));
+          let counts = Cost.counter () in
+          Sink.events_only (Cost.count counts) ~on_close:(fun ~cycles:_ ->
+              let cat, mode = priced tables counts and slot = mode_slots.(array_id) in
+              Energy.accumulate ledgers.(array_id) cat;
+              Array.iteri (fun m pj -> slot.(m) <- slot.(m) +. pj) mode));
     }
   in
   (spec, ledgers, mode_slots)
-
-(* Energy ledgers have no setter by design; a rollback reproduces stored
-   values exactly because restoring [v] into a zeroed slot computes
-   [0. +. v = v] and every later accumulation then replays the same
-   float-addition sequence as an uninterrupted run. *)
-let ledger_values l = Array.of_list (List.map (Energy.get_pj l) Energy.all_categories)
-
-let ledger_restore l vals =
-  Energy.reset l;
-  List.iteri (fun i c -> Energy.add l c vals.(i)) Energy.all_categories
 
 (* Final report assembly from the per-array accumulator slots.  Shared
    verbatim by the single-stream driver and the batch layer: a batched
@@ -297,6 +291,17 @@ let assemble_report (arch : Arch.t) (p : Mapper.placement) ~chars ~cycles_slots 
     degraded;
   }
 
+(* An array's chunk-start state for the supervision policy's retries
+   and the integrity layer's heals, rewritten in place at every chunk
+   start (buffers allocated once per run). *)
+type rollback = {
+  mutable rb_set : bool;  (* false while the array is quarantined *)
+  mutable rb_cycles : int;
+  mutable rb_reports : int;
+  rb_engines : int array array;  (* per engine, its arena words *)
+  rb_counts : Cost.counter;
+}
+
 (* One [run_stream] call's state, shared by the steps below.  Every
    per-array slot has exactly one writer at a time — the worker stepping
    that array, or the caller between chunks — so none needs a lock. *)
@@ -312,8 +317,8 @@ type run = {
   (* arrays, so the symbol loop walks them without a closure per symbol *)
   r_on_events : (Exec.array_events -> unit) array array;
   r_on_state : (sym:int -> Engine.t array -> unit) array array;
-  r_ledgers : Energy.t array;
-  r_modes : float array array;
+  r_tables : Cost.tables;
+  r_counts : Cost.counter array;  (* per array: its energy, counted *)
   r_cycles : int array;
   r_reports : int array;
   r_quarantined : Sim_error.t option array;
@@ -321,13 +326,14 @@ type run = {
   r_fingerprint : string;
   r_seals : Integrity.seal array;
   r_shadows : Exec.t array;
+  r_rollbacks : rollback array;  (* per array; empty with neither policy nor integrity *)
   r_sweep_due : int array;
   r_sentinel_due : int array;
 }
 
 (* One attempt's cycle and report counts, published to the slots only
    when the attempt completes: a crashed or timed-out attempt leaves the
-   slots untouched, so only engine state and the energy sink need
+   slots untouched, so only engine state and the energy counters need
    explicit rollback. *)
 type tally = { mutable t_cycles : int; mutable t_reports : int }
 
@@ -341,15 +347,12 @@ let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mappe
     ~stream =
   let num_arrays = Array.length p.Mapper.arrays in
   let chars_hint = match Input_stream.length stream with Some n -> n | None -> 0 in
-  let energy_spec, ledgers, mode_slots = energy_sink arch ~num_arrays in
   (* all per-array state is built up front and lives across chunks; sink
      [make] runs in array order here, never inside a worker domain *)
   let execs = Array.map (fun tiles -> Exec.build p tiles) p.Mapper.arrays in
   let insts =
     Array.init num_arrays (fun array_id ->
-        List.map
-          (fun (s : Sink.spec) -> s.Sink.make ~array_id ~chars:chars_hint)
-          (energy_spec :: sinks))
+        List.map (fun (s : Sink.spec) -> s.Sink.make ~array_id ~chars:chars_hint) sinks)
   in
   (* Integrity layer: checksum-seal every array's immutable tables up front
      (pristine copies double as the repair source), keep one shadow clone
@@ -380,8 +383,8 @@ let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mappe
       Array.map
         (fun il -> Array.of_list (List.filter_map (fun (i : Sink.t) -> i.Sink.on_state) il))
         insts;
-    r_ledgers = ledgers;
-    r_modes = mode_slots;
+    r_tables = Cost.tables arch;
+    r_counts = Array.init num_arrays (fun _ -> Cost.counter ());
     r_cycles = Array.make num_arrays 0;
     r_reports = Array.make num_arrays 0;
     r_quarantined = Array.make num_arrays None;
@@ -391,32 +394,52 @@ let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mappe
     r_fingerprint = (match checkpoint with Some _ -> fingerprint p | None -> "");
     r_seals = seals;
     r_shadows = shadows;
+    r_rollbacks =
+      (match (policy, integrity) with
+      | None, None -> [||]
+      | _ ->
+          Array.map
+            (fun ex ->
+              {
+                rb_set = false;
+                rb_cycles = 0;
+                rb_reports = 0;
+                rb_engines = Exec.snapshot ex;
+                rb_counts = Cost.counter ();
+              })
+            execs);
     r_sweep_due = Array.make num_arrays 0;
     r_sentinel_due = Array.make num_arrays 0;
   }
 
-(* Array [i]'s whole restorable state: its cycle, report and energy slots
-   and its engines' arenas.  Chunk rollbacks, checkpoints and resume all
-   go through this one capture and the one restore below. *)
+(* Array [i]'s whole restorable state, as a checkpoint stores it: its
+   cycle and report slots, its engines' arenas and, as one trailing row
+   after them, its energy counters, with the counters priced beside
+   them for the checkpoint's reader.  Checkpoints and resume go through
+   this one capture and the one restore below. *)
 let capture_array st i =
+  let engines = Exec.engines st.r_execs.(i) in
+  let n = Array.length engines in
+  let counts = Cost.save st.r_counts.(i) in
+  let cat, mode = priced st.r_tables st.r_counts.(i) in
   {
     Checkpoint.cs_cycles = st.r_cycles.(i);
     cs_reports = st.r_reports.(i);
-    cs_energy_pj = ledger_values st.r_ledgers.(i);
-    cs_mode_pj = Array.copy st.r_modes.(i);
-    cs_engines = Exec.snapshot st.r_execs.(i);
+    cs_energy_pj = cat;
+    cs_mode_pj = mode;
+    cs_engines =
+      Array.init (n + 1) (fun k -> if k < n then Engine.snapshot engines.(k) else counts);
   }
 
 (* Raises [Invalid_argument] when [a] was captured from another placement. *)
 let restore_array st i (a : Checkpoint.array_state) =
-  if Array.length a.Checkpoint.cs_energy_pj <> List.length Energy.all_categories then
-    invalid_arg "energy category count differs";
-  if Array.length a.Checkpoint.cs_mode_pj <> Cost.num_modes then invalid_arg "mode count differs";
-  Exec.restore st.r_execs.(i) a.Checkpoint.cs_engines;
+  let rows = a.Checkpoint.cs_engines in
+  let n = Array.length rows - 1 in
+  if n < 0 then invalid_arg "checkpoint array holds no energy counters";
+  Exec.restore st.r_execs.(i) (Array.sub rows 0 n);
+  Cost.restore st.r_counts.(i) rows.(n);
   st.r_cycles.(i) <- a.Checkpoint.cs_cycles;
-  st.r_reports.(i) <- a.Checkpoint.cs_reports;
-  ledger_restore st.r_ledgers.(i) a.Checkpoint.cs_energy_pj;
-  Array.blit a.Checkpoint.cs_mode_pj 0 st.r_modes.(i) 0 Cost.num_modes
+  st.r_reports.(i) <- a.Checkpoint.cs_reports
 
 (* Restore the saved arrays and quarantines, and seek the stream to the
    saved offset.  No checkpoint yet is a fresh run. *)
@@ -451,7 +474,7 @@ let resume st ~dir stream =
    run after the symbol's events are banked, so corruption lands in the
    stored state and is first seen at the next symbol. *)
 let step_span st tally ~deadline ~base chunk i ~lo ~hi =
-  let ex = st.r_execs.(i) in
+  let ex = st.r_execs.(i) and counts = st.r_counts.(i) in
   let el = st.r_on_events.(i) and sl = st.r_on_state.(i) in
   for off = lo to hi - 1 do
     if off land (deadline_stride - 1) = 0 then Scheduler.check_deadline deadline;
@@ -459,6 +482,7 @@ let step_span st tally ~deadline ~base chunk i ~lo ~hi =
     let ev = Exec.step st.r_arch ex ~sym (String.unsafe_get chunk off) in
     tally.t_cycles <- tally.t_cycles + 1 + ev.Exec.stall;
     tally.t_reports <- tally.t_reports + ev.Exec.reports;
+    Cost.count counts ev;
     for k = 0 to Array.length el - 1 do
       el.(k) ev
     done;
@@ -521,12 +545,35 @@ let step_chunk st ~deadline ~base chunk i =
   st.r_cycles.(i) <- tally.t_cycles;
   st.r_reports.(i) <- tally.t_reports
 
+(* Every live array's chunk-start state, written into its rollback
+   buffers; a quarantined array has none. *)
+let mark_rollbacks st =
+  Array.iteri
+    (fun i rb ->
+      match st.r_quarantined.(i) with
+      | Some _ -> rb.rb_set <- false
+      | None ->
+          rb.rb_set <- true;
+          rb.rb_cycles <- st.r_cycles.(i);
+          rb.rb_reports <- st.r_reports.(i);
+          Exec.snapshot_into st.r_execs.(i) rb.rb_engines;
+          Cost.copy ~src:st.r_counts.(i) ~dst:rb.rb_counts)
+    st.r_rollbacks
+
 (* The one place an array's run state goes back to its chunk start, after
    a failed attempt, a heal or a quarantine.  A failed attempt never
    published its slots, so restoring them is a no-op; the engines and
-   energy slots are what actually roll back. *)
-let restore_rollback st rollbacks i =
-  if Array.length rollbacks > 0 then Option.iter (restore_array st i) rollbacks.(i)
+   energy counters are what actually roll back. *)
+let restore_rollback st i =
+  if Array.length st.r_rollbacks > 0 then begin
+    let rb = st.r_rollbacks.(i) in
+    if rb.rb_set then begin
+      Exec.restore st.r_execs.(i) rb.rb_engines;
+      Cost.copy ~src:rb.rb_counts ~dst:st.r_counts.(i);
+      st.r_cycles.(i) <- rb.rb_cycles;
+      st.r_reports.(i) <- rb.rb_reports
+    end
+  end
 
 let quarantine st i err =
   if st.r_quarantined.(i) = None then begin
@@ -542,10 +589,10 @@ let quarantine st i err =
    never double-counts.  After [max_repairs] failed heals the typed error
    lands in [trips] (one writer per slot — no lock) for quarantine at the
    chunk barrier. *)
-let heal_chunk st cfg rollbacks trips ~deadline ~base chunk i =
+let heal_chunk st cfg trips ~deadline ~base chunk i =
   let rec go ~healed n =
     let heal err =
-      restore_rollback st rollbacks i;
+      restore_rollback st i;
       Integrity.repair cfg st.r_seals.(i) (Exec.engines st.r_execs.(i));
       if n >= cfg.Integrity.max_repairs then begin
         Integrity.note_quarantine cfg.Integrity.stats;
@@ -580,17 +627,12 @@ let run_chunk st ~base chunk =
   let num_arrays = Array.length st.r_execs in
   (* chunk-start snapshots, needed by the supervision policy's retries
      AND by the integrity layer's heal re-execution *)
-  let rollbacks =
-    if st.r_policy = None && st.r_integrity = None then [||]
-    else
-      Array.init num_arrays (fun i ->
-          if st.r_quarantined.(i) <> None then None else Some (capture_array st i))
-  in
+  mark_rollbacks st;
   let trips = if st.r_integrity = None then [||] else Array.make num_arrays None in
   let attempt ~deadline i =
     match st.r_integrity with
     | None -> step_chunk st ~deadline ~base chunk i
-    | Some cfg -> heal_chunk st cfg rollbacks trips ~deadline ~base chunk i
+    | Some cfg -> heal_chunk st cfg trips ~deadline ~base chunk i
   in
   let work_per_index = String.length chunk in
   (match st.r_policy with
@@ -601,13 +643,13 @@ let run_chunk st ~base chunk =
       Scheduler.supervised_for ~work_per_index ~jobs:st.r_jobs ~policy num_arrays
         (fun ~deadline ~attempt:k i ->
           if st.r_quarantined.(i) = None && (Array.length trips = 0 || trips.(i) = None) then begin
-            if k > 1 then restore_rollback st rollbacks i;
+            if k > 1 then restore_rollback st i;
             attempt ~deadline i
           end)
       |> Array.iteri (fun i outcome ->
              Option.iter
                (fun err ->
-                 restore_rollback st rollbacks i;
+                 restore_rollback st i;
                  quarantine st i err)
                outcome));
   (* integrity quarantines, folded single-threaded after the barrier (the
@@ -667,8 +709,17 @@ let finish st ~last_ckpt ~chars =
   Array.iteri
     (fun i il -> List.iter (fun (s : Sink.t) -> s.Sink.on_close ~cycles:st.r_cycles.(i)) il)
     st.r_sinks;
+  let priced = Array.map (priced st.r_tables) st.r_counts in
+  let ledgers =
+    Array.map
+      (fun (cat, _) ->
+        let l = Energy.create () in
+        Energy.accumulate l cat;
+        l)
+      priced
+  in
   assemble_report st.r_arch st.r_placement ~chars ~cycles_slots:st.r_cycles
-    ~reports_slots:st.r_reports ~ledgers:st.r_ledgers ~mode_slots:st.r_modes ~execs:st.r_execs
+    ~reports_slots:st.r_reports ~ledgers ~mode_slots:(Array.map snd priced) ~execs:st.r_execs
     ~degraded:(List.rev st.r_degraded)
 
 let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?resume:(resuming = false)

@@ -101,17 +101,19 @@ val fingerprint : Mapper.placement -> string
 
 (** {1 Accounting building blocks}
 
-    The pieces {!run_stream} folds a stream's events with, exported for
-    outside-in replicas of the driver (the repository benchmark's
+    The pieces {!run_stream} accounts a stream's events with, exported
+    for outside-in replicas of the driver (the repository benchmark's
     per-layer trace), which must reproduce its accounting bit for bit:
-    same energy sink (same float-accumulation order), same report
-    assembly.  {!Batch} needs neither: it runs each stream through
-    {!run_stream} itself. *)
+    the same energy counting and pricing ({!Cost.counter}), the same
+    report assembly.  {!Batch} needs neither: it runs each stream
+    through {!run_stream} itself. *)
 
 val energy_sink : Arch.t -> num_arrays:int -> Sink.spec * Energy.t array * float array array
-(** The built-in energy/timing accounting as a sink spec plus its
-    per-array ledgers and per-array mode-energy slots (merged in array
-    order by {!assemble_report}). *)
+(** The built-in energy accounting as a sink spec plus its per-array
+    ledgers and per-array mode-energy slots (merged in array order by
+    {!assemble_report}): each instance counts its array's events into a
+    {!Cost.counter} and prices the counts into its slots at [on_close],
+    exactly as {!run_stream} prices its own counters at end of input. *)
 
 val assemble_report :
   Arch.t ->
@@ -151,7 +153,8 @@ val run_stream :
     array that exhausts its retries is rolled back to the chunk start,
     {e quarantined} for the rest of the run, and surfaced in
     [report.degraded] — the run still completes.  The built-in
-    accounting (cycles, reports, energy) is rolled back exactly on retry;
+    accounting (cycles, reports, the energy counters) is rolled back
+    exactly on retry, from buffers rewritten at every chunk start;
     user [sinks] observe at-least-once event delivery under supervision,
     so side-effecting sinks should be idempotent or left unsupervised.
 
@@ -174,9 +177,11 @@ val run_stream :
     [checkpoint] saves a crash-consistent {!Checkpoint.t} at the first
     chunk barrier after every [every] symbols, plus one at end of input.
     With [resume] (and a checkpoint present) the run restores the saved
-    accumulators and engine state, seeks the stream — which must be
-    seekable — to the saved offset, and continues; the final report is
-    bit-identical to the uninterrupted run's, at any [jobs].  Raises
+    accumulators, energy counters and engine state, seeks the stream —
+    which must be seekable — to the saved offset, and continues; the
+    final report is bit-identical to the uninterrupted run's, at any
+    [jobs].  Energy is counted as integers and priced once, in
+    [finish], so no float depends on where a run was cut.  Raises
     [Sim_error.Error] on a corrupt checkpoint, a fingerprint mismatch,
     or an unseekable resume source. *)
 

@@ -140,9 +140,10 @@ let trace arch ~format ~num_arrays =
       name = "trace";
       make =
         (fun ~array_id ~chars:_ ->
-          let buf = bufs.(array_id) in
+          let buf = bufs.(array_id) and tables = Cost.tables arch in
+          let cat_pj = Array.make Cost.num_categories 0. and mode_pj = Array.make Cost.num_modes 0. in
           events_only (fun ev ->
-              let cost = Cost.of_events arch ev in
+              ignore (Cost.charge tables ev ~cat_pj ~mode_pj);
               match format with
               | Csv ->
                   Buffer.add_string buf
@@ -151,7 +152,7 @@ let trace arch ~format ~num_arrays =
                        ev.Exec.reports ev.Exec.cross);
                   Array.iter
                     (fun pj -> Buffer.add_string buf (Printf.sprintf ",%.6f" pj))
-                    cost.Cost.cat_pj;
+                    cat_pj;
                   Buffer.add_char buf '\n'
               | Json ->
                   Buffer.add_string buf
@@ -166,7 +167,7 @@ let trace arch ~format ~num_arrays =
                            (String.map
                               (fun ch -> if ch = ' ' || ch = '-' then '_' else Char.lowercase_ascii ch)
                               (Energy.category_name c))
-                           cost.Cost.cat_pj.(i)))
+                           cat_pj.(i)))
                     Energy.all_categories;
                   Buffer.add_string buf "},\n"));
     }

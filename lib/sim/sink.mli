@@ -74,5 +74,5 @@ val trace_format_of_path : string -> trace_format
 val trace : Arch.t -> format:trace_format -> num_arrays:int -> spec * (out_channel -> unit)
 (** Per-symbol metrics dump: array, offset, input byte, active states,
     stall, reports, cross signals, and the energy breakdown by category
-    (via {!Cost.of_events}).  The returned function writes the whole
+    (via {!Cost.charge}).  The returned function writes the whole
     trace — rows grouped by array, symbols ascending — after the run. *)

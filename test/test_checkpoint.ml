@@ -546,18 +546,21 @@ let test_checkpoint_codec_roundtrip () =
       | Ok None -> fail "checkpoint vanished"
       | Error e -> failf "load failed: %s" (Sim_error.message e))
 
-(* The on-disk checkpoint format is pinned: test/golden/v2/state.ckpt
-   holds [golden_value] as version 2 writes it, and saving the same value
+(* The on-disk checkpoint format is pinned: test/golden/v3/state.ckpt
+   holds [golden_value] as version 3 writes it, and saving the same value
    today must reproduce it byte for byte.  If this test fails the format
    changed — deployed checkpoints would be misread — so bump the
    checkpoint version and add a new golden file rather than regenerating
-   this one. *)
+   this one.  Each array's last word row is its energy counters
+   ([Cost.save]): symbols, cycles, three controller and six leakage
+   counts, then (key, count) pairs. *)
 let golden_dir = "golden"
 let golden_v2_dir = Filename.concat golden_dir "v2"
+let golden_v3_dir = Filename.concat golden_dir "v3"
 
 let golden_value () =
   {
-    Checkpoint.ck_fingerprint = "golden-fingerprint-v2";
+    Checkpoint.ck_fingerprint = "golden-fingerprint-v3";
     ck_symbols = 123456789;
     ck_degraded =
       [
@@ -570,17 +573,22 @@ let golden_value () =
         {
           Checkpoint.cs_cycles = 42;
           cs_reports = 7;
-          cs_energy_pj = [| 1.5; 2.25 |];
+          cs_energy_pj = [| 1.5; 2.25; 0.; 0.125; 3.; 0.5; 0.25 |];
           cs_mode_pj = [| 0.5; 0.; 3.125 |];
           cs_engines =
-            [| [| 0; 1; 0x3FFF_FFFF_FFFF_FFFF; -2 |]; [||]; [| 56; 3390679716572500161 |] |];
+            [|
+              [| 0; 1; 0x3FFF_FFFF_FFFF_FFFF; -2 |];
+              [||];
+              [| 56; 3390679716572500161 |];
+              [| 40; 42; 12; 0; 3; 0; 40; 0; 0; 4; 36; (31 lsl 4) lor 0; 12; (2 lsl 4) lor 1; 5 |];
+            |];
         };
         {
           Checkpoint.cs_cycles = 0;
           cs_reports = 0;
-          cs_energy_pj = [||];
-          cs_mode_pj = [||];
-          cs_engines = [| [||] |];
+          cs_energy_pj = Array.make 7 0.;
+          cs_mode_pj = Array.make 3 0.;
+          cs_engines = [| [||]; Array.make 11 0 |];
         };
       |];
   }
@@ -598,27 +606,32 @@ let test_golden_checkpoint_format () =
     (fun () ->
       Checkpoint.save ~dir (golden_value ());
       let fresh = read_file (Checkpoint.state_path ~dir) in
-      let golden = read_file (Checkpoint.state_path ~dir:golden_v2_dir) in
+      let golden = read_file (Checkpoint.state_path ~dir:golden_v3_dir) in
       check int "same size" (String.length golden) (String.length fresh);
-      check bool "byte-identical to the version-2 golden file" true (String.equal fresh golden));
-  match Checkpoint.load ~dir:golden_v2_dir with
+      check bool "byte-identical to the version-3 golden file" true (String.equal fresh golden));
+  match Checkpoint.load ~dir:golden_v3_dir with
   | Ok (Some got) -> check_same_checkpoint "golden" (golden_value ()) got
   | Ok None -> fail "golden checkpoint missing"
   | Error e -> failf "golden checkpoint failed to load: %s" (Sim_error.message e)
 
 (* test/golden/state.ckpt is a version-1 checkpoint (boxed per-vector
-   engine state).  This build must refuse it with a typed error that
-   names both versions, never misread it. *)
-let test_v1_checkpoint_refused () =
-  match Checkpoint.load ~dir:golden_dir with
+   engine state), test/golden/v2/state.ckpt a version-2 one (energy
+   restored from floats, no counters row).  This build must refuse each
+   with a typed error that names both versions, never misread it. *)
+let refused_by_version dir v =
+  match Checkpoint.load ~dir with
   | Error (Sim_error.Checkpoint_corrupt _ as e) ->
       let msg = Sim_error.message e in
       check bool
         (Printf.sprintf "names both versions: %s" msg)
         true
-        (Astring_contains.contains msg "unsupported version 1 (this build reads version 2)")
+        (Astring_contains.contains msg
+           (Printf.sprintf "unsupported version %d (this build reads version 3)" v))
   | Error e -> failf "wrong error: %s" (Sim_error.message e)
-  | Ok _ -> fail "a version-1 checkpoint must be refused"
+  | Ok _ -> failf "a version-%d checkpoint must be refused" v
+
+let test_v1_checkpoint_refused () = refused_by_version golden_dir 1
+let test_v2_checkpoint_refused () = refused_by_version golden_v2_dir 2
 
 (* Version 2 stores the engines' arena words as they are laid out, so a
    reordered [Nbva.start] or bin arena would make old checkpoints resume
@@ -701,6 +714,7 @@ let suite =
     test_case "engine restore is shape-checked" `Quick test_engine_restore_shape_checked;
     test_case "golden on-disk format is frozen" `Quick test_golden_checkpoint_format;
     test_case "version-1 checkpoint is refused by version" `Quick test_v1_checkpoint_refused;
+    test_case "version-2 checkpoint is refused by version" `Quick test_v2_checkpoint_refused;
     test_case "arena layout is pinned" `Quick test_arena_layout_pinned;
     test_case "snapshots replay bit-identically" `Quick test_snapshot_replay;
     test_case "corruption is detected at load" `Quick test_corruption_detected;

@@ -283,6 +283,10 @@ let test_kernel_swap_bit_identical () =
     (fun a trace -> check (array int) (Printf.sprintf "array %d stalls across swap" a) trace tnew.(a))
     tref
 
+let reference f =
+  Nbva.kernel := Nbva.Reference;
+  Fun.protect ~finally:(fun () -> Nbva.kernel := Nbva.Bit_parallel) f
+
 (* The idle fast path and the awake set, full stack.  Two contexts of
    one array step the same input, one on the bit-parallel kernel (fast
    path on) and one on the reference kernel (every engine stepped); every
@@ -291,13 +295,10 @@ let test_kernel_swap_bit_identical () =
    each must show from the next symbol on: a stale idle record, a stale
    live one, an engine missing from the awake set (its state then
    differs) or a tile left unassembled fails the comparison.  After
-   every fast step the awake set holds exactly the live engines.
-   Returns the engine-steps that start and end all-zero. *)
+   every fast step the awake set holds exactly the live engines, and at
+   the end the two event streams' counted energy is the same.  Returns
+   the engine-steps that start and end all-zero. *)
 let lockstep p tiles input ~event =
-  let reference f =
-    Nbva.kernel := Nbva.Reference;
-    Fun.protect ~finally:(fun () -> Nbva.kernel := Nbva.Bit_parallel) f
-  in
   let same sym (a : Exec.array_events) (b : Exec.array_events) =
     let differs what = failf "%s differs from the reference path at symbol %d" what sym in
     if (a.Exec.sym, a.Exec.symbol) <> (b.Exec.sym, b.Exec.symbol) then differs "position";
@@ -316,11 +317,13 @@ let lockstep p tiles input ~event =
   in
   let fast = ref (Exec.build p tiles) and slow = ref (Exec.build p tiles) in
   let skipped = ref 0 in
+  let counted_fast = Cost.counter () and counted_slow = Cost.counter () in
   String.iteri
     (fun sym c ->
       event ~sym fast slow;
       let before = Array.map Engine.idle (Exec.engines !fast) in
       let a = Exec.step rap !fast ~sym c in
+      Cost.count counted_fast a;
       (* the leave rule: a step that leaves an engine all-zero drops it *)
       let live =
         Array.fold_left (fun n e -> if Engine.idle e then n else n + 1) 0 (Exec.engines !fast)
@@ -329,6 +332,7 @@ let lockstep p tiles input ~event =
         failf "%d engines awake for %d live ones at symbol %d" (Exec.awake_count !fast) live sym;
       let b = reference (fun () -> Exec.step rap !slow ~sym c) in
       same sym a b;
+      Cost.count counted_slow b;
       Array.iteri
         (fun j e ->
           (* an engine left out of a step keeps a stale state that no
@@ -338,6 +342,14 @@ let lockstep p tiles input ~event =
           if before.(j) && Engine.idle e then incr skipped)
         (Exec.engines !fast))
     input;
+  (* and the counted energy of the two event streams is the same *)
+  let priced counts =
+    let cat = Array.make Cost.num_categories 0. and mode = Array.make Cost.num_modes 0. in
+    Cost.price (Cost.tables rap) counts ~cat_pj:cat ~mode_pj:mode;
+    (cat, mode)
+  in
+  if priced counted_fast <> priced counted_slow then
+    fail "the fast path's counted energy differs from the reference path's";
   !skipped
 
 (* Input 1 alternates long runs of a byte no rule wakes on with bursts of
@@ -348,7 +360,8 @@ let lockstep p tiles input ~event =
    [Exec.restore] and healed with [Integrity.repair].  Input 2 is Snort,
    whose second array has more engines than a word has bits, so its
    awake set spans two words; it takes a flip into every engine, a
-   restore and a clone at fixed symbols.  Input 3 pins the kept
+   restore, a clone and one symbol through the reference kernel (after
+   which the fast context rebuilds its counts) at fixed symbols.  Input 3 pins the kept
    records: [ab*c] and [xy*z] over two blocks of [abbbbbbbbbc], a run of
    [q] and a run of [b].  Before the first [b] run a snapshot taken after
    [abb] is restored, and before the second the [b] state (bit 1) of
@@ -460,7 +473,7 @@ let test_idle_fast_path_lockstep () =
   let units, _ = Runner.compile_for rap ~params snort.Benchmarks.regexes in
   let p = Runner.place rap ~params units in
   let input = snort.Benchmarks.make_input ~chars:3_000 in
-  let wide = ref 0 and high_live = ref 0 in
+  let wide = ref 0 and high_live = ref 0 and resyncs = ref 0 in
   Array.iter
     (fun tiles ->
       let engines = Array.length (Exec.engines (Exec.build p tiles)) in
@@ -485,6 +498,13 @@ let test_idle_fast_path_lockstep () =
         | 2_400 ->
             fast := Exec.clone_fresh !fast;
             slow := Exec.clone_fresh !slow
+        | 2_700 ->
+            (* one extra symbol through the reference kernel on both
+               sides: the fast context's next step starts over *)
+            reference (fun () ->
+                ignore (Exec.step rap !fast ~sym 'a');
+                ignore (Exec.step rap !slow ~sym 'a'));
+            incr resyncs
         | _ -> ());
         Array.iteri
           (fun j e -> if j >= Bitvec.bits_per_word && not (Engine.idle e) then incr high_live)
@@ -494,6 +514,7 @@ let test_idle_fast_path_lockstep () =
     p.Mapper.arrays;
   check bool "Snort has an array whose awake set spans two words" true (!wide >= 1);
   check bool "engines in the second word went live" true (!high_live > 0);
+  check bool "the fast path resynced after a reference step" true (!resyncs >= 1);
   (* input 3 *)
   let units, errs =
     Runner.compile_for rap ~params [ ("ab*c", parse "ab*c"); ("xy*z", parse "xy*z") ]
@@ -687,6 +708,38 @@ let test_engine_step_allocation_free () =
       check (float 0.) (name ^ ": minor words over the first 2k symbols") 0. words)
     [ "Snort"; "Yara"; "ClamAV"; "Suricata" ]
 
+(* The whole per-symbol path, [Exec.step] and the energy counter,
+   allocates nothing once a first pass has filled the counter's keys:
+   a second pass over the same input, continuing the state, is measured
+   against a 0-symbol pass, as [bench sim]'s exec_path probe counts it. *)
+let test_exec_step_and_counter_allocation_free () =
+  List.iter
+    (fun name ->
+      let s = Benchmarks.by_name name in
+      let units, _ = Runner.compile_for rap ~params s.Benchmarks.regexes in
+      let p = Runner.place rap ~params units in
+      let input = s.Benchmarks.make_input ~chars:4_000 in
+      let execs = Array.map (Exec.build p) p.Mapper.arrays in
+      let counts = Array.map (fun _ -> Cost.counter ()) execs in
+      let pass len =
+        for i = 0 to Array.length execs - 1 do
+          let ex = execs.(i) and c = counts.(i) in
+          for sym = 0 to len - 1 do
+            Cost.count c (Exec.step rap ex ~sym (String.unsafe_get input sym))
+          done
+        done
+      in
+      pass (String.length input);
+      let measure len =
+        let w0 = Gc.minor_words () in
+        pass len;
+        Gc.minor_words () -. w0
+      in
+      let base = measure 0 in
+      let words = measure (String.length input) -. base in
+      check (float 0.) (name ^ ": minor words over a second 4k-symbol pass") 0. words)
+    [ "Snort"; "Yara"; "ClamAV"; "Suricata" ]
+
 (* The stream driver allocates per chunk, not per symbol: chunk copies
    and per-chunk closures come to a fraction of a word per symbol at
    1 KiB chunks, while one boxed value per symbol would add at least 2.
@@ -712,6 +765,59 @@ let test_driver_allocation_per_chunk () =
         (Printf.sprintf "%s: %.3f minor words per symbol <= 0.5" name per_sym)
         true (per_sym <= 0.5))
     [ "Snort"; "ClamAV"; "Yara" ]
+
+(* Counted energy is the per-symbol model summed.  On four suites and
+   the four architectures, every category and every mode of a run's
+   report is within 1e-9, relative, of the sum of [Cost.of_events] over
+   its symbols, array by array, as the per-symbol accounting summed it
+   before energy was counted.  Returns the largest relative gap. *)
+let counted_vs_per_symbol ~chars =
+  let worst = ref 0. in
+  List.iter
+    (fun name ->
+      let s = Benchmarks.by_name name in
+      let input = s.Benchmarks.make_input ~chars in
+      List.iter
+        (fun (arch : Arch.t) ->
+          let units, _ = Runner.compile_for arch ~params s.Benchmarks.regexes in
+          let p = Runner.place arch ~params units in
+          let n = Array.length p.Mapper.arrays in
+          let cat = Array.make_matrix n Cost.num_categories 0. in
+          let mode = Array.make_matrix n Cost.num_modes 0. in
+          let add row pjs = Array.iteri (fun k pj -> row.(k) <- row.(k) +. pj) pjs in
+          let spec =
+            {
+              Sink.name = "per-symbol";
+              make =
+                (fun ~array_id ~chars:_ ->
+                  Sink.events_only (fun ev ->
+                      let c = Cost.of_events arch ev in
+                      add cat.(array_id) c.Cost.cat_pj;
+                      add mode.(array_id) c.Cost.mode_pj));
+            }
+          in
+          let r = Runner.run ~sinks:[ spec ] arch ~params p ~input in
+          let sum rows k = Array.fold_left (fun acc row -> acc +. row.(k)) 0. rows in
+          let close what want got =
+            let gap = Float.abs (want -. got) in
+            if gap > 1e-9 *. Float.abs want then
+              failf "%s on %s, %s: counted %.17g, per-symbol %.17g" name
+                (Arch.kind_name arch.Arch.kind) what got want;
+            if want <> 0. then worst := Float.max !worst (gap /. Float.abs want)
+          in
+          check bool (name ^ ": energy spent") true (Energy.total_pj r.Runner.energy > 0.);
+          List.iter
+            (fun c ->
+              close (Energy.category_name c) (sum cat (Energy.index c)) (Energy.get_pj r.Runner.energy c))
+            Energy.all_categories;
+          List.iter
+            (fun (m, pj) -> close "a mode" (sum mode (Cost.mode_index m)) pj)
+            r.Runner.mode_energy_pj)
+        [ rap; Arch.cama; Arch.ca; Arch.bvap ])
+    [ "Snort"; "ClamAV"; "Yara"; "Suricata" ];
+  !worst
+
+let test_counted_energy_equals_per_symbol () = ignore (counted_vs_per_symbol ~chars:3_000)
 
 (* Satellite: run_regexes surfaces what the architecture rejects. *)
 let test_run_regexes_surfaces_errors () =
@@ -741,7 +847,11 @@ let suite =
     test_case "building an array compiles nothing" `Quick test_build_shares_executors;
     test_case "Engine.step allocates nothing from the first symbol" `Quick
       test_engine_step_allocation_free;
+    test_case "Exec.step and the energy counter allocate nothing per symbol" `Quick
+      test_exec_step_and_counter_allocation_free;
     test_case "stream driver allocates per chunk, not per symbol" `Slow
       test_driver_allocation_per_chunk;
     test_case "run_regexes surfaces compile errors" `Quick test_run_regexes_surfaces_errors;
+    test_case "counted energy = per-symbol energy, four suites x four architectures" `Quick
+      test_counted_energy_equals_per_symbol;
   ]

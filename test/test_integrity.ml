@@ -205,7 +205,16 @@ let test_transient_flip_healed () =
   check int "no quarantine" 0 cfg.Integrity.stats.Integrity.quarantines;
   check string "healed report bit-identical to fault-free baseline"
     (Runner.render_report baseline)
-    (Runner.render_report healed)
+    (Runner.render_report healed);
+  (* to the last float bit: the heal rolled the energy counters back *)
+  List.iter
+    (fun c ->
+      check (float 0.) ("healed " ^ Energy.category_name c)
+        (Energy.get_pj baseline.Runner.energy c)
+        (Energy.get_pj healed.Runner.energy c))
+    Energy.all_categories;
+  check bool "healed mode energy bit-identical" true
+    (baseline.Runner.mode_energy_pj = healed.Runner.mode_energy_pj)
 
 (* Persistent corruption the heal cannot outrun: the sink re-flips on
    every attempt, so after [max_repairs] heals the array is quarantined

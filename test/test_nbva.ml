@@ -125,6 +125,80 @@ let test_bv_states_naming_plain_ste () =
     (Invalid_argument "Nbva: corrupt plan table (index out of range)")
     (fun () -> ignore (Nbva.step n st 'a'))
 
+(* The BV tables the kernel indexes with: every corrupted word of
+   [bv_vecs] (a vector's arena offset, its width, its read position),
+   and every flipped bit of the mask table, which holds the BV-STE row
+   the candidate path ranks through, either leaves the step in bounds
+   or raises the typed corrupt-table error, never a wild read; and the
+   seal check names the corrupted region.  The input runs vectors live
+   and lets them die, so both the live-vector and the candidate path
+   read the corrupted tables. *)
+let test_bv_tables_corruption_typed () =
+  let params = Program.default_params in
+  let e =
+    Engine.of_nbva_unit (Nbva_compile.compile ~params (parse "x[ab]{5,30}y(c{10}|d{0,7})z"))
+  in
+  let fresh = Engine.snapshot e in
+  let input = "qxababababyccccccccccz xaaaaaabbbbbydddz xabx xbbbbbbbbbbbbbbbbbby" in
+  let table name =
+    match List.find_opt (fun r -> Engine.region_name r = name) (Engine.immutable_regions e) with
+    | Some (Engine.R_words (_, a)) -> a
+    | _ -> failf "no %s table" name
+  in
+  let typed label =
+    Engine.restore e fresh;
+    match String.iter (fun c -> ignore (Engine.step e c)) input with
+    | () -> ()
+    | exception Invalid_argument msg when msg = "Nbva: corrupt plan table (index out of range)" ->
+        ()
+    | exception ex -> failf "%s: %s" label (Printexc.to_string ex)
+  in
+  let seal = Integrity.seal [| e |] and cfg = Integrity.continuous_config () in
+  let trips name =
+    match Integrity.check cfg ~array_id:0 ~sym:0 seal [| e |] with
+    | () -> failf "the seal missed a corrupted %s" name
+    | exception Sim_error.Error (Sim_error.Integrity_violation { region; _ }) ->
+        check string "the seal names the region" name region
+  in
+  let bv_vecs = table "bv_vecs" in
+  check bool "three BV-STEs" true (Array.length bv_vecs = 9);
+  Array.iteri
+    (fun i w ->
+      List.iter
+        (fun bad ->
+          if bad <> w then begin
+            bv_vecs.(i) <- bad;
+            typed (Printf.sprintf "bv_vecs.(%d) = %d" i bad);
+            trips "bv_vecs";
+            bv_vecs.(i) <- w
+          end)
+        [ -1; 0; 1; w - 1; w + 1; w + 64; max_int; min_int ])
+    (Array.copy bv_vecs);
+  let masks = table "masks" in
+  Array.iteri
+    (fun i w ->
+      for b = 0 to Bitvec.bits_per_word - 1 do
+        masks.(i) <- w lxor (1 lsl b);
+        typed (Printf.sprintf "masks.(%d) bit %d" i b);
+        masks.(i) <- w
+      done)
+    (Array.copy masks);
+  masks.(0) <- masks.(0) lxor 1;
+  trips "masks";
+  masks.(0) <- masks.(0) lxor 1;
+  let ends e =
+    List.filter_map
+      (fun i -> if (Engine.step e input.[i]).Engine.reports > 0 then Some i else None)
+      (List.init (String.length input) Fun.id)
+  in
+  Engine.restore e fresh;
+  let clean =
+    Engine.of_nbva_unit (Nbva_compile.compile ~params (parse "x[ab]{5,30}y(c{10}|d{0,7})z"))
+  in
+  let want = ends clean in
+  check bool "the input matches" true (want <> []);
+  check (list int) "restored tables match a fresh compile" want (ends e)
+
 (* The reference kernel raises the same typed error when a BV-STE has
    no vector in the run state: here a state started from "ab", which
    has as many states as "a{30}b" but no BV-STE. *)
@@ -197,6 +271,8 @@ let suite =
       test_mask_bits_past_width;
     test_case "a bv_states entry naming a Plain STE is a typed error" `Quick
       test_bv_states_naming_plain_ste;
+    test_case "corrupted BV tables are typed errors or seal trips" `Quick
+      test_bv_tables_corruption_typed;
     test_case "the reference kernel's missing vector is a typed error" `Quick
       test_reference_missing_vector;
     QCheck_alcotest.to_alcotest prop_wake_exact;

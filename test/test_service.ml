@@ -67,6 +67,20 @@ let test_wire_request_roundtrip () =
       Wire.Shutdown;
     ]
 
+(* A deadline the scheduler cannot honour is undecodable: NaN compares
+   false both ways and infinity never passes, so neither would expire,
+   and zero or less would expire the request before it runs. *)
+let test_wire_rejects_bad_deadlines () =
+  List.iter
+    (fun d ->
+      match
+        Wire.decode_request
+          (Wire.encode_request (Wire.Open { name = "s"; class_ = Wire.Bulk; deadline_s = Some d }))
+      with
+      | Ok _ -> failf "an Open with deadline %h decoded" d
+      | Error _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; -1. ]
+
 let test_wire_reply_roundtrip () =
   List.iter
     (fun r ->
@@ -583,6 +597,43 @@ let test_too_large_rejected () =
 (* ------------------------------------------------------------------ *)
 (* Spool + crash recovery *)
 
+(* Spooling a request writes its input straight to the file: saving an
+   8 MiB entry allocates under 1 MiB beyond the input, where joining the
+   fields and the input into one payload, then framing it, would copy
+   the input four times. *)
+let test_spool_save_streams_input () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let input = String.make (8 * 1024 * 1024) 'q' in
+      let e =
+        {
+          Checkpoint.Spool.sp_id = 5;
+          sp_name = "big";
+          sp_class = "bulk";
+          sp_deadline_s = Some 2.;
+          sp_input = input;
+        }
+      in
+      (* the least of three saves: what a save allocates is fixed, while
+         counters merged from other domains can only add to a reading *)
+      let spent =
+        List.fold_left Float.min infinity
+          (List.init 3 (fun _ ->
+               let before = Gc.allocated_bytes () in
+               Checkpoint.Spool.save ~dir e;
+               Gc.allocated_bytes () -. before))
+      in
+      check bool
+        (Printf.sprintf "%.0f bytes allocated to spool 8 MiB, under 1 MiB" spent)
+        true
+        (spent < 1024. *. 1024.);
+      match Checkpoint.Spool.load ~dir ~id:5 with
+      | Ok (Some got) -> check bool "the entry loads back" true (got = e)
+      | Ok None -> fail "the spooled entry is missing"
+      | Error err -> fail (Sim_error.message err))
+
 let test_spool_roundtrip () =
   let dir = temp_dir () in
   Fun.protect
@@ -758,6 +809,8 @@ let prop_latency_quantile_bounds =
 let suite =
   [
     test_case "wire: request round-trip" `Quick test_wire_request_roundtrip;
+    test_case "wire: NaN, infinite and non-positive deadlines are undecodable" `Quick
+      test_wire_rejects_bad_deadlines;
     test_case "codec: wire, error and spool bytes are pinned" `Quick test_codec_bytes_pinned;
     test_case "wire: reply round-trip" `Quick test_wire_reply_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_decode_total;
@@ -781,6 +834,8 @@ let suite =
       test_quarantine_after_repeated_faults;
     test_case "admission: over-limit input refused" `Quick test_too_large_rejected;
     test_case "spool: round-trip and listing" `Quick test_spool_roundtrip;
+    test_case "spool: an 8 MiB entry is written without copying its input" `Quick
+      test_spool_save_streams_input;
     test_case "spool: corruption rejected" `Quick test_spool_corrupt_rejected;
     test_case "recovery: spool replays bit-identical" `Quick test_recover_replays_spool;
     test_case "spool: live outcome report persisted" `Quick
