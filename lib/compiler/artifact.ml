@@ -11,16 +11,18 @@ let crc_table =
          done;
          !c))
 
-(* The running register over one more piece: a CRC over pieces equals
-   the CRC of their concatenation. *)
-let crc32_update c s =
+(* The running register over [len] more bytes of [s] from [pos]: a CRC
+   over pieces equals the CRC of their concatenation. *)
+let crc32_range c s ~pos ~len =
   let table = Lazy.force crc_table in
   let c = ref c in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+  done;
   !c
 
+let crc32_update c s = crc32_range c s ~pos:0 ~len:(String.length s)
 let crc32_pieces pieces = List.fold_left crc32_update 0xFFFFFFFF pieces lxor 0xFFFFFFFF
-let crc32 s = crc32_pieces [ s ]
 
 (* ---- framing ---- *)
 
@@ -39,11 +41,13 @@ let header ~magic ~version pieces =
   done;
   Buffer.contents b
 
+(* The payload's offset in [raw], its CRC checked in place: the payload
+   is never cut out. *)
 let unframe ~magic ~version raw =
   let ml = String.length magic in
   let header_len = ml + 1 + 4 + 8 in
   if String.length raw < header_len then Error "shorter than the header"
-  else if String.sub raw 0 ml <> magic then Error "bad magic"
+  else if not (String.starts_with ~prefix:magic raw) then Error "bad magic"
   else
     let v = Char.code raw.[ml] in
     if v <> version then
@@ -60,9 +64,9 @@ let unframe ~magic ~version raw =
       done;
       let len = Int64.to_int !len in
       if len < 0 || header_len + len <> String.length raw then Error "payload length mismatch"
-      else
-        let payload = String.sub raw header_len len in
-        if crc32 payload <> !crc then Error "CRC mismatch" else Ok payload
+      else if crc32_range 0xFFFFFFFF raw ~pos:header_len ~len lxor 0xFFFFFFFF <> !crc then
+        Error "CRC mismatch"
+      else Ok header_len
     end
 
 (* ---- filesystem ---- *)
@@ -119,4 +123,4 @@ let load ~path ~magic ~version =
         (fun () -> really_input_string ic (in_channel_length ic))
     with
     | exception Sys_error msg -> Error ("unreadable: " ^ msg)
-    | raw -> ( match unframe ~magic ~version raw with Ok p -> Ok (Some p) | Error e -> Error e)
+    | raw -> ( match unframe ~magic ~version raw with Ok at -> Ok (Some (raw, at)) | Error e -> Error e)

@@ -37,9 +37,12 @@ val save_pieces : path:string -> magic:string -> version:int -> string list -> u
     pieces, so a large piece (a request's input) reaches the file
     without being copied.  The same bytes on disk as {!save}. *)
 
-val load : path:string -> magic:string -> version:int -> (string option, string) result
-(** [Ok None] when [path] does not exist; otherwise read, check and strip
-    the envelope: [Error detail] on truncation, magic, version or CRC
-    mismatch (a version mismatch names both the file's version and
-    [version]).  Filesystem read failures surface as
+val load :
+  path:string -> magic:string -> version:int -> ((string * int) option, string) result
+(** [Ok None] when [path] does not exist; otherwise read the file and
+    check its envelope: [Ok (Some (bytes, at))] is the file as read and
+    the offset of its payload, which runs to the end — the payload is
+    checked in place, never copied out.  [Error detail] on truncation,
+    magic, version or CRC mismatch (a version mismatch names both the
+    file's version and [version]).  Filesystem read failures surface as
     [Error ("unreadable: ...")]. *)

@@ -77,21 +77,21 @@ let lookup ~dir ~key =
   match Artifact.load ~path:(path ~dir ~key) ~magic ~version with
   | Ok None -> Miss
   | Error detail -> Invalid detail
-  | Ok (Some payload) ->
-      if String.length payload < 4 then Invalid "truncated version prefix"
+  | Ok (Some (raw, at)) ->
+      if String.length raw - at < 4 then Invalid "truncated version prefix"
       else begin
         let n = ref 0 in
         for i = 3 downto 0 do
-          n := (!n lsl 8) lor Char.code payload.[i]
+          n := (!n lsl 8) lor Char.code raw.[at + i]
         done;
         let n = !n in
-        if n < 0 || 4 + n > String.length payload then Invalid "truncated version prefix"
+        if n < 0 || at + 4 + n > String.length raw then Invalid "truncated version prefix"
         else begin
-          let ocaml = String.sub payload 4 n in
+          let ocaml = String.sub raw (at + 4) n in
           if ocaml <> Sys.ocaml_version then
             Invalid (Printf.sprintf "built by OCaml %s, this is %s" ocaml Sys.ocaml_version)
           else
-            match (Marshal.from_string payload (4 + n) : entry) with
+            match (Marshal.from_string raw (at + 4 + n) : entry) with
             | exception Failure msg -> Invalid ("unmarshalable payload: " ^ msg)
             | e ->
                 if e.e_key <> key then Invalid "key mismatch (artifact renamed or collided)"

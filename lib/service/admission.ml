@@ -64,8 +64,7 @@ type pending_req = {
 type t = {
   cfg : config;
   arch : Arch.t;
-  params : Program.params;
-  placement : Mapper.placement;
+  prepared : Runner.prepared;  (* built, and sealed when armed, once per daemon *)
   queue : pending_req Queue.t;
   mutable next_id : int;
   faults : (string, int) Hashtbl.t;  (* consecutive faults per stream name *)
@@ -82,12 +81,15 @@ type t = {
   mutable last_service_s : float;  (* recent per-request service time estimate *)
 }
 
+(* The placement is prepared here, once: every request, retry and spool
+   replay clones its executors, and an armed daemon checks every request
+   against the seals taken now. *)
 let create cfg arch ~params placement =
+  ignore params;
   {
     cfg;
     arch;
-    params;
-    placement;
+    prepared = Runner.build ~sealed:(Option.is_some cfg.integrity) placement;
     queue = Queue.create ();
     next_id = 1;
     faults = Hashtbl.create 16;
@@ -331,8 +333,8 @@ let run_solo t req =
       in
       let run () =
         let stream = Input_stream.of_string req.p_input in
-        Runner.run_stream ~jobs:t.cfg.jobs ?policy ?integrity:t.cfg.integrity t.arch
-          ~params:t.params t.placement ~stream
+        Runner.run_prepared ~jobs:t.cfg.jobs ?policy ?integrity:t.cfg.integrity t.arch t.prepared
+          ~stream
       in
       let result =
         match policy with

@@ -26,7 +26,7 @@
     {b Deadlines} are propagated, not re-interpreted: the time a
     request spent queued is subtracted from its deadline and the
     remainder becomes {!Scheduler.policy}'s whole supervision budget
-    inside {!Runner.run_stream} — retries and backoff sleeps shrink
+    inside {!Runner.run_prepared} — retries and backoff sleeps shrink
     into what remains of it (and the request-level retry layer is
     skipped entirely: one deadline, one retry budget), so a request
     that times out degrades near its deadline exactly like PR 4's
@@ -61,10 +61,14 @@ type config = {
   quarantine_after : int;  (** Consecutive faults before a name is refused. *)
   state_dir : string option;  (** Spool + journal directory; [None] = no recovery. *)
   integrity : Integrity.config option;
-      (** Arm online integrity checking on every executed request.  A
-          run the layer rolled back and healed carries [o_recovered] so
-          the client sees that recovery happened — never a
-          silently-corrupt report. *)
+      (** Arm online integrity checking on every executed request.  The
+          tables are sealed once, by {!create}; each request keeps its
+          own sentinel window at its symbol 0 and its sweep at its first
+          chunk end, checked against those seals, so tables corrupted
+          between two requests trip the second one and are repaired
+          from the copies taken at {!create}.  A run the layer rolled
+          back and healed carries [o_recovered] so the client sees that
+          recovery happened — never a silently-corrupt report. *)
 }
 
 val default_config : config
@@ -97,6 +101,11 @@ type outcome = {
 type t
 
 val create : config -> Arch.t -> params:Program.params -> Mapper.placement -> t
+(** Prepare the placement once ({!Runner.build}): every array's
+    executors, sealed when [config.integrity] is set.  Every request,
+    request-level retry and spool replay then runs on fresh clones of
+    them ({!Runner.run_prepared}), so a request pays for its run state,
+    not for the placement's set-up.  [params] is not read. *)
 
 val submit :
   ?deadline_s:float ->
@@ -117,7 +126,7 @@ val pending : t -> int
 val run_pending : ?max:int -> t -> outcome list
 (** Execute up to [max] queued requests (default: all) one at a time,
     oldest first, and return their outcomes in that order, which is
-    also completion order.  Each request is one {!Runner.run_stream}
+    also completion order.  Each request is one {!Runner.run_prepared}
     on its own start and finish stamps, so its [o_queued_s] counts the
     requests that ran before it.  A deadline-carrying request runs
     supervised, with the remaining deadline as the whole supervision

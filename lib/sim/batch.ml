@@ -26,13 +26,16 @@ let run ?(jobs = 1) (arch : Arch.t) ~params (p : Mapper.placement) ~sources =
      parallelism.  Each task steps a whole stream — far above the
      sequential-fallback threshold, so keep the streams parallel whenever
      jobs allows *)
+  ignore params;
+  (* built once; each stream steps its own clones and only reads this *)
+  let prepared = Runner.build p in
   let slots = Array.make b None in
   Scheduler.parallel_for ~work_per_index:65536 ~jobs b (fun s ->
       let stream = sources.(s).src_open () in
       let report =
         Fun.protect
           ~finally:(fun () -> Input_stream.close stream)
-          (fun () -> Runner.run_stream ~jobs arch ~params p ~stream)
+          (fun () -> Runner.run_prepared ~jobs arch prepared ~stream)
       in
       slots.(s) <- Some { bs_name = sources.(s).src_name; bs_report = report });
   let streams = Array.map Option.get slots in

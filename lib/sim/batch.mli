@@ -6,10 +6,13 @@
     Throughput comes from amortizing the compiled artifact across
     inputs: compilation, mapping and the bit-parallel mask tables are
     paid once for the placement (or never, with the placement cache),
-    and every stream steps the executors the compiler stored in it.
+    and so are the array executors: {!run} prepares the placement once
+    ({!Runner.build}) and every stream steps its own
+    {!Exec.clone_fresh} copies of them.  Streams running side by side
+    only read the prepared templates.
 
     Scheduling: one {!Scheduler.parallel_for} task per stream, and each
-    task is a whole {!Runner.run_stream} over that stream — the one
+    task is a whole {!Runner.run_prepared} over that stream — the one
     driver that steps a stream and folds its events into cycles, reports
     and energy.  The driver's own per-array [parallel_for] runs inline
     inside a task, so batched streams run side by side, while a stream
@@ -49,8 +52,10 @@ val run :
   Mapper.placement ->
   sources:source array ->
   t
-(** Run every source to exhaustion.  [jobs] bounds the worker domains
-    (default 1).  Raises [Invalid_argument] on an empty source array;
-    stream errors ([Sim_error.Error]) propagate. *)
+(** Run every source to exhaustion on one prepared copy of the
+    placement: one {!Exec.build} per array per call, one clone per
+    stream.  [jobs] bounds the worker domains (default 1).  Raises
+    [Invalid_argument] on an empty source array; stream errors
+    ([Sim_error.Error]) propagate. *)
 
 val pp_aggregate : Format.formatter -> aggregate -> unit

@@ -53,8 +53,9 @@ let encode ck =
     b ck.ck_arrays;
   Buffer.contents b
 
-let decode =
-  Codec.decode (fun cur ->
+let decode ~at raw =
+  Codec.decode ~at
+    (fun cur ->
       let ck_fingerprint = r_str cur in
       let ck_symbols = r_i64 cur in
       let ck_degraded =
@@ -78,6 +79,7 @@ let decode =
           cur
       in
       { ck_fingerprint; ck_symbols; ck_degraded; ck_arrays })
+    raw
 
 (* ---- filesystem ---- *)
 
@@ -100,8 +102,8 @@ let load ~dir =
   match Artifact.load ~path ~magic ~version with
   | Ok None -> Ok None
   | Error detail -> corrupt detail
-  | Ok (Some payload) -> (
-      match decode payload with Ok ck -> Ok (Some ck) | Error detail -> corrupt detail)
+  | Ok (Some (raw, at)) -> (
+      match decode ~at raw with Ok ck -> Ok (Some ck) | Error detail -> corrupt detail)
 
 (* ---- request spool: the service's in-flight session journal ----
 
@@ -144,8 +146,9 @@ module Spool = struct
     w_u32 b (String.length e.sp_input);
     Buffer.contents b
 
-  let decode =
-    Codec.decode (fun cur ->
+  let decode ~at raw =
+    Codec.decode ~at
+      (fun cur ->
         let sp_id = r_i64 cur in
         let sp_name = r_str cur in
         let sp_class = r_str cur in
@@ -157,6 +160,7 @@ module Spool = struct
         in
         let sp_input = r_str cur in
         { sp_id; sp_name; sp_class; sp_deadline_s; sp_input })
+      raw
 
   let save ~dir e =
     ensure_dir dir;
@@ -170,8 +174,8 @@ module Spool = struct
     match Artifact.load ~path ~magic ~version with
     | Ok None -> Ok None
     | Error detail -> corrupt detail
-    | Ok (Some payload) -> (
-        match decode payload with Ok e -> Ok (Some e) | Error detail -> corrupt detail)
+    | Ok (Some (raw, at)) -> (
+        match decode ~at raw with Ok e -> Ok (Some e) | Error detail -> corrupt detail)
 
   let remove ~dir ~id = try Sys.remove (path ~dir ~id) with Sys_error _ -> ()
 

@@ -46,8 +46,8 @@ let r_array r cur =
   if n > String.length cur.data - cur.at then raise (Corrupt "truncated payload");
   Array.init n (fun _ -> r cur)
 
-let decode r s =
-  let cur = { data = s; at = 0 } in
+let decode ?(at = 0) r s =
+  let cur = { data = s; at } in
   match r cur with
   | v -> if cur.at <> String.length s then Error "trailing bytes" else Ok v
   | exception Corrupt detail -> Error detail

@@ -40,8 +40,10 @@ val r_f64 : cursor -> float
 val r_str : cursor -> string
 val r_array : (cursor -> 'a) -> cursor -> 'a array
 
-val decode : (cursor -> 'a) -> string -> ('a, string) result
-(** Run a reader over a whole payload.  [Error detail] on truncation, on
+val decode : ?at:int -> (cursor -> 'a) -> string -> ('a, string) result
+(** Run a reader over a payload: the bytes of the string from [at]
+    (default 0) to its end, so a payload read with its envelope is
+    decoded where it lies.  [Error detail] on truncation, on
     a {!Corrupt} the reader raises itself (an unknown tag), or on
     trailing bytes; never raises, since payloads may come from the
     network. *)

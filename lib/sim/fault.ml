@@ -347,17 +347,16 @@ let chaos ~arch ~params ~config regexes ~input =
     let placement = Runner.place arch ~params compiled in
     let chars = String.length input in
     let num_arrays = Array.length placement.Mapper.arrays in
-    (* Campaign-wide pristine seal over the shared compiled tables: every
-       run of this placement reads the same physical table arrays, so an
-       unconditional repair after each trial guarantees the next trial
-       (and the baseline comparison) starts from clean tables even if a
-       trial's own healing was exhausted. *)
-    let probe = Array.map (fun tiles -> Exec.build placement tiles) placement.Mapper.arrays in
+    (* Prepared and sealed once: every run clones these executors and
+       reads the same physical tables, and every trial checks and heals
+       against these seals.  An unconditional repair after each trial
+       guarantees the next trial (and the baseline comparison) starts
+       from clean tables even if a trial's own healing was exhausted. *)
+    let prepared = Runner.build ~sealed:true placement in
     let camp_cfg = Integrity.continuous_config () in
-    let camp_seals = Array.map (fun ex -> Integrity.seal (Exec.engines ex)) probe in
     let run_once ?integrity ?sinks () =
       let stream = Input_stream.of_string ~chunk:(Int.max 1 config.c_chunk) input in
-      Runner.run_stream ?sinks ?integrity arch ~params placement ~stream
+      Runner.run_prepared ?sinks ?integrity arch prepared ~stream
     in
     let t0 = Unix.gettimeofday () in
     let baseline = run_once () in
@@ -430,9 +429,7 @@ let chaos ~arch ~params ~config regexes ~input =
       let t1 = Unix.gettimeofday () in
       let r = run_once ~integrity:cfg ~sinks:[ sink ] () in
       let wall = Unix.gettimeofday () -. t1 in
-      Array.iteri
-        (fun a ex -> Integrity.repair camp_cfg camp_seals.(a) (Exec.engines ex))
-        probe;
+      Runner.repair camp_cfg prepared;
       let st = cfg.Integrity.stats in
       let detected = Integrity.detections st > 0 in
       let identical = String.equal (Runner.render_report r) baseline_text in

@@ -159,11 +159,13 @@ val chaos :
   (string * Ast.t) list ->
   input:string ->
   (chaos_outcome, string) result
-(** Compile and place once, run the fault-free baseline, then
-    [config.c_trials] seeded single-flip trials with integrity armed.
-    The shared compiled tables are re-verified and repaired from a
-    campaign-wide pristine seal after every trial, so trials are
-    independent.  Deterministic in [c_seed]. *)
+(** Compile, place and prepare once ({!Runner.build}, sealed), run the
+    fault-free baseline, then [config.c_trials] seeded single-flip
+    trials with integrity armed.  The baseline and every trial step
+    fresh clones of the prepared executors; a trial's heals repair from
+    the prepared seals, and {!Runner.repair} writes every table back
+    from them after each trial, so trials are independent even when a
+    trial's own healing gave up.  Deterministic in [c_seed]. *)
 
 val chaos_injected : chaos_outcome -> int
 val chaos_detected : chaos_outcome -> int

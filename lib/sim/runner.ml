@@ -343,29 +343,50 @@ let deadline_stride = 256
 
 let mismatch detail = raise (Sim_error.Error (Sim_error.Checkpoint_mismatch { detail }))
 
-let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mapper.placement)
-    ~stream =
+(* A placement's executors, built once, and its seals.  The templates are
+   never stepped by a prepared run: each run steps [Exec.clone_fresh]
+   copies, which share the compiled tables, the tile maps and the wake
+   table with them and nothing mutable.  A seal taken on a template
+   covers every clone, because they read the same physical tables. *)
+type prepared = {
+  pr_placement : Mapper.placement;
+  pr_templates : Exec.t array;
+  pr_seals : Integrity.seal array;  (* per array; empty when unsealed *)
+}
+
+let build ?(sealed = false) (p : Mapper.placement) =
+  let templates = Array.map (fun tiles -> Exec.build p tiles) p.Mapper.arrays in
+  {
+    pr_placement = p;
+    pr_templates = templates;
+    pr_seals =
+      (if sealed then Array.map (fun ex -> Integrity.seal (Exec.engines ex)) templates else [||]);
+  }
+
+let repair cfg pr =
+  Array.iteri
+    (fun i seal -> Integrity.repair cfg seal (Exec.engines pr.pr_templates.(i)))
+    pr.pr_seals
+
+(* [execs] are the run's own fresh executors: [pr]'s templates on a
+   one-shot run, clones of them on a prepared one.  The seals come from
+   [pr], and the sentinel's shadows clone its templates. *)
+let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) pr ~execs ~stream =
+  let p = pr.pr_placement in
   let num_arrays = Array.length p.Mapper.arrays in
   let chars_hint = match Input_stream.length stream with Some n -> n | None -> 0 in
   (* all per-array state is built up front and lives across chunks; sink
      [make] runs in array order here, never inside a worker domain *)
-  let execs = Array.map (fun tiles -> Exec.build p tiles) p.Mapper.arrays in
   let insts =
     Array.init num_arrays (fun array_id ->
         List.map (fun (s : Sink.spec) -> s.Sink.make ~array_id ~chars:chars_hint) sinks)
   in
-  (* Integrity layer: checksum-seal every array's immutable tables up front
-     (pristine copies double as the repair source), keep one shadow clone
-     per array for the sentinel's reference replay, and track per-array
-     next-due symbols for both detectors. *)
-  let seals =
-    match integrity with
-    | None -> [||]
-    | Some _ -> Array.map (fun ex -> Integrity.seal (Exec.engines ex)) execs
-  in
+  (* Integrity layer: one shadow clone per array for the sentinel's
+     reference replay, and per-array next-due symbols for both
+     detectors. *)
   let shadows =
     match integrity with
-    | Some cfg when cfg.Integrity.sentinel_every > 0 -> Array.map Exec.clone_fresh execs
+    | Some cfg when cfg.Integrity.sentinel_every > 0 -> Array.map Exec.clone_fresh pr.pr_templates
     | _ -> [||]
   in
   {
@@ -392,7 +413,7 @@ let start ~jobs ~sinks ~policy ~integrity ~checkpoint (arch : Arch.t) (p : Mappe
     (* only the checkpoint paths read the digest: the resume check, the
        pre-save drift check and the saved record *)
     r_fingerprint = (match checkpoint with Some _ -> fingerprint p | None -> "");
-    r_seals = seals;
+    r_seals = pr.pr_seals;
     r_shadows = shadows;
     r_rollbacks =
       (match (policy, integrity) with
@@ -722,10 +743,9 @@ let finish st ~last_ckpt ~chars =
     ~reports_slots:st.r_reports ~ledgers ~mode_slots:(Array.map snd priced) ~execs:st.r_execs
     ~degraded:(List.rev st.r_degraded)
 
-let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?resume:(resuming = false)
-    (arch : Arch.t) ~params (p : Mapper.placement) ~stream =
-  ignore params;
-  let st = start ~jobs ~sinks ~policy ~integrity ~checkpoint arch p ~stream in
+(* The one run loop, over executors [start] is handed. *)
+let drive ~jobs ~sinks ~policy ~integrity ~checkpoint ~resuming arch pr ~execs ~stream =
+  let st = start ~jobs ~sinks ~policy ~integrity ~checkpoint arch pr ~execs ~stream in
   (match checkpoint with
   | Some { Checkpoint.dir; _ } when resuming -> resume st ~dir stream
   | _ -> ());
@@ -746,6 +766,22 @@ let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?resume:
   in
   loop ();
   finish st ~last_ckpt:!last_ckpt ~chars:(Input_stream.pos stream)
+
+(* A one-shot run steps the executors it builds, sealed when armed: no
+   clone and no second seal. *)
+let run_stream ?(jobs = 1) ?(sinks = []) ?policy ?integrity ?checkpoint ?resume:(resuming = false)
+    (arch : Arch.t) ~params (p : Mapper.placement) ~stream =
+  ignore params;
+  let pr = build ~sealed:(Option.is_some integrity) p in
+  drive ~jobs ~sinks ~policy ~integrity ~checkpoint ~resuming arch pr ~execs:pr.pr_templates
+    ~stream
+
+let run_prepared ?(jobs = 1) ?(sinks = []) ?policy ?integrity (arch : Arch.t) pr ~stream =
+  if Option.is_some integrity && Array.length pr.pr_seals <> Array.length pr.pr_templates then
+    invalid_arg "Runner.run_prepared: integrity armed on an unsealed placement";
+  drive ~jobs ~sinks ~policy ~integrity ~checkpoint:None ~resuming:false arch pr
+    ~execs:(Array.map Exec.clone_fresh pr.pr_templates)
+    ~stream
 
 (* One chunk spanning the whole string keeps the historical array-major
    symbol order at [jobs = 1], which shared-RNG fault sinks depend on. *)

@@ -160,7 +160,8 @@ val run_stream :
 
     [integrity] (default off — and then strictly zero-overhead) arms the
     online integrity layer ({!Integrity}): every array's immutable
-    compiled tables are checksum-sealed at run start, re-verified together
+    compiled tables are checksum-sealed at run start (or, by
+    {!run_prepared}, when the placement was prepared), re-verified together
     with the arena guard words on the sweep cadence and before every
     checkpoint write, and a sampled window of each array's execution is
     shadow-replayed through the reference kernel.  A detected violation
@@ -183,7 +184,64 @@ val run_stream :
     [jobs].  Energy is counted as integers and priced once, in
     [finish], so no float depends on where a run was cut.  Raises
     [Sim_error.Error] on a corrupt checkpoint, a fingerprint mismatch,
-    or an unseekable resume source. *)
+    or an unseekable resume source.
+
+    Each call builds every array's executors ({!Exec.build}) and, when
+    armed, seals them, then steps what it built: a one-shot run pays
+    its placement's set-up once and clones nothing.  A caller that runs
+    one placement many times prepares it once instead ({!build}). *)
+
+(** {1 Prepared placements}
+
+    RAP configures its tiles once per rule set and streams every input
+    through the configured fabric.  A {!prepared} value is that
+    configuration: each array's executors, built once from the
+    placement, and, when sealed, the checksum seals of the compiled
+    tables they read, with pristine copies taken then.  Every
+    {!run_prepared} steps {!Exec.clone_fresh} copies of the templates,
+    which share the compiled tables, tile maps and wake table with them
+    and nothing mutable, so runs on one value may go side by side on
+    different domains; the templates themselves are never stepped.  What
+    a run still allocates is its run state: the clones' arenas and event
+    records, the sinks, the energy counters and, under a policy or
+    integrity, the rollback buffers and one shadow per array.
+
+    The service ({!Admission.create}), [rap batch] ({!Batch.run}) and
+    [rap chaos] ({!Fault.chaos}) prepare their placement once. *)
+
+type prepared
+
+val build : ?sealed:bool -> Mapper.placement -> prepared
+(** Build every array's executors from the placement and, with [sealed]
+    (default [false]), seal their compiled tables ({!Integrity.seal}).
+    A sealed value is what armed runs need: the seals live as long as
+    the placement, so tables corrupted between two runs trip the next
+    run's checks and are repaired from the copies taken here, where a
+    seal taken per run would accept them as pristine. *)
+
+val run_prepared :
+  ?jobs:int ->
+  ?sinks:Sink.spec list ->
+  ?policy:Scheduler.policy ->
+  ?integrity:Integrity.config ->
+  Arch.t ->
+  prepared ->
+  stream:Input_stream.t ->
+  report
+(** {!run_stream} (without checkpoints) on fresh clones of the prepared
+    executors: the same run loop, the same report, bit for bit.  The
+    run's [integrity] config (its cadence and its stats) is its own; the
+    seals it checks and repairs from are the prepared value's, and the
+    sentinel's shadows clone its templates.  Raises [Invalid_argument]
+    when [integrity] is given and the value was built without
+    [sealed]. *)
+
+val repair : Integrity.config -> prepared -> unit
+(** {!Integrity.repair} of every array's sealed tables from the copies
+    taken by {!build}, counted in [cfg]'s stats; a no-op on an unsealed
+    value.  [rap chaos] calls it after each trial, so that the next
+    trial starts from clean tables even when a trial's own healing gave
+    up. *)
 
 val run :
   ?jobs:int ->

@@ -634,6 +634,45 @@ let test_spool_save_streams_input () =
       | Ok None -> fail "the spooled entry is missing"
       | Error err -> fail (Sim_error.message err))
 
+(* Recovering a spooled request copies its input once: the file is read
+   whole, its CRC checked and its fields decoded where they lie, and only
+   the input is cut out of it.  Loading an 8 MiB entry allocates under
+   two copies of the input plus 1 MiB, where cutting the payload out of
+   the file and then the input out of the payload made three. *)
+let test_spool_load_copies_input_once () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let input = String.make (8 * 1024 * 1024) 'q' in
+      let e =
+        {
+          Checkpoint.Spool.sp_id = 6;
+          sp_name = "big";
+          sp_class = "bulk";
+          sp_deadline_s = None;
+          sp_input = input;
+        }
+      in
+      Checkpoint.Spool.save ~dir e;
+      (* the least of three loads, as for the save above *)
+      let spent =
+        List.fold_left Float.min infinity
+          (List.init 3 (fun _ ->
+               let before = Gc.allocated_bytes () in
+               let got = Checkpoint.Spool.load ~dir ~id:6 in
+               let spent = Gc.allocated_bytes () -. before in
+               (match got with
+               | Ok (Some got) -> check bool "the entry loads back" true (got = e)
+               | Ok None -> fail "the spooled entry is missing"
+               | Error err -> fail (Sim_error.message err));
+               spent))
+      in
+      check bool
+        (Printf.sprintf "%.0f bytes allocated to load 8 MiB, under 17 MiB" spent)
+        true
+        (spent < 17. *. 1024. *. 1024.))
+
 let test_spool_roundtrip () =
   let dir = temp_dir () in
   Fun.protect
@@ -764,6 +803,201 @@ let test_spool_report_persisted_for_live_outcomes () =
       check int "spool entry consumed" 0 (List.length entries))
 
 (* ------------------------------------------------------------------ *)
+(* Prepared placements: built and sealed once per service *)
+
+(* QCheck: a service runs every request on clones of executors it built
+   once, and [rap batch] every stream.  Whatever the rule set, the
+   request mix (bulk, and interactive under a deadline), the jobs and
+   whether integrity is armed, every reply and every batched stream is
+   byte-identical to a solo run on a placement compiled afresh, which
+   shares no table with the served one. *)
+let prop_prepared_equals_fresh =
+  let gen =
+    QCheck2.Gen.(
+      quad
+        (list_size (1 -- 3) (Gen.gen_ast ~max_bound:5 ()))
+        (list_size (1 -- 5) (pair bool Gen.gen_input))
+        (oneofl [ 1; 4 ])
+        bool)
+  in
+  QCheck2.Test.make ~count:40 ~name:"prepared runs equal solo runs on a fresh placement" gen
+    (fun (asts, reqs, jobs, armed) ->
+      let regexes = List.mapi (fun i a -> (Printf.sprintf "r%d %s" i (Ast.to_string a), a)) asts in
+      let place () =
+        let units, _ = Runner.compile_for rap ~params regexes in
+        Runner.place rap ~params units
+      in
+      let served = place () in
+      let integrity = if armed then Some (Integrity.continuous_config ()) else None in
+      let adm =
+        Admission.create { (config ~capacity:8 ()) with Admission.jobs; integrity } rap ~params served
+      in
+      List.iteri
+        (fun i (interactive, input) ->
+          match
+            Admission.submit
+              ?deadline_s:(if interactive then Some 60. else None)
+              adm ~name:(Printf.sprintf "q%d" i)
+              ~class_:(if interactive then Wire.Interactive else Wire.Bulk)
+              ~input
+          with
+          | Ok _ -> ()
+          | Error r -> fail (Admission.reject_message r))
+        reqs;
+      let outcomes = Admission.run_pending adm in
+      let batch =
+        Batch.run ~jobs rap ~params served
+          ~sources:
+            (Array.of_list
+               (List.mapi (fun i (_, s) -> Batch.of_string ~name:(Printf.sprintf "b%d" i) s) reqs))
+      in
+      let fresh = place () in
+      let solo_of (_, input) = Runner.run ~jobs:1 rap ~params fresh ~input in
+      List.length outcomes = List.length reqs
+      && List.for_all2
+           (fun req (o : Admission.outcome) ->
+             let r = solo_of req in
+             o.Admission.o_error = None
+             && o.Admission.o_report = Some r
+             && o.Admission.o_text = Runner.render_report r)
+           reqs outcomes
+      && List.for_all2
+           (fun req (b : Batch.stream_report) ->
+             Runner.render_report b.Batch.bs_report = Runner.render_report (solo_of req))
+           reqs (Array.to_list batch.Batch.streams))
+
+(* Each request starts from fresh run state: one that ends inside a
+   match, engines still live, leaves nothing behind for the next, whose
+   reply is its solo run's (carried over, "abbb" then "bbc" would
+   report a match).  And an armed run refuses an unsealed placement. *)
+let test_prepared_request_after_live_engines () =
+  let p = placement () in
+  let requests = [ "abbb"; "bbc xyzz"; "zw evil"; "sig" ] in
+  let ex = Exec.build p p.Mapper.arrays.(0) in
+  String.iteri (fun sym c -> ignore (Exec.step rap ex ~sym c)) (List.hd requests);
+  check bool "the first request leaves engines live" true (Exec.awake_count ex > 0);
+  List.iter
+    (fun integrity ->
+      let adm = Admission.create { (config ()) with Admission.integrity } rap ~params p in
+      List.iteri
+        (fun i input ->
+          match
+            Admission.submit adm ~name:(Printf.sprintf "live%d" i) ~class_:Wire.Bulk ~input
+          with
+          | Ok _ -> ()
+          | Error r -> fail (Admission.reject_message r))
+        requests;
+      List.iter2
+        (fun input (o : Admission.outcome) ->
+          check string
+            (Printf.sprintf "%S served as its solo run" input)
+            (Runner.render_report (solo p input))
+            o.Admission.o_text)
+        requests (Admission.run_pending adm))
+    [ None; Some (Integrity.continuous_config ()) ];
+  (* an armed run needs the seals taken when the placement was
+     prepared; taking them now would accept whatever the tables hold *)
+  match
+    Runner.run_prepared ~integrity:(Integrity.default_config ()) rap (Runner.build p)
+      ~stream:(Input_stream.of_string "abbbc")
+  with
+  | _ -> fail "an armed run on an unsealed placement must be refused"
+  | exception Invalid_argument _ -> ()
+
+(* A served request pays for its run state, not for its placement's
+   set-up: at jobs 1, one 512-byte Snort request through the service
+   allocates fewer minor words than one [Exec.build] of the placement's
+   arrays.  The least of three readings of each. *)
+let test_served_request_allocates_less_than_build () =
+  let snort = Benchmarks.by_name "Snort" in
+  let units, _ = Runner.compile_for rap ~params snort.Benchmarks.regexes in
+  let p = Runner.place rap ~params units in
+  let input = snort.Benchmarks.make_input ~chars:512 in
+  let least f =
+    List.fold_left Float.min infinity
+      (List.init 3 (fun _ ->
+           let before = Gc.minor_words () in
+           f ();
+           Gc.minor_words () -. before))
+  in
+  let build = least (fun () -> ignore (Array.map (Exec.build p) p.Mapper.arrays)) in
+  let adm = Admission.create (config ()) rap ~params p in
+  let outcomes = ref [] in
+  let served =
+    least (fun () ->
+        ignore (Admission.submit adm ~name:"snort" ~class_:Wire.Bulk ~input);
+        outcomes := Admission.run_pending adm @ !outcomes)
+  in
+  check int "three requests served" 3 (List.length !outcomes);
+  List.iter
+    (fun (o : Admission.outcome) ->
+      check string "served as its solo run" (Runner.render_report (solo p input)) o.Admission.o_text)
+    !outcomes;
+  check bool
+    (Printf.sprintf "a 512 B request allocated %.0f minor words, one build %.0f" served build)
+    true (served < build)
+
+(* Tables corrupted between two armed requests are caught by the seals
+   the service took when it prepared its placement, and healed.  A seal
+   taken per request would take the corrupted table as pristine and
+   serve a wrong report with no detection. *)
+let test_armed_heals_corruption_between_requests () =
+  let p = placement () in
+  let cfg = Integrity.default_config () in
+  let adm = Admission.create { (config ()) with Admission.integrity = Some cfg } rap ~params p in
+  let serve input =
+    (match Admission.submit adm ~name:"armed" ~class_:Wire.Bulk ~input with
+    | Ok _ -> ()
+    | Error r -> fail (Admission.reject_message r));
+    match Admission.run_pending adm with
+    | [ o ] -> o
+    | l -> fail (Printf.sprintf "expected 1 outcome, got %d" (List.length l))
+  in
+  let first = "abbbc evilsig xyzzzw" in
+  check string "request 1 served clean" (Runner.render_report (solo p first))
+    (serve first).Admission.o_text;
+  (* request 2's matches lie past its first sentinel window (symbols
+     0-63), so the flip below is left to the sweep at its chunk end *)
+  let second = String.make 100 'q' ^ "xyzzzw xzzzzzw" in
+  let clean = Runner.render_report (solo p second) in
+  (* the x[yz]{3,9}w engine (the one byte 'x' wakes): clear the bit of
+     its masks row that byte 'x' labels, which starts every match *)
+  let table name e =
+    List.find_map
+      (function Engine.R_words (n, a) when n = name -> Some a | _ -> None)
+      (Engine.immutable_regions e)
+    |> Option.get
+  in
+  let wakes_on_x e =
+    List.exists
+      (function
+        | Engine.R_bytes ("wake", b) -> Bytes.get b (Char.code 'x') <> '\000' | _ -> false)
+      (Engine.immutable_regions e)
+  in
+  let e =
+    match
+      List.find_opt wakes_on_x (Array.to_list (Exec.engines (Exec.build p p.Mapper.arrays.(0))))
+    with
+    | Some e -> e
+    | None -> fail "no engine wakes on 'x'"
+  in
+  let masks = table "masks" e and at = (table "labels_row" e).(Char.code 'x') in
+  let pristine = masks.(at) in
+  check bool "byte 'x' labels some state" true (pristine <> 0);
+  masks.(at) <- pristine land (pristine - 1);
+  check bool "left unhealed, the flip changes request 2's report" false
+    (String.equal clean (Runner.render_report (solo p second)));
+  let o = serve second in
+  check string "request 2 equals its clean solo run" clean o.Admission.o_text;
+  check bool "request 2 marked recovered" true o.Admission.o_recovered;
+  let st = cfg.Integrity.stats in
+  check bool
+    (Printf.sprintf "%d seal trip(s), at least 1" st.Integrity.crc_trips)
+    true (st.Integrity.crc_trips >= 1);
+  check int "no quarantine" 0 st.Integrity.quarantines;
+  check int "the table is repaired" pristine masks.(at)
+
+(* ------------------------------------------------------------------ *)
 (* Latency histogram *)
 
 let test_latency_quantiles () =
@@ -836,10 +1070,19 @@ let suite =
     test_case "spool: round-trip and listing" `Quick test_spool_roundtrip;
     test_case "spool: an 8 MiB entry is written without copying its input" `Quick
       test_spool_save_streams_input;
+    test_case "spool: an 8 MiB entry loads with one copy of its input" `Quick
+      test_spool_load_copies_input_once;
     test_case "spool: corruption rejected" `Quick test_spool_corrupt_rejected;
     test_case "recovery: spool replays bit-identical" `Quick test_recover_replays_spool;
     test_case "spool: live outcome report persisted" `Quick
       test_spool_report_persisted_for_live_outcomes;
+    QCheck_alcotest.to_alcotest prop_prepared_equals_fresh;
+    test_case "prepared: a request after one that left engines live" `Quick
+      test_prepared_request_after_live_engines;
+    test_case "prepared: a 512 B request allocates less than one build" `Quick
+      test_served_request_allocates_less_than_build;
+    test_case "prepared: corruption between armed requests heals" `Quick
+      test_armed_heals_corruption_between_requests;
     test_case "latency: quantiles" `Quick test_latency_quantiles;
     test_case "latency: merge" `Quick test_latency_merge;
     QCheck_alcotest.to_alcotest prop_latency_quantile_bounds;
