@@ -131,17 +131,18 @@ let charge tb (ev : Exec.array_events) ~cat_pj:cat ~mode_pj:mode =
       add_slow cat c_bv mode mi
         (bv_phase_pj tb.arch ~bv_cols:cols ~iterations:p.Exec.p_iterations)
   done;
-  (* per physical tile: matching, transition, controller, leakage *)
+  (* per physical tile: matching, transition, controller, leakage; the
+     tile word decoded inline (see [Engine.tile_bits]) *)
   let cyc = 1 + ev.Exec.stall in
   let fcyc = float_of_int cyc in
   let leak = ref (fcyc *. k.(k_array_leak)) in
-  let tiles = ev.Exec.tiles in
+  let tiles = ev.Exec.tiles and bits = Engine.tile_bits and mask = Engine.tile_mask in
   for ti = 0 to Array.length tiles - 1 do
-    let t = tiles.(ti) in
-    let mi = mode_index t.Exec.t_mode in
-    let active = t.Exec.t_active_states in
-    if t.Exec.t_powered then begin
-      let cols = t.Exec.t_enabled_cols in
+    let w = tiles.(ti) and tmode = ev.Exec.modes.(ti) in
+    let mi = mode_index tmode in
+    let active = w land mask and powered = w lsr (2 * bits) > 0 in
+    if powered then begin
+      let cols = (w lsr bits) land mask in
       if cols < Array.length tb.match_tbl then begin
         let pj = tb.match_tbl.(cols) in
         cat.(c_matching) <- cat.(c_matching) +. pj;
@@ -151,9 +152,7 @@ let charge tb (ev : Exec.array_events) ~cat_pj:cat ~mode_pj:mode =
       (* LNFA transitions ride the active-vector shift: no switch
          traversal, and the local controller only engages when the
          shift datapath carries live states *)
-      let lnfa =
-        match t.Exec.t_mode with Engine.M_lnfa -> true | Engine.M_nfa | Engine.M_nbva -> false
-      in
+      let lnfa = match tmode with Engine.M_lnfa -> true | Engine.M_nfa | Engine.M_nbva -> false in
       if (not lnfa) && active > 0 then begin
         if active < Array.length tb.local_tbl then begin
           let pj = tb.local_tbl.(active) in
@@ -169,7 +168,7 @@ let charge tb (ev : Exec.array_events) ~cat_pj:cat ~mode_pj:mode =
         mode.(mi) <- mode.(mi) +. pj
       end
     end;
-    let pj = fcyc *. if t.Exec.t_powered then k.(k_tile_leak) else k.(k_tile_leak_gated) in
+    let pj = fcyc *. if powered then k.(k_tile_leak) else k.(k_tile_leak_gated) in
     leak := !leak +. pj;
     mode.(mi) <- mode.(mi) +. pj
   done;
@@ -223,7 +222,7 @@ let phase_cols_bits = 24
    same records for as long as a slot stays set. *)
 type counter = {
   mutable modes : int array;  (* per tile: [mode_index] of its mode *)
-  mutable o_state : int array;  (* per tile: [packed] state of its intervals; -1 none open *)
+  mutable o_state : int array;  (* per tile: the word its intervals opened with; -1 none open *)
   mutable o_pc_syms : int array;  (* [syms] when the first interval opened *)
   mutable o_pc_cycles : int array;  (* [cycles] when it opened *)
   mutable o_active_syms : int array;  (* [syms] when the second interval opened *)
@@ -294,17 +293,12 @@ let rec add_key c key n =
 
 let lnfa = mode_index Engine.M_lnfa
 
-(* A tile's state in one word: active states, then enabled columns
-   and powered, in 24-bit fields; [lsr field] is the first interval's
-   part, (enabled columns) * 2 + powered. *)
-let field = 24
-let field_mask = (1 lsl field) - 1
-
-(* Close tile [ti]'s active-states interval at the current totals. *)
+(* Close tile [ti]'s active-states interval at the current totals.  The
+   closes decode the interval's tile word inline, as [charge] does. *)
 let close_active c ti =
   let st = c.o_state.(ti) and n = c.syms - c.o_active_syms.(ti) in
-  let active = st land field_mask and pc = st lsr field in
-  if st >= 0 && pc land 1 = 1 && active > 0 && n > 0 then begin
+  let active = st land Engine.tile_mask in
+  if st >= 0 && st lsr (2 * Engine.tile_bits) > 0 && active > 0 && n > 0 then begin
     let mi = c.modes.(ti) in
     if mi <> lnfa then add_key c (key ~family:f_transition ~mode:mi active) n
     else c.ctrl.(mi) <- c.ctrl.(mi) + n
@@ -313,13 +307,13 @@ let close_active c ti =
 (* Close tile [ti]'s (powered, enabled columns) interval. *)
 let close_pc c ti =
   let st = c.o_state.(ti) and n = c.syms - c.o_pc_syms.(ti) in
-  let pc = st lsr field in
   if st >= 0 && n > 0 then begin
-    let mi = c.modes.(ti) and p = pc land 1 in
+    let mi = c.modes.(ti) and p = if st lsr (2 * Engine.tile_bits) > 0 then 1 else 0 in
     let l = (2 * mi) + p in
     c.leak.(l) <- c.leak.(l) + (c.cycles - c.o_pc_cycles.(ti));
     if p = 1 then begin
-      add_key c (key ~family:f_matching ~mode:mi (pc lsr 1)) n;
+      let cols = (st lsr Engine.tile_bits) land Engine.tile_mask in
+      add_key c (key ~family:f_matching ~mode:mi cols) n;
       if mi <> lnfa then c.ctrl.(mi) <- c.ctrl.(mi) + n
     end
   end
@@ -360,9 +354,8 @@ let flush c =
    whatever was open is closed first. *)
 let size c (ev : Exec.array_events) =
   flush c;
-  let tiles = ev.Exec.tiles in
-  let n = Array.length tiles in
-  c.modes <- Array.map (fun (t : Exec.tile_events) -> mode_index t.Exec.t_mode) tiles;
+  let n = Array.length ev.Exec.tiles in
+  c.modes <- Array.map mode_index ev.Exec.modes;
   c.o_state <- Array.make n (-1);
   c.o_pc_syms <- Array.make n 0;
   c.o_pc_cycles <- Array.make n 0;
@@ -370,10 +363,12 @@ let size c (ev : Exec.array_events) =
   c.o_phases <- Array.copy ev.Exec.bv_phases;
   c.o_n_phases <- -1
 
-(* A tile whose state moved closes the intervals that changed and
-   opens new ones. *)
+(* A tile whose word moved closes the intervals that changed and opens
+   new ones.  A change of powering pieces alone closes the first
+   interval too, into the same counts a longer interval would make. *)
 let retile c ti st =
-  if st lsr field <> c.o_state.(ti) lsr field || c.o_state.(ti) < 0 then begin
+  let bits = Engine.tile_bits in
+  if st lsr bits <> c.o_state.(ti) lsr bits || c.o_state.(ti) < 0 then begin
     close_active c ti;
     close_pc c ti;
     c.o_pc_syms.(ti) <- c.syms;
@@ -383,11 +378,11 @@ let retile c ti st =
   c.o_state.(ti) <- st;
   c.o_active_syms.(ti) <- c.syms
 
-(* One symbol: every tile whose state differs from its intervals'
+(* One symbol: every tile whose word differs from its intervals'
    closes the ones that changed and opens new ones; then the phase
    list, the cross interval and the totals.  An unchanged tile costs
-   one compare of its packed state.  Int compares and adds only; no
-   allocation once the table holds every key the stream uses. *)
+   one compare of its word.  Int compares and adds only; no allocation
+   once the table holds every key the stream uses. *)
 let count c (ev : Exec.array_events) =
   let tiles = ev.Exec.tiles in
   if Array.length c.o_state <> Array.length tiles
@@ -395,16 +390,8 @@ let count c (ev : Exec.array_events) =
   then size c ev;
   let held = c.o_state in
   for ti = 0 to Array.length tiles - 1 do
-    let t = Array.unsafe_get tiles ti in
-    let cols = t.Exec.t_enabled_cols and active = t.Exec.t_active_states in
-    let st =
-      active lor (cols lsl (field + 1)) lor if t.Exec.t_powered then 1 lsl field else 0
-    in
-    if st <> Array.unsafe_get held ti then begin
-      if (active lor cols) lsr field <> 0 then
-        invalid_arg "Cost.count: tile state outside the counter's range";
-      retile c ti st
-    end
+    let st = Array.unsafe_get tiles ti in
+    if st <> Array.unsafe_get held ti then retile c ti st
   done;
   let n = ev.Exec.n_phases and phases = ev.Exec.bv_phases in
   let same = ref (n = c.o_n_phases) and i = ref 0 in

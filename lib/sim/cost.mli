@@ -58,8 +58,8 @@ val of_events : Arch.t -> Exec.array_events -> symbol_cost
 
 type counter
 (** One array's energy as integer counts.  A tile's price for one
-    symbol depends only on its state — powered, enabled columns, active
-    states, mode — and, for its leakage, on the symbol's cycles.  The
+    symbol depends only on its state — its {!Engine.tile_word} and its
+    mode — and, for its leakage, on the symbol's cycles.  The
     counter keeps each tile's current {e interval}: the state it opened
     with and the symbol and cycle totals at that moment.  When the
     tile's state changes, the interval closes into counts keyed by the
@@ -80,11 +80,13 @@ val count : counter -> Exec.array_events -> unit
 (** Count one symbol of one array.  Compares every tile's state with
     its intervals'; only changed tiles, a changed phase list and a
     changed cross value touch the keyed counts.  Phase lists compare by
-    record identity, as {!Exec.step} hands them out.  Allocates nothing once the counter holds
-    every key the stream uses (a handful per array on the shipped
-    suites).  Raises [Invalid_argument] on a tile with 2{^ 24} active
-    states or enabled columns or more, and on a BV phase with negative
-    iterations or columns, or with 2{^ 24} columns or more. *)
+    record identity, as {!Exec.step} hands them out.  Allocates nothing
+    once the counter holds every key the stream uses (a handful per
+    array on the shipped suites).  Tile words are compared whole and
+    decoded only when an interval closes; they are in range by
+    construction ({!Exec.build} checks every tile's bound).  Raises
+    [Invalid_argument] on a BV phase with negative iterations or
+    columns, or with 2{^ 24} columns or more. *)
 
 val price : tables -> counter -> cat_pj:float array -> mode_pj:float array -> unit
 (** Zero the caller's arrays and price the counts into them, with

@@ -7,23 +7,39 @@ type mode = M_nfa | M_nbva | M_lnfa
    loops for the same reason: a closure over the record would allocate
    on every symbol. *)
 type events = {
-  active : int array;
-  enabled : int array;
-  powered : bool array;
+  tile : int array;
   triggered : bool array;
   mutable cross : int;
   mutable reports : int;
 }
 
-let stats_create n =
-  {
-    active = Array.make n 0;
-    enabled = Array.make n 0;
-    powered = Array.make n true;
-    triggered = Array.make n false;
-    cross = 0;
-    reports = 0;
-  }
+(* Tile words (see engine.mli): active states in bits 0-23, enabled
+   columns in bits 24-47, powering pieces from bit 48 to below the sign
+   bit, so a word is never negative. *)
+let tile_bits = 24
+let tile_mask = (1 lsl tile_bits) - 1
+let powering_bits = Sys.int_size - 1 - (2 * tile_bits)
+
+(* Unchecked, for the projections: their fields stay within the tiles'
+   [tile_bound]s, which [Exec.build] checks. *)
+let word ~active ~enabled ~powering =
+  active lor (enabled lsl tile_bits) lor (powering lsl (2 * tile_bits))
+
+(* [lsr] sends a negative field far past its limit too. *)
+let tile_word ~active ~enabled ~powering =
+  if (active lor enabled) lsr tile_bits <> 0 || powering lsr powering_bits <> 0 then
+    invalid_arg "Engine.tile_word: a field is past its limit";
+  word ~active ~enabled ~powering
+
+let tile_active w = w land tile_mask
+let tile_enabled w = (w lsr tile_bits) land tile_mask
+let tile_powered w = w lsr (2 * tile_bits) > 0
+
+let tile_add a b =
+  tile_word
+    ~active:(tile_active a + tile_active b)
+    ~enabled:(tile_enabled a + tile_enabled b)
+    ~powering:((a lsr (2 * tile_bits)) + (b lsr (2 * tile_bits)))
 
 (* ------------------------------------------------------------------ *)
 (* NFA and NBVA units: one engine over an NBVA plan.  An NBVA unit steps
@@ -49,11 +65,16 @@ type plan = {
   cross_sources : int array;
       (* flat (state, vector bit or -1) pairs, one per cross-tile edge:
          -1 reads the state's output, a bit one unfolded chain position *)
-  enabled_cols : int array;  (* per tile: columns searched every symbol *)
+  tile_words : int array;
+      (* per tile: its word with no state active — the columns searched
+         every symbol, powered *)
   bv_cols : int array;  (* NBVA mode: per tile BV storage columns; empty in NFA mode *)
   max_bv : int;
   depth : int;  (* NBVA mode: BV depth; 0 in NFA mode *)
 }
+
+(* A plan tile is always powered and always enables the same columns. *)
+let static_word enabled = tile_word ~active:0 ~enabled ~powering:1
 
 (* Unfolded width of one executor state. *)
 let exec_width ste = match ste with Nbva.Plain _ -> 1 | Nbva.Bv { size; _ } -> size
@@ -97,7 +118,6 @@ let nfa_plan (u : Program.nfa_unit) =
           bit_tiles.(!k) <- (q, Array.init size (fun bit -> tile_of.(offsets.(q) + bit)));
           incr k)
     exec.Nbva.stes;
-  (* an NFA tile enables all its programmed columns *)
   {
     plan_mode = M_nfa;
     exec;
@@ -105,7 +125,8 @@ let nfa_plan (u : Program.nfa_unit) =
     bit_tiles;
     trigger_tiles = [||];
     cross_sources;
-    enabled_cols = u.Program.tile_cols;
+    (* an NFA tile enables all its programmed columns *)
+    tile_words = Array.map static_word u.Program.tile_cols;
     bv_cols = [||];
     max_bv = 0;
     depth = 0;
@@ -140,7 +161,7 @@ let nbva_plan (nu : Program.nbva_unit) =
     cross_sources;
     (* only CC columns are searched every symbol; BV columns activate in
        the processing phase *)
-    enabled_cols = Array.map (fun (t : Program.nbva_tile) -> t.Program.cc_cols) tiles;
+    tile_words = Array.map (fun (t : Program.nbva_tile) -> static_word t.Program.cc_cols) tiles;
     (* BV storage columns: sum of allocation widths (equals [bv_cols] on
        RAP; covers BVAP, whose BVM columns are not CAM columns) *)
     bv_cols = Array.map (fun t -> allocs t (fun acc a -> acc + a.Program.width)) tiles;
@@ -159,14 +180,12 @@ let vector vecs q =
 
 (* Projection: refresh the stats record from the post-step run state.
    Split from the automaton advance so [step_kernel] can advance the
-   state alone — the projection reads only this engine's state.  It
-   writes only the fields that vary: a plan tile is always powered and
-   always enables the same columns, which [make] writes into the record
-   once. *)
+   state alone — the projection reads only this engine's state.  A
+   tile's word is its static word plus its active states. *)
 let plan_project p st s =
   let act = Nbva.outputs st and vecs = Nbva.vectors st in
-  for t = 0 to Array.length s.active - 1 do
-    s.active.(t) <- Bitvec.popcount_and act p.tile_masks.(t);
+  for t = 0 to Array.length s.tile - 1 do
+    s.tile.(t) <- p.tile_words.(t) + Bitvec.popcount_and act p.tile_masks.(t);
     s.triggered.(t) <- false
   done;
   (* unfolded chain activity per vector bit, walking the set bits word
@@ -178,7 +197,7 @@ let plan_project p st s =
       let w = ref (Bitvec.get_word v i) in
       while !w <> 0 do
         let t = bit_tiles.((i * Bitvec.bits_per_word) + Bitvec.lsb_index !w) in
-        s.active.(t) <- s.active.(t) + 1;
+        s.tile.(t) <- s.tile.(t) + 1;
         w := !w land (!w - 1)
       done
     done
@@ -266,20 +285,20 @@ let make_bin_engine (bin : Binning.bin) sa =
 (* Every field but [triggered] (bins have no BV phase) is written. *)
 let bin_project (e : bin_engine) s =
   let v = Shift_and.state_vector e.sa_st in
-  for t = 0 to Array.length s.active - 1 do
-    s.active.(t) <- Bitvec.popcount_and v e.b_tile_masks.(t)
-  done;
   let per_state = if e.bin.Binning.single_code then 1 else 2 in
-  for t = 0 to e.bin.Binning.tiles - 1 do
+  for t = 0 to Array.length s.tile - 1 do
+    let active = Bitvec.popcount_and v e.b_tile_masks.(t) in
     (* enabled columns: active states plus, in tile 0, the always-armed
        initial columns *)
-    let enabled = per_state * s.active.(t) in
+    let enabled = per_state * active in
     let enabled = if t = 0 then enabled + (per_state * e.initial_cols_t0) else enabled in
     let cap = e.b_static_cols.(t) in
-    (* an int [min] written out, as in [Bitvec.words_for] *)
-    s.enabled.(t) <- (if enabled < cap then enabled else cap);
-    (* power gating: a tile without initial states sleeps when idle *)
-    s.powered.(t) <- t = 0 || s.active.(t) > 0
+    (* an int [min] written out, as in [Bitvec.words_for]; power gating:
+       a tile without initial states sleeps when idle *)
+    s.tile.(t) <-
+      word ~active
+        ~enabled:(if enabled < cap then enabled else cap)
+        ~powering:(if t = 0 || active > 0 then 1 else 0)
   done;
   (* ring signals: bits crossing a region boundary feed the next tile *)
   s.cross <- Bitvec.popcount_and v e.ring_mask;
@@ -305,13 +324,12 @@ type t = { kind : kind; stats : events; mutable owner : owner; mutable slot : in
 (* Never written: a detached engine has no bit to set. *)
 let detached = { awake = Bitvec.create 0; tables = [] }
 
-(* A fresh record is the projection of the fresh, all-zero state: for a
-   plan, [stats_create]'s record plus the columns plan projections never
-   rewrite (see [plan_project]); a bin's is projected here. *)
-let make kind ntiles =
-  let stats = stats_create ntiles in
+(* A fresh record is the projection of the fresh, all-zero state: a
+   plan tile's static word, a bin's projected here. *)
+let make kind n =
+  let stats = { tile = Array.make n 0; triggered = Array.make n false; cross = 0; reports = 0 } in
   (match kind with
-  | E_plan (p, _) -> Array.blit p.enabled_cols 0 stats.enabled 0 (Array.length p.enabled_cols)
+  | E_plan (p, _) -> Array.blit p.tile_words 0 stats.tile 0 n
   | E_bin e -> bin_project e stats);
   { kind; stats; owner = detached; slot = -1 }
 
@@ -334,7 +352,19 @@ let of_bin ?tables b =
 
 let stepper_name t = match t.kind with E_plan _ -> "general" | E_bin _ -> "shift-and"
 let dfa_stats _ = None
-let num_tiles t = Array.length t.stats.active
+let num_tiles t = Array.length t.stats.tile
+
+(* A plan tile's active count is bounded by its masked states plus every
+   unfolded chain bit of the unit, a bin tile's by its bits. *)
+let tile_bound t i =
+  match t.kind with
+  | E_plan (p, _) ->
+      let bits = Array.fold_left (fun n (_, tiles) -> n + Array.length tiles) 0 p.bit_tiles in
+      let active = Bitvec.popcount p.tile_masks.(i) + bits in
+      tile_word ~active ~enabled:(tile_enabled p.tile_words.(i)) ~powering:1
+  | E_bin e ->
+      let active = Bitvec.popcount e.b_tile_masks.(i) in
+      tile_word ~active ~enabled:e.b_static_cols.(i) ~powering:1
 let events t = t.stats
 
 let wake_bytes t =

@@ -2,8 +2,9 @@
 
     One engine drives one mapper group (a dedicated unit, a shared tile, or
     an LNFA bin) through the input, symbol by symbol, and exposes exactly
-    the per-tile event counts the energy model needs: active STEs, enabled
-    CAM columns, BV-phase triggers, cross-tile signals, and reports.
+    the per-tile event counts the energy model needs: each tile's state as
+    one {!tile_word} (active STEs, enabled CAM columns, powered), BV-phase
+    triggers, cross-tile signals, and reports.
 
     There are two engine kinds.  Bins step [Shift_and].  NFA and NBVA
     units share one plan engine over an [Nbva.t]: the NBVA itself, or an
@@ -46,6 +47,53 @@ val of_bin : ?tables:Shift_and.t -> Binning.bin -> t
     its clones; without it the bin is compiled here
     ({!Binning.shift_and}). *)
 
+(** {1 Tile words}
+
+    A tile's state, as the energy model prices it, is one non-negative
+    int: its active STEs in bits 0–23, its enabled CAM columns (the
+    columns precharged for state matching) in bits 24–47, and from bit
+    48 the number of pieces that power it.  An engine projects one word
+    per local tile, with 0 or 1 powering piece; {!Exec} keeps a physical
+    tile at the sum of its pieces' words.  Words add field by field as
+    long as each field stays below its limit, 2{^ 24} for the first two
+    and 2{^ 14} for the piece count, so a sum decodes to the field sums
+    and is powered iff some piece is.  The limits are checked once, not
+    per symbol: {!Exec.build} sums each physical tile's pieces'
+    {!tile_bound}s with {!tile_add}, and a plan engine builds its tiles'
+    static words with {!tile_word}; the per-symbol paths add and decode
+    unchecked.  This is the only place the layout is defined:
+    other modules decode through the accessors, or, on a per-symbol or
+    per-interval path, shift inline by {!tile_bits} and mask with
+    {!tile_mask} ([-opaque] builds inline no call across modules). *)
+
+val tile_bits : int
+(** Width of the active and enabled fields: 24. *)
+
+val tile_mask : int
+(** [(1 lsl tile_bits) - 1]. *)
+
+val tile_word : active:int -> enabled:int -> powering:int -> int
+(** Raises [Invalid_argument] unless [0 <= active, enabled < 2^24] and
+    [0 <= powering < 2^14]. *)
+
+val tile_active : int -> int
+val tile_enabled : int -> int
+
+val tile_powered : int -> bool
+(** Some piece powers the tile. *)
+
+val tile_add : int -> int -> int
+(** Field by field; raises [Invalid_argument] when a sum reaches its
+    field's limit. *)
+
+val tile_bound : t -> int -> int
+(** A word no projection of local tile [i] exceeds in any field: its
+    columns enabled, powered, and as many active states as the tile
+    holds (for an NFA unit's compressed chains, every unfolded chain
+    bit of the unit).  Raises [Invalid_argument] when the unit fixes a
+    field past its limit (2{^ 24} columns or states); so do
+    {!of_nfa_unit} and {!of_nbva_unit} for 2{^ 24} columns. *)
+
 (** {1 Stepper names}
 
     Every NFA/NBVA engine steps through [Nbva.step] (or
@@ -74,14 +122,12 @@ val dfa_stats : t -> (int * int * int * bool) option
     set to [Reference] the advance goes through [Nbva.step_reference]. *)
 
 type events = {
-  active : int array;
-      (** Active STEs per unit-local tile at this symbol. *)
-  enabled : int array;
-      (** Columns precharged for state matching: all programmed CC columns
-          in NFA/NBVA mode; initial + active columns in LNFA mode. *)
-  powered : bool array;
-      (** [false] only for power-gated LNFA bin tiles with no initial and
-          no active state. *)
+  tile : int array;
+      (** One {!tile_word} per unit-local tile at this symbol: its active
+          STEs; its enabled columns, all programmed CC columns in
+          NFA/NBVA mode, initial + active columns in LNFA mode; and 1
+          powering piece, 0 only for a power-gated LNFA bin tile with no
+          initial and no active state. *)
   triggered : bool array;
       (** The tile enters the bit-vector-processing phase at this symbol. *)
   mutable cross : int;

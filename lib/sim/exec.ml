@@ -1,12 +1,5 @@
 (* See exec.mli. *)
 
-type tile_events = {
-  t_mode : Engine.mode;
-  mutable t_powered : bool;
-  mutable t_enabled_cols : int;
-  mutable t_active_states : int;
-}
-
 type bv_phase = { p_mode : Engine.mode; p_bv_cols : int; p_iterations : int; p_stall : int }
 
 type array_events = {
@@ -15,7 +8,8 @@ type array_events = {
   mutable stall : int;
   mutable cross : int;
   mutable reports : int;
-  tiles : tile_events array;
+  tiles : int array;
+  modes : Engine.mode array;
   bv_phases : bv_phase array;
   mutable n_phases : int;
 }
@@ -37,28 +31,25 @@ type array_events = {
    Counting by delta.  The record holds every engine at some share: an
    engine outside the set at its idle share (the projection of the
    all-zero state), an engine in it at its record as last projected.
-   [held] keeps, per piece, what that share put on the piece's tile
-   (active states, enabled columns, powered, packed into one word),
-   [e_cross] / [e_reports] what it put in the array totals, and [slots]
-   which of its tiles it sends into the BV phase.  A step changes a
-   share only when the engine projects ([Projected]) or goes idle
-   ([Idle]); it then adds new minus held to each of the engine's tiles
-   whose piece moved and to the totals, and flips the slots that
-   moved.  An engine stepped without
-   change touches nothing, and neither does one left out.  [powered] is
-   an OR over pieces, so each tile keeps a count of the pieces that
-   power it ([pow]).  Tiles start at their idle baseline
-   ([base_enabled], [base_powered]) with every engine at its idle
-   share: at [build], [clone_fresh] and [restore]. *)
+   [held] keeps, per piece, the tile word that share put on the piece's
+   tile, [e_cross] / [e_reports] what it put in the array totals, and
+   [slots] which of its tiles it sends into the BV phase.  A step
+   changes a share only when the engine projects ([Projected]) or goes
+   idle ([Idle]); it then adds new minus held to each of the engine's
+   tiles whose piece moved and to the totals, and flips the slots that
+   moved.  Tile words add field by field, powering pieces included, so
+   one add per moved piece keeps each tile at the sum of its pieces'
+   words.  An engine stepped without change touches nothing, and
+   neither does one left out.  Tiles start at their idle baseline
+   ([base]) with every engine at its idle share: at [build],
+   [clone_fresh] and [restore]. *)
 type t = {
   engines : Engine.t array;
   pieces : int array array;
-      (* per engine: flat (physical tile, local tile, idle share
-         [packed]) triples, one per tile piece *)
+      (* per engine: flat (physical tile, local tile, idle share) triples,
+         one per tile piece *)
   first_piece : int array;  (* per engine: its first piece's index in [held] *)
-  base_enabled : int array;  (* per physical tile, every engine idle *)
-  base_powered : int array;  (* per physical tile: pieces the idle records power *)
-  tile_modes : Engine.mode array;
+  base : int array;  (* per physical tile: its word with every engine idle *)
   slot_of : int array;
       (* per engine: its first BV-phase slot, one slot per local tile in
          engine order; -1 for an engine that never triggers *)
@@ -66,8 +57,7 @@ type t = {
       (* byte -> engines it wakes: 256 rows of [Bitvec.words_for] (engines)
          words, in [Bitvec] word layout; sealed as [owner.tables] *)
   owner : Engine.owner;
-  held : int array;  (* per piece: its share as counted, [packed] *)
-  pow : int array;  (* per physical tile: counted pieces that power it *)
+  held : int array;  (* per piece: its share as counted *)
   e_cross : int array;
   e_reports : int array;
   slots : Bitvec.t;  (* BV-phase slots whose tile is triggered *)
@@ -94,24 +84,11 @@ let wake_table engines =
 
 let no_phase = { p_mode = Engine.M_nbva; p_bv_cols = 0; p_iterations = 0; p_stall = 0 }
 
-(* A piece's share of its tile in one word: active states, enabled
-   columns and powered (0/1), in 24-bit fields.  A piece's counts are
-   bounded by its unit's states and its tile's columns, far below 2^24. *)
-let field = 24
-let field_mask = (1 lsl field) - 1
-let packed ~active ~enabled ~powered = active lor (enabled lsl field) lor (powered lsl (2 * field))
-
 (* Every tile at its idle baseline and every engine at its idle share:
    the state [build], [clone_fresh] and [restore] leave. *)
 let reset_counts t =
   let ev = t.ev in
-  Array.iteri
-    (fun ti te ->
-      te.t_active_states <- 0;
-      te.t_enabled_cols <- t.base_enabled.(ti);
-      t.pow.(ti) <- t.base_powered.(ti);
-      te.t_powered <- t.base_powered.(ti) > 0)
-    ev.tiles;
+  Array.blit t.base 0 ev.tiles 0 (Array.length t.base);
   Array.iteri
     (fun ei pc ->
       for k = 0 to (Array.length pc / 3) - 1 do
@@ -128,7 +105,7 @@ let reset_counts t =
   ev.stall <- 0;
   ev.n_phases <- 0
 
-let of_parts engines ~pieces ~first_piece ~base_enabled ~base_powered tile_modes ~slot_of ~wake =
+let of_parts engines ~pieces ~first_piece ~base tile_modes ~slot_of ~wake =
   let n = Array.length engines in
   let n_pieces = Array.fold_left (fun acc pc -> acc + (Array.length pc / 3)) 0 pieces in
   let n_slots = ref 0 in
@@ -145,14 +122,11 @@ let of_parts engines ~pieces ~first_piece ~base_enabled ~base_powered tile_modes
       engines;
       pieces;
       first_piece;
-      base_enabled;
-      base_powered;
-      tile_modes;
+      base;
       slot_of;
       wake;
       owner;
       held = Array.make n_pieces 0;
-      pow = Array.make (Array.length tile_modes) 0;
       e_cross = Array.make n 0;
       e_reports = Array.make n 0;
       slots = Bitvec.create n_slots;
@@ -165,10 +139,8 @@ let of_parts engines ~pieces ~first_piece ~base_enabled ~base_powered tile_modes
           stall = 0;
           cross = 0;
           reports = 0;
-          tiles =
-            Array.map
-              (fun m -> { t_mode = m; t_powered = false; t_enabled_cols = 0; t_active_states = 0 })
-              tile_modes;
+          tiles = Array.make (Array.length base) 0;
+          modes = tile_modes;
           bv_phases = Array.make n_slots no_phase;
           n_phases = 0;
         };
@@ -182,7 +154,9 @@ let of_parts engines ~pieces ~first_piece ~base_enabled ~base_powered tile_modes
    order.  A first pass makes the engines and counts their pieces, a
    second writes each engine's triples, reading its idle share from
    its fresh record (the projection of the all-zero state); the
-   baseline sums the fresh records over every piece.  NBVA-mode engines
+   baseline sums the fresh records over every piece.  The pieces'
+   bounds are summed too, checked ([Engine.tile_add]), so no sum of
+   words the steps make can leave the word's range.  NBVA-mode engines
    get one BV-phase slot per local tile, in engine order. *)
 let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
   let engine_ids = Hashtbl.create 8 in
@@ -205,7 +179,11 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
             match c.Program.kind with
             | Program.U_nfa u -> Engine.of_nfa_unit u
             | Program.U_nbva u -> Engine.of_nbva_unit u
-            | Program.U_lnfa _ -> assert false)
+            | Program.U_lnfa _ ->
+                invalid_arg
+                  (Printf.sprintf
+                     "Exec.build: unit %d is an LNFA unit, which is placed as bins, not as a unit"
+                     unit_id))
     | Mapper.P_bin { bin_id; _ } ->
         engine_of_key (`Bin bin_id) (fun () ->
             Engine.of_bin ~tables:p.Mapper.bin_tables.(bin_id) p.Mapper.bins.(bin_id))
@@ -230,12 +208,12 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
   for ei = 1 to n - 1 do
     first_piece.(ei) <- first_piece.(ei - 1) + counts.(ei - 1)
   done;
-  let ntiles = Array.length tiles in
-  let base_enabled = Array.make ntiles 0 and base_powered = Array.make ntiles 0 in
+  let base = Array.make (Array.length tiles) 0 in
   Array.fill counts 0 total 0;
   k := 0;
   Array.iteri
     (fun ti (t : Mapper.placed_tile) ->
+      let bound = ref 0 in
       List.iter
         (fun piece ->
           let ei = piece_engine.(!k) in
@@ -244,14 +222,13 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
             | Mapper.P_unit { local_tile; _ } -> local_tile
             | Mapper.P_bin { bin_tile; _ } -> bin_tile
           in
-          let r = Engine.events engines.(ei) and j = 3 * counts.(ei) in
+          let idle = (Engine.events engines.(ei)).Engine.tile.(lt) and j = 3 * counts.(ei) in
           let pc = pieces.(ei) in
-          let powered = if r.Engine.powered.(lt) then 1 else 0 in
           pc.(j) <- ti;
           pc.(j + 1) <- lt;
-          pc.(j + 2) <- packed ~active:0 ~enabled:r.Engine.enabled.(lt) ~powered;
-          base_enabled.(ti) <- base_enabled.(ti) + r.Engine.enabled.(lt);
-          base_powered.(ti) <- base_powered.(ti) + powered;
+          pc.(j + 2) <- idle;
+          base.(ti) <- base.(ti) + idle;
+          bound := Engine.tile_add !bound (Engine.tile_bound engines.(ei) lt);
           counts.(ei) <- counts.(ei) + 1;
           incr k)
         t.Mapper.pieces)
@@ -273,12 +250,11 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
         next := !next + Engine.num_tiles e
       end)
     engines;
-  of_parts engines ~pieces ~first_piece ~base_enabled ~base_powered tile_modes ~slot_of
-    ~wake:(wake_table engines)
+  of_parts engines ~pieces ~first_piece ~base tile_modes ~slot_of ~wake:(wake_table engines)
 
 let engines t = t.engines
 let awake_count t = Bitvec.popcount t.owner.Engine.awake
-let tile_modes t = t.tile_modes
+let tile_modes t = t.ev.modes
 
 let snapshot t = Array.map Engine.snapshot t.engines
 let snapshot_flat = snapshot
@@ -343,26 +319,12 @@ let recount t ei ~idle =
   let r = Engine.events t.engines.(ei) and pc = t.pieces.(ei) in
   let tiles = t.ev.tiles and held = t.held and h0 = t.first_piece.(ei) in
   for k = 0 to (Array.length pc / 3) - 1 do
-    let lt = pc.((3 * k) + 1) in
-    let now =
-      if idle then pc.((3 * k) + 2)
-      else
-        packed ~active:r.Engine.active.(lt) ~enabled:r.Engine.enabled.(lt)
-          ~powered:(if r.Engine.powered.(lt) then 1 else 0)
-    in
+    let now = if idle then pc.((3 * k) + 2) else r.Engine.tile.(pc.((3 * k) + 1)) in
     let was = held.(h0 + k) in
     if now <> was then begin
       held.(h0 + k) <- now;
       let ti = pc.(3 * k) in
-      let te = tiles.(ti) in
-      te.t_active_states <- te.t_active_states + (now land field_mask) - (was land field_mask);
-      te.t_enabled_cols <-
-        te.t_enabled_cols + ((now lsr field) land field_mask) - ((was lsr field) land field_mask);
-      let d = (now lsr (2 * field)) - (was lsr (2 * field)) in
-      if d <> 0 then begin
-        t.pow.(ti) <- t.pow.(ti) + d;
-        te.t_powered <- t.pow.(ti) > 0
-      end
+      tiles.(ti) <- tiles.(ti) + now - was
     end
   done;
   let ev = t.ev in
@@ -446,12 +408,7 @@ let step (arch : Arch.t) t ~sym c =
       ev.n_phases <- 0;
       let tbl = if arch.Arch.supports_nbva then phases_for arch t else [||] in
       Bitvec.fill_ones awake;
-      Array.iter
-        (fun te ->
-          te.t_powered <- false;
-          te.t_enabled_cols <- 0;
-          te.t_active_states <- 0)
-        ev.tiles;
+      Array.fill ev.tiles 0 (Array.length ev.tiles) 0;
       for ei = 0 to Array.length t.engines - 1 do
         let e = t.engines.(ei) in
         let r = Engine.step e c in
@@ -467,10 +424,8 @@ let step (arch : Arch.t) t ~sym c =
         end;
         let pc = t.pieces.(ei) in
         for k = 0 to (Array.length pc / 3) - 1 do
-          let te = ev.tiles.(pc.(3 * k)) and lt = pc.((3 * k) + 1) in
-          if r.Engine.powered.(lt) then te.t_powered <- true;
-          te.t_enabled_cols <- te.t_enabled_cols + r.Engine.enabled.(lt);
-          te.t_active_states <- te.t_active_states + r.Engine.active.(lt)
+          let ti = pc.(3 * k) in
+          ev.tiles.(ti) <- ev.tiles.(ti) + r.Engine.tile.(pc.((3 * k) + 1))
         done
       done
   | Nbva.Bit_parallel ->
@@ -498,5 +453,4 @@ let step (arch : Arch.t) t ~sym c =
    on different domains share nothing mutable. *)
 let clone_fresh t =
   of_parts (Array.map Engine.clone_fresh t.engines) ~pieces:t.pieces ~first_piece:t.first_piece
-    ~base_enabled:t.base_enabled ~base_powered:t.base_powered t.tile_modes ~slot_of:t.slot_of
-    ~wake:t.wake
+    ~base:t.base t.ev.modes ~slot_of:t.slot_of ~wake:t.wake

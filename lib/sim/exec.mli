@@ -13,6 +13,10 @@
 type t
 
 val build : Mapper.placement -> Mapper.placed_tile array -> t
+(** Raises [Invalid_argument] when a piece names an LNFA-mode unit
+    (LNFA lines are placed as bins), and when a tile's pieces could
+    together reach a tile word's field limit (their {!Engine.tile_bound}s
+    summed by {!Engine.tile_add}). *)
 
 val engines : t -> Engine.t array
 (** The transient-fault surface: sinks may flip stored state bits here
@@ -48,13 +52,6 @@ val snapshot_flat : t -> int array array
 
 (** {1 Per-symbol events} *)
 
-type tile_events = {
-  t_mode : Engine.mode;
-  mutable t_powered : bool;
-  mutable t_enabled_cols : int;  (** Columns precharged for matching, all pieces. *)
-  mutable t_active_states : int;
-}
-
 type bv_phase = {
   p_mode : Engine.mode;
   p_bv_cols : int;  (** BV storage columns of the triggering tile. *)
@@ -68,7 +65,11 @@ type array_events = {
   mutable stall : int;  (** Extra cycles after this symbol (max over phases). *)
   mutable cross : int;  (** Cross-tile signals fired (global switch rows). *)
   mutable reports : int;  (** Reporting-STE activations, all engines. *)
-  tiles : tile_events array;  (** Indexed by physical tile. *)
+  tiles : int array;
+      (** Indexed by physical tile: the sum of its pieces' {!Engine}
+          tile words, so its active STEs and enabled columns over all
+          pieces, powered iff some piece powers it. *)
+  modes : Engine.mode array;  (** Indexed by physical tile: {!tile_modes}. *)
   bv_phases : bv_phase array;
       (** The first [n_phases] entries: one per (engine, tile) entering
           bit-vector processing, in engine order, the same record for as
@@ -106,11 +107,12 @@ val step : Arch.t -> t -> sym:int -> char -> array_events
     {b Deltas.}  The record counts every engine at a share: its record
     while it is in the awake set, its idle share (the projection of the
     zero state) outside.  Only [Projected] and [Idle] change a share;
-    [step] then adds new minus old to each tile whose piece moved, to
-    the cross and report totals, and to the set of BV-phase slots, from
-    which it emits the phases in engine order.  An [Unchanged] engine,
-    and an engine left out, touch nothing.  The record is field for
-    field what stepping every engine and summing every piece gives.
+    [step] then adds new minus old to each tile whose piece moved (one
+    add of words per piece), to the cross and report totals, and to the
+    set of BV-phase slots, from which it emits the phases in engine
+    order.  An [Unchanged] engine, and an engine left out, touch
+    nothing.  The record is field for field what stepping every engine
+    and summing every piece gives.
 
     With [Nbva.kernel] set to [Reference] there are no shortcuts: every
     engine runs {!Engine.step} and every tile is summed from all of its

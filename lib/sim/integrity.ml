@@ -41,7 +41,6 @@ type config = {
   sweep_every : int;
   sentinel_every : int;
   sentinel_window : int;
-  max_repairs : int;
   stats : stats;
 }
 
@@ -55,7 +54,6 @@ let default_config () =
     sweep_every = 1 lsl 16;
     sentinel_every = 1 lsl 16;
     sentinel_window = 64;
-    max_repairs = 2;
     stats = stats_create ();
   }
 
@@ -67,23 +65,18 @@ let continuous_config () =
     sweep_every = 1;
     sentinel_every = 256;
     sentinel_window = 256;
-    max_repairs = 2;
     stats = stats_create ();
   }
 
 (* ---- seals ---- *)
 
-(* One sealed region: the live reference the kernel reads, a pristine
-   private copy for repair, and the checksum of the pristine copy. *)
-type pristine =
-  | P_words of int array
-  | P_bytes of Bytes.t
-  | P_vecs of Bitvec.t array
-
+(* One sealed region: the live reference the kernel reads, the write
+   that puts a pristine private copy back over it, and the checksum of
+   the pristine copy. *)
 type sealed_region = {
   sr_name : string;
   sr_live : Engine.region;
-  sr_pristine : pristine;
+  sr_restore : unit -> unit;
   sr_sum : int;
 }
 
@@ -117,10 +110,17 @@ let checksum = function
         vs;
       !acc
 
-let pristine_of_region = function
-  | Engine.R_words (_, a) -> P_words (Array.copy a)
-  | Engine.R_bytes (_, bytes) -> P_bytes (Bytes.copy bytes)
-  | Engine.R_vecs (_, vs) -> P_vecs (Array.map Bitvec.copy vs)
+(* Copy the region now; the closure writes the copy back. *)
+let restorer = function
+  | Engine.R_words (_, live) ->
+      let pristine = Array.copy live in
+      fun () -> Array.blit pristine 0 live 0 (Array.length pristine)
+  | Engine.R_bytes (_, live) ->
+      let pristine = Bytes.copy live in
+      fun () -> Bytes.blit pristine 0 live 0 (Bytes.length pristine)
+  | Engine.R_vecs (_, live) ->
+      let pristine = Array.map Bitvec.copy live in
+      fun () -> Array.iteri (fun i v -> Bitvec.blit ~src:pristine.(i) ~dst:v) live
 
 (* The engines' own regions, then their array's tables — shared by all
    engines of one array, so taken once per owner. *)
@@ -140,7 +140,7 @@ let seal engines =
          {
            sr_name = Engine.region_name r;
            sr_live = r;
-           sr_pristine = pristine_of_region r;
+           sr_restore = restorer r;
            sr_sum = checksum r;
          })
 
@@ -178,14 +178,7 @@ let repair cfg (s : seal) engines =
   List.iter
     (fun sr ->
       let dirty = checksum sr.sr_live <> sr.sr_sum in
-      (match (sr.sr_live, sr.sr_pristine) with
-      | Engine.R_words (_, live), P_words pristine ->
-          Array.blit pristine 0 live 0 (Array.length pristine)
-      | Engine.R_bytes (_, live), P_bytes pristine ->
-          Bytes.blit pristine 0 live 0 (Bytes.length pristine)
-      | Engine.R_vecs (_, live), P_vecs pristine ->
-          Array.iteri (fun i v -> Bitvec.blit ~src:pristine.(i) ~dst:v) live
-      | _ -> assert false);
+      sr.sr_restore ();
       if dirty then locked (fun () -> cfg.stats.repairs <- cfg.stats.repairs + 1))
     s;
   Array.iter Engine.invalidate engines

@@ -67,15 +67,12 @@ type config = {
       (** Start a shadow-replay window every this many symbols; [0]
           disables the sentinel. *)
   sentinel_window : int;  (** Window length in symbols. *)
-  max_repairs : int;
-      (** Rollback + repair + re-execution attempts per array per chunk
-          before the array is quarantined. *)
   stats : stats;
 }
 
 val default_config : unit -> config
 (** Fresh stats; sweep every 64 Ki symbols, a 64-symbol sentinel window
-    every 64 Ki symbols, 2 repairs.  The sentinel replays through the
+    every 64 Ki symbols.  The sentinel replays through the
     (slow) reference kernel, so its window/cadence duty cycle bounds the
     zero-fault overhead; this cadence keeps it well inside 3%. *)
 

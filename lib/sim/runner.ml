@@ -610,12 +610,14 @@ let quarantine st i err =
    never double-counts.  After [max_repairs] failed heals the typed error
    lands in [trips] (one writer per slot — no lock) for quarantine at the
    chunk barrier. *)
+let max_repairs = 2
+
 let heal_chunk st cfg trips ~deadline ~base chunk i =
   let rec go ~healed n =
     let heal err =
       restore_rollback st i;
       Integrity.repair cfg st.r_seals.(i) (Exec.engines st.r_execs.(i));
-      if n >= cfg.Integrity.max_repairs then begin
+      if n >= max_repairs then begin
         Integrity.note_quarantine cfg.Integrity.stats;
         trips.(i) <- Some err
       end

@@ -167,7 +167,7 @@ val run_stream :
     shadow-replayed through the reference kernel.  A detected violation
     rolls the array back to the chunk start, repairs the tables from
     pristine copies, and re-executes the chunk (counted in
-    [stats.heals]); an array still tripping after [max_repairs] heals is
+    [stats.heals]); an array still tripping after two heals in a chunk is
     quarantined with a typed [Integrity_violation] in [report.degraded]
     — detected corruption NEVER silently reaches the report.  A
     checkpoint that fails verification is skipped (journalled), leaving

@@ -131,7 +131,7 @@ let csv_header =
   String.concat "," ([ "array"; "sym"; "byte"; "active"; "stall"; "reports"; "cross" ] @ cats)
 
 let active_total (ev : Exec.array_events) =
-  Array.fold_left (fun acc t -> acc + t.Exec.t_active_states) 0 ev.Exec.tiles
+  Array.fold_left (fun acc w -> acc + Engine.tile_active w) 0 ev.Exec.tiles
 
 let trace arch ~format ~num_arrays =
   let bufs = Array.init num_arrays (fun _ -> Buffer.create 1024) in

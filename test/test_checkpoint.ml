@@ -666,9 +666,7 @@ let test_snapshot_replay () =
     ( ev.Exec.reports,
       ev.Exec.cross,
       ev.Exec.stall,
-      Array.map
-        (fun (t : Exec.tile_events) -> (t.Exec.t_active_states, t.Exec.t_enabled_cols, t.Exec.t_powered))
-        ev.Exec.tiles )
+      Array.copy ev.Exec.tiles )
   in
   let stepd ex i = digest (Exec.step rap ex ~sym:i input.[i]) in
   let split = 100 in

@@ -130,7 +130,7 @@ let test_trace_sink_csv_golden () =
                let ev = Exec.step rap ex ~sym input.[sym] in
                let cost = Cost.of_events rap ev in
                let active =
-                 Array.fold_left (fun acc t -> acc + t.Exec.t_active_states) 0 ev.Exec.tiles
+                 Array.fold_left (fun acc w -> acc + Engine.tile_active w) 0 ev.Exec.tiles
                in
                Printf.sprintf "%d,%d,%d,%d,%d,%d,%d" a sym (Char.code input.[sym]) active
                  ev.Exec.stall ev.Exec.reports ev.Exec.cross
@@ -187,21 +187,21 @@ let reference_cost (arch : Arch.t) (ev : Exec.array_events) =
   let cyc = 1 + ev.Exec.stall in
   let leak = ref (float_of_int cyc *. Arch.array_leakage_pj_per_cycle arch) in
   let ctrl = arch.Arch.controller_pj +. arch.Arch.reconfig_tax_pj in
-  Array.iter
-    (fun (t : Exec.tile_events) ->
-      let mi = Cost.mode_index t.Exec.t_mode and active = t.Exec.t_active_states in
-      if t.Exec.t_powered then begin
-        addm mi Energy.State_matching (Cost.matching_pj arch ~enabled_cols:t.Exec.t_enabled_cols);
-        if t.Exec.t_mode <> Engine.M_lnfa then begin
+  Array.iteri
+    (fun ti w ->
+      let m = ev.Exec.modes.(ti) in
+      let mi = Cost.mode_index m and active = Engine.tile_active w in
+      let powered = Engine.tile_powered w in
+      if powered then begin
+        addm mi Energy.State_matching (Cost.matching_pj arch ~enabled_cols:(Engine.tile_enabled w));
+        if m <> Engine.M_lnfa then begin
           if active > 0 then
             addm mi Energy.State_transition (Switch.local_traverse_pj ~active_rows:active);
           addm mi Energy.Controller ctrl
         end
         else if active > 0 then addm mi Energy.Controller ctrl
       end;
-      let pj =
-        float_of_int cyc *. Arch.tile_leakage_pj_per_cycle arch ~powered:t.Exec.t_powered
-      in
+      let pj = float_of_int cyc *. Arch.tile_leakage_pj_per_cycle arch ~powered in
       leak := !leak +. pj;
       mode.(mi) <- mode.(mi) +. pj)
     ev.Exec.tiles;
@@ -219,10 +219,11 @@ let gen_cost_case =
   let mode = oneofl [ Engine.M_nfa; Engine.M_nbva; Engine.M_lnfa ] in
   (* mostly inside the lookup tables, sometimes far past them *)
   let count = frequency [ (4, int_bound 300); (1, int_bound 5000) ] in
+  (* a tile's word sums its pieces': 0 to 2 of them power it *)
   let tile =
     map4
-      (fun m p e a -> { Exec.t_mode = m; t_powered = p; t_enabled_cols = e; t_active_states = a })
-      mode bool count count
+      (fun m p e a -> (m, Engine.tile_word ~active:a ~enabled:e ~powering:p))
+      mode (int_bound 2) count count
   in
   let phase =
     map3
@@ -237,7 +238,17 @@ let gen_cost_case =
   let* cross = count in
   return
     ( arch,
-      { Exec.sym = 0; symbol = 'a'; stall; cross; reports = 0; tiles; bv_phases; n_phases } )
+      {
+        Exec.sym = 0;
+        symbol = 'a';
+        stall;
+        cross;
+        reports = 0;
+        tiles = Array.map snd tiles;
+        modes = Array.map fst tiles;
+        bv_phases;
+        n_phases;
+      } )
 
 let prop_cost_tables_exact =
   QCheck2.Test.make ~name:"Cost.of_events = Table-1 function calls, bit for bit" ~count:500
@@ -831,6 +842,55 @@ let test_run_regexes_surfaces_errors () =
   let _, none = Runner.run_regexes rap ~params [ ("ok", parse "abc") ] ~input:"abc" in
   check int "no spurious errors" 0 (List.length none)
 
+(* A placement is data: a cached one is unmarshalled, and [Exec.build]
+   is public.  A piece naming an LNFA unit, whose lines are placed as
+   bins, is refused with a typed error. *)
+let test_build_refuses_lnfa_unit_piece () =
+  let units, _ = Runner.compile_for rap ~params [ ("abc", parse "abc") ] in
+  let p = Runner.place rap ~params units in
+  let lnfa = ref (-1) in
+  Array.iteri
+    (fun i (c : Program.compiled) ->
+      match c.Program.kind with Program.U_lnfa _ -> lnfa := i | _ -> ())
+    p.Mapper.units;
+  check bool "an LNFA unit" true (!lnfa >= 0);
+  let piece = Mapper.P_unit { unit_id = !lnfa; local_tile = 0 } in
+  match Exec.build p [| { Mapper.mode = Mapper.T_nfa; phys = 0; pieces = [ piece ] } |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> fail "a piece naming an LNFA unit was built"
+
+(* No field of a tile's state may reach 2^24: a unit whose tile has
+   2^24 columns is refused when its placement is built or run, and one
+   column fewer is not. *)
+let test_tile_state_range () =
+  let units, _ = Runner.compile_for rap ~params [ ("ab*c", parse "ab*c") ] in
+  let p = Runner.place rap ~params units in
+  let with_cols cols =
+    let units =
+      Array.map
+        (fun (c : Program.compiled) ->
+          match c.Program.kind with
+          | Program.U_nfa u ->
+              let tile_cols = Array.copy u.Program.tile_cols in
+              tile_cols.(0) <- cols;
+              { c with Program.kind = Program.U_nfa { u with Program.tile_cols } }
+          | _ -> c)
+        p.Mapper.units
+    in
+    let p = { p with Mapper.units } in
+    let ex = Exec.build p p.Mapper.arrays.(0) in
+    Cost.count (Cost.counter ()) (Exec.step rap ex ~sym:0 'a')
+  in
+  check bool "an NFA unit" true
+    (Array.exists
+       (fun (c : Program.compiled) ->
+         match c.Program.kind with Program.U_nfa _ -> true | _ -> false)
+       p.Mapper.units);
+  with_cols ((1 lsl 24) - 1);
+  match with_cols (1 lsl 24) with
+  | exception Invalid_argument _ -> ()
+  | () -> fail "a tile of 2^24 columns was counted"
+
 let suite =
   [
     test_case "sequential = parallel, bit for bit" `Quick test_seq_parallel_bit_identical;
@@ -854,4 +914,7 @@ let suite =
     test_case "run_regexes surfaces compile errors" `Quick test_run_regexes_surfaces_errors;
     test_case "counted energy = per-symbol energy, four suites x four architectures" `Quick
       test_counted_energy_equals_per_symbol;
+    test_case "Exec.build refuses a unit piece naming an LNFA unit" `Quick
+      test_build_refuses_lnfa_unit_piece;
+    test_case "tile state range checked when built" `Quick test_tile_state_range;
   ]

@@ -51,7 +51,7 @@ let prop_nfa_engine_activity =
       String.iteri
         (fun p c ->
           let ev = Engine.step e c in
-          let total = Array.fold_left ( + ) 0 ev.Engine.active in
+          let total = Array.fold_left (fun acc w -> acc + Engine.tile_active w) 0 ev.Engine.tile in
           if total <> direct.Nfa.active_per_step.(p) then ok := false)
         input;
       !ok)
@@ -115,9 +115,9 @@ let test_bin_power_gating () =
   check bool "multi-tile bin" true (b.Binning.tiles > 1);
   let e = Engine.of_bin b in
   let ev = Engine.step e 'z' (* matches nothing *) in
-  check bool "tile 0 powered" true ev.Engine.powered.(0);
+  check bool "tile 0 powered" true (Engine.tile_powered ev.Engine.tile.(0));
   for t = 1 to Engine.num_tiles e - 1 do
-    check bool "other tiles gated" false ev.Engine.powered.(t)
+    check bool "other tiles gated" false (Engine.tile_powered ev.Engine.tile.(t))
   done
 
 (* Regression: ring cross-signal accounting on a crafted two-member bin
@@ -146,12 +146,12 @@ let test_bin_ring_cross_accounting () =
      successor bit 4 lives one tile over — one genuine ring signal *)
   let ev = List.fold_left (fun _ c -> Engine.step e c) (Engine.events e) [ 'a'; 'b'; 'c'; 'd' ] in
   check int "region-straddling bit crosses once" 1 ev.Engine.cross;
-  check int "active in tile 0" 1 ev.Engine.active.(0);
+  check int "active in tile 0" 1 (Engine.tile_active ev.Engine.tile.(0));
   (* after 'h' the only active bit is member 0's pattern-final bit 7: the
      member boundary coincides with the region boundary, and the shift out
      of the pattern must NOT be billed as a cross signal into member 1 *)
   let ev = List.fold_left (fun _ c -> Engine.step e c) ev [ 'e'; 'f'; 'g'; 'h' ] in
-  check int "final bit active in tile 1" 1 ev.Engine.active.(1);
+  check int "final bit active in tile 1" 1 (Engine.tile_active ev.Engine.tile.(1));
   check int "reports the match" 1 ev.Engine.reports;
   check int "pattern-final bit emits no ring signal" 0 ev.Engine.cross;
   (* same chain on member 1 (packed second): its mid-chain region crossing
@@ -338,6 +338,40 @@ let test_planted_reports_golden () =
         reports)
     cases (golden_reports cases)
 
+(* Tile words add field by field: pieces' words, each field within
+   bounds, sum to a word that decodes to the fields' sums, powered iff
+   some piece is; the checked sum agrees, and refuses a field past its
+   limit. *)
+let prop_tile_words_add =
+  let open QCheck2.Gen in
+  let case =
+    let* n = int_range 1 8 in
+    let field = int_bound (((1 lsl 24) - 1) / n) in
+    list_repeat n (triple field field bool)
+  in
+  QCheck2.Test.make ~name:"tile words add field by field" ~count:500
+    ~print:(fun ps ->
+      String.concat "; " (List.map (fun (a, e, p) -> Printf.sprintf "(%d, %d, %b)" a e p) ps))
+    case
+    (fun pieces ->
+      let words =
+        List.map
+          (fun (active, enabled, p) ->
+            Engine.tile_word ~active ~enabled ~powering:(if p then 1 else 0))
+          pieces
+      in
+      let sum = List.fold_left ( + ) 0 words in
+      let total f = List.fold_left (fun acc x -> acc + f x) 0 pieces in
+      Engine.tile_active sum = total (fun (a, _, _) -> a)
+      && Engine.tile_enabled sum = total (fun (_, e, _) -> e)
+      && Engine.tile_powered sum = List.exists (fun (_, _, p) -> p) pieces
+      && List.fold_left Engine.tile_add 0 words = sum
+      &&
+      let full = Engine.tile_word ~active:0 ~enabled:Engine.tile_mask ~powering:0 in
+      match Engine.tile_add sum full with
+      | exception Invalid_argument _ -> Engine.tile_enabled sum > 0
+      | w -> Engine.tile_enabled sum = 0 && Engine.tile_enabled w = Engine.tile_mask)
+
 let suite =
   [
     test_case "reports match the golden files" `Quick test_reports_golden;
@@ -357,4 +391,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_nfa_engine_activity;
     QCheck_alcotest.to_alcotest prop_nfa_engine_reports;
     QCheck_alcotest.to_alcotest prop_nbva_engine_equals_nfa;
+    QCheck_alcotest.to_alcotest prop_tile_words_add;
   ]
