@@ -109,8 +109,7 @@ val lsb_index : int -> int
 (** Bit position of the lowest set bit of a nonzero word — the ctz
     primitive flat kernels use to scan a word's set bits directly. *)
 
-(** {1 Serialization} — the byte form that integrity seals checksum and
-    mask tables hash-cons on. *)
+(** {1 Serialization} — a byte form independent of the word layout. *)
 
 val to_bytes : t -> bytes
 (** [ceil (width / 8)] bytes, bit [i] at byte [i/8], bit position [i mod 8]

@@ -56,6 +56,83 @@ let total_bv_bits t =
 
 module ISet = Set.Make (Int)
 
+let bpw = Bitvec.bits_per_word
+
+(* Mask rows of [nwords] words, hash-consed into one flat table in the
+   order they are first interned.  An open-addressing table of row
+   offsets finds a row by its words. *)
+module Rows = struct
+  type t = {
+    nwords : int;
+    mutable tbl : int array;  (* the distinct rows so far, packed; doubles when full *)
+    mutable used : int;  (* words of [tbl] in use *)
+    mutable slots : int array;
+        (* a row's offset in [tbl], or -1 for an empty slot; at most half
+           full, doubles when it would be more *)
+  }
+
+  let create ~nwords =
+    { nwords; tbl = Array.make (16 * nwords) 0; used = 0; slots = Array.make 32 (-1) }
+
+  (* Set bit [q] of the row at word offset [off] of [a]. *)
+  let set_bit (a : int array) off q =
+    let i = off + (q / bpw) in
+    a.(i) <- a.(i) lor (1 lsl (q mod bpw))
+
+  let equal_at (a : int array) i (b : int array) j n =
+    let k = ref 0 in
+    while !k < n && Int.equal a.(i + !k) b.(j + !k) do
+      incr k
+    done;
+    !k = n
+
+  let hash (a : int array) off n =
+    let h = ref 0 in
+    for k = off to off + n - 1 do
+      let x = (!h lxor a.(k)) * 0x2127599bf4325c37 in
+      h := x lxor (x lsr 29)
+    done;
+    !h
+
+  (* The slot of the row equal to the [nwords] words of [a] at [off], or
+     the empty slot where it belongs. *)
+  let find r a off =
+    let nw = r.nwords and mask = Array.length r.slots - 1 in
+    let s = ref (hash a off nw land mask) in
+    while r.slots.(!s) >= 0 && not (equal_at r.tbl r.slots.(!s) a off nw) do
+      s := (!s + 1) land mask
+    done;
+    !s
+
+  (* The offset in the table of the row equal to the [nwords] words of
+     [a] at [off]; a new row is appended. *)
+  let intern r a off =
+    let nw = r.nwords in
+    let s = find r a off in
+    if r.slots.(s) >= 0 then r.slots.(s)
+    else begin
+      let o = r.used in
+      if o + nw > Array.length r.tbl then begin
+        let tbl = Array.make (2 * Array.length r.tbl) 0 in
+        Array.blit r.tbl 0 tbl 0 o;
+        r.tbl <- tbl
+      end;
+      Array.blit a off r.tbl o nw;
+      r.used <- o + nw;
+      r.slots.(s) <- o;
+      if 2 * (o / nw + 1) > Array.length r.slots then begin
+        (* rehash every row into twice the slots *)
+        r.slots <- Array.make (2 * Array.length r.slots) (-1);
+        for i = 0 to o / nw do
+          r.slots.(find r r.tbl (i * nw)) <- i * nw
+        done
+      end;
+      o
+    end
+
+  let contents r = Array.sub r.tbl 0 r.used
+end
+
 type info = { nullable : bool; first : ISet.t; last : ISet.t }
 
 let of_ast r =
@@ -125,55 +202,57 @@ let of_ast r =
   ISet.iter (fun q -> initial.(q) <- true) info.first;
   ISet.iter (fun q -> finals.(q) <- true) info.last;
   let succs = Array.map finish succ_lists in
-  let labels_mask = Array.init 256 (fun _ -> Bitvec.create n) in
-  let initial_mask = Bitvec.create n in
-  let final_mask = Bitvec.create n in
-  let succ_mask = Array.init n (fun _ -> Bitvec.create n) in
-  let bv_states = ref [] in
-  Array.iteri
-    (fun q ste ->
-      (match ste with
-      | Plain cc -> Charclass.iter (fun b -> Bitvec.set labels_mask.(b) q) cc
-      | Bv _ -> bv_states := q :: !bv_states);
-      if initial.(q) then Bitvec.set initial_mask q;
-      if finals.(q) then Bitvec.set final_mask q;
-      Array.iter (fun s -> Bitvec.set succ_mask.(q) s) succs.(q))
-    stes;
-  (* Hash-cons the mask tables while packing them into one flat word
-     table: states sharing a character class produce equal per-byte masks
-     (most of the 256 entries collapse to a handful), and unfolded chains
+  (* Hash-cons the mask rows while packing them into one flat word table:
+     states sharing a character class produce equal per-byte masks (most
+     of the 256 entries collapse to a handful), and unfolded chains
      produce many equal successor masks.  Each distinct mask becomes one
      [nwords]-long row of [masks]; equal masks share a row offset.
      Sharing cuts compiled-program memory, and — because [Marshal]
      preserves the flat table as one block — keeps the cached placement
      artifact compact.  Safe: the kernels only ever read these rows
-     (blit/AND/OR sources). *)
+     (blit/AND/OR sources).  Rows are built as plain words and interned
+     in first-occurrence order — bytes 0 to 255, then states, then the
+     initial, final and BV masks — so the table's layout is a function of
+     the automaton alone. *)
   let nwords = Bitvec.words_for n in
-  let cons_tbl = Hashtbl.create 64 in
-  let unique_rows = ref [] in
-  let nrows = ref 0 in
-  let row_of v =
-    let key = Bytes.to_string (Bitvec.to_bytes v) in
-    match Hashtbl.find_opt cons_tbl key with
-    | Some r -> r
-    | None ->
-        let r = !nrows * nwords in
-        incr nrows;
-        unique_rows := v :: !unique_rows;
-        Hashtbl.add cons_tbl key r;
-        r
+  let rows = Rows.create ~nwords in
+  let labels = Array.make (256 * nwords) 0 in
+  let bv_states = ref [] in
+  Array.iteri
+    (fun q ste ->
+      match ste with
+      | Plain cc -> Charclass.iter (fun b -> Rows.set_bit labels (b * nwords) q) cc
+      | Bv _ -> bv_states := q :: !bv_states)
+    stes;
+  let labels_row = Array.make 256 0 in
+  for b = 0 to 255 do
+    (* neighbouring bytes mostly share a row: compare with the last one
+       before hashing *)
+    labels_row.(b) <-
+      (if b > 0 && Rows.equal_at labels ((b - 1) * nwords) labels (b * nwords) nwords then
+         labels_row.(b - 1)
+       else Rows.intern rows labels (b * nwords))
+  done;
+  let scratch = Array.make nwords 0 in
+  let row_of_states mem =
+    Array.fill scratch 0 nwords 0;
+    for q = 0 to n - 1 do
+      if mem q then Rows.set_bit scratch 0 q
+    done;
+    Rows.intern rows scratch 0
   in
-  let bv_mask = Bitvec.create n in
-  Array.iteri (fun q ste -> match ste with Bv _ -> Bitvec.set bv_mask q | Plain _ -> ()) stes;
-  let labels_row = Array.map row_of labels_mask in
-  let succ_row = Array.map row_of succ_mask in
-  let initial_row = row_of initial_mask in
-  let final_row = row_of final_mask in
-  let bv_row = row_of bv_mask in
-  let masks = Array.make (!nrows * nwords) 0 in
-  List.iteri
-    (fun i v -> Bitvec.blit_words v masks ((!nrows - 1 - i) * nwords))
-    !unique_rows;
+  let succ_row =
+    Array.map
+      (fun ss ->
+        Array.fill scratch 0 nwords 0;
+        Array.iter (fun s -> Rows.set_bit scratch 0 s) ss;
+        Rows.intern rows scratch 0)
+      succs
+  in
+  let initial_row = row_of_states (fun q -> initial.(q)) in
+  let final_row = row_of_states (fun q -> finals.(q)) in
+  let bv_row = row_of_states (fun q -> match stes.(q) with Bv _ -> true | Plain _ -> false) in
+  let masks = Rows.contents rows in
   let bv_states = Array.of_list (List.rev !bv_states) in
   let nbv = Array.length bv_states in
   let bv_match = Bytes.make (nbv * 256) '\000' in
@@ -298,7 +377,6 @@ let start t =
 
 let run_arena st = st.st_arena
 
-let bpw = Bitvec.bits_per_word
 let mask_all = (1 lsl bpw) - 1
 
 (* Four plan tables hold INDICES, not data: [succ_row] and [labels_row]

@@ -116,21 +116,6 @@ let new_tile ~phys ~eff (d : demand) piece =
     b_pieces = [ piece ];
   }
 
-let copy_building b =
-  {
-    b_mode = b.b_mode;
-    b_cap = b.b_cap;
-    b_eff = b.b_eff;
-    b_phys = b.b_phys;
-    b_cols = b.b_cols;
-    b_bits = b.b_bits;
-    b_bits_cap = b.b_bits_cap;
-    b_has_r = b.b_has_r;
-    b_has_rall = b.b_has_rall;
-    b_exclusive = b.b_exclusive;
-    b_pieces = b.b_pieces;
-  }
-
 (* A block: all pieces of one unit or one bin, placed atomically into one
    array. *)
 type block = { demands : (demand * piece) list; tiles_ub : int }
@@ -174,58 +159,97 @@ let block_of_bin (bins : Binning.bin array) id =
 let eff_cap ~tile_cols ~usable cap =
   if usable >= tile_cols then cap else cap * usable / tile_cols
 
-(* An array under construction: free physical slots (defect-reduced) and
-   built tiles, newest first. *)
-type arr = {
-  arr_id : int;
-  mutable free : (int * int) list;  (* (phys, usable cols), ascending *)
-  mutable built : building list;
-}
+(* An array under construction: the usable columns of each physical slot
+   still free (0 once taken, or when none survive), and built tiles,
+   newest first. *)
+type arr = { arr_id : int; usable : int array; mutable built : building list }
 
-let fresh_slots defects ~tile_cols id =
-  List.filter_map
-    (fun t ->
-      if Defect.is_dead_tile defects ~array_id:id ~tile:t then None
-      else
-        let u = Defect.usable_cols defects ~array_id:id ~tile:t ~nominal:tile_cols in
-        if u <= 0 then None else Some (t, u))
-    (List.init Circuit.tiles_per_array Fun.id)
+let fresh_array defects ~tile_cols id =
+  let usable t = Defect.usable_cols defects ~array_id:id ~tile:t ~nominal:tile_cols in
+  { arr_id = id; usable = Array.init Circuit.tiles_per_array usable; built = [] }
 
-(* Try to place a block into an array; returns the updated (free, built)
-   on success, None when the array cannot host it.  The attempt works on
-   copies, so failure leaves the array intact. *)
-let try_place ~tile_cols (ar_free, ar_built) block =
-  let free = ref ar_free in
-  let built = ref (List.map copy_building ar_built) in
-  let place (d, piece) =
-    let rec find = function
-      | b :: rest ->
-          if fits b d then begin
-            add_to b d piece;
-            true
-          end
-          else find rest
-      | [] ->
-          (* open the first free physical slot that can host this demand *)
-          let rec take acc = function
-            | [] -> false
-            | (phys, usable) :: rest ->
-                let eff = eff_cap ~tile_cols ~usable d.d_cap in
-                if d.d_cols <= eff then begin
-                  free := List.rev_append acc rest;
-                  built := new_tile ~phys ~eff d piece :: !built;
-                  true
-                end
-                else take ((phys, usable) :: acc) rest
-          in
-          take [] !free
-    in
-    find !built
-  in
-  if List.for_all place block.demands then Some (!free, !built) else None
+(* What one add changed, to undo it: a built tile's fields before a piece
+   joined it, or a slot a new tile took. *)
+type undo =
+  | Grew of {
+      tile : building;
+      cols : int;
+      bits : int;
+      has_r : bool;
+      has_rall : bool;
+      exclusive : bool;
+      pieces : piece list;
+    }
+  | Opened of { phys : int; usable : int }
 
-let pristine_slots ~tile_cols =
-  List.init Circuit.tiles_per_array (fun t -> (t, tile_cols))
+(* Add a piece to the newest built tile it fits, logging the tile's
+   fields for undo. *)
+let rec join log d piece = function
+  | b :: rest ->
+      if fits b d then begin
+        log :=
+          Grew
+            {
+              tile = b;
+              cols = b.b_cols;
+              bits = b.b_bits;
+              has_r = b.b_has_r;
+              has_rall = b.b_has_rall;
+              exclusive = b.b_exclusive;
+              pieces = b.b_pieces;
+            }
+          :: !log;
+        add_to b d piece;
+        true
+      end
+      else join log d piece rest
+  | [] -> false
+
+(* Open a new tile for a piece in the lowest free slot, from [phys] up,
+   that can host it. *)
+let rec open_slot ~tile_cols ar log d piece phys =
+  phys < Circuit.tiles_per_array
+  &&
+  let usable = ar.usable.(phys) in
+  let eff = eff_cap ~tile_cols ~usable d.d_cap in
+  if usable > 0 && d.d_cols <= eff then begin
+    log := Opened { phys; usable } :: !log;
+    ar.usable.(phys) <- 0;
+    ar.built <- new_tile ~phys ~eff d piece :: ar.built;
+    true
+  end
+  else open_slot ~tile_cols ar log d piece (phys + 1)
+
+let rec place_all ~tile_cols ar log = function
+  | [] -> true
+  | (d, piece) :: rest ->
+      (join log d piece ar.built || open_slot ~tile_cols ar log d piece 0)
+      && place_all ~tile_cols ar log rest
+
+(* Place a block into an array, piece by piece: each joins a built tile
+   if it can, else opens one.  When some piece fits nowhere, every add is
+   undone, so failure leaves the array as it was; [keep:false] undoes a
+   success too.  An attempt allocates in proportion to its adds, not to
+   the tiles the array holds. *)
+let try_place ?(keep = true) ~tile_cols ar block =
+  let built = ar.built and log = ref [] in
+  let ok = place_all ~tile_cols ar log block.demands in
+  if not (ok && keep) then begin
+    List.iter
+      (function
+        | Grew g ->
+            let b = g.tile in
+            b.b_cols <- g.cols;
+            b.b_bits <- g.bits;
+            b.b_has_r <- g.has_r;
+            b.b_has_rall <- g.has_rall;
+            b.b_exclusive <- g.exclusive;
+            b.b_pieces <- g.pieces
+        | Opened { phys; usable } -> ar.usable.(phys) <- usable)
+      !log;
+    ar.built <- built
+  end;
+  ok
 
 let map_units_result ?(defects = Defect.none) ?(tile_cols = Circuit.tile_cam_cols)
     ~(params : Program.params) units =
@@ -257,6 +281,7 @@ let map_units_result ?(defects = Defect.none) ?(tile_cols = Circuit.tile_cam_col
       blocks := (block_of_bin bins id, sources) :: !blocks)
     bins;
   let sorted = List.sort (fun (a, _) (b, _) -> compare b.tiles_ub a.tiles_ub) !blocks in
+  let empty = fresh_array Defect.none ~tile_cols (-1) in
   let arrays : arr list ref = ref [] in
   let next_array = ref 0 in
   let drops = ref [] in
@@ -269,16 +294,11 @@ let map_units_result ?(defects = Defect.none) ?(tile_cols = Circuit.tile_cam_col
         record sources
           (Compile_error.Oversize
              { tiles_needed = block.tiles_ub; tiles_cap = Circuit.tiles_per_array })
-      else if try_place ~tile_cols (pristine_slots ~tile_cols, []) block = None then
+      else if not (try_place ~keep:false ~tile_cols empty block) then
         record sources (Compile_error.Resource_exhausted "block does not fit an empty array")
       else begin
         let rec attempt = function
-          | ar :: rest -> (
-              match try_place ~tile_cols (ar.free, ar.built) block with
-              | Some (free, built) ->
-                  ar.free <- free;
-                  ar.built <- built
-              | None -> attempt rest)
+          | ar :: rest -> if not (try_place ~tile_cols ar block) then attempt rest
           | [] -> open_new ()
         and open_new () =
           if not (Defect.array_exists defects !next_array) then
@@ -288,13 +308,9 @@ let map_units_result ?(defects = Defect.none) ?(tile_cols = Circuit.tile_cam_col
           else begin
             let id = !next_array in
             incr next_array;
-            let ar = { arr_id = id; free = fresh_slots defects ~tile_cols id; built = [] } in
+            let ar = fresh_array defects ~tile_cols id in
             arrays := !arrays @ [ ar ];
-            match try_place ~tile_cols (ar.free, ar.built) block with
-            | Some (free, built) ->
-                ar.free <- free;
-                ar.built <- built
-            | None -> open_new ()
+            if not (try_place ~tile_cols ar block) then open_new ()
           end
         in
         attempt !arrays

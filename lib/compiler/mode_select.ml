@@ -2,26 +2,33 @@ type mode = Nfa_mode | Nbva_mode | Lnfa_mode
 
 let mode_names = function Nfa_mode -> "NFA" | Nbva_mode -> "NBVA" | Lnfa_mode -> "LNFA"
 
-let decide ~(params : Program.params) r =
+(* The decision, with the lines an LNFA decision compiled the regex to:
+   compiling it again would redo the same work. *)
+type decision = Nfa | Nbva | Lnfa of Program.lnfa_unit
+
+let decision ~(params : Program.params) r =
   let after_unfold = Rewrite.unfold_for_nbva ~threshold:params.Program.unfold_threshold r in
-  if Ast.has_bounded_repetition after_unfold then Nbva_mode
-  else
-    match Lnfa_compile.try_compile ~params r with
-    | Some _ -> Lnfa_mode
-    | None -> Nfa_mode
+  if Ast.has_bounded_repetition after_unfold then Nbva
+  else match Lnfa_compile.try_compile ~params r with Some u -> Lnfa u | None -> Nfa
+
+let decide ~params r =
+  match decision ~params r with Nfa -> Nfa_mode | Nbva -> Nbva_mode | Lnfa _ -> Lnfa_mode
+
+let unit ~source r kind = { Program.source; ast = r; kind }
 
 let compile_as mode ~params ~source r =
-  let unit kind = { Program.source; ast = r; kind } in
   match mode with
-  | Nfa_mode -> Some (unit (Program.U_nfa (Nfa_compile.compile r)))
-  | Nbva_mode -> Some (unit (Program.U_nbva (Nbva_compile.compile ~params r)))
+  | Nfa_mode -> Some (unit ~source r (Program.U_nfa (Nfa_compile.compile r)))
+  | Nbva_mode -> Some (unit ~source r (Program.U_nbva (Nbva_compile.compile ~params r)))
   | Lnfa_mode ->
-      Option.map (fun u -> unit (Program.U_lnfa u)) (Lnfa_compile.try_compile ~params r)
+      Option.map (fun u -> unit ~source r (Program.U_lnfa u)) (Lnfa_compile.try_compile ~params r)
 
 let compile ~params ~source r =
-  match compile_as (decide ~params r) ~params ~source r with
-  | Some c -> c
-  | None -> (* the decision graph only picks feasible modes *) assert false
+  unit ~source r
+    (match decision ~params r with
+    | Nfa -> Program.U_nfa (Nfa_compile.compile r)
+    | Nbva -> Program.U_nbva (Nbva_compile.compile ~params r)
+    | Lnfa u -> Program.U_lnfa u)
 
 let compile_result ~params ~source r =
   (* the decision graph only picks feasible modes; a residual

@@ -1,34 +1,37 @@
-let nibble_product cc =
-  if Charclass.is_empty cc then None
-  else begin
-    let hi = ref 0 and lo = ref 0 in
-    Charclass.iter
-      (fun b ->
-        hi := !hi lor (1 lsl (b lsr 4));
-        lo := !lo lor (1 lsl (b land 0xf)))
-      cc;
-    (* the class is a product iff |cc| = |hi| * |lo| *)
-    let popcount x =
-      let rec loop acc x = if x = 0 then acc else loop (acc + 1) (x land (x - 1)) in
-      loop 0 x
-    in
-    if Charclass.cardinal cc = popcount !hi * popcount !lo then Some (!hi, !lo) else None
-  end
+(* A class is the union over high nibbles [h] of [{h} x rows.(h)], with
+   [rows.(h)] its set of low nibbles under [h]. *)
+let nibble_rows cc = Array.init 16 (Charclass.low_nibbles cc)
 
+(* A product exactly when every non-empty row is the same set. *)
+let nibble_product cc =
+  let rows = nibble_rows cc in
+  let hi = ref 0 and lo = ref 0 and product = ref true in
+  for h = 0 to 15 do
+    let l = rows.(h) in
+    if l <> 0 then begin
+      if !lo <> 0 && l <> !lo then product := false;
+      hi := !hi lor (1 lsl h);
+      lo := l
+    end
+  done;
+  if !hi <> 0 && !product then Some (!hi, !lo) else None
+
+(* Greedy cover: group the symbols by high nibble; each group is trivially
+   a product (one high nibble x its low set); then merge groups with
+   identical low sets into one code.  A product is the case of one
+   distinct set, the empty class that of none. *)
 let mzp_code_count cc =
-  if Charclass.is_empty cc then 0
-  else
-    match nibble_product cc with
-    | Some _ -> 1
-    | None ->
-        (* greedy cover: group remaining symbols by high nibble; each group
-           is trivially a product (one high nibble x its low set); then
-           merge groups with identical low sets into one code *)
-        let by_hi = Array.make 16 0 in
-        Charclass.iter (fun b -> by_hi.(b lsr 4) <- by_hi.(b lsr 4) lor (1 lsl (b land 0xf))) cc;
-        let seen = Hashtbl.create 8 in
-        Array.iter (fun lo -> if lo <> 0 then Hashtbl.replace seen lo ()) by_hi;
-        Hashtbl.length seen
+  let rows = nibble_rows cc in
+  let codes = ref 0 in
+  for h = 0 to 15 do
+    let l = rows.(h) in
+    let seen = ref (l = 0) in
+    for h' = 0 to h - 1 do
+      if rows.(h') = l then seen := true
+    done;
+    if not !seen then incr codes
+  done;
+  !codes
 
 let fits_single_code cc = mzp_code_count cc = 1
 let cam_columns_for_class cc = Int.max 1 (mzp_code_count cc)

@@ -69,6 +69,9 @@ let mem cc c = mem_byte cc (Char.code c)
 let is_empty cc = cc.w0 = 0L && cc.w1 = 0L && cc.w2 = 0L && cc.w3 = 0L
 let is_full cc = cc.w0 = -1L && cc.w1 = -1L && cc.w2 = -1L && cc.w3 = -1L
 
+let low_nibbles cc h =
+  Int64.to_int (Int64.shift_right_logical (word cc (h lsr 2)) ((h land 3) * 16)) land 0xFFFF
+
 let popcount64 x =
   let rec loop acc x = if x = 0L then acc else loop (acc + 1) (Int64.logand x (Int64.sub x 1L)) in
   loop 0 x
@@ -90,13 +93,27 @@ let compare a b =
 let subset a b = equal (inter a b) a
 let disjoint a b = is_empty (inter a b)
 
+(* Bit index of [b], a power of two below 2^32: de Bruijn multiply and
+   look-up. *)
+let debruijn32 =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let bit_index32 b =
+  Char.code (String.unsafe_get debruijn32 (((b * 0x077CB531) land 0xFFFFFFFF) lsr 27))
+
+(* Each 64-bit word is scanned as two native 32-bit halves, jumping from
+   set bit to set bit ([x land -x]) instead of probing all 64 positions:
+   the cost is one step per member, not per possible member. *)
 let iter f cc =
-  for i = 0 to 3 do
-    let w = word cc i in
-    if w <> 0L then
-      for bit = 0 to 63 do
-        if Int64.logand (Int64.shift_right_logical w bit) 1L <> 0L then f ((i * 64) + bit)
-      done
+  for i = 0 to 7 do
+    let w = word cc (i lsr 1) in
+    let half = if i land 1 = 0 then w else Int64.shift_right_logical w 32 in
+    let x = ref (Int64.to_int half land 0xFFFFFFFF) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      f ((i * 32) + bit_index32 low);
+      x := !x lxor low
+    done
   done
 
 let fold f cc init =

@@ -41,6 +41,10 @@ val complement : t -> t
 
 val mem : t -> char -> bool
 val mem_byte : t -> int -> bool
+val low_nibbles : t -> int -> int
+(** [low_nibbles cc h] is the 16-bit set of the low nibbles [l] for which
+    byte [16h + l] is a member, bit [l] for [l]; [0 <= h < 16]. *)
+
 val is_empty : t -> bool
 val is_full : t -> bool
 val cardinal : t -> int

@@ -139,9 +139,19 @@ let fingerprint (p : Mapper.placement) =
       Buffer.add_string b (string_of_int (Program.num_states c.Program.kind));
       Buffer.add_char b '\001')
     p.Mapper.units;
+  let add_int i = Buffer.add_string b (string_of_int i) in
+  (* [tag][x].[y], as a piece reads *)
+  let add_pair tag x y =
+    Buffer.add_char b tag;
+    add_int x;
+    Buffer.add_char b '.';
+    add_int y
+  in
   Array.iteri
     (fun ai tiles ->
-      Buffer.add_string b (Printf.sprintf "A%d:" ai);
+      Buffer.add_char b 'A';
+      add_int ai;
+      Buffer.add_char b ':';
       Array.iter
         (fun (t : Mapper.placed_tile) ->
           Buffer.add_char b
@@ -149,14 +159,12 @@ let fingerprint (p : Mapper.placement) =
             | Mapper.T_nfa -> 'n'
             | Mapper.T_nbva -> 'b'
             | Mapper.T_lnfa -> 'l');
-          Buffer.add_string b (string_of_int t.Mapper.phys);
+          add_int t.Mapper.phys;
           List.iter
             (fun (pc : Mapper.piece) ->
               match pc with
-              | Mapper.P_unit { unit_id; local_tile } ->
-                  Buffer.add_string b (Printf.sprintf "u%d.%d" unit_id local_tile)
-              | Mapper.P_bin { bin_id; bin_tile } ->
-                  Buffer.add_string b (Printf.sprintf "g%d.%d" bin_id bin_tile))
+              | Mapper.P_unit { unit_id; local_tile } -> add_pair 'u' unit_id local_tile
+              | Mapper.P_bin { bin_id; bin_tile } -> add_pair 'g' bin_id bin_tile)
             t.Mapper.pieces;
           Buffer.add_char b ';')
         tiles)

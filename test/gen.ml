@@ -45,3 +45,37 @@ let gen_input =
   Gen.(string_size ~gen:(map (fun i -> "abcdx".[i]) (int_bound 4)) (int_range 0 40))
 
 let ast_print r = Ast.to_string r
+
+(* Classes over the whole byte range: a union of up to four random
+   ranges, complemented half the time, so members fall in every 64-bit
+   word and nibble row. *)
+let gen_any_cc =
+  let open Gen in
+  let range =
+    map2
+      (fun a n -> Charclass.of_range (Char.chr a) (Char.chr (min 255 (a + n))))
+      (int_bound 255) (int_bound 40)
+  in
+  map2
+    (fun rs neg ->
+      let cc = List.fold_left Charclass.union Charclass.empty rs in
+      if neg then Charclass.complement cc else cc)
+    (list_size (int_range 1 4) range)
+    bool
+
+(* Regexes whose automata span several mask words: a concatenation of up
+   to 150 pieces over {!gen_any_cc}, some starred, alternated or bounded
+   (bounds from 8 up stay bit vectors at the default threshold). *)
+let gen_wide_ast =
+  let open Gen in
+  let piece =
+    frequency
+      [
+        (6, map Ast.cls gen_any_cc);
+        (1, map (fun cc -> Ast.star (Ast.cls cc)) gen_any_cc);
+        (1, map2 (fun a b -> Ast.alt (Ast.cls a) (Ast.cls b)) gen_any_cc gen_any_cc);
+        (1, map2 (fun cc m -> Ast.repeat (Ast.cls cc) m (Some m)) gen_any_cc (int_range 2 20));
+        (1, map2 (fun cc k -> Ast.repeat (Ast.cls cc) 0 (Some k)) gen_any_cc (int_range 2 20));
+      ]
+  in
+  map Ast.concat_list (list_size (int_range 1 150) piece)

@@ -104,6 +104,10 @@ let prop_mem_union =
       Charclass.mem_byte (Charclass.union a b) byte
       = (Charclass.mem_byte a byte || Charclass.mem_byte b byte))
 
+let prop_iter_members =
+  QCheck2.Test.make ~name:"iter visits exactly the members, ascending" ~count:300 Gen.gen_any_cc
+    (fun cc -> Charclass.to_bytes cc = List.filter (Charclass.mem_byte cc) (List.init 256 Fun.id))
+
 let suite =
   [
     test_case "empty and full" `Quick test_empty_full;
@@ -117,4 +121,5 @@ let suite =
     test_case "print/parse roundtrip" `Quick test_printing_roundtrip;
     QCheck_alcotest.to_alcotest prop_union_commutes;
     QCheck_alcotest.to_alcotest prop_mem_union;
+    QCheck_alcotest.to_alcotest prop_iter_members;
   ]

@@ -91,6 +91,23 @@ let prop_mzp_cover_sound =
       else if Encoding.nibble_product cc <> None then n = 1
       else n >= 2 && n <= 16)
 
+(* The encoding against its byte-level definition: per high nibble, the
+   set of low nibbles under it; a product is one distinct non-empty set,
+   and each distinct one costs a code. *)
+let prop_nibble_encoding_bytewise =
+  QCheck2.Test.make ~name:"nibble encoding matches the byte-level definition" ~count:300
+    Gen.gen_any_cc
+    (fun cc ->
+      let rows = Array.make 16 0 in
+      for b = 0 to 255 do
+        if Charclass.mem_byte cc b then rows.(b lsr 4) <- rows.(b lsr 4) lor (1 lsl (b land 15))
+      done;
+      let distinct = List.sort_uniq compare (List.filter (fun l -> l <> 0) (Array.to_list rows)) in
+      let hi = ref 0 in
+      Array.iteri (fun h l -> if l <> 0 then hi := !hi lor (1 lsl h)) rows;
+      let product = match distinct with [ lo ] -> Some (!hi, lo) | _ -> None in
+      Encoding.mzp_code_count cc = List.length distinct && Encoding.nibble_product cc = product)
+
 (* Energy ledger *)
 
 let test_energy_ledger () =
@@ -128,4 +145,5 @@ let suite =
     test_case "energy ledger" `Quick test_energy_ledger;
     test_case "fifo model" `Quick test_fifo;
     QCheck_alcotest.to_alcotest prop_mzp_cover_sound;
+    QCheck_alcotest.to_alcotest prop_nibble_encoding_bytewise;
   ]

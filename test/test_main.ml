@@ -9,6 +9,7 @@ let () =
       ("shift-and", Test_shift_and.suite);
       ("nbva", Test_nbva.suite);
       ("nbva-diff", Test_nbva_diff.suite);
+      ("tables", Test_tables.suite);
       ("hardware", Test_hardware.suite);
       ("compiler", Test_compiler.suite);
       ("mapper", Test_mapper.suite);

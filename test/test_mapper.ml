@@ -216,6 +216,26 @@ let prop_placement_invariants =
           units;
         ok_capacity && !ok_complete)
 
+(* Placement allocates in proportion to the rules: an attempt on an array
+   undoes its adds instead of copying the array's built tiles, so four
+   times the rules take at most five times the words.  The placements
+   themselves stay as pinned. *)
+let test_place_allocation_scales () =
+  let arch = Rap.rap_arch () in
+  let place scale =
+    let units, _ =
+      Runner.compile_for arch ~params (Benchmarks.by_name ~scale "Snort").Benchmarks.regexes
+    in
+    let w0 = Gc.minor_words () in
+    let p = Runner.place arch ~params units in
+    let words = Gc.minor_words () -. w0 in
+    let _, _, _, fp = List.find (fun (n, k, _, _) -> n = "Snort" && k = scale) Test_tables.pinned in
+    check string (Printf.sprintf "Snort x%d fingerprint" scale) fp (Runner.fingerprint p);
+    words
+  in
+  let w1 = place 1 and w4 = place 4 in
+  check bool (Printf.sprintf "x4 words %.0f <= 5 x x1 words %.0f" w4 w1) true (w4 <= 5. *. w1)
+
 let suite =
   [
     test_case "bin capacities" `Quick test_bin_capacity;
@@ -227,5 +247,6 @@ let suite =
     test_case "benchmark utilisation" `Quick test_utilisation_on_benchmark;
     test_case "oversized units rejected" `Quick test_oversized_unit_rejected;
     test_case "placement printer" `Quick test_pp_placement;
+    test_case "placement allocation scales with the rules" `Quick test_place_allocation_scales;
     QCheck_alcotest.to_alcotest prop_placement_invariants;
   ]
