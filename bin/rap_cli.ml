@@ -310,6 +310,22 @@ let parse_rules regexes =
       exit 2
   | parsed -> parsed
 
+(* The rule-set preparation [simulate], [batch] and [serve] share:
+   parse, compile and place (through the placement cache when given),
+   with the cache note and each dropped rule on stderr.  [None] once
+   "error: no regex compiled" is printed; otherwise the placement and
+   how many rules were dropped at parse or compile time. *)
+let prepare_rules ?cache arch ~params regexes =
+  let parsed = parse_rules regexes in
+  let placement, errors, cache_status = Runner.prepare ?cache_dir:cache arch ~params parsed in
+  note_cache_status cache_status;
+  List.iter (fun e -> Format.eprintf "dropped: %a@." Compile_error.pp e) errors;
+  if Array.length placement.Mapper.units = 0 then begin
+    Printf.eprintf "error: no regex compiled\n";
+    None
+  end
+  else Some (placement, List.length regexes - List.length parsed + List.length errors)
+
 let simulate_cmd =
   let trace =
     Arg.(value & opt (some string) None
@@ -384,15 +400,9 @@ let simulate_cmd =
               retries = Option.value r ~default:Scheduler.default_policy.Scheduler.retries;
             }
     in
-    let parsed = parse_rules regexes in
-    let placement, errors, cache_status = Runner.prepare ?cache_dir:cache arch ~params parsed in
-    note_cache_status cache_status;
-    List.iter (fun e -> Format.eprintf "dropped: %a@." Compile_error.pp e) errors;
-    if Array.length placement.Mapper.units = 0 then begin
-      Printf.eprintf "error: no regex compiled\n";
-      1
-    end
-    else begin
+    match prepare_rules ?cache arch ~params regexes with
+    | None -> 1
+    | Some (placement, _) ->
       let num_arrays = Array.length placement.Mapper.arrays in
       (* resume note before the (possibly long) run, so an operator
          watching stderr sees where the run picked up *)
@@ -438,7 +448,6 @@ let simulate_cmd =
             if strict then 3 else 0
           end
           else 0
-    end
   in
   let doc = "Run a rule set through the cycle-level hardware simulator." in
   Cmd.v (Cmd.info "simulate" ~doc ~exits:common_exits)
@@ -535,16 +544,9 @@ let batch_cmd =
     let jobs = resolve_jobs jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
-    let parsed = parse_rules regexes in
-    let parse_drops = List.length regexes - List.length parsed in
-    let placement, errors, cache_status = Runner.prepare ?cache_dir:cache arch ~params parsed in
-    note_cache_status cache_status;
-    List.iter (fun e -> Format.eprintf "dropped: %a@." Compile_error.pp e) errors;
-    if Array.length placement.Mapper.units = 0 then begin
-      Printf.eprintf "error: no regex compiled\n";
-      1
-    end
-    else begin
+    match prepare_rules ?cache arch ~params regexes with
+    | None -> 1
+    | Some (placement, dropped) ->
       let sources =
         Array.of_list (List.map (fun p -> Batch.of_file ~chunk ~name:p p) paths)
       in
@@ -571,7 +573,6 @@ let batch_cmd =
                 Printf.printf "wrote %s\n" path)
               b.Batch.streams
           in
-          let dropped = parse_drops + List.length errors in
           match Option.iter write_reports report_dir with
           | exception Sys_error msg ->
               Printf.eprintf "error: %s\n" msg;
@@ -580,7 +581,6 @@ let batch_cmd =
               Printf.eprintf "strict: %d rule(s) dropped at parse or compile time\n" dropped;
               3
           | () -> 0
-    end
   in
   let doc =
     "Run many independent input streams against one shared compiled placement, one task per \
@@ -868,15 +868,9 @@ let serve_cmd =
     let jobs = resolve_jobs jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
-    let parsed = parse_rules regexes in
-    let placement, errors, cache_status = Runner.prepare ?cache_dir:cache arch ~params parsed in
-    note_cache_status cache_status;
-    List.iter (fun e -> Format.eprintf "dropped: %a@." Compile_error.pp e) errors;
-    if Array.length placement.Mapper.units = 0 then begin
-      Printf.eprintf "error: no regex compiled\n";
-      1
-    end
-    else begin
+    match prepare_rules ?cache arch ~params regexes with
+    | None -> 1
+    | Some (placement, _) ->
       let cfg =
         {
           Daemon.socket_path = socket;
@@ -901,7 +895,6 @@ let serve_cmd =
       | exception Sim_error.Error e ->
           Printf.eprintf "error: %s\n" (Sim_error.message e);
           1
-    end
   in
   let doc =
     "Run the always-on match daemon: concurrent client streams multiplexed onto one \

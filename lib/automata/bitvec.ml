@@ -140,17 +140,9 @@ let and_in dst src =
     dst.words.(dst.off + i) <- dst.words.(dst.off + i) land src.words.(src.off + i)
   done
 
-let andnot_in dst src =
-  check_same dst src;
-  for i = 0 to words_for dst.width - 1 do
-    dst.words.(dst.off + i) <- dst.words.(dst.off + i) land lnot src.words.(src.off + i)
-  done
-
 let blit ~src ~dst =
   check_same src dst;
   Array.blit src.words src.off dst.words dst.off (words_for src.width)
-
-let blit_words t dst off = Array.blit t.words t.off dst off (words_for t.width)
 
 let check_word t i =
   if i < 0 || i >= words_for t.width then invalid_arg "Bitvec: word index out of bounds"
@@ -183,23 +175,6 @@ let shift_left1 t ~carry_in =
   done;
   normalize t
 
-let shift_right1 t ~carry_in =
-  let n = words_for t.width in
-  let carry = ref (if carry_in then 1 else 0) in
-  for i = t.off + n - 1 downto t.off do
-    let w = t.words.(i) in
-    t.words.(i) <- (w lsr 1) lor (!carry lsl (bits_per_word - 1));
-    carry := w land 1
-  done;
-  (* carry_in enters at the true top bit of the width, not of the word *)
-  if carry_in && t.width > 0 then begin
-    normalize t;
-    let i = t.width - 1 in
-    let w = t.off + (i / bits_per_word) in
-    t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
-  end
-  else normalize t
-
 (* Number of trailing zeros of [b], which has exactly one set bit. *)
 let ntz_one b =
   let n = ref 0 and b = ref b in
@@ -227,40 +202,6 @@ let ntz_one b =
   !n
 
 let lsb_index w = ntz_one (w land -w)
-
-(* ctz-style scan: zero words are skipped whole, and within a word each
-   iteration jumps straight to the lowest set bit ([w land -w]) instead of
-   probing all 62 positions. *)
-let iter_set f t =
-  for i = 0 to words_for t.width - 1 do
-    let w = ref t.words.(t.off + i) in
-    if !w <> 0 then begin
-      let base = i * bits_per_word in
-      while !w <> 0 do
-        f (base + ntz_one (!w land - !w));
-        w := !w land (!w - 1)
-      done
-    end
-  done
-
-(* Byte serialization: little-endian bit order within each byte,
-   ceil(width/8) bytes, independent of the 62-bit word layout. *)
-let to_bytes t =
-  let nbytes = (t.width + 7) / 8 in
-  let b = Bytes.make nbytes '\000' in
-  for i = 0 to t.width - 1 do
-    if get t i then
-      Bytes.unsafe_set b (i / 8)
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i / 8)) lor (1 lsl (i mod 8))))
-  done;
-  b
-
-let of_bool_array bs =
-  let t = create (Array.length bs) in
-  Array.iteri (fun i b -> if b then set t i) bs;
-  t
-
-let to_bool_array t = Array.init t.width (get t)
 
 let pp fmt t =
   for i = t.width - 1 downto 0 do

@@ -71,15 +71,7 @@ val or_in : t -> t -> unit
 (** [or_in dst src] is [dst <- dst lor src]. *)
 
 val and_in : t -> t -> unit
-val andnot_in : t -> t -> unit
-(** [andnot_in dst src] is [dst <- dst land (lnot src)]. *)
-
 val blit : src:t -> dst:t -> unit
-
-val blit_words : t -> int array -> int -> unit
-(** [blit_words t dst off] copies the vector's [words_for width] backing
-    words into [dst] at [off] — raw word export for packing execution
-    plans into flat tables. *)
 
 val get_word : t -> int -> int
 (** [get_word t i] is backing word [i] ([0 <= i < words_for width]) —
@@ -99,24 +91,9 @@ val shift_left1 : t -> carry_in:bool -> unit
     bit at [width-1] is dropped.  This is the paper's [shft(v)] and the
     Shift-And transition [(states << 1) | maskInitial]. *)
 
-val shift_right1 : t -> carry_in:bool -> unit
-(** In-place shift towards lower indices; the top bit becomes [carry_in]. *)
-
-val iter_set : (int -> unit) -> t -> unit
-(** Visit set bits in increasing order. *)
-
 val lsb_index : int -> int
 (** Bit position of the lowest set bit of a nonzero word — the ctz
     primitive flat kernels use to scan a word's set bits directly. *)
 
-(** {1 Serialization} — a byte form independent of the word layout. *)
-
-val to_bytes : t -> bytes
-(** [ceil (width / 8)] bytes, bit [i] at byte [i/8], bit position [i mod 8]
-    (little-endian within the byte); independent of the internal word
-    layout. *)
-
-val of_bool_array : bool array -> t
-val to_bool_array : t -> bool array
 val pp : Format.formatter -> t -> unit
 (** Most significant bit first, as in the paper's figures. *)

@@ -17,4 +17,3 @@ let of_nfa nfa =
 
 let of_ast r = of_nfa (Glushkov.compile r)
 
-let num_states t = Array.length t.labels

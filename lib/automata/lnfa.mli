@@ -22,4 +22,3 @@ val of_ast : Ast.t -> t option
 (** [of_nfa (Glushkov.compile r)] — the direct structural check, without
     the compiler's line rewriting. *)
 
-val num_states : t -> int

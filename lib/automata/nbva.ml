@@ -571,7 +571,6 @@ let step t st c =
 
 (* The idle skip's two facts: the bytes that leave the all-zero state
    non-zero, and whether the live words are all zero. *)
-let wakes t c = Bytes.unsafe_get t.plan.wake (Char.code c) <> '\000'
 let wake_bytes t = t.plan.wake
 
 let changed st = st.changed
@@ -650,10 +649,6 @@ let kernel = ref Bit_parallel
 let step_selected t st c =
   match !kernel with Bit_parallel -> step t st c | Reference -> step_reference t st c
 
-let mask_table_stats t =
-  let p = t.plan in
-  (Array.length p.masks / p.nwords, Array.length p.labels_row + Array.length p.succ_row + 2)
-
 (* The plan's backing tables, by name, as the live references the kernel
    reads — the integrity layer seals these with a checksum at run start and
    repairs them from pristine copies when a sweep finds them corrupted.
@@ -671,18 +666,6 @@ let plan_tables t =
   ]
 
 let plan_bytes t = [ ("bv_match", t.plan.bv_match); ("wake", t.plan.wake) ]
-
-let bv_active_count t st =
-  let acc = ref 0 in
-  Array.iteri
-    (fun q ste ->
-      match (ste, st.vectors.(q)) with
-      | Bv _, Some v when not (Bitvec.is_zero v) -> incr acc
-      | _ -> ())
-    t.stes;
-  !acc
-
-let active_count _t st = Bitvec.popcount st.active_v
 
 let outputs st = st.active_v
 let vectors st = st.vectors

@@ -25,7 +25,7 @@ type exec_plan
     per-state successor mask rows packed into one flat word table, a
     mask row of the BV-STE positions, dense BV-STE list with each
     vector's arena offset and width, a precomputed byte-match table,
-    and the 256-byte [wake] table of {!wakes}), built once by
+    and the 256-byte [wake] table of {!wake_bytes}), built once by
     {!of_ast}. *)
 
 type t = {
@@ -129,13 +129,10 @@ val live : run_state -> bool
     words are all zero therefore stays all-zero, and no match ends, on
     every other byte: a caller may skip {!step} there. *)
 
-val wakes : t -> char -> bool
-(** The byte lies in the class of some initial STE (Plain or BV): one
-    load from the plan's sealed 256-byte [wake] table. *)
-
 val wake_bytes : t -> Bytes.t
-(** The plan's [wake] table itself (the live, sealed reference): byte
-    [b] non-zero iff {!wakes} [b].  Do not mutate. *)
+(** The plan's 256-byte [wake] table (the live, sealed reference): byte
+    [b] non-zero iff [b] lies in the class of some initial STE (Plain or
+    BV).  Do not mutate. *)
 
 val idle : run_state -> bool
 (** Every live word — the active mask and every BV vector — is zero.
@@ -155,12 +152,6 @@ val kernel : kernel ref
 val step_selected : t -> run_state -> char -> bool
 (** {!step} or {!step_reference} according to {!kernel}. *)
 
-val mask_table_stats : t -> int * int
-(** [(physical, logical)] mask-vector counts of the execution plan: the
-    256 per-byte label masks, the per-state successor masks and the
-    initial/final masks are hash-consed at construction, so [physical]
-    is typically far below [logical]. *)
-
 val plan_tables : t -> (string * int array) list
 (** The execution plan's immutable int tables ([masks], [labels_row],
     [succ_row], [bv_states], [bv_vecs]) as live references, by name —
@@ -170,11 +161,7 @@ val plan_tables : t -> (string * int array) list
 
 val plan_bytes : t -> (string * Bytes.t) list
 (** Same, for the plan's byte tables: the per-BV-STE [bv_match] table and
-    the [wake] table of {!wakes}. *)
-
-val bv_active_count : t -> run_state -> int
-(** Number of BV-STEs whose vector is currently nonzero — the trigger count
-    of the bit-vector-processing phase. *)
+    the [wake] table of {!wake_bytes}. *)
 
 val outputs : run_state -> Bitvec.t
 (** Packed per-STE output activation after the last {!step} (bit [q] is
@@ -188,5 +175,4 @@ val reports : t -> run_state -> int
 (** Number of final STEs active after the last step — the hardware's
     report count for this symbol. *)
 
-val active_count : t -> run_state -> int
 val match_ends : t -> string -> int list

@@ -8,7 +8,6 @@ type t = {
 }
 
 let num_states t = Array.length t.labels
-let num_edges t = Array.fold_left (fun acc s -> acc + Array.length s) 0 t.succs
 
 let make ~labels ~edges ~initial ~finals ~accepts_empty =
   let n = Array.length labels in
@@ -38,12 +37,6 @@ let make ~labels ~edges ~initial ~finals ~accepts_empty =
     finals = final_arr;
     accepts_empty;
   }
-
-let line labels =
-  let n = Array.length labels in
-  if n = 0 then invalid_arg "Nfa.line: empty line";
-  let edges = List.init (n - 1) (fun i -> (i, i + 1)) in
-  make ~labels ~edges ~initial:[ 0 ] ~finals:[ n - 1 ] ~accepts_empty:false
 
 type run = { match_ends : int list; active_per_step : int array }
 

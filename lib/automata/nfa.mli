@@ -23,11 +23,6 @@ val make :
 (** Validates state indices and builds both adjacency directions. *)
 
 val num_states : t -> int
-val num_edges : t -> int
-
-val line : Charclass.t array -> t
-(** The linear NFA [q0 -> q1 -> ... -> qn-1] with initial [q0] and final
-    [qn-1]. *)
 
 (** {1 Execution}
 

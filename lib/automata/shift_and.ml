@@ -45,10 +45,6 @@ let build patterns =
 
 let of_lnfa (l : Lnfa.t) = build [ (l.Lnfa.labels, l.Lnfa.finals) ]
 
-let of_line labels =
-  let l = Lnfa.of_line labels in
-  build [ (l.Lnfa.labels, l.Lnfa.finals) ]
-
 let of_bin lines =
   build
     (List.map

@@ -14,7 +14,6 @@
 type t
 
 val of_lnfa : Lnfa.t -> t
-val of_line : Charclass.t array -> t
 
 val of_bin : Charclass.t array list -> t
 (** Pack several single-final lines into one engine (a bin). *)

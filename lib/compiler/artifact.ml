@@ -88,23 +88,30 @@ let fsync_dir dir =
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
 (* The pieces go to the file one after another, never joined in
-   memory. *)
+   memory.  A failed write or rename removes the temp file before the
+   error propagates, so a failure leaves nothing beside [path]. *)
 let write_pieces ~path pieces =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter (output_string oc) pieces;
-      flush oc;
-      (* the data must be durable before the rename commits it: renaming
-         an unsynced temp file can leave a zero-length artifact after a
-         crash, which the CRC would catch but durability should prevent *)
-      try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  (* the rename is the commit point: readers only ever see the previous
-     complete artifact or this one, never a torn write *)
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
+  match
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        List.iter (output_string oc) pieces;
+        flush oc;
+        (* the data must be durable before the rename commits it: renaming
+           an unsynced temp file can leave a zero-length artifact after a
+           crash, which the CRC would catch but durability should prevent *)
+        try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
+    (* the rename is the commit point: readers only ever see the previous
+       complete artifact or this one, never a torn write *)
+    Sys.rename tmp path
+  with
+  | () -> fsync_dir (Filename.dirname path)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 let write ~path data = write_pieces ~path [ data ]
 

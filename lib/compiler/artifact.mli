@@ -24,7 +24,9 @@ val write : path:string -> string -> unit
     + fsync of the directory, so the renamed entry survives a power cut
     (best-effort: a filesystem that rejects directory fsync keeps only
     the rename's atomicity).  For consumers with their own format —
-    e.g. JSON metrics files — that still want crash-safe replacement. *)
+    e.g. JSON metrics files — that still want crash-safe replacement.
+    Raises [Sys_error] when the write or the rename fails, after
+    removing the temp file. *)
 
 val save : path:string -> magic:string -> version:int -> string -> unit
 (** Envelope the payload, then write it like {!write}.  Raises

@@ -78,7 +78,3 @@ let pack ~max_bin_size lines =
   @ pack_group ~single_code:false ~max_bin_size switch_path
 
 let shift_and b = Shift_and.of_bin (List.map (fun (_, l) -> l.Program.labels) b.members)
-
-let wasted_state_slots b =
-  let used = List.fold_left (fun acc (_, l) -> acc + Array.length l.Program.labels) 0 b.members in
-  (b.slots * b.max_len) - used

@@ -37,6 +37,3 @@ val shift_and : bin -> Shift_and.t
 (** The bin's Shift-And engine: its members' lines packed in member
     order, the layout the simulator's tile maps assume.  The mapper
     compiles it once per bin ({!Mapper.placement}'s [bin_tables]). *)
-
-val wasted_state_slots : bin -> int
-(** Area redundancy: slots reserved (slots * max_len) minus real states. *)

@@ -7,13 +7,14 @@ let line_fits_array (line : Program.lnfa_line) =
   let cap = if line.Program.single_code then Circuit.tile_cam_cols else Circuit.tile_cam_cols / 2 in
   Array.length line.Program.labels <= cap * Circuit.tiles_per_array
 
-let try_compile ~(params : Program.params) r =
+(* §4.2: LNFA rewriting may at most double the Glushkov state count. *)
+let max_blowup = 2
+
+let try_compile r =
   let glushkov_states = Ast.literal_width (Rewrite.unfold_all r) in
   if glushkov_states = 0 then None
   else
-    let max_states =
-      int_of_float (ceil (params.Program.lnfa_max_blowup *. float_of_int glushkov_states))
-    in
+    let max_states = max_blowup * glushkov_states in
     (* cap the alternative count too: each line is a separate LNFA slot *)
     let max_lines = max 16 (max_states / 2) in
     match Rewrite.to_lines ~max_states ~max_lines r with

@@ -424,22 +424,6 @@ let map_units ?(tile_cols = Circuit.tile_cam_cols) ~(params : Program.params) un
   | p, [], _ -> p
   | _, _ :: _, _ -> invalid_arg "Mapper: block does not fit an empty array"
 
-let array_of_unit p id =
-  let found = ref None in
-  Array.iteri
-    (fun ai tiles ->
-      if !found = None then
-        Array.iter
-          (fun t ->
-            List.iter
-              (function
-                | P_unit { unit_id; _ } when unit_id = id -> found := Some ai
-                | P_unit _ | P_bin _ -> ())
-              t.pieces)
-          tiles)
-    p.arrays;
-  !found
-
 type stats = {
   num_arrays : int;
   num_tiles : int;

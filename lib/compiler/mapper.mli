@@ -72,10 +72,6 @@ val map_units_result :
     when one of its bins is dropped; it is then reported dropped while its
     surviving lines still match. *)
 
-val array_of_unit : placement -> int -> int option
-(** Which array hosts the unit (None for LNFA units, whose lines live in
-    bins possibly across arrays). *)
-
 (** {1 Reporting} *)
 
 type stats = {

@@ -9,7 +9,7 @@ type decision = Nfa | Nbva | Lnfa of Program.lnfa_unit
 let decision ~(params : Program.params) r =
   let after_unfold = Rewrite.unfold_for_nbva ~threshold:params.Program.unfold_threshold r in
   if Ast.has_bounded_repetition after_unfold then Nbva
-  else match Lnfa_compile.try_compile ~params r with Some u -> Lnfa u | None -> Nfa
+  else match Lnfa_compile.try_compile r with Some u -> Lnfa u | None -> Nfa
 
 let decide ~params r =
   match decision ~params r with Nfa -> Nfa_mode | Nbva -> Nbva_mode | Lnfa _ -> Lnfa_mode
@@ -21,7 +21,7 @@ let compile_as mode ~params ~source r =
   | Nfa_mode -> Some (unit ~source r (Program.U_nfa (Nfa_compile.compile r)))
   | Nbva_mode -> Some (unit ~source r (Program.U_nbva (Nbva_compile.compile ~params r)))
   | Lnfa_mode ->
-      Option.map (fun u -> unit ~source r (Program.U_lnfa u)) (Lnfa_compile.try_compile ~params r)
+      Option.map (fun u -> unit ~source r (Program.U_lnfa u)) (Lnfa_compile.try_compile r)
 
 let compile ~params ~source r =
   unit ~source r

@@ -2,10 +2,9 @@ type params = {
   unfold_threshold : int;
   bv_depth : int;
   bin_size : int;
-  lnfa_max_blowup : float;
 }
 
-let default_params = { unfold_threshold = 8; bv_depth = 8; bin_size = 8; lnfa_max_blowup = 2.0 }
+let default_params = { unfold_threshold = 8; bv_depth = 8; bin_size = 8 }
 
 type nfa_unit = {
   nfa : Nfa.t;

@@ -12,14 +12,11 @@ type params = {
           into plain states (§4.1). *)
   bv_depth : int;  (** Rows per BV word column (DSE parameter, Fig 10a). *)
   bin_size : int;  (** Max LNFAs per bin (DSE parameter, Fig 10b). *)
-  lnfa_max_blowup : float;
-      (** LNFA rewriting may grow the state count at most this factor over
-          the Glushkov size (§4.2 uses 2.0). *)
 }
 
 val default_params : params
-(** threshold 8, depth 8, bin 8, blowup 2.0 — overridden per benchmark by
-    the design-space exploration. *)
+(** threshold 8, depth 8, bin 8 — overridden per benchmark by the
+    design-space exploration. *)
 
 (** {1 NFA units} *)
 

@@ -13,7 +13,7 @@ let engine_of_ast ?(params = default_params) ast =
   match Mode_select.decide ~params ast with
   | Mode_select.Nbva_mode -> M_nbva (Nbva.compile ~threshold:params.Program.unfold_threshold ast)
   | Mode_select.Lnfa_mode -> (
-      match Lnfa_compile.try_compile ~params ast with
+      match Lnfa_compile.try_compile ast with
       | Some u ->
           M_sa
             [ Shift_and.of_bin (List.map (fun l -> l.Program.labels) u.Program.lines) ]

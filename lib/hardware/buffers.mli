@@ -9,7 +9,6 @@
 
 (** {1 Architectural sizes} *)
 
-val bank_input_entries : int (* 128 *)
 val array_input_entries : int (* 8 *)
 
 (** {1 Energy} *)

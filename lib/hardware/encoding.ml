@@ -2,20 +2,6 @@
    [rows.(h)] its set of low nibbles under [h]. *)
 let nibble_rows cc = Array.init 16 (Charclass.low_nibbles cc)
 
-(* A product exactly when every non-empty row is the same set. *)
-let nibble_product cc =
-  let rows = nibble_rows cc in
-  let hi = ref 0 and lo = ref 0 and product = ref true in
-  for h = 0 to 15 do
-    let l = rows.(h) in
-    if l <> 0 then begin
-      if !lo <> 0 && l <> !lo then product := false;
-      hi := !hi lor (1 lsl h);
-      lo := l
-    end
-  done;
-  if !hi <> 0 && !product then Some (!hi, !lo) else None
-
 (* Greedy cover: group the symbols by high nibble; each group is trivially
    a product (one high nibble x its low set); then merge groups with
    identical low sets into one code.  A product is the case of one

@@ -11,11 +11,6 @@
     {e single} 32-bit code (§3.2); the one-hot fallback in the local switch
     (256 bits, two switch columns) handles the rest. *)
 
-val nibble_product : Charclass.t -> (int * int) option
-(** [Some (hi_mask, lo_mask)] when the class is exactly the product of the
-    high-nibble set [hi_mask] and low-nibble set [lo_mask] (16-bit masks);
-    [None] otherwise.  The empty class is not a product. *)
-
 val mzp_code_count : Charclass.t -> int
 (** Number of 32-bit multi-zero-prefix codes needed to cover the class: a
     minimal-ish greedy cover by nibble products (one code per product).
@@ -23,7 +18,8 @@ val mzp_code_count : Charclass.t -> int
     to 16. *)
 
 val fits_single_code : Charclass.t -> bool
-(** [mzp_code_count cc = 1] — the LNFA CAM-path constraint. *)
+(** [mzp_code_count cc = 1], i.e. the class is a nibble product — the
+    LNFA CAM-path constraint.  The empty class is not a product. *)
 
 val cam_columns_for_class : Charclass.t -> int
 (** CAM columns an STE with this class occupies in NFA/NBVA mode: one per

@@ -248,5 +248,4 @@ let member key = function
 
 let to_list_opt = function List l -> Some l | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
-let to_int_opt = function Int i -> Some i | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None

@@ -27,5 +27,4 @@ val of_string_result : string -> (t, string) result
 val member : string -> t -> t option
 val to_list_opt : t -> t list option
 val to_string_opt : t -> string option
-val to_int_opt : t -> int option
 val to_bool_opt : t -> bool option

@@ -102,13 +102,6 @@ let network_of_json j =
     in
     Ok (Nfa.make ~labels ~edges:!edges ~initial:!initial ~finals:!finals ~accepts_empty)
 
-let to_string ?pretty ~id nfa = Json.to_string ?pretty (network_to_json ~id nfa)
-
-let of_string s =
-  match Json.of_string_result s with
-  | Error e -> Error e
-  | Ok j -> network_of_json j
-
 let file_to_string ?pretty networks =
   Json.to_string ?pretty
     (Json.Obj

@@ -11,9 +11,6 @@
 
     The symbol set uses the bracket syntax of {!Charclass.to_string}. *)
 
-val to_string : ?pretty:bool -> id:string -> Nfa.t -> string
-val of_string : string -> (Nfa.t, string) result
-
 val file_to_string : ?pretty:bool -> (string * Nfa.t) list -> string
 (** A whole MNRL file: several networks. *)
 

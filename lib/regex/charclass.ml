@@ -33,19 +33,11 @@ let union a b =
     w2 = Int64.logor a.w2 b.w2;
     w3 = Int64.logor a.w3 b.w3 }
 
-let inter a b =
-  { w0 = Int64.logand a.w0 b.w0;
-    w1 = Int64.logand a.w1 b.w1;
-    w2 = Int64.logand a.w2 b.w2;
-    w3 = Int64.logand a.w3 b.w3 }
-
 let complement a =
   { w0 = Int64.lognot a.w0;
     w1 = Int64.lognot a.w1;
     w2 = Int64.lognot a.w2;
     w3 = Int64.lognot a.w3 }
-
-let diff a b = inter a (complement b)
 
 let of_range lo hi =
   if lo > hi then invalid_arg "Charclass.of_range";
@@ -79,19 +71,6 @@ let popcount64 x =
 let cardinal cc = popcount64 cc.w0 + popcount64 cc.w1 + popcount64 cc.w2 + popcount64 cc.w3
 
 let equal a b = a.w0 = b.w0 && a.w1 = b.w1 && a.w2 = b.w2 && a.w3 = b.w3
-
-let compare a b =
-  let c = Int64.unsigned_compare a.w0 b.w0 in
-  if c <> 0 then c
-  else
-    let c = Int64.unsigned_compare a.w1 b.w1 in
-    if c <> 0 then c
-    else
-      let c = Int64.unsigned_compare a.w2 b.w2 in
-      if c <> 0 then c else Int64.unsigned_compare a.w3 b.w3
-
-let subset a b = equal (inter a b) a
-let disjoint a b = is_empty (inter a b)
 
 (* Bit index of [b], a power of two below 2^32: de Bruijn multiply and
    look-up. *)

@@ -33,8 +33,6 @@ val of_string : string -> t
 (** {1 Boolean algebra} *)
 
 val union : t -> t -> t
-val inter : t -> t -> t
-val diff : t -> t -> t
 val complement : t -> t
 
 (** {1 Queries} *)
@@ -49,11 +47,6 @@ val is_empty : t -> bool
 val is_full : t -> bool
 val cardinal : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val subset : t -> t -> bool
-(** [subset a b] is [true] when every symbol of [a] is in [b]. *)
-
-val disjoint : t -> t -> bool
 val choose : t -> char option
 (** Smallest member, if any. *)
 

@@ -106,5 +106,3 @@ let to_lines ~max_states ~max_lines r =
       let ls = List.filter (fun l -> l <> []) ls in
       if ls = [] then None else Some (List.map (fun l -> Array.of_list (List.rev l)) ls)
   | exception Too_large -> None
-
-let line_rewrite_states ls = List.fold_left (fun acc l -> acc + Array.length l) 0 ls

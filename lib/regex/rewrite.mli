@@ -37,6 +37,3 @@ val to_lines : max_states:int -> max_lines:int -> Ast.t -> Charclass.t array lis
     linearisable) or when the rewriting would exceed [max_states] total
     states or [max_lines] alternatives (the paper bounds the blow-up at 2x
     the Glushkov size). *)
-
-val line_rewrite_states : Charclass.t array list -> int
-(** Total number of states of a line set. *)

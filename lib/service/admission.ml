@@ -261,7 +261,9 @@ let book_outcome t (o : outcome) =
      The durable write (temp + fsync + rename + directory fsync) keeps
      a crash mid-write from leaving a torn report beside a consumed
      spool entry, and a power cut from losing a rename that the spool
-     removal below already assumed happened. *)
+     removal below already assumed happened.  A report that cannot be
+     written keeps its entry, so the next [recover] replays the
+     request. *)
   (match t.cfg.state_dir with
   | None -> ()
   | Some dir ->
@@ -272,8 +274,11 @@ let book_outcome t (o : outcome) =
           Printf.sprintf "failed: %s\n"
             (match o.o_error with Some e -> Sim_error.message e | None -> "unknown")
       in
-      (try Artifact.write ~path text with Sys_error _ -> ());
-      Checkpoint.Spool.remove ~dir ~id:o.o_id)
+      match Artifact.write ~path text with
+      | () -> Checkpoint.Spool.remove ~dir ~id:o.o_id
+      | exception Sys_error msg ->
+          journal t
+            (Printf.sprintf "report-write-failed id=%d name=%s: %s" o.o_id o.o_name msg))
 
 let outcome_of_report req ~started_at ~finished_at (report : Runner.report) =
   {

@@ -45,7 +45,10 @@
     report is persisted to {!Checkpoint.Spool.report_path} {e before}
     its spool entry is removed, so a crash at any point between
     admission and the reply reaching the transport leaves either the
-    request (replayed on restart) or its durable result on disk.
+    request (replayed on restart) or its durable result on disk.  When
+    the report cannot be written, the outcome is still returned, the
+    spool entry stays and the journal records [report-write-failed], so
+    the next {!recover} replays the request.
     {!recover} replays whatever a killed daemon left behind,
     bit-identical to what the live reply would have carried. *)
 

@@ -36,7 +36,10 @@ let recv fd =
   | Some r -> r
   | None -> client_fail "server closed the connection"
 
-let request ?(class_ = Wire.Bulk) ?deadline_s ?(chunk = 64 * 1024) fd ~name ~input =
+(* The input goes out in Chunk frames of this many bytes. *)
+let chunk = 64 * 1024
+
+let request ?(class_ = Wire.Bulk) ?deadline_s fd ~name ~input =
   Wire.send_request fd (Wire.Open { name; class_; deadline_s });
   let len = String.length input in
   let off = ref 0 in

@@ -16,13 +16,12 @@ type outcome =
 val request :
   ?class_:Wire.class_ ->
   ?deadline_s:float ->
-  ?chunk:int ->
   Unix.file_descr ->
   name:string ->
   input:string ->
   outcome
-(** Stream one request (Open, [chunk]-byte Chunks, Finish) and wait for
-    its terminal reply.  [class_] defaults to [Bulk], [chunk] to 64 KiB.
+(** Stream one request (Open, 64 KiB Chunks, Finish) and wait for its
+    terminal reply.  [class_] defaults to [Bulk].
     Raises [Sim_error.Error (Stream_failed _)] if the server drops the
     connection or replies out of protocol. *)
 

@@ -221,8 +221,8 @@ let read_frame ~max_frame fd =
 
 let send_request fd r = write_frame fd (encode_request r)
 
-let recv_reply ?(max_frame = default_max_frame) fd =
-  match read_frame ~max_frame fd with
+let recv_reply fd =
+  match read_frame ~max_frame:default_max_frame fd with
   | None -> None
   | Some payload -> (
       match decode_reply payload with

@@ -91,9 +91,9 @@ val add_frame : Buffer.t -> string -> unit
 val send_request : Unix.file_descr -> request -> unit
 (** Raises [Sim_error.Error (Stream_failed _)] on write errors. *)
 
-val recv_reply : ?max_frame:int -> Unix.file_descr -> reply option
-(** The next reply; [None] on clean EOF at a frame boundary.  [max_frame]
-    defaults to 64 MiB (the default admission [max_input]) plus
+val recv_reply : Unix.file_descr -> reply option
+(** The next reply; [None] on clean EOF at a frame boundary.  A frame
+    may be 64 MiB (the default admission [max_input]) plus
     {!frame_slop}.  Raises [Sim_error.Error (Stream_failed _)] on
     mid-frame EOF, an oversized declared length, read errors, or an
     undecodable reply. *)
@@ -107,7 +107,7 @@ val recv_reply : ?max_frame:int -> Unix.file_descr -> reply option
 type reader
 
 val create_reader : ?max_frame:int -> unit -> reader
-(** [max_frame] defaults as in {!recv_reply}. *)
+(** [max_frame] defaults to the limit of {!recv_reply}. *)
 
 val reader_feed : reader -> bytes -> int -> unit
 (** Append the first [n] bytes of the buffer.  The reader's buffer holds

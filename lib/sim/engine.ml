@@ -33,7 +33,6 @@ let tile_word ~active ~enabled ~powering =
 
 let tile_active w = w land tile_mask
 let tile_enabled w = (w lsr tile_bits) land tile_mask
-let tile_powered w = w lsr (2 * tile_bits) > 0
 
 let tile_add a b =
   tile_word

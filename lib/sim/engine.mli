@@ -79,9 +79,6 @@ val tile_word : active:int -> enabled:int -> powering:int -> int
 val tile_active : int -> int
 val tile_enabled : int -> int
 
-val tile_powered : int -> bool
-(** Some piece powers the tile. *)
-
 val tile_add : int -> int -> int
 (** Field by field; raises [Invalid_argument] when a sum reaches its
     field's limit. *)

@@ -801,15 +801,10 @@ let run ?jobs ?sinks ?integrity (arch : Arch.t) ~params (p : Mapper.placement) ~
 
 (* Single pass: the stall tracer rides the same event stream as the
    energy accounting, so the engines run exactly once. *)
-let run_with_stall_traces ?jobs arch ~params (p : Mapper.placement) ~input =
+let run_with_stall_traces arch ~params (p : Mapper.placement) ~input =
   let spec, traces = Sink.stall_trace ~num_arrays:(Array.length p.Mapper.arrays) in
-  let r = run ?jobs ~sinks:[ spec ] arch ~params p ~input in
+  let r = run ~sinks:[ spec ] arch ~params p ~input in
   (r, traces ())
-
-let run_regexes ?jobs arch ~params regexes ~input =
-  let compiled, errors = compile_for arch ~params regexes in
-  let placement = place arch ~params compiled in
-  (run ?jobs arch ~params placement ~input, errors)
 
 let pp_report fmt r =
   Format.fprintf fmt

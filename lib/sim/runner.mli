@@ -264,7 +264,6 @@ val run :
     order otherwise. *)
 
 val run_with_stall_traces :
-  ?jobs:int ->
   Arch.t ->
   params:Program.params ->
   Mapper.placement ->
@@ -274,16 +273,6 @@ val run_with_stall_traces :
     trace (extra cycles after each symbol) that {!Bank_sim.run} consumes
     to model the two-level input buffering.  Implemented as {!run} with
     a {!Sink.stall_trace} attached — one pass, not a re-simulation. *)
-
-val run_regexes :
-  ?jobs:int ->
-  Arch.t ->
-  params:Program.params ->
-  (string * Ast.t) list ->
-  input:string ->
-  report * Compile_error.t list
-(** [compile_for] + [place] + [run], surfacing the regexes the
-    architecture rejected instead of dropping them silently. *)
 
 val pp_report : Format.formatter -> report -> unit
 

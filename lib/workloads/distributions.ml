@@ -14,10 +14,6 @@ let weighted st choices =
   in
   go 0 choices
 
-let geometric st ~p ~max =
-  let rec loop n = if n >= max || Random.State.float st 1.0 < p then n else loop (n + 1) in
-  loop 1
-
 let lower_char st = Char.chr (int_in st (Char.code 'a') (Char.code 'z'))
 
 let alnum_char st =

@@ -13,9 +13,6 @@ val choose : rng -> 'a array -> 'a
 val weighted : rng -> (int * 'a) list -> 'a
 (** Pick with integer weights; weights must be positive. *)
 
-val geometric : rng -> p:float -> max:int -> int
-(** 1 + a geometric draw, capped: models pattern-length distributions. *)
-
 val lower_char : rng -> char
 val alnum_char : rng -> char
 val protein_char : rng -> char

@@ -1,6 +1,15 @@
-(* QCheck generators shared by the property-based suites. *)
+(* QCheck generators, and the reference automata, shared by the suites. *)
 
 open QCheck2
+
+(* The linear NFA [q0 -> q1 -> ... -> qn-1] over [labels], initial [q0]
+   and final [qn-1]: the reference a Shift-And bin or a rewritten line is
+   checked against. *)
+let line_nfa labels =
+  let n = Array.length labels in
+  Nfa.make ~labels
+    ~edges:(List.init (n - 1) (fun i -> (i, i + 1)))
+    ~initial:[ 0 ] ~finals:[ n - 1 ] ~accepts_empty:false
 
 (* Character classes drawn from a small, overlap-prone pool so that random
    inputs actually exercise transitions. *)

@@ -1,5 +1,10 @@
 open Alcotest
 
+(* The bits of [v], lowest first, and the indices of its set bits in
+   increasing order, read one [Bitvec.get] at a time. *)
+let bits v = Array.init (Bitvec.width v) (Bitvec.get v)
+let set_bits v = List.filter (Bitvec.get v) (List.init (Bitvec.width v) Fun.id)
+
 let test_create () =
   let v = Bitvec.create 100 in
   check int "width" 100 (Bitvec.width v);
@@ -45,17 +50,6 @@ let test_shift_chain () =
   Bitvec.shift_left1 v ~carry_in:false;
   check bool "gone" true (Bitvec.is_zero v)
 
-let test_shift_right () =
-  let v = Bitvec.create 70 in
-  Bitvec.set v 69;
-  Bitvec.shift_right1 v ~carry_in:false;
-  check bool "at 68" true (Bitvec.get v 68);
-  check int "one bit" 1 (Bitvec.popcount v);
-  let w = Bitvec.create 70 in
-  Bitvec.shift_right1 w ~carry_in:true;
-  check bool "carry enters at top" true (Bitvec.get w 69);
-  check int "one bit" 1 (Bitvec.popcount w)
-
 let test_bulk_ops () =
   let a = Bitvec.create 64 and b = Bitvec.create 64 in
   Bitvec.set a 1;
@@ -69,10 +63,6 @@ let test_bulk_ops () =
   Bitvec.and_in i b;
   check int "and" 1 (Bitvec.popcount i);
   check bool "and bit" true (Bitvec.get i 10);
-  let d = Bitvec.copy a in
-  Bitvec.andnot_in d b;
-  check int "andnot" 1 (Bitvec.popcount d);
-  check bool "andnot bit" true (Bitvec.get d 1);
   check bool "intersects" true (Bitvec.intersects a b);
   Bitvec.reset b 10;
   check bool "no longer intersects" false (Bitvec.intersects a b);
@@ -86,15 +76,7 @@ let test_fill_and_iter () =
   Bitvec.shift_left1 v ~carry_in:false;
   check int "after shift" 66 (Bitvec.popcount v);
   check bool "bit 0 cleared" false (Bitvec.get v 0);
-  let seen = ref [] in
-  let w = Bitvec.of_bool_array [| true; false; true; false; true |] in
-  Bitvec.iter_set (fun i -> seen := i :: !seen) w;
-  check (list int) "iter_set" [ 0; 2; 4 ] (List.rev !seen)
-
-let test_bool_array_roundtrip () =
-  let bs = Array.init 100 (fun i -> i mod 3 = 0) in
-  let v = Bitvec.of_bool_array bs in
-  check bool "roundtrip" true (bs = Bitvec.to_bool_array v)
+  check (list int) "set bits after shift" (List.init 66 succ) (set_bits v)
 
 (* SWAR popcount at the word-size boundaries: 61 (partial top word), 62
    (exactly one full word), 63 (spills one bit into a second word), and
@@ -141,17 +123,14 @@ let test_words_for_boundaries () =
     [ (0, 1); (1, 1); (62, 1); (63, 2); (124, 2); (125, 3) ]
 
 let test_popcount_matches_naive () =
-  (* alternating and byte-patterned fills, counted against to_bool_array *)
+  (* alternating and byte-patterned fills, counted bit by bit *)
   List.iter
     (fun (width, keep) ->
       let v = Bitvec.create width in
       for i = 0 to width - 1 do
         if keep i then Bitvec.set v i
       done;
-      let naive =
-        Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 (Bitvec.to_bool_array v)
-      in
-      check int (Printf.sprintf "width %d" width) naive (Bitvec.popcount v))
+      check int (Printf.sprintf "width %d" width) (List.length (set_bits v)) (Bitvec.popcount v))
     [
       (61, fun i -> i mod 2 = 0);
       (62, fun i -> i mod 3 = 0);
@@ -173,28 +152,12 @@ let test_popcount_and () =
   check_raises "width mismatch" (Invalid_argument "Bitvec: width mismatch") (fun () ->
       ignore (Bitvec.popcount_and a (Bitvec.create 131)))
 
-let test_iter_set_word_edges () =
-  (* the ctz scan must visit word-boundary bits in order *)
-  let v = Bitvec.create 187 in
-  let expect = [ 0; 60; 61; 62; 123; 124; 186 ] in
-  List.iter (Bitvec.set v) expect;
-  let seen = ref [] in
-  Bitvec.iter_set (fun i -> seen := i :: !seen) v;
-  check (list int) "ascending word-edge visits" expect (List.rev !seen);
-  Bitvec.iter_set (fun _ -> fail "empty vector visited") (Bitvec.create 200)
-
-(* [to_bytes]'s layout, decoded into [dst] bit by bit. *)
-let load_bytes dst bytes =
-  Bitvec.clear dst;
-  for i = 0 to Bitvec.width dst - 1 do
-    if Char.code (Bytes.get bytes (i / 8)) land (1 lsl (i mod 8)) <> 0 then Bitvec.set dst i
-  done
-
 (* Arena-slice representation at the byte/word boundary widths (0, 1,
-   63, 64, 65, 127, 128): serialization round-trips, popcount_and, and
-   shift-overflow drop semantics must be identical to self-backed
-   vectors, and every op must stay inside its own arena window — the
-   all-ones guard slices on either side catch any overrun. *)
+   63, 64, 65, 127, 128): copies and blits between slices and
+   self-backed vectors, popcount_and, and shift-overflow drop semantics
+   must be identical to self-backed vectors, and every op must stay
+   inside its own arena window — the all-ones guard slices on either
+   side catch any overrun. *)
 let test_arena_slice_boundary_widths () =
   List.iter
     (fun width ->
@@ -208,14 +171,11 @@ let test_arena_slice_boundary_widths () =
       for i = 0 to width - 1 do
         if i mod 3 = 0 || i = width - 1 then Bitvec.set v i
       done;
-      let bytes = Bitvec.to_bytes v in
-      check int (ctx ^ ": byte length") ((width + 7) / 8) (Bytes.length bytes);
-      let self = Bitvec.create width in
-      load_bytes self bytes;
-      check bool (ctx ^ ": slice -> self roundtrip") true (Bitvec.equal v self);
+      let self = Bitvec.copy v in
+      check bool (ctx ^ ": slice -> self copy") true (bits self = bits v);
       Bitvec.clear v;
-      load_bytes v bytes;
-      check bool (ctx ^ ": self -> slice roundtrip") true (Bitvec.equal self v);
+      Bitvec.blit ~src:self ~dst:v;
+      check bool (ctx ^ ": self -> slice blit") true (Bitvec.equal self v);
       check int (ctx ^ ": popcount_and slice/self")
         (Bitvec.popcount v)
         (Bitvec.popcount_and v self);
@@ -292,8 +252,7 @@ let prop_popcount_and_agrees =
       let scratch = Bitvec.copy a in
       Bitvec.and_in scratch b;
       Bitvec.popcount_and a b = Bitvec.popcount scratch
-      && Bitvec.popcount a
-         = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 (Bitvec.to_bool_array a))
+      && Bitvec.popcount a = List.length (set_bits a))
 
 let prop_shift_left_equals_multiply =
   (* compare against an int reference for widths <= 30 *)
@@ -307,12 +266,10 @@ let prop_shift_left_equals_multiply =
       done;
       Bitvec.shift_left1 v ~carry_in:false;
       let expected = (bits lsl 1) land ((1 lsl width) - 1) in
-      let got = ref 0 in
-      Bitvec.iter_set (fun i -> got := !got lor (1 lsl i)) v;
-      !got = expected)
+      List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 (set_bits v) = expected)
 
-(* Word-level kernel surface (blit_words / get_word / set_word /
-   popcount_word / lsb_index) on arena-shared slices at the edge widths
+(* Word-level kernel surface (get_word / set_word / popcount_word /
+   lsb_index) on arena-shared slices at the edge widths
    the flat kernels hit: the ops must agree with the bit-level API and
    never touch the neighbouring slices. *)
 let prop_word_ops_on_shared_slices =
@@ -338,15 +295,12 @@ let prop_word_ops_on_shared_slices =
         let bit = (w lsr (i mod Bitvec.bits_per_word)) land 1 = 1 in
         if bit <> Bitvec.get v i then via_words := false
       done;
-      (* popcount_word folded over blit_words output = popcount *)
-      let dump = Array.make (nw + 2) max_int in
-      Bitvec.blit_words v dump 1;
+      (* popcount_word folded over the backing words = popcount *)
       let folded = ref 0 in
-      for i = 1 to nw do
-        folded := !folded + Bitvec.popcount_word dump.(i)
+      for i = 0 to nw - 1 do
+        folded := !folded + Bitvec.popcount_word (Bitvec.get_word v i)
       done;
       let fold_ok = !folded = Bitvec.popcount v in
-      let blit_fenced = dump.(0) = max_int && dump.(nw + 1) = max_int in
       (* lsb_index of the first nonzero word = index of the lowest set bit *)
       let lsb_ok =
         if Bitvec.is_zero v then true
@@ -355,9 +309,8 @@ let prop_word_ops_on_shared_slices =
           while Bitvec.get_word v !first = 0 do
             incr first
           done;
-          let low = ref (-1) in
-          Bitvec.iter_set (fun i -> if !low < 0 then low := i) v;
-          (!first * Bitvec.bits_per_word) + Bitvec.lsb_index (Bitvec.get_word v !first) = !low
+          (!first * Bitvec.bits_per_word) + Bitvec.lsb_index (Bitvec.get_word v !first)
+          = List.hd (set_bits v)
         end
       in
       (* set_word masks the top word to width and round-trips *)
@@ -367,9 +320,9 @@ let prop_word_ops_on_shared_slices =
           Bitvec.is_zero v
         end
         else begin
-          let before = Bitvec.to_bool_array v in
+          let before = bits v in
           Bitvec.set_word v (nw - 1) (Bitvec.get_word v (nw - 1));
-          let same = Bitvec.to_bool_array v = before in
+          let same = bits v = before in
           Bitvec.set_word v (nw - 1) wword;
           let top_bits = width - ((nw - 1) * Bitvec.bits_per_word) in
           let mask = if top_bits >= Bitvec.bits_per_word then max_int else (1 lsl top_bits) - 1 in
@@ -381,7 +334,7 @@ let prop_word_ops_on_shared_slices =
         | exception Invalid_argument _ -> true
         | _ -> false
       in
-      !via_words && fold_ok && blit_fenced && lsb_ok && set_ok && oob_ok
+      !via_words && fold_ok && lsb_ok && set_ok && oob_ok
       && Bitvec.popcount glo = 62 && Bitvec.popcount ghi = 62)
 
 let suite =
@@ -390,15 +343,12 @@ let suite =
     test_case "set/get across words" `Quick test_set_get;
     test_case "shift drops overflow" `Quick test_shift_left_drops_overflow;
     test_case "shift across word boundary" `Quick test_shift_chain;
-    test_case "shift right" `Quick test_shift_right;
     test_case "bulk operations" `Quick test_bulk_ops;
     test_case "fill and iterate" `Quick test_fill_and_iter;
-    test_case "bool array roundtrip" `Quick test_bool_array_roundtrip;
     test_case "popcount width boundaries (61/62/63)" `Quick test_popcount_width_boundaries;
     test_case "words_for and clear at word boundaries" `Quick test_words_for_boundaries;
     test_case "popcount matches naive count" `Quick test_popcount_matches_naive;
     test_case "popcount_and" `Quick test_popcount_and;
-    test_case "iter_set at word edges" `Quick test_iter_set_word_edges;
     test_case "arena slices at boundary widths" `Quick test_arena_slice_boundary_widths;
     test_case "arena slice aliasing and isolation" `Quick test_arena_slice_aliasing;
     test_case "arena snapshot/restore" `Quick test_arena_snapshot_restore;

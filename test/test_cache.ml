@@ -215,14 +215,18 @@ let test_mask_tables_hash_consed () =
      and successor masks must collapse to a handful of physical rows of
      the flat packed mask table *)
   let nbva = Nbva.compile ~threshold:2 (parse "a{14}b|a{9}c|[ab]{4,30}d") in
-  let physical, logical = Nbva.mask_table_stats nbva in
+  let nwords = Bitvec.words_for (Nbva.num_states nbva) in
+  let table name = List.assoc name (Nbva.plan_tables nbva) in
+  (* rows stored, against the rows the plan indexes: one per byte, one
+     per state, and the initial and final rows *)
+  let physical = Array.length (table "masks") / nwords in
+  let logical = Array.length (table "labels_row") + Array.length (table "succ_row") + 2 in
   check bool "tables are shared" true (physical < logical / 4);
   (* the dedup is structural (equal rows share one offset in the flat
      table), so the Marshal image — what the placement cache stores —
      must stay below the bytes an unshared table of [logical] full-width
      rows would occupy on its own *)
   let image = Marshal.to_string nbva [] in
-  let nwords = Bitvec.words_for (Nbva.num_states nbva) in
   check bool "marshalled image benefits from sharing" true
     (String.length image < logical * nwords * 8)
 

@@ -459,26 +459,6 @@ let test_input_stream_file () =
 (* ------------------------------------------------------------------ *)
 (* Serialisation primitives *)
 
-(* [Bitvec.to_bytes] is what integrity seals checksum: bit [i] at byte
-   [i/8], bit [i mod 8], whatever the word layout. *)
-let test_bitvec_bytes_roundtrip () =
-  List.iter
-    (fun width ->
-      let v = Bitvec.create width in
-      let want = Bytes.make ((width + 7) / 8) '\000' in
-      for i = 0 to width - 1 do
-        if (i * 7) mod 3 = 0 then begin
-          Bitvec.set v i;
-          let byte = Char.code (Bytes.get want (i / 8)) lor (1 lsl (i mod 8)) in
-          Bytes.set want (i / 8) (Char.chr byte)
-        end
-      done;
-      check bool
-        (Printf.sprintf "width %d byte layout" width)
-        true
-        (Bytes.equal want (Bitvec.to_bytes v)))
-    [ 1; 8; 61; 62; 63; 124; 200 ]
-
 let every_error =
   [
     Sim_error.Array_crashed { array_id = 3; attempts = 2; detail = "boom" };
@@ -707,7 +687,6 @@ let suite =
   [
     test_case "input stream over strings" `Quick test_input_stream_string;
     test_case "input stream over files" `Quick test_input_stream_file;
-    test_case "bitvec byte serialisation" `Quick test_bitvec_bytes_roundtrip;
     test_case "checkpoint codec roundtrip" `Quick test_checkpoint_codec_roundtrip;
     test_case "engine restore is shape-checked" `Quick test_engine_restore_shape_checked;
     test_case "golden on-disk format is frozen" `Quick test_golden_checkpoint_format;

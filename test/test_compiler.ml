@@ -143,18 +143,18 @@ let test_ca_geometry () =
 (* LNFA compilation *)
 
 let test_lnfa_compile () =
-  let u = Option.get (Lnfa_compile.try_compile ~params (parse "a[bc].d?")) in
+  let u = Option.get (Lnfa_compile.try_compile (parse "a[bc].d?")) in
   check int "two lines" 2 (List.length u.Program.lines);
   check int "seven states" 7 u.Program.states;
   check bool "dot line is not single-code" true
     (List.exists (fun l -> not l.Program.single_code) u.Program.lines);
-  check bool "rejects stars" true (Lnfa_compile.try_compile ~params (parse "ab*c") = None)
+  check bool "rejects stars" true (Lnfa_compile.try_compile (parse "ab*c") = None)
 
 let test_lnfa_blowup_budget () =
   (* (a|b)(a|b)(a|b)(a|b)(a|b): 32 lines x 5 = 160 states vs 10 Glushkov:
      16x blowup, way past the 2x budget *)
   check bool "blowup rejected" true
-    (Lnfa_compile.try_compile ~params (parse "(a|b)(a|b)(a|b)(a|b)(a|b)") = None)
+    (Lnfa_compile.try_compile (parse "(a|b)(a|b)(a|b)(a|b)(a|b)") = None)
 
 (* Typed compile/placement errors *)
 

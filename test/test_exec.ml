@@ -191,7 +191,7 @@ let reference_cost (arch : Arch.t) (ev : Exec.array_events) =
     (fun ti w ->
       let m = ev.Exec.modes.(ti) in
       let mi = Cost.mode_index m and active = Engine.tile_active w in
-      let powered = Engine.tile_powered w in
+      let powered = w lsr (2 * Engine.tile_bits) > 0 in
       if powered then begin
         addm mi Energy.State_matching (Cost.matching_pj arch ~enabled_cols:(Engine.tile_enabled w));
         if m <> Engine.M_lnfa then begin
@@ -830,16 +830,21 @@ let counted_vs_per_symbol ~chars =
 
 let test_counted_energy_equals_per_symbol () = ignore (counted_vs_per_symbol ~chars:3_000)
 
-(* Satellite: run_regexes surfaces what the architecture rejects. *)
+(* Compiling, placing and running a rule set surfaces what the
+   architecture rejects. *)
 let test_run_regexes_surfaces_errors () =
+  let run_regexes arch regexes ~input =
+    let units, errors = Runner.compile_for arch ~params regexes in
+    (Runner.run arch ~params (Runner.place arch ~params units) ~input, errors)
+  in
   let big = String.concat "|" (List.init 400 (fun i -> Printf.sprintf "verylongword%06d" i)) in
   let regexes = [ ("ok", parse "abc"); (big, parse big) ] in
-  let r, errors = Runner.run_regexes Arch.cama ~params regexes ~input:"xxabcxx" in
+  let r, errors = run_regexes Arch.cama regexes ~input:"xxabcxx" in
   check bool "surviving rule still matches" true (r.Runner.match_reports > 0);
   check int "oversize rule surfaced" 1 (List.length errors);
   check string "error names the rule" big (List.hd errors).Compile_error.source;
   (* a fully valid set reports none *)
-  let _, none = Runner.run_regexes rap ~params [ ("ok", parse "abc") ] ~input:"abc" in
+  let _, none = run_regexes rap [ ("ok", parse "abc") ] ~input:"abc" in
   check int "no spurious errors" 0 (List.length none)
 
 (* A placement is data: a cached one is unmarshalled, and [Exec.build]

@@ -10,6 +10,12 @@ let rules = [ "ab{3,10}c"; "(wget|curl).*http"; "user=root" ]
 let parsed () = List.map (fun s -> (s, parse s)) rules
 let input = "abbbbc wget http user=root abbbbbbbbbbbc curl https"
 
+(* The fault-free run a campaign's baseline must reproduce, and the
+   rules the architecture rejected. *)
+let fault_free () =
+  let units, errors = Runner.compile_for (arch ()) ~params (parsed ()) in
+  (Runner.run (arch ()) ~params (Runner.place (arch ()) ~params units) ~input, errors)
+
 let run_campaign config =
   match Fault.campaign ~arch:(arch ()) ~params ~config (parsed ()) ~input with
   | Ok o -> o
@@ -33,8 +39,8 @@ let test_prng_deterministic () =
 
 let test_zero_rate_bit_identical () =
   (* a zero-rate, zero-defect campaign must reproduce the fault-free run *)
-  let baseline, errs = Runner.run_regexes (arch ()) ~params (parsed ()) ~input in
-  check int "run_regexes surfaces no errors" 0 (List.length errs);
+  let baseline, errs = fault_free () in
+  check int "compile_for surfaces no errors" 0 (List.length errs);
   let o = run_campaign { Fault.default_config with Fault.trials = 3 } in
   check bool "baseline report identical" true (o.Fault.o_baseline = baseline);
   check bool "degraded = baseline on pristine chip" true (o.Fault.o_degraded = baseline);
@@ -98,7 +104,7 @@ let test_dead_tile_never_placed () =
   check bool "skipped dead tiles counted" true (stats.Mapper.dead_tiles_skipped > 0);
   (* the degraded placement still simulates and matches *)
   let r = Runner.run (arch ()) ~params placement ~input in
-  let pristine, _ = Runner.run_regexes (arch ()) ~params (parsed ()) ~input in
+  let pristine, _ = fault_free () in
   check int "same reports as pristine" pristine.Runner.match_reports r.Runner.match_reports
 
 let test_spare_column_repair () =
@@ -149,7 +155,7 @@ let test_transient_flips_counted () =
     (fun (t : Fault.trial) -> check bool "flips injected" true (t.Fault.t_flips > 0))
     o.Fault.o_trials;
   (* baseline stays fault-free even when trials flip bits *)
-  let baseline, _ = Runner.run_regexes (arch ()) ~params (parsed ()) ~input in
+  let baseline, _ = fault_free () in
   check bool "baseline untouched" true (o.Fault.o_baseline = baseline)
 
 let suite =

@@ -59,7 +59,7 @@ let test_switch_model () =
 (* Encodings *)
 
 let test_nibble_product () =
-  let is_product cc = Encoding.nibble_product cc <> None in
+  let is_product = Encoding.fits_single_code in
   check bool "singleton" true (is_product (Charclass.singleton 'a'));
   check bool "full" true (is_product Charclass.full);
   check bool "nibble-aligned range [A-O] (0x41-0x4f)" true
@@ -83,13 +83,12 @@ let test_mzp_code_count () =
   check int "cam columns = codes" 2 (Encoding.cam_columns_for_class Charclass.dot)
 
 let prop_mzp_cover_sound =
-  (* every class needs at least 1 code and products need exactly 1 *)
+  (* every non-empty class needs 1 to 16 codes, and products exactly 1 *)
   QCheck2.Test.make ~name:"mzp code count consistent with product test" ~count:200 Gen.gen_cc
     (fun cc ->
       let n = Encoding.mzp_code_count cc in
-      if Charclass.is_empty cc then n = 0
-      else if Encoding.nibble_product cc <> None then n = 1
-      else n >= 2 && n <= 16)
+      Encoding.fits_single_code cc = (n = 1)
+      && if Charclass.is_empty cc then n = 0 else n >= 1 && n <= 16)
 
 (* The encoding against its byte-level definition: per high nibble, the
    set of low nibbles under it; a product is one distinct non-empty set,
@@ -103,10 +102,8 @@ let prop_nibble_encoding_bytewise =
         if Charclass.mem_byte cc b then rows.(b lsr 4) <- rows.(b lsr 4) lor (1 lsl (b land 15))
       done;
       let distinct = List.sort_uniq compare (List.filter (fun l -> l <> 0) (Array.to_list rows)) in
-      let hi = ref 0 in
-      Array.iteri (fun h l -> if l <> 0 then hi := !hi lor (1 lsl h)) rows;
-      let product = match distinct with [ lo ] -> Some (!hi, lo) | _ -> None in
-      Encoding.mzp_code_count cc = List.length distinct && Encoding.nibble_product cc = product)
+      Encoding.mzp_code_count cc = List.length distinct
+      && Encoding.fits_single_code cc = (List.length distinct = 1))
 
 (* Energy ledger *)
 
@@ -128,7 +125,6 @@ let test_energy_ledger () =
 (* Buffers *)
 
 let test_fifo () =
-  check int "bank input entries" 128 Buffers.bank_input_entries;
   check int "array input entries" 8 Buffers.array_input_entries
 
 let suite =

@@ -49,7 +49,8 @@ let test_bin_sorting_and_waste () =
       in
       let mx = List.fold_left max 0 lens and mn = List.fold_left min 1000 lens in
       check bool "bin holds similar lengths" true (mx - mn <= 4);
-      check bool "waste accounted" true (Binning.wasted_state_slots b >= 0))
+      check bool "slots hold every member" true
+        (b.Binning.slots * b.Binning.max_len >= List.fold_left ( + ) 0 lens))
     bins
 
 (* Placement invariants, checked on a mixed compiled workload. *)
@@ -78,10 +79,11 @@ let test_placement_invariants () =
   Array.iter
     (fun tiles -> check bool "array size" true (Array.length tiles <= 16))
     p.Mapper.arrays;
-  (* every non-LNFA unit tile is placed exactly once *)
+  (* every non-LNFA unit tile is placed exactly once; [seen] maps it to
+     its array *)
   let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun tiles ->
+  Array.iteri
+    (fun ai tiles ->
       Array.iter
         (fun (t : Mapper.placed_tile) ->
           List.iter
@@ -90,7 +92,7 @@ let test_placement_invariants () =
               | Mapper.P_unit { unit_id; local_tile } ->
                   let key = (unit_id, local_tile) in
                   check bool "no duplicate placement" false (Hashtbl.mem seen key);
-                  Hashtbl.replace seen key ()
+                  Hashtbl.replace seen key ai
               | Mapper.P_bin _ -> ())
             t.Mapper.pieces)
         tiles)
@@ -111,7 +113,12 @@ let test_placement_invariants () =
     (fun id (c : Program.compiled) ->
       match c.Program.kind with
       | Program.U_lnfa _ -> ()
-      | _ -> check bool "unit has a home array" true (Mapper.array_of_unit p id <> None))
+      | k ->
+          let home = Hashtbl.find seen (id, 0) in
+          for i = 1 to Program.num_tiles k - 1 do
+            check int (Printf.sprintf "unit %d tile %d on its home array" id i) home
+              (Hashtbl.find seen (id, i))
+          done)
     units;
   (* tile modes are homogeneous with their pieces *)
   Array.iter

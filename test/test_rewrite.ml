@@ -72,7 +72,7 @@ let lines_exn r = Option.get (Rewrite.to_lines ~max_states:64 ~max_lines:16 r)
 let test_to_lines_simple () =
   let ls = lines_exn (parse "abc") in
   check int "one line" 1 (List.length ls);
-  check int "three states" 3 (Rewrite.line_rewrite_states ls)
+  check (list int) "three states" [ 3 ] (List.map Array.length ls)
 
 let test_to_lines_example_4_4 () =
   (* a(b{1,2}|c)e -> abe | abbe | ace *)
@@ -88,7 +88,7 @@ let test_to_lines_optional_suffix () =
   (* a[bc].d? -> a[bc]. | a[bc].d  (hardware single-final form) *)
   let ls = lines_exn (parse "a[bc].d?") in
   check int "two lines" 2 (List.length ls);
-  check int "seven states" 7 (Rewrite.line_rewrite_states ls)
+  check (list int) "seven states" [ 3; 4 ] (List.sort compare (List.map Array.length ls))
 
 let test_to_lines_rejects () =
   check bool "star rejected" true
@@ -131,7 +131,7 @@ let prop_lines_preserve =
       | None -> true
       | Some lines ->
           let nfa = Glushkov.compile r in
-          let line_nfas = List.map (fun l -> Nfa.line l) lines in
+          let line_nfas = List.map Gen.line_nfa lines in
           let merged =
             List.sort_uniq compare (List.concat_map (fun n -> Nfa.match_ends n input) line_nfas)
           in

@@ -802,6 +802,47 @@ let test_spool_report_persisted_for_live_outcomes () =
       let entries, _ = Checkpoint.Spool.list ~dir in
       check int "spool entry consumed" 0 (List.length entries))
 
+(* regression: a report that cannot be persisted keeps its request.  A
+   directory on the report path makes the write fail; the outcome is
+   still returned, but the spool entry stays, no temp file is left and
+   the journal names the failure, so a later [recover] replays the
+   request and writes the canonical report. *)
+let test_spool_kept_when_report_write_fails () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let p = placement () in
+      let input = "abbbc evilsig xyzzzw" in
+      let adm = Admission.create (config ~state_dir:dir ()) rap ~params p in
+      let id =
+        match Admission.submit adm ~name:"blocked" ~class_:Wire.Bulk ~input with
+        | Ok id -> id
+        | Error r -> fail (Admission.reject_message r)
+      in
+      let report_file = Checkpoint.Spool.report_path ~dir ~id in
+      Sys.mkdir report_file 0o755;
+      (match Admission.run_pending adm with
+      | [ o ] ->
+          check bool "the outcome is still returned" true
+            (o.Admission.o_error = None && o.Admission.o_report = Some (solo p input))
+      | outcomes -> fail (Printf.sprintf "expected 1 outcome, got %d" (List.length outcomes)));
+      let entries, _ = Checkpoint.Spool.list ~dir in
+      check int "spool entry kept" 1 (List.length entries);
+      check bool "no temp file left" false
+        (Array.exists (fun f -> Filename.check_suffix f ".tmp") (Sys.readdir dir));
+      let journal = In_channel.with_open_bin (Checkpoint.journal_path ~dir) In_channel.input_all in
+      check bool "journal names the failure" true
+        (Astring_contains.contains journal (Printf.sprintf "report-write-failed id=%d " id));
+      Sys.rmdir report_file;
+      let fresh = Admission.create (config ~state_dir:dir ()) rap ~params p in
+      check int "recover replays the request" 1 (List.length (Admission.recover fresh));
+      check string "recovered report is the canonical rendering"
+        (Runner.render_report (solo p input))
+        (In_channel.with_open_bin report_file In_channel.input_all);
+      let entries, _ = Checkpoint.Spool.list ~dir in
+      check int "spool entry consumed" 0 (List.length entries))
+
 (* ------------------------------------------------------------------ *)
 (* Prepared placements: built and sealed once per service *)
 
@@ -1086,4 +1127,6 @@ let suite =
     test_case "latency: quantiles" `Quick test_latency_quantiles;
     test_case "latency: merge" `Quick test_latency_merge;
     QCheck_alcotest.to_alcotest prop_latency_quantile_bounds;
+    test_case "spool: a report that cannot be written keeps its request" `Quick
+      test_spool_kept_when_report_write_fails;
   ]

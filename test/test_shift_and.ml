@@ -13,19 +13,19 @@ let test_fig2_trace () =
   check (list bool) "output row" [ false; false; true ] (List.map snd tr)
 
 let test_single_pattern () =
-  let sa = Shift_and.of_line (line_of "abc") in
+  let sa = Shift_and.of_bin [ line_of "abc" ] in
   check (list int) "abc" [ 2 ] (Shift_and.run sa "abc");
   check (list int) "xabcabc" [ 3; 6 ] (Shift_and.run sa "xabcabc");
   check (list int) "no match" [] (Shift_and.run sa "abd");
   check int "width" 3 (Shift_and.width sa)
 
 let test_overlapping () =
-  let sa = Shift_and.of_line (line_of "aa") in
+  let sa = Shift_and.of_bin [ line_of "aa" ] in
   check (list int) "aaa overlaps" [ 1; 2 ] (Shift_and.run sa "aaa")
 
 let test_classes () =
   let sa =
-    Shift_and.of_line [| cc 'a'; Charclass.of_string "bc"; Charclass.dot; cc 'd' |]
+    Shift_and.of_bin [ [| cc 'a'; Charclass.of_string "bc"; Charclass.dot; cc 'd' |] ]
   in
   check (list int) "abxd" [ 3 ] (Shift_and.run sa "abxd");
   check (list int) "aczd" [ 3 ] (Shift_and.run sa "aczd");
@@ -38,8 +38,8 @@ let test_bin_packing () =
   check int "width" 4 (Shift_and.width bin);
   let separate input =
     List.sort_uniq compare
-      (Shift_and.run (Shift_and.of_line (line_of "ab")) input
-      @ Shift_and.run (Shift_and.of_line (line_of "bc")) input)
+      (Shift_and.run (Shift_and.of_bin [ line_of "ab" ]) input
+      @ Shift_and.run (Shift_and.of_bin [ line_of "bc" ]) input)
   in
   List.iter
     (fun input ->
@@ -82,7 +82,7 @@ let prop_shift_and_equals_nfa =
       let sa = Shift_and.of_bin lines in
       let nfa_matches =
         List.sort_uniq compare
-          (List.concat_map (fun l -> Nfa.match_ends (Nfa.line l) input) lines)
+          (List.concat_map (fun l -> Nfa.match_ends (Gen.line_nfa l) input) lines)
       in
       Shift_and.run sa input = nfa_matches)
 

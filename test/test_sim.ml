@@ -8,6 +8,9 @@ let params = Program.default_params
 let parse = Parser.parse_exn
 let rap = Arch.rap ~bv_depth:params.Program.bv_depth
 
+(* Some piece powers the tile: its word has a powering count. *)
+let powered w = w lsr (2 * Engine.tile_bits) > 0
+
 (* Positions where an engine reports, over an input. *)
 let engine_report_positions engine input =
   let acc = ref [] in
@@ -100,7 +103,7 @@ let test_bin_engine_consistency () =
   let input = "abcdefabc" in
   let reference =
     List.concat_map
-      (fun (_, l) -> Nfa.match_ends (Nfa.line l.Program.labels) input)
+      (fun (_, l) -> Nfa.match_ends (Gen.line_nfa l.Program.labels) input)
       lines
     |> List.sort_uniq compare
   in
@@ -115,9 +118,9 @@ let test_bin_power_gating () =
   check bool "multi-tile bin" true (b.Binning.tiles > 1);
   let e = Engine.of_bin b in
   let ev = Engine.step e 'z' (* matches nothing *) in
-  check bool "tile 0 powered" true (Engine.tile_powered ev.Engine.tile.(0));
+  check bool "tile 0 powered" true (powered ev.Engine.tile.(0));
   for t = 1 to Engine.num_tiles e - 1 do
-    check bool "other tiles gated" false (Engine.tile_powered ev.Engine.tile.(t))
+    check bool "other tiles gated" false (powered ev.Engine.tile.(t))
   done
 
 (* Regression: ring cross-signal accounting on a crafted two-member bin
@@ -364,7 +367,7 @@ let prop_tile_words_add =
       let total f = List.fold_left (fun acc x -> acc + f x) 0 pieces in
       Engine.tile_active sum = total (fun (a, _, _) -> a)
       && Engine.tile_enabled sum = total (fun (_, e, _) -> e)
-      && Engine.tile_powered sum = List.exists (fun (_, _, p) -> p) pieces
+      && powered sum = List.exists (fun (_, _, p) -> p) pieces
       && List.fold_left Engine.tile_add 0 words = sum
       &&
       let full = Engine.tile_word ~active:0 ~enabled:Engine.tile_mask ~powering:0 in

@@ -128,8 +128,6 @@ let test_distributions () =
   check bool "weighted picks positive weight" true (w = `A);
   check_raises "weighted rejects empty" (Invalid_argument "Distributions.weighted") (fun () ->
       ignore (Distributions.weighted st []));
-  let g = Distributions.geometric st ~p:1.0 ~max:10 in
-  check int "geometric with p=1 stops at 1" 1 g;
   let c = Distributions.protein_char st in
   check bool "protein char" true (String.contains "ACDEFGHIKLMNPQRSTVWY" c)
 
