@@ -264,9 +264,7 @@ let exec_path_bench env ~name =
 (* Batched serving: B streams of the Snort workload (each rotated so the
    streams are distinct) against one shared placement, wall-clock plus
    the simulated aggregate vs the sequential sum-of-cycles baseline, and
-   per-stream bit-identity against solo runs.  The same section probes
-   the placement cache: a warm [Runner.prepare] must hit the artifact
-   without bumping the compile counter. *)
+   per-stream bit-identity against solo runs. *)
 let stream_scaling env ~jobs =
   let params = Program.default_params in
   let arch = Rap.rap_arch () in
@@ -277,70 +275,41 @@ let stream_scaling env ~jobs =
     let k = i * n / 8 in
     String.sub input k (n - k) ^ String.sub input 0 k
   in
-  let cache_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rap-bench-cache-%d" (Unix.getpid ()))
-  in
-  let compiles f =
-    let before = Runner.compile_count () in
-    let r = f () in
-    (r, Runner.compile_count () - before)
-  in
-  let (placement, _, st_cold), compiles_cold =
-    compiles (fun () -> Runner.prepare ~cache_dir arch ~params s.Benchmarks.regexes)
-  in
-  let (placement_warm, _, st_warm), compiles_warm =
-    compiles (fun () -> Runner.prepare ~cache_dir arch ~params s.Benchmarks.regexes)
-  in
-  let key =
-    Program_cache.key ~arch_tag:(Runner.arch_tag arch) ~params_tag:(Runner.params_tag params)
-      ~sources:(List.map fst s.Benchmarks.regexes)
-  in
-  (try Sys.remove (Program_cache.path ~dir:cache_dir ~key) with Sys_error _ -> ());
-  (try Sys.rmdir cache_dir with Sys_error _ -> ());
-  let warm_hit =
-    st_cold = Runner.Cache_miss && st_warm = Runner.Cache_hit && compiles_warm = 0
-    && Runner.fingerprint placement = Runner.fingerprint placement_warm
-  in
-  Printf.printf "placement cache: cold %d compile(s), warm %d compile(s), warm_hit=%b\n%!"
-    compiles_cold compiles_warm warm_hit;
-  let rows =
-    List.map
-      (fun b ->
-        let inputs = List.init b rotate in
-        let sources =
-          Array.of_list
-            (List.mapi (fun i inp -> Batch.of_string ~name:(Printf.sprintf "s%d" i) inp) inputs)
-        in
-        let batch, wall = time (fun () -> Batch.run ~jobs arch ~params placement ~sources) in
-        let solos = List.map (fun inp -> Runner.run ~jobs:1 arch ~params placement ~input:inp) inputs in
-        let identical =
-          List.for_all2
-            (fun solo (sr : Batch.stream_report) -> solo = sr.Batch.bs_report)
-            solos
-            (Array.to_list batch.Batch.streams)
-        in
-        let seq_cycles = List.fold_left (fun acc r -> acc + r.Runner.cycles) 0 solos in
-        let agg = batch.Batch.aggregate in
-        let seq_gchs =
-          if seq_cycles > 0 then
-            float_of_int agg.Batch.agg_chars *. arch.Arch.clock_ghz /. float_of_int seq_cycles
-          else 0.
-        in
-        let speedup = if seq_gchs > 0. then agg.Batch.agg_throughput_gchs /. seq_gchs else 0. in
-        Printf.printf
-          "streams=%d jobs=%d: %.3fs wall, %.3f Gch/s aggregate (sequential %.3f), sim speedup %.2fx, identical=%b\n%!"
-          b jobs wall agg.Batch.agg_throughput_gchs seq_gchs speedup identical;
-        Printf.sprintf
-          {|    {"streams": %d, "jobs": %d, "wall_s": %.6f,
+  let units, _ = Runner.compile_for arch ~params s.Benchmarks.regexes in
+  let placement = Runner.place arch ~params units in
+  List.map
+    (fun b ->
+      let inputs = List.init b rotate in
+      let sources =
+        Array.of_list
+          (List.mapi (fun i inp -> Batch.of_string ~name:(Printf.sprintf "s%d" i) inp) inputs)
+      in
+      let batch, wall = time (fun () -> Batch.run ~jobs arch ~params placement ~sources) in
+      let solos = List.map (fun inp -> Runner.run ~jobs:1 arch ~params placement ~input:inp) inputs in
+      let identical =
+        List.for_all2
+          (fun solo (sr : Batch.stream_report) -> solo = sr.Batch.bs_report)
+          solos
+          (Array.to_list batch.Batch.streams)
+      in
+      let seq_cycles = List.fold_left (fun acc r -> acc + r.Runner.cycles) 0 solos in
+      let agg = batch.Batch.aggregate in
+      let seq_gchs =
+        if seq_cycles > 0 then
+          float_of_int agg.Batch.agg_chars *. arch.Arch.clock_ghz /. float_of_int seq_cycles
+        else 0.
+      in
+      let speedup = if seq_gchs > 0. then agg.Batch.agg_throughput_gchs /. seq_gchs else 0. in
+      Printf.printf
+        "streams=%d jobs=%d: %.3fs wall, %.3f Gch/s aggregate (sequential %.3f), sim speedup %.2fx, identical=%b\n%!"
+        b jobs wall agg.Batch.agg_throughput_gchs seq_gchs speedup identical;
+      Printf.sprintf
+        {|    {"streams": %d, "jobs": %d, "wall_s": %.6f,
      "agg_chars": %d, "agg_cycles": %d, "agg_gchs": %.6f,
-     "seq_gchs": %.6f, "sim_speedup": %.4f,
-     "compiles_cold": %d, "compiles_warm": %d, "identical": %b}|}
-          b jobs wall agg.Batch.agg_chars agg.Batch.agg_cycles
-          agg.Batch.agg_throughput_gchs seq_gchs speedup compiles_cold compiles_warm identical)
-      [ 1; 2; 4; 8 ]
-  in
-  (rows, compiles_cold, compiles_warm, warm_hit)
+     "seq_gchs": %.6f, "sim_speedup": %.4f, "identical": %b}|}
+        b jobs wall agg.Batch.agg_chars agg.Batch.agg_cycles
+        agg.Batch.agg_throughput_gchs seq_gchs speedup identical)
+  [ 1; 2; 4; 8 ]
 
 (* Service SLO sweep: drive the daemon's admission layer in-process with
    arrivals offered at multiples of the measured sustainable rate, and
@@ -652,7 +621,7 @@ let sim env ~out =
   let rows = List.map (fun (j, _, _) -> j) workload_rows in
   let kernel_rows = List.map (fun name -> kernel_bench env ~name) [ "Snort"; "Yara" ] in
   let exec_rows = List.map (fun name -> exec_path_bench env ~name) [ "Snort"; "ClamAV" ] in
-  let stream_rows, compiles_cold, compiles_warm, warm_hit = stream_scaling env ~jobs in
+  let stream_rows = stream_scaling env ~jobs in
   let service_rows, sustainable_rps, service_s, per_factor, capacity = service_slo env in
   let integrity_rows, integrity_overhead_ok, chaos_json, integrity_detection_ok,
       integrity_recovery_ok =
@@ -673,7 +642,6 @@ let sim env ~out =
       \  \"workloads\": [\n%s\n  ],\n\
       \  \"nfa_kernel\": [\n%s\n  ],\n\
       \  \"exec_path\": [\n%s\n  ],\n\
-      \  \"placement_cache\": {\"compiles_cold\": %d, \"compiles_warm\": %d, \"warm_hit\": %b},\n\
       \  \"stream_scaling\": [\n%s\n  ],\n\
       \  \"integrity\": {\"overhead_rows\": [\n%s\n  ], \"chaos\": %s},\n\
       \  \"service_slo\": {\"sustainable_rps\": %.4f, \"service_s\": %.6f, \
@@ -684,7 +652,6 @@ let sim env ~out =
       (String.concat ",\n" rows)
       (String.concat ",\n" kernel_rows)
       (String.concat ",\n" exec_rows)
-      compiles_cold compiles_warm warm_hit
       (String.concat ",\n" stream_rows)
       (String.concat ",\n" integrity_rows)
       chaos_json sustainable_rps service_s per_factor capacity

@@ -205,21 +205,6 @@ let client_exits =
   common_exits
   @ [ Cmd.Exit.info 4 ~doc:"when the daemon shed the request (overload or quarantine)." ]
 
-let cache_arg =
-  Arg.(value
-       & opt (some string) None
-       & info [ "cache" ] ~docv:"DIR"
-           ~doc:"Cache the compiled placement in $(docv) (created if missing), keyed by rule \
-                 set, architecture and compile parameters; a warm run loads the artifact and \
-                 skips compilation entirely.  Stale or corrupt artifacts are rejected and \
-                 recompiled.")
-
-let note_cache_status = function
-  | Runner.Cache_off -> ()
-  | Runner.Cache_hit -> Printf.eprintf "cache: hit (compilation skipped)\n%!"
-  | Runner.Cache_miss -> Printf.eprintf "cache: miss (compiled and stored)\n%!"
-  | Runner.Cache_invalid detail -> Printf.eprintf "cache: invalid (%s); recompiled\n%!" detail
-
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
@@ -310,15 +295,13 @@ let parse_rules regexes =
       exit 2
   | parsed -> parsed
 
-(* The rule-set preparation [simulate], [batch] and [serve] share:
-   parse, compile and place (through the placement cache when given),
-   with the cache note and each dropped rule on stderr.  [None] once
+(* The rule-set set-up [simulate], [batch] and [serve] share: parse,
+   then [Runner.prepare], with each dropped rule on stderr.  [None] once
    "error: no regex compiled" is printed; otherwise the placement and
-   how many rules were dropped at parse or compile time. *)
-let prepare_rules ?cache arch ~params regexes =
+   how many rules were dropped at parse, compile or placement time. *)
+let prepare_rules arch ~params regexes =
   let parsed = parse_rules regexes in
-  let placement, errors, cache_status = Runner.prepare ?cache_dir:cache arch ~params parsed in
-  note_cache_status cache_status;
+  let placement, errors = Runner.prepare arch ~params parsed in
   List.iter (fun e -> Format.eprintf "dropped: %a@." Compile_error.pp e) errors;
   if Array.length placement.Mapper.units = 0 then begin
     Printf.eprintf "error: no regex compiled\n";
@@ -375,7 +358,7 @@ let simulate_cmd =
              ~doc:"Streaming chunk size; checkpoints land on chunk boundaries.")
   in
   let run regexes input file arch jobs kernel trace ckpt_dir ckpt_every resume strict deadline
-      retries chunk cache integrity sweep_every sentinel_every =
+      retries chunk integrity sweep_every sentinel_every =
     if chunk <= 0 then fail_input "--chunk must be positive";
     check_deadline deadline;
     Nbva.kernel := kernel;
@@ -400,7 +383,7 @@ let simulate_cmd =
               retries = Option.value r ~default:Scheduler.default_policy.Scheduler.retries;
             }
     in
-    match prepare_rules ?cache arch ~params regexes with
+    match prepare_rules arch ~params regexes with
     | None -> 1
     | Some (placement, _) ->
       let num_arrays = Array.length placement.Mapper.arrays in
@@ -453,7 +436,7 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc ~exits:common_exits)
     Term.(const run $ regexes_arg $ pos_input_arg $ file_arg $ arch_arg $ jobs_arg $ kernel_arg
           $ trace $ ckpt_dir $ ckpt_every $ resume $ strict $ deadline $ retries $ chunk
-          $ cache_arg $ integrity_flag $ sweep_every_arg $ sentinel_every_arg)
+          $ integrity_flag $ sweep_every_arg $ sentinel_every_arg)
 
 (* ---- rap batch ---- *)
 
@@ -474,7 +457,9 @@ let batch_cmd =
   in
   let strict =
     Arg.(value & flag
-         & info [ "strict" ] ~doc:"Exit with status 3 when any rule fails to compile.")
+         & info [ "strict" ]
+             ~doc:"Exit with status 3 when any rule is dropped: it does not parse, compile \
+                   or fit one array.")
   in
   let report_dir =
     Arg.(value & opt (some string) None
@@ -492,7 +477,7 @@ let batch_cmd =
       (Filename.basename path)
     ^ ".report"
   in
-  let run regexes files manifest arch jobs chunk strict report_dir cache =
+  let run regexes files manifest arch jobs chunk strict report_dir =
     if chunk <= 0 then fail_input "--chunk must be positive";
     let manifest_paths =
       match manifest with
@@ -544,7 +529,7 @@ let batch_cmd =
     let jobs = resolve_jobs jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
-    match prepare_rules ?cache arch ~params regexes with
+    match prepare_rules arch ~params regexes with
     | None -> 1
     | Some (placement, dropped) ->
       let sources =
@@ -578,7 +563,8 @@ let batch_cmd =
               Printf.eprintf "error: %s\n" msg;
               1
           | () when strict && dropped > 0 ->
-              Printf.eprintf "strict: %d rule(s) dropped at parse or compile time\n" dropped;
+              Printf.eprintf "strict: %d rule(s) dropped at parse, compile or placement time\n"
+                dropped;
               3
           | () -> 0
   in
@@ -589,7 +575,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc ~exits:common_exits)
     Term.(const run $ regexes_arg $ files $ manifest $ arch_arg $ jobs_arg $ chunk $ strict
-          $ report_dir $ cache_arg)
+          $ report_dir)
 
 (* ---- rap faults ---- *)
 
@@ -854,7 +840,7 @@ let serve_cmd =
                    Shutdown frame.")
   in
   let run regexes arch jobs socket capacity max_input group retries backoff quarantine_after
-      state_dir write_budget max_requests cache integrity sweep_every sentinel_every =
+      state_dir write_budget max_requests integrity sweep_every sentinel_every =
     if capacity <= 0 then fail_input "--capacity must be positive";
     if group <= 0 then fail_input "--group must be positive";
     if max_input <= 0 then fail_input "--max-input must be positive";
@@ -868,7 +854,7 @@ let serve_cmd =
     let jobs = resolve_jobs jobs in
     let arch = arch_of arch in
     let params = Program.default_params in
-    match prepare_rules ?cache arch ~params regexes with
+    match prepare_rules arch ~params regexes with
     | None -> 1
     | Some (placement, _) ->
       let cfg =
@@ -905,7 +891,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~exits:common_exits)
     Term.(const run $ regexes_arg $ arch_arg $ jobs_arg $ socket_arg $ capacity $ max_input
           $ group $ retries $ backoff $ quarantine_after $ state_dir $ write_budget
-          $ max_requests $ cache_arg $ integrity_flag $ sweep_every_arg $ sentinel_every_arg)
+          $ max_requests $ integrity_flag $ sweep_every_arg $ sentinel_every_arg)
 
 (* ---- rap client ---- *)
 

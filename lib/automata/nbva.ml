@@ -207,13 +207,11 @@ let of_ast r =
      of the 256 entries collapse to a handful), and unfolded chains
      produce many equal successor masks.  Each distinct mask becomes one
      [nwords]-long row of [masks]; equal masks share a row offset.
-     Sharing cuts compiled-program memory, and — because [Marshal]
-     preserves the flat table as one block — keeps the cached placement
-     artifact compact.  Safe: the kernels only ever read these rows
-     (blit/AND/OR sources).  Rows are built as plain words and interned
-     in first-occurrence order — bytes 0 to 255, then states, then the
-     initial, final and BV masks — so the table's layout is a function of
-     the automaton alone. *)
+     Sharing cuts compiled-program memory.  Safe: the kernels only ever
+     read these rows (blit/AND/OR sources).  Rows are built as plain
+     words and interned in first-occurrence order — bytes 0 to 255, then
+     states, then the initial, final and BV masks — so the table's layout
+     is a function of the automaton alone. *)
   let nwords = Bitvec.words_for n in
   let rows = Rows.create ~nwords in
   let labels = Array.make (256 * nwords) 0 in

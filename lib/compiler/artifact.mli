@@ -1,8 +1,8 @@
 (** Framed, CRC-guarded binary artifacts.
 
-    The common on-disk envelope shared by every persistent artifact in
-    the stack (run checkpoints, the compiled-placement cache), all
-    integers little-endian:
+    The common on-disk envelope of the stack's persistent artifacts (run
+    checkpoints and the service's spool entries), all integers
+    little-endian:
 
     {v
       magic      consumer-chosen tag, fixed length

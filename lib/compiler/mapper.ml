@@ -407,23 +407,6 @@ let map_units_result ?(defects = Defect.none) ?(tile_cols = Circuit.tile_cam_col
       dstats )
   end
 
-let map_units ?(tile_cols = Circuit.tile_cam_cols) ~(params : Program.params) units =
-  (* historical exception contract: oversize units raise *)
-  Array.iteri
-    (fun id (c : Program.compiled) ->
-      match c.Program.kind with
-      | Program.U_lnfa _ -> ()
-      | k ->
-          let n = Program.num_tiles k in
-          if n > Circuit.tiles_per_array then
-            invalid_arg
-              (Printf.sprintf "Mapper: unit %d (%s) needs %d tiles, exceeding one array" id
-                 c.Program.source n))
-    units;
-  match map_units_result ~defects:Defect.none ~tile_cols ~params units with
-  | p, [], _ -> p
-  | _, _ :: _, _ -> invalid_arg "Mapper: block does not fit an empty array"
-
 type stats = {
   num_arrays : int;
   num_tiles : int;

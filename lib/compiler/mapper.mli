@@ -51,23 +51,18 @@ type defect_stats = {
   cols_repaired : int;  (** Stuck CAM columns repaired from the spare pool. *)
 }
 
-val map_units :
-  ?tile_cols:int -> params:Program.params -> Program.compiled array -> placement
-(** [tile_cols] (default 128) is the column capacity of a tile — the CA
-    baseline maps onto 256-column tiles.  Raises [Invalid_argument] when
-    some unit alone exceeds one array (historical contract; prefer
-    {!map_units_result}). *)
-
 val map_units_result :
   ?defects:Defect.t ->
   ?tile_cols:int ->
   params:Program.params ->
   Program.compiled array ->
   placement * Compile_error.t list * defect_stats
-(** Defect-aware, non-raising mapping.  Unplaceable blocks are dropped and
-    reported (one error per affected source regex); the returned placement
-    contains only placed units and bins, reindexed.  With [Defect.none]
-    and no drops the placement is identical to {!map_units}'s.  An LNFA
+(** Defect-aware, non-raising mapping.  [tile_cols] (default 128) is the
+    column capacity of a tile — the CA baseline maps onto 256-column
+    tiles; [defects] defaults to [Defect.none].  Unplaceable blocks are
+    dropped and reported (one error per affected source regex): a block
+    that alone exceeds one array is [Oversize] on any chip.  The returned
+    placement contains only placed units and bins, reindexed.  An LNFA
     regex whose lines spread over several bins may be partially placed
     when one of its bins is dropped; it is then reported dropped while its
     surviving lines still match. *)

@@ -14,17 +14,17 @@ let decision ~(params : Program.params) r =
 let decide ~params r =
   match decision ~params r with Nfa -> Nfa_mode | Nbva -> Nbva_mode | Lnfa _ -> Lnfa_mode
 
-let unit ~source r kind = { Program.source; ast = r; kind }
+let unit ~source kind = { Program.source; kind }
 
 let compile_as mode ~params ~source r =
   match mode with
-  | Nfa_mode -> Some (unit ~source r (Program.U_nfa (Nfa_compile.compile r)))
-  | Nbva_mode -> Some (unit ~source r (Program.U_nbva (Nbva_compile.compile ~params r)))
+  | Nfa_mode -> Some (unit ~source (Program.U_nfa (Nfa_compile.compile r)))
+  | Nbva_mode -> Some (unit ~source (Program.U_nbva (Nbva_compile.compile ~params r)))
   | Lnfa_mode ->
-      Option.map (fun u -> unit ~source r (Program.U_lnfa u)) (Lnfa_compile.try_compile r)
+      Option.map (fun u -> unit ~source (Program.U_lnfa u)) (Lnfa_compile.try_compile r)
 
 let compile ~params ~source r =
-  unit ~source r
+  unit ~source
     (match decision ~params r with
     | Nfa -> Program.U_nfa (Nfa_compile.compile r)
     | Nbva -> Program.U_nbva (Nbva_compile.compile ~params r)

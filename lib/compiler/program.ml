@@ -38,7 +38,7 @@ type lnfa_line = { labels : Charclass.t array; single_code : bool }
 type lnfa_unit = { lines : lnfa_line list; states : int }
 type unit_kind = U_nfa of nfa_unit | U_nbva of nbva_unit | U_lnfa of lnfa_unit
 
-type compiled = { source : string; ast : Ast.t; kind : unit_kind }
+type compiled = { source : string; kind : unit_kind }
 
 let mode_name = function U_nfa _ -> "NFA" | U_nbva _ -> "NBVA" | U_lnfa _ -> "LNFA"
 

@@ -78,7 +78,6 @@ type unit_kind = U_nfa of nfa_unit | U_nbva of nbva_unit | U_lnfa of lnfa_unit
 
 type compiled = {
   source : string;  (** Concrete syntax, for reports. *)
-  ast : Ast.t;
   kind : unit_kind;
 }
 

@@ -129,17 +129,15 @@ let simulate ?arch ?jobs ?(params = default_params) ~regexes ~input () =
   in
   if parsed = [] then Error "no regex parsed"
   else
-    let units, errors = Runner.compile_for arch ~params parsed in
-    if units = [] then
+    let placement, errors = Runner.prepare arch ~params parsed in
+    if Array.length placement.Mapper.units = 0 then
       Error
         (match errors with
         | e :: _ ->
             Printf.sprintf "no regex compiled (%s: %s)" e.Compile_error.source
               (Compile_error.message e)
         | [] -> "no regex compiled")
-    else
-      let placement = Runner.place arch ~params units in
-      Ok (Runner.run ?jobs arch ~params placement ~input)
+    else Ok (Runner.run ?jobs arch ~params placement ~input)
 
 let render_report = Runner.render_report
 

@@ -96,7 +96,8 @@ val simulate :
 (** Compile, map and run a rule set on the simulated processor (default:
     RAP with default parameters).  [jobs] simulates arrays on that many
     parallel domains; results are bit-identical for every value (see
-    {!Runner.run}).  Returns [Error] when no regex parses or compiles. *)
+    {!Runner.run}).  Rules that do not parse, compile or fit are left
+    out ({!Runner.prepare}); returns [Error] when none is left. *)
 
 val render_report : Runner.report -> string
 (** The canonical textual rendering of a report — the same bytes

@@ -5,9 +5,8 @@
 
     Throughput comes from amortizing the compiled artifact across
     inputs: compilation, mapping and the bit-parallel mask tables are
-    paid once for the placement (or never, with the placement cache),
-    and so are the array executors: {!run} prepares the placement once
-    ({!Runner.build}) and every stream steps its own
+    paid once for the placement, and so are the array executors: {!run}
+    builds them once ({!Runner.build}) and every stream steps its own
     {!Exec.clone_fresh} copies of them.  Streams running side by side
     only read the prepared templates.
 

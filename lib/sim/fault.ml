@@ -340,11 +340,10 @@ let chaos_mttr_s o =
       /. float_of_int (List.length ts)
 
 let chaos ~arch ~params ~config regexes ~input =
-  let compiled, compile_errors = Runner.compile_for arch ~params regexes in
-  if compiled = [] then Error "no regex compiled"
+  let placement, compile_errors = Runner.prepare arch ~params regexes in
+  if Array.length placement.Mapper.units = 0 then Error "no regex compiled"
   else if String.length input = 0 then Error "empty input"
   else begin
-    let placement = Runner.place arch ~params compiled in
     let chars = String.length input in
     let num_arrays = Array.length placement.Mapper.arrays in
     (* Prepared and sealed once: every run clones these executors and

@@ -150,6 +150,8 @@ type chaos_outcome = {
   co_baseline_wall_s : float;
   co_trials : chaos_trial list;
   co_compile_errors : Compile_error.t list;
+      (** Rules dropped at set-up ({!Runner.prepare}): compile errors,
+          then placement drops. *)
 }
 
 val chaos :
@@ -159,7 +161,7 @@ val chaos :
   (string * Ast.t) list ->
   input:string ->
   (chaos_outcome, string) result
-(** Compile, place and prepare once ({!Runner.build}, sealed), run the
+(** Set up once ({!Runner.prepare}, then {!Runner.build}, sealed), run the
     fault-free baseline, then [config.c_trials] seeded single-flip
     trials with integrity armed.  The baseline and every trial step
     fresh clones of the prepared executors; a trial's heals repair from

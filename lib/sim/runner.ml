@@ -26,21 +26,14 @@ let energy_efficiency_gchs_per_w r =
 let compute_density_gchs_per_mm2 r =
   if r.area_mm2 <= 0. then 0. else r.throughput_gchs /. r.area_mm2
 
-(* Cold-compile probe: bumped once per [compile_for] call.  The bench
-   harness reads it around warm-cache runs to prove the cache actually
-   skipped compilation (a wall-clock win alone could be noise). *)
-let compile_counter = Atomic.make 0
-let compile_count () = Atomic.get compile_counter
-
 let compile_for (arch : Arch.t) ~params regexes =
-  Atomic.incr compile_counter;
   let compiled = ref [] and errors = ref [] in
   let push c = compiled := c :: !compiled in
   let fail source reason = errors := Compile_error.v source reason :: !errors in
   let unsupported source msg = fail source (Compile_error.Unsupported msg) in
   List.iter
     (fun (source, ast) ->
-      let unit kind = { Program.source; ast; kind } in
+      let unit kind = { Program.source; kind } in
       match arch.Arch.kind with
       | Arch.Rap -> (
           match Mode_select.compile_result ~params ~source ast with
@@ -80,51 +73,19 @@ let compile_for (arch : Arch.t) ~params regexes =
     regexes;
   (List.rev !compiled, List.rev !errors)
 
-let place (arch : Arch.t) ~params compiled =
-  let tile_cols = arch.Arch.tile_stes in
-  Mapper.map_units ~tile_cols ~params (Array.of_list compiled)
-
 let place_result ?defects (arch : Arch.t) ~params compiled =
   let tile_cols = arch.Arch.tile_stes in
   Mapper.map_units_result ?defects ~tile_cols ~params (Array.of_list compiled)
 
-(* Cache keying: the compiled placement is pure in (arch, params,
-   sources), and both descriptor types are plain data, so a digest of
-   their Marshal images is a sound identity.  Program_cache lives below
-   Arch in the library stack and only ever sees these opaque tags. *)
-let arch_tag (arch : Arch.t) = Digest.to_hex (Digest.string (Marshal.to_string arch []))
+let place arch ~params compiled =
+  match place_result arch ~params compiled with
+  | placement, [], _ -> placement
+  | _, e :: _, _ -> invalid_arg (Format.asprintf "Runner.place: %a" Compile_error.pp e)
 
-let params_tag (params : Program.params) =
-  Digest.to_hex (Digest.string (Marshal.to_string params []))
-
-type cache_status = Cache_off | Cache_hit | Cache_miss | Cache_invalid of string
-
-let prepare ?cache_dir (arch : Arch.t) ~params regexes =
-  let cold () =
-    let compiled, errors = compile_for arch ~params regexes in
-    (place arch ~params compiled, errors)
-  in
-  match cache_dir with
-  | None ->
-      let placement, errors = cold () in
-      (placement, errors, Cache_off)
-  | Some dir ->
-      let key =
-        Program_cache.key ~arch_tag:(arch_tag arch) ~params_tag:(params_tag params)
-          ~sources:(List.map fst regexes)
-      in
-      let miss status =
-        let placement, errors = cold () in
-        (* a failed store only loses the warm start; say so and move on *)
-        (match Program_cache.store ~dir ~key placement errors with
-        | Ok () -> ()
-        | Error msg -> Logs.warn (fun m -> m "placement cache store failed: %s" msg));
-        (placement, errors, status)
-      in
-      (match Program_cache.lookup ~dir ~key with
-      | Program_cache.Hit (placement, errors) -> (placement, errors, Cache_hit)
-      | Program_cache.Miss -> miss Cache_miss
-      | Program_cache.Invalid detail -> miss (Cache_invalid detail))
+let prepare arch ~params regexes =
+  let compiled, errors = compile_for arch ~params regexes in
+  let placement, drops, _ = place_result ~defects:Defect.none arch ~params compiled in
+  (placement, errors @ drops)
 
 (* A checkpoint must refuse to restore into a different placement: the
    engine-state vectors would silently mean different automata.  The

@@ -52,6 +52,9 @@ val compile_for :
 
 val place :
   Arch.t -> params:Program.params -> Program.compiled list -> Mapper.placement
+(** {!place_result} on a pristine chip, for callers whose units are known
+    to fit.  Raises [Invalid_argument] naming the first unit it would
+    drop; {!prepare} reports such units instead. *)
 
 val place_result :
   ?defects:Defect.t ->
@@ -61,38 +64,18 @@ val place_result :
   Mapper.placement * Compile_error.t list * Mapper.defect_stats
 (** Defect-aware {!place}: see {!Mapper.map_units_result}. *)
 
-val compile_count : unit -> int
-(** Process-wide count of {!compile_for} invocations — the probe the
-    bench harness reads around warm-cache runs to prove that a cache hit
-    actually skipped compilation. *)
-
-val arch_tag : Arch.t -> string
-(** Opaque digest of an architecture descriptor, for {!Program_cache}
-    keying (the cache lives below [Arch] in the library stack). *)
-
-val params_tag : Program.params -> string
-
-type cache_status =
-  | Cache_off  (** No cache directory given. *)
-  | Cache_hit  (** Placement loaded from the cache; compilation skipped. *)
-  | Cache_miss  (** No artifact yet; compiled cold and stored. *)
-  | Cache_invalid of string
-      (** Artifact rejected (corrupt, wrong version, key mismatch);
-          compiled cold and overwrote it. *)
-
 val prepare :
-  ?cache_dir:string ->
   Arch.t ->
   params:Program.params ->
   (string * Ast.t) list ->
-  Mapper.placement * Compile_error.t list * cache_status
-(** {!compile_for} + {!place}, optionally through the compiled-placement
-    cache: with [cache_dir], a valid cached artifact for this
-    (arch, params, sources) key is loaded instead of compiling — along
-    with the compile errors recorded when it was built — and any miss or
-    rejection falls back to a cold compile whose result is stored for
-    next time.  A placement loaded from cache is indistinguishable from
-    a cold-compiled one (same masks, same fingerprint). *)
+  Mapper.placement * Compile_error.t list
+(** The set-up of a user rule set: {!compile_for}, then {!place_result}
+    on a pristine chip ([Defect.none]).  A rule it cannot run is reported,
+    not raised: the errors are every compile error followed by every
+    placement drop (a rule that alone exceeds one array is [Oversize]),
+    and the placement holds the rules that remain, possibly none.  [rap
+    simulate], [batch], [serve] and [chaos] and [Rap.simulate] set up
+    through it. *)
 
 val fingerprint : Mapper.placement -> string
 (** Digest of everything the run state depends on: unit sources, their
@@ -206,8 +189,10 @@ val run_stream :
     records, the sinks, the energy counters and, under a policy or
     integrity, the rollback buffers and one shadow per array.
 
-    The service ({!Admission.create}), [rap batch] ({!Batch.run}) and
-    [rap chaos] ({!Fault.chaos}) prepare their placement once. *)
+    A placement comes from {!prepare}; {!build} turns it into a
+    [prepared] value.  The service ({!Admission.create}), [rap batch]
+    ({!Batch.run}) and [rap chaos] ({!Fault.chaos}) build once per
+    placement and run every request, stream or trial on clones. *)
 
 type prepared
 

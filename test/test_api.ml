@@ -41,7 +41,17 @@ let test_simulate_api () =
 
 let test_simulate_errors () =
   check bool "no parseable regex" true
-    (match Rap.simulate ~regexes:[ "(((" ] ~input:"x" () with Error _ -> true | Ok _ -> false)
+    (match Rap.simulate ~regexes:[ "(((" ] ~input:"x" () with Error _ -> true | Ok _ -> false);
+  match Rap.simulate ~regexes:[ "a{99999}" ] ~input:"a" () with
+  | Error e ->
+      check bool "nothing placed: the error names the drop" true
+        (Astring_contains.contains e "oversize")
+  | Ok _ -> fail "a rule set with nothing placed must be an Error"
+
+let test_simulate_drops_oversize () =
+  match Rap.simulate ~regexes:[ "a{99999}"; "abc" ] ~input:"xxabcxx" () with
+  | Ok r -> check int "abc still runs" 1 r.Runner.match_reports
+  | Error e -> fail e
 
 let env = { Experiments.chars = 800; scale = 1; jobs = 1 }
 
@@ -102,4 +112,5 @@ let suite =
     test_case "platform operating points" `Quick test_platforms;
     test_case "text tables" `Quick test_texttable;
     test_case "anchored matching" `Quick test_anchored_matching;
+    test_case "simulate drops an oversize rule" `Quick test_simulate_drops_oversize;
   ]

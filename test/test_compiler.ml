@@ -223,6 +223,68 @@ let prop_decision_matches_compile =
       let c = Mode_select.compile ~params ~source:"q" r in
       Program.mode_name c.Program.kind = Mode_select.mode_names (Mode_select.decide ~params r))
 
+(* The set-up of a user rule set drops a rule that alone exceeds one
+   array, with its typed reason, and runs the rest. *)
+let test_prepare_drops_oversize () =
+  let rap = Rap.rap_arch () in
+  let regexes = [ ("a{99999}", parse "a{99999}"); ("abc", parse "abc") ] in
+  let placement, errors = Runner.prepare rap ~params regexes in
+  (match errors with
+  | [ { Compile_error.source; reason = Compile_error.Oversize { tiles_needed; tiles_cap } } ] ->
+      check string "dropped source" "a{99999}" source;
+      check int "cap is one array" 16 tiles_cap;
+      check bool "demand over cap" true (tiles_needed > tiles_cap)
+  | _ -> fail "expected exactly one Oversize drop");
+  check int "one unit placed" 1 (Array.length placement.Mapper.units);
+  check string "the survivor" "abc" placement.Mapper.units.(0).Program.source;
+  let r = Runner.run rap ~params placement ~input:"xxabcxx" in
+  check int "the survivor matches" 1 r.Runner.match_reports
+
+(* Rules too big for one array: bounded repetitions of a class that
+   compile to NBVA (one tile per thousand counts or so), and
+   repetitions of a short alternation that unfold to NFA (three states
+   per count). *)
+let gen_oversize =
+  let open QCheck2.Gen in
+  let cls = map Ast.cls Gen.gen_cc in
+  oneof
+    [
+      map3 (fun r m extra -> Ast.repeat r m (Some (m + extra))) cls (int_range 17_000 40_000)
+        (int_bound 3);
+      map2 (fun r k -> Ast.repeat r 0 (Some k)) cls (int_range 17_000 30_000);
+      map4
+        (fun a b c n -> Ast.repeat (Ast.alt (Ast.concat a b) c) n (Some n))
+        cls cls cls (int_range 800 1000);
+    ]
+
+let prop_prepare_places_or_reports =
+  QCheck2.Test.make ~name:"prepare places or reports every rule" ~count:30
+    ~print:(fun rules ->
+      String.concat " ; "
+        (List.map (fun (r, big) -> Gen.ast_print r ^ if big then " (oversize)" else "") rules))
+    QCheck2.Gen.(
+      list_size (int_range 1 10)
+        (frequency
+           [
+             (3, map (fun r -> (r, false)) (Gen.gen_ast ~max_bound:12 ()));
+             (1, map (fun r -> (r, true)) gen_oversize);
+           ]))
+    (fun rules ->
+      let regexes = List.mapi (fun i (r, _) -> (Printf.sprintf "r%d" i, r)) rules in
+      let placement, errors = Runner.prepare (Rap.rap_arch ()) ~params regexes in
+      let placed (s, _) =
+        Array.exists (fun (c : Program.compiled) -> c.Program.source = s) placement.Mapper.units
+      in
+      let reported (s, _) =
+        List.exists (fun (e : Compile_error.t) -> e.Compile_error.source = s) errors
+      in
+      (* a rule too big for one array is dropped: [Oversize], or
+         [Unsupported] when one of its states alone overflows a tile *)
+      List.for_all2
+        (fun rule (_, big) ->
+          if big then reported rule && not (placed rule) else placed rule || reported rule)
+        regexes rules)
+
 let suite =
   [
     test_case "decision graph (fig 9)" `Quick test_decision_graph;
@@ -244,4 +306,7 @@ let suite =
     test_case "mapper oversize drop is structured" `Quick test_mapper_oversize_drop_structured;
     QCheck_alcotest.to_alcotest prop_forced_nfa_always_possible;
     QCheck_alcotest.to_alcotest prop_decision_matches_compile;
+    test_case "prepare drops an oversize rule and runs the rest" `Quick
+      test_prepare_drops_oversize;
+    QCheck_alcotest.to_alcotest prop_prepare_places_or_reports;
   ]

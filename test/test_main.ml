@@ -18,7 +18,6 @@ let () =
       ("checkpoint", Test_checkpoint.suite);
       ("batch", Test_batch.suite);
       ("service", Test_service.suite);
-      ("cache", Test_cache.suite);
       ("stream", Test_stream.suite);
       ("fault", Test_fault.suite);
       ("integrity", Test_integrity.suite);

@@ -72,9 +72,15 @@ let mixed_units () =
     (fun s -> Mode_select.compile ~params ~source:s (parse s))
     srcs
 
+(* A placement on a pristine chip that must drop nothing. *)
+let place units =
+  match Mapper.map_units_result ~params units with
+  | p, [], _ -> p
+  | _, e :: _, _ -> failf "dropped %a" Compile_error.pp e
+
 let test_placement_invariants () =
   let units = Array.of_list (mixed_units ()) in
-  let p = Mapper.map_units ~params units in
+  let p = place units in
   (* every array holds at most 16 tiles *)
   Array.iter
     (fun tiles -> check bool "array size" true (Array.length tiles <= 16))
@@ -144,7 +150,7 @@ let test_nbva_sharing_constraints () =
   let units =
     Array.of_list (List.map (fun s -> Mode_select.compile ~params ~source:s (parse s)) srcs)
   in
-  let p = Mapper.map_units ~params units in
+  let p = place units in
   let stats = Mapper.stats p in
   check bool "tiles shared (fewer tiles than units)" true
     (stats.Mapper.num_tiles < Array.length units);
@@ -162,16 +168,19 @@ let test_utilisation_on_benchmark () =
     true
     (stats.Mapper.col_utilisation > 0.55)
 
+(* [Runner.place] raises on a unit that does not fit one array;
+   compiler's "mapper oversize drop is structured" checks the typed drop
+   underneath. *)
 let test_oversized_unit_rejected () =
   let huge = parse (String.concat "" (List.init 2200 (fun _ -> "a"))) in
   let c = Option.get (Mode_select.compile_as Mode_select.Nfa_mode ~params ~source:"huge" huge) in
-  check_raises "does not fit one array"
-    (Invalid_argument "Mapper: unit 0 (huge) needs 18 tiles, exceeding one array") (fun () ->
-      ignore (Mapper.map_units ~params [| c |]))
+  match Runner.place (Rap.rap_arch ()) ~params [ c ] with
+  | _ -> fail "an oversize unit was placed"
+  | exception Invalid_argument _ -> ()
 
 let test_pp_placement () =
   let units = Array.of_list (mixed_units ()) in
-  let p = Mapper.map_units ~params units in
+  let p = place units in
   let s = Format.asprintf "%a" Mapper.pp_placement p in
   check bool "lists arrays" true (Astring_contains.contains s "array 0");
   check bool "lists tiles" true (Astring_contains.contains s "tile");
@@ -193,8 +202,9 @@ let prop_placement_invariants =
       in
       if Array.length units = 0 then true
       else
-        let p = Mapper.map_units ~params units in
-        (* arrays within capacity, every non-LNFA tile placed exactly once *)
+        let p, drops, _ = Mapper.map_units_result ~params units in
+        (* nothing dropped, arrays within capacity, every non-LNFA tile
+           placed exactly once *)
         let ok_capacity =
           Array.for_all (fun tiles -> Array.length tiles <= 16) p.Mapper.arrays
         in
@@ -221,7 +231,7 @@ let prop_placement_invariants =
                   if not (Hashtbl.mem seen (id, i)) then ok_complete := false
                 done)
           units;
-        ok_capacity && !ok_complete)
+        drops = [] && ok_capacity && !ok_complete)
 
 (* Placement allocates in proportion to the rules: an attempt on an array
    undoes its adds instead of copying the array's built tiles, so four

@@ -260,6 +260,19 @@ let prop_nbva_threshold_irrelevant =
       let b = Nbva.compile ~threshold:4 r in
       Nbva.match_ends a input = Nbva.match_ends b input)
 
+let test_mask_tables_hash_consed () =
+  (* many states share character classes, so the 256-entry label tables
+     and successor masks must collapse to a handful of physical rows of
+     the flat packed mask table *)
+  let nbva = compile "a{14}b|a{9}c|[ab]{4,30}d" in
+  let nwords = Bitvec.words_for (Nbva.num_states nbva) in
+  let table name = List.assoc name (Nbva.plan_tables nbva) in
+  (* rows stored, against the rows the plan indexes: one per byte, one
+     per state, and the initial and final rows *)
+  let physical = Array.length (table "masks") / nwords in
+  let logical = Array.length (table "labels_row") + Array.length (table "succ_row") + 2 in
+  check bool "tables are shared" true (physical < logical / 4)
+
 let suite =
   [
     test_case "paper example 2.2" `Quick test_example_2_2;
@@ -283,4 +296,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wake_exact;
     QCheck_alcotest.to_alcotest prop_nbva_equals_nfa;
     QCheck_alcotest.to_alcotest prop_nbva_threshold_irrelevant;
+    test_case "mask tables hash-consed and shared" `Quick test_mask_tables_hash_consed;
   ]
